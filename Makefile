@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-all bench-guard bench-compare bench-baseline experiments examples fuzz chaos-smoke chaos-soak clean
+.PHONY: all check build vet test test-race race cover bench bench-all bench-guard bench-compare bench-baseline bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak clean
 
 all: check
 
 # The default gate: compile, static checks, unit tests, the race detector
 # (the buffer-pool ownership rules make -race a required check), the
-# fast-path allocation budgets, and the pinned-seed chaos campaigns.
-check: build vet test test-race bench-guard chaos-smoke
+# fast-path allocation budgets, the pinned-seed chaos campaigns, and the
+# repository benchmark's own build and tests.
+check: build vet test test-race bench-guard chaos-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -41,8 +42,9 @@ experiments:
 # Hot-path microbenchmarks: overlay forwarding, underlay send, scheduler
 # timer churn, the fair-scheduler DRR core at 1k/10k/100k flows, the
 # pooled wire round trip, the control-plane SPF / reconvergence pair, and
-# the batched UDP data plane over loopback.
-BENCH_PATTERN = Forwarding|MarshalAlloc|NetemuSend|Sched|Packet|DisjointPaths|SPF|ConvergenceScale|UDP
+# the batched UDP data plane over loopback, and the client edge (client →
+# one daemon → client over loopback TCP).
+BENCH_PATTERN = Forwarding|MarshalAlloc|NetemuSend|Sched|Packet|DisjointPaths|SPF|ConvergenceScale|UDP|ClientEdge
 
 bench:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem .
@@ -60,10 +62,13 @@ bench-all:
 # fair-scheduler DRR core allocates on a steady-state decision at up to
 # 100k concurrent flows, or if transit forwarding through the whole
 # sharded daemon stack exceeds one amortized allocation per packet, or if
-# a steady-state membership detector/corrector sweep allocates.
+# a steady-state membership detector/corrector sweep allocates, or if the
+# client edge does (RemoteFlow.Send: 0; daemon ingress + egress: at most 2
+# per message on top of the in-process session path).
 bench-guard:
 	$(GO) test -run 'TestNetemuSendAllocBudget|TestSPFAllocBudget|TestIncrementalSPFAllocBudget|TestConvergenceAllocBudget|TestUDPTransportAllocBudget|TestSchedAllocBudget|TestDaemonForwardingAllocBudget' -count=1 .
 	$(GO) test -run TestMembershipSweepAllocBudget -count=1 ./internal/membership/
+	$(GO) test -run TestClientEdgeAllocBudget -count=1 ./internal/transport/
 
 # Diff current hot-path benchmark numbers against the checked-in baseline:
 # ns/op may drift within the baseline's tolerance, allocs/op may not grow.
@@ -73,6 +78,25 @@ bench-compare:
 # Regenerate the baseline (run on the reference machine, then commit).
 bench-baseline:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchcompare -write BENCH_baseline.json
+
+# The repository benchmark (BENCHMARK.json) is a nested module, so the
+# targets above never compile it. bench-check vets and tests it with and
+# without the sonet_layers tag: the tagged files reach unexported fields
+# of sonet.Daemon, transport.Daemon and session.Manager by name, and this
+# is what notices when a rename breaks them. About 20 s.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench vet -tags sonet_layers ./...
+	$(GO) -C bench test ./...
+	$(GO) -C bench test -tags sonet_layers ./...
+
+# Run the four BENCHMARK.json workloads once each (about 40 s apiece);
+# see bench/README.md for -repeat, -aa and --trace 1.
+BENCH_SEED ?= 1
+bench-repo:
+	for w in chain3-video-be chain3-small-reliable emu-mixed-loss emu-churn-64; do \
+		$(GO) -C bench run . --workload $$w --seed $(BENCH_SEED) --seconds 28 --trace 0 || exit 1; \
+	done
 
 # Pinned-seed fault-campaign suite (internal/chaos): twelve campaigns
 # spanning link flaps, partitions, crash-restarts, ISP outages,
@@ -100,6 +124,8 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalPacket -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalFrame -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzFramePooledRoundTrip -fuzztime 30s
+	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzFrameReader -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzClientRequest -fuzztime 30s -fuzzminimizetime 2s
 
 clean:
 	$(GO) clean ./...

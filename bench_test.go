@@ -762,6 +762,76 @@ func TestDaemonForwardingAllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkClientEdge measures the client edge on its own: a message
+// goes from one TCP client into a single daemon and straight out to
+// another client on the same daemon, so the path is client encode and
+// write, daemon batch read, session send and local delivery, daemon
+// coalesced write, client read and callback — no overlay hop. The loop is
+// closed at 64 messages in flight, like the repository benchmark's
+// throughput phase. One op is one message; frames/flush is how many
+// deliveries one daemon socket write carried.
+func BenchmarkClientEdge(b *testing.B) {
+	for _, size := range []int{64, 1200} {
+		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
+			d, err := transport.NewDaemon(transport.DaemonConfig{
+				ID: 1, BindUDP: "127.0.0.1:0", BindTCP: "127.0.0.1:0",
+				Links:           []transport.LinkDef{{A: 1, B: 2, LatencyMs: 1}},
+				HelloIntervalMs: 3600000,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			const window = 64
+			credits := make(chan struct{}, window)
+			recv, err := DialDaemon(d.TCPAddr(), 700, func(Delivery) { credits <- struct{}{} })
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = recv.Close() }()
+			send, err := DialDaemon(d.TCPAddr(), 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = send.Close() }()
+			flow, err := send.OpenFlow(FlowSpec{To: 1, ToPort: 700})
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := make([]byte, size)
+			pump := func(n int) {
+				inFlight := 0
+				for i := 0; i < n; i++ {
+					if inFlight == window {
+						<-credits
+						inFlight--
+					}
+					if err := flow.Send(payload); err != nil {
+						b.Fatal(err)
+					}
+					inFlight++
+				}
+				for ; inFlight > 0; inFlight-- {
+					<-credits
+				}
+			}
+			pump(4 * window) // warm buffers, pools and the flow's route
+			before := d.ClientStats()
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			pump(b.N)
+			b.StopTimer()
+			after := d.ClientStats()
+			if after.Dropped != 0 {
+				b.Fatalf("%d deliveries dropped with %d in flight", after.Dropped, window)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msg/s")
+			b.ReportMetric(float64(after.FramesOut-before.FramesOut)/float64(after.Flushes-before.Flushes), "frames/flush")
+		})
+	}
+}
+
 // nullUnderlay swallows transmissions; it isolates node-stack CPU cost.
 type nullUnderlay struct {
 	sent int

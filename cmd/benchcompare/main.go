@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -141,8 +142,17 @@ func run() int {
 // parseBench extracts benchmark results from `go test -bench` output.
 // A benchmark line is: name, iteration count, then value/unit pairs,
 // e.g. `BenchmarkSPF/dense-16  3347569  387.6 ns/op  0 B/op  0 allocs/op`.
+//
+// With GOMAXPROCS above one the testing package appends "-<GOMAXPROCS>"
+// to every name; it is trimmed, so one baseline serves boxes of any core
+// count (this command runs on the box that ran the benchmarks, at the
+// other end of the pipe).
 func parseBench(f *os.File) (map[string]Entry, error) {
 	out := make(map[string]Entry)
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		procs = "-" + strconv.Itoa(n)
+	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -169,7 +179,7 @@ func parseBench(f *os.File) (map[string]Entry, error) {
 			}
 		}
 		if seen {
-			out[fields[0]] = e
+			out[strings.TrimSuffix(fields[0], procs)] = e
 		}
 	}
 	return out, sc.Err()

@@ -102,6 +102,7 @@ func (d *Daemon) Stats() NodeStats {
 		DeliveredLocal: st.DeliveredLocal,
 		Duplicates:     st.Duplicates,
 		Blackholed:     st.Blackholed,
+		ClientDropped:  d.inner.ClientStats().Dropped,
 	}
 }
 
@@ -178,5 +179,7 @@ type RemoteFlow struct {
 	inner *transport.RemoteFlow
 }
 
-// Send transmits one message on the flow.
+// Send transmits one message on the flow. The payload is written to the
+// daemon before Send returns and may be reused at once; one larger than
+// an overlay packet carries is refused with an error.
 func (f *RemoteFlow) Send(payload []byte) error { return f.inner.Send(payload) }

@@ -465,6 +465,12 @@ var ErrBackpressure = link.ErrBackpressure
 // Send transmits one application message on the flow. A send refused by
 // first-hop admission control returns an error satisfying
 // errors.Is(err, ErrBackpressure).
+//
+// Send takes ownership of payload: the originated packet aliases it, and
+// a reliable flow keeps that packet in its recovery history long after
+// Send returns. The caller must not modify or reuse the slice afterwards;
+// a caller that wants its buffer back passes a copy (the daemon's client
+// edge hands over the private copy it made off the socket).
 func (f *Flow) Send(payload []byte) error {
 	if f.client.closed {
 		return fmt.Errorf("session: send on closed client")

@@ -17,6 +17,10 @@ type Loop struct {
 	done   chan struct{}
 }
 
+// loopQueueRetain is the largest queue slice the loop keeps for reuse; one
+// exceptional burst must not pin its high-water mark forever.
+const loopQueueRetain = 4096
+
 // loopTask is one queue entry: a closure or a pre-allocated Runner.
 type loopTask struct {
 	fn func()
@@ -76,6 +80,10 @@ func (l *Loop) Close() {
 
 func (l *Loop) run() {
 	defer close(l.done)
+	// The queue is double-buffered: producers append to one slice while
+	// the loop runs the other, so a steady stream of posts stops
+	// allocating once both have grown to the burst size.
+	var spare []loopTask
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.closed {
@@ -86,7 +94,7 @@ func (l *Loop) run() {
 			return
 		}
 		batch := l.queue
-		l.queue = nil
+		l.queue = spare
 		l.mu.Unlock()
 		for _, t := range batch {
 			if t.r != nil {
@@ -94,6 +102,11 @@ func (l *Loop) run() {
 			} else {
 				t.fn()
 			}
+		}
+		clear(batch) // drop the closures and runners just run
+		spare = batch[:0]
+		if cap(spare) > loopQueueRetain {
+			spare = nil
 		}
 	}
 }

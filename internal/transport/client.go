@@ -2,9 +2,11 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sonet/internal/session"
@@ -22,11 +24,22 @@ type Client struct {
 	port     wire.Port
 	onErr    func(error)
 
+	// wmu serializes writers and guards wbuf, the connection-owned buffer
+	// (frameBufSize: any legal message fits) every request is encoded into
+	// and written from with one Write. Close never takes it: a writer
+	// blocked on a full TCP window holds it until the socket closes under
+	// it.
+	wmu  sync.Mutex
+	wbuf []byte
+
 	deliver   func(session.Delivery)
 	connected chan wire.Port
-	closed    bool
+	closed    atomic.Bool
 	done      chan struct{}
 }
+
+// errClientClosed is returned by every request on a closed client.
+var errClientClosed = errors.New("transport: client closed")
 
 // Dial connects to a daemon's client listener and binds the given virtual
 // port (zero for ephemeral). deliver receives incoming messages.
@@ -35,8 +48,15 @@ func Dial(addr string, port wire.Port, deliver func(session.Delivery)) (*Client,
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q: %w", addr, err)
 	}
+	return newClient(conn, port, deliver)
+}
+
+// newClient runs the connect handshake over an established connection,
+// which it owns from here on.
+func newClient(conn net.Conn, port wire.Port, deliver func(session.Delivery)) (*Client, error) {
 	c := &Client{
 		conn:      conn,
+		wbuf:      make([]byte, 0, frameBufSize),
 		deliver:   deliver,
 		connected: make(chan wire.Port, 1),
 		done:      make(chan struct{}),
@@ -79,15 +99,12 @@ func (c *Client) OnError(fn func(error)) {
 	c.onErr = fn
 }
 
-// Close terminates the session.
+// Close terminates the session. It does not wait for writers: closing the
+// socket fails a Send blocked on a daemon that stopped reading.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	err := c.conn.Close()
 	<-c.done
 	return err
@@ -149,29 +166,55 @@ func (c *Client) OpenFlow(spec session.FlowSpec) (*RemoteFlow, error) {
 	return &RemoteFlow{c: c, id: id}, nil
 }
 
-// Send transmits one message on the flow.
+// sendHeaderLen is kind(1) flow(2), the msgSend fields ahead of the
+// payload.
+const sendHeaderLen = 3
+
+// Send transmits one message on the flow. The payload is encoded into
+// the connection's buffer and written with one Write before Send returns;
+// the caller may reuse it at once. A payload no overlay packet can carry
+// is refused here with an error satisfying errors.Is(err, wire.ErrTooLarge).
 func (f *RemoteFlow) Send(payload []byte) error {
-	msg := make([]byte, 3, 3+len(payload))
-	msg[0] = msgSend
-	binary.BigEndian.PutUint16(msg[1:], f.id)
-	msg = append(msg, payload...)
-	return f.c.write(msg)
+	if len(payload) > wire.MaxPayload {
+		return fmt.Errorf("transport: payload %d bytes exceeds %d: %w", len(payload), wire.MaxPayload, wire.ErrTooLarge)
+	}
+	c := f.c
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf := appendFrameHeader(c.wbuf[:0], sendHeaderLen+len(payload))
+	buf = append(buf, msgSend, byte(f.id>>8), byte(f.id))
+	return c.flush(append(buf, payload...))
 }
 
+// write sends one control message.
 func (c *Client) write(msg []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("transport: client closed")
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf, err := appendFrame(c.wbuf[:0], msg)
+	if err != nil {
+		return err
 	}
-	return writeFrame(c.conn, msg)
+	return c.flush(buf)
+}
+
+// flush writes the frame encoded in buf (built on c.wbuf) with one Write.
+// The caller holds wmu.
+func (c *Client) flush(buf []byte) error {
+	if c.closed.Load() {
+		return errClientClosed
+	}
+	if _, err := c.conn.Write(buf); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
 }
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	fr := newFrameReader(c.conn)
 	first := true
 	for {
-		msg, err := readFrame(c.conn)
+		msg, err := fr.next()
 		if err != nil {
 			if first {
 				close(c.connected)
@@ -200,7 +243,7 @@ func (c *Client) readLoop() {
 				return
 			}
 		case msgDeliver:
-			if len(msg) < 22 {
+			if len(msg) < deliverHeaderLen {
 				continue
 			}
 			d := session.Delivery{
@@ -210,7 +253,7 @@ func (c *Client) readLoop() {
 				Group:         wire.GroupID(binary.BigEndian.Uint32(msg[9:])),
 				Latency:       time.Duration(binary.BigEndian.Uint64(msg[13:])),
 				Retransmitted: msg[21] == 1,
-				Payload:       append([]byte(nil), msg[22:]...),
+				Payload:       append([]byte(nil), msg[deliverHeaderLen:]...),
 			}
 			if c.deliver != nil {
 				c.deliver(d)

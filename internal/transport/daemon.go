@@ -78,6 +78,9 @@ type Daemon struct {
 	clients map[*clientConn]struct{}
 	closed  bool
 	wg      sync.WaitGroup
+
+	// edge counts client-protocol traffic across every connection.
+	edge clientEdgeCounters
 }
 
 // NewDaemon builds and starts a daemon from config.
@@ -354,29 +357,91 @@ func (d *Daemon) acceptLoop() {
 		if err != nil {
 			return
 		}
-		c := &clientConn{d: d, conn: conn, out: make(chan []byte, 256)}
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			_ = conn.Close()
+		if !d.serve(conn) {
 			return
 		}
-		d.clients[c] = struct{}{}
-		d.mu.Unlock()
-		d.wg.Add(2)
-		go c.readLoop()
-		go c.writeLoop()
 	}
 }
+
+// serve attaches one client connection to the daemon and starts its read
+// and write loops; false means the daemon is closed and conn with it.
+func (d *Daemon) serve(conn net.Conn) bool {
+	c := &clientConn{d: d, conn: conn}
+	c.cond = sync.NewCond(&c.mu)
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		_ = conn.Close()
+		return false
+	}
+	d.clients[c] = struct{}{}
+	d.wg.Add(2)
+	d.mu.Unlock()
+	go c.readLoop()
+	go c.writeLoop()
+	return true
+}
+
+// ClientEdgeStats counts the client protocol's traffic across all of a
+// daemon's client connections. FramesOut/Flushes is how many messages one
+// socket write carried on average; Dropped is every message refused
+// because its connection's queue was full.
+type ClientEdgeStats struct {
+	// FramesIn counts requests read from clients.
+	FramesIn uint64
+	// FramesOut counts messages written to clients.
+	FramesOut uint64
+	// Flushes counts socket writes toward clients.
+	Flushes uint64
+	// Dropped counts messages discarded at a full connection queue.
+	Dropped uint64
+}
+
+// clientEdgeCounters is the live form of ClientEdgeStats.
+type clientEdgeCounters struct {
+	framesIn, framesOut, flushes, dropped atomic.Uint64
+}
+
+// ClientStats returns the client-protocol counters; safe from any
+// goroutine.
+func (d *Daemon) ClientStats() ClientEdgeStats {
+	return ClientEdgeStats{
+		FramesIn:  d.edge.framesIn.Load(),
+		FramesOut: d.edge.framesOut.Load(),
+		Flushes:   d.edge.flushes.Load(),
+		Dropped:   d.edge.dropped.Load(),
+	}
+}
+
+const (
+	// clientQueueLen bounds the messages queued toward one client.
+	clientQueueLen = 256
+	// clientBatchMax bounds the requests one loop turn runs for one
+	// connection, the same quota the UDP drain runners keep, so a fast
+	// client cannot starve timers and other connections.
+	clientBatchMax = rxDrainQuota
+	// egressRetain is the largest write buffer a connection keeps between
+	// flushes: a full queue of kilobyte messages. Bursts of larger ones
+	// grow the buffer for as long as they last.
+	egressRetain = clientQueueLen << 10
+	// arenaChunk is the allocation unit request bodies are carved from.
+	arenaChunk = 32 << 10
+)
 
 // clientConn bridges one TCP client to the session manager.
 type clientConn struct {
 	d    *Daemon
 	conn net.Conn
-	out  chan []byte
 
+	// mu guards the egress queue: out holds outMsgs encoded frames the
+	// write loop has yet to take.
 	mu      sync.Mutex
+	cond    *sync.Cond
 	closed  bool
+	out     []byte
+	outMsgs int
+
+	// session and flows belong to the daemon loop.
 	session *session.Client
 	flows   map[uint16]*session.Flow
 }
@@ -388,9 +453,9 @@ func (c *clientConn) close() {
 		return
 	}
 	c.closed = true
+	c.cond.Broadcast()
 	c.mu.Unlock()
 	_ = c.conn.Close()
-	close(c.out)
 	c.d.loop.Post(func() {
 		if c.session != nil {
 			c.session.Close()
@@ -401,62 +466,151 @@ func (c *clientConn) close() {
 	c.d.mu.Unlock()
 }
 
-// send queues a message toward the client, dropping when the client
-// cannot keep up (timely service beats unbounded buffering).
-func (c *clientConn) send(msg []byte) {
+// enqueue queues one message, hdr followed by payload, toward the client
+// as a single frame encoded straight into the egress buffer, and wakes the
+// write loop, which flushes at once: a message never waits for company.
+// When the client cannot keep up the message is dropped and counted
+// (timely service beats unbounded buffering).
+func (c *clientConn) enqueue(hdr, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	select {
-	case c.out <- msg:
-	default:
+	if c.outMsgs >= clientQueueLen {
+		c.d.edge.dropped.Add(1)
+		return
 	}
+	c.out = appendFrameHeader(c.out, len(hdr)+len(payload))
+	c.out = append(append(c.out, hdr...), payload...)
+	c.outMsgs++
+	c.cond.Signal()
 }
+
+// send queues a control reply toward the client.
+func (c *clientConn) send(msg []byte) { c.enqueue(msg, nil) }
 
 func (c *clientConn) sendError(err error) {
 	c.send(append([]byte{msgError}, []byte(err.Error())...))
 }
 
+// writeLoop writes everything queued with one Write per wakeup. While a
+// Write is in the kernel the loop keeps appending to the other buffer, so
+// frames coalesce exactly when the socket is the bottleneck and a lone
+// message on an idle connection leaves immediately.
 func (c *clientConn) writeLoop() {
 	defer c.d.wg.Done()
-	for msg := range c.out {
-		if err := writeFrame(c.conn, msg); err != nil {
+	var buf []byte
+	for {
+		c.mu.Lock()
+		for c.outMsgs == 0 && !c.closed {
+			c.cond.Wait()
+		}
+		if c.closed {
+			c.mu.Unlock()
 			return
+		}
+		buf, c.out = c.out, buf[:0]
+		n := c.outMsgs
+		c.outMsgs = 0
+		c.mu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			return
+		}
+		c.d.edge.flushes.Add(1)
+		c.d.edge.framesOut.Add(uint64(n))
+		if cap(buf) > egressRetain {
+			// A burst of large messages grew this buffer; let it go
+			// rather than hold the high-water mark per connection.
+			buf = nil
 		}
 	}
 }
 
+// payloadArena carves request bodies out of shared chunks: one allocation
+// serves dozens of messages, and each body is an independent heap slice
+// whose ownership can pass to the session (a chunk is collected once every
+// body carved from it is dead). It belongs to the connection's read loop.
+type payloadArena struct{ free []byte }
+
+// copy returns a private, capacity-clipped copy of b.
+func (a *payloadArena) copy(b []byte) []byte {
+	if len(b) > arenaChunk/4 {
+		return append([]byte(nil), b...)
+	}
+	if len(b) > len(a.free) {
+		a.free = make([]byte, arenaChunk)
+	}
+	out := a.free[:len(b):len(b)]
+	a.free = a.free[len(b):]
+	copy(out, b)
+	return out
+}
+
+// clientBatch is every request one read wakeup decoded, posted to the
+// daemon loop as a single pooled sim.Runner: one loop handoff per batch,
+// and a connection's requests run in the order they were sent.
+type clientBatch struct {
+	c    *clientConn
+	msgs [][]byte
+}
+
+var clientBatchPool = sync.Pool{New: func() any { return new(clientBatch) }}
+
+// Run implements sim.Runner on the daemon loop.
+func (b *clientBatch) Run() {
+	for i, m := range b.msgs {
+		b.c.handle(m[0], m[1:])
+		b.msgs[i] = nil
+	}
+	b.c, b.msgs = nil, b.msgs[:0]
+	clientBatchPool.Put(b)
+}
+
+// readLoop blocks for one frame, then gathers every further frame the
+// same read already buffered, copying each out of the reader's buffer
+// exactly once.
 func (c *clientConn) readLoop() {
 	defer c.d.wg.Done()
 	defer c.close()
+	fr := newFrameReader(c.conn)
+	var arena payloadArena
 	for {
-		msg, err := readFrame(c.conn)
+		msg, err := fr.next()
 		if err != nil {
 			return
 		}
-		if len(msg) == 0 {
-			continue
+		b := clientBatchPool.Get().(*clientBatch)
+		b.c = c
+		for err == nil {
+			if len(msg) > 0 {
+				b.msgs = append(b.msgs, arena.copy(msg))
+			}
+			if !fr.buffered() || len(b.msgs) >= clientBatchMax {
+				break
+			}
+			msg, err = fr.next()
 		}
-		c.handle(msg[0], msg[1:])
+		c.d.edge.framesIn.Add(uint64(len(b.msgs)))
+		c.d.loop.PostRunner(b)
+		if err != nil {
+			return
+		}
 	}
 }
 
-// handle posts one client request onto the daemon loop.
+// handle runs one client request on the daemon loop.
 func (c *clientConn) handle(kind byte, body []byte) {
-	c.d.loop.Post(func() {
-		switch kind {
-		case msgConnect:
-			c.onConnect(body)
-		case msgJoin, msgLeave:
-			c.onJoinLeave(kind, body)
-		case msgOpenFlow:
-			c.onOpenFlow(body)
-		case msgSend:
-			c.onSend(body)
-		}
-	})
+	switch kind {
+	case msgConnect:
+		c.onConnect(body)
+	case msgJoin, msgLeave:
+		c.onJoinLeave(kind, body)
+	case msgOpenFlow:
+		c.onOpenFlow(body)
+	case msgSend:
+		c.onSend(body)
+	}
 }
 
 func (c *clientConn) onConnect(body []byte) {
@@ -538,24 +692,28 @@ func (c *clientConn) onSend(body []byte) {
 		c.sendError(fmt.Errorf("unknown flow %d", id))
 		return
 	}
-	if err := f.Send(append([]byte(nil), body[2:]...)); err != nil {
+	// body is the read loop's private copy; the flow takes it over.
+	if err := f.Send(body[2:]); err != nil {
 		c.sendError(err)
 	}
 }
 
-// deliver encodes one delivery toward the client:
-// from(2) srcport(2) seq(4) group(4) latency ns(8) recovered(1) payload.
+// deliverHeaderLen is kind(1) from(2) srcport(2) seq(4) group(4)
+// latency ns(8) recovered(1), the msgDeliver fields ahead of the payload.
+const deliverHeaderLen = 22
+
+// deliver encodes one delivery straight into the connection's egress
+// queue. dv.Payload is only borrowed: it is copied before deliver returns.
 func (c *clientConn) deliver(dv session.Delivery) {
-	msg := make([]byte, 22, 22+len(dv.Payload))
-	msg[0] = msgDeliver
-	binary.BigEndian.PutUint16(msg[1:], uint16(dv.From))
-	binary.BigEndian.PutUint16(msg[3:], uint16(dv.SrcPort))
-	binary.BigEndian.PutUint32(msg[5:], dv.Seq)
-	binary.BigEndian.PutUint32(msg[9:], uint32(dv.Group))
-	binary.BigEndian.PutUint64(msg[13:], uint64(dv.Latency))
+	var hdr [deliverHeaderLen]byte
+	hdr[0] = msgDeliver
+	binary.BigEndian.PutUint16(hdr[1:], uint16(dv.From))
+	binary.BigEndian.PutUint16(hdr[3:], uint16(dv.SrcPort))
+	binary.BigEndian.PutUint32(hdr[5:], dv.Seq)
+	binary.BigEndian.PutUint32(hdr[9:], uint32(dv.Group))
+	binary.BigEndian.PutUint64(hdr[13:], uint64(dv.Latency))
 	if dv.Retransmitted {
-		msg[21] = 1
+		hdr[21] = 1
 	}
-	msg = append(msg, dv.Payload...)
-	c.send(msg)
+	c.enqueue(hdr[:], dv.Payload)
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -59,36 +58,6 @@ func startChain(t *testing.T, n int, clientsOn ...wire.NodeID) map[wire.NodeID]*
 		}
 	}
 	return daemons
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello")); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	if err := writeFrame(&buf, nil); err != nil {
-		t.Fatalf("writeFrame(empty): %v", err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil || string(got) != "hello" {
-		t.Fatalf("readFrame = %q, %v", got, err)
-	}
-	got, err = readFrame(&buf)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("readFrame(empty) = %q, %v", got, err)
-	}
-}
-
-func TestFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxMessage+1)); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	// A forged oversized header must be rejected on read.
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("oversized header accepted")
-	}
 }
 
 func TestUDPUnderlayDelivery(t *testing.T) {

@@ -408,6 +408,10 @@ type NodeStats struct {
 	Duplicates uint64
 	// Blackholed counts packets absorbed by compromised behaviour.
 	Blackholed uint64
+	// ClientDropped counts messages a deployed daemon discarded because a
+	// client connection's delivery queue was full (the client read too
+	// slowly). Always zero on emulated nodes, whose clients are in-process.
+	ClientDropped uint64
 }
 
 // Client is an application endpoint attached to an overlay node.
@@ -493,7 +497,9 @@ type Flow struct {
 	inner *session.Flow
 }
 
-// Send transmits one message on the flow.
+// Send transmits one message on the flow. The flow takes ownership of
+// payload (packets in flight and a reliable flow's recovery history alias
+// it): do not modify or reuse the slice after the call.
 func (f *Flow) Send(payload []byte) error { return f.inner.Send(payload) }
 
 // Sent returns the number of messages sent on the flow.
