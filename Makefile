@@ -106,7 +106,7 @@ bench-repo:
 # violations tolerated. Deterministic — a failure here replays
 # bit-for-bit with `go run ./cmd/sonet-chaos run -campaign <name>`.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestCampaignDeterminism|TestReplayFromArtifact' ./internal/chaos/
+	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestSmokeTraceHashesPinned|TestCampaignDeterminism|TestReplayFromArtifact' ./internal/chaos/
 
 # Long-haul randomized campaigns across every topology and fault mix.
 chaos-soak:

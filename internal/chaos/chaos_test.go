@@ -203,6 +203,46 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
+// TestSmokeTraceHashesPinned is the behaviour witness: the twelve smoke
+// campaigns must reproduce these trace hashes bit for bit (identical at
+// GOMAXPROCS=1 and default). A refactor that claims "same behaviour" moves
+// none of them; a deliberate protocol change updates the table in the same
+// commit and says why.
+func TestSmokeTraceHashesPinned(t *testing.T) {
+	golden := map[string]uint64{
+		"flap-diamond":          0x0a8b4aa79519ef91,
+		"partition-ring":        0xe9029449aa492839,
+		"crash-grid":            0x284b80c94df64528,
+		"ispout-diamond":        0xdb7a969ad7a5167e,
+		"brownout-ring":         0xbbc01e5570819a1f,
+		"spike-grid":            0x755a9486ce5b09b7,
+		"flap-crash-ring":       0x6a189507dbf94f92,
+		"partition-ispout-grid": 0x311a6010ebf12b9c,
+		"everything-diamond":    0xd1473358be6845ef,
+		"scripted-mixed":        0x8b8438886ae2c170,
+		"churn-ring":            0xecb6e552b110dc45,
+		"churn-corrupt-grid":    0xf0e87940a03ee68c,
+	}
+	campaigns := SmokeCampaigns()
+	if len(campaigns) != len(golden) {
+		t.Fatalf("smoke suite has %d campaigns, golden table %d", len(campaigns), len(golden))
+	}
+	for _, c := range campaigns {
+		want, ok := golden[c.Name]
+		if !ok {
+			t.Errorf("%s: no pinned hash", c.Name)
+			continue
+		}
+		r, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TraceHash != want {
+			t.Errorf("%s: trace hash %016x, pinned %016x", c.Name, r.TraceHash, want)
+		}
+	}
+}
+
 // TestMinimizeShrinksFailingCampaign crashes the stream destination by
 // explicit script — a real, detectable violation (its client state dies
 // with it) — pads the script with benign flaps, and checks the minimizer
