@@ -22,13 +22,16 @@ test:
 	$(GO) test ./...
 
 # The race gate runs the full suite once, then re-runs the daemon suite
-# pinned at four protocol shards: the auto shard count collapses to one
-# on single-core CI runners, and the sharded protocol plane (per-shard
-# link sessions, COW snapshot readers, cross-shard clones) must be
-# race-checked even there.
+# and the node's shard-crossing tests (decision parity between shard 0 and
+# a snapshot shard, control payloads surfacing on a data shard) pinned at
+# four protocol shards: the auto shard count collapses to one on
+# single-core CI runners, and the engine's shard crossings (per-shard link
+# sessions, COW snapshot readers, cross-shard clones) must be race-checked
+# even there.
 test-race:
 	$(GO) test -race ./...
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestDaemon' ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted' ./internal/node/
 
 race: test-race
 

@@ -59,20 +59,22 @@ func (d *dedupTable) Observe(k dedupKey) bool {
 // Len returns the number of tracked keys.
 func (d *dedupTable) Len() int { return len(d.seen) }
 
-// dedupStripes is the stripe count of the shared table; a power of two so
-// the stripe pick is a mask.
+// dedupStripes is the stripe count of a table more than one shard
+// observes; a power of two so the stripe pick is a mask.
 const dedupStripes = 16
 
-// sharedDedup is the cross-shard duplicate-suppression table a sharded
-// data plane uses in place of the single-threaded dedupTable: flood and
-// multicast copies of one packet arrive via different neighbors, which
-// home on different shards, so first-sighting must be decided against one
-// shared set. The set is striped by key hash — different packets contend
-// on different mutexes, and one packet's redundant copies serialize on
-// exactly one. Unicast traffic never touches it (link-state routing skips
-// dedup), so the contention-free fast path stays lock-free.
+// sharedDedup is the node's duplicate-suppression table, the only way to a
+// dedupTable. Flood and multicast copies of one packet arrive via
+// different neighbors, which home on different shards, so first-sighting
+// is decided against one set shared by every shard of the plane. With
+// several shards the set is striped by key hash — different packets
+// contend on different mutexes, and one packet's redundant copies
+// serialize on exactly one. A one-shard plane has one observer: it gets
+// one stripe (so eviction is one FIFO over the whole capacity) and takes
+// no lock. Unicast traffic never touches the table (link-state routing
+// skips dedup).
 type sharedDedup struct {
-	stripes [dedupStripes]dedupStripe
+	stripes []dedupStripe
 }
 
 type dedupStripe struct {
@@ -82,26 +84,28 @@ type dedupStripe struct {
 	_ [40]byte
 }
 
-// newSharedDedup builds a shared table with the given total capacity
-// split evenly across stripes.
-func newSharedDedup(capacity int) *sharedDedup {
+// newSharedDedup builds the table for a plane of nshard shards, the total
+// capacity split evenly across stripes.
+func newSharedDedup(capacity, nshard int) *sharedDedup {
+	if nshard <= 1 {
+		return &sharedDedup{stripes: []dedupStripe{{t: newDedupTable(capacity)}}}
+	}
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	per := capacity / dedupStripes
-	if per < 16 {
-		per = 16
-	}
-	d := &sharedDedup{}
+	d := &sharedDedup{stripes: make([]dedupStripe, dedupStripes)}
 	for i := range d.stripes {
-		d.stripes[i].t = newDedupTable(per)
+		d.stripes[i].t = newDedupTable(max(capacity/dedupStripes, 16))
 	}
 	return d
 }
 
 // Observe records the key and reports whether this was its first sighting
-// across every shard. Safe from any goroutine.
+// across every shard. Safe from any of the plane's loops.
 func (d *sharedDedup) Observe(k dedupKey) bool {
+	if len(d.stripes) == 1 {
+		return d.stripes[0].t.Observe(k)
+	}
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	h = (h ^ uint64(k.src)) * prime

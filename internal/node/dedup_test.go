@@ -77,11 +77,13 @@ func TestDedupWraparoundFIFO(t *testing.T) {
 // TestDedupMatchesReferenceModel is the property test: random observation
 // sequences over a universe larger than capacity must agree with the
 // reference FIFO model on every single call, and Len must never exceed
-// capacity.
+// capacity. A one-shard plane's shared table is one stripe over the whole
+// capacity, so it must agree with the same model call for call.
 func TestDedupMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 8, 64} {
 		rng := rand.New(rand.NewPCG(42, uint64(capacity)))
 		d := newDedupTable(capacity)
+		solo := newSharedDedup(capacity, 1)
 		ref := &refDedup{cap: capacity}
 		universe := 2*capacity + 3
 		for op := 0; op < 20000; op++ {
@@ -90,6 +92,10 @@ func TestDedupMatchesReferenceModel(t *testing.T) {
 			want := ref.observe(k)
 			if got != want {
 				t.Fatalf("cap=%d op=%d key=%v: Observe = %v, reference = %v",
+					capacity, op, k, got, want)
+			}
+			if got := solo.Observe(k); got != want {
+				t.Fatalf("cap=%d op=%d key=%v: one-shard shared Observe = %v, reference = %v",
 					capacity, op, k, got, want)
 			}
 			if d.Len() > capacity {

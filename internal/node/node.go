@@ -4,9 +4,11 @@
 // middle, and the per-neighbor link-level protocol instances at the
 // bottom, all over an abstract underlay.
 //
-// A Node is single-threaded: every entry point must be called from the
+// A Node is the control plane over a DataPlane of one or more forwarding
+// engines (shard.go). Every Node entry point must be called from the
 // node's executor (the simulation scheduler in emulation, the daemon's
-// event loop in deployment).
+// control loop in deployment), which is also shard 0's; a one-shard node —
+// every emulated one — is single-threaded end to end.
 package node
 
 import (
@@ -115,17 +117,16 @@ type Stats struct {
 	DroppedNoRoute uint64
 	// DroppedAuth counts packets and frames failing authentication.
 	DroppedAuth uint64
+	// DroppedUnknownPeer counts frames from, and packets toward, a node
+	// the handling shard has no link entry for.
+	DroppedUnknownPeer uint64
 	// Blackholed counts data packets absorbed by compromised behaviour.
 	Blackholed uint64
 }
 
-// neighborLink is the node's endpoint of one adjacent overlay link.
+// neighborLink is the control plane's state for one adjacent overlay
+// link; its protocol endpoints live in the data plane's peer tables.
 type neighborLink struct {
-	neighbor wire.NodeID
-	linkID   wire.LinkID
-	latency  time.Duration
-	path     uint8
-	protos   map[wire.LinkProtoID]link.Protocol
 	// epoch numbers the link-session incarnation; it bumps on every
 	// local reset and is advertised in hellos so the peer can detect
 	// resets it did not itself observe (an asymmetric loss streak resets
@@ -143,7 +144,6 @@ type Node struct {
 	cfg    Config
 	id     wire.NodeID
 	clock  sim.Clock
-	under  Underlay
 	lsMgr  *linkstate.Manager
 	grpMgr *groups.Manager
 	memMgr *membership.Manager
@@ -153,32 +153,16 @@ type Node struct {
 	// neighborOrder lists neighbors in ascending ID order so fan-out
 	// (flooding, broadcasts) is deterministic.
 	neighborOrder []wire.NodeID
-	byLink        map[wire.LinkID]*neighborLink
-	dedup         *dedupTable
 
 	deliver      func(*wire.Packet)
 	onViewChange func()
 
-	// plane, when attached, is the sharded data plane: peers homed on
-	// other shards have their link sessions there, duplicate suppression
-	// moves to the shared striped table, and the routing engine publishes
-	// forwarding snapshots after every control-plane change.
+	// plane is the node's forwarding engines; ctl is its shard 0, the one
+	// on this node's executor.
 	plane *DataPlane
+	ctl   *DataShard
 
-	stats        Stats
 	refreshTimer sim.Timer
-	closed       bool
-
-	// rxFrame and rxPacket are the receive-path decode scratch: every
-	// frame arriving from the underlay is decoded into them in place, so
-	// the per-hop pipeline allocates nothing. They alias the arriving
-	// datagram; any component that retains packet state clones it.
-	rxFrame  wire.Frame
-	rxPacket wire.Packet
-
-	// schedStats aggregates fair-scheduler accounting across every
-	// discipline instance this node hosts (one sink, atomic counters).
-	schedStats *metrics.SchedStats
 }
 
 // New assembles a node. The deliver sink receives packets addressed to
@@ -203,20 +187,11 @@ func New(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		id:        cfg.ID,
 		clock:     cfg.Clock,
-		under:     cfg.Underlay,
 		neighbors: make(map[wire.NodeID]*neighborLink),
-		byLink:    make(map[wire.LinkID]*neighborLink),
-		dedup:     newDedupTable(cfg.DedupCapacity),
 		deliver:   func(*wire.Packet) {},
 	}
-	// One scheduler-accounting sink serves every discipline instance on
-	// the node; an externally supplied one (Config.ITSched.Stats) lets a
-	// host aggregate several nodes or shards.
-	n.schedStats = cfg.ITSched.Stats
-	if n.schedStats == nil {
-		n.schedStats = &metrics.SchedStats{}
-		n.cfg.ITSched.Stats = n.schedStats
-	}
+	n.plane = newDataPlane(n)
+	n.ctl = n.plane.shards[0]
 	view := topology.NewView(cfg.Graph)
 	n.lsMgr = linkstate.NewManager(&lsEnv{n: n}, n.id, view, cfg.LinkState)
 	n.lsMgr.SetOnNeighborState(n.resetLinkSessions)
@@ -227,15 +202,7 @@ func New(cfg Config) (*Node, error) {
 	for _, lid := range cfg.Graph.Incident(n.id) {
 		l, _ := cfg.Graph.Link(lid)
 		peer, _ := l.Other(n.id)
-		nl := &neighborLink{
-			neighbor: peer,
-			linkID:   lid,
-			latency:  l.Latency,
-			protos:   make(map[wire.LinkProtoID]link.Protocol),
-		}
-		n.neighbors[peer] = nl
-		n.neighborOrder = append(n.neighborOrder, peer)
-		n.byLink[lid] = nl
+		n.addNeighbor(peer, lid, l.Latency)
 		n.lsMgr.AddNeighbor(peer, lid)
 	}
 	sort.Slice(n.neighborOrder, func(i, j int) bool {
@@ -252,20 +219,17 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// AttachDataPlane hands the node its sharded data plane. Must be called
-// on the control loop before Start: it switches duplicate suppression to
-// the shared table and arms snapshot publication, and Start publishes
-// the first snapshot.
-func (n *Node) AttachDataPlane(pl *DataPlane) {
-	if pl == nil {
-		return
-	}
-	n.plane = pl
-	n.engine.SetPublishTarget(&pl.snap)
-	for _, nl := range n.neighbors {
-		pl.setPath(nl.neighbor, nl.path)
-	}
+// addNeighbor registers an adjacent link with the control plane and the
+// data plane's peer tables.
+func (n *Node) addNeighbor(peer wire.NodeID, lid wire.LinkID, latency time.Duration) {
+	n.neighbors[peer] = &neighborLink{}
+	n.neighborOrder = append(n.neighborOrder, peer)
+	n.plane.admit(peer, lid, latency)
 }
+
+// DataPlane returns the node's forwarding engines: one shard until
+// DataPlane.Grow.
+func (n *Node) DataPlane() *DataPlane { return n.plane }
 
 // Start begins connectivity and group-state maintenance.
 func (n *Node) Start() {
@@ -274,14 +238,14 @@ func (n *Node) Start() {
 	if n.memMgr != nil {
 		n.memMgr.Start()
 	}
-	// With a data plane attached, shards need a snapshot before the first
-	// reconvergence publishes one.
+	// Data shards need a snapshot before the first reconvergence publishes
+	// one.
 	n.engine.Publish()
 }
 
-// Stop cancels all timers and closes link protocol instances.
+// Stop cancels all timers and closes the control shard's link protocol
+// instances (DataPlane.Close does the same for the other shards).
 func (n *Node) Stop() {
-	n.closed = true
 	n.lsMgr.Stop()
 	if n.memMgr != nil {
 		n.memMgr.Stop()
@@ -289,11 +253,7 @@ func (n *Node) Stop() {
 	if n.refreshTimer != nil {
 		n.refreshTimer.Stop()
 	}
-	for _, nl := range n.neighbors {
-		for _, p := range nl.protos {
-			p.Close()
-		}
-	}
+	n.ctl.close()
 }
 
 // resetLinkSessions discards the link-protocol endpoints for one neighbor
@@ -307,19 +267,9 @@ func (n *Node) resetLinkSessions(peer wire.NodeID, _ bool) {
 	if !ok {
 		return
 	}
-	nl.closeProtos()
 	nl.epoch++
 	nl.awaitPeer = true
-	if n.plane != nil {
-		n.plane.resetPeer(peer)
-	}
-}
-
-func (nl *neighborLink) closeProtos() {
-	for id, p := range nl.protos {
-		p.Close()
-		delete(nl.protos, id)
-	}
+	n.plane.resetPeer(peer)
 }
 
 // sessionEpoch supplies the link-session epoch advertised in hellos to a
@@ -346,17 +296,12 @@ func (n *Node) handlePeerEpoch(peer wire.NodeID, h uint32) {
 	switch {
 	case h > nl.epoch:
 		nl.epoch = h
-		nl.closeProtos()
-		nl.awaitPeer = false
 	case h == nl.epoch && nl.awaitPeer:
-		nl.closeProtos()
-		nl.awaitPeer = false
 	default:
 		return
 	}
-	if n.plane != nil {
-		n.plane.resetPeer(peer)
-	}
+	nl.awaitPeer = false
+	n.plane.resetPeer(peer)
 }
 
 // ID returns the node's overlay identifier.
@@ -409,19 +354,8 @@ func (n *Node) SyncTopology() {
 		if _, ok := n.neighbors[peer]; ok {
 			continue
 		}
-		nl := &neighborLink{
-			neighbor: peer,
-			linkID:   lid,
-			latency:  l.Latency,
-			protos:   make(map[wire.LinkProtoID]link.Protocol),
-		}
-		n.neighbors[peer] = nl
-		n.neighborOrder = append(n.neighborOrder, peer)
-		n.byLink[lid] = nl
+		n.addNeighbor(peer, lid, l.Latency)
 		n.lsMgr.AddNeighborLive(peer, lid)
-		if n.plane != nil {
-			n.plane.setPath(peer, 0)
-		}
 		grew = true
 	}
 	if grew {
@@ -430,11 +364,18 @@ func (n *Node) SyncTopology() {
 		})
 	}
 	if added > 0 || grew {
-		n.engine.Invalidate()
-		n.engine.Publish()
-		if n.onViewChange != nil {
-			n.onViewChange()
-		}
+		n.forwardingChanged()
+	}
+}
+
+// forwardingChanged follows every change to the shared view or group
+// state: cached multicast trees drop, data shards get a fresh snapshot,
+// and the view-change hook runs.
+func (n *Node) forwardingChanged() {
+	n.engine.Invalidate()
+	n.engine.Publish()
+	if n.onViewChange != nil {
+		n.onViewChange()
 	}
 }
 
@@ -537,21 +478,15 @@ func (n *Node) correctFinding(f membership.Finding) {
 	n.lsMgr.ApplyCorrection(f.Link, false)
 }
 
-// Stats returns a snapshot of node counters.
-func (n *Node) Stats() Stats { return n.stats }
+// Stats returns a snapshot of the control shard's counters — all of a
+// one-shard node's; DataPlane.Stats has the other shards'.
+func (n *Node) Stats() Stats { return n.ctl.stats }
 
 // SchedStats returns the node's aggregated fair-scheduler accounting:
 // drops by cause, backpressure refusals, and flow-table occupancy across
-// every IT discipline instance the node hosts — data-shard ledgers
-// included when a plane is attached. The counters are atomic, so the
-// snapshot is safe from any goroutine.
-func (n *Node) SchedStats() metrics.SchedSnapshot {
-	agg := n.schedStats.Snapshot()
-	if n.plane != nil {
-		agg = agg.Merge(n.plane.SchedSnapshot())
-	}
-	return agg
-}
+// every IT discipline instance on every shard. The counters are atomic,
+// so the snapshot is safe from any goroutine.
+func (n *Node) SchedStats() metrics.SchedSnapshot { return n.plane.SchedSnapshot() }
 
 // SetDeliver installs the session-level delivery sink.
 func (n *Node) SetDeliver(fn func(*wire.Packet)) {
@@ -565,15 +500,15 @@ func (n *Node) SetDeliver(fn func(*wire.Packet)) {
 // group state changes (used by compound-flow rerouting and experiments).
 func (n *Node) SetOnViewChange(fn func()) { n.onViewChange = fn }
 
-// LinkStats returns the aggregate link-protocol counters for the link to
-// one neighbor.
+// LinkStats returns the link-protocol counters of the control shard's
+// endpoints on the link to one neighbor.
 func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
-	nl, ok := n.neighbors[neighbor]
+	pr, ok := n.ctl.peers[neighbor]
 	if !ok {
 		return nil
 	}
-	out := make(map[wire.LinkProtoID]link.Stats, len(nl.protos))
-	for id, p := range nl.protos {
+	out := make(map[wire.LinkProtoID]link.Stats, len(pr.protos))
+	for id, p := range pr.protos {
 		out[id] = p.Stats()
 	}
 	return out
@@ -582,7 +517,7 @@ func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
 // scheduleGroupRefresh refloods membership periodically.
 func (n *Node) scheduleGroupRefresh() {
 	n.refreshTimer = n.clock.After(n.cfg.GroupRefresh, func() {
-		if n.closed {
+		if n.ctl.closed {
 			return
 		}
 		n.grpMgr.Refresh()
@@ -602,7 +537,7 @@ func (n *Node) Originate(p *wire.Packet) error {
 	if p.Flags.Has(wire.FAnycast) {
 		target, ok := n.engine.AnycastResolve(p.Group)
 		if !ok {
-			n.stats.DroppedNoRoute++
+			n.ctl.stats.DroppedNoRoute++
 			return fmt.Errorf("node %v: anycast group %v has no reachable members", n.id, p.Group)
 		}
 		p.Dst = target
@@ -612,8 +547,8 @@ func (n *Node) Originate(p *wire.Packet) error {
 			return fmt.Errorf("node %v: %w", n.id, err)
 		}
 	}
-	n.stats.Originated++
-	if n.route(p, routing.NoLink) {
+	n.ctl.stats.Originated++
+	if n.ctl.route(p, routing.NoLink) {
 		// Every egress discipline refused the packet and nothing was
 		// delivered locally: surface the typed backpressure signal so the
 		// session can slow the source instead of losing traffic silently.
@@ -630,7 +565,7 @@ func (n *Node) Resend(p *wire.Packet) error {
 		return fmt.Errorf("node %v: resend of foreign packet from %v", n.id, p.Src)
 	}
 	p.TTL = n.cfg.DefaultTTL
-	n.route(p, routing.NoLink)
+	n.ctl.route(p, routing.NoLink)
 	return nil
 }
 
@@ -644,144 +579,16 @@ func (n *Node) requiresSignature(p *wire.Packet) bool {
 	return p.LinkProto == wire.LPITPriority || p.LinkProto == wire.LPITReliable
 }
 
-// HandleUnderlay processes raw frame bytes arriving from a neighbor. The
-// data buffer is borrowed for the duration of the call: the decoded frame
-// aliases it, and so does everything downstream until a retention point
-// clones.
+// HandleUnderlay processes raw frame bytes arriving from a neighbor on
+// the node's executor, i.e. on shard 0. The data buffer is borrowed for
+// the duration of the call.
 func (n *Node) HandleUnderlay(from wire.NodeID, data []byte) {
-	if n.closed || n.cfg.Compromised.DropAll {
-		return
-	}
-	f := &n.rxFrame
-	if _, err := wire.UnmarshalFrameInto(f, &n.rxPacket, data); err != nil {
-		return
-	}
-	if n.cfg.Keyring != nil && !n.cfg.Keyring.VerifyFrame(f, from) {
-		n.stats.DroppedAuth++
-		return
-	}
-	switch f.Kind {
-	case wire.FHello, wire.FHelloAck:
-		n.lsMgr.HandleControl(from, f)
-	default:
-		nl, ok := n.neighbors[from]
-		if !ok {
-			return
-		}
-		n.protoFor(nl, f.Proto).HandleFrame(f)
-	}
+	n.ctl.handleUnderlay(from, data)
 }
 
-// receiveFromLink accepts a routing-level packet delivered by a link
-// protocol instance.
-func (n *Node) receiveFromLink(from wire.NodeID, p *wire.Packet) {
-	if n.closed {
-		return
-	}
-	switch p.Type {
-	case wire.PTLinkState:
-		if err := n.lsMgr.HandleLSA(from, p); err != nil {
-			return
-		}
-	case wire.PTGroupState:
-		if err := n.grpMgr.HandleAnnouncement(from, p); err != nil {
-			return
-		}
-	case wire.PTMembership:
-		if n.memMgr == nil {
-			return
-		}
-		if err := n.memMgr.HandlePacket(from, p); err != nil {
-			return
-		}
-	case wire.PTData, wire.PTSessionCtl:
-		nl, ok := n.neighbors[from]
-		if !ok {
-			return
-		}
-		n.handleData(p, nl.linkID)
-	}
-}
-
-// handleData routes a data packet arriving on link arrived, applying
-// compromise behaviour, authentication, and duplicate suppression.
-func (n *Node) handleData(p *wire.Packet, arrived wire.LinkID) {
-	if n.cfg.Compromised.DropData {
-		n.stats.Blackholed++
-		return
-	}
-	if n.cfg.Compromised.DelayData > 0 {
-		cp := p.Clone()
-		n.clock.After(n.cfg.Compromised.DelayData, func() {
-			if !n.closed {
-				n.routeAuthed(cp, arrived)
-			}
-		})
-		return
-	}
-	n.routeAuthed(p, arrived)
-}
-
-func (n *Node) routeAuthed(p *wire.Packet, arrived wire.LinkID) {
-	if n.requiresSignature(p) && !n.cfg.Keyring.VerifyPacket(p) {
-		n.stats.DroppedAuth++
-		return
-	}
-	// A corrupting compromised node tampers after its own (honest-looking)
-	// verification, forwarding copies that downstream signature checks
-	// will reject.
-	if n.cfg.Compromised.CorruptData && len(p.Payload) > 0 {
-		p = p.Clone()
-		p.Payload[0] ^= 0xff
-	}
-	n.route(p, arrived)
-}
-
-// routeFromShard routes a packet a data shard handed to the control
-// shard: a snapshot miss (uncomputed multicast tree) or a
-// pre-publication race. The shard did not touch the dedup table for a
-// handed-off packet, so the full route path here — its Observe included —
-// is the packet's first.
-func (n *Node) routeFromShard(p *wire.Packet, arrived wire.LinkID) {
-	if n.closed {
-		return
-	}
-	n.route(p, arrived)
-	// Routing may have computed a multicast tree on demand; republishing
-	// lets the group's subsequent packets stay on their arrival shards.
-	n.engine.PublishIfDirty()
-}
-
-// deliverFromShard hands a packet a data shard cloned for local delivery
-// to the session level (which lives on the control shard). The shard
-// already counted the delivery.
-func (n *Node) deliverFromShard(p *wire.Packet) {
-	if n.closed {
-		return
-	}
-	n.deliver(p)
-}
-
-// egressFromShard transmits a transit packet whose egress neighbor is
-// homed on the control shard.
-func (n *Node) egressFromShard(neighbor wire.NodeID, p *wire.Packet) {
-	if n.closed {
-		return
-	}
-	nl, ok := n.neighbors[neighbor]
-	if !ok {
-		return
-	}
-	n.stats.Forwarded++
-	n.protoFor(nl, p.LinkProto).Send(p)
-}
-
-// controlFromShard processes a control payload (LSA or group-state
-// announcement) that rode a data frame to a data shard's link protocol.
-func (n *Node) controlFromShard(from wire.NodeID, p *wire.Packet) {
-	if n.closed {
-		return
-	}
+// handleControl absorbs a control payload a link protocol delivered, from
+// whichever shard's endpoint it surfaced on.
+func (n *Node) handleControl(from wire.NodeID, p *wire.Packet) {
 	switch p.Type {
 	case wire.PTLinkState:
 		_ = n.lsMgr.HandleLSA(from, p)
@@ -794,191 +601,15 @@ func (n *Node) controlFromShard(from wire.NodeID, p *wire.Packet) {
 	}
 }
 
-// route applies the routing decision: per-link forwarding with TTL
-// accounting, then local delivery. Forwarding runs first because the
-// decision's Forward slice is engine-owned scratch and local delivery can
-// re-enter the engine (session code may synchronously originate packets).
-//
-// It reports backpressure: true when the packet was locally originated
-// (arrived == NoLink), had egress links, every one of them refused it,
-// and it was not delivered locally. Origination probes disciplines via
-// link.TrySender so the refusal is observable; transit forwarding always
-// uses Send, keeping the paper's silent-drop semantics on the relay fast
-// path.
-func (n *Node) route(p *wire.Packet, arrived wire.LinkID) bool {
-	firstSeen := true
-	if p.Route != wire.RouteLinkState {
-		k := dedupKey{
-			src: p.Src, srcPort: p.SrcPort,
-			dst: p.Dst, dstPort: p.DstPort,
-			group: p.Group, flowSeq: p.FlowSeq,
-		}
-		if n.plane != nil {
-			// Sharded: redundant copies of one packet arrive via neighbors
-			// homed on different shards, so first-sighting is decided
-			// against the shared striped table.
-			firstSeen = n.plane.dedup.Observe(k)
-		} else {
-			firstSeen = n.dedup.Observe(k)
-		}
-		if !firstSeen {
-			n.stats.Duplicates++
-		}
-	}
-	d := n.engine.Decide(p, arrived, firstSeen)
-	var local *wire.Packet
-	if d.DeliverLocal {
-		n.stats.DeliveredLocal++
-		local = p
-		if arrived != routing.NoLink || len(d.Forward) > 0 {
-			// Wire-received packets alias the receive buffer and the
-			// session level retains delivered payloads; forwarding mutates
-			// TTL in place. Either way the delivered copy must be
-			// independent of p.
-			local = p.Clone()
-		}
-	}
-	sent, refused := 0, 0
-	if len(d.Forward) == 0 {
-		if !d.DeliverLocal && firstSeen {
-			n.stats.DroppedNoRoute++
-		}
-	} else if p.TTL <= 1 {
-		n.stats.DroppedTTL++
-	} else {
-		// One in-place decrement covers the whole fan-out: signatures
-		// exclude TTL, and every protocol that retains the packet captures
-		// it, so the borrowed p can feed all egress links.
-		p.TTL--
-		origination := arrived == routing.NoLink
-		for _, lid := range d.Forward {
-			nl, ok := n.byLink[lid]
-			if !ok {
-				continue
-			}
-			if n.plane != nil {
-				if home := n.plane.HomeOf(nl.neighbor); home != 0 {
-					// The egress link session lives on the neighbor's home
-					// shard; hand a clone over. Cross-shard origination
-					// backpressure is not synchronously observable — the
-					// owning shard applies drop semantics and accounts
-					// refusals in its own ledger — so the hop counts as
-					// sent here.
-					n.plane.egressTo(home, nl.neighbor, p.Clone())
-					sent++
-					continue
-				}
-			}
-			proto := n.protoFor(nl, p.LinkProto)
-			if origination {
-				if ts, ok := proto.(link.TrySender); ok {
-					if err := ts.TrySend(p); err != nil {
-						refused++
-						continue
-					}
-					sent++
-					n.stats.Forwarded++
-					continue
-				}
-			}
-			sent++
-			n.stats.Forwarded++
-			proto.Send(p)
-		}
-	}
-	if local != nil {
-		n.deliver(local)
-	}
-	return refused > 0 && sent == 0 && local == nil
-}
-
-// protoFor lazily instantiates the link protocol endpoint for one
-// neighbor link.
-func (n *Node) protoFor(nl *neighborLink, id wire.LinkProtoID) link.Protocol {
-	if p, ok := nl.protos[id]; ok {
-		return p
-	}
-	env := &linkEnv{n: n, peer: nl.neighbor}
-	var p link.Protocol
-	switch id {
-	case wire.LPReliable:
-		p = link.NewReliable(env, n.cfg.Reliable)
-	case wire.LPRealTime:
-		cfg := n.cfg.Strikes
-		if cfg.RTT <= 0 {
-			cfg.RTT = 2 * nl.latency
-		}
-		p = link.NewStrikes(env, cfg)
-	case wire.LPSingleStrike:
-		env.rebadge = wire.LPSingleStrike
-		cfg := n.cfg.SingleStrike
-		cfg.N, cfg.M = 1, 1
-		if cfg.RTT <= 0 {
-			cfg.RTT = 2 * nl.latency
-		}
-		p = link.NewStrikes(env, cfg)
-	case wire.LPITPriority:
-		p = itmsg.NewPriorityLink(env, n.cfg.ITSched)
-	case wire.LPITReliable:
-		p = itmsg.NewReliableFairLink(env, n.cfg.ITSched, n.cfg.Reliable)
-	default:
-		p = link.NewBestEffort(env)
-	}
-	nl.protos[id] = p
-	return p
-}
-
-// linkEnv adapts the node to link.Env for one neighbor.
-type linkEnv struct {
-	n    *Node
-	peer wire.NodeID
-	// rebadge overrides the frame protocol ID when nonzero.
-	rebadge wire.LinkProtoID
-}
-
-func (e *linkEnv) Clock() sim.Clock { return e.n.clock }
-
-func (e *linkEnv) Transmit(f *wire.Frame) {
-	if e.rebadge != 0 {
-		f.Proto = e.rebadge
-	}
-	e.n.transmitFrame(e.peer, f)
-}
-
-func (e *linkEnv) Deliver(p *wire.Packet) { e.n.receiveFromLink(e.peer, p) }
-
-// transmitFrame MACs (when authenticated), marshals, and sends a frame to
-// a neighbor over the link's current underlay path.
-func (n *Node) transmitFrame(peer wire.NodeID, f *wire.Frame) {
-	nl, ok := n.neighbors[peer]
-	if !ok {
-		return
-	}
-	if n.cfg.Keyring != nil {
-		if err := n.cfg.Keyring.MacFrame(f, peer); err != nil {
-			return
-		}
-	}
-	buf := wire.DefaultBufPool.Get(f.MarshaledSize())
-	b, err := f.AppendMarshal(buf.B)
-	if err != nil {
-		buf.Release()
-		return
-	}
-	buf.B = b
-	// The underlay borrows the bytes: the emulator copies them into its own
-	// pooled delivery buffer and the UDP transport writes synchronously.
-	n.under.Send(peer, nl.path, buf.B)
-	buf.Release()
-}
-
 // lsEnv adapts the node to linkstate.Env.
 type lsEnv struct{ n *Node }
 
 func (e *lsEnv) Clock() sim.Clock { return e.n.clock }
 
 func (e *lsEnv) SendControl(neighbor wire.NodeID, f *wire.Frame) {
-	e.n.transmitFrame(neighbor, f)
+	if pr, ok := e.n.ctl.peers[neighbor]; ok {
+		e.n.ctl.transmitFrame(pr, f)
+	}
 }
 
 func (e *lsEnv) FloodLSA(payload []byte, except wire.NodeID) {
@@ -992,25 +623,16 @@ func (e *lsEnv) SendLSA(neighbor wire.NodeID, payload []byte) {
 }
 
 func (e *lsEnv) PathCount(neighbor wire.NodeID) int {
-	return e.n.under.PathCount(neighbor)
+	return e.n.cfg.Underlay.PathCount(neighbor)
 }
 
 func (e *lsEnv) SetPath(neighbor wire.NodeID, path uint8) {
-	if nl, ok := e.n.neighbors[neighbor]; ok {
-		nl.path = path
-	}
-	if e.n.plane != nil {
-		e.n.plane.setPath(neighbor, path)
+	if pr, ok := e.n.ctl.peers[neighbor]; ok {
+		pr.path.Store(uint32(path))
 	}
 }
 
-func (e *lsEnv) ViewChanged() {
-	e.n.engine.Invalidate()
-	e.n.engine.Publish()
-	if e.n.onViewChange != nil {
-		e.n.onViewChange()
-	}
-}
+func (e *lsEnv) ViewChanged() { e.n.forwardingChanged() }
 
 // memEnv adapts the node to membership.Env. Flood and Send hand payloads
 // to the best-effort link protocol, which marshals synchronously, so the
@@ -1040,47 +662,28 @@ func (e *grpEnv) SendGroupState(neighbor wire.NodeID, payload []byte) {
 	e.n.sendControl(wire.PTGroupState, neighbor, payload)
 }
 
-func (e *grpEnv) GroupsChanged() {
-	e.n.engine.Invalidate()
-	e.n.engine.Publish()
-	if e.n.onViewChange != nil {
-		e.n.onViewChange()
-	}
+func (e *grpEnv) GroupsChanged() { e.n.forwardingChanged() }
+
+// controlPacket wraps a control payload for the best-effort link
+// protocol, which borrows the packet and marshals synchronously.
+func (n *Node) controlPacket(t wire.PacketType, payload []byte) *wire.Packet {
+	return &wire.Packet{Type: t, Route: wire.RouteFlood, TTL: n.cfg.DefaultTTL, Src: n.id, Payload: payload}
 }
 
-// sendControl sends one control packet to a single neighbor over the
-// best-effort link protocol.
+// sendControl sends one control packet to a single neighbor.
 func (n *Node) sendControl(t wire.PacketType, neighbor wire.NodeID, payload []byte) {
-	nl, ok := n.neighbors[neighbor]
-	if !ok {
-		return
+	if pr, ok := n.ctl.peers[neighbor]; ok {
+		n.ctl.protoFor(pr, wire.LPBestEffort).Send(n.controlPacket(t, payload))
 	}
-	p := &wire.Packet{
-		Type:    t,
-		Route:   wire.RouteFlood,
-		TTL:     n.cfg.DefaultTTL,
-		Src:     n.id,
-		Payload: payload,
-	}
-	n.protoFor(nl, wire.LPBestEffort).Send(p)
 }
 
-// floodControl sends a control packet over the best-effort link protocol
-// to every neighbor except one.
+// floodControl sends one control packet to every neighbor except one; a
+// single packet value serves the whole fan-out.
 func (n *Node) floodControl(t wire.PacketType, payload []byte, except wire.NodeID) {
-	p := &wire.Packet{
-		Type:    t,
-		Route:   wire.RouteFlood,
-		TTL:     n.cfg.DefaultTTL,
-		Src:     n.id,
-		Payload: payload,
-	}
-	// Best-effort Send borrows the packet and marshals synchronously, so
-	// one packet value serves the whole fan-out.
+	p := n.controlPacket(t, payload)
 	for _, peer := range n.neighborOrder {
-		if peer == except {
-			continue
+		if peer != except {
+			n.ctl.protoFor(n.ctl.peers[peer], wire.LPBestEffort).Send(p)
 		}
-		n.protoFor(n.neighbors[peer], wire.LPBestEffort).Send(p)
 	}
 }

@@ -1,29 +1,32 @@
-// Per-shard data-path engines: the sharded daemon splits the overlay
-// node into shared control state (topology, link state, routing, groups,
-// sessions — single-threaded on shard 0, unchanged Node code) and one
-// DataShard per remaining event loop. Each peer is homed on one shard by
-// a stable hash of its node id (wire.HomeShard); that shard owns the
-// peer's link-protocol endpoints — sequencing and dedup windows, ARQ and
-// strikes state, the itmsg DRR cores — and forwards the peer's transit
-// frames end to end using the control shard's atomically-published
-// routing snapshot, so a transit data frame whose next hop shares its
-// arrival shard never crosses a shard boundary.
+// The forwarding engine: one DataShard per event loop, and every node —
+// emulated or deployed — runs at least one. Shard 0 is the control loop:
+// it shares its executor with the node's control plane (link state,
+// routing, groups, membership, sessions) and is the whole data path of a
+// one-shard node. A sharded daemon grows shards 1..N-1 onto further
+// loops; each peer is then homed on one shard by a stable hash of its
+// node id (wire.HomeShard), and that shard owns the peer's data
+// link-protocol endpoints — sequencing and dedup windows, ARQ and strikes
+// state, the itmsg DRR cores — so a transit frame whose next hop shares
+// its arrival shard never crosses a loop. Shard 0 also keeps a control
+// endpoint for every neighbor, for the link-state, group-state and
+// membership payloads the underlay steers to it.
 //
-// Shard-crossing rules (everything crossing is cloned first):
+// Every shard runs the same code. Two things differ between them, each
+// decided in one place:
 //
-//   - Control frames (hellos, link-state, group-state) are steered to
-//     shard 0 by the underlay's decode classifier; a shard that still
-//     sees one reroutes it to the control loop.
-//   - A transit packet whose egress neighbor is homed elsewhere is handed
-//     to that neighbor's home shard, which owns the egress link session.
-//   - Local deliveries post to the control shard, where the session
-//     manager lives.
-//   - A multicast packet whose tree the snapshot does not carry yet is
-//     handed to the control shard before duplicate suppression runs, so
-//     the control path's own dedup pass stays the packet's first.
-//   - Origination fan-out crossing shards is accepted without synchronous
-//     backpressure: the owning shard applies the paper's drop semantics
-//     and accounts refusals in its own scheduler ledger.
+//   - Who decides (DataShard.decide): shard 0 asks the live routing
+//     engine; shards ≥ 1 ask the snapshot the engine publishes, and hand a
+//     miss (nothing published yet, or a multicast tree not computed yet)
+//     to shard 0 together with their dedup verdict.
+//   - Where a copy goes: work for the loop a shard is already on is a
+//     direct call; anything for another loop is cloned and posted. That
+//     covers a frame for a peer homed elsewhere (replayed on the home
+//     shard), hellos and control payloads surfacing on a data shard (to
+//     shard 0), egress toward a neighbor homed elsewhere (to its home,
+//     which owns the link session), and local delivery (to shard 0, where
+//     the session level lives). Origination fan-out that crosses loops is
+//     accepted without synchronous backpressure: the owning shard applies
+//     the paper's drop semantics and accounts refusals in its own ledger.
 package node
 
 import (
@@ -38,197 +41,198 @@ import (
 	"sonet/internal/wire"
 )
 
-// ShardUnderlay is the substrate a sharded data plane transmits over: a
-// plain Underlay whose tx rings are per shard, so a data shard can flush
-// its egress through its own socket instead of the flow-hashed one.
+// ShardUnderlay is the substrate a sharded data plane transmits over: an
+// Underlay whose tx rings are per shard, so a shard can flush its egress
+// through its own socket instead of the flow-hashed one.
 type ShardUnderlay interface {
 	Underlay
 	// SendOn transmits like Send but coalesces on shard's tx ring.
 	SendOn(shard int, neighbor wire.NodeID, path uint8, data []byte)
 }
 
-// DataPlane owns the per-shard engines of one sharded node and the state
-// they share: the published routing snapshot, the cross-shard dedup
-// table, the per-neighbor underlay-path column, and the shard homing of
-// every node in the topology.
-type DataPlane struct {
-	n      *Node
-	loops  *sim.ShardedLoop
-	under  ShardUnderlay
-	nshard int
+// soloUnderlay adapts a plain Underlay, which has one tx path, to
+// ShardUnderlay by ignoring the shard index.
+type soloUnderlay struct{ Underlay }
 
-	// snap is the cell the control shard's routing engine publishes
-	// forwarding snapshots into; every shard (control included) loads it
-	// lock-free.
-	snap atomic.Pointer[routing.Snapshot]
-	// dedup is the cross-shard duplicate-suppression table; it replaces
-	// the node's single-threaded one while the plane is attached.
+func (u soloUnderlay) SendOn(_ int, neighbor wire.NodeID, path uint8, data []byte) {
+	u.Send(neighbor, path, data)
+}
+
+// DataPlane owns a node's shards and the state they share: the published
+// routing snapshot and the duplicate-suppression table.
+type DataPlane struct {
+	n     *Node
+	under ShardUnderlay
+	// loops carries cross-shard posts; nil until Grow, and never used by a
+	// one-shard plane, where nothing crosses.
+	loops *sim.ShardedLoop
+
+	// snap is the cell the routing engine publishes forwarding snapshots
+	// into once the plane has data shards to read them.
+	snap  atomic.Pointer[routing.Snapshot]
 	dedup *sharedDedup
-	// homes maps dense node index → home shard (stable for the process).
-	homes []int32
-	// paths holds the current underlay path per dense node index, written
-	// by the control shard's link-state machinery and read by every shard
-	// at transmit time.
-	paths []atomic.Uint32
-	// shards indexes the per-shard engines; entry 0 is nil (the control
-	// shard's peers stay on the Node itself).
+	// shards indexes the engines; entry 0 is the control shard.
 	shards []*DataShard
 }
 
-// DataShard is one data shard's protocol engine: the link-protocol
-// endpoints, decode scratch, QoS accounting sink, and packet counters for
-// the peers homed on it. All its methods run on its own event loop.
+// DataShard is one loop's protocol engine: link-protocol endpoints,
+// decode scratch, QoS accounting sink and packet counters. All its
+// methods run on its own loop.
 type DataShard struct {
+	n     *Node
 	plane *DataPlane
 	idx   int
 	clock sim.Clock
-	peers map[wire.NodeID]*shardPeer
+	// peers and byLink hold an entry per neighbor on every shard — the
+	// home lookup for egress — but only the home shard and shard 0 ever
+	// instantiate endpoints in it.
+	peers  map[wire.NodeID]*peer
+	byLink map[wire.LinkID]*peer
 
-	// rxFrame and rxPacket are this shard's receive-path decode scratch,
-	// the same in-place scheme Node uses.
+	// rxFrame and rxPacket are the receive-path decode scratch: every
+	// frame arriving from the underlay is decoded into them in place, so
+	// the per-hop pipeline allocates nothing. They alias the arriving
+	// datagram; any component that retains packet state clones it.
 	rxFrame  wire.Frame
 	rxPacket wire.Packet
-	// fwd is reusable fan-out scratch.
-	fwd []shardHop
+	// fwd is the scratch a snapshot decision builds its fan-out in.
+	fwd []wire.LinkID
 
-	stats  Stats
+	stats Stats
+	// sched aggregates fair-scheduler accounting across every discipline
+	// instance this shard hosts (one sink, atomic counters).
 	sched  *metrics.SchedStats
 	itcfg  itmsg.SchedConfig
 	closed bool
 }
 
-// shardPeer is a data shard's endpoint of one homed overlay link.
-type shardPeer struct {
+// peer is one shard's view of an adjacent overlay link.
+type peer struct {
 	neighbor wire.NodeID
-	denseIdx int
 	linkID   wire.LinkID
 	latency  time.Duration
-	protos   map[wire.LinkProtoID]link.Protocol
+	// home is the shard owning the link's data sessions, fixed when the
+	// entry is created.
+	home int
+	// path is the link's current underlay path, shared by the neighbor's
+	// entries on every shard: the control loop's link-state machinery
+	// writes it, the transmitting shard reads it.
+	path   *atomic.Uint32
+	protos map[wire.LinkProtoID]link.Protocol
 }
 
-// shardHop is one fan-out target: the egress neighbor and its home.
-type shardHop struct {
-	neighbor wire.NodeID
-	home     int32
-}
-
-// NewDataPlane assembles the per-shard engines for n over loops. clocks
-// supplies one clock per shard (index 0 unused), all sharing the node
-// clock's epoch so cross-shard timestamps compare. The caller attaches
-// the plane with Node.AttachDataPlane before Start.
-func NewDataPlane(n *Node, loops *sim.ShardedLoop, under ShardUnderlay, clocks []sim.Clock) *DataPlane {
-	nshard := loops.NumShards()
-	if nshard <= 1 {
-		return nil
+func newDataPlane(n *Node) *DataPlane {
+	under, ok := n.cfg.Underlay.(ShardUnderlay)
+	if !ok {
+		under = soloUnderlay{n.cfg.Underlay}
 	}
-	g := n.cfg.Graph
-	pl := &DataPlane{
-		n:      n,
-		loops:  loops,
-		under:  under,
-		nshard: nshard,
-		dedup:  newSharedDedup(n.cfg.DedupCapacity),
-		homes:  make([]int32, g.NumNodes()),
-		paths:  make([]atomic.Uint32, g.NumNodes()),
-		shards: make([]*DataShard, nshard),
-	}
-	for i := range pl.homes {
-		pl.homes[i] = int32(wire.HomeShard(g.NodeAt(i), nshard))
-	}
-	for i := 1; i < nshard; i++ {
-		s := &DataShard{
-			plane: pl,
-			idx:   i,
-			clock: clocks[i],
-			peers: make(map[wire.NodeID]*shardPeer),
-			sched: &metrics.SchedStats{},
-		}
-		s.itcfg = n.cfg.ITSched
-		s.itcfg.Stats = s.sched
-		pl.shards[i] = s
-	}
-	for peer, nl := range n.neighbors {
-		idx, ok := g.NodeIndex(peer)
-		if !ok {
-			continue
-		}
-		home := pl.homes[idx]
-		if home == 0 {
-			continue
-		}
-		pl.shards[home].peers[peer] = &shardPeer{
-			neighbor: peer,
-			denseIdx: idx,
-			linkID:   nl.linkID,
-			latency:  nl.latency,
-			protos:   make(map[wire.LinkProtoID]link.Protocol),
-		}
-	}
+	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(n.cfg.DedupCapacity, 1)}
+	// One scheduler-accounting sink serves every discipline instance on
+	// the control shard; an externally supplied one (Config.ITSched.Stats)
+	// lets a host aggregate several nodes.
+	pl.addShard(n.clock, n.cfg.ITSched.Stats)
 	return pl
 }
 
+func (pl *DataPlane) addShard(clock sim.Clock, sink *metrics.SchedStats) {
+	if sink == nil {
+		sink = &metrics.SchedStats{}
+	}
+	s := &DataShard{
+		n: pl.n, plane: pl, idx: len(pl.shards), clock: clock,
+		peers:  make(map[wire.NodeID]*peer),
+		byLink: make(map[wire.LinkID]*peer),
+		sched:  sink,
+		itcfg:  pl.n.cfg.ITSched,
+	}
+	s.itcfg.Stats = sink
+	pl.shards = append(pl.shards, s)
+}
+
+// Grow shards the plane across loops: shard 0 stays on the node's own
+// clock, shards 1..N-1 start on clocks[i] (all sharing the node clock's
+// epoch so cross-shard timestamps compare), every neighbor is re-homed by
+// wire.HomeShard, and the routing engine starts publishing snapshots for
+// the new shards to read. Call it once, before Start and before the
+// underlay delivers anything.
+func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
+	pl.loops = loops
+	nshard := loops.NumShards()
+	if nshard == 1 {
+		return
+	}
+	pl.dedup = newSharedDedup(pl.n.cfg.DedupCapacity, nshard)
+	for i := 1; i < nshard; i++ {
+		pl.addShard(clocks[i], nil)
+	}
+	for _, pr := range pl.shards[0].peers {
+		pr.home = wire.HomeShard(pr.neighbor, nshard)
+		for _, s := range pl.shards[1:] {
+			s.addPeer(pr.sibling())
+		}
+	}
+	pl.n.engine.SetPublishTarget(&pl.snap)
+}
+
+// admit registers a neighbor on every shard, homed on the control shard:
+// the startup neighbors (before Grow re-homes them) and peers admitted at
+// runtime, which stay there. Runs on the control loop.
+func (pl *DataPlane) admit(neighbor wire.NodeID, lid wire.LinkID, latency time.Duration) {
+	pr := &peer{
+		neighbor: neighbor, linkID: lid, latency: latency,
+		path:   new(atomic.Uint32),
+		protos: make(map[wire.LinkProtoID]link.Protocol),
+	}
+	pl.shards[0].addPeer(pr)
+	for _, s := range pl.shards[1:] {
+		sib := pr.sibling()
+		pl.loops.PostTo(s.idx, func() { s.addPeer(sib) })
+	}
+}
+
+// sibling returns another shard's entry for the same neighbor.
+func (pr *peer) sibling() *peer {
+	sib := *pr
+	sib.protos = make(map[wire.LinkProtoID]link.Protocol)
+	return &sib
+}
+
+func (s *DataShard) addPeer(pr *peer) {
+	s.peers[pr.neighbor] = pr
+	s.byLink[pr.linkID] = pr
+}
+
 // NumShards returns the plane's shard count.
-func (pl *DataPlane) NumShards() int { return pl.nshard }
+func (pl *DataPlane) NumShards() int { return len(pl.shards) }
 
-// HomeOf returns the home shard of an overlay node, or 0 for nodes
-// outside the topology. Nodes admitted after startup sit past the end
-// of the dense tables and home to the control shard, where the
-// unsharded protocol path handles them.
-func (pl *DataPlane) HomeOf(id wire.NodeID) int {
-	if idx, ok := pl.n.cfg.Graph.NodeIndex(id); ok {
-		return int(pl.homeOfIdx(idx))
-	}
-	return 0
-}
-
-// homeOfIdx maps a dense node index to its home shard, treating indexes
-// past the startup-sized table (runtime-admitted nodes) as control-homed.
-func (pl *DataPlane) homeOfIdx(idx int) int32 {
-	if idx < len(pl.homes) {
-		return pl.homes[idx]
-	}
-	return 0
-}
-
-// HandleUnderlay processes raw frame bytes delivered on shard's loop.
-// The daemon's underlay handler routes shard 0 to Node.HandleUnderlay
-// and every other shard here.
+// HandleUnderlay processes raw frame bytes delivered on shard's loop. The
+// data buffer is borrowed for the duration of the call: the decoded frame
+// aliases it, and so does everything downstream until a retention point
+// clones.
 func (pl *DataPlane) HandleUnderlay(shard int, from wire.NodeID, data []byte) {
-	if s := pl.shards[shard]; s != nil {
-		s.handleUnderlay(from, data)
-	}
+	pl.shards[shard].handleUnderlay(from, data)
 }
 
-// SchedSnapshot merges every data shard's fair-scheduler ledger. Safe
-// from any goroutine (the sinks are atomic).
+// SchedSnapshot merges every shard's fair-scheduler ledger. Safe from any
+// goroutine (the sinks are atomic).
 func (pl *DataPlane) SchedSnapshot() metrics.SchedSnapshot {
 	var agg metrics.SchedSnapshot
 	for _, s := range pl.shards {
-		if s != nil {
-			agg = agg.Merge(s.sched.Snapshot())
-		}
+		agg = agg.Merge(s.sched.Snapshot())
 	}
 	return agg
 }
 
-// ShardSchedStats returns one shard's own scheduler ledger (zero for the
-// control shard, whose disciplines account to the node sink).
-func (pl *DataPlane) ShardSchedStats(i int) metrics.SchedSnapshot {
-	if s := pl.shards[i]; s != nil {
-		return s.sched.Snapshot()
-	}
-	return metrics.SchedSnapshot{}
-}
-
-// Stats merges every data shard's packet counters, reading each on its
-// own loop. It must not be called after the loops close.
+// Stats merges the packet counters of shards 1..N-1, reading each on its
+// own loop (Node.Stats is shard 0's, read on the control loop). A shard
+// whose loop has closed contributes zeros. Safe from any goroutine.
 func (pl *DataPlane) Stats() Stats {
-	ch := make(chan Stats, pl.nshard)
+	ch := make(chan Stats, len(pl.shards))
 	cnt := 0
-	for i := 1; i < pl.nshard; i++ {
-		s := pl.shards[i]
-		cnt++
-		pl.loops.PostTo(i, func() { ch <- s.stats })
+	for _, s := range pl.shards[1:] {
+		if pl.loops.TryPostTo(s.idx, func() { ch <- s.stats }) {
+			cnt++
+		}
 	}
 	var agg Stats
 	for ; cnt > 0; cnt-- {
@@ -237,150 +241,146 @@ func (pl *DataPlane) Stats() Stats {
 	return agg
 }
 
-// Snapshot returns the currently published forwarding snapshot (nil
-// before the first publication).
+// Snapshot returns the currently published forwarding snapshot: nil
+// before the first publication, and always on a one-shard plane, which
+// has no reader for one.
 func (pl *DataPlane) Snapshot() *routing.Snapshot { return pl.snap.Load() }
 
-// Close shuts every data shard down on its own loop — link protocols
+// Close shuts shards 1..N-1 down on their own loops — link protocols
 // close, their queued packets account as DropClosed in the shard ledger —
-// and waits. The daemon calls it after Node.Stop and before closing the
-// loops.
+// and waits. The daemon calls it after Node.Stop, which closes shard 0,
+// and before closing the loops.
 func (pl *DataPlane) Close() {
-	done := make(chan struct{}, pl.nshard)
+	done := make(chan struct{}, len(pl.shards))
 	cnt := 0
-	for i := 1; i < pl.nshard; i++ {
-		s := pl.shards[i]
-		cnt++
-		pl.loops.PostTo(i, func() {
-			s.close()
-			done <- struct{}{}
-		})
+	for _, s := range pl.shards[1:] {
+		if pl.loops.TryPostTo(s.idx, func() { s.close(); done <- struct{}{} }) {
+			cnt++
+		}
 	}
 	for ; cnt > 0; cnt-- {
 		<-done
 	}
 }
 
-// setPath records the underlay path the control shard's link-state
-// machinery selected for a neighbor.
-func (pl *DataPlane) setPath(neighbor wire.NodeID, path uint8) {
-	if idx, ok := pl.n.cfg.Graph.NodeIndex(neighbor); ok && idx < len(pl.paths) {
-		pl.paths[idx].Store(uint32(path))
-	}
-}
-
-// resetPeer propagates a control-shard link reset (down/up transition,
-// session-epoch resync) to the peer's home shard, closing its protocol
-// endpoints there.
-func (pl *DataPlane) resetPeer(peer wire.NodeID) {
-	home := pl.HomeOf(peer)
-	if home == 0 {
+// resetPeer discards a neighbor's link-protocol endpoints after a
+// control-loop link reset (down/up transition, session-epoch resync): the
+// control endpoints here, the data endpoints on the home shard.
+func (pl *DataPlane) resetPeer(neighbor wire.NodeID) {
+	pr, ok := pl.shards[0].peers[neighbor]
+	if !ok {
 		return
 	}
-	s := pl.shards[home]
-	pl.loops.PostTo(home, func() { s.resetPeer(peer) })
-}
-
-// egressTo hands a cloned packet to the shard owning the egress link
-// session toward neighbor. home 0 routes to the Node on the control
-// loop.
-func (pl *DataPlane) egressTo(home int, neighbor wire.NodeID, cp *wire.Packet) {
-	if home == 0 {
-		pl.loops.PostTo(0, func() { pl.n.egressFromShard(neighbor, cp) })
-		return
+	pr.closeProtos()
+	if pr.home != 0 {
+		s := pl.shards[pr.home]
+		pl.loops.PostTo(pr.home, func() {
+			if hp, ok := s.peers[neighbor]; ok {
+				hp.closeProtos()
+			}
+		})
 	}
-	s := pl.shards[home]
-	pl.loops.PostTo(home, func() { s.egress(neighbor, cp) })
 }
 
-// deliverToControl posts a cloned packet to the session level on the
-// control shard.
-func (pl *DataPlane) deliverToControl(cp *wire.Packet) {
-	pl.loops.PostTo(0, func() { pl.n.deliverFromShard(cp) })
+func (pr *peer) closeProtos() {
+	for id, p := range pr.protos {
+		p.Close()
+		delete(pr.protos, id)
+	}
 }
 
-// handoffToControl routes a cloned packet on the control shard: snapshot
-// misses (uncomputed multicast trees, pre-publication races) take the
-// slow path there, and the engine republishes anything it computed.
-func (pl *DataPlane) handoffToControl(cp *wire.Packet, arrived wire.LinkID) {
-	pl.loops.PostTo(0, func() { pl.n.routeFromShard(cp, arrived) })
+// close shuts the shard down: protocols close and their queues drain into
+// the shard's DropClosed ledger.
+func (s *DataShard) close() {
+	s.closed = true
+	for _, pr := range s.peers {
+		pr.closeProtos()
+	}
 }
 
-// rerouteRaw clones raw frame bytes and replays them on another shard's
-// underlay entry point (control frames a shard still saw, or frames for
-// a peer homed elsewhere after a steering change).
-func (pl *DataPlane) rerouteRaw(target int, from wire.NodeID, data []byte) {
+// replay clones raw frame bytes onto another shard's underlay entry point
+// (hellos a data shard still saw, or frames for a peer homed elsewhere
+// after a steering change).
+func (s *DataShard) replay(target int, from wire.NodeID, data []byte) {
 	cp := append([]byte(nil), data...)
-	if target == 0 {
-		pl.loops.PostTo(0, func() { pl.n.HandleUnderlay(from, cp) })
-		return
-	}
-	s := pl.shards[target]
-	pl.loops.PostTo(target, func() { s.handleUnderlay(from, cp) })
+	t := s.plane.shards[target]
+	s.plane.loops.PostTo(target, func() { t.handleUnderlay(from, cp) })
 }
 
-// handleUnderlay decodes and dispatches one frame on this shard's loop,
-// mirroring Node.HandleUnderlay for homed peers.
+// handleUnderlay decodes and dispatches one frame on this shard's loop.
 func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
-	n := s.plane.n
-	if s.closed || n.cfg.Compromised.DropAll {
+	cfg := &s.n.cfg
+	if s.closed || cfg.Compromised.DropAll {
 		return
 	}
 	f := &s.rxFrame
 	if _, err := wire.UnmarshalFrameInto(f, &s.rxPacket, data); err != nil {
 		return
 	}
-	if n.cfg.Keyring != nil && !n.cfg.Keyring.VerifyFrame(f, from) {
+	if cfg.Keyring != nil && !cfg.Keyring.VerifyFrame(f, from) {
 		s.stats.DroppedAuth++
 		return
 	}
-	switch f.Kind {
-	case wire.FHello, wire.FHelloAck:
-		// Control the classifier should have steered; reroute it rather
-		// than silently eat a liveness probe.
-		s.plane.rerouteRaw(0, from, data)
-		return
-	}
-	sp, ok := s.peers[from]
-	if !ok {
-		// Not homed here (steering change in flight): replay on the home
-		// shard so the owning link session sees it.
-		if home := s.plane.HomeOf(from); home != s.idx {
-			s.plane.rerouteRaw(home, from, data)
+	if f.Kind == wire.FHello || f.Kind == wire.FHelloAck {
+		// Liveness probes belong to the control loop's link-state manager.
+		if s.idx != 0 {
+			s.replay(0, from, data)
+			return
 		}
+		s.n.lsMgr.HandleControl(from, f)
 		return
 	}
-	s.protoFor(sp, f.Proto).HandleFrame(f)
+	pr, ok := s.peers[from]
+	switch {
+	case !ok:
+		s.stats.DroppedUnknownPeer++
+	case s.idx != 0 && pr.home != s.idx:
+		// Not homed here (steering change in flight): the owning link
+		// session must see it.
+		s.replay(pr.home, from, data)
+	default:
+		s.protoFor(pr, f.Proto).HandleFrame(f)
+	}
 }
 
-// receiveFromLink accepts a packet a homed link protocol delivered.
-func (s *DataShard) receiveFromLink(sp *shardPeer, p *wire.Packet) {
+// receiveFromLink accepts a routing-level packet delivered by a link
+// protocol instance.
+func (s *DataShard) receiveFromLink(pr *peer, p *wire.Packet) {
 	if s.closed {
 		return
 	}
 	switch p.Type {
-	case wire.PTLinkState, wire.PTGroupState:
-		// Control payload that rode a data frame to this shard; the
-		// control-plane managers are single-threaded on shard 0.
-		cp := p.Clone()
-		from := sp.neighbor
-		s.plane.loops.PostTo(0, func() { s.plane.n.controlFromShard(from, cp) })
+	case wire.PTLinkState, wire.PTGroupState, wire.PTMembership:
+		s.control(pr.neighbor, p)
 	case wire.PTData, wire.PTSessionCtl:
-		s.handleData(p, sp.linkID)
+		s.handleData(p, pr.linkID)
 	}
 }
 
-// handleData applies compromise behaviour and authentication before
-// routing, mirroring Node.handleData for the shard path.
+// control hands a control payload to the control-plane managers, which
+// are single-threaded on shard 0.
+func (s *DataShard) control(from wire.NodeID, p *wire.Packet) {
+	if s.idx != 0 {
+		cp, ctl := p.Clone(), s.plane.shards[0]
+		s.plane.loops.PostTo(0, func() { ctl.control(from, cp) })
+		return
+	}
+	if !s.closed {
+		s.n.handleControl(from, p)
+	}
+}
+
+// handleData routes a data packet arriving on link arrived, applying
+// compromise behaviour before authentication and routing.
 func (s *DataShard) handleData(p *wire.Packet, arrived wire.LinkID) {
-	n := s.plane.n
-	if n.cfg.Compromised.DropData {
+	c := &s.n.cfg.Compromised
+	if c.DropData {
 		s.stats.Blackholed++
 		return
 	}
-	if n.cfg.Compromised.DelayData > 0 {
+	if c.DelayData > 0 {
 		cp := p.Clone()
-		s.clock.After(n.cfg.Compromised.DelayData, func() {
+		s.clock.After(c.DelayData, func() {
 			if !s.closed {
 				s.routeAuthed(cp, arrived)
 			}
@@ -391,50 +391,27 @@ func (s *DataShard) handleData(p *wire.Packet, arrived wire.LinkID) {
 }
 
 func (s *DataShard) routeAuthed(p *wire.Packet, arrived wire.LinkID) {
-	n := s.plane.n
-	if n.requiresSignature(p) && !n.cfg.Keyring.VerifyPacket(p) {
+	if s.n.requiresSignature(p) && !s.n.cfg.Keyring.VerifyPacket(p) {
 		s.stats.DroppedAuth++
 		return
 	}
-	if n.cfg.Compromised.CorruptData && len(p.Payload) > 0 {
+	// A corrupting compromised node tampers after its own (honest-looking)
+	// verification, forwarding copies that downstream signature checks
+	// will reject.
+	if s.n.cfg.Compromised.CorruptData && len(p.Payload) > 0 {
 		p = p.Clone()
 		p.Payload[0] ^= 0xff
 	}
 	s.route(p, arrived)
 }
 
-// route forwards one packet using the published snapshot, preserving the
-// single-shard path's semantics: dedup before decision (skipped for
-// unicast), one TTL decrement for the whole fan-out, the local copy
-// cloned before the decrement, forwarding before delivery.
-func (s *DataShard) route(p *wire.Packet, arrived wire.LinkID) {
-	pl := s.plane
-	snap := pl.snap.Load()
-	if snap == nil {
-		// Nothing published yet: the control shard routes it.
-		pl.handoffToControl(p.Clone(), arrived)
-		return
-	}
-	var mask wire.Bitmask
-	switch p.Route {
-	case wire.RouteMulticast:
-		m, ok := snap.Tree(p.Src, p.Group)
-		if !ok {
-			// Tree not computed yet. Hand the packet over before touching
-			// the dedup table, so the control path's Observe is this
-			// packet's first and only one.
-			pl.handoffToControl(p.Clone(), arrived)
-			return
-		}
-		mask = m
-	case wire.RouteSourceMask:
-		mask = p.Mask
-	case wire.RouteFlood:
-		mask = snap.Flood
-	}
+// route runs duplicate suppression — flood, mask and multicast copies are
+// judged against the table every shard shares; unicast skips it — and
+// forwards on the verdict. The result is forward's.
+func (s *DataShard) route(p *wire.Packet, arrived wire.LinkID) bool {
 	firstSeen := true
 	if p.Route != wire.RouteLinkState {
-		firstSeen = pl.dedup.Observe(dedupKey{
+		firstSeen = s.plane.dedup.Observe(dedupKey{
 			src: p.Src, srcPort: p.SrcPort,
 			dst: p.Dst, dstPort: p.DstPort,
 			group: p.Group, flowSeq: p.FlowSeq,
@@ -443,177 +420,209 @@ func (s *DataShard) route(p *wire.Packet, arrived wire.LinkID) {
 			s.stats.Duplicates++
 		}
 	}
-	deliver := false
-	s.fwd = s.fwd[:0]
-	switch p.Route {
-	case wire.RouteLinkState:
-		if p.Dst == snap.Self {
-			deliver = true
-		} else if hop, ok := snap.NextHopFor(p.Dst); ok {
-			s.fwd = append(s.fwd, shardHop{neighbor: hop.Neighbor, home: pl.homeOfIdx(int(hop.NeighborIdx))})
-		}
-	case wire.RouteSourceMask, wire.RouteFlood:
-		if firstSeen {
-			deliver = snap.ShouldDeliver(p)
-			s.appendMask(snap, mask, arrived)
-		}
-	case wire.RouteMulticast:
-		if firstSeen {
-			deliver = snap.LocalGroup(p.Group)
-			s.appendMask(snap, mask, arrived)
-		}
-	default:
-		return
+	return s.forward(p, arrived, firstSeen)
+}
+
+// decide returns the routing decision for p, and false when this shard
+// cannot make it. Shard 0 runs on the control loop and asks the live
+// engine, which always answers; the other shards ask the published
+// snapshot.
+func (s *DataShard) decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool) (routing.Decision, bool) {
+	if s.idx == 0 {
+		return s.n.engine.Decide(p, arrived, firstSeen), true
+	}
+	snap := s.plane.snap.Load()
+	if snap == nil {
+		return routing.Decision{}, false
+	}
+	d, ok := snap.Decide(p, arrived, firstSeen, s.fwd)
+	if d.Forward != nil {
+		s.fwd = d.Forward
+	}
+	return d, ok
+}
+
+// forward applies the routing decision: per-link forwarding with TTL
+// accounting, then local delivery. Forwarding runs first because the
+// decision's Forward slice is scratch and local delivery can re-enter the
+// engine (session code may synchronously originate packets).
+//
+// It reports backpressure: true when the packet was locally originated
+// (arrived == NoLink), had egress links, every one of them refused it,
+// and it was not delivered locally. Origination probes disciplines via
+// link.TrySender so the refusal is observable; transit forwarding always
+// uses Send, keeping the paper's silent-drop semantics on the relay fast
+// path.
+func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool) bool {
+	d, ok := s.decide(p, arrived, firstSeen)
+	if !ok {
+		// The control shard decides, on this shard's dedup verdict, and
+		// republishes whatever it computed so the flow's next packets stay
+		// on their arrival shards.
+		cp, ctl := p.Clone(), s.plane.shards[0]
+		s.plane.loops.PostTo(0, func() { ctl.handoff(cp, arrived, firstSeen) })
+		return false
 	}
 	var local *wire.Packet
-	if deliver {
+	if d.DeliverLocal {
 		s.stats.DeliveredLocal++
-		// The delivery crosses to the control shard, and forwarding below
-		// mutates TTL in place: clone before either.
-		local = p.Clone()
+		local = p
+		if arrived != routing.NoLink || len(d.Forward) > 0 {
+			// Wire-received packets alias the receive buffer and the
+			// session level retains delivered payloads; forwarding mutates
+			// TTL in place. Either way the delivered copy must be
+			// independent of p.
+			local = p.Clone()
+		}
 	}
-	if len(s.fwd) == 0 {
-		if !deliver && firstSeen {
+	sent, refused := 0, 0
+	if len(d.Forward) == 0 {
+		if !d.DeliverLocal && firstSeen {
 			s.stats.DroppedNoRoute++
 		}
 	} else if p.TTL <= 1 {
 		s.stats.DroppedTTL++
 	} else {
+		// One in-place decrement covers the whole fan-out: signatures
+		// exclude TTL, and every protocol that retains the packet captures
+		// it, so the borrowed p can feed all egress links.
 		p.TTL--
-		for _, hop := range s.fwd {
-			if int(hop.home) == s.idx {
-				sp, ok := s.peers[hop.neighbor]
-				if !ok {
-					continue
-				}
-				s.stats.Forwarded++
-				s.protoFor(sp, p.LinkProto).Send(p)
+		origination := arrived == routing.NoLink
+		for _, lid := range d.Forward {
+			pr, ok := s.byLink[lid]
+			if !ok {
+				s.stats.DroppedUnknownPeer++
 				continue
 			}
-			pl.egressTo(int(hop.home), hop.neighbor, p.Clone())
+			if pr.home != s.idx {
+				// The egress link session lives on the neighbor's home
+				// shard, which counts the hop and applies its own drop
+				// semantics; here it counts as sent.
+				cp, home := p.Clone(), s.plane.shards[pr.home]
+				s.plane.loops.PostTo(pr.home, func() { home.egress(pr.neighbor, cp) })
+				sent++
+				continue
+			}
+			proto := s.protoFor(pr, p.LinkProto)
+			if origination {
+				if ts, ok := proto.(link.TrySender); ok {
+					if err := ts.TrySend(p); err != nil {
+						refused++
+						continue
+					}
+					sent++
+					s.stats.Forwarded++
+					continue
+				}
+			}
+			sent++
+			s.stats.Forwarded++
+			proto.Send(p)
 		}
 	}
 	if local != nil {
-		pl.deliverToControl(local)
+		s.deliverLocal(local)
+	}
+	return refused > 0 && sent == 0 && local == nil
+}
+
+// handoff is where the control shard takes over a packet another shard
+// could not decide.
+func (s *DataShard) handoff(p *wire.Packet, arrived wire.LinkID, firstSeen bool) {
+	if s.closed {
+		return
+	}
+	s.forward(p, arrived, firstSeen)
+	s.n.engine.PublishIfDirty()
+}
+
+// deliverLocal hands an independent copy of a packet to the session
+// level, which lives on the control loop.
+func (s *DataShard) deliverLocal(p *wire.Packet) {
+	if s.idx != 0 {
+		ctl := s.plane.shards[0]
+		s.plane.loops.PostTo(0, func() { ctl.deliverLocal(p) })
+		return
+	}
+	if !s.closed {
+		s.n.deliver(p)
 	}
 }
 
-// appendMask collects the usable masked incident links except the arrival
-// one, exactly as Engine.decideMask does against the live view.
-func (s *DataShard) appendMask(snap *routing.Snapshot, mask wire.Bitmask, arrived wire.LinkID) {
-	for i := range snap.Incident {
-		inc := &snap.Incident[i]
-		if inc.Link == arrived || !inc.Usable || !mask.Has(inc.Link) {
-			continue
-		}
-		s.fwd = append(s.fwd, shardHop{neighbor: inc.Neighbor, home: s.plane.homeOfIdx(int(inc.NeighborIdx))})
-	}
-}
-
-// egress transmits a packet handed over from another shard on the link
+// egress transmits a packet another shard handed over, on the link
 // session this shard owns.
 func (s *DataShard) egress(neighbor wire.NodeID, p *wire.Packet) {
 	if s.closed {
 		return
 	}
-	sp, ok := s.peers[neighbor]
+	pr, ok := s.peers[neighbor]
 	if !ok {
+		s.stats.DroppedUnknownPeer++
 		return
 	}
 	s.stats.Forwarded++
-	s.protoFor(sp, p.LinkProto).Send(p)
+	s.protoFor(pr, p.LinkProto).Send(p)
 }
 
-// resetPeer discards the peer's link-protocol endpoints (the shard half
-// of Node.resetLinkSessions).
-func (s *DataShard) resetPeer(peer wire.NodeID) {
-	sp, ok := s.peers[peer]
-	if !ok {
-		return
-	}
-	for id, pr := range sp.protos {
-		pr.Close()
-		delete(sp.protos, id)
-	}
-}
-
-// close shuts the shard down: protocols close and their queues drain into
-// the shard's DropClosed ledger.
-func (s *DataShard) close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, sp := range s.peers {
-		for id, pr := range sp.protos {
-			pr.Close()
-			delete(sp.protos, id)
-		}
-	}
-}
-
-// protoFor lazily instantiates this shard's endpoint of one homed link,
-// mirroring Node.protoFor with the shard's clock and scheduler sink.
-func (s *DataShard) protoFor(sp *shardPeer, id wire.LinkProtoID) link.Protocol {
-	if p, ok := sp.protos[id]; ok {
+// protoFor lazily instantiates this shard's link protocol endpoint for
+// one neighbor link, on the shard's clock and scheduler sink.
+func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
+	if p, ok := pr.protos[id]; ok {
 		return p
 	}
-	n := s.plane.n
-	env := &shardLinkEnv{s: s, peer: sp}
+	cfg := &s.n.cfg
+	env := &linkEnv{s: s, peer: pr}
 	var p link.Protocol
 	switch id {
 	case wire.LPReliable:
-		p = link.NewReliable(env, n.cfg.Reliable)
-	case wire.LPRealTime:
-		cfg := n.cfg.Strikes
-		if cfg.RTT <= 0 {
-			cfg.RTT = 2 * sp.latency
+		p = link.NewReliable(env, cfg.Reliable)
+	case wire.LPRealTime, wire.LPSingleStrike:
+		sc := cfg.Strikes
+		if id == wire.LPSingleStrike {
+			env.rebadge = wire.LPSingleStrike
+			sc = cfg.SingleStrike
+			sc.N, sc.M = 1, 1
 		}
-		p = link.NewStrikes(env, cfg)
-	case wire.LPSingleStrike:
-		env.rebadge = wire.LPSingleStrike
-		cfg := n.cfg.SingleStrike
-		cfg.N, cfg.M = 1, 1
-		if cfg.RTT <= 0 {
-			cfg.RTT = 2 * sp.latency
+		if sc.RTT <= 0 {
+			sc.RTT = 2 * pr.latency
 		}
-		p = link.NewStrikes(env, cfg)
+		p = link.NewStrikes(env, sc)
 	case wire.LPITPriority:
 		p = itmsg.NewPriorityLink(env, s.itcfg)
 	case wire.LPITReliable:
-		p = itmsg.NewReliableFairLink(env, s.itcfg, n.cfg.Reliable)
+		p = itmsg.NewReliableFairLink(env, s.itcfg, cfg.Reliable)
 	default:
 		p = link.NewBestEffort(env)
 	}
-	sp.protos[id] = p
+	pr.protos[id] = p
 	return p
 }
 
-// shardLinkEnv adapts a data shard to link.Env for one homed peer.
-type shardLinkEnv struct {
-	s       *DataShard
-	peer    *shardPeer
+// linkEnv adapts a shard to link.Env for one neighbor.
+type linkEnv struct {
+	s    *DataShard
+	peer *peer
+	// rebadge overrides the frame protocol ID when nonzero.
 	rebadge wire.LinkProtoID
 }
 
-func (e *shardLinkEnv) Clock() sim.Clock { return e.s.clock }
+func (e *linkEnv) Clock() sim.Clock { return e.s.clock }
 
-func (e *shardLinkEnv) Transmit(f *wire.Frame) {
+func (e *linkEnv) Transmit(f *wire.Frame) {
 	if e.rebadge != 0 {
 		f.Proto = e.rebadge
 	}
 	e.s.transmitFrame(e.peer, f)
 }
 
-func (e *shardLinkEnv) Deliver(p *wire.Packet) { e.s.receiveFromLink(e.peer, p) }
+func (e *linkEnv) Deliver(p *wire.Packet) { e.s.receiveFromLink(e.peer, p) }
 
-// transmitFrame MACs (when authenticated), marshals, and sends a frame
-// out this shard's own tx ring over the neighbor's current underlay
+// transmitFrame MACs (when authenticated), marshals, and sends a frame to
+// a neighbor out this shard's tx ring over the link's current underlay
 // path.
-func (s *DataShard) transmitFrame(sp *shardPeer, f *wire.Frame) {
-	n := s.plane.n
-	if n.cfg.Keyring != nil {
-		if err := n.cfg.Keyring.MacFrame(f, sp.neighbor); err != nil {
+func (s *DataShard) transmitFrame(pr *peer, f *wire.Frame) {
+	if kr := s.n.cfg.Keyring; kr != nil {
+		if err := kr.MacFrame(f, pr.neighbor); err != nil {
 			return
 		}
 	}
@@ -624,8 +633,9 @@ func (s *DataShard) transmitFrame(sp *shardPeer, f *wire.Frame) {
 		return
 	}
 	buf.B = b
-	path := uint8(s.plane.paths[sp.denseIdx].Load())
-	s.plane.under.SendOn(s.idx, sp.neighbor, path, buf.B)
+	// The underlay borrows the bytes: the emulator copies them into its own
+	// pooled delivery buffer and the UDP transport writes synchronously.
+	s.plane.under.SendOn(s.idx, pr.neighbor, uint8(pr.path.Load()), buf.B)
 	buf.Release()
 }
 
@@ -633,13 +643,14 @@ func (s *DataShard) transmitFrame(sp *shardPeer, f *wire.Frame) {
 // per-shard counters with it.
 func (s Stats) Merge(o Stats) Stats {
 	return Stats{
-		Originated:     s.Originated + o.Originated,
-		Forwarded:      s.Forwarded + o.Forwarded,
-		DeliveredLocal: s.DeliveredLocal + o.DeliveredLocal,
-		Duplicates:     s.Duplicates + o.Duplicates,
-		DroppedTTL:     s.DroppedTTL + o.DroppedTTL,
-		DroppedNoRoute: s.DroppedNoRoute + o.DroppedNoRoute,
-		DroppedAuth:    s.DroppedAuth + o.DroppedAuth,
-		Blackholed:     s.Blackholed + o.Blackholed,
+		Originated:         s.Originated + o.Originated,
+		Forwarded:          s.Forwarded + o.Forwarded,
+		DeliveredLocal:     s.DeliveredLocal + o.DeliveredLocal,
+		Duplicates:         s.Duplicates + o.Duplicates,
+		DroppedTTL:         s.DroppedTTL + o.DroppedTTL,
+		DroppedNoRoute:     s.DroppedNoRoute + o.DroppedNoRoute,
+		DroppedAuth:        s.DroppedAuth + o.DroppedAuth,
+		DroppedUnknownPeer: s.DroppedUnknownPeer + o.DroppedUnknownPeer,
+		Blackholed:         s.Blackholed + o.Blackholed,
 	}
 }

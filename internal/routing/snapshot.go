@@ -52,9 +52,6 @@ type Snapshot struct {
 type SnapHop struct {
 	// Neighbor is the next-hop node.
 	Neighbor wire.NodeID
-	// NeighborIdx is Neighbor's dense index in the graph (for per-node
-	// side tables like shard homing).
-	NeighborIdx int32
 	// Link is the incident link to Neighbor.
 	Link wire.LinkID
 	// OK reports reachability; a false entry means drop (no route).
@@ -67,8 +64,6 @@ type SnapIncident struct {
 	Link wire.LinkID
 	// Neighbor is the node on the other end.
 	Neighbor wire.NodeID
-	// NeighborIdx is Neighbor's dense graph index.
-	NeighborIdx int32
 	// Usable reports the shared view's verdict at publication.
 	Usable bool
 }
@@ -112,6 +107,56 @@ func (s *Snapshot) ShouldDeliver(p *wire.Packet) bool {
 	return p.Dst == 0 && p.Group != 0 && s.LocalGroup(p.Group)
 }
 
+// Decide is Engine.Decide against the frozen state: the same packet,
+// arrival link and first-sight verdict yield the same Decision the live
+// engine gave at publication. Forward is built in scratch, which the
+// caller owns (a snapshot is shared by every data shard and holds no
+// mutable state). ok is false on a miss — a multicast tree the engine had
+// not computed at publication — which the caller hands to the control
+// shard.
+func (s *Snapshot) Decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool, scratch []wire.LinkID) (d Decision, ok bool) {
+	var mask wire.Bitmask
+	switch p.Route {
+	case wire.RouteLinkState:
+		if p.Dst == s.Self {
+			return Decision{DeliverLocal: true}, true
+		}
+		if hop, reachable := s.NextHopFor(p.Dst); reachable {
+			d.Forward = append(scratch[:0], hop.Link)
+		}
+		return d, true
+	case wire.RouteSourceMask:
+		mask = p.Mask
+	case wire.RouteFlood:
+		mask = s.Flood
+	case wire.RouteMulticast:
+		if mask, ok = s.Tree(p.Src, p.Group); !ok && firstSeen {
+			return Decision{}, false
+		}
+	default:
+		return Decision{}, true
+	}
+	if !firstSeen {
+		return Decision{}, true
+	}
+	if p.Route == wire.RouteMulticast {
+		d.DeliverLocal = s.LocalGroup(p.Group)
+	} else {
+		d.DeliverLocal = s.ShouldDeliver(p)
+	}
+	fwd := scratch[:0]
+	for i := range s.Incident {
+		inc := &s.Incident[i]
+		if inc.Link != arrived && inc.Usable && mask.Has(inc.Link) {
+			fwd = append(fwd, inc.Link)
+		}
+	}
+	if len(fwd) > 0 {
+		d.Forward = fwd
+	}
+	return d, true
+}
+
 // Torn reports whether the version stamps at the two ends of the snapshot
 // disagree — which atomic-pointer publication makes impossible, and the
 // snapshot race tests assert stays impossible.
@@ -125,9 +170,10 @@ type LocalGroupLister interface {
 }
 
 // SetPublishTarget installs the pointer cell snapshots are published
-// into. The node's data plane owns the cell; a nil target (the default,
-// and every single-shard or emulated node) disables publication
-// entirely, keeping Publish free on the sim fast paths.
+// into. The node's data plane owns the cell and installs it only when it
+// has data shards to read it; a nil target (the default, and every
+// one-shard plane) disables publication entirely, keeping Publish free on
+// the sim fast paths.
 func (e *Engine) SetPublishTarget(p *atomic.Pointer[Snapshot]) { e.pub = p }
 
 // Publish freezes the engine's current forwarding state into a fresh
@@ -165,8 +211,7 @@ func (e *Engine) Publish() {
 			continue
 		}
 		nb, _ := l.Other(e.self)
-		nbIdx, _ := g.NodeIndex(nb)
-		snap.NextHop[i] = SnapHop{Neighbor: nb, NeighborIdx: int32(nbIdx), Link: lid, OK: true}
+		snap.NextHop[i] = SnapHop{Neighbor: nb, Link: lid, OK: true}
 	}
 	inc := g.Incident(e.self)
 	snap.Incident = make([]SnapIncident, 0, len(inc))
@@ -176,10 +221,7 @@ func (e *Engine) Publish() {
 			continue
 		}
 		nb, _ := l.Other(e.self)
-		nbIdx, _ := g.NodeIndex(nb)
-		snap.Incident = append(snap.Incident, SnapIncident{
-			Link: lid, Neighbor: nb, NeighborIdx: int32(nbIdx), Usable: v.Usable(lid),
-		})
+		snap.Incident = append(snap.Incident, SnapIncident{Link: lid, Neighbor: nb, Usable: v.Usable(lid)})
 	}
 	vv, gv := e.views.Version(), e.groups.Version()
 	if len(e.trees) > 0 {

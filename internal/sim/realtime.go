@@ -39,14 +39,20 @@ func NewLoop() *Loop {
 
 // Post enqueues fn; it is safe to call from any goroutine. Posting to a
 // closed loop drops the closure.
-func (l *Loop) Post(fn func()) {
+func (l *Loop) Post(fn func()) { l.TryPost(fn) }
+
+// TryPost is Post that reports whether fn was enqueued. Everything
+// enqueued runs, even across Close, so a caller that waits for fn's
+// result must use TryPost and not wait when it reports false.
+func (l *Loop) TryPost(fn func()) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return
+		return false
 	}
 	l.queue = append(l.queue, loopTask{fn: fn})
 	l.cond.Signal()
+	return true
 }
 
 // PostRunner enqueues r.Run, implementing RunnerExecutor: unlike Post

@@ -69,6 +69,10 @@ func (s *ShardedLoop) PostRunner(r Runner) { s.loops[0].PostRunner(r) }
 // PostTo enqueues fn on shard i.
 func (s *ShardedLoop) PostTo(i int, fn func()) { s.loops[i].Post(fn) }
 
+// TryPostTo is PostTo that reports whether fn was enqueued (false once
+// shard i's loop has closed).
+func (s *ShardedLoop) TryPostTo(i int, fn func()) bool { return s.loops[i].TryPost(fn) }
+
 // PostRunnerTo enqueues r on shard i.
 func (s *ShardedLoop) PostRunnerTo(i int, r Runner) { s.loops[i].PostRunner(r) }
 

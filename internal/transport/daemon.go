@@ -43,32 +43,31 @@ type DaemonConfig struct {
 	HelloIntervalMs int `json:"hello_interval_ms"`
 	// Shards is the data-plane shard count: event loops, UDP sockets
 	// (SO_REUSEPORT on Linux), and tx rings. 0 means min(GOMAXPROCS, 8).
-	// With more than one shard the overlay protocol itself shards: the
-	// control plane (link state, routing, groups, sessions) stays
-	// single-threaded on shard 0 while every peer is homed on one shard
-	// by a stable hash of its node id, and that shard runs the peer's
-	// link sessions, QoS schedulers, and transit forwarding end to end.
+	// The overlay protocol shards with them: one forwarding engine per
+	// loop, the control plane (link state, routing, groups, sessions)
+	// single-threaded on shard 0's, every peer homed on one shard by a
+	// stable hash of its node id, and that shard running the peer's link
+	// sessions, QoS schedulers, and transit forwarding end to end.
 	Shards int `json:"shards"`
 }
 
 // Daemon is one deployed overlay node: the node software over a sharded
-// UDP underlay, plus the TCP session listener for clients. The control
-// plane is single-threaded on shard 0's loop; with Shards > 1 each peer
-// is homed on one shard (wire.HomeShard of its node id), whose loop owns
-// the peer's link sessions and forwards its transit data frames using
-// the routing engine's atomically-published forwarding snapshot — a
-// transit frame whose next hop shares its arrival shard never crosses a
-// shard boundary. The underlay's decode classifier steers control frames
-// (hellos, link-state, group-state) to shard 0.
+// UDP underlay, plus the TCP session listener for clients. Every shard's
+// loop runs one forwarding engine of the node's data plane; shard 0's is
+// also the control loop. Each peer is homed on one shard (wire.HomeShard
+// of its node id), whose loop owns the peer's link sessions and forwards
+// its transit data frames — a transit frame whose next hop shares its
+// arrival shard never crosses a shard boundary. The underlay's decode
+// classifier steers control frames (hellos, link-state, group-state,
+// membership) to shard 0.
 type Daemon struct {
 	cfg   DaemonConfig
 	loops *sim.ShardedLoop
 	// loop is the control shard's event loop: node, sessions, clients.
 	loop *sim.Loop
 	node *node.Node
-	// plane is the sharded data plane (nil with one shard). Atomic because
-	// shard loops consult it from the underlay handler while NewDaemon is
-	// still wiring it up.
+	// plane is the node's data plane. Atomic because shard loops consult
+	// it from the underlay handler while NewDaemon is still wiring it up.
 	plane atomic.Pointer[node.DataPlane]
 	mgr   *session.Manager
 	udp   *UDPUnderlay
@@ -97,19 +96,10 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		clients: make(map[*clientConn]struct{}),
 	}
 	d.loop = d.loops.Shard(0)
-	var nodeRef *node.Node
-	// Shard 0 deliveries run on d.loop, where nodeRef is assigned — the
-	// single-threaded model node.HandleUnderlay requires. Other shards'
-	// deliveries go to the data plane's per-shard engines; until the plane
-	// pointer is published they drop (only possible for frames racing
-	// daemon startup).
+	// Each shard's deliveries run on its own loop and go to that shard's
+	// engine; until the plane pointer is published they drop (only possible
+	// for frames racing daemon startup).
 	udp, err := NewShardedUDPUnderlay(cfg.BindUDP, d.loops.Executors(), func(shard int, from wire.NodeID, data []byte) {
-		if shard == 0 {
-			if nodeRef != nil {
-				nodeRef.HandleUnderlay(from, data)
-			}
-			return
-		}
 		if pl := d.plane.Load(); pl != nil {
 			pl.HandleUnderlay(shard, from, data)
 		}
@@ -148,23 +138,16 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	d.node = n
 	d.mgr = session.NewManager(n)
-	var pl *node.DataPlane
-	if nsh := d.loops.NumShards(); nsh > 1 {
-		clocks := make([]sim.Clock, nsh)
-		for i := 1; i < nsh; i++ {
-			clocks[i] = sim.NewRealtimeClockAt(d.loops.Shard(i), epoch)
-		}
-		pl = node.NewDataPlane(n, d.loops, udp, clocks)
+	clocks := make([]sim.Clock, d.loops.NumShards())
+	for i := 1; i < len(clocks); i++ {
+		clocks[i] = sim.NewRealtimeClockAt(d.loops.Shard(i), epoch)
 	}
+	n.DataPlane().Grow(d.loops, clocks)
 	done := make(chan struct{})
 	d.loop.Post(func() {
-		// Assigning on the loop serializes with the UDP handler, which
-		// also runs on the loop.
-		nodeRef = n
-		if pl != nil {
-			n.AttachDataPlane(pl)
-			d.plane.Store(pl)
-		}
+		// Publishing on the control loop serializes the node's start with
+		// shard 0's first delivery.
+		d.plane.Store(n.DataPlane())
 		n.Start()
 		close(done)
 	})
@@ -291,28 +274,21 @@ func (d *Daemon) WireStats() metrics.WireSnapshot { return d.udp.Stats() }
 // any goroutine, no loop round-trip needed.
 func (d *Daemon) SchedStats() metrics.SchedSnapshot { return d.node.SchedStats() }
 
-// NodeStats reads the node's counters on the daemon loop — merged with
-// every data shard's counters when the protocol plane is sharded —
-// safely from any goroutine. It returns zeros after Close.
+// NodeStats reads every shard's counters, each on its own loop, and
+// merges them; safe from any goroutine. A loop that Close has already
+// stopped contributes zeros, so it returns zeros after Close and never
+// waits on a loop that will not answer.
 func (d *Daemon) NodeStats() node.Stats {
-	d.mu.Lock()
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
+	ch := make(chan node.Stats, 1)
+	if !d.loop.TryPost(func() { ch <- d.node.Stats() }) {
 		return node.Stats{}
 	}
-	ch := make(chan node.Stats, 1)
-	d.loop.Post(func() { ch <- d.node.Stats() })
-	agg := <-ch
-	if pl := d.plane.Load(); pl != nil {
-		agg = agg.Merge(pl.Stats())
-	}
-	return agg
+	return (<-ch).Merge(d.node.DataPlane().Stats())
 }
 
-// DataPlane returns the sharded protocol plane, nil when the daemon runs
-// a single shard. Diagnostics only.
-func (d *Daemon) DataPlane() *node.DataPlane { return d.plane.Load() }
+// DataPlane returns the node's data plane: one forwarding engine per
+// shard. Diagnostics only.
+func (d *Daemon) DataPlane() *node.DataPlane { return d.node.DataPlane() }
 
 // Close stops the daemon: listener, client connections, node timers,
 // underlay socket, and the event loop.
@@ -340,11 +316,9 @@ func (d *Daemon) Close() {
 		close(done)
 	})
 	<-done
-	if pl := d.plane.Load(); pl != nil {
-		// Shard engines close on their own loops (their queued traffic
-		// accounts as closed drops) before the loops themselves stop.
-		pl.Close()
-	}
+	// The other shards' engines close on their own loops (their queued
+	// traffic accounts as closed drops) before the loops themselves stop.
+	d.node.DataPlane().Close()
 	_ = d.udp.Close()
 	d.loops.Close()
 	d.wg.Wait()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sonet/internal/metrics"
+	"sonet/internal/node"
 	"sonet/internal/session"
 	"sonet/internal/wire"
 )
@@ -272,5 +273,52 @@ func TestDaemonShardLedgersSumAndBalance(t *testing.T) {
 	// merged node stats must show the forwarding.
 	if fwd := daemons[2].NodeStats().Forwarded; fwd < n {
 		t.Errorf("transit daemon forwarded %d, want >= %d", fwd, n)
+	}
+}
+
+// TestDaemonStatsAcrossClose hammers the cross-loop readers while the
+// daemon closes under them: a read that raced Close used to post to a
+// loop that had already stopped and wait forever for the answer. Every
+// reader must return (zeros are fine) within the watchdog.
+func TestDaemonStatsAcrossClose(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		d, err := NewDaemon(DaemonConfig{
+			ID: 2, BindUDP: "127.0.0.1:0",
+			Links:           []LinkDef{{A: 1, B: 2, LatencyMs: 1}, {A: 2, B: 3, LatencyMs: 1}},
+			HelloIntervalMs: 3600000, Shards: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						d.NodeStats()
+						d.SchedStats()
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		d.Close()
+		close(stop)
+		done := make(chan struct{})
+		go func() { readers.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a stats reader is still blocked 5 s after Close")
+		}
+		if st := d.NodeStats(); st != (node.Stats{}) {
+			t.Fatalf("NodeStats after Close = %+v, want zeros", st)
+		}
 	}
 }
