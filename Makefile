@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-all bench-guard bench-compare bench-baseline bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak clean
+.PHONY: all check build vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak clean
 
 all: check
 
@@ -38,49 +38,24 @@ race: test-race
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate every table/figure of the paper's evaluation.
+# Regenerate every table/figure of the paper's evaluation; one of them
+# with `go run ./cmd/benchrun -only <ID>`.
 experiments:
 	$(GO) run ./cmd/benchrun
 
-# Hot-path microbenchmarks: overlay forwarding, underlay send, scheduler
-# timer churn, the fair-scheduler DRR core at 1k/10k/100k flows, the
-# pooled wire round trip, the control-plane SPF / reconvergence pair, and
-# the batched UDP data plane over loopback, and the client edge (client →
-# one daemon → client over loopback TCP).
-BENCH_PATTERN = Forwarding|MarshalAlloc|NetemuSend|Sched|Packet|DisjointPaths|SPF|ConvergenceScale|UDP|ClientEdge
-
+# Developer microbenchmarks, each beside the code it measures (wire, sim,
+# itmsg, topology, node, transport; the loopback rigs, the convergence
+# arena and the continental fixtures in internal/experiments). They keep
+# no stored baseline and gate nothing: performance claims are parent/change
+# pairs of the repository benchmark (bench-repo, bench/README.md).
 bench:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem .
+	$(GO) test -run xxx -bench . -benchmem ./...
 
-# Every benchmark, including the full experiment reproductions.
-bench-all:
-	$(GO) test -run xxx -bench . -benchmem .
-
-# Allocation-budget regression guards for the fast paths: fails if a
-# warmed netemu.Send allocates (route cache + pooled buffers/events must
-# keep it at 0 allocs/op on a stable topology), if a warmed dense SPF
-# recompute allocates, if a warmed incremental single-link SPT repair
-# does, if a warmed whole-engine reconvergence does, if the real UDP
-# data plane exceeds one amortized allocation per datagram, or if the
-# fair-scheduler DRR core allocates on a steady-state decision at up to
-# 100k concurrent flows, or if transit forwarding through the whole
-# sharded daemon stack exceeds one amortized allocation per packet, or if
-# a steady-state membership detector/corrector sweep allocates, or if the
-# client edge does (RemoteFlow.Send: 0; daemon ingress + egress: at most 2
-# per message on top of the in-process session path).
+# The machine-independent gate: every fast path's allocation budget, by
+# naming convention — a test called Test*AllocBudget anywhere in the tree
+# is part of it. Not under -race: sync.Pool drops Puts there.
 bench-guard:
-	$(GO) test -run 'TestNetemuSendAllocBudget|TestSPFAllocBudget|TestIncrementalSPFAllocBudget|TestConvergenceAllocBudget|TestUDPTransportAllocBudget|TestSchedAllocBudget|TestDaemonForwardingAllocBudget' -count=1 .
-	$(GO) test -run TestMembershipSweepAllocBudget -count=1 ./internal/membership/
-	$(GO) test -run TestClientEdgeAllocBudget -count=1 ./internal/transport/
-
-# Diff current hot-path benchmark numbers against the checked-in baseline:
-# ns/op may drift within the baseline's tolerance, allocs/op may not grow.
-bench-compare:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchcompare -baseline BENCH_baseline.json
-
-# Regenerate the baseline (run on the reference machine, then commit).
-bench-baseline:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchcompare -write BENCH_baseline.json
+	$(GO) test -run AllocBudget -count=1 ./...
 
 # The repository benchmark (BENCHMARK.json) is a nested module, so the
 # targets above never compile it. bench-check vets and tests it with and

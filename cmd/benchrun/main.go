@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"sonet/internal/experiments"
@@ -28,49 +27,22 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "base determinism seed")
 	flag.Parse()
 
-	runners := []struct {
-		id string
-		fn func(uint64) *experiments.Result
-	}{
-		{"EXP-F3", experiments.Fig3HopByHop},
-		{"EXP-F4", experiments.Fig4NMStrikes},
-		{"EXP-REROUTE", experiments.Reroute},
-		{"EXP-MCAST", experiments.Multicast},
-		{"EXP-MONCTL", experiments.MonitoringControl},
-		{"EXP-IT", experiments.IntrusionTolerance},
-		{"EXP-FAIR", experiments.Fairness},
-		{"EXP-RTRM", experiments.RemoteManipulation},
-		{"EXP-ANYCAST", experiments.Anycast},
-		{"EXP-MULTIHOME", experiments.Multihoming},
-		{"EXP-COMPOUND", experiments.CompoundFlow},
-		{"EXP-METRIC", experiments.RoutingMetric},
-		{"EXP-GLOBAL", experiments.GlobalCoverage},
-		{"EXP-CLIQUE", experiments.TopologyClique},
-		{"EXP-CONV", experiments.ConvergenceScale},
-		{"EXP-WIRE", experiments.WireThroughput},
-		{"EXP-CHAOS", experiments.Chaos},
+	selected := experiments.Select(*only)
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "benchrun: no experiment matches -only=%q\n", *only)
+		return 2
 	}
-
 	failures := 0
-	ran := 0
-	for _, r := range runners {
-		if *only != "" && !strings.Contains(r.id, *only) {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
-		res := r.fn(*seed)
+		res := e.Run(*seed)
 		fmt.Println(res.String())
 		fmt.Printf("  (wall time %.1fs)\n\n", time.Since(start).Seconds())
 		if !res.ShapeHolds {
 			failures++
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchrun: no experiment matches -only=%q\n", *only)
-		return 2
-	}
-	fmt.Printf("== %d/%d experiments reproduce the paper's shape ==\n", ran-failures, ran)
+	fmt.Printf("== %d/%d experiments reproduce the paper's shape ==\n", len(selected)-failures, len(selected))
 	if failures > 0 {
 		return 1
 	}

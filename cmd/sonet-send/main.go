@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"sonet/internal/session"
+	"sonet/internal/sim"
 	"sonet/internal/transport"
 	"sonet/internal/wire"
 )
@@ -137,20 +138,6 @@ func run() int {
 	return 0
 }
 
-// turnExec queues posted flushes so wire-mode sends coalesce into
-// sendmmsg batches; the single blast goroutine is the only poster.
-type turnExec struct{ q []func() }
-
-func (e *turnExec) Post(fn func()) { e.q = append(e.q, fn) }
-
-func (e *turnExec) turn() {
-	for i, fn := range e.q {
-		fn()
-		e.q[i] = nil
-	}
-	e.q = e.q[:0]
-}
-
 // runWire blasts count frames of size bytes at the receiver from flows
 // source sockets on consecutive ports, flushing every 32 frames, and
 // prints the aggregate and per-flow send summary.
@@ -168,10 +155,12 @@ func runWire(bind, peer string, flows, count, size int, interval time.Duration) 
 		return 2
 	}
 	txs := make([]*transport.UDPUnderlay, flows)
-	execs := make([]*turnExec, flows)
+	// One turn queue per flow, so wire-mode sends coalesce into sendmmsg
+	// batches; this goroutine is the only poster.
+	execs := make([]*sim.TurnQueue, flows)
 	for f := 0; f < flows; f++ {
 		addr := netip.AddrPortFrom(base.Addr(), base.Port()+uint16(f)).String()
-		execs[f] = &turnExec{}
+		execs[f] = &sim.TurnQueue{}
 		tx, err := transport.NewUDPUnderlay(addr, execs[f], func(wire.NodeID, []byte) {})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sonet-send: flow %d: %v\n", f, err)
@@ -193,7 +182,7 @@ func runWire(bind, peer string, flows, count, size int, interval time.Duration) 
 		txs[f].Send(1, 0, payload)
 		if i%32 == 31 || i == count-1 {
 			for _, e := range execs {
-				e.turn()
+				e.Run()
 			}
 		}
 		if interval > 0 {
@@ -201,7 +190,7 @@ func runWire(bind, peer string, flows, count, size int, interval time.Duration) 
 		}
 	}
 	for _, e := range execs {
-		e.turn()
+		e.Run()
 	}
 	elapsed := time.Since(start)
 	var sent, dropped uint64

@@ -51,39 +51,13 @@ type convWorld struct {
 // instantiates at large N.
 const convEngineCap = 64
 
-// buildConvWorld constructs the N-node graph: a ring (guaranteeing the
-// view stays connected when churn downs one link at a time) plus chords
-// every four nodes for path diversity. At N=256 the ring alone uses the
-// full wire.MaxLinks link budget, so no chords fit — the regime where
-// bitmask source routing bounds the topology at 256 links. Beyond that the
-// graph models the flat connectivity map of §II-A's global overlay: the
-// link table (topology.MaxGraphLinks) has room again, so the antipodal
-// chords return.
+// buildConvWorld puts the engines on topology.RingWithChords(n).
 func buildConvWorld(n int) (*convWorld, error) {
-	g := topology.NewGraph()
-	id := func(i int) wire.NodeID { return wire.NodeID(1 + (i+n)%n) }
-	for i := 0; i < n; i++ {
-		lat := time.Duration(5+i%7) * time.Millisecond
-		if _, err := g.AddLink(id(i), id(i+1), lat); err != nil {
-			return nil, err
-		}
+	g, err := topology.RingWithChords(n)
+	if err != nil {
+		return nil, err
 	}
-	if n < wire.MaxLinks/2 {
-		for i := 0; i < n; i += 4 {
-			if g.NumLinks() >= wire.MaxLinks {
-				break
-			}
-			if _, err := g.AddLink(id(i), id(i+n/2), time.Duration(8+i%5)*time.Millisecond); err != nil {
-				return nil, err
-			}
-		}
-	} else if n > wire.MaxLinks {
-		for i := 0; i < n; i += 4 {
-			if _, err := g.AddLink(id(i), id(i+n/2), time.Duration(8+i%5)*time.Millisecond); err != nil {
-				return nil, err
-			}
-		}
-	}
+	id := func(i int) wire.NodeID { return wire.NodeID(1 + i%n) }
 	w := &convWorld{
 		views:  &convViews{view: topology.NewView(g)},
 		groups: &convGroups{members: map[wire.GroupID][]wire.NodeID{}},
@@ -291,7 +265,7 @@ func ConvergenceScale(seed uint64) *Result {
 	}
 	_ = seed // wall-clock measurement; churn sequence is deterministic
 	sizes := []int{16, 64, 256, 1024}
-	if !raceEnabled {
+	if !wire.RaceEnabled {
 		// Race instrumentation makes the 4k/10k dense sweeps minutes-long;
 		// the 1k point already exercises the sampled-engine large regime.
 		sizes = append(sizes, 4096, 10240)
@@ -369,7 +343,7 @@ func ConvergenceScale(seed uint64) *Result {
 	// incremental-vs-full gap, so under race the floors only require the
 	// fast path not to lose.
 	refFloor, incrFloor := 2.0, 10.0
-	if raceEnabled {
+	if wire.RaceEnabled {
 		refFloor, incrFloor = 1.05, 4.0
 	}
 	r.ShapeHolds = worstPerNode < time.Millisecond &&

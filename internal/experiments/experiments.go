@@ -2,9 +2,9 @@
 // or quantitative claim of the paper (see DESIGN.md §4 for the index).
 // Each driver builds an emulated world, runs the workload in virtual
 // time, and returns a Result whose table holds the same rows/series the
-// paper reports. The drivers are shared by the repository's testing.B
-// benchmarks (bench_test.go) and the cmd/benchrun binary, and their
-// checks are asserted by the package's tests.
+// paper reports. cmd/benchrun prints them (`benchrun -only <ID>`) and the
+// package's smoke test asserts every driver's shape check; Index is the
+// one list both iterate.
 package experiments
 
 import (
@@ -60,26 +60,55 @@ func (r *Result) addFinding(format string, args ...any) {
 	r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
 }
 
-// All runs every experiment in DESIGN.md order with default seeds.
-func All() []*Result {
-	return []*Result{
-		Fig3HopByHop(1),
-		Fig4NMStrikes(2),
-		Reroute(3),
-		Multicast(4),
-		MonitoringControl(5),
-		IntrusionTolerance(6),
-		Fairness(7),
-		RemoteManipulation(8),
-		Anycast(9),
-		Multihoming(10),
-		CompoundFlow(11),
-		RoutingMetric(12),
-		GlobalCoverage(13),
-		TopologyClique(14),
-		ConvergenceScale(15),
-		WireThroughput(16),
-		Chaos(17),
-		Churn(18),
+// Experiment is one row of the index: an ID from DESIGN.md §4 and the
+// driver that reproduces it.
+type Experiment struct {
+	ID  string
+	Run func(seed uint64) *Result
+}
+
+// Index lists every experiment exactly once, in DESIGN.md §4 order.
+// cmd/benchrun, All and the package's smoke test iterate it, so an
+// experiment added here is run, filtered and asserted everywhere.
+var Index = []Experiment{
+	{"EXP-F3", Fig3HopByHop},
+	{"EXP-F4", Fig4NMStrikes},
+	{"EXP-REROUTE", Reroute},
+	{"EXP-MCAST", Multicast},
+	{"EXP-MONCTL", MonitoringControl},
+	{"EXP-IT", IntrusionTolerance},
+	{"EXP-FAIR", Fairness},
+	{"EXP-RTRM", RemoteManipulation},
+	{"EXP-ANYCAST", Anycast},
+	{"EXP-MULTIHOME", Multihoming},
+	{"EXP-COMPOUND", CompoundFlow},
+	{"EXP-METRIC", RoutingMetric},
+	{"EXP-GLOBAL", GlobalCoverage},
+	{"EXP-CLIQUE", TopologyClique},
+	{"EXP-CONV", ConvergenceScale},
+	{"EXP-WIRE", WireThroughput},
+	{"EXP-CHAOS", Chaos},
+	{"EXP-CHURN", Churn},
+}
+
+// Select returns the experiments whose ID contains only, in index order;
+// the empty string selects all of them.
+func Select(only string) []Experiment {
+	var out []Experiment
+	for _, e := range Index {
+		if strings.Contains(e.ID, only) {
+			out = append(out, e)
+		}
 	}
+	return out
+}
+
+// All runs every experiment in index order, each with its default seed:
+// its one-based position in the index.
+func All() []*Result {
+	out := make([]*Result, len(Index))
+	for i, e := range Index {
+		out[i] = e.Run(uint64(i) + 1)
+	}
+	return out
 }

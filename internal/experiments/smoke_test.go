@@ -1,148 +1,58 @@
 package experiments
 
-import "testing"
+import (
+	"os"
+	"regexp"
+	"testing"
+)
 
-func TestFig3Smoke(t *testing.T) {
-	r := Fig3HopByHop(1)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+// TestExperimentsSmoke runs every driver in the index once with its
+// default seed (the one All uses) and asserts the paper's shape; one
+// experiment is `go test -run 'TestExperimentsSmoke/EXP-CHURN$' -v`.
+func TestExperimentsSmoke(t *testing.T) {
+	for i, e := range Index {
+		t.Run(e.ID, func(t *testing.T) {
+			r := e.Run(uint64(i) + 1)
+			t.Log("\n" + r.String())
+			if r.ID != e.ID {
+				t.Fatalf("index entry %s runs a driver that reports %s", e.ID, r.ID)
+			}
+			if !r.ShapeHolds {
+				t.Fatal("shape does not hold")
+			}
+		})
 	}
 }
 
-func TestFig4Smoke(t *testing.T) {
-	r := Fig4NMStrikes(2)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+// TestIndex pins the single experiment list: IDs are unique, each one
+// resolves through benchrun's -only filter to exactly itself, and the set
+// equals the rows of DESIGN.md §4 that name a benchrun target.
+func TestIndex(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Index {
+		if seen[e.ID] {
+			t.Errorf("%s listed twice", e.ID)
+		}
+		seen[e.ID] = true
+		if got := Select(e.ID); len(got) != 1 || got[0].ID != e.ID {
+			t.Errorf("-only %s selects %v, want exactly that experiment", e.ID, got)
+		}
 	}
-}
-
-func TestRerouteSmoke(t *testing.T) {
-	r := Reroute(3)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+	if got := Select(""); len(got) != len(Index) {
+		t.Errorf("empty filter selects %d of %d", len(got), len(Index))
 	}
-}
-
-func TestMulticastSmoke(t *testing.T) {
-	r := Multicast(4)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMonitoringControlSmoke(t *testing.T) {
-	r := MonitoringControl(5)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+	rows := regexp.MustCompile("(?m)^\\| (EXP-[A-Z0-9]+) \\|.*`benchrun -only [A-Z0-9]+` \\|$").FindAllSubmatch(design, -1)
+	if len(rows) != len(Index) {
+		t.Errorf("DESIGN.md §4 lists %d benchrun experiments, the index %d", len(rows), len(Index))
 	}
-}
-
-func TestIntrusionToleranceSmoke(t *testing.T) {
-	r := IntrusionTolerance(6)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestFairnessSmoke(t *testing.T) {
-	r := Fairness(7)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestRemoteManipulationSmoke(t *testing.T) {
-	r := RemoteManipulation(8)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestAnycastSmoke(t *testing.T) {
-	r := Anycast(9)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestMultihomingSmoke(t *testing.T) {
-	r := Multihoming(10)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestRoutingMetricSmoke(t *testing.T) {
-	r := RoutingMetric(12)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestGlobalCoverageSmoke(t *testing.T) {
-	r := GlobalCoverage(13)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestTopologyCliqueSmoke(t *testing.T) {
-	r := TopologyClique(14)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestCompoundFlowSmoke(t *testing.T) {
-	r := CompoundFlow(11)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestConvergenceScaleSmoke(t *testing.T) {
-	r := ConvergenceScale(15)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestWireThroughputSmoke(t *testing.T) {
-	r := WireThroughput(16)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestChaosExperimentSmoke(t *testing.T) {
-	r := Chaos(17)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
-	}
-}
-
-func TestChurnSmoke(t *testing.T) {
-	r := Churn(18)
-	t.Log("\n" + r.String())
-	if !r.ShapeHolds {
-		t.Fatal("shape does not hold")
+	for _, m := range rows {
+		if !seen[string(m[1])] {
+			t.Errorf("DESIGN.md §4 lists %s, the index does not", m[1])
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,10 +24,11 @@ import (
 // path: a fresh 64 KiB buffer per read, addr.String() map lookup per
 // datagram, one executor post per packet, one sendto per write.
 
-// wirePlane is one measurable data-plane configuration.
+// wirePlane is one credit-windowed sender→receiver path carrying a fixed
+// payload: a flow of the loopback rig, or the per-packet baseline.
 type wirePlane interface {
 	// send enqueues one datagram toward the receiver.
-	send(payload []byte)
+	send()
 	// turn marks the end of an event-loop turn: queued flushes run.
 	turn()
 	// delivered reports datagrams that reached the receive handler.
@@ -35,180 +38,177 @@ type wirePlane interface {
 	// sender starves the netpoller and caps throughput at the sysmon
 	// polling rate regardless of the data plane under test.
 	wakeCh() <-chan struct{}
-	// batchAvg reports datagrams per kernel crossing (recv, send).
-	batchAvg() (float64, float64)
-	close()
 }
 
-// turnExec queues posted work until the pump ends its turn, so a burst
-// of Sends coalesces into one flush exactly like on the real event loop.
-// The pump goroutine is the only poster (the sender side receives no
-// traffic), so no locking is needed.
-type turnExec struct{ tasks []func() }
-
-func (e *turnExec) Post(fn func()) { e.tasks = append(e.tasks, fn) }
-
-func (e *turnExec) run() {
-	for i, fn := range e.tasks {
-		fn()
-		e.tasks[i] = nil
-	}
-	e.tasks = e.tasks[:0]
-}
-
-// inlineExec dispatches on the read-loop goroutine; the handler only
-// bumps an atomic counter, so inline dispatch measures the plane itself.
-type inlineExec struct{}
-
-func (inlineExec) Post(fn func()) { fn() }
-
-// batchedPlane is the production transport.UDPUnderlay pair.
-type batchedPlane struct {
-	tx, rx *transport.UDPUnderlay
-	exec   *turnExec
-	count  atomic.Uint64
-	wake   chan struct{}
-}
-
-func newBatchedPlane() (*batchedPlane, error) {
-	p := &batchedPlane{exec: &turnExec{}, wake: make(chan struct{}, 1)}
-	rx, err := transport.NewUDPUnderlay("127.0.0.1:0", inlineExec{}, func(wire.NodeID, []byte) {
-		p.count.Add(1)
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	tx, err := transport.NewUDPUnderlay("127.0.0.1:0", p.exec, func(wire.NodeID, []byte) {})
-	if err != nil {
-		_ = rx.Close()
-		return nil, err
-	}
-	if err := rx.AddPeer(1, tx.LocalAddr()); err == nil {
-		err = tx.AddPeer(2, rx.LocalAddr())
-	}
-	if err != nil {
-		_ = rx.Close()
-		_ = tx.Close()
-		return nil, err
-	}
-	p.tx, p.rx = tx, rx
-	return p, nil
-}
-
-func (p *batchedPlane) send(payload []byte)     { p.tx.Send(2, 0, payload) }
-func (p *batchedPlane) turn()                   { p.exec.run() }
-func (p *batchedPlane) delivered() uint64       { return p.count.Load() }
-func (p *batchedPlane) wakeCh() <-chan struct{} { return p.wake }
-
-func (p *batchedPlane) batchAvg() (float64, float64) {
-	return p.rx.Stats().RecvBatchAvg(), p.tx.Stats().SendBatchAvg()
-}
-
-func (p *batchedPlane) close() {
-	_ = p.tx.Close()
-	p.exec.run() // release any flush queued after the last turn
-	_ = p.rx.Close()
-}
-
-// shardedPlane is the N-shard production receiver fed by one pinned flow
-// per shard, each from its own source socket — the EXP-WIRE scaling
-// configuration. Sends round-robin across the flows, so the N shard
-// loops, sockets, and counters all carry traffic.
-type shardedPlane struct {
-	loops *sim.ShardedLoop
-	rx    *transport.UDPUnderlay
-	txs   []*transport.UDPUnderlay
-	execs []*turnExec
-	next  int
+// deliveries is the receive side of a wirePlane: a counter plus the wake
+// signal.
+type deliveries struct {
 	count atomic.Uint64
 	wake  chan struct{}
 }
 
-func newShardedPlane(shards int) (*shardedPlane, error) {
-	p := &shardedPlane{
-		loops: sim.NewShardedLoop(shards),
-		wake:  make(chan struct{}, 1),
+func (d *deliveries) hit() {
+	d.count.Add(1)
+	select {
+	case d.wake <- struct{}{}:
+	default:
 	}
-	rx, err := transport.NewShardedUDPUnderlay("127.0.0.1:0", p.loops.Executors(), func(int, wire.NodeID, []byte) {
-		p.count.Add(1)
-		select {
-		case p.wake <- struct{}{}:
-		default:
+}
+
+func (d *deliveries) delivered() uint64       { return d.count.Load() }
+func (d *deliveries) wakeCh() <-chan struct{} { return d.wake }
+
+// wireFlow is one sender of a loopback rig: its own single-shard
+// production underlay (own source port, so the kernel steers it as one
+// 4-tuple), its own turn queue, and its own delivery counter, which the
+// rig's receiving end bumps.
+type wireFlow struct {
+	deliveries
+	tx      *transport.UDPUnderlay
+	exec    sim.TurnQueue // flushes tx queued this turn
+	to      wire.NodeID   // the id tx knows the receiver by
+	payload []byte
+}
+
+func (f *wireFlow) send() { f.tx.Send(f.to, 0, f.payload) }
+func (f *wireFlow) turn() { f.exec.Run() }
+
+func (f *wireFlow) close() {
+	_ = f.tx.Close()
+	f.exec.Run() // release any flush queued after the last turn
+}
+
+// newWireFlows binds one sender per shard toward the receiver at rxAddr.
+// Flow f's source port is congruent to f mod shards, so on the Linux fast
+// path the steering program's arrival socket is shard f and a frame of a
+// flow homed there never crosses shards. Ephemeral binds that miss the
+// residue stay bound (parked) until every flow has its port, so the next
+// bind draws a fresh one.
+func newWireFlows(shards int, to wire.NodeID, rxAddr string, payload []byte) ([]*wireFlow, error) {
+	var flows []*wireFlow
+	var parked []*transport.UDPUnderlay
+	defer func() {
+		for _, p := range parked {
+			_ = p.Close()
 		}
-	})
-	if err != nil {
-		p.loops.Close()
+	}()
+	fail := func(err error) ([]*wireFlow, error) {
+		closeFlows(flows)
 		return nil, err
 	}
-	p.rx = rx
 	for f := 0; f < shards; f++ {
-		exec := &turnExec{}
-		tx, err := transport.NewUDPUnderlay("127.0.0.1:0", exec, func(wire.NodeID, []byte) {})
-		if err != nil {
-			p.close()
-			return nil, err
-		}
-		p.txs = append(p.txs, tx)
-		p.execs = append(p.execs, exec)
-		id := wire.NodeID(f + 1)
-		if err := rx.AddPeer(id, tx.LocalAddr()); err == nil {
-			if err = rx.PinFlow(id, f); err == nil {
-				err = tx.AddPeer(100, rx.LocalAddr())
+		fl := &wireFlow{to: to, payload: payload}
+		fl.wake = make(chan struct{}, 1)
+		for fl.tx == nil {
+			tx, err := transport.NewUDPUnderlay("127.0.0.1:0", &fl.exec, func(wire.NodeID, []byte) {})
+			if err != nil {
+				return fail(err)
+			}
+			ap, err := netip.ParseAddrPort(tx.LocalAddr())
+			if err == nil && int(ap.Port())%shards == f {
+				fl.tx = tx
+				break
+			}
+			parked = append(parked, tx)
+			if err != nil || len(parked) > 4096 {
+				return fail(fmt.Errorf("could not cover port residue %d of %d: %v", f, shards, err))
 			}
 		}
+		flows = append(flows, fl)
+		if err := fl.tx.AddPeer(to, rxAddr); err != nil {
+			return fail(err)
+		}
+	}
+	return flows, nil
+}
+
+func closeFlows(flows []*wireFlow) {
+	for _, fl := range flows {
+		fl.close()
+	}
+}
+
+// wireRigID is the id a rig's flows know their receiver by; the receiver
+// knows flow f as peer f+1.
+const wireRigID = wire.NodeID(200)
+
+// wireRig is the loopback arena of the production data plane: an N-shard
+// transport.UDPUnderlay receiver and one flow per shard, pinned to it.
+// EXP-WIRE, BenchmarkUDPTransport and the wire allocation budget all
+// pump this rig; the batched-vs-per-packet rows use its one-shard inline
+// form.
+type wireRig struct {
+	loops *sim.ShardedLoop // nil when the receiver dispatches inline
+	rx    *transport.UDPUnderlay
+	flows []*wireFlow
+}
+
+// newWireRig builds the rig. With inline set, the single receive shard
+// runs its handler on the read loop (what the per-packet baseline does
+// too); otherwise every shard has a real event loop.
+func newWireRig(shards int, inline bool, payload []byte) (*wireRig, error) {
+	r := &wireRig{}
+	execs := []sim.Executor{sim.Inline{}}
+	if !inline {
+		r.loops = sim.NewShardedLoop(shards)
+		execs = r.loops.Executors()
+	}
+	rx, err := transport.NewShardedUDPUnderlay("127.0.0.1:0", execs, func(_ int, from wire.NodeID, _ []byte) {
+		r.flows[from-1].hit()
+	})
+	if err != nil {
+		r.close()
+		return nil, err
+	}
+	r.rx = rx
+	if r.flows, err = newWireFlows(len(execs), wireRigID, rx.LocalAddr(), payload); err != nil {
+		r.close()
+		return nil, err
+	}
+	for f, fl := range r.flows {
+		id := wire.NodeID(f + 1)
+		if err := rx.AddPeer(id, fl.tx.LocalAddr()); err == nil {
+			err = rx.PinFlow(id, f)
+		}
 		if err != nil {
-			p.close()
+			r.close()
 			return nil, err
 		}
 	}
-	return p, nil
+	return r, nil
 }
 
-func (p *shardedPlane) send(payload []byte) {
-	f := p.next
-	p.next = (p.next + 1) % len(p.txs)
-	p.txs[f].Send(100, 0, payload)
-}
-
-func (p *shardedPlane) turn() {
-	for _, e := range p.execs {
-		e.run()
-	}
-}
-
-func (p *shardedPlane) delivered() uint64       { return p.count.Load() }
-func (p *shardedPlane) wakeCh() <-chan struct{} { return p.wake }
-
-func (p *shardedPlane) batchAvg() (float64, float64) {
+// measure is measureWire over all flows at once, plus the datagrams per
+// kernel crossing the run averaged in each direction.
+func (r *wireRig) measure(total, window int) wireOutcome {
+	o := measureWire(total, window, func(n int) uint64 { return pumpFlows(r.flows, n, window) })
 	var tx metrics.WireSnapshot
-	for _, t := range p.txs {
-		tx = tx.Merge(t.Stats())
+	for _, fl := range r.flows {
+		tx = tx.Merge(fl.tx.Stats())
 	}
-	return p.rx.Stats().RecvBatchAvg(), tx.SendBatchAvg()
+	o.recvBatch, o.sendBatch = r.rx.Stats().RecvBatchAvg(), tx.SendBatchAvg()
+	return o
 }
 
 // shardLedger checks the per-shard delivery accounting: every delivered
 // frame must be counted by exactly one shard.
-func (p *shardedPlane) shardLedger() (perShard []uint64, sum uint64) {
-	for s := 0; s < p.rx.NumShards(); s++ {
-		d := p.rx.ShardStats(s).RecvDelivered
+func (r *wireRig) shardLedger() (perShard []uint64, sum uint64) {
+	for s := 0; s < r.rx.NumShards(); s++ {
+		d := r.rx.ShardStats(s).RecvDelivered
 		perShard = append(perShard, d)
 		sum += d
 	}
 	return perShard, sum
 }
 
-func (p *shardedPlane) close() {
-	for i, tx := range p.txs {
-		_ = tx.Close()
-		p.execs[i].run()
+func (r *wireRig) close() {
+	closeFlows(r.flows)
+	if r.rx != nil {
+		_ = r.rx.Close()
 	}
-	_ = p.rx.Close()
-	p.loops.Close()
+	if r.loops != nil {
+		r.loops.Close()
+	}
 }
 
 // perPacketPlane replicates the pre-batching data plane, preserved here
@@ -216,14 +216,14 @@ func (p *shardedPlane) close() {
 // sockaddr-to-string conversion, a string-keyed map lookup, a payload
 // copy, a posted closure, and one syscall in each direction.
 type perPacketPlane struct {
+	deliveries
 	tx, rx  *net.UDPConn
 	senders map[string]wire.NodeID
-	count   atomic.Uint64
-	wake    chan struct{}
+	payload []byte
 	done    chan struct{}
 }
 
-func newPerPacketPlane() (*perPacketPlane, error) {
+func newPerPacketPlane(payload []byte) (*perPacketPlane, error) {
 	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, err
@@ -236,16 +236,11 @@ func newPerPacketPlane() (*perPacketPlane, error) {
 	p := &perPacketPlane{
 		tx: tx, rx: rx,
 		senders: map[string]wire.NodeID{tx.LocalAddr().String(): 1},
-		wake:    make(chan struct{}, 1),
+		payload: payload,
 		done:    make(chan struct{}),
 	}
-	handler := func(from wire.NodeID, data []byte) {
-		p.count.Add(1)
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
+	p.wake = make(chan struct{}, 1)
+	handler := func(from wire.NodeID, data []byte) { p.hit() }
 	post := func(fn func()) { fn() }
 	go func() {
 		defer close(p.done)
@@ -267,13 +262,8 @@ func newPerPacketPlane() (*perPacketPlane, error) {
 	return p, nil
 }
 
-func (p *perPacketPlane) send(payload []byte)     { _, _ = p.tx.Write(payload) }
-func (p *perPacketPlane) turn()                   {}
-func (p *perPacketPlane) delivered() uint64       { return p.count.Load() }
-func (p *perPacketPlane) wakeCh() <-chan struct{} { return p.wake }
-
-// batchAvg is 1 by construction: one datagram per kernel crossing.
-func (p *perPacketPlane) batchAvg() (float64, float64) { return 1, 1 }
+func (p *perPacketPlane) send() { _, _ = p.tx.Write(p.payload) }
+func (p *perPacketPlane) turn() {}
 
 func (p *perPacketPlane) close() {
 	_ = p.tx.Close()
@@ -281,28 +271,13 @@ func (p *perPacketPlane) close() {
 	<-p.done
 }
 
-// wireOutcome is one plane's measured throughput at one payload size.
-type wireOutcome struct {
-	sent, delivered uint64
-	elapsed         time.Duration
-	allocsPerPkt    float64
-	recvBatch       float64
-	sendBatch       float64
-}
-
-func (o wireOutcome) pps() float64 {
-	if o.elapsed <= 0 {
-		return 0
-	}
-	return float64(o.delivered) / o.elapsed.Seconds()
-}
-
-// pumpWire drives total datagrams through the plane under a credit
-// window: the sender never runs more than window datagrams ahead of the
-// receiver, so the loopback receive buffer cannot overflow and drops do
-// not contaminate the throughput number. A stall (no delivery progress
-// for a second) ends the run early with whatever was delivered.
-func pumpWire(p wirePlane, total, window int, payload []byte) wireOutcome {
+// pumpWire drives n datagrams through the plane under a credit window:
+// the sender never runs more than window datagrams ahead of the receiver,
+// so the loopback receive buffer cannot overflow and drops do not
+// contaminate the measurement. It returns how many arrived — fewer than n
+// only when delivery made no progress for a second.
+func pumpWire(p wirePlane, n, window int) uint64 {
+	base := p.delivered()
 	stall := time.NewTimer(time.Second)
 	defer stall.Stop()
 	waitAbove := func(floor uint64) bool {
@@ -325,23 +300,8 @@ func pumpWire(p wirePlane, total, window int, payload []byte) wireOutcome {
 		}
 		return true
 	}
-
-	// Warm one window through: pools size themselves, the first flush
-	// closure is minted, ARP-equivalent startup costs fall out.
-	for i := 0; i < window; i++ {
-		p.send(payload)
-	}
-	p.turn()
-	if !waitAbove(uint64(window)) {
-		return wireOutcome{sent: uint64(window), delivered: p.delivered()}
-	}
-	base := p.delivered()
-
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
 	sent := 0
-	for sent < total {
+	for sent < n {
 		credit := window - (sent - int(p.delivered()-base))
 		if credit <= 0 {
 			if !waitAbove(base + uint64(sent-window+1)) {
@@ -349,28 +309,73 @@ func pumpWire(p wirePlane, total, window int, payload []byte) wireOutcome {
 			}
 			continue
 		}
-		if credit > total-sent {
-			credit = total - sent
+		if credit > n-sent {
+			credit = n - sent
 		}
 		for i := 0; i < credit; i++ {
-			p.send(payload)
+			p.send()
 		}
 		sent += credit
 		p.turn()
 	}
 	waitAbove(base + uint64(sent))
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
+	return p.delivered() - base
+}
 
-	out := wireOutcome{
-		sent:      uint64(sent),
-		delivered: p.delivered() - base,
-		elapsed:   elapsed,
+// pumpFlows splits n datagrams across the flows and pumps each from its
+// own producer goroutine — the multi-core scaling measurement.
+func pumpFlows(flows []*wireFlow, n, window int) uint64 {
+	var got atomic.Uint64
+	var wg sync.WaitGroup
+	per := n / len(flows)
+	for f, fl := range flows {
+		quota := per
+		if f == 0 {
+			quota += n - per*len(flows)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got.Add(pumpWire(fl, quota, window))
+		}()
 	}
+	wg.Wait()
+	return got.Load()
+}
+
+// wireOutcome is one plane's measured throughput at one payload size.
+type wireOutcome struct {
+	sent, delivered uint64
+	elapsed         time.Duration
+	allocsPerPkt    float64
+	recvBatch       float64
+	sendBatch       float64
+}
+
+func (o wireOutcome) pps() float64 {
+	if o.elapsed <= 0 {
+		return 0
+	}
+	return float64(o.delivered) / o.elapsed.Seconds()
+}
+
+// measureWire warms one window through pump (pools size themselves, the
+// first flush closure is minted, ARP-equivalent startup costs fall out),
+// then times total datagrams and counts the process's allocations
+// meanwhile. A stall ends the run early with whatever was delivered.
+func measureWire(total, window int, pump func(n int) uint64) wireOutcome {
+	if got := pump(window); got < uint64(window) {
+		return wireOutcome{sent: uint64(window), delivered: got}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	out := wireOutcome{sent: uint64(total), delivered: pump(total)}
+	out.elapsed = time.Since(start)
+	runtime.ReadMemStats(&ms1)
 	if out.delivered > 0 {
 		out.allocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(out.delivered)
 	}
-	out.recvBatch, out.sendBatch = p.batchAvg()
 	return out
 }
 
@@ -392,8 +397,16 @@ func WireThroughput(seed uint64) *Result {
 	}
 	_ = seed // wall-clock measurement; the workload is deterministic
 	total, window := 6000, 64
-	if raceEnabled {
+	if wire.RaceEnabled {
 		total = 1500
+	}
+	row := func(name string, payload int, o wireOutcome) {
+		r.Table.AddRow(name, payload, o.delivered,
+			fmt.Sprintf("%.0f", o.pps()),
+			fmt.Sprintf("%.1f", o.pps()*float64(payload)/1e6),
+			fmt.Sprintf("%.1f", o.recvBatch),
+			fmt.Sprintf("%.1f", o.sendBatch),
+			fmt.Sprintf("%.2f", o.allocsPerPkt))
 	}
 	minRatio := 0.0
 	lossFree := true
@@ -403,33 +416,24 @@ func WireThroughput(seed uint64) *Result {
 		for j := range buf {
 			buf[j] = byte(j)
 		}
-		outcomes := [2]wireOutcome{}
-		for k, mk := range []func() (wirePlane, error){
-			func() (wirePlane, error) { return newPerPacketPlane() },
-			func() (wirePlane, error) { return newBatchedPlane() },
-		} {
-			p, err := mk()
-			if err != nil {
-				r.addFinding("ERROR: %v", err)
-				return r
-			}
-			outcomes[k] = pumpWire(p, total, window, buf)
-			p.close()
+		pp, err := newPerPacketPlane(buf)
+		if err != nil {
+			r.addFinding("ERROR: %v", err)
+			return r
 		}
-		base, batched := outcomes[0], outcomes[1]
+		base := measureWire(total, window, func(n int) uint64 { return pumpWire(pp, n, window) })
+		base.recvBatch, base.sendBatch = 1, 1 // one datagram per kernel crossing, by construction
+		pp.close()
+		rig, err := newWireRig(1, true, buf)
+		if err != nil {
+			r.addFinding("ERROR: %v", err)
+			return r
+		}
+		batched := rig.measure(total, window)
+		rig.close()
+		row("per-packet", payload, base)
+		row(transport.Plane, payload, batched)
 		ratio := batched.pps() / nonzeroF(base.pps())
-		for k, o := range outcomes {
-			name := "per-packet"
-			if k == 1 {
-				name = transport.Plane
-			}
-			r.Table.AddRow(name, payload, o.delivered,
-				fmt.Sprintf("%.0f", o.pps()),
-				fmt.Sprintf("%.1f", o.pps()*float64(payload)/1e6),
-				fmt.Sprintf("%.1f", o.recvBatch),
-				fmt.Sprintf("%.1f", o.sendBatch),
-				fmt.Sprintf("%.2f", o.allocsPerPkt))
-		}
 		r.addFinding("payload %dB: batched plane %.1fx the per-packet path (%.0f vs %.0f pps)",
 			payload, ratio, batched.pps(), base.pps())
 		if i == 0 || ratio < minRatio {
@@ -447,29 +451,24 @@ func WireThroughput(seed uint64) *Result {
 		batchedAllocs, baselineAllocs)
 
 	// Multi-shard scaling rows (video payloads): the sharded receiver
-	// with one pinned flow per shard. On a multi-core machine the Linux
-	// plane scales near-linearly until cores saturate; the asserted shape
-	// is only the accounting — loss-free delivery with every frame
-	// counted by exactly one shard — because raw scaling depends on the
-	// runner's core count.
+	// with one pinned flow per shard, each pumped by its own producer. On
+	// a multi-core machine the Linux plane scales near-linearly until
+	// cores saturate; the asserted shape is only the accounting —
+	// loss-free delivery with every frame counted by exactly one shard —
+	// because raw scaling depends on the runner's core count.
 	shardLedgerOK := true
 	buf := make([]byte, 1200)
 	for _, ns := range []int{1, 2, 4} {
-		p, err := newShardedPlane(ns)
+		rig, err := newWireRig(ns, false, buf)
 		if err != nil {
 			r.addFinding("ERROR: shards=%d: %v", ns, err)
 			return r
 		}
-		o := pumpWire(p, total, window, buf)
-		perShard, sum := p.shardLedger()
-		handoffs := p.rx.Stats().Handoffs
-		p.close()
-		r.Table.AddRow(fmt.Sprintf("shards=%d", ns), 1200, o.delivered,
-			fmt.Sprintf("%.0f", o.pps()),
-			fmt.Sprintf("%.1f", o.pps()*1200/1e6),
-			fmt.Sprintf("%.1f", o.recvBatch),
-			fmt.Sprintf("%.1f", o.sendBatch),
-			fmt.Sprintf("%.2f", o.allocsPerPkt))
+		o := rig.measure(total, window)
+		perShard, sum := rig.shardLedger()
+		handoffs := rig.rx.Stats().Handoffs
+		rig.close()
+		row(fmt.Sprintf("shards=%d", ns), 1200, o)
 		r.addFinding("shards=%d: %.0f pps, per-shard delivered %v, %d handoffs",
 			ns, o.pps(), perShard, handoffs)
 		lossFree = lossFree && o.delivered == o.sent
@@ -487,7 +486,7 @@ func WireThroughput(seed uint64) *Result {
 	// ballpark; the throughput claim itself is asserted on uninstrumented
 	// builds.
 	ratioFloor := 1.5
-	if raceEnabled {
+	if wire.RaceEnabled {
 		ratioFloor = 0.5
 	}
 	r.ShapeHolds = lossFree &&

@@ -44,6 +44,32 @@ type Executor interface {
 	Post(fn func())
 }
 
+// Inline is the Executor that runs posted work at once, on the posting
+// goroutine. It serializes nothing: use it where the poster already is the
+// only thread of execution (a read loop whose handler just counts, a test).
+type Inline struct{}
+
+// Post runs fn.
+func (Inline) Post(fn func()) { fn() }
+
+// TurnQueue is the Executor of a goroutine that is its own event loop:
+// Post queues work and Run, called when the owner ends its turn, runs it —
+// so a burst of underlay Sends coalesces into one flush exactly as on a
+// Loop. Only the owning goroutine may Post and Run.
+type TurnQueue struct{ tasks []func() }
+
+// Post queues fn for the end of the turn.
+func (q *TurnQueue) Post(fn func()) { q.tasks = append(q.tasks, fn) }
+
+// Run runs everything posted since the last turn, in order.
+func (q *TurnQueue) Run() {
+	for i, fn := range q.tasks {
+		fn()
+		q.tasks[i] = nil
+	}
+	q.tasks = q.tasks[:0]
+}
+
 // RunnerExecutor is an Executor that can also enqueue a pre-allocated
 // Runner without wrapping it in a closure. Per-packet producers (the UDP
 // receive loop posting one dispatch per datagram batch) use it so a steady

@@ -414,3 +414,48 @@ func TestRunUntilQuiesceEmptyWorld(t *testing.T) {
 		t.Fatalf("clock moved to %v on an already-quiet world", s.Now())
 	}
 }
+
+// timerChurn is the retransmission-timer pattern of Reliable and
+// NM-Strikes, where almost every timer is cancelled before it fires:
+// schedule, cancel, and every 64th time let the clock advance.
+func timerChurn(s *Scheduler) func() {
+	i := 0
+	return func() {
+		s.After(time.Second, func() {}).Stop()
+		if i++; i%64 == 0 {
+			s.RunFor(time.Millisecond)
+		}
+	}
+}
+
+// BenchmarkSchedulerTimers measures schedule/cancel churn. The heap must
+// not accumulate dead events (the sweep keeps stopped entries bounded by
+// live ones).
+func BenchmarkSchedulerTimers(b *testing.B) {
+	s := NewScheduler(1)
+	churn := timerChurn(s)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		churn()
+	}
+	if pending := s.Pending(); pending > 64 {
+		b.Fatalf("heap retains %d dead events", pending)
+	}
+}
+
+// TestSchedulerTimersAllocBudget pins a schedule-and-cancel at its one
+// allocation, the timer handle (`make bench-guard`), and the dead-event
+// bound with it.
+func TestSchedulerTimersAllocBudget(t *testing.T) {
+	s := NewScheduler(1)
+	churn := timerChurn(s)
+	for i := 0; i < 256; i++ {
+		churn() // size the heap
+	}
+	if avg := testing.AllocsPerRun(1000, churn); avg > 1 {
+		t.Fatalf("schedule+cancel allocates %.2f allocs/op, budget is 1", avg)
+	}
+	if pending := s.Pending(); pending > 64 {
+		t.Fatalf("heap retains %d dead events", pending)
+	}
+}

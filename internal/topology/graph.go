@@ -156,6 +156,31 @@ func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, e
 	return id, nil
 }
 
+// RingWithChords builds the n-node scaling graph EXP-CONV and the SPF
+// tests and benchmarks share: nodes 1..n on a ring (links 0..n-1, so the
+// graph stays connected with any one link down) plus an antipodal chord
+// from every fourth node (links n and up) for path diversity. From
+// wire.MaxLinks/2 to wire.MaxLinks nodes the ring alone is kept — at 256
+// it uses the whole source-routing link budget; past that the graph-wide
+// link table (MaxGraphLinks) has room again and the chords return.
+func RingWithChords(n int) (*Graph, error) {
+	g := NewGraph()
+	id := func(i int) wire.NodeID { return wire.NodeID(1 + i%n) }
+	for i := 0; i < n; i++ {
+		if _, err := g.AddLink(id(i), id(i+1), time.Duration(5+i%7)*time.Millisecond); err != nil {
+			return nil, err
+		}
+	}
+	if n < wire.MaxLinks/2 || n > wire.MaxLinks {
+		for i := 0; i < n; i += 4 {
+			if _, err := g.AddLink(id(i), id(i+n/2), time.Duration(8+i%5)*time.Millisecond); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return g, nil
+}
+
 // Nodes returns the node IDs in insertion order. The caller must not
 // modify the returned slice.
 func (g *Graph) Nodes() []wire.NodeID { return g.nodes }

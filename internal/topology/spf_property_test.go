@@ -132,28 +132,43 @@ func TestSPFMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSPTIntoScratchReuse pins the scratch-reuse contract: after the first
-// compute sizes the arena, recomputes on the same graph allocate nothing
-// and the reuse counter advances.
-func TestSPTIntoScratchReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	v := randomView(rng)
-	src := v.G.Nodes()[0]
+// ringView is RingWithChords(n) with every link up.
+func ringView(tb testing.TB, n int) *View {
+	tb.Helper()
+	g, err := RingWithChords(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewView(g)
+}
+
+// TestSPTIntoAllocBudget pins the scratch-reuse contract (`make
+// bench-guard`): after the first compute sizes the arena, recomputes on the
+// same graph allocate nothing and the reuse counter advances — on a random
+// graph and on the EXP-CONV ring-plus-chords graphs up to 1024 nodes.
+func TestSPTIntoAllocBudget(t *testing.T) {
+	views := []*View{randomView(rand.New(rand.NewSource(42)))}
+	for _, n := range []int{16, 64, 256, 1024} {
+		views = append(views, ringView(t, n))
+	}
 	var spt SPT
-	SPTInto(&spt, v, src, LatencyMetric)
-	before := SPFStatsSnapshot()
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, v := range views {
+		src := v.G.Nodes()[0]
 		SPTInto(&spt, v, src, LatencyMetric)
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed SPTInto allocates %.1f/op, want 0", allocs)
-	}
-	after := SPFStatsSnapshot()
-	if after.Runs <= before.Runs {
-		t.Fatalf("SPF run counter did not advance: %+v -> %+v", before, after)
-	}
-	if after.ScratchReuses <= before.ScratchReuses {
-		t.Fatalf("scratch reuse counter did not advance: %+v -> %+v", before, after)
+		before := SPFStatsSnapshot()
+		allocs := testing.AllocsPerRun(100, func() {
+			SPTInto(&spt, v, src, LatencyMetric)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d nodes: warmed SPTInto allocates %.1f/op, want 0", v.G.NumNodes(), allocs)
+		}
+		after := SPFStatsSnapshot()
+		if after.Runs <= before.Runs {
+			t.Fatalf("SPF run counter did not advance: %+v -> %+v", before, after)
+		}
+		if after.ScratchReuses <= before.ScratchReuses {
+			t.Fatalf("scratch reuse counter did not advance: %+v -> %+v", before, after)
+		}
 	}
 	// Reuse across graphs of different sizes must stay correct (and free
 	// when shrinking).

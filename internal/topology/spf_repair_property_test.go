@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -127,17 +128,8 @@ func TestSPTRepairFlap(t *testing.T) {
 		nodes := v.G.Nodes()
 		src := nodes[rng.Intn(len(nodes))]
 		SPTInto(&inc, v, src, ExpectedLatencyMetric)
-		// Flap the parent link of a reachable non-root node, if any.
-		var flap wire.LinkID
-		found := false
-		for _, n := range nodes {
-			if l, ok := inc.ParentLink(n); ok {
-				flap = l
-				found = true
-				break
-			}
-		}
-		if !found {
+		flap, ok := treeEdge(v, &inc)
+		if !ok {
 			continue
 		}
 		for i := 0; i < 16; i++ {
@@ -172,52 +164,66 @@ func TestSPTRepairRefusesMismatch(t *testing.T) {
 	}
 }
 
-// TestSPTRepairScratchReuse pins the performance contract: once the tree's
-// scratch is warmed (including the lazily built child lists), repairing a
-// changed link allocates nothing, and the incremental/repaired-node
-// counters advance.
-func TestSPTRepairScratchReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(12345))
-	v := randomView(rng)
-	nodes := v.G.Nodes()
-	src := nodes[0]
-	var spt SPT
-	SPTInto(&spt, v, src, ExpectedLatencyMetric)
-	var flap wire.LinkID
-	for _, n := range nodes {
+// treeEdge returns a link of the tree, if it has one: the parent link of
+// the first parented node in insertion order (adjacent to the root on the
+// ring graphs). Flipping it takes the subtree collapse-and-reseed path, not
+// the no-op an off-tree link gets.
+func treeEdge(v *View, spt *SPT) (wire.LinkID, bool) {
+	for _, n := range v.G.Nodes() {
 		if l, ok := spt.ParentLink(n); ok {
-			flap = l
-			break
+			return l, true
 		}
 	}
-	// Warm the child lists with one repair before measuring.
-	v.SetUp(flap, false)
-	if !SPTRepair(&spt, v, flap, ExpectedLatencyMetric) {
-		t.Fatal("warmup repair refused")
+	return 0, false
+}
+
+// TestSPTRepairAllocBudget pins the performance contract (`make
+// bench-guard`): once the tree's scratch is warmed (including the lazily
+// built child lists), repairing a flipped tree edge allocates nothing and
+// the incremental/repaired-node counters advance — on a random graph and
+// on the EXP-CONV ring-plus-chords graphs up to 1024 nodes.
+func TestSPTRepairAllocBudget(t *testing.T) {
+	views := []*View{randomView(rand.New(rand.NewSource(12345)))}
+	for _, n := range []int{16, 64, 256, 1024} {
+		views = append(views, ringView(t, n))
 	}
-	before := SPFStatsSnapshot()
-	up := false
-	allocs := testing.AllocsPerRun(100, func() {
-		v.SetUp(flap, up)
-		up = !up
+	for _, v := range views {
+		src := v.G.Nodes()[0]
+		var spt SPT
+		SPTInto(&spt, v, src, ExpectedLatencyMetric)
+		flap, ok := treeEdge(v, &spt)
+		if !ok {
+			t.Fatalf("%d nodes: tree has no edge", v.G.NumNodes())
+		}
+		// Warm the child lists with one repair before measuring.
+		v.SetUp(flap, false)
 		if !SPTRepair(&spt, v, flap, ExpectedLatencyMetric) {
-			t.Fatal("repair refused")
+			t.Fatal("warmup repair refused")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed SPTRepair allocates %.1f/op, want 0", allocs)
+		before := SPFStatsSnapshot()
+		up := false
+		allocs := testing.AllocsPerRun(100, func() {
+			v.SetUp(flap, up)
+			up = !up
+			if !SPTRepair(&spt, v, flap, ExpectedLatencyMetric) {
+				t.Fatal("repair refused")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d nodes: warmed SPTRepair allocates %.1f/op, want 0", v.G.NumNodes(), allocs)
+		}
+		after := SPFStatsSnapshot()
+		if after.Incrementals <= before.Incrementals {
+			t.Fatalf("incremental counter did not advance: %+v -> %+v", before, after)
+		}
+		if after.RepairedNodes < before.RepairedNodes {
+			t.Fatalf("repaired-node counter went backwards: %+v -> %+v", before, after)
+		}
+		// And the repaired tree still matches a full recompute.
+		var full SPT
+		SPTInto(&full, v, src, ExpectedLatencyMetric)
+		checkRepairExact(t, v, &full, &spt)
 	}
-	after := SPFStatsSnapshot()
-	if after.Incrementals <= before.Incrementals {
-		t.Fatalf("incremental counter did not advance: %+v -> %+v", before, after)
-	}
-	if after.RepairedNodes < before.RepairedNodes {
-		t.Fatalf("repaired-node counter went backwards: %+v -> %+v", before, after)
-	}
-	// And the repaired tree still matches a full recompute.
-	var full SPT
-	SPTInto(&full, v, src, ExpectedLatencyMetric)
-	checkRepairExact(t, v, &full, &spt)
 }
 
 // TestViewChangeJournal pins the ChangesSince contract the routing engine
@@ -349,4 +355,62 @@ func TestSPTRepairDisconnect(t *testing.T) {
 	}
 	SPTInto(&full, v, 1, LatencyMetric)
 	checkRepairExact(t, v, &full, &inc)
+}
+
+// BenchmarkSPF is the control-plane microbenchmark: one shortest-path tree
+// on the EXP-CONV graphs. dense is a full recompute into warmed scratch;
+// incremental is one churn event repaired in place — the tree edge next to
+// the root goes down, or comes back — which is the expensive
+// collapse-and-reseed case, not the no-op an off-tree link gets (the
+// repository benchmark's topology.spf_repair_ns averages over every link
+// of its graph instead); reference is the retained map-based Dijkstra,
+// whose constant factor the small sizes establish.
+func BenchmarkSPF(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024, 4096, 10240} {
+		v := ringView(b, n)
+		src := v.G.Nodes()[0]
+		b.Run(fmt.Sprintf("dense-%d", n), func(b *testing.B) {
+			var spt SPT
+			SPTInto(&spt, v, src, LatencyMetric)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SPTInto(&spt, v, src, LatencyMetric)
+			}
+		})
+		b.Run(fmt.Sprintf("incremental-%d", n), func(b *testing.B) {
+			var spt SPT
+			SPTInto(&spt, v, src, LatencyMetric)
+			lid, ok := treeEdge(v, &spt)
+			if !ok {
+				b.Fatal("tree has no edge")
+			}
+			repair := func(i int) {
+				v.SetUp(lid, i%2 == 1)
+				if !SPTRepair(&spt, v, lid, LatencyMetric) {
+					b.Fatal("repair refused")
+				}
+			}
+			repair(0)
+			repair(1) // warm both flip directions
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				repair(i)
+			}
+			b.StopTimer()
+			v.SetUp(lid, true)
+		})
+		if n <= 256 {
+			b.Run(fmt.Sprintf("reference-%d", n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if t := ReferenceShortestPaths(v, src, LatencyMetric); t.Src != src {
+						b.Fatal("bad root")
+					}
+				}
+			})
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"sonet/internal/metrics"
 	"sonet/internal/node"
 	"sonet/internal/session"
+	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
 
@@ -106,7 +107,7 @@ func TestDaemonSteeredArrivalMatchesHome(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1024 && drv == nil; i++ {
-		u, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+		u, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}

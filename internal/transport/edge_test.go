@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -61,7 +62,7 @@ func await(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // failOnDaemonError fails the test on any asynchronous daemon error: an
 // "unknown flow" here means a send overtook the open-flow before it.
-func failOnDaemonError(t *testing.T, c *Client) {
+func failOnDaemonError(t testing.TB, c *Client) {
 	c.OnError(func(err error) { t.Errorf("daemon error: %v", err) })
 }
 
@@ -335,7 +336,7 @@ func (f *fragConn) Write(p []byte) (int, error) {
 
 // soloPair attaches a sending and a receiving client to one solo daemon
 // through the given connection wrapper on all four connection ends.
-func soloPair(t *testing.T, d *Daemon, wrap func(net.Conn) net.Conn, deliver func(session.Delivery)) (send, recv *Client) {
+func soloPair(t testing.TB, d *Daemon, wrap func(net.Conn) net.Conn, deliver func(session.Delivery)) (send, recv *Client) {
 	t.Helper()
 	attach := func(port wire.Port, deliver func(session.Delivery)) *Client {
 		near, far := tcpPair(t)
@@ -582,13 +583,74 @@ func discardPeer(t testing.TB, conn net.Conn) {
 	go func() { _, _ = io.Copy(io.Discard, conn) }()
 }
 
+// edgeLoop attaches a sending and a receiving client to d and returns a
+// closed loop over them: run(n) sends n payloads of size bytes down one
+// flow with at most window in flight, each delivery returning a credit —
+// the shape of the repository benchmark's throughput phase.
+func edgeLoop(t testing.TB, d *Daemon, spec session.FlowSpec, window, size int) (run func(n int)) {
+	t.Helper()
+	credits := make(chan struct{}, window)
+	send, _ := soloPair(t, d, func(c net.Conn) net.Conn { return c }, func(session.Delivery) { credits <- struct{}{} })
+	flow, err := send.OpenFlow(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, size)
+	return func(n int) {
+		inFlight := 0
+		for i := 0; i < n; i++ {
+			if inFlight == window {
+				<-credits
+				inFlight--
+			}
+			if err := flow.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+			inFlight++
+		}
+		for ; inFlight > 0; inFlight-- {
+			<-credits
+		}
+	}
+}
+
+// BenchmarkClientEdge measures the client edge on its own: a message
+// goes from one TCP client into a single daemon and straight out to
+// another client on the same daemon, so the path is client encode and
+// write, daemon batch read, session send and local delivery, daemon
+// coalesced write, client read and callback — no overlay hop. The loop is
+// closed at 64 messages in flight. One op is one message; frames/flush is
+// how many deliveries one daemon socket write carried.
+func BenchmarkClientEdge(b *testing.B) {
+	for _, size := range []int{64, 1200} {
+		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
+			const window = 64
+			d := startSolo(b)
+			run := edgeLoop(b, d, session.FlowSpec{DstNode: 1, DstPort: 700}, window, size)
+			run(4 * window) // warm buffers, pools and the flow's route
+			before := d.ClientStats()
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			run(b.N)
+			b.StopTimer()
+			after := d.ClientStats()
+			if after.Dropped != 0 {
+				b.Fatalf("%d deliveries dropped with %d in flight", after.Dropped, window)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msg/s")
+			b.ReportMetric(float64(after.FramesOut-before.FramesOut)/float64(after.Flushes-before.Flushes), "frames/flush")
+		})
+	}
+}
+
 // TestClientEdgeAllocBudget pins the edge's allocation budget:
 // RemoteFlow.Send allocates nothing, and a message crossing a daemon from
 // one client to another costs the edge at most two allocations beyond
 // what the same message costs sent and received in-process — measured as
 // the difference between the two paths through one daemon.
 func TestClientEdgeAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if wire.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	t.Run("RemoteFlowSend", func(t *testing.T) {
@@ -652,29 +714,7 @@ func TestClientEdgeAllocBudget(t *testing.T) {
 			return float64(allocs)/messages - 1
 		}()
 
-		credits := make(chan struct{}, window)
-		send, _ := soloPair(t, d, func(c net.Conn) net.Conn { return c }, func(session.Delivery) { credits <- struct{}{} })
-		flow, err := send.OpenFlow(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, size)
-		run := func(n int) {
-			inFlight := 0
-			for i := 0; i < n; i++ {
-				if inFlight == window {
-					<-credits
-					inFlight--
-				}
-				if err := flow.Send(payload); err != nil {
-					t.Fatal(err)
-				}
-				inFlight++
-			}
-			for ; inFlight > 0; inFlight-- {
-				<-credits
-			}
-		}
+		run := edgeLoop(t, d, spec, window, size)
 		run(4 * window)
 		if dropped := d.ClientStats().Dropped; dropped != 0 {
 			t.Fatalf("%d drops with %d in flight", dropped, window)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestRemovePeerUnregisters(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
-	a, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(from wire.NodeID, data []byte) {
+	a, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(from wire.NodeID, data []byte) {
 		mu.Lock()
 		got = append(got, string(data))
 		mu.Unlock()
@@ -24,7 +25,7 @@ func TestRemovePeerUnregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = a.Close() }()
-	b, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	b, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestRemovePeerUnregisters(t *testing.T) {
 // column and the peer column. The final re-register must leave the peer
 // fully functional.
 func TestRemoveReRegisterRace(t *testing.T) {
-	a, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	a, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = a.Close() }()
-	b, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	b, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sonet/internal/session"
+	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
 
@@ -66,7 +67,7 @@ func TestUDPUnderlayDelivery(t *testing.T) {
 		data []byte
 	}
 	got := make(chan rx, 10)
-	exec := directExec{}
+	exec := sim.Inline{}
 	a, err := NewUDPUnderlay("127.0.0.1:0", exec, func(from wire.NodeID, data []byte) {
 		got <- rx{from: from, data: data}
 	})
@@ -97,7 +98,7 @@ func TestUDPUnderlayDelivery(t *testing.T) {
 }
 
 func TestUDPUnderlayIgnoresUnknownSenders(t *testing.T) {
-	exec := directExec{}
+	exec := sim.Inline{}
 	got := make(chan struct{}, 1)
 	a, err := NewUDPUnderlay("127.0.0.1:0", exec, func(wire.NodeID, []byte) {
 		got <- struct{}{}
@@ -121,11 +122,6 @@ func TestUDPUnderlayIgnoresUnknownSenders(t *testing.T) {
 	case <-time.After(200 * time.Millisecond):
 	}
 }
-
-// directExec runs closures inline (test-only; production uses sim.Loop).
-type directExec struct{}
-
-func (directExec) Post(fn func()) { fn() }
 
 func TestDaemonChainEndToEnd(t *testing.T) {
 	daemons := startChain(t, 3, 1, 3)

@@ -59,7 +59,7 @@ func TestShardedCloseMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func testPerFlowOrdering(t *testing.T, nshards int, seed int64) {
 	txs := make([]*UDPUnderlay, flows)
 	expect := make([]int, flows) // predicted delivery shard, -1 unknown
 	for f := 0; f < flows; f++ {
-		tx, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+		tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestShardedLifecycleRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	peer, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestShardSteeringPlacement(t *testing.T) {
 	var delivered atomic.Uint64
 	execs := make([]sim.Executor, n)
 	for i := range execs {
-		execs[i] = directExec{}
+		execs[i] = sim.Inline{}
 	}
 	rx, err := NewShardedUDPUnderlay("127.0.0.1:0", execs, func(int, wire.NodeID, []byte) {
 		delivered.Add(1)
@@ -337,7 +337,7 @@ func TestShardSteeringPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = rx.Close() }()
-	tx, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestReuseportSteeringBalance(t *testing.T) {
 	var delivered atomic.Uint64
 	execs := make([]sim.Executor, n)
 	for i := range execs {
-		execs[i] = directExec{}
+		execs[i] = sim.Inline{}
 	}
 	rx, err := NewShardedUDPUnderlay("127.0.0.1:0", execs, func(int, wire.NodeID, []byte) {
 		delivered.Add(1)
@@ -415,7 +415,7 @@ func TestReuseportSteeringBalance(t *testing.T) {
 	want := make([]uint64, n)
 	var sent uint64
 	for f := 0; f < flows; f++ {
-		tx, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+		tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}

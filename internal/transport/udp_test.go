@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
 
@@ -57,14 +58,14 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 // its old address must be dropped as unknown.
 func TestAddPeerReRegistrationDropsStaleSenders(t *testing.T) {
 	var got atomic.Uint64
-	a, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(from wire.NodeID, data []byte) {
+	a, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(from wire.NodeID, data []byte) {
 		got.Add(1)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = a.Close() }()
-	old, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	old, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestAddPeerReRegistrationDropsStaleSenders(t *testing.T) {
 
 	// Peer 2 moves: re-register with a different address. The old socket's
 	// address must be unregistered by the same AddPeer call.
-	renumbered, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	renumbered, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestUDPUnderlayCloseMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	b, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +163,11 @@ func TestUDPUnderlayCloseMidBatch(t *testing.T) {
 // under -race this covers the lock-free snapshot reads against the
 // copy-on-write updates and teardown.
 func TestUDPUnderlayLifecycleRace(t *testing.T) {
-	a, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	a, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	b, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestUDPUnderlayLifecycleRace(t *testing.T) {
 func TestUDPUnderlayBatchDelivery(t *testing.T) {
 	var delivered atomic.Uint64
 	var emptySeen atomic.Uint64
-	a, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(from wire.NodeID, data []byte) {
+	a, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(from wire.NodeID, data []byte) {
 		delivered.Add(1)
 		if len(data) == 0 {
 			emptySeen.Add(1)
@@ -288,7 +289,7 @@ func TestUDPUnderlaySendRingOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = u.Close() }()
-	sink, err := NewUDPUnderlay("127.0.0.1:0", directExec{}, func(wire.NodeID, []byte) {})
+	sink, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,3 +97,54 @@ func TestAuthableBytesIgnoresAuth(t *testing.T) {
 		t.Fatal("AuthableBytes did not cover Seq")
 	}
 }
+
+// pooledRoundTrip is the marshal/decode cycle a forwarding hop performs:
+// draw a buffer from the shared pool, AppendMarshal a video-sized frame
+// into it, decode it back through the zero-copy scratch decoder, and
+// release the buffer.
+func pooledRoundTrip(tb testing.TB) func() {
+	p := videoPacket()
+	p.LinkProto = LPBestEffort
+	f := &Frame{Proto: LPBestEffort, Kind: FData, Seq: 1, Packet: p}
+	var rxf Frame
+	var rxp Packet
+	return func() {
+		buf := DefaultBufPool.Get(f.MarshaledSize())
+		out, err := f.AppendMarshal(buf.B)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		buf.B = out
+		if _, err := UnmarshalFrameInto(&rxf, &rxp, out); err != nil {
+			tb.Fatal(err)
+		}
+		buf.Release()
+	}
+}
+
+// BenchmarkMarshalAlloc measures the pooled round trip and the shared
+// pool's hit ratio under it.
+func BenchmarkMarshalAlloc(b *testing.B) {
+	roundTrip := pooledRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.StopTimer()
+	b.ReportMetric(PoolSnapshot().HitRatio(), "pool-hit-ratio")
+}
+
+// TestMarshalAllocBudget is the regression guard for the allocation-free
+// fast path (`make bench-guard`): a warmed pooled round trip allocates
+// nothing.
+func TestMarshalAllocBudget(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("allocation budget not measurable under -race")
+	}
+	roundTrip := pooledRoundTrip(t)
+	roundTrip()
+	if avg := testing.AllocsPerRun(200, roundTrip); avg > 0 {
+		t.Fatalf("pooled marshal/decode round trip allocates %.2f allocs/op, budget is 0", avg)
+	}
+}

@@ -254,3 +254,61 @@ func TestFrameOversizedAuth(t *testing.T) {
 		t.Fatal("256-byte signature accepted")
 	}
 }
+
+// videoPacket is the 1200-byte link-state data packet the codec
+// benchmarks and allocation budgets encode.
+func videoPacket() *Packet {
+	return &Packet{
+		Type: PTData, Route: RouteLinkState,
+		LinkProto: LPReliable, TTL: 32,
+		Src: 1, Dst: 3, FlowSeq: 77,
+		Payload: make([]byte, 1200),
+	}
+}
+
+// BenchmarkPacketMarshal measures wire encoding of a video-sized packet.
+func BenchmarkPacketMarshal(b *testing.B) {
+	p := videoPacket()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Marshal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPacketUnmarshal measures wire decoding.
+func BenchmarkPacketUnmarshal(b *testing.B) {
+	buf, err := videoPacket().Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := UnmarshalPacket(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPacketMarshalAllocBudget pins the unpooled encoder at its one
+// allocation, the output buffer (`make bench-guard`).
+func TestPacketMarshalAllocBudget(t *testing.T) {
+	p := videoPacket()
+	if avg := testing.AllocsPerRun(200, func() { _, _ = p.Marshal() }); avg > 1 {
+		t.Fatalf("Packet.Marshal allocates %.2f allocs/op, budget is 1", avg)
+	}
+}
+
+// TestPacketUnmarshalAllocBudget pins the copying decoder at its two
+// allocations, the Packet and its private payload (`make bench-guard`).
+func TestPacketUnmarshalAllocBudget(t *testing.T) {
+	buf, err := videoPacket().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() { _, _, _ = UnmarshalPacket(buf) }); avg > 2 {
+		t.Fatalf("UnmarshalPacket allocates %.2f allocs/op, budget is 2", avg)
+	}
+}
