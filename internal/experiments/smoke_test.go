@@ -1,15 +1,46 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"os"
 	"regexp"
 	"testing"
 )
 
+// goldenResults is the behaviour witness for the drivers: FNV-1a of
+// Result.String() at each experiment's index seed. A refactor that claims
+// "same reproduction" moves none of them; a deliberate change to a
+// protocol or a scenario updates the table in the same commit and says
+// why. EXP-CONV and EXP-WIRE are absent on purpose: their tables carry
+// wall-clock timing columns (SPF µs, Mpps on this machine), so two runs of
+// the same binary already differ.
+var goldenResults = map[string]uint64{
+	"EXP-F3":        0x1e19d06dfc770055,
+	"EXP-F4":        0xa16503cb0d1e65b9,
+	"EXP-REROUTE":   0x4edad8757e7311d5,
+	"EXP-MCAST":     0xf8a2d4bb23963f28,
+	"EXP-MONCTL":    0x9974b8211f43a941,
+	"EXP-IT":        0xf819197d2e355c29,
+	"EXP-FAIR":      0xf6e7a739016ca1ff,
+	"EXP-RTRM":      0xb596668c05a9e498,
+	"EXP-ANYCAST":   0x29b444a15d34fb9e,
+	"EXP-MULTIHOME": 0x59b4f9e154dbcb15,
+	"EXP-COMPOUND":  0xfc680e6c00a15802,
+	"EXP-METRIC":    0xc0419a4140ac76ed,
+	"EXP-GLOBAL":    0xe6aa5cc893d52eb2,
+	"EXP-CLIQUE":    0xade7ee84c7218e32,
+	"EXP-CHAOS":     0x34f58e638302dd92,
+	"EXP-CHURN":     0xb525ff5242fc7526,
+}
+
 // TestExperimentsSmoke runs every driver in the index once with its
-// default seed (the one All uses) and asserts the paper's shape; one
-// experiment is `go test -run 'TestExperimentsSmoke/EXP-CHURN$' -v`.
+// default seed (the one All uses), asserts the paper's shape and checks
+// the rendered result against goldenResults; one experiment is
+// `go test -run 'TestExperimentsSmoke/EXP-CHURN$' -v`.
 func TestExperimentsSmoke(t *testing.T) {
+	if want := len(Index) - 2; len(goldenResults) != want {
+		t.Errorf("golden table pins %d experiments, want %d (all but EXP-CONV and EXP-WIRE)", len(goldenResults), want)
+	}
 	for i, e := range Index {
 		t.Run(e.ID, func(t *testing.T) {
 			r := e.Run(uint64(i) + 1)
@@ -19,6 +50,14 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 			if !r.ShapeHolds {
 				t.Fatal("shape does not hold")
+			}
+			if e.ID == "EXP-CONV" || e.ID == "EXP-WIRE" {
+				return
+			}
+			h := fnv.New64a()
+			h.Write([]byte(r.String()))
+			if got, want := h.Sum64(), goldenResults[e.ID]; got != want {
+				t.Errorf("rendered result hashes to %#016x, pinned %#016x", got, want)
 			}
 		})
 	}
