@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak clean
+.PHONY: all check build vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
 
 all: check
 
@@ -104,6 +104,15 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzFramePooledRoundTrip -fuzztime 30s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzFrameReader -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzClientRequest -fuzztime 30s -fuzzminimizetime 2s
+
+# The size figures the simplification PRs and ROADMAP item 5 quote: raw
+# lines and non-blank non-comment lines of non-test Go outside bench/, for
+# the repository and for internal/experiments alone.
+loc:
+	@for d in . ./internal/experiments; do \
+		find $$d -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | \
+		awk -v d=$$d '{raw++} !/^[ \t]*($$|\/\/)/ {code++} END {printf "%-24s %6d lines  %6d non-blank non-comment\n", d, raw, code}'; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -66,7 +66,7 @@ func run() int {
 		return runWire(*bind, *peer, *flows, *count, *size, *interval)
 	}
 
-	proto, ok := parseService(*service)
+	proto, ok := wire.ParseLinkProto(*service)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "sonet-send: unknown service %q\n", *service)
 		return 2
@@ -208,23 +208,4 @@ func runWire(bind, peer string, flows, count, size int, interval time.Duration) 
 			float64(sent)*float64(size)/elapsed.Seconds()/1e6, dropped)
 	}
 	return 0
-}
-
-func parseService(s string) (wire.LinkProtoID, bool) {
-	switch s {
-	case "besteffort":
-		return wire.LPBestEffort, true
-	case "reliable":
-		return wire.LPReliable, true
-	case "realtime":
-		return wire.LPRealTime, true
-	case "singlestrike":
-		return wire.LPSingleStrike, true
-	case "it-priority":
-		return wire.LPITPriority, true
-	case "it-reliable":
-		return wire.LPITReliable, true
-	default:
-		return 0, false
-	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"sonet/internal/core"
 	"sonet/internal/metrics"
 	"sonet/internal/session"
 	"sonet/internal/wire"
@@ -21,113 +20,60 @@ func Anycast(seed uint64) *Result {
 			"relevant group, selecting the best target from shared group state",
 		Table: metrics.NewTable("source", "scheme", "served_by", "latency"),
 	}
-	s, err := core.BuildSimple(seed, continentalLinks(nil))
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	if err := s.Start(); err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
+	s := startLinks(seed, continentalLinks(nil), nil)
 	defer s.Stop()
-	s.Settle()
 
 	const grp wire.GroupID = 3000
 	replicas := []wire.NodeID{MIA, SEA, DAL}
-	served := make(map[wire.NodeID]int)
+	served := 0
 	var lastServer wire.NodeID
 	var lastLatency time.Duration
 	for _, rep := range replicas {
-		rep := rep
-		c, err := s.Session(rep).Connect(100)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
+		c := s.listen(rep, 100)
 		c.Join(grp)
 		c.OnDeliver(func(d session.Delivery) {
-			served[rep]++
+			served++
 			lastServer = rep
 			lastLatency = d.Latency
 		})
 	}
 	s.Settle()
 
-	sources := []wire.NodeID{NYC, SFO, CHI}
-	fixed := replicas[0] // naive client pinned to MIA
+	// probe sends one message on a fresh flow of src and waits for it.
+	probe := func(src *session.Client, spec session.FlowSpec) {
+		served = 0
+		check(s.open(src, spec).Send(nil))
+		s.RunFor(500 * time.Millisecond)
+	}
+	anycast := session.FlowSpec{Group: grp, Anycast: true, DstPort: 100}
+	fixed := session.FlowSpec{DstNode: replicas[0], DstPort: 100} // naive client pinned to MIA
 	r.ShapeHolds = true
 	var anySum, fixedSum time.Duration
-	for _, srcNode := range sources {
-		src, err := s.Session(srcNode).Connect(0)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		anyFlow, err := src.OpenFlow(session.FlowSpec{Group: grp, Anycast: true, DstPort: 100})
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		if err := anyFlow.Send(nil); err != nil {
-			r.addFinding("ERROR send: %v", err)
-			return r
-		}
-		s.RunFor(500 * time.Millisecond)
-		total := served[MIA] + served[SEA] + served[DAL]
-		if total != 1 {
+	for _, srcNode := range []wire.NodeID{NYC, SFO, CHI} {
+		src := s.listen(srcNode, 0)
+		probe(src, anycast)
+		if served != 1 {
 			r.ShapeHolds = false
 		}
 		anyLat := lastLatency
 		anySum += anyLat
 		r.Table.AddRow(continentalNames[srcNode], "anycast",
 			continentalNames[lastServer], anyLat)
-		for k := range served {
-			delete(served, k)
-		}
 
-		fixedFlow, err := src.OpenFlow(session.FlowSpec{DstNode: fixed, DstPort: 100})
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		if err := fixedFlow.Send(nil); err != nil {
-			r.addFinding("ERROR send: %v", err)
-			return r
-		}
-		s.RunFor(500 * time.Millisecond)
+		probe(src, fixed)
 		fixedSum += lastLatency
 		r.Table.AddRow(continentalNames[srcNode], "fixed replica",
 			continentalNames[lastServer], lastLatency)
 		if anyLat > lastLatency {
 			r.ShapeHolds = false
 		}
-		for k := range served {
-			delete(served, k)
-		}
 	}
 
 	// Failover: the nearest replica to SFO (SEA) becomes unreachable; the
 	// next anycast from SFO must re-resolve.
-	if st, ok := s.Net.NodeSite(SEA); ok {
-		s.Net.SetSiteUp(st, false)
-	}
+	s.failSite(SEA)
 	s.RunFor(3 * time.Second)
-	sfo, err := s.Session(SFO).Connect(0)
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	flow, err := sfo.OpenFlow(session.FlowSpec{Group: grp, Anycast: true, DstPort: 100})
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	if err := flow.Send(nil); err != nil {
-		r.addFinding("ERROR failover send: %v", err)
-		return r
-	}
-	s.RunFor(500 * time.Millisecond)
+	probe(s.listen(SFO, 0), anycast)
 	r.Table.AddRow("SFO (SEA down)", "anycast", continentalNames[lastServer], lastLatency)
 	if lastServer == SEA || lastServer == 0 {
 		r.ShapeHolds = false

@@ -10,7 +10,6 @@ import (
 	"sonet/internal/session"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // cliqueOutcome is one topology's measured behaviour.
@@ -31,84 +30,50 @@ const lossPerMs = 0.0004
 // cliqueRun streams NYC→SFO reliable traffic over either the designed
 // sparse continental topology or a full clique of the same 14 cities
 // (direct links at the sparse topology's shortest-path distances).
-func cliqueRun(seed uint64, clique bool) (cliqueOutcome, error) {
+func cliqueRun(seed uint64, clique bool) cliqueOutcome {
+	lossy := func(a, b wire.NodeID, lat time.Duration) core.SimpleLink {
+		return core.SimpleLink{A: a, B: b, Latency: lat, Loss: netemu.Bernoulli{P: lossPerMs * ms(lat)}}
+	}
 	sparse := continentalLinks(nil)
 	var links []core.SimpleLink
 	if !clique {
-		links = make([]core.SimpleLink, len(sparse))
-		copy(links, sparse)
-		for i := range links {
-			ms := float64(links[i].Latency) / float64(time.Millisecond)
-			links[i].Loss = netemu.Bernoulli{P: lossPerMs * ms}
+		for _, l := range sparse {
+			links = append(links, lossy(l.A, l.B, l.Latency))
 		}
 	} else {
 		// Clique: distances from the sparse design's shortest paths.
 		g := topology.NewGraph()
 		for _, l := range sparse {
-			if _, err := g.AddLink(l.A, l.B, l.Latency); err != nil {
-				return cliqueOutcome{}, err
-			}
+			must(g.AddLink(l.A, l.B, l.Latency))
 		}
 		v := topology.NewView(g)
 		nodes := g.Nodes()
 		for i, a := range nodes {
 			spt := topology.ShortestPaths(v, a, topology.LatencyMetric)
 			for _, b := range nodes[i+1:] {
-				lat, err := v.PathLatency(spt.Path(b))
-				if err != nil {
-					return cliqueOutcome{}, err
-				}
-				ms := float64(lat) / float64(time.Millisecond)
-				links = append(links, core.SimpleLink{
-					A: a, B: b, Latency: lat,
-					Loss: netemu.Bernoulli{P: lossPerMs * ms},
-				})
+				links = append(links, lossy(a, b, must(v.PathLatency(spt.Path(b)))))
 			}
 		}
 	}
-	s, err := core.BuildSimple(seed, links)
-	if err != nil {
-		return cliqueOutcome{}, err
-	}
-	if err := s.Start(); err != nil {
-		return cliqueOutcome{}, err
-	}
+	s := startLinks(seed, links, nil)
 	defer s.Stop()
-	s.Settle()
 
-	dst, err := s.Session(SFO).Connect(100)
-	if err != nil {
-		return cliqueOutcome{}, err
-	}
 	var rec metrics.Latencies
 	var received uint64
-	dst.OnDeliver(func(d session.Delivery) {
+	s.listen(SFO, 100).OnDeliver(func(d session.Delivery) {
 		received++
 		if d.Retransmitted {
 			rec.Add(d.Latency)
 		}
 	})
-	src, err := s.Session(NYC).Connect(0)
-	if err != nil {
-		return cliqueOutcome{}, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{
+	flow := s.flow(NYC, session.FlowSpec{
 		DstNode: SFO, DstPort: 100,
 		LinkProto: wire.LPReliable, Ordered: true,
 	})
-	if err != nil {
-		return cliqueOutcome{}, err
-	}
 	const span = 15 * time.Second
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: time.Millisecond,
-		Count:    int(span / time.Millisecond),
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
 	helloStart := s.Node(NYC).LinkStateManager().Stats().HellosSent
 	startAt := s.Now()
-	stream.Start()
+	stream := s.cbr(time.Millisecond, int(span/time.Millisecond), nil, flow)
 	s.RunFor(span + 5*time.Second)
 
 	hellos := s.Node(NYC).LinkStateManager().Stats().HellosSent - helloStart
@@ -121,9 +86,9 @@ func cliqueRun(seed uint64, clique bool) (cliqueOutcome, error) {
 		base:         base,
 		recMean:      rec.Mean(),
 		recP99:       rec.Percentile(99),
-		delivered:    float64(received) / float64(stream.Sent()),
+		delivered:    float64(received) / float64(stream.sent()),
 		hellosPerSec: float64(hellos) / elapsed,
-	}, nil
+	}
 }
 
 // TopologyClique reproduces the §II-A design guidance: "because short
@@ -141,16 +106,8 @@ func TopologyClique(seed uint64) *Result {
 			"should not be built as a clique",
 		Table: metrics.NewTable("topology", "links", "delivered", "rec_mean", "rec_penalty", "rec_p99", "hellos/s/node"),
 	}
-	sparse, err := cliqueRun(seed, false)
-	if err != nil {
-		r.addFinding("ERROR sparse: %v", err)
-		return r
-	}
-	clique, err := cliqueRun(seed, true)
-	if err != nil {
-		r.addFinding("ERROR clique: %v", err)
-		return r
-	}
+	sparse := cliqueRun(seed, false)
+	clique := cliqueRun(seed, true)
 	sparsePenalty := sparse.recMean - sparse.base
 	cliquePenalty := clique.recMean - clique.base
 	r.Table.AddRow("sparse (designed, ~10ms links)", sparse.links,

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"time"
 
-	"sonet/internal/core"
 	"sonet/internal/metrics"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // CompoundFlow reproduces §V-C: a live video stream is sent to an
@@ -25,17 +23,8 @@ func CompoundFlow(seed uint64) *Result {
 			"include the selection of a transcoding facility at a different location",
 		Table: metrics.NewTable("phase", "transcoder", "cdn_deliveries", "gap"),
 	}
-	s, err := core.BuildSimple(seed, continentalLinks(nil))
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	if err := s.Start(); err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
+	s := startLinks(seed, continentalLinks(nil), nil)
 	defer s.Stop()
-	s.Settle()
 
 	const (
 		transcodeGroup wire.GroupID = 4000
@@ -53,25 +42,11 @@ func CompoundFlow(seed uint64) *Result {
 	}
 	servedBy := make(map[wire.NodeID]int)
 	for _, site := range []wire.NodeID{CHI, DAL} {
-		site := site
-		in, err := s.Session(site).Connect(rawPort)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
+		in := s.listen(site, rawPort)
 		in.Join(transcodeGroup)
-		out, err := s.Session(site).Connect(0)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		outFlow, err := out.OpenFlow(session.FlowSpec{
+		outFlow := s.flow(site, session.FlowSpec{
 			Group: cdnGroup, DstPort: tvPort, LinkProto: wire.LPRealTime,
 		})
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
 		in.OnDeliver(func(d session.Delivery) {
 			servedBy[site]++
 			_ = outFlow.Send(transcoded(d.Payload))
@@ -82,11 +57,7 @@ func CompoundFlow(seed uint64) *Result {
 	var deliveries []time.Duration
 	var lastPayload []byte
 	for _, cdn := range []wire.NodeID{MIA, LAX} {
-		c, err := s.Session(cdn).Connect(tvPort)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
+		c := s.listen(cdn, tvPort)
 		c.Join(cdnGroup)
 		c.OnDeliver(func(d session.Delivery) {
 			deliveries = append(deliveries, s.Now())
@@ -95,27 +66,13 @@ func CompoundFlow(seed uint64) *Result {
 	}
 	s.Settle()
 
-	// The stadium at NYC anycasts raw frames to the transcoding service.
-	stadium, err := s.Session(NYC).Connect(0)
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	rawFlow, err := stadium.OpenFlow(session.FlowSpec{
+	// The stadium at NYC anycasts raw frames to the transcoding service:
+	// 30 s of video at 100 fps.
+	rawFlow := s.flow(NYC, session.FlowSpec{
 		Group: transcodeGroup, Anycast: true, DstPort: rawPort,
 		LinkProto: wire.LPRealTime,
 	})
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: 10 * time.Millisecond,
-		Count:    3000, // 30 s of video at 100 fps
-		Send:     func(uint32, []byte) error { return rawFlow.Send([]byte("frame")) },
-	}
-	stream.Start()
+	s.cbr(10*time.Millisecond, 3000, []byte("frame"), rawFlow)
 
 	// Phase 1: 10 s healthy operation.
 	s.RunFor(10 * time.Second)
@@ -128,20 +85,10 @@ func CompoundFlow(seed uint64) *Result {
 
 	// Phase 2: the serving transcoder's data center fails.
 	failAt := s.Now()
-	if st, ok := s.Net.NodeSite(primary); ok {
-		s.Net.SetSiteUp(st, false)
-	}
+	s.failSite(primary)
 	s.RunFor(20 * time.Second)
 	phase2 := len(deliveries) - phase1
-	var worst time.Duration
-	for i := 1; i < len(deliveries); i++ {
-		if deliveries[i-1] < failAt {
-			continue
-		}
-		if gap := deliveries[i] - deliveries[i-1]; gap > worst {
-			worst = gap
-		}
-	}
+	worst := worstGapFrom(deliveries, failAt)
 	alternate := CHI + DAL - primary
 	r.Table.AddRow("after site failure", continentalNames[alternate], phase2, worst)
 

@@ -1,10 +1,10 @@
 // Package experiments contains one driver per reproduced figure, table,
 // or quantitative claim of the paper (see DESIGN.md §4 for the index).
-// Each driver builds an emulated world, runs the workload in virtual
-// time, and returns a Result whose table holds the same rows/series the
-// paper reports. cmd/benchrun prints them (`benchrun -only <ID>`) and the
-// package's smoke test asserts every driver's shape check; Index is the
-// one list both iterate.
+// Each driver starts an emulated world on the scenario harness
+// (scenario.go), runs the traffic in virtual time, and returns a Result
+// whose table holds the same rows/series the paper reports. cmd/benchrun
+// prints them (`benchrun -only <ID>`) and the package's smoke test asserts
+// every driver's shape check; Index is the one list both iterate.
 package experiments
 
 import (
@@ -61,10 +61,30 @@ func (r *Result) addFinding(format string, args ...any) {
 }
 
 // Experiment is one row of the index: an ID from DESIGN.md §4 and the
-// driver that reproduces it.
+// driver that reproduces it, which only Run calls.
 type Experiment struct {
-	ID  string
-	Run func(seed uint64) *Result
+	ID     string
+	driver func(seed uint64) *Result
+}
+
+// Run runs the experiment's driver. A scenario the harness could not build
+// comes back as a Result whose only finding is the ERROR and whose shape
+// does not hold, so one broken driver neither aborts a benchrun nor passes
+// for a reproduction.
+func (e Experiment) Run(seed uint64) (r *Result) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		se, ok := p.(scenarioError)
+		if !ok {
+			panic(p)
+		}
+		r = &Result{ID: e.ID, Title: "scenario could not be built", PaperClaim: "-", Table: metrics.NewTable()}
+		r.addFinding("ERROR: %v", se.error)
+	}()
+	return e.driver(seed)
 }
 
 // Index lists every experiment exactly once, in DESIGN.md §4 order.
@@ -105,9 +125,11 @@ func Select(only string) []Experiment {
 
 // All runs every experiment in index order, each with its default seed:
 // its one-based position in the index.
-func All() []*Result {
-	out := make([]*Result, len(Index))
-	for i, e := range Index {
+func All() []*Result { return runAll(Index) }
+
+func runAll(index []Experiment) []*Result {
+	out := make([]*Result, len(index))
+	for i, e := range index {
 		out[i] = e.Run(uint64(i) + 1)
 	}
 	return out

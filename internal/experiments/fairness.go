@@ -10,7 +10,6 @@ import (
 	"sonet/internal/node"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // fairOutcome is one scheduling discipline's measured service to honest
@@ -24,7 +23,7 @@ type fairOutcome struct {
 // fairnessRun drives three honest 50 pkt/s sources plus one flooding
 // attacker through a relay whose egress link has 1000 pkt/s capacity,
 // under one scheduling discipline.
-func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) (fairOutcome, error) {
+func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) fairOutcome {
 	// Star: sources 1,2,3 and attacker 6 feed relay 4; destination 5.
 	ms := time.Millisecond
 	links := []core.SimpleLink{
@@ -34,11 +33,7 @@ func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) (fairOutcome, e
 		{A: 6, B: 4, Latency: 5 * ms},
 		{A: 4, B: 5, Latency: 10 * ms},
 	}
-	s, err := core.BuildSimple(seed, links)
-	if err != nil {
-		return fairOutcome{}, err
-	}
-	s.SetNodeTemplate(func(cfg *node.Config) {
+	s := startLinks(seed, links, func(cfg *node.Config) {
 		// Access links are fast and deep so the full flood reaches the
 		// relay; the relay's egress link (node 4) is the 1000 pkt/s
 		// bottleneck where the disciplines compete.
@@ -57,19 +52,11 @@ func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) (fairOutcome, e
 			TotalBuffer:     32768,
 		}
 	})
-	if err := s.Start(); err != nil {
-		return fairOutcome{}, err
-	}
 	defer s.Stop()
-	s.Settle()
 
-	dst, err := s.Session(5).Connect(100)
-	if err != nil {
-		return fairOutcome{}, err
-	}
 	honestLat := &metrics.Latencies{}
 	var honestRecv, attackRecv int
-	dst.OnDeliver(func(d session.Delivery) {
+	s.listen(5, 100).OnDeliver(func(d session.Delivery) {
 		if d.From == 6 {
 			attackRecv++
 			return
@@ -78,52 +65,19 @@ func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) (fairOutcome, e
 		honestLat.Add(d.Latency)
 	})
 
-	honestSent := 0
-	var gens []*workload.CBR
+	toDst := session.FlowSpec{DstNode: 5, DstPort: 100, LinkProto: proto}
+	var honest []*generator
 	for _, src := range []wire.NodeID{1, 2, 3} {
-		c, err := s.Session(src).Connect(0)
-		if err != nil {
-			return fairOutcome{}, err
-		}
-		flow, err := c.OpenFlow(session.FlowSpec{DstNode: 5, DstPort: 100, LinkProto: proto})
-		if err != nil {
-			return fairOutcome{}, err
-		}
-		g := &workload.CBR{
-			Clock:    s.Sched,
-			Interval: 20 * ms,
-			Send: func(uint32, []byte) error {
-				honestSent++
-				return flow.Send(nil)
-			},
-		}
-		g.Start()
-		gens = append(gens, g)
-	}
-	atk, err := s.Session(6).Connect(0)
-	if err != nil {
-		return fairOutcome{}, err
-	}
-	atkFlow, err := atk.OpenFlow(session.FlowSpec{DstNode: 5, DstPort: 100, LinkProto: proto})
-	if err != nil {
-		return fairOutcome{}, err
+		honest = append(honest, s.cbr(20*ms, 0, nil, s.flow(src, toDst)))
 	}
 	// A steady 10000 pkt/s flood (10x the bottleneck) keeps the relay's
 	// shared queue pinned; bursty attacks would let honest traffic slip
 	// in between bursts.
-	burst := &workload.Burst{
-		Clock:    s.Sched,
-		Period:   time.Millisecond,
-		PerBurst: 10,
-		Send:     func(uint32, []byte) error { return atkFlow.Send(nil) },
-	}
-	burst.Start()
+	attack := s.flood(time.Millisecond, 10, s.flow(6, toDst))
 
 	s.RunFor(20 * time.Second)
-	for _, g := range gens {
-		g.Stop()
-	}
-	burst.Stop()
+	honestSent := stopAll(honest)
+	attack.stop()
 	s.RunFor(5 * time.Second)
 
 	total := honestRecv + attackRecv
@@ -134,7 +88,7 @@ func fairnessRun(seed uint64, proto wire.LinkProtoID, fair bool) (fairOutcome, e
 	if total > 0 {
 		out.attackerShare = float64(attackRecv) / float64(total)
 	}
-	return out, nil
+	return out
 }
 
 // Fairness reproduces the §IV-B claim: per-source (Priority) and per-flow
@@ -162,11 +116,7 @@ func Fairness(seed uint64) *Result {
 	}
 	outcomes := make(map[string]fairOutcome, len(variants))
 	for i, v := range variants {
-		out, err := fairnessRun(seed+uint64(i), v.proto, v.fair)
-		if err != nil {
-			r.addFinding("ERROR %s: %v", v.label, err)
-			return r
-		}
+		out := fairnessRun(seed+uint64(i), v.proto, v.fair)
 		outcomes[v.label] = out
 		r.Table.AddRow(v.label, fmt.Sprintf("%.3f", out.honestGoodput),
 			out.honestLatency, fmt.Sprintf("%.3f", out.attackerShare))

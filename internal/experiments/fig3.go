@@ -11,7 +11,6 @@ import (
 	"sonet/internal/node"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // fig3Scenario is one row of the Fig. 3 comparison.
@@ -24,54 +23,25 @@ type fig3Scenario struct {
 
 // fig3Run drives a 1000 pkt/s reliable ordered stream for the given span
 // and collects overall and recovered-packet latency series.
-func fig3Run(seed uint64, sc fig3Scenario, span time.Duration) (all, recovered *metrics.Latencies, deliveredFrac float64, err error) {
-	s, err := core.BuildSimple(seed, sc.links)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if sc.mutate != nil {
-		s.SetNodeTemplate(sc.mutate)
-	}
-	if err := s.Start(); err != nil {
-		return nil, nil, 0, err
-	}
+func fig3Run(seed uint64, sc fig3Scenario, span time.Duration) (all, recovered *metrics.Latencies, deliveredFrac float64) {
+	s := startLinks(seed, sc.links, sc.mutate)
 	defer s.Stop()
-	s.Settle()
 
-	dst, err := s.Session(sc.dst).Connect(100)
-	if err != nil {
-		return nil, nil, 0, err
-	}
 	all = &metrics.Latencies{}
 	recovered = &metrics.Latencies{}
-	dst.OnDeliver(func(d session.Delivery) {
+	s.listen(sc.dst, 100).OnDeliver(func(d session.Delivery) {
 		all.Add(d.Latency)
 		if d.Retransmitted {
 			recovered.Add(d.Latency)
 		}
 	})
-	src, err := s.Session(1).Connect(0)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{
+	flow := s.flow(1, session.FlowSpec{
 		DstNode: sc.dst, DstPort: 100,
 		LinkProto: wire.LPReliable, Ordered: true,
 	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: time.Millisecond,
-		Size:     1200,
-		Count:    int(span / time.Millisecond),
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
-	stream.Start()
+	stream := s.cbr(time.Millisecond, int(span/time.Millisecond), nil, flow)
 	s.RunFor(span + 10*time.Second) // drain recoveries
-	deliveredFrac = float64(all.Count()) / float64(stream.Sent())
-	return all, recovered, deliveredFrac, nil
+	return all, recovered, float64(all.Count()) / float64(stream.sent())
 }
 
 // Fig3HopByHop reproduces Fig. 3 (§III-A): replacing a 50 ms end-to-end
@@ -102,12 +72,12 @@ func Fig3HopByHop(seed uint64) *Result {
 	}
 	hbh := fig3Scenario{
 		name:  "hop-by-hop (5 x 10ms links)",
-		links: fig3Chain(pathLoss)[1:], // chain only
+		links: fig3Chain(pathLoss),
 		dst:   6,
 	}
 	inorder := fig3Scenario{
 		name:  "hop-by-hop, in-order hops (ablation)",
-		links: fig3Chain(pathLoss)[1:],
+		links: fig3Chain(pathLoss),
 		dst:   6,
 		mutate: func(cfg *node.Config) {
 			cfg.Reliable = link.ReliableConfig{InOrderForwarding: true}
@@ -121,11 +91,7 @@ func Fig3HopByHop(seed uint64) *Result {
 	}
 	rows := make([]row, 0, 3)
 	for _, sc := range []fig3Scenario{e2e, hbh, inorder} {
-		all, rec, delivered, err := fig3Run(seed, sc, span)
-		if err != nil {
-			r.addFinding("ERROR %s: %v", sc.name, err)
-			return r
-		}
+		all, rec, delivered := fig3Run(seed, sc, span)
 		rows = append(rows, row{name: sc.name, all: all, rec: rec, delivered: delivered})
 		r.Table.AddRow(sc.name, fmt.Sprintf("%.4f", delivered), rec.Count(),
 			rec.Min(), rec.Mean(), rec.Percentile(99), all.Percentile(99.9), all.Jitter())

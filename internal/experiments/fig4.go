@@ -11,7 +11,6 @@ import (
 	"sonet/internal/node"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // fig4GE returns the bursty-loss model for one scenario run: ~3% average
@@ -23,9 +22,6 @@ func fig4GE() *netemu.GilbertElliott {
 
 // fig4Row is one protocol variant's measured outcome.
 type fig4Row struct {
-	name     string
-	sent     uint32
-	received uint64
 	late     uint64
 	onTime   float64
 	p99      time.Duration
@@ -35,66 +31,40 @@ type fig4Row struct {
 
 // fig4Run drives a 1000 pkt/s stream over a single 40 ms continental link
 // with bursty loss for one protocol configuration.
-func fig4Run(seed uint64, proto wire.LinkProtoID, n, m int, deadline time.Duration) (fig4Row, error) {
+func fig4Run(seed uint64, proto wire.LinkProtoID, n, m int, deadline time.Duration) fig4Row {
 	links := []core.SimpleLink{{
 		A: 1, B: 2, Latency: 40 * time.Millisecond, Loss: fig4GE(),
 	}}
-	s, err := core.BuildSimple(seed, links)
-	if err != nil {
-		return fig4Row{}, err
-	}
 	budget := deadline - 40*time.Millisecond
-	s.SetNodeTemplate(func(cfg *node.Config) {
+	s := startLinks(seed, links, func(cfg *node.Config) {
 		cfg.Strikes = link.StrikesConfig{N: n, M: m, Budget: budget, RTT: 80 * time.Millisecond}
 		cfg.SingleStrike = link.StrikesConfig{Budget: budget, RTT: 80 * time.Millisecond}
 	})
-	if err := s.Start(); err != nil {
-		return fig4Row{}, err
-	}
 	defer s.Stop()
-	s.Settle()
 
-	dst, err := s.Session(2).Connect(100)
-	if err != nil {
-		return fig4Row{}, err
-	}
-	src, err := s.Session(1).Connect(0)
-	if err != nil {
-		return fig4Row{}, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{
+	dst := s.listen(2, 100)
+	flow := s.flow(1, session.FlowSpec{
 		DstNode: 2, DstPort: 100,
 		LinkProto: proto, Ordered: true, Deadline: deadline,
 	})
-	if err != nil {
-		return fig4Row{}, err
-	}
 	const span = 20 * time.Second
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: time.Millisecond,
-		Count:    int(span / time.Millisecond),
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
-	stream.Start()
+	stream := s.cbr(time.Millisecond, int(span/time.Millisecond), nil, flow)
 	s.RunFor(span + 5*time.Second)
 
 	st := dst.Stats()
+	sent := float64(stream.sent())
 	row := fig4Row{
-		name:     proto.String(),
-		sent:     stream.Sent(),
-		received: st.Received,
 		late:     st.Late,
-		onTime:   float64(st.Received) / float64(stream.Sent()),
+		onTime:   float64(st.Received) / sent,
 		p99:      st.Latency.Percentile(99),
+		analytic: 1 + float64(m)*fig4GE().AverageLoss(),
 	}
 	// Sender-side transmissions on the link measure the 1+M·p cost.
 	ls := s.Node(1).LinkStats(2)[proto]
 	if ls.DataSent > 0 {
-		row.overhead = float64(ls.DataSent+ls.Retransmissions) / float64(stream.Sent())
+		row.overhead = float64(ls.DataSent+ls.Retransmissions) / sent
 	}
-	row.analytic = 1 + float64(m)*fig4GE().AverageLoss()
-	return row, nil
+	return row
 }
 
 // Fig4NMStrikes reproduces Fig. 4 (§IV-A): the NM-Strikes real-time
@@ -128,11 +98,7 @@ func Fig4NMStrikes(seed uint64) *Result {
 	rows := make(map[string]fig4Row, len(variants))
 	for _, v := range variants {
 		// Paired comparison: every variant sees the same loss realization.
-		row, err := fig4Run(seed, v.proto, v.n, v.m, deadline)
-		if err != nil {
-			r.addFinding("ERROR %s: %v", v.label, err)
-			return r
-		}
+		row := fig4Run(seed, v.proto, v.n, v.m, deadline)
 		rows[v.label] = row
 		analytic := "-"
 		if v.proto == wire.LPRealTime || v.proto == wire.LPSingleStrike {

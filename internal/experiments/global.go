@@ -95,17 +95,8 @@ func GlobalCoverage(seed uint64) *Result {
 			"on the globe from any other point",
 		Table: metrics.NewTable("measure", "value"),
 	}
-	s, err := core.BuildSimple(seed, globalLinks())
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	if err := s.Start(); err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
+	s := startLinks(seed, globalLinks(), nil)
 	defer s.Stop()
-	s.Settle()
 
 	// All-pairs overlay path latencies from the converged shared view.
 	view := s.Node(NYC).View()
@@ -144,29 +135,13 @@ func GlobalCoverage(seed uint64) *Result {
 	r.Table.AddRow("diameter", fmt.Sprintf("%v (%s-%s)", worst, globalName(worstA), globalName(worstB)))
 
 	// Live validation: stream across the measured diameter pair.
-	dst, err := s.Session(worstB).Connect(100)
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	src, err := s.Session(worstA).Connect(0)
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{
+	dst := s.listen(worstB, 100)
+	flow := s.flow(worstA, session.FlowSpec{
 		DstNode: worstB, DstPort: 100,
 		LinkProto: wire.LPReliable, Ordered: true,
 	})
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
 	const n = 100
-	for i := 0; i < n; i++ {
-		i := i
-		s.Sched.After(time.Duration(i)*10*time.Millisecond, func() { _ = flow.Send(nil) })
-	}
+	s.cbr(10*time.Millisecond, n, nil, flow)
 	s.RunFor(10 * time.Second)
 	st := dst.Stats()
 	r.Table.AddRow("diameter live p99", st.Latency.Percentile(99))

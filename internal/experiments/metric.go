@@ -11,12 +11,11 @@ import (
 	"sonet/internal/session"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // metricRun streams best-effort traffic across the diamond while the
 // nominally-best link is persistently lossy, under one routing metric.
-func metricRun(seed uint64, metric topology.Metric) (delivered float64, mean time.Duration, err error) {
+func metricRun(seed uint64, metric topology.Metric) (delivered float64, mean time.Duration) {
 	ms := time.Millisecond
 	links := []core.SimpleLink{
 		// The fast northern path's first hop is chronically lossy.
@@ -25,47 +24,24 @@ func metricRun(seed uint64, metric topology.Metric) (delivered float64, mean tim
 		{A: 1, B: 3, Latency: 12 * ms},
 		{A: 3, B: 4, Latency: 12 * ms},
 	}
-	s, err := core.BuildSimple(seed, links)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.SetNodeTemplate(func(cfg *node.Config) {
+	s := startLinks(seed, links, func(cfg *node.Config) {
 		cfg.Metric = metric
 		// A higher miss threshold keeps the lossy link from flapping, so
 		// the comparison isolates the metric, not failure detection.
 		cfg.LinkState.HelloMiss = 8
 	})
-	if err := s.Start(); err != nil {
-		return 0, 0, err
-	}
 	defer s.Stop()
-	// Let one full loss-measurement window close and flood before
-	// streaming, so metrics that use loss can see it.
-	s.RunFor(8 * time.Second)
+	// Let one full loss-measurement window (8 s from the start) close and
+	// flood before streaming, so metrics that use loss can see it.
+	s.RunFor(7 * time.Second)
 
-	dst, err := s.Session(4).Connect(100)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := s.Session(1).Connect(0)
-	if err != nil {
-		return 0, 0, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{DstNode: 4, DstPort: 100, LinkProto: wire.LPBestEffort})
-	if err != nil {
-		return 0, 0, err
-	}
+	dst := s.listen(4, 100)
+	flow := s.flow(1, session.FlowSpec{DstNode: 4, DstPort: 100, LinkProto: wire.LPBestEffort})
 	const n = 2000
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: 5 * time.Millisecond,
-		Count:    n,
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
-	stream.Start()
+	s.cbr(5*time.Millisecond, n, nil, flow)
 	s.RunFor(15 * time.Second)
 	st := dst.Stats()
-	return float64(st.Received) / n, st.Latency.Mean(), nil
+	return float64(st.Received) / n, st.Latency.Mean()
 }
 
 // RoutingMetric is the DESIGN.md §5 metric ablation: hop-count and pure
@@ -91,11 +67,7 @@ func RoutingMetric(seed uint64) *Result {
 	}
 	results := make(map[string]float64, len(variants))
 	for _, v := range variants {
-		delivered, mean, err := metricRun(seed, v.metric)
-		if err != nil {
-			r.addFinding("ERROR %s: %v", v.label, err)
-			return r
-		}
+		delivered, mean := metricRun(seed, v.metric)
 		results[v.label] = delivered
 		r.Table.AddRow(v.label, fmt.Sprintf("%.4f", delivered), mean)
 	}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"sonet/internal/core"
 	"sonet/internal/metrics"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // MonitoringControl reproduces §III-B: one overlay simultaneously serves
@@ -25,17 +23,8 @@ func MonitoringControl(seed uint64) *Result {
 			"with better performance than the native Internet",
 		Table: metrics.NewTable("class", "sent", "delivered", "on-time<=150ms", "p99", "lost/late"),
 	}
-	s, err := core.BuildSimple(seed, continentalLinks(nil))
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	if err := s.Start(); err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
+	s := startLinks(seed, continentalLinks(nil), nil)
 	defer s.Stop()
-	s.Settle()
 
 	// Monitoring: five cloud endpoints publish telemetry to a group whose
 	// members are two operations centers.
@@ -43,125 +32,54 @@ func MonitoringControl(seed uint64) *Result {
 	opsCenters := []wire.NodeID{NYC, SFO}
 	var monClients []*session.Client
 	for _, ops := range opsCenters {
-		c, err := s.Session(ops).Connect(200)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
+		c := s.listen(ops, 200)
 		c.Join(monGroup)
 		monClients = append(monClients, c)
 	}
 	s.Settle()
 
-	endpoints := []wire.NodeID{MIA, SEA, DAL, CHI, DEN}
-	monSent := 0
-	var monStreams []*workload.Poisson
-	for _, ep := range endpoints {
-		c, err := s.Session(ep).Connect(0)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		flow, err := c.OpenFlow(session.FlowSpec{
+	var monStreams, ctlStreams []*generator
+	for _, ep := range []wire.NodeID{MIA, SEA, DAL, CHI, DEN} {
+		flow := s.flow(ep, session.FlowSpec{
 			Group: monGroup, DstPort: 200,
 			LinkProto: wire.LPRealTime,
 			Deadline:  150 * time.Millisecond,
 		})
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		p := &workload.Poisson{
-			Clock:        s.Sched,
-			Rand:         s.Sched.Rand(),
-			MeanInterval: 20 * time.Millisecond,
-			Send: func(uint32, []byte) error {
-				monSent++
-				return flow.Send(nil)
-			},
-		}
-		p.Start()
-		monStreams = append(monStreams, p)
+		monStreams = append(monStreams, s.poisson(20*time.Millisecond, nil, flow))
 	}
 
 	// Control: the NYC operations center sends reliable ordered commands
 	// to three actuator sites.
-	ctl, err := s.Session(NYC).Connect(0)
-	if err != nil {
-		r.addFinding("ERROR: %v", err)
-		return r
-	}
-	actuators := []wire.NodeID{DAL, SEA, MIA}
-	ctlSent := 0
+	ctl := s.listen(NYC, 0)
 	var ctlClients []*session.Client
-	for _, a := range actuators {
-		c, err := s.Session(a).Connect(300)
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		ctlClients = append(ctlClients, c)
-		flow, err := ctl.OpenFlow(session.FlowSpec{
+	for _, a := range []wire.NodeID{DAL, SEA, MIA} {
+		ctlClients = append(ctlClients, s.listen(a, 300))
+		flow := s.open(ctl, session.FlowSpec{
 			DstNode: a, DstPort: 300,
 			LinkProto: wire.LPReliable, Ordered: true,
 		})
-		if err != nil {
-			r.addFinding("ERROR: %v", err)
-			return r
-		}
-		cmd := &workload.Poisson{
-			Clock:        s.Sched,
-			Rand:         s.Sched.Rand(),
-			MeanInterval: 100 * time.Millisecond,
-			Send: func(uint32, []byte) error {
-				ctlSent++
-				return flow.Send([]byte("cmd"))
-			},
-		}
-		cmd.Start()
-		monStreams = append(monStreams, cmd)
+		ctlStreams = append(ctlStreams, s.poisson(100*time.Millisecond, []byte("cmd"), flow))
 	}
 
 	// Mid-run trouble: a regional 30% loss episode around DC for 5 s,
 	// then a core fiber cut.
 	region := [][2]wire.NodeID{{NYC, DC}, {DC, CHI}, {DC, ATL}}
-	s.Sched.After(10*time.Second, func() {
-		for _, l := range region {
-			_ = s.SetLinkExtraLoss(l[0], l[1], 0.30)
+	regionLoss := func(p float64) func() {
+		return func() {
+			for _, l := range region {
+				check(s.links.SetLinkExtraLoss(l[0], l[1], p))
+			}
 		}
-	})
-	s.Sched.After(15*time.Second, func() {
-		for _, l := range region {
-			_ = s.SetLinkExtraLoss(l[0], l[1], 0)
-		}
-	})
-	s.Sched.After(20*time.Second, func() { _ = s.CutLink(CHI, DEN) })
-	s.RunFor(30 * time.Second)
-	for _, p := range monStreams {
-		p.Stop()
 	}
+	s.Sched.After(10*time.Second, regionLoss(0.30))
+	s.Sched.After(15*time.Second, regionLoss(0))
+	s.Sched.After(20*time.Second, func() { check(s.links.CutLink(CHI, DEN)) })
+	s.RunFor(30 * time.Second)
+	monSent, ctlSent := stopAll(monStreams), stopAll(ctlStreams)
 	s.RunFor(10 * time.Second) // drain
 
-	var monRecv, monLate uint64
-	monLat := &metrics.Latencies{}
-	for _, c := range monClients {
-		st := c.Stats()
-		monRecv += st.Received
-		monLate += st.Late
-		for _, l := range st.Latency.Samples() {
-			monLat.Add(l)
-		}
-	}
-	var ctlRecv, ctlLate uint64
-	ctlLat := &metrics.Latencies{}
-	for _, c := range ctlClients {
-		st := c.Stats()
-		ctlRecv += st.Received
-		ctlLate += st.Late
-		for _, l := range st.Latency.Samples() {
-			ctlLat.Add(l)
-		}
-	}
+	monRecv, monLate, monLat := mergeStats(monClients)
+	ctlRecv, ctlLate, ctlLat := mergeStats(ctlClients)
 	monExpected := uint64(monSent) * uint64(len(opsCenters))
 	r.Table.AddRow("monitoring (timely multicast)", monExpected, monRecv,
 		fmt.Sprintf("%.4f", monLat.OnTime(150*time.Millisecond)),
@@ -178,4 +96,18 @@ func MonitoringControl(seed uint64) *Result {
 	r.ShapeHolds = ctlDeliv >= 0.9999 && monDeliv > 0.95 &&
 		monLat.OnTime(150*time.Millisecond) > 0.999
 	return r
+}
+
+// mergeStats sums the receive-side statistics of several clients.
+func mergeStats(clients []*session.Client) (received, late uint64, lat *metrics.Latencies) {
+	lat = &metrics.Latencies{}
+	for _, c := range clients {
+		st := c.Stats()
+		received += st.Received
+		late += st.Late
+		for _, l := range st.Latency.Samples() {
+			lat.Add(l)
+		}
+	}
+	return received, late, lat
 }

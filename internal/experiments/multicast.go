@@ -8,7 +8,6 @@ import (
 	"sonet/internal/metrics"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // mcastOutcome is one dissemination scheme's measured cost.
@@ -45,57 +44,27 @@ func totalDataTransmissions(o *core.Overlay) uint64 {
 
 // mcastRun sends count packets from NYC to g members, via overlay
 // multicast or per-member unicast replication.
-func mcastRun(seed uint64, g int, multicast bool) (mcastOutcome, error) {
-	s, err := core.BuildSimple(seed, continentalLinks(nil))
-	if err != nil {
-		return mcastOutcome{}, err
-	}
-	if err := s.Start(); err != nil {
-		return mcastOutcome{}, err
-	}
+func mcastRun(seed uint64, g int, multicast bool) mcastOutcome {
+	s := startLinks(seed, continentalLinks(nil), nil)
 	defer s.Stop()
-	s.Settle()
 
 	members := mcastMembers(g)
 	const grp wire.GroupID = 1000
 	delivered := 0
 	for _, m := range members {
-		c, err := s.Session(m).Connect(100)
-		if err != nil {
-			return mcastOutcome{}, err
-		}
+		c := s.listen(m, 100)
 		c.Join(grp)
 		c.OnDeliver(func(session.Delivery) { delivered++ })
 	}
 	s.Settle()
 
-	src, err := s.Session(NYC).Connect(0)
-	if err != nil {
-		return mcastOutcome{}, err
-	}
-	var send func() error
+	src := s.listen(NYC, 0)
+	var flows []*session.Flow
 	if multicast {
-		flow, err := src.OpenFlow(session.FlowSpec{Group: grp, DstPort: 100})
-		if err != nil {
-			return mcastOutcome{}, err
-		}
-		send = func() error { return flow.Send(nil) }
+		flows = append(flows, s.open(src, session.FlowSpec{Group: grp, DstPort: 100}))
 	} else {
-		flows := make([]*session.Flow, 0, len(members))
 		for _, m := range members {
-			f, err := src.OpenFlow(session.FlowSpec{DstNode: m, DstPort: 100})
-			if err != nil {
-				return mcastOutcome{}, err
-			}
-			flows = append(flows, f)
-		}
-		send = func() error {
-			for _, f := range flows {
-				if err := f.Send(nil); err != nil {
-					return err
-				}
-			}
-			return nil
+			flows = append(flows, s.open(src, session.FlowSpec{DstNode: m, DstPort: 100}))
 		}
 	}
 
@@ -104,13 +73,7 @@ func mcastRun(seed uint64, g int, multicast bool) (mcastOutcome, error) {
 	// measure the delta across the send phase).
 	base := totalDataTransmissions(s.Overlay)
 	const count = 1000
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: 10 * time.Millisecond,
-		Count:    count,
-		Send:     func(uint32, []byte) error { return send() },
-	}
-	stream.Start()
+	s.cbr(10*time.Millisecond, count, nil, flows...)
 	s.RunFor(12 * time.Second)
 	// Subtract the control chatter measured on an idle twin interval.
 	idleBase := totalDataTransmissions(s.Overlay)
@@ -122,7 +85,7 @@ func mcastRun(seed uint64, g int, multicast bool) (mcastOutcome, error) {
 		expected:      count * g,
 		transmissions: idleBase - base - idleChatter,
 		srcEgress:     s.Node(NYC).Stats().Forwarded,
-	}, nil
+	}
 }
 
 // Multicast reproduces the §III-A/§III-B claim: overlay multicast
@@ -140,16 +103,8 @@ func Multicast(seed uint64) *Result {
 	r.ShapeHolds = true
 	var ratioAt8 float64
 	for _, g := range []int{2, 4, 8, 13} {
-		mc, err := mcastRun(seed, g, true)
-		if err != nil {
-			r.addFinding("ERROR multicast g=%d: %v", g, err)
-			return r
-		}
-		uc, err := mcastRun(seed+1, g, false)
-		if err != nil {
-			r.addFinding("ERROR unicast g=%d: %v", g, err)
-			return r
-		}
+		mc := mcastRun(seed, g, true)
+		uc := mcastRun(seed+1, g, false)
 		const count = 1000.0
 		r.Table.AddRow(g, "multicast", fmt.Sprintf("%d/%d", mc.delivered, mc.expected),
 			fmt.Sprintf("%.2f", float64(mc.transmissions)/count),

@@ -8,77 +8,41 @@ import (
 	"sonet/internal/netemu"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // multihomeRun measures stream loss across a 10 s degradation of ISP 1
 // (total outage or partial brown-out), with the overlay link served by
 // the given providers.
-func multihomeRun(seed uint64, dual bool, severity float64) (lost int, outage time.Duration, failovers uint64, err error) {
+func multihomeRun(seed uint64, dual bool, severity float64) (lost int, outage time.Duration, failovers uint64) {
 	o := core.New(seed, netemu.DefaultConfig())
 	a := o.AddSite("A")
 	b := o.AddSite("B")
 	isp1 := o.AddISP("isp-1")
 	isp2 := o.AddISP("isp-2")
-	if _, err := o.AddFiber(isp1, a, b, 10*time.Millisecond, 0, nil); err != nil {
-		return 0, 0, 0, err
-	}
-	if _, err := o.AddFiber(isp2, a, b, 11*time.Millisecond, 0, nil); err != nil {
-		return 0, 0, 0, err
-	}
+	must(o.AddFiber(isp1, a, b, 10*time.Millisecond, 0, nil))
+	must(o.AddFiber(isp2, a, b, 11*time.Millisecond, 0, nil))
 	isps := []netemu.ISPID{isp1}
 	if dual {
 		isps = append(isps, isp2)
 	}
 	o.AddNode(1, a)
 	o.AddNode(2, b)
-	if _, err := o.AddLink(1, 2, 10*time.Millisecond, isps...); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := o.Start(); err != nil {
-		return 0, 0, 0, err
-	}
-	defer o.Stop()
-	o.Settle()
+	must(o.AddLink(1, 2, 10*time.Millisecond, isps...))
+	s := startOverlay(o, nil)
+	defer s.Stop()
 
-	dst, err := o.Session(2).Connect(100)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	var deliveredAt []time.Duration
-	dst.OnDeliver(func(session.Delivery) { deliveredAt = append(deliveredAt, o.Now()) })
-	src, err := o.Session(1).Connect(0)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{DstNode: 2, DstPort: 100, LinkProto: wire.LPBestEffort})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	stream := &workload.CBR{
-		Clock:    o.Sched,
-		Interval: 10 * time.Millisecond,
-		Count:    3000, // 30 s at 100 pkt/s
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
-	stream.Start()
+	s.listen(2, 100).OnDeliver(func(session.Delivery) { deliveredAt = append(deliveredAt, s.Now()) })
+	flow := s.flow(1, session.FlowSpec{DstNode: 2, DstPort: 100, LinkProto: wire.LPBestEffort})
+	stream := s.cbr(10*time.Millisecond, 3000, nil, flow) // 30 s at 100 pkt/s
 	// ISP-1 degradation from t=5s to t=15s.
-	failAt := o.Now() + 5*time.Second
-	o.Sched.At(failAt, func() { o.Net.SetISPExtraLoss(isp1, severity) })
-	o.Sched.After(15*time.Second, func() { o.Net.SetISPExtraLoss(isp1, 0) })
-	o.RunFor(35 * time.Second)
+	failAt := s.Now() + 5*time.Second
+	s.Sched.At(failAt, func() { s.Net.SetISPExtraLoss(isp1, severity) })
+	s.Sched.After(15*time.Second, func() { s.Net.SetISPExtraLoss(isp1, 0) })
+	s.RunFor(35 * time.Second)
 
-	var worst time.Duration
-	for i := 1; i < len(deliveredAt); i++ {
-		if deliveredAt[i-1] < failAt {
-			continue
-		}
-		if gap := deliveredAt[i] - deliveredAt[i-1]; gap > worst {
-			worst = gap
-		}
-	}
-	return int(stream.Sent()) - len(deliveredAt), worst,
-		o.Node(1).LinkStateManager().Stats().Failovers, nil
+	return stream.sent() - len(deliveredAt), worstGapFrom(deliveredAt, failAt),
+		s.Node(1).LinkStateManager().Stats().Failovers
 }
 
 // Multihoming reproduces the §II-A multihoming claim: connecting each
@@ -93,33 +57,17 @@ func Multihoming(seed uint64) *Result {
 			"affecting a single provider",
 		Table: metrics.NewTable("homing", "packets_lost", "worst_gap", "failovers"),
 	}
-	singleLost, singleGap, _, err := multihomeRun(seed, false, 1.0)
-	if err != nil {
-		r.addFinding("ERROR single: %v", err)
-		return r
-	}
+	singleLost, singleGap, _ := multihomeRun(seed, false, 1.0)
 	r.Table.AddRow("single ISP, total outage", singleLost, singleGap, 0)
-	dualLost, dualGap, failovers, err := multihomeRun(seed, true, 1.0)
-	if err != nil {
-		r.addFinding("ERROR dual: %v", err)
-		return r
-	}
+	dualLost, dualGap, failovers := multihomeRun(seed, true, 1.0)
 	r.Table.AddRow("dual ISP, total outage", dualLost, dualGap, failovers)
 
 	// Partial brown-out: 30% loss on ISP 1 — hellos mostly succeed, so
 	// recovery relies on the loss-threshold re-homing of §II-A rather
 	// than missed-hello failover.
-	bSingleLost, _, _, err := multihomeRun(seed, false, 0.30)
-	if err != nil {
-		r.addFinding("ERROR single brown-out: %v", err)
-		return r
-	}
+	bSingleLost, _, _ := multihomeRun(seed, false, 0.30)
 	r.Table.AddRow("single ISP, 30% brown-out", bSingleLost, "-", 0)
-	bDualLost, _, bFailovers, err := multihomeRun(seed, true, 0.30)
-	if err != nil {
-		r.addFinding("ERROR dual brown-out: %v", err)
-		return r
-	}
+	bDualLost, _, bFailovers := multihomeRun(seed, true, 0.30)
 	r.Table.AddRow("dual ISP, 30% brown-out", bDualLost, "-", bFailovers)
 
 	r.addFinding("total outage: single-homed lost %d packets vs dual-homed %d (worst gap %v)",

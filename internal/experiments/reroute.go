@@ -11,7 +11,6 @@ import (
 	"sonet/internal/node"
 	"sonet/internal/session"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // rerouteOutcome is one mechanism's measured outage.
@@ -22,21 +21,20 @@ type rerouteOutcome struct {
 
 // rerouteOverlay measures the delivery gap a 100 pkt/s stream suffers
 // when the fiber under its primary overlay link is cut, for a given hello
-// interval.
-func rerouteOverlay(seed uint64, hello time.Duration) (rerouteOutcome, error) {
-	s, err := core.BuildSimple(seed, diamondLinksForReroute())
-	if err != nil {
-		return rerouteOutcome{}, err
+// interval, on the standard diamond without the slow chord.
+func rerouteOverlay(seed uint64, hello time.Duration) rerouteOutcome {
+	ms := time.Millisecond
+	diamond := []core.SimpleLink{
+		{A: 1, B: 2, Latency: 10 * ms},
+		{A: 2, B: 4, Latency: 10 * ms},
+		{A: 1, B: 3, Latency: 12 * ms},
+		{A: 3, B: 4, Latency: 12 * ms},
 	}
-	s.SetNodeTemplate(func(cfg *node.Config) {
+	s := startLinks(seed, diamond, func(cfg *node.Config) {
 		cfg.LinkState = linkstate.Config{HelloInterval: hello}
 	})
-	if err := s.Start(); err != nil {
-		return rerouteOutcome{}, err
-	}
 	defer s.Stop()
-	s.Settle()
-	return runRerouteStream(s.Overlay, func() { _ = s.CutLink(1, 2) })
+	return runRerouteStream(s, 4, func() { check(s.links.CutLink(1, 2)) })
 }
 
 // rerouteBGP measures the same cut when only native IP rerouting exists:
@@ -45,111 +43,51 @@ func rerouteOverlay(seed uint64, hello time.Duration) (rerouteOutcome, error) {
 // (§II-A). It also returns the underlay route-cache counters: the cut and
 // its convergence event are the only epoch bumps, so the ~6000-packet
 // stream must be served almost entirely from cache.
-func rerouteBGP(seed uint64) (rerouteOutcome, metrics.RouteCacheSnapshot, error) {
+func rerouteBGP(seed uint64) (rerouteOutcome, metrics.RouteCacheSnapshot) {
 	o := core.New(seed, netemu.DefaultConfig())
 	a := o.AddSite("A")
 	b := o.AddSite("B")
 	c := o.AddSite("C")
 	isp := o.AddISP("isp-1")
-	direct, err := o.AddFiber(isp, a, b, 10*time.Millisecond, 0, nil)
-	if err != nil {
-		return rerouteOutcome{}, metrics.RouteCacheSnapshot{}, err
-	}
-	if _, err := o.AddFiber(isp, a, c, 15*time.Millisecond, 0, nil); err != nil {
-		return rerouteOutcome{}, metrics.RouteCacheSnapshot{}, err
-	}
-	if _, err := o.AddFiber(isp, c, b, 15*time.Millisecond, 0, nil); err != nil {
-		return rerouteOutcome{}, metrics.RouteCacheSnapshot{}, err
-	}
+	direct := must(o.AddFiber(isp, a, b, 10*time.Millisecond, 0, nil))
+	must(o.AddFiber(isp, a, c, 15*time.Millisecond, 0, nil))
+	must(o.AddFiber(isp, c, b, 15*time.Millisecond, 0, nil))
 	o.AddNode(1, a)
 	o.AddNode(2, b)
-	if _, err := o.AddLink(1, 2, 10*time.Millisecond, isp); err != nil {
-		return rerouteOutcome{}, metrics.RouteCacheSnapshot{}, err
-	}
+	must(o.AddLink(1, 2, 10*time.Millisecond, isp))
 	// Hellos must not declare the link down during IP convergence — the
 	// "native" behaviour keeps waiting for BGP, so probe slowly and
 	// tolerantly.
-	o.SetNodeTemplate(func(cfg *node.Config) {
+	s := startOverlay(o, func(cfg *node.Config) {
 		cfg.LinkState = linkstate.Config{
 			HelloInterval: 2 * time.Second,
 			HelloMiss:     1 << 30,
 		}
 	})
-	if err := o.Start(); err != nil {
-		return rerouteOutcome{}, metrics.RouteCacheSnapshot{}, err
-	}
-	defer o.Stop()
-	o.Settle()
-	out, err := runRerouteStream(o, func() { o.Net.CutFiber(direct) })
-	return out, o.Net.RouteCacheStats(), err
+	defer s.Stop()
+	out := runRerouteStream(s, 2, func() { s.Net.CutFiber(direct) })
+	return out, s.Net.RouteCacheStats()
 }
 
-// diamondLinksForReroute is the standard diamond without the slow chord.
-func diamondLinksForReroute() []core.SimpleLink {
-	ms := time.Millisecond
-	return []core.SimpleLink{
-		{A: 1, B: 2, Latency: 10 * ms},
-		{A: 2, B: 4, Latency: 10 * ms},
-		{A: 1, B: 3, Latency: 12 * ms},
-		{A: 3, B: 4, Latency: 12 * ms},
-	}
-}
-
-// runRerouteStream drives the stream, injects the failure at t+5s, and
-// returns the worst post-failure delivery gap and the packet deficit.
-func runRerouteStream(o *core.Overlay, inject func()) (rerouteOutcome, error) {
-	dst, err := o.Session(destNode(o)).Connect(100)
-	if err != nil {
-		return rerouteOutcome{}, err
-	}
+// runRerouteStream drives the stream from node 1 to dst, injects the
+// failure at t+5s, and returns the worst post-failure delivery gap and the
+// packet deficit.
+func runRerouteStream(s *scenario, dst wire.NodeID, inject func()) rerouteOutcome {
 	var deliveredAt []time.Duration
-	dst.OnDeliver(func(session.Delivery) {
-		deliveredAt = append(deliveredAt, o.Now())
+	s.listen(dst, 100).OnDeliver(func(session.Delivery) {
+		deliveredAt = append(deliveredAt, s.Now())
 	})
-	src, err := o.Session(1).Connect(0)
-	if err != nil {
-		return rerouteOutcome{}, err
-	}
-	flow, err := src.OpenFlow(session.FlowSpec{
-		DstNode: destNode(o), DstPort: 100, LinkProto: wire.LPBestEffort,
+	flow := s.flow(1, session.FlowSpec{
+		DstNode: dst, DstPort: 100, LinkProto: wire.LPBestEffort,
 	})
-	if err != nil {
-		return rerouteOutcome{}, err
-	}
-	stream := &workload.CBR{
-		Clock:    o.Sched,
-		Interval: 10 * time.Millisecond,
-		Count:    6000, // 60 s at 100 pkt/s
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
-	stream.Start()
-	start := o.Now()
-	cutAt := start + 5*time.Second
-	o.Sched.At(cutAt, inject)
-	o.RunFor(62 * time.Second)
-
-	var worst time.Duration
-	for i := 1; i < len(deliveredAt); i++ {
-		if deliveredAt[i-1] < cutAt {
-			continue
-		}
-		if gap := deliveredAt[i] - deliveredAt[i-1]; gap > worst {
-			worst = gap
-		}
-	}
+	stream := s.cbr(10*time.Millisecond, 6000, nil, flow) // 60 s at 100 pkt/s
+	cutAt := s.Now() + 5*time.Second
+	s.Sched.At(cutAt, inject)
+	s.RunFor(62 * time.Second)
 	return rerouteOutcome{
-		outage: worst,
-		lost:   int(stream.Sent()) - len(deliveredAt),
-	}, nil
-}
-
-// destNode picks the stream destination: node 4 in the diamond, node 2 in
-// the two-node BGP world.
-func destNode(o *core.Overlay) wire.NodeID {
-	if o.Graph.HasNode(4) {
-		return 4
+		outage: worstGapFrom(deliveredAt, cutAt),
+		lost:   stream.sent() - len(deliveredAt),
 	}
-	return 2
 }
 
 // Reroute reproduces the §II-A claim: the overlay routes around failures
@@ -170,21 +108,13 @@ func Reroute(seed uint64) *Result {
 	}
 	var atDefault rerouteOutcome
 	for i, hello := range intervals {
-		out, err := rerouteOverlay(seed+uint64(i), hello)
-		if err != nil {
-			r.addFinding("ERROR overlay hello=%v: %v", hello, err)
-			return r
-		}
+		out := rerouteOverlay(seed+uint64(i), hello)
 		if hello == 100*time.Millisecond {
 			atDefault = out
 		}
 		r.Table.AddRow(fmt.Sprintf("overlay, hello=%v", hello), out.outage, out.lost)
 	}
-	bgp, cache, err := rerouteBGP(seed + 50)
-	if err != nil {
-		r.addFinding("ERROR bgp: %v", err)
-		return r
-	}
+	bgp, cache := rerouteBGP(seed + 50)
 	r.Table.AddRow("native IP (BGP 40s convergence)", bgp.outage, bgp.lost)
 
 	r.addFinding("overlay outage %.0fms (hello=100ms) vs native %.1fs — %.0fx faster recovery",

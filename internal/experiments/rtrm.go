@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"sonet/internal/core"
 	"sonet/internal/link"
 	"sonet/internal/metrics"
 	"sonet/internal/netemu"
@@ -13,7 +12,6 @@ import (
 	"sonet/internal/session"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
-	"sonet/internal/workload"
 )
 
 // rtrmOutcome is one protocol's on-time performance under the localized
@@ -28,7 +26,7 @@ type rtrmOutcome struct {
 // rtrmRun drives a 1000 pkt/s haptic/control stream NYC→SFO with a 65 ms
 // one-way deadline while the links around the source suffer a loss
 // episode, under one protocol combination.
-func rtrmRun(seed uint64, spec session.FlowSpec) (rtrmOutcome, error) {
+func rtrmRun(seed uint64, spec session.FlowSpec) rtrmOutcome {
 	// The problem is localized at the source: every NYC access link gets
 	// a switchable bursty loss model cranked up mid-run — the "source
 	// problem" scenario that dissemination graphs target (§V-A).
@@ -41,11 +39,7 @@ func rtrmRun(seed uint64, spec session.FlowSpec) (rtrmOutcome, error) {
 			sourceLoss = append(sourceLoss, sw)
 		}
 	}
-	s, err := core.BuildSimple(seed, links)
-	if err != nil {
-		return rtrmOutcome{}, err
-	}
-	s.SetNodeTemplate(func(cfg *node.Config) {
+	s := startLinks(seed, links, func(cfg *node.Config) {
 		// Single-strike gets the tiny 20-25 ms recovery budget of §V-A.
 		cfg.SingleStrike = link.StrikesConfig{Budget: 25 * time.Millisecond}
 		cfg.Strikes = link.StrikesConfig{N: 3, M: 2, Budget: 160 * time.Millisecond}
@@ -54,33 +48,13 @@ func rtrmRun(seed uint64, spec session.FlowSpec) (rtrmOutcome, error) {
 		// source link is affected anyway).
 		cfg.LinkState.HelloMiss = 8
 	})
-	if err := s.Start(); err != nil {
-		return rtrmOutcome{}, err
-	}
 	defer s.Stop()
-	s.Settle()
 
-	dst, err := s.Session(SFO).Connect(100)
-	if err != nil {
-		return rtrmOutcome{}, err
-	}
-	src, err := s.Session(NYC).Connect(0)
-	if err != nil {
-		return rtrmOutcome{}, err
-	}
-	flow, err := src.OpenFlow(spec)
-	if err != nil {
-		return rtrmOutcome{}, err
-	}
+	dst := s.listen(SFO, 100)
+	flow := s.flow(NYC, spec)
 	const span = 12 * time.Second
-	stream := &workload.CBR{
-		Clock:    s.Sched,
-		Interval: time.Millisecond,
-		Count:    int(span / time.Millisecond),
-		Send:     func(uint32, []byte) error { return flow.Send(nil) },
-	}
 	base := totalDataTransmissions(s.Overlay)
-	stream.Start()
+	stream := s.cbr(time.Millisecond, int(span/time.Millisecond), nil, flow)
 	// Localized problem around the source between t=3s and t=9s: ~18%
 	// bursty loss on every NYC access link.
 	s.Sched.After(3*time.Second, func() {
@@ -97,15 +71,16 @@ func rtrmRun(seed uint64, spec session.FlowSpec) (rtrmOutcome, error) {
 	tx := totalDataTransmissions(s.Overlay) - base
 
 	st := dst.Stats()
+	sent := float64(stream.sent())
 	// The session discards late packets for unordered deadline flows, so
 	// Received counts exactly the on-time deliveries; the on-time
 	// fraction is measured against everything sent.
 	return rtrmOutcome{
-		delivered: float64(st.Received+st.Late) / float64(stream.Sent()),
-		onTime:    float64(st.Received) / float64(stream.Sent()),
+		delivered: float64(st.Received+st.Late) / sent,
+		onTime:    float64(st.Received) / sent,
 		p99:       st.Latency.Percentile(99),
-		cost:      float64(tx) / float64(stream.Sent()),
-	}, nil
+		cost:      float64(tx) / sent,
+	}
 }
 
 // switchableLoss is a loss model whose behaviour can be swapped mid-run
@@ -154,11 +129,7 @@ func RemoteManipulation(seed uint64) *Result {
 	for _, v := range variants {
 		// Every variant runs against the identical seed and therefore the
 		// identical loss realization: a paired comparison.
-		out, err := rtrmRun(seed, v.spec)
-		if err != nil {
-			r.addFinding("ERROR %s: %v", v.label, err)
-			return r
-		}
+		out := rtrmRun(seed, v.spec)
 		outcomes[v.label] = out
 		r.Table.AddRow(v.label, fmt.Sprintf("%.4f", out.delivered),
 			fmt.Sprintf("%.4f", out.onTime), out.p99, fmt.Sprintf("%.2f", out.cost))

@@ -66,21 +66,17 @@ func continentalLinks(loss func() netemu.LossModel) []core.SimpleLink {
 	return links
 }
 
-// fig3Chain returns the Fig. 3 world: a direct 50 ms path (nodes 1-7)
-// beside a chain of five 10 ms overlay links (1-2-3-4-5-6-7 would be six
-// links; the paper's five links span 1..6), each leg carrying a share of
-// the same ~1% end-to-end loss.
+// fig3Chain returns the hop-by-hop half of the Fig. 3 world: the chain of
+// five 10 ms overlay links 1-2-3-4-5-6 that replaces the direct 50 ms
+// path between nodes 1 and 6, each leg carrying a share of the same ~1%
+// end-to-end loss.
 func fig3Chain(pathLoss float64) []core.SimpleLink {
 	// Per-link loss p with 1-(1-p)^5 = pathLoss.
 	perLink := 1 - math.Pow(1-pathLoss, 0.2)
-	ms := time.Millisecond
-	links := []core.SimpleLink{
-		// Direct end-to-end path between the endpoints (50 ms, 1%).
-		{A: 1, B: 6, Latency: 50 * ms, Loss: netemu.Bernoulli{P: pathLoss}},
-	}
+	var links []core.SimpleLink
 	for n := wire.NodeID(1); n < 6; n++ {
 		links = append(links, core.SimpleLink{
-			A: n, B: n + 1, Latency: 10 * ms,
+			A: n, B: n + 1, Latency: 10 * time.Millisecond,
 			Loss: netemu.Bernoulli{P: perLink},
 		})
 	}

@@ -18,8 +18,6 @@ type ReliableConfig struct {
 	// RTOInit is the initial retransmission timeout; it adapts to the
 	// measured RTT afterwards.
 	RTOInit time.Duration
-	// RTOMin floors the adaptive retransmission timeout.
-	RTOMin time.Duration
 	// DisableNack turns off the receiver's immediate retransmission
 	// requests on gap detection, leaving recovery to the sender's timeout
 	// alone (ablation: NACK vs RTO-only). The zero value keeps fast NACK
@@ -40,6 +38,9 @@ type ReliableConfig struct {
 	InOrderForwarding bool
 }
 
+// rtoMin floors the adaptive retransmission timeout.
+const rtoMin = 2 * time.Millisecond
+
 // DefaultReliableConfig returns the production defaults, tuned for the
 // short (~10 ms) overlay links of the resilient architecture.
 func DefaultReliableConfig() ReliableConfig {
@@ -47,7 +48,6 @@ func DefaultReliableConfig() ReliableConfig {
 		Window:      2048,
 		QueueLimit:  8192,
 		RTOInit:     50 * time.Millisecond,
-		RTOMin:      2 * time.Millisecond,
 		ReqInterval: 25 * time.Millisecond,
 		MaxRetries:  100,
 		MaxReqs:     50,
@@ -64,9 +64,6 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 	}
 	if c.RTOInit <= 0 {
 		c.RTOInit = d.RTOInit
-	}
-	if c.RTOMin <= 0 {
-		c.RTOMin = d.RTOMin
 	}
 	if c.ReqInterval <= 0 {
 		c.ReqInterval = d.ReqInterval
@@ -384,7 +381,7 @@ func (r *Reliable) onAck(f *wire.Frame) {
 			} else {
 				r.srtt = (7*r.srtt + rtt) / 8
 			}
-			r.rto = clampDur(3*r.srtt, r.cfg.RTOMin)
+			r.rto = clampDur(3*r.srtt, rtoMin)
 		}
 	}
 	for seq, sf := range r.unacked {
@@ -465,7 +462,7 @@ func (r *Reliable) armRTO() {
 		if entry, ok := r.unacked[oldest]; ok {
 			r.retransmit(oldest, entry)
 		}
-		r.rto = clampDur(2*r.rto, r.cfg.RTOMin)
+		r.rto = clampDur(2*r.rto, rtoMin)
 		r.armRTO()
 	})
 }

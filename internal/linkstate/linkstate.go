@@ -69,12 +69,6 @@ type Config struct {
 	RefreshInterval time.Duration
 	// LossWindow is the number of hellos over which loss is estimated.
 	LossWindow int
-	// LatencyChangeFrac is the relative latency change that triggers an
-	// advertisement outside the refresh cycle.
-	LatencyChangeFrac float64
-	// LossChangeAbs is the absolute loss-rate change that triggers an
-	// advertisement outside the refresh cycle.
-	LossChangeAbs float64
 	// LossFailover is the measured one-way loss rate at which a
 	// multihomed link re-homes onto its next underlay path (§II-A:
 	// "choosing a different combination of ISPs to use for a given
@@ -82,6 +76,13 @@ type Config struct {
 	// still fail over via missed hellos.
 	LossFailover float64
 }
+
+// A measured link's relative latency change, or absolute loss-rate change,
+// that triggers an advertisement outside the refresh cycle.
+const (
+	latencyChangeFrac = 0.25
+	lossChangeAbs     = 0.02
+)
 
 // DefaultConfig returns production defaults (sub-second detection).
 func DefaultConfig() Config {
@@ -91,8 +92,6 @@ func DefaultConfig() Config {
 		DownProbeInterval: time.Second,
 		RefreshInterval:   2 * time.Second,
 		LossWindow:        50,
-		LatencyChangeFrac: 0.25,
-		LossChangeAbs:     0.02,
 		LossFailover:      0.15,
 	}
 }
@@ -113,12 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LossWindow <= 0 {
 		c.LossWindow = d.LossWindow
-	}
-	if c.LatencyChangeFrac <= 0 {
-		c.LatencyChangeFrac = d.LatencyChangeFrac
-	}
-	if c.LossChangeAbs <= 0 {
-		c.LossChangeAbs = d.LossChangeAbs
 	}
 	if c.LossFailover == 0 {
 		c.LossFailover = d.LossFailover
@@ -672,7 +665,7 @@ func (m *Manager) maybeAdvertise(st *neighborState) {
 	if lossDrift < 0 {
 		lossDrift = -lossDrift
 	}
-	if latDrift >= m.cfg.LatencyChangeFrac || lossDrift >= m.cfg.LossChangeAbs || st.advUp != st.up {
+	if latDrift >= latencyChangeFrac || lossDrift >= lossChangeAbs || st.advUp != st.up {
 		m.version++
 		m.health.Reconvergences.Add(1)
 		m.env.ViewChanged()

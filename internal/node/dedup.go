@@ -29,9 +29,6 @@ type dedupTable struct {
 }
 
 func newDedupTable(capacity int) *dedupTable {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
 	return &dedupTable{
 		seen: make(map[dedupKey]struct{}, capacity),
 		ring: make([]dedupKey, capacity),
@@ -58,6 +55,9 @@ func (d *dedupTable) Observe(k dedupKey) bool {
 
 // Len returns the number of tracked keys.
 func (d *dedupTable) Len() int { return len(d.seen) }
+
+// dedupCapacity bounds a node's duplicate-suppression table.
+const dedupCapacity = 1 << 16
 
 // dedupStripes is the stripe count of a table more than one shard
 // observes; a power of two so the stripe pick is a mask.
@@ -89,9 +89,6 @@ type dedupStripe struct {
 func newSharedDedup(capacity, nshard int) *sharedDedup {
 	if nshard <= 1 {
 		return &sharedDedup{stripes: []dedupStripe{{t: newDedupTable(capacity)}}}
-	}
-	if capacity <= 0 {
-		capacity = 1 << 16
 	}
 	d := &sharedDedup{stripes: make([]dedupStripe, dedupStripes)}
 	for i := range d.stripes {

@@ -50,12 +50,12 @@ type Compromise struct {
 	// authenticated overlay the tampered copies fail signature
 	// verification downstream.
 	CorruptData bool
-	// DropAll drops everything, control included (a crashed-or-isolated
-	// node).
-	DropAll bool
 	// DelayData defers forwarding of data packets by this much.
 	DelayData time.Duration
 }
+
+// defaultTTL stamps originated packets lacking one.
+const defaultTTL = 32
 
 // Config parameterizes a Node.
 type Config struct {
@@ -85,12 +85,8 @@ type Config struct {
 	// Keyring enables authentication: frames are MACed per link and
 	// intrusion-tolerant data packets are signed and verified.
 	Keyring *itmsg.Keyring
-	// DedupCapacity bounds the duplicate-suppression table.
-	DedupCapacity int
 	// GroupRefresh is the period of group-state refresh floods.
 	GroupRefresh time.Duration
-	// DefaultTTL stamps originated packets lacking one.
-	DefaultTTL uint8
 	// Compromised switches the node to Byzantine behaviour.
 	Compromised Compromise
 	// Membership, when non-nil, enables the dynamic-membership protocol:
@@ -176,9 +172,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if !cfg.Graph.HasNode(cfg.ID) {
 		return nil, fmt.Errorf("node %v: not in topology", cfg.ID)
-	}
-	if cfg.DefaultTTL == 0 {
-		cfg.DefaultTTL = 32
 	}
 	if cfg.GroupRefresh <= 0 {
 		cfg.GroupRefresh = 2 * time.Second
@@ -530,7 +523,7 @@ func (n *Node) scheduleGroupRefresh() {
 // traffic, and routes.
 func (n *Node) Originate(p *wire.Packet) error {
 	if p.TTL == 0 {
-		p.TTL = n.cfg.DefaultTTL
+		p.TTL = defaultTTL
 	}
 	p.Src = n.id
 	p.Origin = n.clock.Now()
@@ -564,7 +557,7 @@ func (n *Node) Resend(p *wire.Packet) error {
 	if p.Src != n.id {
 		return fmt.Errorf("node %v: resend of foreign packet from %v", n.id, p.Src)
 	}
-	p.TTL = n.cfg.DefaultTTL
+	p.TTL = defaultTTL
 	n.ctl.route(p, routing.NoLink)
 	return nil
 }
@@ -667,7 +660,7 @@ func (e *grpEnv) GroupsChanged() { e.n.forwardingChanged() }
 // controlPacket wraps a control payload for the best-effort link
 // protocol, which borrows the packet and marshals synchronously.
 func (n *Node) controlPacket(t wire.PacketType, payload []byte) *wire.Packet {
-	return &wire.Packet{Type: t, Route: wire.RouteFlood, TTL: n.cfg.DefaultTTL, Src: n.id, Payload: payload}
+	return &wire.Packet{Type: t, Route: wire.RouteFlood, TTL: defaultTTL, Src: n.id, Payload: payload}
 }
 
 // sendControl sends one control packet to a single neighbor.

@@ -126,7 +126,7 @@ func newDataPlane(n *Node) *DataPlane {
 	if !ok {
 		under = soloUnderlay{n.cfg.Underlay}
 	}
-	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(n.cfg.DedupCapacity, 1)}
+	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(dedupCapacity, 1)}
 	// One scheduler-accounting sink serves every discipline instance on
 	// the control shard; an externally supplied one (Config.ITSched.Stats)
 	// lets a host aggregate several nodes.
@@ -161,7 +161,7 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	if nshard == 1 {
 		return
 	}
-	pl.dedup = newSharedDedup(pl.n.cfg.DedupCapacity, nshard)
+	pl.dedup = newSharedDedup(dedupCapacity, nshard)
 	for i := 1; i < nshard; i++ {
 		pl.addShard(clocks[i], nil)
 	}
@@ -310,7 +310,7 @@ func (s *DataShard) replay(target int, from wire.NodeID, data []byte) {
 // handleUnderlay decodes and dispatches one frame on this shard's loop.
 func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
 	cfg := &s.n.cfg
-	if s.closed || cfg.Compromised.DropAll {
+	if s.closed {
 		return
 	}
 	f := &s.rxFrame

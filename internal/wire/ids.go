@@ -158,6 +158,18 @@ func (p LinkProtoID) String() string {
 	}
 }
 
+// ParseLinkProto is the inverse of String over the defined protocols: it
+// reports the protocol whose mnemonic is name, and false for any other
+// string.
+func ParseLinkProto(name string) (LinkProtoID, bool) {
+	for p := LPBestEffort; p <= LPITReliable; p++ {
+		if p.String() == name {
+			return p, true
+		}
+	}
+	return 0, false
+}
+
 // Flags carries per-packet boolean attributes.
 type Flags uint8
 

@@ -148,19 +148,7 @@ func New(seed uint64, links []Link, opts ...Option) (*Network, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	sls := make([]core.SimpleLink, 0, len(links))
-	for _, l := range links {
-		sl := core.SimpleLink{A: l.A, B: l.B, Latency: l.Latency, Jitter: l.Jitter}
-		switch {
-		case l.BurstLoss != nil:
-			b := l.BurstLoss
-			sl.Loss = netemu.NewGilbertElliott(b.PGoodBad, b.PBadGood, b.LossGood, b.LossBad)
-		case l.LossRate > 0:
-			sl.Loss = netemu.Bernoulli{P: l.LossRate}
-		}
-		sls = append(sls, sl)
-	}
-	s, err := core.BuildSimple(seed, sls)
+	s, err := core.BuildSimple(seed, simpleLinks(links))
 	if err != nil {
 		return nil, fmt.Errorf("sonet: %w", err)
 	}
@@ -265,6 +253,12 @@ func (n *Network) RestoreNode(id NodeID) {
 // the far end of one of its links. Run or Settle afterwards to let the
 // admission and link-state floods converge.
 func (n *Network) JoinNode(id NodeID, contact NodeID, links ...Link) error {
+	return n.sim.Join(id, contact, simpleLinks(links), nil)
+}
+
+// simpleLinks lowers public links to the emulated world's, each with a
+// loss model of its own (a bursty model is stateful and must not be shared).
+func simpleLinks(links []Link) []core.SimpleLink {
 	sls := make([]core.SimpleLink, 0, len(links))
 	for _, l := range links {
 		sl := core.SimpleLink{A: l.A, B: l.B, Latency: l.Latency, Jitter: l.Jitter}
@@ -277,7 +271,7 @@ func (n *Network) JoinNode(id NodeID, contact NodeID, links ...Link) error {
 		}
 		sls = append(sls, sl)
 	}
-	return n.sim.Join(id, contact, sls, nil)
+	return sls
 }
 
 // LeaveNode departs a node gracefully: it floods its departure record
