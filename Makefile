@@ -15,11 +15,16 @@ check: build vet test test-race bench-guard chaos-smoke bench-check
 build:
 	$(GO) build ./...
 
+# udp_portable.go is the only data plane a non-Linux build has; the
+# sonet_portable tag selects it on Linux too, so vet and test keep it
+# compiling and green (the experiments package builds the wire rigs on it).
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags sonet_portable ./internal/transport/ ./internal/experiments/
 
 test:
 	$(GO) test ./...
+	$(GO) test -tags sonet_portable ./internal/transport/
 
 # The race gate runs the full suite once, then re-runs the daemon suite
 # and the node's shard-crossing tests (decision parity between shard 0 and

@@ -125,12 +125,11 @@ func (e *engine) checkHealth() {
 	e.stats.InvariantChecks.Add(1)
 	var reconv, missed, downs, deltas uint64
 	for _, id := range e.w.Nodes {
-		m := e.w.O.Node(id).LinkStateManager()
-		h := m.Health()
-		reconv += h.Reconvergences
-		missed += h.HellosMissed
-		deltas += h.DeltaLSAFloods
-		downs += m.Stats().DownDetections
+		st := e.w.O.Node(id).LinkStateManager().Stats()
+		reconv += st.Reconvergences
+		missed += st.HellosMissed
+		deltas += st.DeltaLSAsSent + st.DeltaLSAsForwarded
+		downs += st.DownDetections
 	}
 	if reconv == 0 {
 		e.violate(InvHealth, "topology faults applied but no node recorded a reconvergence (missed hellos: %d)", missed)

@@ -133,14 +133,6 @@ func (s *Simple) Join(id, contact wire.NodeID, links []SimpleLink, mutate func(*
 	return nil
 }
 
-// SetAllISPExtraLoss applies a provider-wide degradation to every provider
-// in the Simple world (each link has its own).
-func (s *Simple) SetAllISPExtraLoss(p float64) {
-	for _, isp := range s.ISPs {
-		s.Net.SetISPExtraLoss(isp, p)
-	}
-}
-
 // SetLinkExtraLoss applies an added drop probability to the provider
 // carrying one overlay link (a regional degradation knob).
 func (s *Simple) SetLinkExtraLoss(a, b wire.NodeID, p float64) error {

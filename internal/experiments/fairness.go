@@ -134,9 +134,9 @@ func Fairness(seed uint64) *Result {
 
 	// Starvation sweep at scheduler scale: the end-to-end runs above max
 	// out around a handful of sources, so the flow-count scaling claim is
-	// checked directly against the DRR core — one attacker flooding 100x
-	// against 1k/10k/100k backlogged honest flows must win no more than
-	// its own single fair share.
+	// checked directly against the round-robin core — one attacker
+	// flooding 100x against 1k/10k/100k backlogged honest flows must win
+	// no more than its own single fair share.
 	sweep := metrics.NewTable("flows", "rounds", "attacker_served", "honest_min", "honest_max", "holds")
 	for _, pt := range []struct{ flows, rounds int }{{1000, 64}, {10000, 16}, {100000, 4}} {
 		res := itmsg.StarvationSweep(pt.flows, pt.rounds)

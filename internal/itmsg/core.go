@@ -9,22 +9,21 @@ import (
 )
 
 // This file is the scheduling core behind the §IV-B fair disciplines:
-// deficit round-robin over an intrusive doubly-linked active list keyed by
-// a dense flow index. It exists because the paper's tens-of-flows
+// round-robin over an intrusive doubly-linked active list keyed by a
+// dense flow index. It exists because the paper's tens-of-flows
 // implementation (O(buffer) victim scans, O(sources) ring walks, O(flows)
 // backlog probes, one Clone per stored packet) collapses at the 100k-flow
 // edge fan-out the roadmap targets. Design (DESIGN.md §13):
 //
 //   - Flows live in a slice-backed arena recycled through a freelist; a
 //     map-free chained hash table (bucket heads + per-flow next refs)
-//     resolves (src,dst,class) to a dense index. No maps, no pointers, no
+//     resolves (src,dst) to a dense index. No maps, no pointers, no
 //     allocation on the steady-state hot path.
-//   - Each priority class owns a circular intrusive DRR ring threaded
-//     through the flow slots themselves (prev/next refs). The ring holds
-//     exactly the backlogged flows, so a scheduling decision is O(1): no
-//     idle-source skipping, no backlog scans. Classes are served strict
-//     priority, each optionally shaped by an integer-math token bucket,
-//     with work-conserving borrowing when no class holds credit.
+//   - One circular intrusive ring is threaded through the flow slots
+//     themselves (prev/next refs) and served one packet per visit. The
+//     ring holds exactly the backlogged flows, so a scheduling decision is
+//     O(1): no idle-source skipping, no backlog scans. Priority orders
+//     packets within a flow, never across flows — the paper's discipline.
 //   - Per-flow queues are bounded chains of pooled entries holding a
 //     refcounted wire.Buf captured once at enqueue (wire.CapturePacket) —
 //     no clones. Within a flow, entries are ordered by a short list of
@@ -33,8 +32,7 @@ import (
 //     oldest-first, evict oldest lowest-priority, refuse a newcomer only
 //     when it is strictly lower priority than everything stored.
 //   - Drained flows retire immediately to the freelist (metrics
-//     FlowsRetired), fixing the seed's idle-source leak; configured
-//     weights survive retirement in a side table consulted at admission.
+//     FlowsRetired), fixing the seed's idle-source leak.
 //
 // A Core is single-threaded like every link protocol; one Core is built
 // per discipline instance, and nothing is shared between instances except
@@ -43,9 +41,6 @@ import (
 
 // nilRef is the null value for dense int32 references.
 const nilRef = int32(-1)
-
-// nanoPkt is one packet in the token buckets' fixed-point credit units.
-const nanoPkt = int64(time.Second)
 
 // OverflowPolicy selects what a full per-flow queue does with arrivals.
 type OverflowPolicy uint8
@@ -85,39 +80,17 @@ const (
 // Accepted reports whether the packet was queued.
 func (o Outcome) Accepted() bool { return o == Stored || o == StoredEvicted }
 
-// ClassRate shapes one priority class with a token bucket.
-type ClassRate struct {
-	// Rate is the class's packet rate in packets per second; 0 leaves the
-	// class unshaped.
-	Rate float64
-	// Burst is the bucket depth in packets (minimum 1).
-	Burst int
-}
-
 // CoreConfig parameterizes one scheduling core.
 type CoreConfig struct {
 	// FlowBuffer bounds stored packets per flow.
 	FlowBuffer int
 	// Policy selects the full-queue behaviour.
 	Policy OverflowPolicy
-	// Classes is the number of strict-priority service classes, each with
-	// its own DRR ring. 0 or 1 collapses to a single ring, which is the
-	// paper's discipline (priority orders packets within a source but
-	// never across sources). Packet priority p maps to class p·Classes/256.
-	Classes int
-	// ClassRates optionally shapes each class with a token bucket
-	// (indexed by class). A class over its rate loses strict priority to
-	// classes holding credit but still transmits when nothing else can
-	// (work-conserving borrowing).
-	ClassRates []ClassRate
 	// FIFO replaces fair queueing with one bounded total-buffer FIFO —
 	// the DisableFairness ablation.
 	FIFO bool
 	// TotalBuffer bounds the FIFO ablation's single queue.
 	TotalBuffer int
-	// Pool supplies the refcounted capture buffers; nil uses
-	// wire.DefaultBufPool.
-	Pool *wire.BufPool
 	// Stats receives drop/backpressure accounting; nil gets a private
 	// sink. One SchedStats may be shared by many cores (per-node
 	// aggregation); the counters are atomic.
@@ -125,19 +98,16 @@ type CoreConfig struct {
 }
 
 // coreFlow is one flow's scheduler state: a slot in the dense arena.
-// prev/next thread the class's circular DRR ring (nilRef when idle);
-// hnext chains the hash bucket, and doubles as the freelist link while
-// the slot is retired.
+// prev/next thread the circular service ring (nilRef when idle); hnext
+// chains the hash bucket, and doubles as the freelist link while the slot
+// is retired.
 type coreFlow struct {
-	key     uint32
-	hnext   int32
-	prev    int32
-	next    int32
-	lanes   int32
-	qlen    int32
-	deficit int32
-	weight  int32
-	class   int32
+	key   uint32
+	hnext int32
+	prev  int32
+	next  int32
+	lanes int32
+	qlen  int32
 }
 
 // coreLane is one priority level within a flow's queue: a FIFO chain of
@@ -155,31 +125,15 @@ type coreLane struct {
 // into a refcounted pooled buffer.
 type coreEntry struct {
 	next int32
-	seq  uint64
 	buf  *wire.Buf
 	pkt  wire.Packet
-}
-
-// coreClass is one strict-priority service class: a DRR ring plus an
-// optional token bucket in fixed-point integer math (credit is in
-// nanopackets; rate·Δt nanoseconds accrues rate·Δt credit).
-type coreClass struct {
-	ring    int32
-	backlog int32
-	rate    int64
-	burst   int64
-	credit  int64
-	last    time.Duration
 }
 
 // Core is the zero-allocation O(1) fair-scheduling engine. It is not
 // safe for concurrent use; construct one per discipline instance (or per
 // shard).
 type Core struct {
-	cfg  CoreConfig
-	pool *wire.BufPool
-
-	classes []coreClass
+	cfg CoreConfig
 
 	flows    []coreFlow
 	freeFlow int32
@@ -198,13 +152,9 @@ type Core struct {
 	fifoHead int
 	fifoLen  int
 
+	// ring is the backlogged flow served next (nilRef when none is).
+	ring    int32
 	backlog int
-	enqSeq  uint64
-
-	// weights persists explicitly configured flow weights across flow
-	// retirement; nil until the first SetWeight (the common case pays one
-	// nil check per admission).
-	weights map[uint32]int32
 
 	stats  *metrics.SchedStats
 	closed bool
@@ -222,35 +172,16 @@ func NewCore(cfg CoreConfig) *Core {
 	if cfg.TotalBuffer <= 0 {
 		cfg.TotalBuffer = DefaultSchedConfig().TotalBuffer
 	}
-	if cfg.Classes <= 0 {
-		cfg.Classes = 1
-	}
 	c := &Core{
 		cfg:       cfg,
-		pool:      cfg.Pool,
 		stats:     cfg.Stats,
 		freeFlow:  nilRef,
 		freeLane:  nilRef,
 		freeEntry: nilRef,
-	}
-	if c.pool == nil {
-		c.pool = wire.DefaultBufPool
+		ring:      nilRef,
 	}
 	if c.stats == nil {
 		c.stats = &metrics.SchedStats{}
-	}
-	c.classes = make([]coreClass, cfg.Classes)
-	for i := range c.classes {
-		c.classes[i].ring = nilRef
-		if i < len(cfg.ClassRates) && cfg.ClassRates[i].Rate > 0 {
-			burst := cfg.ClassRates[i].Burst
-			if burst < 1 {
-				burst = 1
-			}
-			c.classes[i].rate = int64(cfg.ClassRates[i].Rate)
-			c.classes[i].burst = int64(burst) * nanoPkt
-			c.classes[i].credit = c.classes[i].burst
-		}
 	}
 	c.rehash(256)
 	return c
@@ -264,15 +195,8 @@ func flowKeyBits(key FlowKey) uint32 {
 	return uint32(key.Src)<<16 | uint32(key.Dst)
 }
 
-func (c *Core) classOf(prio uint8) int32 {
-	if len(c.classes) == 1 {
-		return 0
-	}
-	return int32(int(prio) * len(c.classes) / 256)
-}
-
-func (c *Core) bucket(key uint32, class int32) int32 {
-	h := (uint64(key) | uint64(class)<<32) * 0x9E3779B97F4A7C15
+func (c *Core) bucket(key uint32) int32 {
+	h := uint64(key) * 0x9E3779B97F4A7C15
 	return int32(h >> c.shift)
 }
 
@@ -287,7 +211,7 @@ func (c *Core) rehash(n int) {
 		for fi := head; fi != nilRef; {
 			f := &c.flows[fi]
 			next := f.hnext
-			b := c.bucket(f.key, f.class)
+			b := c.bucket(f.key)
 			f.hnext = c.buckets[b]
 			c.buckets[b] = fi
 			fi = next
@@ -295,10 +219,9 @@ func (c *Core) rehash(n int) {
 	}
 }
 
-func (c *Core) lookup(key uint32, class int32) int32 {
-	for fi := c.buckets[c.bucket(key, class)]; fi != nilRef; fi = c.flows[fi].hnext {
-		f := &c.flows[fi]
-		if f.key == key && f.class == class {
+func (c *Core) lookup(key uint32) int32 {
+	for fi := c.buckets[c.bucket(key)]; fi != nilRef; fi = c.flows[fi].hnext {
+		if c.flows[fi].key == key {
 			return fi
 		}
 	}
@@ -306,7 +229,7 @@ func (c *Core) lookup(key uint32, class int32) int32 {
 }
 
 // admit allocates and hash-inserts a flow slot (freelist first).
-func (c *Core) admit(key uint32, class int32) int32 {
+func (c *Core) admit(key uint32) int32 {
 	var fi int32
 	if c.freeFlow != nilRef {
 		fi = c.freeFlow
@@ -316,17 +239,12 @@ func (c *Core) admit(key uint32, class int32) int32 {
 		fi = int32(len(c.flows) - 1)
 	}
 	f := &c.flows[fi]
-	*f = coreFlow{key: key, class: class, prev: nilRef, next: nilRef, lanes: nilRef, weight: 1}
-	if c.weights != nil {
-		if w, ok := c.weights[key]; ok {
-			f.weight = w
-		}
-	}
+	*f = coreFlow{key: key, prev: nilRef, next: nilRef, lanes: nilRef}
 	if c.nflows+1 > len(c.buckets)*3/4 {
 		c.rehash(len(c.buckets) * 2)
 		f = &c.flows[fi]
 	}
-	b := c.bucket(key, class)
+	b := c.bucket(key)
 	f.hnext = c.buckets[b]
 	c.buckets[b] = fi
 	c.nflows++
@@ -335,12 +253,10 @@ func (c *Core) admit(key uint32, class int32) int32 {
 	return fi
 }
 
-// retire hash-removes a drained flow and recycles its slot. Explicit
-// weights persist in the side table, so a retired flow readmits with the
-// same share.
+// retire hash-removes a drained flow and recycles its slot.
 func (c *Core) retire(fi int32) {
 	f := &c.flows[fi]
-	b := c.bucket(f.key, f.class)
+	b := c.bucket(f.key)
 	if c.buckets[b] == fi {
 		c.buckets[b] = f.hnext
 	} else {
@@ -357,38 +273,37 @@ func (c *Core) retire(fi int32) {
 	c.stats.FlowsRetired.Add(1)
 }
 
-// activate links a newly backlogged flow into its class ring, just
-// behind the current service position — it is served at the tail of the
-// round in progress, which is what keeps a reactivating flow from
-// jumping the queue.
-func (c *Core) activate(cl *coreClass, fi int32) {
+// activate links a newly backlogged flow into the ring, just behind the
+// current service position — it is served at the tail of the round in
+// progress, which is what keeps a reactivating flow from jumping the
+// queue.
+func (c *Core) activate(fi int32) {
 	f := &c.flows[fi]
-	if cl.ring == nilRef {
+	if c.ring == nilRef {
 		f.prev, f.next = fi, fi
-		cl.ring = fi
+		c.ring = fi
 		return
 	}
-	cur := cl.ring
+	cur := c.ring
 	prev := c.flows[cur].prev
 	f.prev, f.next = prev, cur
 	c.flows[prev].next = fi
 	c.flows[cur].prev = fi
 }
 
-// deactivate unlinks a drained flow from its class ring.
-func (c *Core) deactivate(cl *coreClass, fi int32) {
+// deactivate unlinks a drained flow from the ring.
+func (c *Core) deactivate(fi int32) {
 	f := &c.flows[fi]
 	if f.next == fi {
-		cl.ring = nilRef
+		c.ring = nilRef
 	} else {
 		c.flows[f.prev].next = f.next
 		c.flows[f.next].prev = f.prev
-		if cl.ring == fi {
-			cl.ring = f.next
+		if c.ring == fi {
+			c.ring = f.next
 		}
 	}
 	f.prev, f.next = nilRef, nilRef
-	f.deficit = 0
 }
 
 func (c *Core) allocEntry() int32 {
@@ -448,10 +363,8 @@ func (c *Core) store(fi int32, p *wire.Packet) {
 	}
 	ei := c.allocEntry()
 	e := &c.entries[ei]
-	c.enqSeq++
-	e.seq = c.enqSeq
 	e.next = nilRef
-	e.buf = wire.CapturePacket(&e.pkt, p, c.pool)
+	e.buf = wire.CapturePacket(&e.pkt, p, wire.DefaultBufPool)
 	ln := &c.lanes[li]
 	if ln.head == nilRef {
 		ln.head = ei
@@ -462,11 +375,9 @@ func (c *Core) store(fi int32, p *wire.Packet) {
 
 	f := &c.flows[fi]
 	f.qlen++
-	cl := &c.classes[f.class]
-	cl.backlog++
 	c.backlog++
 	if f.next == nilRef {
-		c.activate(cl, fi)
+		c.activate(fi)
 	}
 	c.stats.Enqueued.Add(1)
 	c.stats.Queued.Add(1)
@@ -483,10 +394,9 @@ func (c *Core) Enqueue(key FlowKey, p *wire.Packet) Outcome {
 		return c.enqueueFIFO(p)
 	}
 	k := flowKeyBits(key)
-	class := c.classOf(p.Priority)
-	fi := c.lookup(k, class)
+	fi := c.lookup(k)
 	if fi == nilRef {
-		fi = c.admit(k, class)
+		fi = c.admit(k)
 	}
 	outcome := Stored
 	if int(c.flows[fi].qlen) >= c.cfg.FlowBuffer {
@@ -534,9 +444,7 @@ func (c *Core) evictHead(fi, li, prev int32) {
 		e.buf.Release()
 	}
 	c.freeEntrySlot(ei)
-	f := &c.flows[fi]
-	f.qlen--
-	c.classes[f.class].backlog--
+	c.flows[fi].qlen--
 	c.backlog--
 	c.stats.DropEvicted.Add(1)
 	c.stats.Queued.Add(-1)
@@ -554,7 +462,7 @@ func (c *Core) enqueueFIFO(p *wire.Packet) Outcome {
 	}
 	ei := c.allocEntry()
 	e := &c.entries[ei]
-	e.buf = wire.CapturePacket(&e.pkt, p, c.pool)
+	e.buf = wire.CapturePacket(&e.pkt, p, wire.DefaultBufPool)
 	c.fifoQ[(c.fifoHead+c.fifoLen)%len(c.fifoQ)] = ei
 	c.fifoLen++
 	c.backlog++
@@ -563,78 +471,23 @@ func (c *Core) enqueueFIFO(p *wire.Packet) Outcome {
 	return Stored
 }
 
-// refill tops up a shaped class's credit for the elapsed time.
-func (cl *coreClass) refill(now time.Duration) {
-	dt := int64(now - cl.last)
-	cl.last = now
-	if dt <= 0 {
-		return
-	}
-	if dt >= nanoPkt {
-		// A second or more fills any sane bucket; skip the multiply and
-		// its overflow risk on the first call after a long idle period.
-		cl.credit = cl.burst
-		return
-	}
-	cl.credit += cl.rate * dt
-	if cl.credit > cl.burst {
-		cl.credit = cl.burst
-	}
-}
-
-// pickClass selects the class to serve: the highest-priority backlogged
-// class holding token credit, else (work-conserving) the highest-priority
-// backlogged class outright.
-func (c *Core) pickClass(now time.Duration) int32 {
-	if len(c.classes) == 1 {
-		if c.classes[0].backlog > 0 {
-			return 0
-		}
-		return nilRef
-	}
-	fallback := nilRef
-	for i := len(c.classes) - 1; i >= 0; i-- {
-		cl := &c.classes[i]
-		if cl.backlog == 0 {
-			continue
-		}
-		if cl.rate == 0 {
-			return int32(i)
-		}
-		cl.refill(now)
-		if cl.credit >= nanoPkt {
-			cl.credit -= nanoPkt
-			return int32(i)
-		}
-		if fallback == nilRef {
-			fallback = int32(i)
-		}
-	}
-	return fallback
-}
-
-// Dequeue removes the next packet under the service discipline: strict
-// priority across classes (token-bucket shaped), deficit round-robin
-// across the class's backlogged flows, highest priority oldest-first
-// within a flow. The returned packet header points at core-owned scratch,
-// valid until the next Dequeue; buf (possibly nil) is the refcounted
-// backing of its byte fields, and ownership transfers to the caller, who
-// must Release it — or hand it on — once the packet is done.
-func (c *Core) Dequeue(now time.Duration) (*wire.Packet, *wire.Buf, bool) {
+// Dequeue removes the next packet under the service discipline:
+// round-robin across the backlogged flows, one packet per visit, highest
+// priority oldest-first within a flow. The returned packet header points
+// at core-owned scratch, valid until the next Dequeue; buf (possibly nil)
+// is the refcounted backing of its byte fields, and ownership transfers to
+// the caller, who must Release it — or hand it on — once the packet is
+// done. The time argument is unused: bench/layers_ladder.go calls
+// Dequeue(0), so it stays until a benchmark PR can drop it.
+func (c *Core) Dequeue(time.Duration) (*wire.Packet, *wire.Buf, bool) {
 	if c.cfg.FIFO {
 		return c.dequeueFIFO()
 	}
-	ci := c.pickClass(now)
-	if ci == nilRef {
+	fi := c.ring
+	if fi == nilRef {
 		return nil, nil, false
 	}
-	cl := &c.classes[ci]
-	fi := cl.ring
 	f := &c.flows[fi]
-	if f.deficit <= 0 {
-		// New visit: grant the flow's quantum (its weight, in packets).
-		f.deficit = f.weight
-	}
 	li := f.lanes
 	ln := &c.lanes[li]
 	ei := ln.head
@@ -645,18 +498,22 @@ func (c *Core) Dequeue(now time.Duration) (*wire.Packet, *wire.Buf, bool) {
 		c.freeLaneSlot(li)
 	}
 	f.qlen--
-	f.deficit--
-	cl.backlog--
-	c.backlog--
 	if f.qlen == 0 {
-		c.deactivate(cl, fi)
+		c.deactivate(fi)
 		c.retire(fi)
-	} else if f.deficit == 0 {
-		cl.ring = f.next
+	} else {
+		c.ring = f.next
 	}
+	return c.transmit(ei)
+}
+
+// transmit hands queued entry ei to Dequeue's caller and recycles its slot.
+func (c *Core) transmit(ei int32) (*wire.Packet, *wire.Buf, bool) {
+	e := &c.entries[ei]
 	c.scratch = e.pkt
 	buf := e.buf
 	c.freeEntrySlot(ei)
+	c.backlog--
 	c.stats.Transmitted.Add(1)
 	c.stats.Queued.Add(-1)
 	return &c.scratch, buf, true
@@ -669,14 +526,7 @@ func (c *Core) dequeueFIFO() (*wire.Packet, *wire.Buf, bool) {
 	ei := c.fifoQ[c.fifoHead]
 	c.fifoHead = (c.fifoHead + 1) % len(c.fifoQ)
 	c.fifoLen--
-	c.backlog--
-	e := &c.entries[ei]
-	c.scratch = e.pkt
-	buf := e.buf
-	c.freeEntrySlot(ei)
-	c.stats.Transmitted.Add(1)
-	c.stats.Queued.Add(-1)
-	return &c.scratch, buf, true
+	return c.transmit(ei)
 }
 
 // Backlog returns the total number of queued packets.
@@ -692,19 +542,15 @@ func (c *Core) FlowSlots() int { return len(c.flows) }
 // EntrySlots returns the entry arena capacity (peak queued packets).
 func (c *Core) EntrySlots() int { return len(c.entries) }
 
-// QueuedFor returns the flow's queue depth across classes (diagnostics).
+// QueuedFor returns the flow's queue depth (diagnostics).
 func (c *Core) QueuedFor(key FlowKey) int {
 	if c.cfg.FIFO {
 		return 0
 	}
-	k := flowKeyBits(key)
-	n := 0
-	for class := range c.classes {
-		if fi := c.lookup(k, int32(class)); fi != nilRef {
-			n += int(c.flows[fi].qlen)
-		}
+	if fi := c.lookup(flowKeyBits(key)); fi != nilRef {
+		return int(c.flows[fi].qlen)
 	}
-	return n
+	return 0
 }
 
 // Accepts reports whether the flow currently has buffer space — the
@@ -714,33 +560,8 @@ func (c *Core) Accepts(key FlowKey) bool {
 	if c.cfg.FIFO {
 		return c.fifoLen < c.cfg.TotalBuffer
 	}
-	k := flowKeyBits(key)
-	for class := range c.classes {
-		if fi := c.lookup(k, int32(class)); fi != nilRef &&
-			int(c.flows[fi].qlen) >= c.cfg.FlowBuffer {
-			return false
-		}
-	}
-	return true
-}
-
-// SetWeight configures the flow's DRR quantum in packets per round
-// (default 1). The weight persists across flow retirement and applies to
-// every service class the flow appears in.
-func (c *Core) SetWeight(key FlowKey, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	k := flowKeyBits(key)
-	if c.weights == nil {
-		c.weights = make(map[uint32]int32)
-	}
-	c.weights[k] = int32(weight)
-	for class := range c.classes {
-		if fi := c.lookup(k, int32(class)); fi != nilRef {
-			c.flows[fi].weight = int32(weight)
-		}
-	}
+	fi := c.lookup(flowKeyBits(key))
+	return fi == nilRef || int(c.flows[fi].qlen) < c.cfg.FlowBuffer
 }
 
 // Close drains every queue, releasing captured buffers and accounting the
@@ -775,10 +596,7 @@ func (c *Core) Close() {
 	c.flows = c.flows[:0]
 	c.lanes = c.lanes[:0]
 	c.freeFlow, c.freeLane = nilRef, nilRef
-	for i := range c.classes {
-		c.classes[i].ring = nilRef
-		c.classes[i].backlog = 0
-	}
+	c.ring = nilRef
 	c.backlog = 0
 }
 

@@ -110,8 +110,8 @@ func TestCoreFIFOBoundedRing(t *testing.T) {
 // TestCoreFairShareUnderAttack is the fairness property test: with every
 // flow continuously backlogged and an attacker flooding at 100 times the
 // honest arrival rate, each flow's service share must stay within epsilon
-// of weight-proportional fair share — the §IV-B guarantee, at randomized
-// flow counts and weights, under both overflow policies.
+// of an equal share — the §IV-B guarantee, at randomized flow counts,
+// under both overflow policies.
 func TestCoreFairShareUnderAttack(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
@@ -122,18 +122,12 @@ func TestCoreFairShareUnderAttack(t *testing.T) {
 		nHonest := 2 + rng.Intn(24)
 		c := NewCore(CoreConfig{FlowBuffer: 8, Policy: policy})
 		attacker := FlowKey{Src: 60001, Dst: 1}
-		honest := make([]FlowKey, nHonest)
-		weight := make(map[FlowKey]int, nHonest+1)
-		totalW := 0
-		for i := range honest {
-			honest[i] = FlowKey{Src: wire.NodeID(i + 1), Dst: 1}
-			w := 1 + rng.Intn(4)
-			weight[honest[i]] = w
-			totalW += w
-			c.SetWeight(honest[i], w)
+		flows := make([]FlowKey, nHonest+1)
+		for i := range flows {
+			flows[i] = FlowKey{Src: wire.NodeID(i + 1), Dst: 1}
 		}
-		weight[attacker] = 1
-		totalW++
+		flows[nHonest] = attacker
+		honest := flows[:nHonest]
 
 		served := make(map[FlowKey]int)
 		seq := uint32(0)
@@ -141,41 +135,33 @@ func TestCoreFairShareUnderAttack(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			// The attacker floods 100× the aggregate honest rate; honest
 			// flows replenish just above their fair share to stay backlogged.
-			for i := 0; i < 100*totalW; i++ {
+			for i := 0; i < 100*len(flows); i++ {
 				seq++
 				c.Enqueue(attacker, corePacket(attacker.Src, 1, seq, 0))
 			}
 			for _, h := range honest {
-				for i := 0; i < weight[h]+1; i++ {
+				for i := 0; i < 2; i++ {
 					seq++
 					c.Enqueue(h, corePacket(h.Src, 1, seq, 0))
 				}
 			}
 			// The paced link serves exactly one round of capacity.
-			for i := 0; i < totalW; i++ {
+			for range flows {
 				p, buf, ok := c.Dequeue(0)
 				if !ok {
 					t.Fatalf("trial %d: link idle with backlog", trial)
 				}
 				served[FlowKey{Src: p.Src, Dst: p.Dst}]++
-				if buf != nil {
-					buf.Release()
-				}
+				releaseBuf(buf)
 			}
 		}
-		for key, w := range weight {
-			fair := w * rounds
-			got := served[key]
-			slack := 2 * w // DRR round-quantization plus start-up transient
-			if got < fair-slack || got > fair+slack {
-				t.Fatalf("trial %d (policy %v, %d flows): flow %v served %d, fair share %d (weight %d)",
-					trial, policy, nHonest+1, key, got, fair, w)
+		for _, key := range flows {
+			// Slack: round quantization plus the start-up transient. It
+			// also confines the attacker: its 100× flood bought it nothing.
+			if got := served[key]; got < rounds-2 || got > rounds+2 {
+				t.Fatalf("trial %d (policy %v, %d flows): flow %v served %d, fair share %d",
+					trial, policy, len(flows), key, got, rounds)
 			}
-		}
-		// The attacker specifically must be confined to its share: its
-		// 100× flood bought it nothing.
-		if served[attacker] > rounds+2 {
-			t.Fatalf("trial %d: attacker served %d of %d rounds", trial, served[attacker], rounds)
 		}
 	}
 }
@@ -350,99 +336,6 @@ func TestCoreRejectPolicyBitExact(t *testing.T) {
 	if st := c.Stats().Snapshot(); st.Backpressure != 2 {
 		t.Fatalf("Backpressure = %d, want 2", st.Backpressure)
 	}
-}
-
-// TestCoreWeightedService checks DRR weights: backlogged flows with
-// weights 1/2/4 must be served 1:2:4 per round.
-func TestCoreWeightedService(t *testing.T) {
-	c := NewCore(CoreConfig{FlowBuffer: 512})
-	keys := []FlowKey{{Src: 1}, {Src: 2}, {Src: 3}}
-	weights := []int{1, 2, 4}
-	for i, k := range keys {
-		c.SetWeight(k, weights[i])
-		for s := 0; s < 200; s++ {
-			c.Enqueue(k, corePacket(k.Src, 0, uint32(s), 0))
-		}
-	}
-	served := make(map[wire.NodeID]int)
-	for i := 0; i < 7*20; i++ { // 20 full rounds of total weight 7
-		p, buf, ok := c.Dequeue(0)
-		if !ok {
-			t.Fatal("idle with backlog")
-		}
-		served[p.Src]++
-		if buf != nil {
-			buf.Release()
-		}
-	}
-	for i, k := range keys {
-		want := weights[i] * 20
-		if got := served[k.Src]; got < want-weights[i] || got > want+weights[i] {
-			t.Fatalf("flow %v served %d, want ~%d", k, served[k.Src], want)
-		}
-	}
-}
-
-// TestCoreClassesStrictPriorityAndShaping checks the multi-class engine:
-// strict priority across class rings, token-bucket demotion of a class
-// over its rate, and work-conserving borrowing.
-func TestCoreClassesStrictPriorityAndShaping(t *testing.T) {
-	// Unshaped: the high class drains completely before the low class.
-	c := NewCore(CoreConfig{FlowBuffer: 64, Classes: 4})
-	c.Enqueue(FlowKey{Src: 1}, corePacket(1, 0, 1, 10))  // class 0
-	c.Enqueue(FlowKey{Src: 2}, corePacket(2, 0, 2, 250)) // class 3
-	c.Enqueue(FlowKey{Src: 3}, corePacket(3, 0, 3, 200)) // class 3
-	order := drainCore(c)
-	if len(order) != 3 || order[0].FlowSeq != 2 || order[1].FlowSeq != 3 || order[2].FlowSeq != 1 {
-		t.Fatalf("strict-priority order wrong: %v", flowSeqs(order))
-	}
-
-	// Shaped: the high class holds one token; its second packet waits for
-	// a refill while the low class borrows the slot (work-conserving).
-	c = NewCore(CoreConfig{
-		FlowBuffer: 64, Classes: 2,
-		ClassRates: []ClassRate{1: {Rate: 1000, Burst: 1}},
-	})
-	c.Enqueue(FlowKey{Src: 1}, corePacket(1, 0, 1, 200)) // class 1
-	c.Enqueue(FlowKey{Src: 1}, corePacket(1, 0, 2, 200)) // class 1
-	c.Enqueue(FlowKey{Src: 2}, corePacket(2, 0, 3, 10))  // class 0
-	now := time.Duration(0)
-	p, buf, _ := c.Dequeue(now)
-	if p.FlowSeq != 1 {
-		t.Fatalf("first dequeue: FlowSeq %d, want 1 (class 1 credit)", p.FlowSeq)
-	}
-	releaseBuf(buf)
-	p, buf, _ = c.Dequeue(now)
-	if p.FlowSeq != 3 {
-		t.Fatalf("second dequeue: FlowSeq %d, want 3 (class 1 out of credit)", p.FlowSeq)
-	}
-	releaseBuf(buf)
-	now += time.Millisecond // 1000 pkt/s refills one token
-	p, buf, _ = c.Dequeue(now)
-	if p.FlowSeq != 2 {
-		t.Fatalf("third dequeue: FlowSeq %d, want 2 (refilled)", p.FlowSeq)
-	}
-	releaseBuf(buf)
-
-	// Borrowing: only the shaped class is backlogged and out of credit —
-	// it must still transmit.
-	c = NewCore(CoreConfig{
-		FlowBuffer: 64, Classes: 2,
-		ClassRates: []ClassRate{1: {Rate: 1000, Burst: 1}},
-	})
-	c.Enqueue(FlowKey{Src: 1}, corePacket(1, 0, 1, 200))
-	c.Enqueue(FlowKey{Src: 1}, corePacket(1, 0, 2, 200))
-	if got := len(drainCore(c)); got != 2 {
-		t.Fatalf("work conservation violated: drained %d of 2", got)
-	}
-}
-
-func flowSeqs(pkts []wire.Packet) []uint32 {
-	out := make([]uint32, len(pkts))
-	for i := range pkts {
-		out[i] = pkts[i].FlowSeq
-	}
-	return out
 }
 
 func releaseBuf(b *wire.Buf) {

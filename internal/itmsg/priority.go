@@ -24,12 +24,6 @@ type SchedConfig struct {
 	DisableFairness bool
 	// TotalBuffer bounds the FIFO queue in the unfair baseline.
 	TotalBuffer int
-	// Classes is the number of strict-priority service classes in the
-	// scheduling core (0 or 1 keeps the paper's single-ring discipline;
-	// see CoreConfig.Classes).
-	Classes int
-	// ClassRates optionally shapes each class with a token bucket.
-	ClassRates []ClassRate
 	// Stats receives drop/backpressure accounting; nil gets a private
 	// sink. The node shares one SchedStats across its discipline
 	// instances so Daemon.SchedStats aggregates the whole QoS plane.
@@ -66,8 +60,6 @@ func (c SchedConfig) coreConfig(policy OverflowPolicy) CoreConfig {
 	return CoreConfig{
 		FlowBuffer:  c.BufferPerSource,
 		Policy:      policy,
-		Classes:     c.Classes,
-		ClassRates:  c.ClassRates,
 		FIFO:        c.DisableFairness,
 		TotalBuffer: c.TotalBuffer,
 		Stats:       c.Stats,
@@ -79,7 +71,7 @@ func (c SchedConfig) coreConfig(policy OverflowPolicy) CoreConfig {
 // round-robin, and when a source's buffer fills its oldest lowest-priority
 // message is dropped so the highest-priority messages stay timely. A
 // compromised source can therefore only ever consume its own share of the
-// link. Queueing and service run on the zero-allocation DRR Core.
+// link. Queueing and service run on the zero-allocation Core.
 type PriorityLink struct {
 	env  link.Env
 	cfg  SchedConfig
@@ -200,12 +192,6 @@ func (l *PriorityLink) Evicted() uint64 { return l.evicted }
 // QueuedFor returns the queue depth for one source (diagnostics).
 func (l *PriorityLink) QueuedFor(src wire.NodeID) int {
 	return l.core.QueuedFor(FlowKey{Src: src})
-}
-
-// SetSourceWeight configures a source's DRR quantum (packets per
-// round-robin visit, default 1); it persists while the source is idle.
-func (l *PriorityLink) SetSourceWeight(src wire.NodeID, weight int) {
-	l.core.SetWeight(FlowKey{Src: src}, weight)
 }
 
 // Core exposes the scheduling engine (tests, diagnostics).

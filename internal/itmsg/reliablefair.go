@@ -22,8 +22,8 @@ type FlowKey struct {
 // hop-by-hop Reliable Data Link underneath for loss recovery. When a
 // flow's buffer fills the link stops accepting new messages for that flow,
 // creating backpressure toward the source while other flows keep their
-// full fair share. Queueing and service run on the zero-allocation DRR
-// Core; dequeued buffers transfer to the inner ARQ without copying.
+// full fair share. Queueing and service run on the zero-allocation Core;
+// dequeued buffers transfer to the inner ARQ without copying.
 type ReliableFairLink struct {
 	env  link.Env
 	cfg  SchedConfig
@@ -154,12 +154,6 @@ func (l *ReliableFairLink) Rejected() uint64 { return l.rejected }
 // QueuedFor returns the queue depth for one flow (diagnostics).
 func (l *ReliableFairLink) QueuedFor(key FlowKey) int {
 	return l.core.QueuedFor(key)
-}
-
-// SetFlowWeight configures a flow's DRR quantum (packets per round-robin
-// visit, default 1); it persists while the flow is idle.
-func (l *ReliableFairLink) SetFlowWeight(key FlowKey, weight int) {
-	l.core.SetWeight(key, weight)
 }
 
 // Core exposes the scheduling engine (tests, diagnostics).

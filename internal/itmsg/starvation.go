@@ -3,7 +3,7 @@ package itmsg
 import "sonet/internal/wire"
 
 // StarvationResult is one point of the EXP-FAIR starvation-under-attack
-// sweep, run directly against the DRR core at scheduler scale.
+// sweep, run directly against the round-robin core at scheduler scale.
 type StarvationResult struct {
 	// Flows is the number of honest flows sharing the link with one
 	// attacker.
@@ -18,10 +18,10 @@ type StarvationResult struct {
 	HonestMaxServed int
 }
 
-// Holds reports whether the fair-share shape held: with every flow at
-// weight 1, each honest flow is owed exactly one packet per round, and
-// the attacker's 100x flood must not buy it more than its own single
-// share (±1 for the start-up transient).
+// Holds reports whether the fair-share shape held: each honest flow is
+// owed exactly one packet per round, and the attacker's 100x flood must
+// not buy it more than its own single share (±1 for the start-up
+// transient).
 func (r StarvationResult) Holds() bool {
 	return r.HonestMinServed >= r.Rounds-1 &&
 		r.HonestMaxServed <= r.Rounds+1 &&
@@ -30,8 +30,8 @@ func (r StarvationResult) Holds() bool {
 
 // StarvationSweep runs the §IV-B starvation experiment at core level:
 // nFlows honest flows, each kept backlogged at its fair share, compete
-// with one attacker flooding 100 packets per round. Every flow has weight
-// 1, so fair service is exactly one packet per flow per round.
+// with one attacker flooding 100 packets per round. Fair service is
+// exactly one packet per flow per round.
 func StarvationSweep(nFlows, rounds int) StarvationResult {
 	c := NewCore(CoreConfig{FlowBuffer: 128, Policy: PolicyEvictLowest})
 	defer c.Close()

@@ -18,11 +18,6 @@ type ReliableConfig struct {
 	// RTOInit is the initial retransmission timeout; it adapts to the
 	// measured RTT afterwards.
 	RTOInit time.Duration
-	// DisableNack turns off the receiver's immediate retransmission
-	// requests on gap detection, leaving recovery to the sender's timeout
-	// alone (ablation: NACK vs RTO-only). The zero value keeps fast NACK
-	// recovery on, which is the production behaviour.
-	DisableNack bool
 	// ReqInterval is the receiver's re-request period for a still-missing
 	// sequence.
 	ReqInterval time.Duration
@@ -92,8 +87,8 @@ type Reliable struct {
 	// Sender state. Retransmission slots hold the packet header inline
 	// and its bytes in a refcounted pooled buffer; drained slots recycle
 	// through a freelist so the steady-state send path allocates nothing.
-	nextSeq  uint32
-	unacked  map[uint32]*sentFrame
+	nextSeq uint32
+	unacked map[uint32]*sentFrame
 	// queue is a bounded ring of slots waiting for window space (the
 	// seed's queue[1:] slice retained its consumed prefix; a ring cannot).
 	qbuf     []*sentFrame
@@ -175,18 +170,6 @@ func (r *Reliable) Send(p *wire.Packet) {
 	}
 	sf := r.newSlot()
 	sf.buf = wire.CapturePacket(&sf.pkt, p, wire.DefaultBufPool)
-	r.enqueueSlot(sf)
-}
-
-// SendOwned is Send for a packet whose ownership transfers to the link
-// (its byte fields must be heap-owned, not pooled scratch), skipping the
-// defensive capture copy.
-func (r *Reliable) SendOwned(p *wire.Packet) {
-	if r.closed {
-		return
-	}
-	sf := r.newSlot()
-	sf.pkt = *p
 	r.enqueueSlot(sf)
 }
 
@@ -290,13 +273,11 @@ func (r *Reliable) onData(f *wire.Frame) {
 		r.stats.DuplicatesDropped++
 	}
 	r.sendAck(f.SendTime)
-	if !r.cfg.DisableNack {
-		for _, seq := range r.recvWin.Missing(f.Seq, 64) {
-			if _, ok := r.pendReqs[seq]; ok {
-				continue
-			}
-			r.requestSeq(seq)
+	for _, seq := range r.recvWin.Missing(f.Seq, 64) {
+		if _, ok := r.pendReqs[seq]; ok {
+			continue
 		}
+		r.requestSeq(seq)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"sonet/internal/metrics"
 	"sonet/internal/sim"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
@@ -123,6 +122,9 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// HellosSent counts hello probes transmitted.
 	HellosSent uint64
+	// HellosMissed counts hello intervals that elapsed without hearing
+	// from a neighbor (each one step toward declaring the link down).
+	HellosMissed uint64
 	// LSAsSent counts link-state advertisements originated (full and
 	// delta).
 	LSAsSent uint64
@@ -131,6 +133,13 @@ type Stats struct {
 	DeltaLSAsSent uint64
 	// LSAsForwarded counts advertisements reflooded for other origins.
 	LSAsForwarded uint64
+	// DeltaLSAsForwarded counts the subset of reflooded advertisements
+	// that were single-link deltas.
+	DeltaLSAsForwarded uint64
+	// Reconvergences counts topology-view version bumps: every time a
+	// local detection or a received LSA changed this node's view of the
+	// shared graph.
+	Reconvergences uint64
 	// Failovers counts multihoming path switches.
 	Failovers uint64
 	// DownDetections counts links declared down.
@@ -193,7 +202,6 @@ type Manager struct {
 	lastAdv map[wire.NodeID][]byte
 	mySeq   uint32
 	stats   Stats
-	health  metrics.LinkHealthStats
 	closed  bool
 	// sessionEpoch, when set, supplies the link-session epoch advertised
 	// in hellos; onPeerEpoch, when set, receives the epoch carried by
@@ -317,12 +325,6 @@ func (m *Manager) EnableNeighbor(n wire.NodeID) {
 	}
 }
 
-// NeighborDisabled reports whether the link to n is administratively down.
-func (m *Manager) NeighborDisabled(n wire.NodeID) bool {
-	st, ok := m.neighbors[n]
-	return ok && st.disabled
-}
-
 // WithdrawAll marks every adjacent link down and floods one full
 // advertisement saying so — the graceful-leave withdrawal. The manager
 // keeps running (the caller stops it when departure completes) but probing
@@ -354,7 +356,7 @@ func (m *Manager) ApplyCorrection(id wire.LinkID, up bool) {
 	}
 	m.view.SetUp(id, up)
 	m.version++
-	m.health.Reconvergences.Add(1)
+	m.stats.Reconvergences++
 	m.env.ViewChanged()
 }
 
@@ -377,7 +379,7 @@ func (m *Manager) ReconcileAdjacent() int {
 	}
 	if fixed > 0 {
 		m.version++
-		m.health.Reconvergences.Add(1)
+		m.stats.Reconvergences++
 		m.env.ViewChanged()
 	}
 	return fixed
@@ -412,10 +414,6 @@ func (m *Manager) Version() uint64 { return m.version }
 
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Health returns the exported link-health counters (hello activity, flood
-// volume, reconvergence count) that chaos invariants assert on.
-func (m *Manager) Health() metrics.LinkHealthSnapshot { return m.health.Snapshot() }
 
 // SetOnNeighborState installs a callback invoked after an adjacent link is
 // declared down (up=false) or recovers (up=true). The host node uses it to
@@ -481,7 +479,7 @@ func (m *Manager) helloTick(n wire.NodeID) {
 		// Previous hello went unanswered; it was already counted in the
 		// loss window when sent.
 		st.missed++
-		m.health.HellosMissed.Add(1)
+		m.stats.HellosMissed++
 		m.noteHelloWindow(n, st)
 		if st.missed >= m.cfg.HelloMiss {
 			m.helloTimeout(n, st)
@@ -490,7 +488,6 @@ func (m *Manager) helloTick(n wire.NodeID) {
 	st.pendingAck = true
 	st.helloCount++
 	m.stats.HellosSent++
-	m.health.HellosSent.Add(1)
 	// Hellos carry the sender's current path index (low byte) so the two
 	// endpoints converge on the same provider (§II-A on-net links): the
 	// lower node ID owns the choice and the peer adopts it. The upper
@@ -649,7 +646,7 @@ func (m *Manager) noteHelloWindow(n wire.NodeID, st *neighborState) {
 func (m *Manager) applyLocal(st *neighborState, up bool) {
 	m.view.SetUp(st.linkID, up)
 	m.version++
-	m.health.Reconvergences.Add(1)
+	m.stats.Reconvergences++
 	m.env.ViewChanged()
 }
 
@@ -667,7 +664,7 @@ func (m *Manager) maybeAdvertise(st *neighborState) {
 	}
 	if latDrift >= latencyChangeFrac || lossDrift >= lossChangeAbs || st.advUp != st.up {
 		m.version++
-		m.health.Reconvergences.Add(1)
+		m.stats.Reconvergences++
 		m.env.ViewChanged()
 		// Quality drift concerns this one link only; the periodic full
 		// refresh remains the anti-entropy backstop for lost deltas.
@@ -708,7 +705,6 @@ func (m *Manager) originateLSA() {
 	}
 	adv := Advertisement{Origin: m.self, Seq: m.mySeq, Entries: entries}
 	m.stats.LSAsSent++
-	m.health.LSAFloods.Add(1)
 	m.env.FloodLSA(adv.Marshal(), 0)
 }
 
@@ -736,8 +732,6 @@ func (m *Manager) originateDelta(st *neighborState) {
 	st.advLoss = cur.Loss
 	m.stats.LSAsSent++
 	m.stats.DeltaLSAsSent++
-	m.health.LSAFloods.Add(1)
-	m.health.DeltaLSAFloods.Add(1)
 	m.env.FloodLSA(adv.Marshal(), 0)
 }
 
@@ -828,13 +822,12 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 	}
 	if changed {
 		m.version++
-		m.health.Reconvergences.Add(1)
+		m.stats.Reconvergences++
 		m.env.ViewChanged()
 	}
 	m.stats.LSAsForwarded++
-	m.health.LSAFloods.Add(1)
 	if adv.Delta {
-		m.health.DeltaLSAFloods.Add(1)
+		m.stats.DeltaLSAsForwarded++
 	}
 	m.env.FloodLSA(p.Payload, from)
 	return nil

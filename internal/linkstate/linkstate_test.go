@@ -480,32 +480,66 @@ func TestResyncOnLinkRecovery(t *testing.T) {
 	}
 }
 
+// TestHealthCountersTrackAdversity walks a dual-homed three-node line
+// through every kind of event the manager counts and checks, phase by
+// phase, that the counters owed to that event moved — and that a quiet
+// world moved none of the distress counters. The closing loop ties the
+// test to the struct: a counter added to Stats without a phase here fails.
 func TestHealthCountersTrackAdversity(t *testing.T) {
-	w := newWorld(t, chain3(t), Config{}, 1)
-	w.sched.RunFor(2 * time.Second)
-	h := w.envs[1].mgr.Health()
-	if h.HellosSent == 0 {
-		t.Fatal("no hellos counted on a live link")
+	w := newWorld(t, chain3(t), Config{}, 2)
+	lid12 := w.linkBetween(1, 2)
+	covered := make(map[string]bool)
+	// phase runs the world for d and fails unless each named counter grew
+	// on the given node meanwhile.
+	phase := func(name string, d time.Duration, node wire.NodeID, fields ...string) {
+		t.Helper()
+		before := reflect.ValueOf(w.envs[node].mgr.Stats())
+		w.sched.RunFor(d)
+		after := reflect.ValueOf(w.envs[node].mgr.Stats())
+		for _, f := range fields {
+			covered[f] = true
+			if b, a := before.FieldByName(f).Uint(), after.FieldByName(f).Uint(); a <= b {
+				t.Fatalf("%s: node %d %s stayed at %d", name, node, f, a)
+			}
+		}
 	}
-	if h.LSAFloods == 0 {
-		t.Fatal("no LSA floods counted despite refresh cycles")
+
+	// Node 2 probes both neighbours, refreshes its own advertisement and
+	// relays node 1's toward node 3.
+	phase("quiet", 2*time.Second, 2, "HellosSent", "LSAsSent", "LSAsForwarded")
+	quiet := w.envs[2].mgr.Stats()
+	quiet.HellosSent, quiet.LSAsSent, quiet.LSAsForwarded = 0, 0, 0
+	if quiet != (Stats{}) {
+		t.Fatalf("quiet world shows distress: %+v", quiet)
 	}
-	if h.HellosMissed != 0 || h.Reconvergences != 0 {
-		t.Fatalf("quiet world shows distress: %+v", h)
+
+	// One provider of 1-2 dies: the owner misses hellos and re-homes.
+	w.deadPaths[pathKey{link: lid12, path: 0}] = true
+	phase("path loss", 3*time.Second, 1, "HellosMissed", "Failovers")
+
+	// The whole link dies: node 2 declares it down, reconverges and
+	// originates a delta, which node 3 refloods.
+	w.deadLinks[lid12] = true
+	before3 := w.envs[3].mgr.Stats().DeltaLSAsForwarded
+	phase("link down", 3*time.Second, 2, "HellosMissed", "DownDetections", "Reconvergences", "DeltaLSAsSent")
+	if w.envs[3].mgr.Stats().DeltaLSAsForwarded == before3 {
+		t.Fatal("link down: node 3 relayed node 2's delta but counted none")
 	}
-	// Kill the 1-2 link: node 1 must miss hellos, declare the link down,
-	// and reconverge its view.
-	w.deadLinks[w.linkBetween(1, 2)] = true
-	w.sched.RunFor(2 * time.Second)
-	h = w.envs[1].mgr.Health()
-	if h.HellosMissed == 0 {
-		t.Fatal("dead link produced no missed hellos")
-	}
-	if h.Reconvergences == 0 {
-		t.Fatal("down detection did not count a reconvergence")
-	}
-	if h.MissRatio() <= 0 {
-		t.Fatalf("MissRatio = %v, want > 0", h.MissRatio())
+	covered["DeltaLSAsForwarded"] = true
+
+	// The link heals.
+	w.deadLinks[lid12] = false
+	delete(w.deadPaths, pathKey{link: lid12, path: 0})
+	phase("link up", 3*time.Second, 2, "UpDetections", "Reconvergences")
+
+	// Node 3 stops admitting node 1: its next refresh is refused.
+	w.envs[3].mgr.SetMemberCheck(func(id wire.NodeID) bool { return id != 1 })
+	phase("non-member", 3*time.Second, 3, "NonMemberLSAsRejected")
+
+	for i, typ := 0, reflect.TypeOf(Stats{}); i < typ.NumField(); i++ {
+		if !covered[typ.Field(i).Name] {
+			t.Errorf("Stats.%s is moved by no phase of this test", typ.Field(i).Name)
+		}
 	}
 }
 
@@ -654,7 +688,7 @@ func TestDownDetectionFloodsDeltaApplied(t *testing.T) {
 	if got := w.envs[2].mgr.Stats().DeltaLSAsSent; got == 0 {
 		t.Fatal("down detection did not originate a delta advertisement")
 	}
-	if w.envs[3].mgr.Health().DeltaLSAFloods == 0 {
+	if w.envs[3].mgr.Stats().DeltaLSAsForwarded == 0 {
 		t.Fatal("node 3 applied the change but counted no delta flood")
 	}
 }
@@ -733,7 +767,7 @@ func TestRingReconvergesAt1kNodes(t *testing.T) {
 	if w.envs[1].mgr.Stats().DeltaLSAsSent == 0 && w.envs[2].mgr.Stats().DeltaLSAsSent == 0 {
 		t.Fatal("no delta advertisement originated for the single-link failure")
 	}
-	if w.envs[n/2].mgr.Health().DeltaLSAFloods == 0 {
+	if w.envs[n/2].mgr.Stats().DeltaLSAsForwarded == 0 {
 		t.Fatal("antipodal node never reflooded a delta")
 	}
 

@@ -92,9 +92,6 @@ type Manager struct {
 	buf      []byte
 	findings []Finding
 	recs     []Record
-
-	lastCorrection time.Duration
-	corrected      bool
 }
 
 // NewManager returns a manager for node self, seeding the directory from
@@ -153,13 +150,6 @@ func (m *Manager) Joined() bool { return m.dir.IsMember(m.self) }
 // has no basis to reject.
 func (m *Manager) AllowsOrigin(id wire.NodeID) bool {
 	return m.dir.Len() == 0 || m.dir.IsMember(id)
-}
-
-// LastCorrection returns the time of the most recent corrective action
-// and whether one ever ran — the raw material of stabilization-time
-// measurements.
-func (m *Manager) LastCorrection() (time.Duration, bool) {
-	return m.lastCorrection, m.corrected
 }
 
 // Start begins the periodic detector/corrector sweep.
@@ -260,7 +250,6 @@ func (m *Manager) HandlePacket(from wire.NodeID, p *wire.Packet) error {
 		digest := binary.BigEndian.Uint64(src[3:])
 		if count != m.dir.Len() || digest != m.dir.Digest() {
 			m.stats.Inconsistencies.Add(1)
-			m.noteCorrection()
 			m.sendSync(from)
 		}
 	case msgJoinReq:
@@ -356,7 +345,6 @@ func (m *Manager) refuteSelf(badEpoch uint32) {
 	rec := Record{ID: m.self, Epoch: badEpoch + 1, Status: StatusJoined}
 	if m.dir.Apply(rec) {
 		m.stats.Corrections.Add(1)
-		m.noteCorrection()
 		m.floodUpdate(rec)
 	}
 }
@@ -365,11 +353,6 @@ func (m *Manager) noteChange(r Record) {
 	if m.onChange != nil {
 		m.onChange(r.ID, r.Status)
 	}
-}
-
-func (m *Manager) noteCorrection() {
-	m.lastCorrection = m.env.Clock().Now()
-	m.corrected = true
 }
 
 func (m *Manager) floodUpdate(recs ...Record) {
@@ -416,7 +399,6 @@ func (m *Manager) Sweep() {
 			if m.onFinding != nil {
 				m.onFinding(f)
 				m.stats.Corrections.Add(1)
-				m.noteCorrection()
 			}
 		}
 	}
@@ -424,7 +406,6 @@ func (m *Manager) Sweep() {
 		if n := m.onReconcile(); n > 0 {
 			m.stats.Inconsistencies.Add(uint64(n))
 			m.stats.Corrections.Add(uint64(n))
-			m.noteCorrection()
 		}
 	}
 	if m.dir.Len() > 0 {

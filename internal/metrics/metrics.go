@@ -386,70 +386,6 @@ func (s WireSnapshot) SendBatchAvg() float64 {
 	return float64(s.SendPackets) / float64(s.SendBatches)
 }
 
-// LinkHealthStats counts link-state protocol health activity on one node:
-// how hard the hello machinery is working, how often probes are missed, how
-// much flooding the node originates or relays, and how many times its
-// topology view reconverged. Chaos invariants assert on these counters —
-// e.g. a campaign that cut links must show misses and reconvergences, and a
-// quiet world must not. The counters are atomic for the same reason as
-// PoolStats: deployment-mode monitoring readers snapshot them without
-// coordinating with the event loop.
-//
-// The zero value is ready to use.
-type LinkHealthStats struct {
-	// HellosSent counts hello probes transmitted on adjacent links.
-	HellosSent atomic.Uint64
-	// HellosMissed counts hello intervals that elapsed without hearing
-	// from a neighbor (each one step toward declaring the link down).
-	HellosMissed atomic.Uint64
-	// LSAFloods counts link-state advertisements this node pushed into the
-	// flood, both self-originated and forwarded on behalf of others.
-	LSAFloods atomic.Uint64
-	// DeltaLSAFloods counts the subset of LSAFloods that were delta
-	// advertisements — single-change floods whose cost scales with the
-	// change, not the node degree. Full-refresh floods are the difference.
-	DeltaLSAFloods atomic.Uint64
-	// Reconvergences counts topology-view version bumps: every time a
-	// local detection or a received LSA changed this node's view of the
-	// shared graph.
-	Reconvergences atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *LinkHealthStats) Snapshot() LinkHealthSnapshot {
-	return LinkHealthSnapshot{
-		HellosSent:     s.HellosSent.Load(),
-		HellosMissed:   s.HellosMissed.Load(),
-		LSAFloods:      s.LSAFloods.Load(),
-		DeltaLSAFloods: s.DeltaLSAFloods.Load(),
-		Reconvergences: s.Reconvergences.Load(),
-	}
-}
-
-// LinkHealthSnapshot is a point-in-time copy of LinkHealthStats.
-type LinkHealthSnapshot struct {
-	// HellosSent counts hello probes transmitted.
-	HellosSent uint64
-	// HellosMissed counts missed hello intervals.
-	HellosMissed uint64
-	// LSAFloods counts LSAs originated or forwarded.
-	LSAFloods uint64
-	// DeltaLSAFloods counts the delta subset of LSAFloods.
-	DeltaLSAFloods uint64
-	// Reconvergences counts topology-view version bumps.
-	Reconvergences uint64
-}
-
-// MissRatio returns HellosMissed / HellosSent, or 0 before the first hello.
-// A healthy converged world keeps this near zero; sustained flapping drives
-// it up.
-func (s LinkHealthSnapshot) MissRatio() float64 {
-	if s.HellosSent == 0 {
-		return 0
-	}
-	return float64(s.HellosMissed) / float64(s.HellosSent)
-}
-
 // ChaosStats counts fault-campaign activity in one chaos engine run:
 // injected adversity on one side, invariant outcomes on the other. The
 // counters are atomic so campaign progress can be observed from outside the

@@ -154,24 +154,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestLinkHealthStatsSnapshot(t *testing.T) {
-	var s LinkHealthStats
-	if got := s.Snapshot().MissRatio(); got != 0 {
-		t.Fatalf("zero-value MissRatio = %v, want 0", got)
-	}
-	s.HellosSent.Add(200)
-	s.HellosMissed.Add(50)
-	s.LSAFloods.Add(7)
-	s.Reconvergences.Add(3)
-	snap := s.Snapshot()
-	if snap.HellosSent != 200 || snap.HellosMissed != 50 || snap.LSAFloods != 7 || snap.Reconvergences != 3 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if got := snap.MissRatio(); got != 0.25 {
-		t.Fatalf("MissRatio = %v, want 0.25", got)
-	}
-}
-
 func TestChaosStatsSnapshotAndClean(t *testing.T) {
 	var s ChaosStats
 	if s.Snapshot().Clean() {

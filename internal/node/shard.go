@@ -6,10 +6,10 @@
 // loops; each peer is then homed on one shard by a stable hash of its
 // node id (wire.HomeShard), and that shard owns the peer's data
 // link-protocol endpoints — sequencing and dedup windows, ARQ and strikes
-// state, the itmsg DRR cores — so a transit frame whose next hop shares
-// its arrival shard never crosses a loop. Shard 0 also keeps a control
-// endpoint for every neighbor, for the link-state, group-state and
-// membership payloads the underlay steers to it.
+// state, the itmsg scheduling cores — so a transit frame whose next hop
+// shares its arrival shard never crosses a loop. Shard 0 also keeps a
+// control endpoint for every neighbor, for the link-state, group-state
+// and membership payloads the underlay steers to it.
 //
 // Every shard runs the same code. Two things differ between them, each
 // decided in one place:

@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"sonet/internal/wire"
 )
@@ -21,6 +22,20 @@ const nackHeaderLen = 6
 
 // maxNackSeqs bounds sequences per NACK packet.
 const maxNackSeqs = 64
+
+// nackInterval is the destination's gap-recovery request period for
+// reliable (ordered, no-deadline) flows.
+const nackInterval = 100 * time.Millisecond
+
+// tailFlushInterval is the idle period after which a reliable flow's
+// source re-sends its last packet: trailing losses are invisible to the
+// destination's gap detection (nothing later reveals them), so the tail is
+// protected from the sending side. tailFlushTries bounds the re-sends per
+// quiet period.
+const (
+	tailFlushInterval = 250 * time.Millisecond
+	tailFlushTries    = 8
+)
 
 // nack identifies missing flow sequences back to the source flow.
 type nack struct {
@@ -82,7 +97,7 @@ func (c *Client) armNack(id flowID, st *reorderState) {
 	if st.nackTimer != nil || c.closed {
 		return
 	}
-	st.nackTimer = c.mgr.clock.After(c.mgr.NackInterval, func() {
+	st.nackTimer = c.mgr.clock.After(nackInterval, func() {
 		st.nackTimer = nil
 		c.nackTick(id, st)
 	})
@@ -192,10 +207,10 @@ func (f *Flow) armTailFlush() {
 }
 
 func (f *Flow) scheduleTail() {
-	interval := f.client.mgr.TailFlushInterval << f.tailTries
+	interval := tailFlushInterval << f.tailTries
 	f.tailTimer = f.client.mgr.clock.After(interval, func() {
 		f.tailTimer = nil
-		if f.client.closed || f.tailTries >= f.client.mgr.TailFlushTries {
+		if f.client.closed || f.tailTries >= tailFlushTries {
 			return
 		}
 		f.tailTries++

@@ -73,22 +73,12 @@ type Delivery struct {
 
 // Manager is the session level of one overlay node.
 type Manager struct {
-	// NackInterval is the destination's gap-recovery request period for
-	// reliable (ordered, no-deadline) flows.
-	NackInterval time.Duration
 	// NackMaxTries bounds gap-recovery attempts before flushing past the
 	// gap.
 	NackMaxTries int
 	// HistoryLimit bounds per-flow sent-packet history retained for
 	// end-to-end recovery.
 	HistoryLimit int
-	// TailFlushInterval is the idle period after which a reliable flow's
-	// source re-sends its last packet: trailing losses are invisible to
-	// the destination's gap detection (nothing later reveals them), so
-	// the tail is protected from the sending side.
-	TailFlushInterval time.Duration
-	// TailFlushTries bounds tail re-sends per quiet period.
-	TailFlushTries int
 
 	n             *node.Node
 	clock         sim.Clock
@@ -103,16 +93,13 @@ type Manager struct {
 // the node's delivery sink.
 func NewManager(n *node.Node) *Manager {
 	m := &Manager{
-		NackInterval:      100 * time.Millisecond,
-		NackMaxTries:      100,
-		HistoryLimit:      8192,
-		TailFlushInterval: 250 * time.Millisecond,
-		TailFlushTries:    8,
-		n:                 n,
-		clock:             n.Clock(),
-		clients:           make(map[wire.Port]*Client),
-		flowPorts:         make(map[wire.Port]*Flow),
-		nextEphemeral:     49152,
+		NackMaxTries:  100,
+		HistoryLimit:  8192,
+		n:             n,
+		clock:         n.Clock(),
+		clients:       make(map[wire.Port]*Client),
+		flowPorts:     make(map[wire.Port]*Flow),
+		nextEphemeral: 49152,
 	}
 	n.SetDeliver(m.handleDelivery)
 	return m

@@ -73,9 +73,6 @@ func (s *ShardedLoop) PostTo(i int, fn func()) { s.loops[i].Post(fn) }
 // shard i's loop has closed).
 func (s *ShardedLoop) TryPostTo(i int, fn func()) bool { return s.loops[i].TryPost(fn) }
 
-// PostRunnerTo enqueues r on shard i.
-func (s *ShardedLoop) PostRunnerTo(i int, r Runner) { s.loops[i].PostRunner(r) }
-
 // Close stops every shard loop after its already-queued work runs, and
 // waits for all of them to exit.
 func (s *ShardedLoop) Close() {

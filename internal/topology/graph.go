@@ -74,12 +74,6 @@ type Graph struct {
 	// pairs maps a canonical endpoint-index pair to the first link joining
 	// it, making LinkBetween O(1) instead of an O(degree) scan.
 	pairs map[uint64]wire.LinkID
-	// deadNode and deadLink tombstone removed nodes and links. Dense
-	// indices and LinkIDs are never reused — removal detaches adjacency and
-	// marks the slot dead, so slice-backed routing state stays index-stable
-	// across membership churn. Both slices stay nil until the first removal.
-	deadNode []bool
-	deadLink []bool
 }
 
 // NewGraph returns an empty overlay topology.
@@ -105,14 +99,12 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// AddNode registers an overlay node. Adding an existing node is a no-op;
-// adding a removed node resurrects it at its original dense index.
+// AddNode registers an overlay node. Adding an existing node is a no-op.
+// Nothing is ever removed from a Graph (membership downs links through
+// linkstate), so dense indices and LinkIDs are never reused.
 func (g *Graph) AddNode(n wire.NodeID) {
 	g.ensure()
-	if i, ok := g.index[n]; ok {
-		if int(i) < len(g.deadNode) {
-			g.deadNode[i] = false
-		}
+	if _, ok := g.index[n]; ok {
 		return
 	}
 	g.index[n] = int32(len(g.nodes))
@@ -203,97 +195,12 @@ func (g *Graph) NodeIndex(n wire.NodeID) (int, bool) {
 // NodeAt returns the node ID at dense index i.
 func (g *Graph) NodeAt(i int) wire.NodeID { return g.nodes[i] }
 
-// Link returns the link with the given ID. Removed links report ok=false.
+// Link returns the link with the given ID.
 func (g *Graph) Link(id wire.LinkID) (Link, bool) {
-	if int(id) >= len(g.links) || g.linkRemoved(id) {
+	if int(id) >= len(g.links) {
 		return Link{}, false
 	}
 	return g.links[id], true
-}
-
-func (g *Graph) linkRemoved(id wire.LinkID) bool {
-	return int(id) < len(g.deadLink) && g.deadLink[id]
-}
-
-func (g *Graph) nodeRemoved(i int32) bool {
-	return int(i) < len(g.deadNode) && g.deadNode[i]
-}
-
-// RemoveLink detaches the link with the given ID from the topology and
-// tombstones its slot: the LinkID is never reused, NumLinks is unchanged,
-// and slice-backed per-link state keeps its indexing. It reports whether a
-// live link was removed.
-func (g *Graph) RemoveLink(id wire.LinkID) bool {
-	if int(id) >= len(g.links) || g.linkRemoved(id) {
-		return false
-	}
-	if g.deadLink == nil {
-		g.deadLink = make([]bool, len(g.links))
-	} else {
-		for len(g.deadLink) < len(g.links) {
-			g.deadLink = append(g.deadLink, false)
-		}
-	}
-	g.deadLink[id] = true
-	l := g.links[id]
-	ai, bi := g.ends[id][0], g.ends[id][1]
-	g.adj[l.A] = dropLinkID(g.adj[l.A], id)
-	g.adj[l.B] = dropLinkID(g.adj[l.B], id)
-	g.dadj[ai] = dropHalf(g.dadj[ai], id)
-	g.dadj[bi] = dropHalf(g.dadj[bi], id)
-	if cur, ok := g.pairs[pairKey(ai, bi)]; ok && cur == id {
-		delete(g.pairs, pairKey(ai, bi))
-		// A parallel link may remain; the earliest-added survivor takes
-		// over the O(1) endpoint-pair slot.
-		for _, other := range g.adj[l.A] {
-			ol := g.links[other]
-			if ol.A == l.A && ol.B == l.B {
-				g.pairs[pairKey(ai, bi)] = other
-				break
-			}
-		}
-	}
-	return true
-}
-
-// RemoveNode removes n and every link incident to it, tombstoning the
-// dense index so routing scratch stays index-stable. It reports whether a
-// live node was removed.
-func (g *Graph) RemoveNode(n wire.NodeID) bool {
-	i, ok := g.index[n]
-	if !ok || g.nodeRemoved(i) {
-		return false
-	}
-	for len(g.adj[n]) > 0 {
-		g.RemoveLink(g.adj[n][0])
-	}
-	if g.deadNode == nil {
-		g.deadNode = make([]bool, len(g.nodes))
-	} else {
-		for len(g.deadNode) < len(g.nodes) {
-			g.deadNode = append(g.deadNode, false)
-		}
-	}
-	g.deadNode[i] = true
-	return true
-}
-
-func dropLinkID(s []wire.LinkID, id wire.LinkID) []wire.LinkID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func dropHalf(s []halfLink, id wire.LinkID) []halfLink {
-	for i, v := range s {
-		if v.id == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // Links returns all links. The caller must not modify the returned slice.
@@ -322,10 +229,10 @@ func (g *Graph) LinkBetween(a, b wire.NodeID) (Link, bool) {
 	return g.links[id], true
 }
 
-// HasNode reports whether n is in the graph and not removed.
+// HasNode reports whether n is in the graph.
 func (g *Graph) HasNode(n wire.NodeID) bool {
-	i, ok := g.index[n]
-	return ok && !g.nodeRemoved(i)
+	_, ok := g.index[n]
+	return ok
 }
 
 // LinkState is the dynamic condition of one overlay link as maintained by

@@ -42,9 +42,9 @@ import (
 //     atomic doorbell that posts a pooled drain runner only on the
 //     empty→non-empty transition — under sustained load frames flow
 //     with no per-packet post and no lock on either side. A flow pinned
-//     to another shard (PinFlow; the daemon pins every peer to the
-//     control shard where the single-threaded node protocol lives) is
-//     handed off the same way.
+//     to another shard (PinFlow; the daemon pins every peer to
+//     wire.HomeShard of its node id, the shard whose loop owns the
+//     peer's link sessions) is handed off the same way.
 //   - Sender identification: source addresses resolve through an
 //     immutable peer table keyed by netip.AddrPort, read via an atomic
 //     pointer — no per-packet lock, no addr.String() allocation. The
@@ -430,8 +430,8 @@ func (u *UDPUnderlay) AddPeer(id wire.NodeID, addrs ...string) error {
 // column): its frames are always delivered on that shard's executor
 // regardless of which shard they arrive on, and its tx frames coalesce
 // in that shard's ring. shard == -1 unpins (flows hash to their shard).
-// The deployed daemon pins every peer to the control shard, where the
-// single-threaded node protocol lives.
+// The deployed daemon pins every peer to wire.HomeShard of its node id,
+// the shard whose loop owns the peer's link sessions.
 //
 // Re-pinning a live flow moves it between loops: frames already queued
 // toward the old shard still deliver there, so cross-shard ordering is

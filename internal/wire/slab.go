@@ -107,6 +107,3 @@ func (p *SlabPool) Put(s *Slab) {
 // MaxDatagram bytes each, shared process-wide so short-lived underlays
 // (tests, reconnects) reuse arenas instead of re-allocating 2 MiB each.
 var DefaultSlabs = NewSlabPool(ReadBatch, MaxDatagram, nil)
-
-// SlabSnapshot returns the shared slab pool's counters.
-func SlabSnapshot() metrics.PoolSnapshot { return DefaultSlabs.Stats().Snapshot() }
