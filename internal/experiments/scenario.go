@@ -176,7 +176,10 @@ func (g *generator) arm() {
 	if g.stopped || (g.count > 0 && g.seq >= g.count) {
 		return
 	}
-	g.timer = g.clock.After(g.gap(), g.fire)
+	if g.timer == nil {
+		g.timer = g.clock.NewTimer(g.fire)
+	}
+	g.timer.Reset(g.gap())
 }
 
 // stop halts the generator and cancels its pending firing.

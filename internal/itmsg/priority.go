@@ -93,11 +93,13 @@ var _ link.TrySender = (*PriorityLink)(nil)
 // NewPriorityLink returns an IT-Priority endpoint.
 func NewPriorityLink(env link.Env, cfg SchedConfig) *PriorityLink {
 	cfg = cfg.withDefaults()
-	return &PriorityLink{
+	l := &PriorityLink{
 		env:  env,
 		cfg:  cfg,
 		core: NewCore(cfg.coreConfig(PolicyEvictLowest)),
 	}
+	l.timer = env.Clock().NewTimer(l.pace)
+	return l
 }
 
 // Send implements link.Protocol: it enqueues under the fair-allocation
@@ -144,7 +146,7 @@ func (l *PriorityLink) ensurePacing() {
 		return
 	}
 	l.pacing = true
-	l.timer = l.env.Clock().After(l.cfg.interval(), l.pace)
+	l.timer.Reset(l.cfg.interval())
 }
 
 func (l *PriorityLink) pace() {
@@ -200,9 +202,6 @@ func (l *PriorityLink) Core() *Core { return l.core }
 // Close implements link.Protocol.
 func (l *PriorityLink) Close() {
 	l.closed = true
-	if l.timer != nil {
-		l.timer.Stop()
-		l.timer = nil
-	}
+	l.timer.Stop()
 	l.core.Close()
 }

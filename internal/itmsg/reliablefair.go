@@ -51,6 +51,7 @@ func NewReliableFairLink(env link.Env, cfg SchedConfig, rel link.ReliableConfig)
 		cfg:  cfg,
 		core: NewCore(cfg.coreConfig(PolicyReject)),
 	}
+	l.timer = env.Clock().NewTimer(l.pace)
 	l.inner = link.NewReliable(&innerEnv{outer: env, proto: wire.LPITReliable}, rel)
 	return l
 }
@@ -117,7 +118,7 @@ func (l *ReliableFairLink) ensurePacing() {
 		return
 	}
 	l.pacing = true
-	l.timer = l.env.Clock().After(l.cfg.interval(), l.pace)
+	l.timer.Reset(l.cfg.interval())
 }
 
 func (l *ReliableFairLink) pace() {
@@ -162,10 +163,7 @@ func (l *ReliableFairLink) Core() *Core { return l.core }
 // Close implements link.Protocol.
 func (l *ReliableFairLink) Close() {
 	l.closed = true
-	if l.timer != nil {
-		l.timer.Stop()
-		l.timer = nil
-	}
+	l.timer.Stop()
 	l.core.Close()
 	l.inner.Close()
 }

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"math/bits"
 	"time"
 
 	"sonet/internal/sim"
@@ -87,8 +88,17 @@ type Reliable struct {
 	// Sender state. Retransmission slots hold the packet header inline
 	// and its bytes in a refcounted pooled buffer; drained slots recycle
 	// through a freelist so the steady-state send path allocates nothing.
-	nextSeq uint32
-	unacked map[uint32]*sentFrame
+	//
+	// Frames in flight sit in ring, indexed by sequence number modulo its
+	// power-of-two length: a cumulative ack advances low, a selective ack
+	// clears by index, the retransmission timeout resends low. While
+	// inFlight > 0, low is the serially oldest unacknowledged sequence and
+	// every occupied slot lies in [low, nextSeq]; with nothing in flight
+	// low means nothing and is set again by the next transmission.
+	nextSeq  uint32
+	low      uint32
+	ring     []*sentFrame
+	inFlight int
 	// queue is a bounded ring of slots waiting for window space (the
 	// seed's queue[1:] slice retained its consumed prefix; a ring cannot).
 	qbuf     []*sentFrame
@@ -119,25 +129,36 @@ type sentFrame struct {
 	free *sentFrame
 }
 
+// pendingReq is the receiver's re-request state for one missing sequence.
 type pendingReq struct {
+	r     *Reliable
+	seq   uint32
 	timer sim.Timer
 	tries int
 }
+
+// spanSlack is how far past the oldest unacknowledged frame the in-flight
+// span can reach beyond Window: a selective ack covers the 64 sequences
+// after the cumulative edge, so a frame further out stays in flight until
+// the edge moves. The ring never grows past Window+spanSlack slots, and
+// sends wait in the queue if a misbehaving peer stretches the span there.
+const spanSlack = 64
 
 var _ Protocol = (*Reliable)(nil)
 
 // NewReliable returns a Reliable Data Link endpoint.
 func NewReliable(env Env, cfg ReliableConfig) *Reliable {
 	cfg = cfg.withDefaults()
-	return &Reliable{
+	r := &Reliable{
 		env:      env,
 		cfg:      cfg,
-		unacked:  make(map[uint32]*sentFrame),
 		recvWin:  newSeqWindow(cfg.Window * 2),
 		pendReqs: make(map[uint32]*pendingReq),
 		inOrder:  make(map[uint32]*wire.Packet),
 		rto:      cfg.RTOInit,
 	}
+	r.rtoTimer = env.Clock().NewTimer(r.onRTO)
+	return r
 }
 
 // newSlot returns a retransmission slot from the freelist (or fresh).
@@ -191,8 +212,50 @@ func (r *Reliable) SendStored(p *wire.Packet, buf *wire.Buf) {
 	r.enqueueSlot(sf)
 }
 
+// windowFull reports whether a new frame must wait for acknowledgments.
+func (r *Reliable) windowFull() bool {
+	return r.inFlight >= r.cfg.Window ||
+		r.inFlight > 0 && r.nextSeq-r.low+1 >= uint32(r.cfg.Window+spanSlack)
+}
+
+// inFlightSlot returns the slot of an unacknowledged sequence, or nil.
+func (r *Reliable) inFlightSlot(seq uint32) *sentFrame {
+	// Unsigned distances from low keep the range test right across the
+	// 2^32 wrap.
+	if r.inFlight == 0 || seq-r.low > r.nextSeq-r.low {
+		return nil
+	}
+	return r.ring[seq&uint32(len(r.ring)-1)]
+}
+
+// settle takes an in-flight sequence out of the ring — acknowledged or
+// abandoned — recycles its slot, and moves low to the oldest frame left.
+func (r *Reliable) settle(seq uint32) {
+	mask := uint32(len(r.ring) - 1)
+	sf := r.ring[seq&mask]
+	r.ring[seq&mask] = nil
+	r.inFlight--
+	r.releaseSlot(sf)
+	for r.inFlight > 0 && r.ring[r.low&mask] == nil {
+		r.low++
+	}
+}
+
+// growRing doubles the ring, re-indexing the frames in flight.
+func (r *Reliable) growRing() {
+	n := 2 * len(r.ring)
+	if n == 0 {
+		n = 16
+	}
+	grown := make([]*sentFrame, n)
+	for seq := r.low; seq != r.nextSeq; seq++ {
+		grown[seq&uint32(n-1)] = r.ring[seq&uint32(len(r.ring)-1)]
+	}
+	r.ring = grown
+}
+
 func (r *Reliable) enqueueSlot(sf *sentFrame) {
-	if len(r.unacked) >= r.cfg.Window {
+	if r.windowFull() {
 		if r.qlen >= r.cfg.QueueLimit {
 			r.stats.SendDropped++
 			r.releaseSlot(sf)
@@ -231,7 +294,14 @@ func (r *Reliable) popQueue() *sentFrame {
 func (r *Reliable) transmitNew(sf *sentFrame) {
 	r.nextSeq++
 	seq := r.nextSeq
-	r.unacked[seq] = sf
+	if r.inFlight == 0 {
+		r.low = seq
+	}
+	if seq-r.low >= uint32(len(r.ring)) {
+		r.growRing()
+	}
+	r.ring[seq&uint32(len(r.ring)-1)] = sf
+	r.inFlight++
 	r.stats.DataSent++
 	r.tx = wire.Frame{
 		Proto:    wire.LPReliable,
@@ -265,7 +335,7 @@ func (r *Reliable) onData(f *wire.Frame) {
 	}
 	if r.recvWin.Record(f.Seq) {
 		if req, ok := r.pendReqs[f.Seq]; ok {
-			stopTimer(req.timer)
+			req.timer.Stop()
 			delete(r.pendReqs, f.Seq)
 		}
 		r.deliverUp(f.Seq, f.Packet)
@@ -320,37 +390,41 @@ func (r *Reliable) sendAck(echo time.Duration) {
 }
 
 func (r *Reliable) requestSeq(seq uint32) {
-	req := &pendingReq{}
+	req := &pendingReq{r: r, seq: seq}
+	req.timer = r.env.Clock().NewTimer(req.fire)
 	r.pendReqs[seq] = req
-	var fire func()
-	fire = func() {
-		if r.closed || r.recvWin.Seen(seq) {
-			delete(r.pendReqs, seq)
-			return
-		}
-		req.tries++
-		if req.tries > r.cfg.MaxReqs {
-			// Abandon the gap so the window can advance; the sender has
-			// long since given up too (dead peer or severed link).
-			delete(r.pendReqs, seq)
-			r.recvWin.Record(seq)
-			if r.cfg.InOrderForwarding && seq == r.nextDeliv+1 {
-				r.nextDeliv++
-				r.flushInOrder()
-			}
-			return
-		}
-		r.stats.Requests++
-		r.tx = wire.Frame{
-			Proto:    wire.LPReliable,
-			Kind:     wire.FReq,
-			Seq:      seq,
-			SendTime: r.env.Clock().Now(),
-		}
-		r.env.Transmit(&r.tx)
-		req.timer = r.env.Clock().After(r.cfg.ReqInterval, fire)
+	req.fire()
+}
+
+// fire sends one request for the missing sequence and re-arms itself,
+// until the sequence arrives or MaxReqs requests went unanswered.
+func (req *pendingReq) fire() {
+	r, seq := req.r, req.seq
+	if r.closed || r.recvWin.Seen(seq) {
+		delete(r.pendReqs, seq)
+		return
 	}
-	fire()
+	req.tries++
+	if req.tries > r.cfg.MaxReqs {
+		// Abandon the gap so the window can advance; the sender has
+		// long since given up too (dead peer or severed link).
+		delete(r.pendReqs, seq)
+		r.recvWin.Record(seq)
+		if r.cfg.InOrderForwarding && seq == r.nextDeliv+1 {
+			r.nextDeliv++
+			r.flushInOrder()
+		}
+		return
+	}
+	r.stats.Requests++
+	r.tx = wire.Frame{
+		Proto:    wire.LPReliable,
+		Kind:     wire.FReq,
+		Seq:      seq,
+		SendTime: r.env.Clock().Now(),
+	}
+	r.env.Transmit(&r.tx)
+	req.timer.Reset(r.cfg.ReqInterval)
 }
 
 func (r *Reliable) onAck(f *wire.Frame) {
@@ -365,39 +439,35 @@ func (r *Reliable) onAck(f *wire.Frame) {
 			r.rto = clampDur(3*r.srtt, rtoMin)
 		}
 	}
-	for seq, sf := range r.unacked {
-		// Serial-number compares so the cumulative ack keeps clearing the
-		// window after the sequence space wraps past 2^32.
-		acked := seqLE(seq, f.Ack)
-		if !acked {
-			if d := seq - f.Ack; d <= 64 {
-				acked = f.AckBits&(1<<(d-1)) != 0
-			}
-		}
-		if acked {
-			delete(r.unacked, seq)
-			r.releaseSlot(sf)
+	// The cumulative ack settles everything up to it. Serial-number
+	// compares keep it clearing the window after the sequence space wraps
+	// past 2^32.
+	for r.inFlight > 0 && seqLE(r.low, f.Ack) {
+		r.settle(r.low)
+	}
+	// Bit d-1 of the selective ack is sequence Ack+d.
+	for sel := f.AckBits; sel != 0; sel &= sel - 1 {
+		seq := f.Ack + 1 + uint32(bits.TrailingZeros64(sel))
+		if r.inFlightSlot(seq) != nil {
+			r.settle(seq)
 		}
 	}
-	for r.qlen > 0 && len(r.unacked) < r.cfg.Window {
+	for r.qlen > 0 && !r.windowFull() {
 		r.transmitNew(r.popQueue())
 	}
 	r.armRTO()
 }
 
 func (r *Reliable) onReq(f *wire.Frame) {
-	entry, ok := r.unacked[f.Seq]
-	if !ok {
-		return
+	if entry := r.inFlightSlot(f.Seq); entry != nil {
+		r.retransmit(f.Seq, entry)
 	}
-	r.retransmit(f.Seq, entry)
 }
 
 func (r *Reliable) retransmit(seq uint32, entry *sentFrame) {
 	entry.retries++
 	if entry.retries > r.cfg.MaxRetries {
-		delete(r.unacked, seq)
-		r.releaseSlot(entry)
+		r.settle(seq)
 		r.stats.SendDropped++
 		return
 	}
@@ -419,33 +489,21 @@ func (r *Reliable) retransmit(seq uint32, entry *sentFrame) {
 // armRTO (re)arms the sender retransmission timer when frames are in
 // flight.
 func (r *Reliable) armRTO() {
-	stopTimer(r.rtoTimer)
-	r.rtoTimer = nil
-	if len(r.unacked) == 0 {
+	if r.inFlight == 0 {
+		r.rtoTimer.Stop()
 		return
 	}
-	r.rtoTimer = r.env.Clock().After(r.rto, func() {
-		r.rtoTimer = nil
-		if r.closed || len(r.unacked) == 0 {
-			return
-		}
-		// Retransmit the serially oldest outstanding frame and back off.
-		// (0 is not usable as an "unset" sentinel: it is a legitimate
-		// sequence once the space wraps.)
-		var oldest uint32
-		first := true
-		for seq := range r.unacked {
-			if first || seqLT(seq, oldest) {
-				oldest = seq
-				first = false
-			}
-		}
-		if entry, ok := r.unacked[oldest]; ok {
-			r.retransmit(oldest, entry)
-		}
-		r.rto = clampDur(2*r.rto, rtoMin)
-		r.armRTO()
-	})
+	r.rtoTimer.Reset(r.rto)
+}
+
+// onRTO retransmits the serially oldest outstanding frame and backs off.
+func (r *Reliable) onRTO() {
+	if r.closed || r.inFlight == 0 {
+		return
+	}
+	r.retransmit(r.low, r.inFlightSlot(r.low))
+	r.rto = clampDur(2*r.rto, rtoMin)
+	r.armRTO()
 }
 
 // Stats implements Protocol.
@@ -453,23 +511,22 @@ func (r *Reliable) Stats() Stats { return r.stats }
 
 // OutstandingFrames returns the number of unacknowledged data frames —
 // used by tests and by backpressure-sensitive callers.
-func (r *Reliable) OutstandingFrames() int { return len(r.unacked) + r.qlen }
+func (r *Reliable) OutstandingFrames() int { return r.inFlight + r.qlen }
 
 // Close implements Protocol.
 func (r *Reliable) Close() {
 	r.closed = true
-	stopTimer(r.rtoTimer)
-	r.rtoTimer = nil
+	r.rtoTimer.Stop()
 	for seq, req := range r.pendReqs {
-		stopTimer(req.timer)
+		req.timer.Stop()
 		delete(r.pendReqs, seq)
 	}
 	// Release retransmission and reordering buffers so a torn-down link
 	// holds no packet memory (and returns no pooled bytes late).
-	for seq, sf := range r.unacked {
-		delete(r.unacked, seq)
-		r.releaseSlot(sf)
+	for r.inFlight > 0 {
+		r.settle(r.low)
 	}
+	r.ring = nil
 	for r.qlen > 0 {
 		r.releaseSlot(r.popQueue())
 	}

@@ -228,7 +228,7 @@ type Manager struct {
 // already contain the designed topology; neighbors are registered with
 // AddNeighbor before Start.
 func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Manager {
-	return &Manager{
+	m := &Manager{
 		env:       env,
 		self:      self,
 		view:      view,
@@ -237,6 +237,8 @@ func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Man
 		seen:      make(map[wire.NodeID]uint32),
 		lastAdv:   make(map[wire.NodeID][]byte),
 	}
+	m.refreshTimer = env.Clock().NewTimer(m.refresh)
+	return m
 }
 
 // AddNeighbor registers the adjacent link to a neighbor.
@@ -249,6 +251,7 @@ func (m *Manager) AddNeighbor(n wire.NodeID, link wire.LinkID) {
 		advUp:      true,
 		advLatency: st.Latency,
 		rtt:        2 * st.Latency,
+		timer:      m.env.Clock().NewTimer(func() { m.helloTick(n) }),
 	}
 	m.order = append(m.order, n)
 	sort.Slice(m.order, func(i, j int) bool { return m.order[i] < m.order[j] })
@@ -262,7 +265,7 @@ func (m *Manager) Start() {
 		m.scheduleHello(n, m.cfg.HelloInterval)
 	}
 	m.originateLSA()
-	m.scheduleRefresh()
+	m.refreshTimer.Reset(m.cfg.RefreshInterval)
 }
 
 // AddNeighborLive registers the adjacent link to a neighbor on a running
@@ -298,8 +301,7 @@ func (m *Manager) DisableNeighbor(n wire.NodeID) {
 	st.disabled = true
 	st.pendingAck = false
 	st.missed = 0
-	stopTimer(st.timer)
-	st.timer = nil
+	st.timer.Stop()
 	if st.up {
 		st.up = false
 		m.stats.DownDetections++
@@ -334,8 +336,7 @@ func (m *Manager) WithdrawAll() {
 		st := m.neighbors[n]
 		st.disabled = true
 		st.pendingAck = false
-		stopTimer(st.timer)
-		st.timer = nil
+		st.timer.Stop()
 		if st.up {
 			st.up = false
 			m.view.SetUp(st.linkID, false)
@@ -400,9 +401,9 @@ func (m *Manager) PurgeOrigin(n wire.NodeID) {
 func (m *Manager) Stop() {
 	m.closed = true
 	for _, st := range m.neighbors {
-		stopTimer(st.timer)
+		st.timer.Stop()
 	}
-	stopTimer(m.refreshTimer)
+	m.refreshTimer.Stop()
 }
 
 // View returns the shared connectivity view.
@@ -461,9 +462,7 @@ func (m *Manager) NeighborRTT(n wire.NodeID) (time.Duration, bool) {
 }
 
 func (m *Manager) scheduleHello(n wire.NodeID, after time.Duration) {
-	st := m.neighbors[n]
-	stopTimer(st.timer)
-	st.timer = m.env.Clock().After(after, func() { m.helloTick(n) })
+	m.neighbors[n].timer.Reset(after)
 }
 
 // helloTick sends one probe and accounts for the previous one.
@@ -672,14 +671,13 @@ func (m *Manager) maybeAdvertise(st *neighborState) {
 	}
 }
 
-func (m *Manager) scheduleRefresh() {
-	m.refreshTimer = m.env.Clock().After(m.cfg.RefreshInterval, func() {
-		if m.closed {
-			return
-		}
-		m.originateLSA()
-		m.scheduleRefresh()
-	})
+// refresh is the periodic full advertisement.
+func (m *Manager) refresh() {
+	if m.closed {
+		return
+	}
+	m.originateLSA()
+	m.refreshTimer.Reset(m.cfg.RefreshInterval)
 }
 
 // originateLSA floods this node's current adjacent link states in full.
@@ -831,10 +829,4 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 	}
 	m.env.FloodLSA(p.Payload, from)
 	return nil
-}
-
-func stopTimer(t sim.Timer) {
-	if t != nil {
-		t.Stop()
-	}
 }

@@ -106,6 +106,8 @@ func NewManager(env Env, self wire.NodeID, cfg Config) *Manager {
 	for _, id := range m.cfg.Seed {
 		m.dir.Apply(Record{ID: id, Epoch: 1, Status: StatusJoined})
 	}
+	m.joinTimer = env.Clock().NewTimer(m.sendJoinReq)
+	m.sweep = env.Clock().NewTimer(m.sweepTick)
 	return m
 }
 
@@ -155,14 +157,14 @@ func (m *Manager) AllowsOrigin(id wire.NodeID) bool {
 // Start begins the periodic detector/corrector sweep.
 func (m *Manager) Start() {
 	m.started = true
-	m.scheduleSweep()
+	m.sweep.Reset(m.cfg.SweepInterval)
 }
 
 // Stop cancels all timers.
 func (m *Manager) Stop() {
 	m.closed = true
-	stopTimer(m.joinTimer)
-	stopTimer(m.sweep)
+	m.joinTimer.Stop()
+	m.sweep.Stop()
 }
 
 // Join starts admission through contact: the join request retries until
@@ -183,8 +185,7 @@ func (m *Manager) sendJoinReq() {
 	}
 	m.buf = AppendJoinReq(m.buf[:0], m.self)
 	m.env.Send(m.contact, m.buf)
-	stopTimer(m.joinTimer)
-	m.joinTimer = m.env.Clock().After(m.cfg.JoinRetry, m.sendJoinReq)
+	m.joinTimer.Reset(m.cfg.JoinRetry)
 }
 
 // Leave announces this node's graceful departure: its directory record
@@ -196,7 +197,7 @@ func (m *Manager) Leave() {
 		return
 	}
 	m.leaving = true
-	stopTimer(m.joinTimer)
+	m.joinTimer.Stop()
 	epoch := uint32(1)
 	if cur, ok := m.dir.Get(m.self); ok {
 		epoch = cur.Epoch + 1
@@ -367,14 +368,13 @@ func (m *Manager) sendSync(to wire.NodeID) {
 	m.env.Send(to, m.buf)
 }
 
-func (m *Manager) scheduleSweep() {
-	m.sweep = m.env.Clock().After(m.cfg.SweepInterval, func() {
-		if m.closed {
-			return
-		}
-		m.Sweep()
-		m.scheduleSweep()
-	})
+// sweepTick is the periodic sweep.
+func (m *Manager) sweepTick() {
+	if m.closed {
+		return
+	}
+	m.Sweep()
+	m.sweep.Reset(m.cfg.SweepInterval)
 }
 
 // Sweep runs one detector/corrector round synchronously: the self-defense
@@ -414,11 +414,5 @@ func (m *Manager) Sweep() {
 			m.stats.DigestsSent.Add(1)
 			m.env.Send(nb, m.buf)
 		}
-	}
-}
-
-func stopTimer(t sim.Timer) {
-	if t != nil {
-		t.Stop()
 	}
 }

@@ -183,6 +183,7 @@ func New(cfg Config) (*Node, error) {
 		neighbors: make(map[wire.NodeID]*neighborLink),
 		deliver:   func(*wire.Packet) {},
 	}
+	n.refreshTimer = n.clock.NewTimer(n.groupRefresh)
 	n.plane = newDataPlane(n)
 	n.ctl = n.plane.shards[0]
 	view := topology.NewView(cfg.Graph)
@@ -227,7 +228,7 @@ func (n *Node) DataPlane() *DataPlane { return n.plane }
 // Start begins connectivity and group-state maintenance.
 func (n *Node) Start() {
 	n.lsMgr.Start()
-	n.scheduleGroupRefresh()
+	n.refreshTimer.Reset(n.cfg.GroupRefresh)
 	if n.memMgr != nil {
 		n.memMgr.Start()
 	}
@@ -243,9 +244,7 @@ func (n *Node) Stop() {
 	if n.memMgr != nil {
 		n.memMgr.Stop()
 	}
-	if n.refreshTimer != nil {
-		n.refreshTimer.Stop()
-	}
+	n.refreshTimer.Stop()
 	n.ctl.close()
 }
 
@@ -507,15 +506,13 @@ func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
 	return out
 }
 
-// scheduleGroupRefresh refloods membership periodically.
-func (n *Node) scheduleGroupRefresh() {
-	n.refreshTimer = n.clock.After(n.cfg.GroupRefresh, func() {
-		if n.ctl.closed {
-			return
-		}
-		n.grpMgr.Refresh()
-		n.scheduleGroupRefresh()
-	})
+// groupRefresh refloods membership periodically.
+func (n *Node) groupRefresh() {
+	if n.ctl.closed {
+		return
+	}
+	n.grpMgr.Refresh()
+	n.refreshTimer.Reset(n.cfg.GroupRefresh)
 }
 
 // Originate injects a packet from the session level into the overlay. It

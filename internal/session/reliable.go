@@ -94,13 +94,17 @@ func packetWantsE2E(p *wire.Packet) bool {
 // armNack schedules (or reschedules) the gap-recovery timer for one flow's
 // reorder state.
 func (c *Client) armNack(id flowID, st *reorderState) {
-	if st.nackTimer != nil || c.closed {
+	if st.nackArmed || c.closed {
 		return
 	}
-	st.nackTimer = c.mgr.clock.After(nackInterval, func() {
-		st.nackTimer = nil
-		c.nackTick(id, st)
-	})
+	if st.nackTimer == nil {
+		st.nackTimer = c.mgr.clock.NewTimer(func() {
+			st.nackArmed = false
+			c.nackTick(id, st)
+		})
+	}
+	st.nackArmed = true
+	st.nackTimer.Reset(nackInterval)
 }
 
 // nackTick requests the flow's missing sequences from the source, giving
@@ -199,24 +203,19 @@ func (f *Flow) remember(p *wire.Packet) {
 // quiet, the last packet is re-sent a bounded number of times so the
 // destination learns about (and can NACK) any trailing losses.
 func (f *Flow) armTailFlush() {
-	if f.tailTimer != nil {
-		f.tailTimer.Stop()
-	}
 	f.tailTries = 0
-	f.scheduleTail()
+	f.tailTimer.Reset(tailFlushInterval)
 }
 
-func (f *Flow) scheduleTail() {
-	interval := tailFlushInterval << f.tailTries
-	f.tailTimer = f.client.mgr.clock.After(interval, func() {
-		f.tailTimer = nil
-		if f.client.closed || f.tailTries >= tailFlushTries {
-			return
-		}
-		f.tailTries++
-		f.resend(f.seq)
-		f.scheduleTail()
-	})
+// tailFlush is the tail-protection timer's callback: one re-send of the
+// last packet, then a wait twice as long for the next.
+func (f *Flow) tailFlush() {
+	if f.client.closed || f.tailTries >= tailFlushTries {
+		return
+	}
+	f.tailTries++
+	f.resend(f.seq)
+	f.tailTimer.Reset(tailFlushInterval << f.tailTries)
 }
 
 // stopTailTimers cancels tail-protection timers on client close.
@@ -224,7 +223,6 @@ func (c *Client) stopTailTimers() {
 	for _, f := range c.flows {
 		if f.tailTimer != nil {
 			f.tailTimer.Stop()
-			f.tailTimer = nil
 		}
 	}
 }
@@ -234,7 +232,6 @@ func (c *Client) stopNackTimers() {
 	for _, st := range c.reorder {
 		if st.nackTimer != nil {
 			st.nackTimer.Stop()
-			st.nackTimer = nil
 		}
 	}
 }

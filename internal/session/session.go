@@ -210,8 +210,10 @@ type reorderState struct {
 	maxSeen uint32
 	pending map[uint32]*heldPacket
 
-	// Gap-recovery state for reliable flows.
+	// Gap-recovery state for reliable flows: one timer, made by the first
+	// armNack, pending while nackArmed.
 	nackTimer sim.Timer
+	nackArmed bool
 	nackTries int
 }
 
@@ -273,6 +275,9 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 		return nil, fmt.Errorf("session: anycast flow needs a group")
 	}
 	f := &Flow{client: c, spec: spec, srcPort: c.mgr.allocEphemeral()}
+	if wantsE2ERecovery(spec) {
+		f.tailTimer = c.mgr.clock.NewTimer(f.tailFlush)
+	}
 	c.mgr.flowPorts[f.srcPort] = f
 	c.flows = append(c.flows, f)
 	return f, nil
@@ -318,16 +323,22 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 		}
 		return
 	}
-	if _, dup := st.pending[p.FlowSeq]; dup {
-		c.stats.Duplicates++
-		return
-	}
-	held := &heldPacket{p: p}
-	st.pending[p.FlowSeq] = held
-	if p.Deadline > 0 {
-		// Flush the buffer when this packet's delivery deadline passes.
-		wait := p.Origin + p.Deadline - c.mgr.clock.Now()
-		held.timer = c.mgr.clock.After(wait, func() { c.flushTo(id, p.FlowSeq) })
+	if p.FlowSeq == st.next {
+		// In sequence: there is nothing to hold it back for.
+		st.next++
+		c.deliverUp(p, c.mgr.clock.Now()-p.Origin)
+	} else {
+		if _, dup := st.pending[p.FlowSeq]; dup {
+			c.stats.Duplicates++
+			return
+		}
+		held := &heldPacket{p: p}
+		st.pending[p.FlowSeq] = held
+		if p.Deadline > 0 {
+			// Flush the buffer when this packet's delivery deadline passes.
+			wait := p.Origin + p.Deadline - c.mgr.clock.Now()
+			held.timer = c.mgr.clock.After(wait, func() { c.flushTo(id, p.FlowSeq) })
+		}
 	}
 	c.drain(id, st)
 	// Reliable flows recover remaining gaps end to end.
@@ -433,7 +444,6 @@ func (f *Flow) Close() {
 	f.closed = true
 	if f.tailTimer != nil {
 		f.tailTimer.Stop()
-		f.tailTimer = nil
 	}
 	f.history = nil
 	f.histOrder = nil

@@ -667,3 +667,65 @@ func TestReliableStreamSurvivesDestinationRestart(t *testing.T) {
 		t.Fatal("seq 1 reached the new incarnation without retransmission?")
 	}
 }
+
+// TestOrderedInSequenceFastPath feeds the hold-back buffer by hand: a
+// packet that is next in sequence is delivered at once — nothing held, no
+// deadline timer armed and stopped again — and still releases whatever
+// was held behind it, with the accounting of the slow path.
+func TestOrderedInSequenceFastPath(t *testing.T) {
+	s, _, m2 := world(t, 0)
+	dst, err := m2.Connect(100)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	var got []Delivery
+	dst.OnDeliver(func(d Delivery) { got = append(got, d) })
+	now := s.sched.Now()
+	pkt := func(seq uint32, flags wire.Flags) *wire.Packet {
+		return &wire.Packet{
+			Type: wire.PTData, Src: 1, SrcPort: 50000, Dst: 2, DstPort: 100,
+			FlowSeq: seq, Flags: wire.FOrdered | flags,
+			Origin: now - 3*time.Millisecond, Deadline: 200 * time.Millisecond,
+		}
+	}
+	idle := s.sched.Pending()
+	for seq := uint32(1); seq <= 3; seq++ {
+		dst.receive(pkt(seq, 0))
+	}
+	st := dst.reorder[flowID{src: 1, srcPort: 50000}]
+	if len(got) != 3 || st.next != 4 || len(st.pending) != 0 {
+		t.Fatalf("in-sequence packets: delivered %d, next %d, held %d; want 3, 4, 0", len(got), st.next, len(st.pending))
+	}
+	if armed := s.sched.Pending() - idle; armed != 0 {
+		t.Fatalf("in-sequence packets armed %d timers", armed)
+	}
+	if got[2].Latency != 3*time.Millisecond {
+		t.Fatalf("latency %v, want now - origin = 3ms", got[2].Latency)
+	}
+	// 5 and 6 wait for 4, each under its own deadline timer.
+	dst.receive(pkt(5, 0))
+	dst.receive(pkt(6, 0))
+	dst.receive(pkt(6, 0)) // duplicate of a held packet
+	if len(got) != 3 || len(st.pending) != 2 || s.sched.Pending()-idle != 2 {
+		t.Fatalf("out-of-sequence packets: delivered %d, held %d, timers %d; want 3, 2, 2",
+			len(got), len(st.pending), s.sched.Pending()-idle)
+	}
+	dst.receive(pkt(4, wire.FRetrans))
+	if len(got) != 6 || st.next != 7 || len(st.pending) != 0 || s.sched.Pending() != idle {
+		t.Fatalf("gap filled: delivered %d, next %d, held %d, timers %d; want 6, 7, 0, 0",
+			len(got), st.next, len(st.pending), s.sched.Pending()-idle)
+	}
+	for i, d := range got {
+		if d.Seq != uint32(i+1) {
+			t.Fatalf("delivery %d has seq %d", i, d.Seq)
+		}
+	}
+	if !got[3].Retransmitted {
+		t.Fatal("recovered packet delivered without its Retransmitted mark")
+	}
+	dst.receive(pkt(2, wire.FRetrans)) // redundant recovery copy
+	dst.receive(pkt(3, 0))             // original arriving after the flush
+	if stats := dst.Stats(); stats.Received != 6 || stats.Duplicates != 2 || stats.Late != 1 {
+		t.Fatalf("received %d, duplicates %d, late %d; want 6, 2, 1", stats.Received, stats.Duplicates, stats.Late)
+	}
+}

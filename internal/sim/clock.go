@@ -12,13 +12,24 @@ package sim
 
 import "time"
 
-// Timer is a handle to a scheduled callback. Stopping a timer prevents its
-// callback from running if it has not fired yet.
+// Timer is a handle to one callback on a Clock. The callback runs once per
+// arming: After arms it at creation, NewTimer leaves it idle until the
+// first Reset. A Timer belongs to the clock that made it and, like all
+// protocol state on that clock, is used from the clock's executor: Reset
+// and Stop are called from callbacks and posted closures of that
+// executor, which is what makes "Stop returned true" mean the callback
+// will not run.
 type Timer interface {
-	// Stop cancels the timer. It reports whether the call prevented the
-	// callback from firing (false if the callback already ran or the timer
-	// was already stopped).
+	// Stop cancels the pending callback. It reports whether the call
+	// prevented the callback from firing (false if the callback already
+	// ran or the timer is idle). A stopped timer can be Reset.
 	Stop() bool
+
+	// Reset arms the timer to fire d from now, whether it is pending (the
+	// deadline moves, earlier or later), stopped, or has fired — including
+	// from inside its own callback. A non-positive d fires as soon as
+	// possible, still asynchronously. Reset allocates nothing.
+	Reset(d time.Duration)
 }
 
 // Clock provides virtual or real time to protocol code.
@@ -26,14 +37,23 @@ type Timer interface {
 // Now returns the time elapsed since the clock's epoch. Implementations
 // guarantee that callbacks scheduled on the same Clock never run
 // concurrently with each other: protocol code using a single Clock needs no
-// locking.
+// locking. Timers are created, Reset and Stopped from the clock's executor
+// (see Timer).
 type Clock interface {
 	// Now returns the current time relative to the clock's epoch.
 	Now() time.Duration
 
 	// After schedules fn to run once, d from now. A non-positive d schedules
-	// the callback to run as soon as possible, still asynchronously.
+	// the callback to run as soon as possible, still asynchronously. It is
+	// NewTimer(fn) followed by Reset(d): right for a callback scheduled
+	// once, one allocation too many for a deadline that moves.
 	After(d time.Duration, fn func()) Timer
+
+	// NewTimer returns an idle timer that runs fn each time a Reset
+	// deadline passes. Code that re-arms one logical timer (a
+	// retransmission timeout, a pacing tick, a periodic refresh) makes the
+	// timer once and Resets it.
+	NewTimer(fn func()) Timer
 }
 
 // Executor serializes closures onto a single logical thread of execution.

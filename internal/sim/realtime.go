@@ -119,6 +119,16 @@ func (l *Loop) run() {
 
 // RealtimeClock implements Clock over the wall clock, dispatching timer
 // callbacks onto an Executor so that protocol code remains single-threaded.
+//
+// The clock owns its timers: a min-heap of timer records ordered by
+// deadline and exactly one runtime timer, armed for the earliest of them.
+// Arming, moving or stopping a timer is a heap operation under the clock's
+// lock; the runtime timer is touched only when the earliest deadline moves
+// earlier, so a deadline that keeps being pushed back (a retransmission
+// timeout re-armed by every ack) costs no runtime-timer work at all, at
+// the price of one idle wake-up when the stale deadline passes. The
+// wake-up posts one pre-allocated Runner to the executor, and it is the
+// executor that pops and runs every due callback.
 type RealtimeClock struct {
 	exec  Executor
 	epoch time.Time
@@ -133,6 +143,14 @@ type RealtimeClock struct {
 	base    time.Time
 	baseVal time.Duration
 	last    time.Duration
+
+	timers eventHeap
+	seq    uint64
+	// wake is the one runtime timer, made on the first arming. While
+	// waking is set it is due to post an expiry pass at or before wakeAt.
+	wake   *time.Timer
+	wakeAt time.Duration
+	waking bool
 }
 
 var _ Clock = (*RealtimeClock)(nil)
@@ -163,8 +181,14 @@ func NewRealtimeClockAt(exec Executor, epoch time.Time) *RealtimeClock {
 // deadlines, and origin timestamps that assume time flows forward at one
 // second per second.
 func (c *RealtimeClock) Now() time.Duration {
-	now := time.Now()
 	c.mu.Lock()
+	d := c.nowLocked()
+	c.mu.Unlock()
+	return d
+}
+
+func (c *RealtimeClock) nowLocked() time.Duration {
+	now := time.Now()
 	if c.base.IsZero() {
 		// Struct-literal construction: anchor to this first reading. The
 		// epoch offset is wall-only here, so clamp it — an epoch ahead of
@@ -181,52 +205,96 @@ func (c *RealtimeClock) Now() time.Duration {
 	} else {
 		c.last = d
 	}
-	c.mu.Unlock()
 	return d
 }
 
 // After schedules fn on the executor d from now.
 func (c *RealtimeClock) After(d time.Duration, fn func()) Timer {
+	ev := &event{fn: fn, q: c}
+	c.arm(ev, d)
+	return ev
+}
+
+// NewTimer returns an idle re-armable timer whose callback runs on the
+// executor.
+func (c *RealtimeClock) NewTimer(fn func()) Timer { return &event{fn: fn, q: c} }
+
+// arm implements timerQueue for Timer.Reset.
+func (c *RealtimeClock) arm(ev *event, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	rt := &realTimer{}
-	rt.t = time.AfterFunc(d, func() {
-		rt.mu.Lock()
-		stopped := rt.stopped
-		rt.mu.Unlock()
-		if stopped {
-			return
-		}
-		c.exec.Post(func() {
-			rt.mu.Lock()
-			stopped := rt.stopped
-			rt.fired = true
-			rt.mu.Unlock()
-			if !stopped {
-				fn()
-			}
-		})
-	})
-	return rt
+	c.mu.Lock()
+	now := c.nowLocked()
+	c.timers.schedule(ev, now+d, c.seq)
+	c.seq++
+	c.armWake(now)
+	c.mu.Unlock()
 }
 
-// realTimer adapts time.Timer to the Timer interface with exactly-once
-// semantics across the AfterFunc goroutine and the executor.
-type realTimer struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
-	fired   bool
+// disarm implements timerQueue for Timer.Stop. The runtime timer is left
+// alone: if ev was the earliest, the wake-up it leaves behind finds
+// nothing due and re-arms for what is.
+func (c *RealtimeClock) disarm(ev *event) bool {
+	c.mu.Lock()
+	queued := c.timers.remove(ev)
+	c.mu.Unlock()
+	return queued
 }
 
-func (rt *realTimer) Stop() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.stopped || rt.fired {
-		return false
+// armWake makes sure an expiry pass is due no later than the earliest
+// deadline. c.mu is held.
+func (c *RealtimeClock) armWake(now time.Duration) {
+	if len(c.timers) == 0 {
+		return
 	}
-	rt.stopped = true
-	rt.t.Stop()
-	return true
+	at := c.timers[0].at
+	if c.waking && c.wakeAt <= at {
+		return
+	}
+	c.waking, c.wakeAt = true, at
+	if c.wake != nil {
+		c.wake.Reset(at - now)
+		return
+	}
+	// The runtime timer's goroutine only hands the expiry pass to the
+	// executor: as a Runner where the executor takes one, as the one
+	// closure made here otherwise.
+	var post func()
+	if re, ok := c.exec.(RunnerExecutor); ok {
+		post = func() { re.PostRunner((*clockExpiry)(c)) }
+	} else {
+		expire := c.expire
+		post = func() { c.exec.Post(expire) }
+	}
+	c.wake = time.AfterFunc(at-now, post)
+}
+
+// clockExpiry is RealtimeClock as the Runner its wake-up posts.
+type clockExpiry RealtimeClock
+
+// Run implements Runner.
+func (x *clockExpiry) Run() { (*RealtimeClock)(x).expire() }
+
+// expire runs, on the executor, every timer that is due, then re-arms the
+// runtime timer for the earliest one left. Timers armed by the callbacks
+// themselves wait for the next pass even when already due, so a callback
+// that re-arms with no delay cannot keep the executor from its queue.
+func (c *RealtimeClock) expire() {
+	c.mu.Lock()
+	c.waking = false
+	now := c.nowLocked()
+	armedBefore := c.seq
+	for len(c.timers) > 0 {
+		ev := c.timers[0]
+		if ev.at > now || ev.seq >= armedBefore {
+			break
+		}
+		c.timers.pop()
+		c.mu.Unlock()
+		ev.fn()
+		c.mu.Lock()
+	}
+	c.armWake(c.nowLocked())
+	c.mu.Unlock()
 }

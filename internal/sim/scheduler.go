@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand/v2"
 	"time"
 )
@@ -28,12 +27,6 @@ type Scheduler struct {
 	events eventHeap
 	rng    *rand.Rand
 	ran    uint64
-	// stopped counts cancelled events still sitting in the heap. When they
-	// outnumber live events the heap is swept, so timer-heavy protocols
-	// that cancel almost every timer (Reliable retransmissions, NM-Strikes)
-	// keep the heap proportional to the live timer count rather than to the
-	// cancellation churn.
-	stopped int
 	// free recycles events scheduled without a Timer handle (AfterRunner):
 	// no handle can outlive the firing, so the object is safe to reuse.
 	free []*event
@@ -56,9 +49,11 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // EventsRun returns the number of events executed so far.
 func (s *Scheduler) EventsRun() uint64 { return s.ran }
 
-// Pending returns the number of live (not cancelled) events currently
-// scheduled.
-func (s *Scheduler) Pending() int { return len(s.events) - s.stopped }
+// Pending returns the number of events currently scheduled. Stop removes
+// its event from the heap at once, so timer-heavy protocols that cancel
+// almost every timer (Reliable retransmissions, NM-Strikes) keep the heap
+// proportional to the live timer count.
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // After schedules fn to run d from now and returns a cancellable handle.
 // Non-positive delays schedule fn at the current instant (it still runs
@@ -76,11 +71,33 @@ func (s *Scheduler) At(t time.Duration, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
-	ev := &event{at: t, seq: s.seq, fn: fn, sched: s}
-	s.seq++
-	heap.Push(&s.events, ev)
+	ev := &event{fn: fn, q: s}
+	s.schedule(ev, t)
 	return ev
 }
+
+// NewTimer returns an idle re-armable timer for fn, implementing Clock.
+func (s *Scheduler) NewTimer(fn func()) Timer { return &event{fn: fn, q: s} }
+
+// schedule queues ev at virtual time at — or moves it there when it is
+// already queued — drawing the next scheduling-order number either way.
+// Pop order is a function of (at, seq) alone, so re-arming in place runs
+// the world exactly as cancelling ev and scheduling a fresh event would.
+func (s *Scheduler) schedule(ev *event, at time.Duration) {
+	s.events.schedule(ev, at, s.seq)
+	s.seq++
+}
+
+// arm implements timerQueue for Timer.Reset.
+func (s *Scheduler) arm(ev *event, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	s.schedule(ev, s.now+d)
+}
+
+// disarm implements timerQueue for Timer.Stop.
+func (s *Scheduler) disarm(ev *event) bool { return s.events.remove(ev) }
 
 // AfterRunner schedules r.Run to execute d from now. It returns no Timer
 // handle, which lets the scheduler pool the event object: a steady stream
@@ -97,11 +114,10 @@ func (s *Scheduler) AfterRunner(d time.Duration, r Runner) {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		ev = &event{pooled: true}
+		ev = &event{}
 	}
-	ev.at, ev.seq, ev.runner, ev.sched = s.now+d, s.seq, r, s
-	s.seq++
-	heap.Push(&s.events, ev)
+	ev.runner = r
+	s.schedule(ev, s.now+d)
 }
 
 // Post schedules fn at the current instant, implementing Executor.
@@ -116,19 +132,11 @@ var _ RunnerExecutor = (*Scheduler)(nil)
 // Step runs the single earliest pending event. It reports whether an event
 // was run (false when the queue is empty).
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		ev, ok := heap.Pop(&s.events).(*event)
-		if !ok {
-			return false
-		}
-		if ev.stopped {
-			s.stopped--
-			continue
-		}
-		s.runEvent(ev)
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	s.runEvent(s.events.pop())
+	return true
 }
 
 // Run executes events until the queue is empty. Protocols with periodic
@@ -139,21 +147,10 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with timestamps <= t and then advances the clock
-// to t. It is a single pop loop: stopped events are discarded and live ones
-// run as they surface, with one heap traversal per event.
+// to t.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if ev.stopped {
-			heap.Pop(&s.events)
-			s.stopped--
-			continue
-		}
-		if ev.at > t {
-			break
-		}
-		heap.Pop(&s.events)
-		s.runEvent(ev)
+	for len(s.events) > 0 && s.events[0].at <= t {
+		s.runEvent(s.events.pop())
 	}
 	if s.now < t {
 		s.now = t
@@ -163,20 +160,13 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 // RunFor executes events for a span of d virtual time starting from now.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
-// NextEventAt reports the timestamp of the earliest live pending event.
-// ok is false when no live events remain. Cancelled events encountered on
-// the way are discarded, so a peek after heavy timer churn is still O(live).
+// NextEventAt reports the timestamp of the earliest pending event. ok is
+// false when none remain.
 func (s *Scheduler) NextEventAt() (at time.Duration, ok bool) {
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if ev.stopped {
-			heap.Pop(&s.events)
-			s.stopped--
-			continue
-		}
-		return ev.at, true
+	if len(s.events) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.events[0].at, true
 }
 
 // RunUntilQuiesce executes events until the world quiesces — no live event
@@ -200,112 +190,19 @@ func (s *Scheduler) RunUntilQuiesce(idle, deadline time.Duration) bool {
 	}
 }
 
-// runEvent advances the clock to ev and executes it. Pooled events are
-// recycled before their Runner executes, so nested AfterRunner calls from
-// inside Run reuse the object immediately.
+// runEvent advances the clock to ev and executes it. A Runner's event has
+// no Timer handle that could outlive the firing, so it goes back on the
+// free list before the Runner executes and nested AfterRunner calls from
+// inside Run reuse the object immediately. Events with a handle are left
+// to the garbage collector: the handle may be Reset or Stopped later.
 func (s *Scheduler) runEvent(ev *event) {
 	s.now = ev.at
-	ev.fired = true
 	s.ran++
 	if r := ev.runner; r != nil {
-		s.recycle(ev)
+		*ev = event{}
+		s.free = append(s.free, ev)
 		r.Run()
 		return
 	}
 	ev.fn()
-}
-
-// recycle returns a pooled (handle-free) event to the free list. Events
-// with outstanding Timer handles are left for the garbage collector: the
-// handle may still be Stopped later.
-func (s *Scheduler) recycle(ev *event) {
-	if !ev.pooled {
-		return
-	}
-	*ev = event{pooled: true}
-	s.free = append(s.free, ev)
-}
-
-// sweep removes cancelled events from the heap in one pass and restores
-// the heap invariant. Pop order afterwards is unchanged: ordering is fully
-// determined by (at, seq), not by the heap's internal layout.
-func (s *Scheduler) sweep() {
-	live := s.events[:0]
-	for _, ev := range s.events {
-		if ev.stopped {
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(s.events); i++ {
-		s.events[i] = nil
-	}
-	s.events = live
-	s.stopped = 0
-	heap.Init(&s.events)
-}
-
-// event is a scheduled callback; it doubles as the Timer handle.
-type event struct {
-	at      time.Duration
-	seq     uint64
-	fn      func()
-	runner  Runner
-	sched   *Scheduler
-	stopped bool
-	fired   bool
-	// pooled marks events created by AfterRunner: no Timer handle exists,
-	// so the object is recycled after firing.
-	pooled bool
-}
-
-var _ Timer = (*event)(nil)
-
-// Stop cancels the event; it reports whether cancellation happened before
-// the callback ran. When cancelled events come to outnumber live ones the
-// scheduler sweeps them out of the heap instead of carrying them to their
-// deadlines.
-func (e *event) Stop() bool {
-	if e.fired || e.stopped {
-		return false
-	}
-	e.stopped = true
-	if s := e.sched; s != nil {
-		s.stopped++
-		if s.stopped > len(s.events)-s.stopped {
-			s.sweep()
-		}
-	}
-	return true
-}
-
-// eventHeap orders events by time, breaking ties by scheduling order.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }

@@ -415,22 +415,24 @@ func TestRunUntilQuiesceEmptyWorld(t *testing.T) {
 	}
 }
 
-// timerChurn is the retransmission-timer pattern of Reliable and
-// NM-Strikes, where almost every timer is cancelled before it fires:
-// schedule, cancel, and every 64th time let the clock advance.
+// timerChurn is the retransmission-timer pattern of Reliable, where
+// almost every arming is cancelled or moved before it fires: one timer,
+// armed, moved, cancelled, and every 64th time the clock advances.
 func timerChurn(s *Scheduler) func() {
 	i := 0
+	tm := s.NewTimer(func() {})
 	return func() {
-		s.After(time.Second, func() {}).Stop()
+		tm.Reset(time.Second)
+		tm.Reset(2 * time.Second)
+		tm.Stop()
 		if i++; i%64 == 0 {
 			s.RunFor(time.Millisecond)
 		}
 	}
 }
 
-// BenchmarkSchedulerTimers measures schedule/cancel churn. The heap must
-// not accumulate dead events (the sweep keeps stopped entries bounded by
-// live ones).
+// BenchmarkSchedulerTimers measures re-arm/cancel churn. The heap must
+// not accumulate dead events (Stop removes its event at once).
 func BenchmarkSchedulerTimers(b *testing.B) {
 	s := NewScheduler(1)
 	churn := timerChurn(s)
@@ -438,24 +440,21 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		churn()
 	}
-	if pending := s.Pending(); pending > 64 {
+	if pending := s.Pending(); pending != 0 {
 		b.Fatalf("heap retains %d dead events", pending)
 	}
 }
 
-// TestSchedulerTimersAllocBudget pins a schedule-and-cancel at its one
-// allocation, the timer handle (`make bench-guard`), and the dead-event
-// bound with it.
+// TestSchedulerTimersAllocBudget pins re-arming and cancelling a timer at
+// zero allocations (`make bench-guard`), and the dead-event bound with it.
 func TestSchedulerTimersAllocBudget(t *testing.T) {
 	s := NewScheduler(1)
+	s.NewTimer(func() {}).Reset(time.Hour) // company in the heap
 	churn := timerChurn(s)
-	for i := 0; i < 256; i++ {
-		churn() // size the heap
+	if avg := testing.AllocsPerRun(1000, churn); avg != 0 {
+		t.Fatalf("re-arm+cancel allocates %.2f allocs/op, budget is 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, churn); avg > 1 {
-		t.Fatalf("schedule+cancel allocates %.2f allocs/op, budget is 1", avg)
-	}
-	if pending := s.Pending(); pending > 64 {
-		t.Fatalf("heap retains %d dead events", pending)
+	if pending := s.Pending(); pending != 1 {
+		t.Fatalf("heap holds %d events, want the 1 live timer", pending)
 	}
 }
