@@ -27,16 +27,18 @@ test:
 	$(GO) test -tags sonet_portable ./internal/transport/
 
 # The race gate runs the full suite once, then re-runs the daemon suite
-# and the node's shard-crossing tests (decision parity between shard 0 and
-# a snapshot shard, control payloads surfacing on a data shard) pinned at
-# four protocol shards: the auto shard count collapses to one on
+# (runtime admission of a peer homed off shard 0 among it) and the node's
+# shard-crossing tests (decision parity between shard 0 and a snapshot
+# shard, control payloads surfacing on a data shard, the crossing rings'
+# order, overflow, shutdown and all-pairs stress, admitted-peer homing)
+# pinned at four protocol shards: the auto shard count collapses to one on
 # single-core CI runners, and the engine's shard crossings (per-shard link
-# sessions, COW snapshot readers, cross-shard clones) must be race-checked
-# even there.
+# sessions, COW snapshot readers, per-pair hand-off rings) must be
+# race-checked even there.
 test-race:
 	$(GO) test -race ./...
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestDaemon' ./internal/transport/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted' ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted|TestCrossing|TestDataPlaneCloseReleasesCrossings|TestAdmittedPeerIsHomedByHash' ./internal/node/
 
 race: test-race
 

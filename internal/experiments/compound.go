@@ -61,7 +61,8 @@ func CompoundFlow(seed uint64) *Result {
 		c.Join(cdnGroup)
 		c.OnDeliver(func(d session.Delivery) {
 			deliveries = append(deliveries, s.Now())
-			lastPayload = d.Payload
+			// The payload is lent for the call.
+			lastPayload = append(lastPayload[:0], d.Payload...)
 		})
 	}
 	s.Settle()

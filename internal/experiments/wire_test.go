@@ -98,18 +98,23 @@ func BenchmarkUDPBatchRead(b *testing.B) {
 
 // TestUDPTransportAllocBudget is the allocation regression guard for the
 // wire fast path (`make bench-guard`): once the buffer pools, slabs, and
-// peer snapshot are warm, moving a datagram end to end must stay under
-// one allocation amortized (the pre-batching path cost ~5 per packet:
-// a 64 KiB read buffer, an addr string, a payload copy, a closure). The
-// budget holds per shard count — the SPSC handoff rings and pooled drain
-// runners must not add garbage when delivery fans across shards.
+// peer snapshot are warm, moving a datagram end to end allocates nothing
+// (the pre-batching path cost ~5 per packet: a 64 KiB read buffer, an addr
+// string, a payload copy, a closure; the batched one kept a closure and
+// two results per kernel crossing until they were bound once per socket —
+// transport.TestBatchSyscallAllocBudget holds that at zero). What the
+// budget leaves room for is the rig's own: the pump's stall timer and the
+// sender's turn-queue closure, four objects per 64-datagram window. It
+// holds per shard count — the SPSC handoff rings and pooled drain runners
+// must not add garbage when delivery fans across shards.
 func TestUDPTransportAllocBudget(t *testing.T) {
 	skipAllocsUnderRace(t)
+	const budget = 0.1
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rig := mustWireRig(t, shards, 1200)
-			if perPkt := allocsPerPacket(t, rig.flows); perPkt > 1 {
-				t.Fatalf("wire path allocates %.2f allocs/packet amortized, budget is 1", perPkt)
+			if perPkt := allocsPerPacket(t, rig.flows); perPkt > budget {
+				t.Fatalf("wire path allocates %.2f allocs/packet amortized, budget is %.1f", perPkt, budget)
 			}
 		})
 	}

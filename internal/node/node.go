@@ -116,6 +116,15 @@ type Stats struct {
 	// DroppedUnknownPeer counts frames from, and packets toward, a node
 	// the handling shard has no link entry for.
 	DroppedUnknownPeer uint64
+	// DroppedCrossing counts packets and frames refused by a full
+	// shard-crossing ring (transit egress, local delivery, hand-off,
+	// control, replay); a refused originated egress is backpressure, not
+	// counted here.
+	DroppedCrossing uint64
+	// Replayed counts frames a shard passed to the shard that owns them: a
+	// hello a data shard saw, or a peer's frame arriving off its home.
+	// Steady growth means underlay steering and peer homing disagree.
+	Replayed uint64
 	// Blackholed counts data packets absorbed by compromised behaviour.
 	Blackholed uint64
 }

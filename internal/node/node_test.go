@@ -99,11 +99,12 @@ func diamondGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
-// collect installs a delivery recorder on a node.
+// collect installs a delivery recorder on a node. Delivered packets are
+// borrowed, so the recorder keeps copies.
 func collect(n *Node) *[]*wire.Packet {
 	var got []*wire.Packet
 	sink := &got
-	n.SetDeliver(func(p *wire.Packet) { *sink = append(*sink, p) })
+	n.SetDeliver(func(p *wire.Packet) { *sink = append(*sink, p.Clone()) })
 	return sink
 }
 
@@ -499,7 +500,7 @@ func TestDelayingCompromisedNode(t *testing.T) {
 	got := collect(f.nodes[4])
 	var deliveredAt time.Duration
 	f.nodes[4].SetDeliver(func(p *wire.Packet) {
-		*got = append(*got, p)
+		*got = append(*got, p.Clone())
 		deliveredAt = f.sched.Now()
 	})
 	f.sched.RunFor(500 * time.Millisecond)

@@ -18,18 +18,25 @@
 //     engine; shards ≥ 1 ask the snapshot the engine publishes, and hand a
 //     miss (nothing published yet, or a multicast tree not computed yet)
 //     to shard 0 together with their dedup verdict.
-//   - Where a copy goes: work for the loop a shard is already on is a
-//     direct call; anything for another loop is cloned and posted. That
-//     covers a frame for a peer homed elsewhere (replayed on the home
-//     shard), hellos and control payloads surfacing on a data shard (to
-//     shard 0), egress toward a neighbor homed elsewhere (to its home,
-//     which owns the link session), and local delivery (to shard 0, where
-//     the session level lives). Origination fan-out that crosses loops is
-//     accepted without synchronous backpressure: the owning shard applies
-//     the paper's drop semantics and accounts refusals in its own ledger.
+//   - Where work runs: work for the loop a shard is already on is a
+//     direct call; anything for another loop is one record on the bounded
+//     ring the two shards share (crossing.go), its packet captured into a
+//     pooled buffer the target borrows and releases. That covers a frame
+//     for a peer homed elsewhere (replayed on the home shard), hellos and
+//     control payloads surfacing on a data shard (to shard 0), egress
+//     toward a neighbor homed elsewhere (to its home, which owns the link
+//     session), and local delivery (to shard 0, where the session level
+//     lives). A full ring refuses the record: an originated packet counts
+//     the egress as refused, which is backpressure when no other egress
+//     took it; anything else counts Stats.DroppedCrossing.
+//
+// Packets are borrowed all the way up: the delivery sink (Node.SetDeliver)
+// gets the packet the link protocol handed over, valid for the call only,
+// and whoever keeps it past the call captures it.
 package node
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,8 +70,9 @@ func (u soloUnderlay) SendOn(_ int, neighbor wire.NodeID, path uint8, data []byt
 type DataPlane struct {
 	n     *Node
 	under ShardUnderlay
-	// loops carries cross-shard posts; nil until Grow, and never used by a
-	// one-shard plane, where nothing crosses.
+	// loops carries the crossing rings' drain posts and the rare control
+	// closures; nil until Grow, and never used by a one-shard plane, where
+	// nothing crosses.
 	loops *sim.ShardedLoop
 
 	// snap is the cell the routing engine publishes forwarding snapshots
@@ -92,11 +100,14 @@ type DataShard struct {
 	// rxFrame and rxPacket are the receive-path decode scratch: every
 	// frame arriving from the underlay is decoded into them in place, so
 	// the per-hop pipeline allocates nothing. They alias the arriving
-	// datagram; any component that retains packet state clones it.
+	// datagram; any component that retains packet state captures it.
 	rxFrame  wire.Frame
 	rxPacket wire.Packet
 	// fwd is the scratch a snapshot decision builds its fan-out in.
 	fwd []wire.LinkID
+	// out holds this shard's crossing ring toward each other shard, built
+	// on first use. Only this loop stores; Close loads from the target's.
+	out []atomic.Pointer[crossRing]
 
 	stats Stats
 	// sched aggregates fair-scheduler accounting across every discipline
@@ -165,6 +176,9 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	for i := 1; i < nshard; i++ {
 		pl.addShard(clocks[i], nil)
 	}
+	for _, s := range pl.shards {
+		s.out = make([]atomic.Pointer[crossRing], nshard)
+	}
 	for _, pr := range pl.shards[0].peers {
 		pr.home = wire.HomeShard(pr.neighbor, nshard)
 		for _, s := range pl.shards[1:] {
@@ -174,12 +188,20 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	pl.n.engine.SetPublishTarget(&pl.snap)
 }
 
-// admit registers a neighbor on every shard, homed on the control shard:
-// the startup neighbors (before Grow re-homes them) and peers admitted at
-// runtime, which stay there. Runs on the control loop.
+// admit registers a neighbor on every shard, homed by wire.HomeShard over
+// the shards the plane has now: the startup neighbors land on shard 0 and
+// Grow re-homes them; a peer admitted at runtime gets the home the daemon
+// pinned its underlay flow to. Runs on the control loop.
+//
+// The other shards learn the entry by a posted closure, not a crossing
+// record: it must not be refused, and nothing orders it against records.
+// A packet is routed toward the neighbor only once its link is up, a hello
+// round trip after this post, and a frame or egress record that still
+// beats the entry counts DroppedUnknownPeer like any unknown sender.
 func (pl *DataPlane) admit(neighbor wire.NodeID, lid wire.LinkID, latency time.Duration) {
 	pr := &peer{
 		neighbor: neighbor, linkID: lid, latency: latency,
+		home:   wire.HomeShard(neighbor, len(pl.shards)),
 		path:   new(atomic.Uint32),
 		protos: make(map[wire.LinkProtoID]link.Protocol),
 	}
@@ -227,17 +249,13 @@ func (pl *DataPlane) SchedSnapshot() metrics.SchedSnapshot {
 // own loop (Node.Stats is shard 0's, read on the control loop). A shard
 // whose loop has closed contributes zeros. Safe from any goroutine.
 func (pl *DataPlane) Stats() Stats {
-	ch := make(chan Stats, len(pl.shards))
-	cnt := 0
-	for _, s := range pl.shards[1:] {
-		if pl.loops.TryPostTo(s.idx, func() { ch <- s.stats }) {
-			cnt++
-		}
-	}
+	var mu sync.Mutex
 	var agg Stats
-	for ; cnt > 0; cnt-- {
-		agg = agg.Merge(<-ch)
-	}
+	pl.onShards(pl.shards[1:], func(s *DataShard) {
+		mu.Lock()
+		agg = agg.Merge(s.stats)
+		mu.Unlock()
+	})
 	return agg
 }
 
@@ -248,13 +266,25 @@ func (pl *DataPlane) Snapshot() *routing.Snapshot { return pl.snap.Load() }
 
 // Close shuts shards 1..N-1 down on their own loops — link protocols
 // close, their queued packets account as DropClosed in the shard ledger —
-// and waits. The daemon calls it after Node.Stop, which closes shard 0,
-// and before closing the loops.
+// and waits; then, every producer being closed, it empties the crossing
+// rings on their target loops so each captured buffer goes back to the
+// pool. The daemon calls it after Node.Stop, which closes shard 0, and
+// before closing the loops.
 func (pl *DataPlane) Close() {
-	done := make(chan struct{}, len(pl.shards))
+	if len(pl.shards) == 1 {
+		return
+	}
+	pl.onShards(pl.shards[1:], (*DataShard).close)
+	pl.onShards(pl.shards, (*DataShard).drainInbound)
+}
+
+// onShards runs fn for each shard on its own loop and waits for those
+// whose loop still takes work (a loop that has closed runs nothing).
+func (pl *DataPlane) onShards(shards []*DataShard, fn func(*DataShard)) {
+	done := make(chan struct{}, len(shards))
 	cnt := 0
-	for _, s := range pl.shards[1:] {
-		if pl.loops.TryPostTo(s.idx, func() { s.close(); done <- struct{}{} }) {
+	for _, s := range shards {
+		if pl.loops.TryPostTo(s.idx, func() { fn(s); done <- struct{}{} }) {
 			cnt++
 		}
 	}
@@ -266,6 +296,12 @@ func (pl *DataPlane) Close() {
 // resetPeer discards a neighbor's link-protocol endpoints after a
 // control-loop link reset (down/up transition, session-epoch resync): the
 // control endpoints here, the data endpoints on the home shard.
+//
+// The home shard's half is a posted closure, which can overtake or trail
+// the crossing records around it. Either way the packet met the reset as
+// it would have on the wire — sent by the old session just before, or by
+// the new one just after — and that is the case the session-epoch
+// handshake exists for; a record, unlike this closure, could be refused.
 func (pl *DataPlane) resetPeer(neighbor wire.NodeID) {
 	pr, ok := pl.shards[0].peers[neighbor]
 	if !ok {
@@ -298,13 +334,19 @@ func (s *DataShard) close() {
 	}
 }
 
-// replay clones raw frame bytes onto another shard's underlay entry point
+// replay re-enters raw frame bytes at another shard's underlay entry point
 // (hellos a data shard still saw, or frames for a peer homed elsewhere
 // after a steering change).
 func (s *DataShard) replay(target int, from wire.NodeID, data []byte) {
-	cp := append([]byte(nil), data...)
-	t := s.plane.shards[target]
-	s.plane.loops.PostTo(target, func() { t.handleUnderlay(from, cp) })
+	r := s.ringTo(target)
+	if r == nil {
+		s.stats.DroppedCrossing++
+		return
+	}
+	s.stats.Replayed++
+	buf := wire.DefaultBufPool.Get(len(data))
+	buf.B = append(buf.B, data...)
+	r.push(crossing{kind: crossReplay, neighbor: from, buf: buf})
 }
 
 // handleUnderlay decodes and dispatches one frame on this shard's loop.
@@ -361,13 +403,12 @@ func (s *DataShard) receiveFromLink(pr *peer, p *wire.Packet) {
 // are single-threaded on shard 0.
 func (s *DataShard) control(from wire.NodeID, p *wire.Packet) {
 	if s.idx != 0 {
-		cp, ctl := p.Clone(), s.plane.shards[0]
-		s.plane.loops.PostTo(0, func() { ctl.control(from, cp) })
+		if !s.cross(0, crossing{kind: crossControl, neighbor: from}, p) {
+			s.stats.DroppedCrossing++
+		}
 		return
 	}
-	if !s.closed {
-		s.n.handleControl(from, p)
-	}
+	s.n.handleControl(from, p)
 }
 
 // handleData routes a data packet arriving on link arrived, applying
@@ -450,31 +491,25 @@ func (s *DataShard) decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool) 
 // It reports backpressure: true when the packet was locally originated
 // (arrived == NoLink), had egress links, every one of them refused it,
 // and it was not delivered locally. Origination probes disciplines via
-// link.TrySender so the refusal is observable; transit forwarding always
-// uses Send, keeping the paper's silent-drop semantics on the relay fast
-// path.
+// link.TrySender so the refusal is observable, and a full crossing ring
+// toward the egress link's home shard is a refusal too; transit forwarding
+// always uses Send, keeping the paper's silent-drop semantics on the relay
+// fast path.
 func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool) bool {
 	d, ok := s.decide(p, arrived, firstSeen)
 	if !ok {
 		// The control shard decides, on this shard's dedup verdict, and
 		// republishes whatever it computed so the flow's next packets stay
 		// on their arrival shards.
-		cp, ctl := p.Clone(), s.plane.shards[0]
-		s.plane.loops.PostTo(0, func() { ctl.handoff(cp, arrived, firstSeen) })
+		if !s.cross(0, crossing{kind: crossHandoff, arrived: arrived, firstSeen: firstSeen}, p) {
+			s.stats.DroppedCrossing++
+		}
 		return false
 	}
-	var local *wire.Packet
 	if d.DeliverLocal {
 		s.stats.DeliveredLocal++
-		local = p
-		if arrived != routing.NoLink || len(d.Forward) > 0 {
-			// Wire-received packets alias the receive buffer and the
-			// session level retains delivered payloads; forwarding mutates
-			// TTL in place. Either way the delivered copy must be
-			// independent of p.
-			local = p.Clone()
-		}
 	}
+	origination := arrived == routing.NoLink
 	sent, refused := 0, 0
 	if len(d.Forward) == 0 {
 		if !d.DeliverLocal && firstSeen {
@@ -487,7 +522,6 @@ func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool)
 		// exclude TTL, and every protocol that retains the packet captures
 		// it, so the borrowed p can feed all egress links.
 		p.TTL--
-		origination := arrived == routing.NoLink
 		for _, lid := range d.Forward {
 			pr, ok := s.byLink[lid]
 			if !ok {
@@ -497,10 +531,15 @@ func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool)
 			if pr.home != s.idx {
 				// The egress link session lives on the neighbor's home
 				// shard, which counts the hop and applies its own drop
-				// semantics; here it counts as sent.
-				cp, home := p.Clone(), s.plane.shards[pr.home]
-				s.plane.loops.PostTo(pr.home, func() { home.egress(pr.neighbor, cp) })
-				sent++
+				// semantics; a record the ring took counts as sent here.
+				switch {
+				case s.cross(pr.home, crossing{kind: crossEgress, neighbor: pr.neighbor}, p):
+					sent++
+				case origination:
+					refused++
+				default:
+					s.stats.DroppedCrossing++
+				}
 				continue
 			}
 			proto := s.protoFor(pr, p.LinkProto)
@@ -520,28 +559,21 @@ func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool)
 			proto.Send(p)
 		}
 	}
-	if local != nil {
-		s.deliverLocal(local)
+	if d.DeliverLocal {
+		s.deliverLocal(p)
 	}
-	return refused > 0 && sent == 0 && local == nil
+	return refused > 0 && sent == 0 && !d.DeliverLocal
 }
 
-// handoff is where the control shard takes over a packet another shard
-// could not decide.
-func (s *DataShard) handoff(p *wire.Packet, arrived wire.LinkID, firstSeen bool) {
-	if s.closed {
-		return
-	}
-	s.forward(p, arrived, firstSeen)
-	s.n.engine.PublishIfDirty()
-}
-
-// deliverLocal hands an independent copy of a packet to the session
-// level, which lives on the control loop.
+// deliverLocal hands a packet to the session level, which lives on the
+// control loop and borrows it: the fan-out above is done with p (every
+// protocol that keeps a packet captured it), so the packet that arrived
+// is the one delivered, its TTL already decremented if it was forwarded.
 func (s *DataShard) deliverLocal(p *wire.Packet) {
 	if s.idx != 0 {
-		ctl := s.plane.shards[0]
-		s.plane.loops.PostTo(0, func() { ctl.deliverLocal(p) })
+		if !s.cross(0, crossing{kind: crossDeliver}, p) {
+			s.stats.DroppedCrossing++
+		}
 		return
 	}
 	if !s.closed {
@@ -552,9 +584,6 @@ func (s *DataShard) deliverLocal(p *wire.Packet) {
 // egress transmits a packet another shard handed over, on the link
 // session this shard owns.
 func (s *DataShard) egress(neighbor wire.NodeID, p *wire.Packet) {
-	if s.closed {
-		return
-	}
 	pr, ok := s.peers[neighbor]
 	if !ok {
 		s.stats.DroppedUnknownPeer++
@@ -651,6 +680,8 @@ func (s Stats) Merge(o Stats) Stats {
 		DroppedNoRoute:     s.DroppedNoRoute + o.DroppedNoRoute,
 		DroppedAuth:        s.DroppedAuth + o.DroppedAuth,
 		DroppedUnknownPeer: s.DroppedUnknownPeer + o.DroppedUnknownPeer,
+		DroppedCrossing:    s.DroppedCrossing + o.DroppedCrossing,
+		Replayed:           s.Replayed + o.Replayed,
 		Blackholed:         s.Blackholed + o.Blackholed,
 	}
 }

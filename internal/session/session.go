@@ -67,7 +67,9 @@ type Delivery struct {
 	// Retransmitted marks packets whose delivered copy was recovered by a
 	// link-level retransmission somewhere along the path.
 	Retransmitted bool
-	// Payload is the application data.
+	// Payload is the application data. An OnDeliver callback borrows it
+	// for the call — it aliases the receive buffer — and copies what it
+	// keeps; deliveries queued for Deliveries() own theirs.
 	Payload []byte
 }
 
@@ -169,7 +171,7 @@ func (m *Manager) Close() {
 }
 
 // handleDelivery dispatches a packet delivered by the node to the client
-// on its destination port.
+// on its destination port. The packet is borrowed for the call.
 func (m *Manager) handleDelivery(p *wire.Packet) {
 	if p.Type == wire.PTSessionCtl {
 		m.handleNack(p)
@@ -217,9 +219,26 @@ type reorderState struct {
 	nackTries int
 }
 
+// heldPacket is an out-of-order packet captured into one pooled buffer,
+// released once it is delivered, flushed past, or the client closes.
 type heldPacket struct {
-	p     *wire.Packet
+	p     wire.Packet
+	buf   *wire.Buf
 	timer sim.Timer
+}
+
+// stopTimer cancels the deadline flush, if the packet has one.
+func (h *heldPacket) stopTimer() {
+	if h.timer != nil {
+		h.timer.Stop()
+	}
+}
+
+// release returns the captured buffer; h.p is dead afterwards.
+func (h *heldPacket) release() {
+	if h.buf != nil {
+		h.buf.Release()
+	}
 }
 
 // Port returns the client's virtual port.
@@ -245,7 +264,8 @@ func (c *Client) Join(g wire.GroupID) { c.mgr.n.Groups().Join(g) }
 // Leave unsubscribes from a multicast group.
 func (c *Client) Leave(g wire.GroupID) { c.mgr.n.Groups().Leave(g) }
 
-// Close releases the client's port and cancels pending reorder timers.
+// Close releases the client's port, cancels pending reorder timers and
+// releases the packets they held.
 func (c *Client) Close() {
 	if c.closed {
 		return
@@ -253,10 +273,10 @@ func (c *Client) Close() {
 	c.closed = true
 	for _, st := range c.reorder {
 		for _, held := range st.pending {
-			if held.timer != nil {
-				held.timer.Stop()
-			}
+			held.stopTimer()
+			held.release()
 		}
+		clear(st.pending)
 	}
 	c.stopNackTimers()
 	c.stopTailTimers()
@@ -283,7 +303,9 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 	return f, nil
 }
 
-// receive applies the flow's delivery semantics.
+// receive applies the flow's delivery semantics. It borrows p, which may
+// alias a receive buffer: whatever outlives the call (a packet held back
+// for ordering, a queued delivery) is captured.
 func (c *Client) receive(p *wire.Packet) {
 	now := c.mgr.clock.Now()
 	lat := now - p.Origin
@@ -332,12 +354,14 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 			c.stats.Duplicates++
 			return
 		}
-		held := &heldPacket{p: p}
+		held := &heldPacket{}
+		held.buf = wire.CapturePacket(&held.p, p, wire.DefaultBufPool)
 		st.pending[p.FlowSeq] = held
 		if p.Deadline > 0 {
 			// Flush the buffer when this packet's delivery deadline passes.
 			wait := p.Origin + p.Deadline - c.mgr.clock.Now()
-			held.timer = c.mgr.clock.After(wait, func() { c.flushTo(id, p.FlowSeq) })
+			seq := p.FlowSeq
+			held.timer = c.mgr.clock.After(wait, func() { c.flushTo(id, seq) })
 		}
 	}
 	c.drain(id, st)
@@ -355,11 +379,10 @@ func (c *Client) drain(id flowID, st *reorderState) {
 			return
 		}
 		delete(st.pending, st.next)
-		if held.timer != nil {
-			held.timer.Stop()
-		}
+		held.stopTimer()
 		st.next++
-		c.deliverUp(held.p, c.mgr.clock.Now()-held.p.Origin)
+		c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
+		held.release()
 	}
 }
 
@@ -377,10 +400,9 @@ func (c *Client) flushTo(id flowID, seq uint32) {
 	for s := st.next; s <= seq; s++ {
 		if held, ok := st.pending[s]; ok {
 			delete(st.pending, s)
-			if held.timer != nil {
-				held.timer.Stop()
-			}
-			c.deliverUp(held.p, c.mgr.clock.Now()-held.p.Origin)
+			held.stopTimer()
+			c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
+			held.release()
 		}
 	}
 	st.next = seq + 1
@@ -406,6 +428,7 @@ func (c *Client) deliverUp(p *wire.Packet, lat time.Duration) {
 		c.onDeliver(d)
 		return
 	}
+	d.Payload = append([]byte(nil), p.Payload...)
 	c.queue = append(c.queue, d)
 }
 

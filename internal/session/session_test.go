@@ -729,3 +729,64 @@ func TestOrderedInSequenceFastPath(t *testing.T) {
 		t.Fatalf("received %d, duplicates %d, late %d; want 6, 2, 1", stats.Received, stats.Duplicates, stats.Late)
 	}
 }
+
+// TestReceiveBorrowsPacket hands receive packets decoded into one reused
+// buffer, the way a shard's receive path does, and overwrites the buffer
+// as soon as receive returns. What the client still holds — packets held
+// back for ordering, deliveries queued for Deliveries() — must be its own
+// copy; Close returns the buffers of whatever was still held.
+func TestReceiveBorrowsPacket(t *testing.T) {
+	s, _, m2 := world(t, 0)
+	dst, err := m2.Connect(100)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	rx := make([]byte, 64)
+	borrowed := func(seq uint32) *wire.Packet {
+		for i := range rx {
+			rx[i] = byte(seq)
+		}
+		return &wire.Packet{
+			Type: wire.PTData, Src: 1, SrcPort: 50000, Dst: 2, DstPort: 100,
+			FlowSeq: seq, Flags: wire.FOrdered, Origin: s.sched.Now(), Payload: rx,
+		}
+	}
+	intact := func(d Delivery) {
+		t.Helper()
+		if len(d.Payload) != len(rx) {
+			t.Fatalf("seq %d: payload %d bytes, want %d", d.Seq, len(d.Payload), len(rx))
+		}
+		for _, b := range d.Payload {
+			if b != byte(d.Seq) {
+				t.Fatalf("seq %d delivered with payload byte %d: it aliased the receive buffer", d.Seq, b)
+			}
+		}
+	}
+	pool := wire.DefaultBufPool.Stats()
+	before := pool.Snapshot()
+	// 3 and 2 are held behind 1; 1 drains all three into the queue.
+	for _, seq := range []uint32{3, 2, 1} {
+		dst.receive(borrowed(seq))
+	}
+	borrowed(9) // the next datagram lands in the receive buffer
+	got := dst.Deliveries()
+	if len(got) != 3 {
+		t.Fatalf("delivered %d, want 3", len(got))
+	}
+	for i, d := range got {
+		if d.Seq != uint32(i+1) {
+			t.Fatalf("delivery %d has seq %d", i, d.Seq)
+		}
+		intact(d)
+	}
+	// 5 stays held; Close must give its buffer back.
+	dst.receive(borrowed(5))
+	dst.Close()
+	after := pool.Snapshot()
+	const class = 256 // a 64-byte payload is captured into the smallest class
+	gets := (after.Hits + after.Misses) - (before.Hits + before.Misses)
+	if gets != 3 || after.Recycled-before.Recycled != gets*class {
+		t.Fatalf("held packets drew %d buffers and returned %d, want 3 and 3",
+			gets, (after.Recycled-before.Recycled)/class)
+	}
+}

@@ -172,6 +172,61 @@ func TestDaemonSteeredArrivalMatchesHome(t *testing.T) {
 	}
 }
 
+// TestDaemonAdmittedPeerFramesStayHome admits a peer into a running
+// four-shard daemon and drives data frames from it. AdmitPeer pins the
+// peer's underlay flow to wire.HomeShard, so the node must home its link
+// session on the same shard: when it homed admitted peers on shard 0,
+// every one of these frames was replayed there, copy and post.
+func TestDaemonAdmittedPeerFramesStayHome(t *testing.T) {
+	const shards = 4
+	src := wire.NodeID(3)
+	for wire.HomeShard(src, shards) == 0 {
+		src++
+	}
+	d, err := NewDaemon(DaemonConfig{
+		ID: 2, BindUDP: "127.0.0.1:0", Links: []LinkDef{{A: 1, B: 2, LatencyMs: 1}},
+		HelloIntervalMs: 3600000, Shards: shards,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	drv, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = drv.Close() }()
+	if err := drv.AddPeer(2, d.UDPAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AdmitPeer(src, 1, drv.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	const sent = 64
+	f := &wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FData, Packet: &wire.Packet{
+		Type: wire.PTData, Route: wire.RouteLinkState, TTL: 4, Src: src, Dst: 2,
+	}}
+	deadline := time.Now().Add(5 * time.Second)
+	for seq := uint32(1); d.NodeStats().DeliveredLocal < sent; seq++ {
+		// The admission reaches the peer's home shard a loop turn after
+		// AdmitPeer returns; frames that beat it count as unknown-peer drops.
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d/%d: %+v", d.NodeStats().DeliveredLocal, sent, d.NodeStats())
+		}
+		f.Packet.FlowSeq = seq
+		b, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv.Send(2, 0, b)
+		time.Sleep(time.Millisecond)
+	}
+	if st := d.NodeStats(); st.Replayed != 0 {
+		t.Fatalf("%d of the admitted peer's frames were replayed off shard %d: %+v",
+			st.Replayed, wire.HomeShard(src, shards), st)
+	}
+}
+
 // TestDaemonShardLedgersSumAndBalance pushes intrusion-tolerant traffic
 // through a 3-daemon chain running the sharded protocol plane and checks
 // the accounting: per-shard wire ledgers sum to each daemon's aggregate,

@@ -58,19 +58,19 @@ func reuseportSteerProg(n int) []syscall.SockFilter {
 	// | RET+A=0x10.
 	k := uint32(n)
 	return []syscall.SockFilter{
-		{Code: 0x30, K: skfNetOff},             // ldb [net+0]       IP version/IHL
-		{Code: 0x54, K: 0xf0},                  // and #0xf0
-		{Code: 0x15, Jt: 0, Jf: 7, K: 0x40},    // jeq #0x40 ? v4 : v6
-		{Code: 0x30, K: skfNetOff},             // ldb [net+0]
-		{Code: 0x54, K: 0x0f},                  // and #0x0f         IHL in words
-		{Code: 0x64, K: 2},                     // lsh #2            IHL in bytes
-		{Code: 0x07},                           // tax
-		{Code: 0x48, K: skfNetOff},             // ldh [x + net+0]   UDP source port
-		{Code: 0x94, K: k},                     // mod #n
-		{Code: 0x16},                           // ret A
-		{Code: 0x28, K: skfNetOff + 40},        // v6: ldh [net+40]  UDP source port
-		{Code: 0x94, K: k},                     // mod #n
-		{Code: 0x16},                           // ret A
+		{Code: 0x30, K: skfNetOff},          // ldb [net+0]       IP version/IHL
+		{Code: 0x54, K: 0xf0},               // and #0xf0
+		{Code: 0x15, Jt: 0, Jf: 7, K: 0x40}, // jeq #0x40 ? v4 : v6
+		{Code: 0x30, K: skfNetOff},          // ldb [net+0]
+		{Code: 0x54, K: 0x0f},               // and #0x0f         IHL in words
+		{Code: 0x64, K: 2},                  // lsh #2            IHL in bytes
+		{Code: 0x07},                        // tax
+		{Code: 0x48, K: skfNetOff},          // ldh [x + net+0]   UDP source port
+		{Code: 0x94, K: k},                  // mod #n
+		{Code: 0x16},                        // ret A
+		{Code: 0x28, K: skfNetOff + 40},     // v6: ldh [net+40]  UDP source port
+		{Code: 0x94, K: k},                  // mod #n
+		{Code: 0x16},                        // ret A
 	}
 }
 
@@ -177,6 +177,13 @@ type batchReader struct {
 	// addrs and lens describe the datagrams of the last read.
 	addrs []netip.AddrPort
 	lens  []int
+
+	// recv is the recvmmsg method bound once for rc.Read, which reports
+	// through n and operr: a closure over locals would put itself and both
+	// results on the heap at every wakeup.
+	recv  func(fd uintptr) bool
+	n     int
+	operr error
 }
 
 func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
@@ -194,6 +201,7 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 		addrs: make([]netip.AddrPort, k),
 		lens:  make([]int, k),
 	}
+	br.recv = br.recvmmsg
 	for i := 0; i < k; i++ {
 		seg := br.slab.Segment(i)
 		br.iovs[i].Base = &seg[0]
@@ -216,42 +224,44 @@ func (br *batchReader) release() { wire.DefaultSlabs.Put(br.slab) }
 // datagrams received; addrs and lens describe them. A non-nil error means
 // the socket is closed.
 func (br *batchReader) read() (int, error) {
-	var n int
-	var operr error
-	err := br.rc.Read(func(fd uintptr) bool {
-		for i := range br.hdrs {
-			br.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-			br.hdrs[i].n = 0
-		}
-		for {
-			r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&br.hdrs[0])), uintptr(len(br.hdrs)),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			switch errno {
-			case 0:
-				n = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // park until readable
-			default:
-				operr = errno
-				return true
-			}
-		}
-	})
-	if err != nil {
+	br.n, br.operr = 0, nil
+	if err := br.rc.Read(br.recv); err != nil {
 		return 0, err
 	}
-	if operr != nil {
-		return 0, operr
+	if br.operr != nil {
+		return 0, br.operr
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < br.n; i++ {
 		br.lens[i] = int(br.hdrs[i].n)
 		br.addrs[i] = rawToAddrPort(&br.names[i])
 	}
-	return n, nil
+	return br.n, nil
+}
+
+// recvmmsg is the rc.Read callback: false parks until the socket is
+// readable, true ends the read with n or operr set.
+func (br *batchReader) recvmmsg(fd uintptr) bool {
+	for i := range br.hdrs {
+		br.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		br.hdrs[i].n = 0
+	}
+	for {
+		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&br.hdrs[0])), uintptr(len(br.hdrs)),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case 0:
+			br.n = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			br.operr = errno
+			return true
+		}
+	}
 }
 
 // batchWriter flushes coalesced frames with sendmmsg.
@@ -261,6 +271,13 @@ type batchWriter struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
+
+	// xmit is the sendmmsg method bound once for rc.Write, which takes the
+	// batch size from k and reports through n and operr (see
+	// batchReader.recv).
+	xmit  func(fd uintptr) bool
+	k, n  int
+	operr syscall.Errno
 }
 
 func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {
@@ -274,6 +291,7 @@ func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {
 		iovs:  make([]syscall.Iovec, wire.ReadBatch),
 		names: make([]syscall.RawSockaddrInet6, wire.ReadBatch),
 	}
+	bw.xmit = bw.sendmmsg
 	// The sockaddr family must match the socket's, not the destination's:
 	// an AF_INET6 socket wants v4 destinations mapped, an AF_INET socket
 	// cannot reach v6 at all.
@@ -354,31 +372,33 @@ func (bw *batchWriter) send(frames []outFrame) (sent, dropped int, bytes uint64)
 // waiting for writability as needed. It returns datagrams accepted and
 // the errno that stopped the batch (0 with n==0 means the socket closed).
 func (bw *batchWriter) sendBatch(k int) (int, syscall.Errno) {
-	var n int
-	var operr syscall.Errno
-	err := bw.rc.Write(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&bw.hdrs[0])), uintptr(k),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			switch errno {
-			case 0:
-				n = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // park until writable
-			default:
-				operr = errno
-				return true
-			}
-		}
-	})
-	if err != nil {
+	bw.k, bw.n, bw.operr = k, 0, 0
+	if err := bw.rc.Write(bw.xmit); err != nil {
 		return 0, 0
 	}
-	return n, operr
+	return bw.n, bw.operr
+}
+
+// sendmmsg is the rc.Write callback: false parks until the socket is
+// writable, true ends the write with n or operr set.
+func (bw *batchWriter) sendmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&bw.hdrs[0])), uintptr(bw.k),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case 0:
+			bw.n = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			bw.operr = errno
+			return true
+		}
+	}
 }
 
 // encodeAddr writes ap into sockaddr slot i using the socket's family,

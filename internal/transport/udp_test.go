@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,5 +307,52 @@ func TestUDPUnderlaySendRingOverflow(t *testing.T) {
 	exec.runAll()
 	if sp := u.Stats().SendPackets; sp != maxPending {
 		t.Fatalf("flushed %d frames, want %d", sp, maxPending)
+	}
+}
+
+// TestBatchSyscallAllocBudget holds one kernel crossing each way — a
+// sendmmsg flush of eight datagrams and the recvmmsg reads that drain them
+// — to zero allocations: the netpoller callbacks are bound once per socket
+// and report through the reader's and writer's own fields.
+func TestBatchSyscallAllocBudget(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rx.Close() }()
+	tx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tx.Close() }()
+	br, err := newBatchReader(rx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.release()
+	bw, err := newBatchWriter(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := rx.LocalAddr().(*net.UDPAddr).AddrPort()
+	frames := make([]outFrame, 8)
+	for i := range frames {
+		frames[i] = outFrame{to: to, buf: &wire.Buf{B: make([]byte, 1200)}}
+	}
+	batch := func() {
+		if sent, dropped, _ := bw.send(frames); sent != len(frames) || dropped != 0 {
+			t.Fatalf("sent %d, dropped %d of %d", sent, dropped, len(frames))
+		}
+		for got := 0; got < len(frames); {
+			n, err := br.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Fatalf("one flush and the reads that drain it allocate %.2f objects, budget is 0", allocs)
 	}
 }

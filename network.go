@@ -417,9 +417,15 @@ type Client struct {
 // Port returns the client's virtual port.
 func (c *Client) Port() Port { return c.inner.Port() }
 
-// OnDeliver installs a synchronous delivery callback.
+// OnDeliver installs a synchronous delivery callback. The Delivery it is
+// handed, payload included, is the application's to keep.
 func (c *Client) OnDeliver(fn func(Delivery)) {
-	c.inner.OnDeliver(func(d session.Delivery) { fn(fromSessionDelivery(d)) })
+	c.inner.OnDeliver(func(d session.Delivery) {
+		// The session level only lends the payload (it aliases the receive
+		// buffer); this one copy is what makes it the application's.
+		d.Payload = append([]byte(nil), d.Payload...)
+		fn(fromSessionDelivery(d))
+	})
 }
 
 // Deliveries drains queued deliveries (when no callback is installed).

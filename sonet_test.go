@@ -441,3 +441,49 @@ func TestPublicAPIBackpressureAndSchedStats(t *testing.T) {
 		t.Fatalf("delivered %d after recovery, want 1", got)
 	}
 }
+
+// TestPublicAPIDeliveryPayloadIsOwned keeps every payload an OnDeliver
+// callback was handed, without copying, while later messages reuse the
+// overlay's receive buffers: each must still read as it was sent.
+func TestPublicAPIDeliveryPayloadIsOwned(t *testing.T) {
+	net, err := New(1, apiDiamond())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer net.Close()
+	dst, err := net.Connect(4, 100)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	var kept [][]byte
+	dst.OnDeliver(func(d Delivery) { kept = append(kept, d.Payload) })
+	src, err := net.Connect(1, 0)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	flow, err := src.OpenFlow(FlowSpec{To: 4, ToPort: 100, Service: BestEffort})
+	if err != nil {
+		t.Fatalf("OpenFlow: %v", err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		msg := make([]byte, 100)
+		for j := range msg {
+			msg[j] = byte(i)
+		}
+		if err := flow.Send(msg); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		net.Run(50 * time.Millisecond)
+	}
+	if len(kept) != n {
+		t.Fatalf("delivered %d, want %d", len(kept), n)
+	}
+	for i, p := range kept {
+		for _, b := range p {
+			if b != byte(i) {
+				t.Fatalf("message %d now reads %d: Delivery.Payload aliased a receive buffer", i, b)
+			}
+		}
+	}
+}
