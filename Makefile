@@ -2,18 +2,23 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
+.PHONY: all check build fmt vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
 
 all: check
 
-# The default gate: compile, static checks, unit tests, the race detector
-# (the buffer-pool ownership rules make -race a required check), the
-# fast-path allocation budgets, the pinned-seed chaos campaigns, and the
-# repository benchmark's own build and tests.
-check: build vet test test-race bench-guard chaos-smoke bench-check
+# The default gate: compile, formatting, static checks, unit tests, the
+# race detector (the buffer-pool ownership rules make -race a required
+# check), the fast-path allocation budgets, the pinned-seed chaos
+# campaigns, and the repository benchmark's own build and tests.
+check: build fmt vet test test-race bench-guard chaos-smoke bench-check
 
 build:
 	$(GO) build ./...
+
+# Fails on any file gofmt would rewrite, and rewrites none. gofmt walks
+# directories, not modules, so this covers the nested bench/ module too.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 # udp_portable.go is the only data plane a non-Linux build has; the
 # sonet_portable tag selects it on Linux too, so vet and test keep it

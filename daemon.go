@@ -95,15 +95,9 @@ func (d *Daemon) EvictPeer(id NodeID) { d.inner.EvictPeer(id) }
 
 // Stats reports the daemon node's packet accounting.
 func (d *Daemon) Stats() NodeStats {
-	st := d.inner.NodeStats()
-	return NodeStats{
-		Originated:     st.Originated,
-		Forwarded:      st.Forwarded,
-		DeliveredLocal: st.DeliveredLocal,
-		Duplicates:     st.Duplicates,
-		Blackholed:     st.Blackholed,
-		ClientDropped:  d.inner.ClientStats().Dropped,
-	}
+	st := fromNodeStats(d.inner.NodeStats())
+	st.ClientDropped = d.inner.ClientStats().Dropped
+	return st
 }
 
 // SchedStats reports the daemon node's fair-scheduler accounting (drops

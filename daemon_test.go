@@ -1,9 +1,12 @@
 package sonet
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"sonet/internal/wire"
 )
 
 // TestPublicDaemonAPI boots a three-daemon chain over loopback UDP via
@@ -164,5 +167,47 @@ func TestPublicDaemonSchedStats(t *testing.T) {
 	}
 	if st.Backpressure != 0 {
 		t.Fatalf("unexpected backpressure: %+v", st)
+	}
+}
+
+// TestPublicDaemonStatsShowDrops checks an operator of the public API can
+// see a drop: a frame from a sender the underlay knows but the overlay has
+// no link to counts in Daemon.Stats().DroppedUnknownPeer.
+func TestPublicDaemonStatsShowDrops(t *testing.T) {
+	d, err := StartDaemon(DaemonConfig{
+		ID: 1, BindUDP: "127.0.0.1:0",
+		Links: []DaemonLink{{A: 1, B: 2, Latency: time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatalf("StartDaemon: %v", err)
+	}
+	defer d.Close()
+	stranger, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = stranger.Close() }()
+	if err := d.AddPeer(9, stranger.LocalAddr().String()); err != nil {
+		t.Fatalf("AddPeer: %v", err)
+	}
+	frame := wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FData, Packet: &wire.Packet{
+		Type: wire.PTData, Route: wire.RouteLinkState, TTL: 8, Src: 9, Dst: 1, FlowSeq: 1,
+	}}
+	data, err := frame.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := net.ResolveUDPAddr("udp", d.UDPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stranger.WriteTo(data, to); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); d.Stats().DroppedUnknownPeer != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v, want DroppedUnknownPeer 1", d.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

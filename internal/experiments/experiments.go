@@ -31,6 +31,12 @@ type Result struct {
 	// ShapeHolds reports whether the paper's qualitative claim held (who
 	// wins, by roughly what factor).
 	ShapeHolds bool
+	// CountsHold is the part of ShapeHolds that does not depend on how
+	// fast this machine happened to run: deliveries, ledgers, allocations,
+	// shares. The two drivers that time the host (EXP-CONV, EXP-WIRE) set
+	// it apart, so go test can assert it while only benchrun asserts their
+	// wall-clock floors; for every other driver Run makes it ShapeHolds.
+	CountsHold bool
 }
 
 // String renders the result for the console.
@@ -84,7 +90,9 @@ func (e Experiment) Run(seed uint64) (r *Result) {
 		r = &Result{ID: e.ID, Title: "scenario could not be built", PaperClaim: "-", Table: metrics.NewTable()}
 		r.addFinding("ERROR: %v", se.error)
 	}()
-	return e.driver(seed)
+	r = e.driver(seed)
+	r.CountsHold = r.CountsHold || r.ShapeHolds
+	return r
 }
 
 // Index lists every experiment exactly once, in DESIGN.md §4 order.

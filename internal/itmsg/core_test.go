@@ -409,13 +409,13 @@ func TestPriorityLinkIdleSourceRetirement(t *testing.T) {
 		l.Send(srcPacket(wire.NodeID(i%50000+1), uint32(i), 0))
 		sched.RunFor(time.Millisecond) // pacer drains between arrivals
 	}
-	if got := l.Core().ActiveFlows(); got != 0 {
+	if got := l.core.ActiveFlows(); got != 0 {
 		t.Fatalf("%d sources still hold state after drain", got)
 	}
-	if got := l.Core().FlowSlots(); got > 8 {
+	if got := l.core.FlowSlots(); got > 8 {
 		t.Fatalf("flow arena grew to %d slots under one-shot churn", got)
 	}
-	if st := l.Core().Stats().Snapshot(); st.FlowsRetired != churn {
+	if st := l.core.Stats().Snapshot(); st.FlowsRetired != churn {
 		t.Fatalf("FlowsRetired = %d, want %d", st.FlowsRetired, churn)
 	}
 	l.Close()

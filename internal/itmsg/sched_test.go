@@ -70,7 +70,7 @@ func countBySrc(pkts []*wire.Packet) map[wire.NodeID]int {
 	return out
 }
 
-func newPriorityPair(sched *sim.Scheduler, cfg SchedConfig) (*PriorityLink, *schedEnv, *schedEnv) {
+func newPriorityPair(sched *sim.Scheduler, cfg SchedConfig) (*Link, *schedEnv, *schedEnv) {
 	sendEnv := &schedEnv{sched: sched, latency: 10 * time.Millisecond}
 	recvEnv := &schedEnv{sched: sched, latency: 10 * time.Millisecond}
 	sender := NewPriorityLink(sendEnv, cfg)
@@ -102,7 +102,7 @@ func TestPriorityLinkPacesAtRate(t *testing.T) {
 // floodAndTrickle drives a continuous attacker flood (well above link
 // capacity) alongside a trickle of honest messages, returning the honest
 // delivery count and mean honest queueing latency.
-func floodAndTrickle(sched *sim.Scheduler, sender *PriorityLink, recvEnv *schedEnv) (honest int, meanLatency time.Duration) {
+func floodAndTrickle(sched *sim.Scheduler, sender *Link, recvEnv *schedEnv) (honest int, meanLatency time.Duration) {
 	stop := false
 	var flood func()
 	flood = func() {
@@ -175,8 +175,8 @@ func TestPriorityEvictionKeepsHighPriority(t *testing.T) {
 	sender.Send(srcPacket(1, 3, 1))
 	sender.Send(srcPacket(1, 4, 1))
 	sender.Send(srcPacket(1, 5, 9)) // high priority
-	if sender.Evicted() != 1 {
-		t.Fatalf("Evicted = %d, want 1", sender.Evicted())
+	if sender.refused != 1 {
+		t.Fatalf("Evicted = %d, want 1", sender.refused)
 	}
 	sched.RunFor(time.Second)
 	seqs := make(map[uint32]bool)
@@ -205,11 +205,11 @@ func TestPriorityLowerNewcomerDropped(t *testing.T) {
 	sender.Send(srcPacket(1, 1, 5))
 	sender.Send(srcPacket(1, 2, 5))
 	sender.Send(srcPacket(1, 3, 1)) // lower priority than everything stored
-	if sender.QueuedFor(1) != 2 {
-		t.Fatalf("queue depth %d, want 2", sender.QueuedFor(1))
+	if sender.core.QueuedFor(FlowKey{Src: 1}) != 2 {
+		t.Fatalf("queue depth %d, want 2", sender.core.QueuedFor(FlowKey{Src: 1}))
 	}
-	if sender.Evicted() != 1 {
-		t.Fatalf("Evicted = %d, want 1 (the newcomer)", sender.Evicted())
+	if sender.refused != 1 {
+		t.Fatalf("Evicted = %d, want 1 (the newcomer)", sender.refused)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestPriorityCloseStopsPacing(t *testing.T) {
 	}
 }
 
-func newReliableFairPair(sched *sim.Scheduler, cfg SchedConfig) (*ReliableFairLink, *ReliableFairLink, *schedEnv, *schedEnv) {
+func newReliableFairPair(sched *sim.Scheduler, cfg SchedConfig) (*Link, *Link, *schedEnv, *schedEnv) {
 	sendEnv := &schedEnv{sched: sched, latency: 10 * time.Millisecond}
 	recvEnv := &schedEnv{sched: sched, latency: 10 * time.Millisecond}
 	rel := link.ReliableConfig{}
@@ -294,14 +294,14 @@ func TestReliableFairBackpressurePerFlow(t *testing.T) {
 	for i := uint32(1); i <= 500; i++ {
 		sender.Send(flowPacket(66, 9, i))
 	}
-	if sender.Accepts(flood) {
+	if sender.core.Accepts(flood) {
 		t.Fatal("saturated flow still accepted")
 	}
-	if !sender.Accepts(honest) {
+	if !sender.core.Accepts(honest) {
 		t.Fatal("backpressure on one flow blocked another")
 	}
-	if sender.Rejected() != 500-8 {
-		t.Fatalf("Rejected = %d, want 492", sender.Rejected())
+	if sender.refused != 500-8 {
+		t.Fatalf("Rejected = %d, want 492", sender.refused)
 	}
 	for i := uint32(1); i <= 8; i++ {
 		sender.Send(flowPacket(1, 9, i))
@@ -388,15 +388,15 @@ func TestReliableFairAcceptsRecoversAfterDrain(t *testing.T) {
 	for i := uint32(1); i <= 4; i++ {
 		sender.Send(flowPacket(1, 9, i))
 	}
-	if sender.Accepts(key) {
+	if sender.core.Accepts(key) {
 		t.Fatal("full flow still accepted")
 	}
 	sched.RunFor(time.Second) // pacer drains the queue
-	if !sender.Accepts(key) {
+	if !sender.core.Accepts(key) {
 		t.Fatal("backpressure did not release after drain")
 	}
-	if sender.QueuedFor(key) != 0 {
-		t.Fatalf("queue depth %d after drain", sender.QueuedFor(key))
+	if sender.core.QueuedFor(key) != 0 {
+		t.Fatalf("queue depth %d after drain", sender.core.QueuedFor(key))
 	}
 }
 

@@ -34,6 +34,16 @@ func (b *BestEffort) Send(p *wire.Packet) {
 	b.env.Transmit(&b.tx)
 }
 
+// SendStored is Send for a packet a pacing queue captured into buf: there
+// is nothing to retain, so the buffer is released as soon as the frame is
+// marshaled. buf may be nil for a byteless packet.
+func (b *BestEffort) SendStored(p *wire.Packet, buf *wire.Buf) {
+	b.Send(p)
+	if buf != nil {
+		buf.Release()
+	}
+}
+
 // HandleFrame implements Protocol.
 func (b *BestEffort) HandleFrame(f *wire.Frame) {
 	if f.Kind != wire.FData || f.Packet == nil {

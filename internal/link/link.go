@@ -218,9 +218,9 @@ var windowStats metrics.SeqWindowStats
 // WindowStatsSnapshot returns the process-wide sequence-window counters.
 func WindowStatsSnapshot() metrics.SeqWindowSnapshot { return windowStats.Snapshot() }
 
-// stopTimer stops t if non-nil.
-func stopTimer(t sim.Timer) {
-	if t != nil {
+// stopTimers stops every timer in ts.
+func stopTimers(ts []sim.Timer) {
+	for _, t := range ts {
 		t.Stop()
 	}
 }

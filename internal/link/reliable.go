@@ -171,14 +171,17 @@ func (r *Reliable) newSlot() *sentFrame {
 	return &sentFrame{}
 }
 
-// releaseSlot releases the slot's captured buffer and recycles it.
-func (r *Reliable) releaseSlot(sf *sentFrame) {
+// reset releases the slot's captured buffer and empties the slot.
+func (sf *sentFrame) reset() {
 	if sf.buf != nil {
 		sf.buf.Release()
-		sf.buf = nil
 	}
-	sf.pkt = wire.Packet{}
-	sf.retries = 0
+	*sf = sentFrame{}
+}
+
+// releaseSlot releases the slot's captured buffer and recycles it.
+func (r *Reliable) releaseSlot(sf *sentFrame) {
+	sf.reset()
 	sf.free = r.freeSlot
 	r.freeSlot = sf
 }

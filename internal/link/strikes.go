@@ -105,10 +105,12 @@ type Strikes struct {
 	env Env
 	cfg StrikesConfig
 
-	// Sender state: a bounded history of sent packets for retransmission.
-	nextSeq   uint32
-	history   map[uint32]*wire.Packet
-	histOrder []uint32
+	// Sender state: the last HistoryLimit sent packets, each captured into
+	// a pooled buffer, for retransmission. spare is the slot the ring last
+	// evicted, which the next Send refills.
+	nextSeq uint32
+	history *SeqRing[*sentFrame]
+	spare   *sentFrame
 	// retransEpoch tracks sequences with retransmissions currently
 	// scheduled, so duplicate requests within one epoch don't multiply.
 	retransEpoch map[uint32][]sim.Timer
@@ -138,37 +140,32 @@ var _ Protocol = (*Strikes)(nil)
 // NewStrikes returns an NM-Strikes endpoint.
 func NewStrikes(env Env, cfg StrikesConfig) *Strikes {
 	cfg = cfg.withDefaults()
-	return &Strikes{
+	s := &Strikes{
 		env:          env,
 		cfg:          cfg,
-		history:      make(map[uint32]*wire.Packet),
 		retransEpoch: make(map[uint32][]sim.Timer),
 		recvWin:      newSeqWindow(1 << 16),
 		pending:      make(map[uint32]*strikeState),
 	}
+	s.history = NewSeqRing(cfg.HistoryLimit, s.forget)
+	return s
 }
 
 // Send implements Protocol. The packet is borrowed; the retransmission
-// history keeps a clone.
+// history captures it into a pooled buffer.
 func (s *Strikes) Send(p *wire.Packet) {
 	if s.closed {
 		return
 	}
 	s.nextSeq++
 	seq := s.nextSeq
-	s.history[seq] = p.Clone()
-	s.histOrder = append(s.histOrder, seq)
-	for len(s.histOrder) > s.cfg.HistoryLimit {
-		old := s.histOrder[0]
-		s.histOrder = s.histOrder[1:]
-		delete(s.history, old)
-		if timers, ok := s.retransEpoch[old]; ok {
-			for _, t := range timers {
-				stopTimer(t)
-			}
-			delete(s.retransEpoch, old)
-		}
+	sf := s.spare
+	if sf == nil {
+		sf = &sentFrame{}
 	}
+	s.spare = nil
+	sf.buf = wire.CapturePacket(&sf.pkt, p, wire.DefaultBufPool)
+	s.history.Put(seq, sf)
 	s.stats.DataSent++
 	s.tx = wire.Frame{
 		Proto:    wire.LPRealTime,
@@ -178,6 +175,16 @@ func (s *Strikes) Send(p *wire.Packet) {
 		Packet:   p,
 	}
 	s.env.Transmit(&s.tx)
+}
+
+// forget lets go of a sequence leaving the history: its retransmissions
+// still scheduled are cancelled, its buffer goes back to the pool and its
+// slot waits for the next Send.
+func (s *Strikes) forget(seq uint32, sf *sentFrame) {
+	stopTimers(s.retransEpoch[seq])
+	delete(s.retransEpoch, seq)
+	sf.reset()
+	s.spare = sf
 }
 
 // HandleFrame implements Protocol.
@@ -203,12 +210,7 @@ func (s *Strikes) onData(f *wire.Frame) {
 	}
 	if s.recvWin.Record(f.Seq) {
 		// A recovered packet cancels its remaining scheduled requests.
-		if st, ok := s.pending[f.Seq]; ok {
-			for _, t := range st.timers {
-				stopTimer(t)
-			}
-			delete(s.pending, f.Seq)
-		}
+		s.cancelRequests(f.Seq)
 		s.stats.Delivered++
 		s.env.Deliver(f.Packet)
 	} else {
@@ -273,15 +275,17 @@ func (s *Strikes) scheduleRequests(seq uint32) {
 		st.timers = append(st.timers, timer)
 	}
 	// After the budget expires the packet is no longer useful; forget it.
-	expiry := s.env.Clock().After(s.cfg.Budget, func() {
-		if st2, ok := s.pending[seq]; ok {
-			for _, t := range st2.timers {
-				stopTimer(t)
-			}
-			delete(s.pending, seq)
-		}
-	})
+	expiry := s.env.Clock().After(s.cfg.Budget, func() { s.cancelRequests(seq) })
 	st.timers = append(st.timers, expiry)
+}
+
+// cancelRequests stops the request timers still scheduled for seq and
+// forgets it.
+func (s *Strikes) cancelRequests(seq uint32) {
+	if st, ok := s.pending[seq]; ok {
+		stopTimers(st.timers)
+		delete(s.pending, seq)
+	}
 }
 
 // onReq answers the first received retransmission request with M spaced
@@ -292,7 +296,7 @@ func (s *Strikes) scheduleRequests(seq uint32) {
 // worst-case sender cost at 1 + M·p.
 func (s *Strikes) onReq(f *wire.Frame) {
 	seq := f.Seq
-	if _, ok := s.history[seq]; !ok {
+	if _, ok := s.history.Get(seq); !ok {
 		return
 	}
 	if _, active := s.retransEpoch[seq]; active {
@@ -312,20 +316,20 @@ func (s *Strikes) onReq(f *wire.Frame) {
 			if s.closed {
 				return
 			}
-			pkt, still := s.history[seq]
+			sf, still := s.history.Get(seq)
 			if !still {
 				return
 			}
 			// The history entry is link-owned, so the retransmission flag
 			// can be set in place.
-			pkt.Flags |= wire.FRetrans
+			sf.pkt.Flags |= wire.FRetrans
 			s.stats.Retransmissions++
 			s.tx = wire.Frame{
 				Proto:    wire.LPRealTime,
 				Kind:     wire.FData,
 				Seq:      seq,
 				SendTime: s.env.Clock().Now(),
-				Packet:   pkt,
+				Packet:   &sf.pkt,
 			}
 			s.env.Transmit(&s.tx)
 		}))
@@ -348,22 +352,14 @@ func (s *Strikes) Stats() Stats { return s.stats }
 // Close implements Protocol.
 func (s *Strikes) Close() {
 	s.closed = true
-	for seq, st := range s.pending {
-		for _, t := range st.timers {
-			stopTimer(t)
-		}
-		delete(s.pending, seq)
+	for seq := range s.pending {
+		s.cancelRequests(seq)
 	}
 	for seq, timers := range s.retransEpoch {
-		for _, t := range timers {
-			stopTimer(t)
-		}
+		stopTimers(timers)
 		delete(s.retransEpoch, seq)
 	}
 	// Drop the retransmission history so a torn-down link holds no packet
-	// memory.
-	for seq := range s.history {
-		delete(s.history, seq)
-	}
-	s.histOrder = nil
+	// memory (and returns no pooled bytes late).
+	s.history.Clear()
 }

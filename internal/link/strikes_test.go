@@ -263,8 +263,8 @@ func TestStrikesHistoryEviction(t *testing.T) {
 	if !ok {
 		t.Fatal("not a Strikes")
 	}
-	if len(s.history) != 10 {
-		t.Fatalf("history = %d entries, want 10", len(s.history))
+	if got := s.history.Len(); got != 10 {
+		t.Fatalf("history = %d entries, want 10", got)
 	}
 	// A request for an evicted sequence is ignored.
 	s.HandleFrame(&wire.Frame{Proto: wire.LPRealTime, Kind: wire.FReq, Seq: 1})

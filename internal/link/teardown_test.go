@@ -70,7 +70,9 @@ func TestStrikesTeardownMidRecovery(t *testing.T) {
 	// Drop seq 2 so the receiver detects the gap at seq 3 and schedules
 	// its strikes; the first request reaches the sender and arms the
 	// M-retransmission epoch before teardown.
-	p.a.drop = func(f *wire.Frame) bool { return f.Kind == wire.FData && f.Seq == 2 && f.Packet != nil && !f.Packet.Flags.Has(wire.FRetrans) }
+	p.a.drop = func(f *wire.Frame) bool {
+		return f.Kind == wire.FData && f.Seq == 2 && f.Packet != nil && !f.Packet.Flags.Has(wire.FRetrans)
+	}
 	for i := uint32(1); i <= 3; i++ {
 		p.a.proto.Send(dataPacket(i))
 	}

@@ -225,8 +225,8 @@ type fabricEnv struct {
 	nbrs []wire.NodeID
 }
 
-func (e *fabricEnv) Clock() sim.Clock            { return e.f.sched }
-func (e *fabricEnv) Neighbors() []wire.NodeID    { return e.nbrs }
+func (e *fabricEnv) Clock() sim.Clock         { return e.f.sched }
+func (e *fabricEnv) Neighbors() []wire.NodeID { return e.nbrs }
 func (e *fabricEnv) Send(to wire.NodeID, p []byte) {
 	cp := append([]byte(nil), p...)
 	from := e.self

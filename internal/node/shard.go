@@ -543,20 +543,16 @@ func (s *DataShard) forward(p *wire.Packet, arrived wire.LinkID, firstSeen bool)
 				continue
 			}
 			proto := s.protoFor(pr, p.LinkProto)
-			if origination {
-				if ts, ok := proto.(link.TrySender); ok {
-					if err := ts.TrySend(p); err != nil {
-						refused++
-						continue
-					}
-					sent++
-					s.stats.Forwarded++
+			if ts, ok := proto.(link.TrySender); ok && origination {
+				if ts.TrySend(p) != nil {
+					refused++
 					continue
 				}
+			} else {
+				proto.Send(p)
 			}
 			sent++
 			s.stats.Forwarded++
-			proto.Send(p)
 		}
 	}
 	if d.DeliverLocal {
@@ -600,7 +596,7 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 		return p
 	}
 	cfg := &s.n.cfg
-	env := &linkEnv{s: s, peer: pr}
+	env := &linkEnv{s: s, peer: pr, proto: id}
 	var p link.Protocol
 	switch id {
 	case wire.LPReliable:
@@ -608,7 +604,6 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 	case wire.LPRealTime, wire.LPSingleStrike:
 		sc := cfg.Strikes
 		if id == wire.LPSingleStrike {
-			env.rebadge = wire.LPSingleStrike
 			sc = cfg.SingleStrike
 			sc.N, sc.M = 1, 1
 		}
@@ -621,6 +616,7 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 	case wire.LPITReliable:
 		p = itmsg.NewReliableFairLink(env, s.itcfg, cfg.Reliable)
 	default:
+		env.proto = wire.LPBestEffort
 		p = link.NewBestEffort(env)
 	}
 	pr.protos[id] = p
@@ -631,16 +627,18 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 type linkEnv struct {
 	s    *DataShard
 	peer *peer
-	// rebadge overrides the frame protocol ID when nonzero.
-	rebadge wire.LinkProtoID
+	// proto is the service the endpoint was built for. Every frame leaves
+	// badged with it, whichever link protocol implements the service
+	// underneath: single-strike is NM-Strikes with N = M = 1, the IT
+	// services are a fair queue over best effort and over the reliable
+	// link.
+	proto wire.LinkProtoID
 }
 
 func (e *linkEnv) Clock() sim.Clock { return e.s.clock }
 
 func (e *linkEnv) Transmit(f *wire.Frame) {
-	if e.rebadge != 0 {
-		f.Proto = e.rebadge
-	}
+	f.Proto = e.proto
 	e.s.transmitFrame(e.peer, f)
 }
 

@@ -314,7 +314,7 @@ func TestShardDecisionParity(t *testing.T) {
 			},
 			egress: 6, local: 2, want: Stats{Forwarded: 6, DeliveredLocal: 2},
 			check: func(t *testing.T, r *shardRig) {
-				if _, ok := r.n.DataPlane().Snapshot().Tree(r.a1, group); !ok {
+				if _, ok := r.n.DataPlane().Snapshot().Trees[routing.TreeKey{Src: r.a1, Group: group}]; !ok {
 					t.Error("hand-off did not republish the tree it computed")
 				}
 			},

@@ -160,38 +160,84 @@ func (e *Engine) TreeCacheStats() metrics.TreeCacheSnapshot {
 	return e.treeStats.Snapshot()
 }
 
+// table is the forwarding state one decision reads. *Engine answers from
+// the live view and group state (next hops memoized per SPT, multicast
+// trees computed on demand, so never a miss); *Snapshot answers from what
+// the engine froze at publication.
+type table interface {
+	// nextHop returns the first link toward dst.
+	nextHop(dst wire.NodeID) (wire.LinkID, bool)
+	// floodMask returns the constrained-flooding link mask.
+	floodMask() wire.Bitmask
+	// treeMask returns the multicast tree for (src, group); ok is false
+	// when the table does not hold it.
+	treeMask(src wire.NodeID, group wire.GroupID) (mask wire.Bitmask, ok bool)
+	// localMember reports whether this node has local members of g.
+	localMember(g wire.GroupID) bool
+	// fanOut appends to fwd the usable links of mask incident to this
+	// node, except the arrival link.
+	fanOut(fwd []wire.LinkID, mask wire.Bitmask, arrived wire.LinkID) []wire.LinkID
+}
+
+// decide is the routing level's one decision (§II-B) for p arriving on
+// link arrived (NoLink when locally originated) at node self. Link-state
+// unicast follows the next hop. Source-mask, flood and multicast packets
+// fan out over their link mask and deliver locally only on first sight —
+// firstSeen is the duplicate-suppression table's verdict. Forward is built
+// in scratch; ok is false when t lacks the multicast tree p needs.
+func decide(t table, self wire.NodeID, p *wire.Packet, arrived wire.LinkID, firstSeen bool, scratch []wire.LinkID) (d Decision, ok bool) {
+	var mask wire.Bitmask
+	switch p.Route {
+	case wire.RouteLinkState:
+		if p.Dst == self {
+			d.DeliverLocal = true
+		} else if next, reachable := t.nextHop(p.Dst); reachable {
+			d.Forward = append(scratch[:0], next)
+		}
+		return d, true
+	case wire.RouteSourceMask:
+		mask = p.Mask
+	case wire.RouteFlood:
+		mask = t.floodMask()
+	case wire.RouteMulticast:
+		if firstSeen {
+			if mask, ok = t.treeMask(p.Src, p.Group); !ok {
+				return d, false
+			}
+		}
+	default:
+		return d, true
+	}
+	if !firstSeen {
+		return d, true
+	}
+	// A multicast packet is for the group's local members; a mask or flood
+	// packet is for this node when addressed to it explicitly, or to a
+	// group with local members.
+	if p.Route == wire.RouteMulticast {
+		d.DeliverLocal = t.localMember(p.Group)
+	} else {
+		d.DeliverLocal = p.Dst == self || p.Dst == 0 && p.Group != 0 && t.localMember(p.Group)
+	}
+	if fwd := t.fanOut(scratch[:0], mask, arrived); len(fwd) > 0 {
+		d.Forward = fwd
+	}
+	return d, true
+}
+
 // Decide computes the routing decision for p arriving on link arrived
 // (NoLink when locally originated). firstSeen reports whether the node's
 // duplicate-suppression table saw this packet for the first time; flood,
 // mask, and multicast forwarding only fan out on first sight.
 func (e *Engine) Decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool) Decision {
-	switch p.Route {
-	case wire.RouteLinkState:
-		return e.decideUnicast(p)
-	case wire.RouteSourceMask:
-		return e.decideMask(p, p.Mask, arrived, firstSeen)
-	case wire.RouteFlood:
-		return e.decideMask(p, e.viewNow().FloodMask(), arrived, firstSeen)
-	case wire.RouteMulticast:
-		return e.decideMulticast(p, arrived, firstSeen)
-	default:
-		return Decision{}
+	d, _ := decide(e, e.self, p, arrived, firstSeen, e.fwd)
+	if d.Forward != nil {
+		e.fwd = d.Forward
 	}
+	return d
 }
 
 func (e *Engine) viewNow() *topology.View { return e.views.View() }
-
-func (e *Engine) decideUnicast(p *wire.Packet) Decision {
-	if p.Dst == e.self {
-		return Decision{DeliverLocal: true}
-	}
-	next, ok := e.nextHop(p.Dst)
-	if !ok {
-		return Decision{}
-	}
-	e.fwd = append(e.fwd[:0], next)
-	return Decision{Forward: e.fwd}
-}
 
 // nextHop returns the first link toward dst, memoized per destination for
 // the lifetime of the current SPT: the tree-walk in SPT.NextHop runs once
@@ -212,58 +258,18 @@ func (e *Engine) nextHop(dst wire.NodeID) (wire.LinkID, bool) {
 	return link, ok
 }
 
-// decideMask forwards over the subgraph given by mask: on every usable
-// masked link incident to this node except the arrival link. Duplicate
-// copies deliver locally at most once and never fan out again.
-func (e *Engine) decideMask(p *wire.Packet, mask wire.Bitmask, arrived wire.LinkID, firstSeen bool) Decision {
-	var d Decision
-	if firstSeen {
-		d.DeliverLocal = e.shouldDeliver(p)
-	}
-	if !firstSeen {
-		return d
-	}
-	v := e.viewNow()
-	e.fwd = e.fwd[:0]
-	for _, lid := range v.G.Incident(e.self) {
-		if lid == arrived || !mask.Has(lid) || !v.Usable(lid) {
-			continue
-		}
-		e.fwd = append(e.fwd, lid)
-	}
-	if len(e.fwd) > 0 {
-		d.Forward = e.fwd
-	}
-	return d
-}
+func (e *Engine) floodMask() wire.Bitmask { return e.viewNow().FloodMask() }
 
-func (e *Engine) decideMulticast(p *wire.Packet, arrived wire.LinkID, firstSeen bool) Decision {
-	if !firstSeen {
-		return Decision{}
-	}
-	d := Decision{DeliverLocal: e.groups.LocalMember(p.Group)}
-	mask := e.multicastMask(p.Src, p.Group)
-	v := e.viewNow()
-	e.fwd = e.fwd[:0]
-	for _, lid := range v.G.Incident(e.self) {
-		if lid == arrived || !mask.Has(lid) || !v.Usable(lid) {
-			continue
-		}
-		e.fwd = append(e.fwd, lid)
-	}
-	if len(e.fwd) > 0 {
-		d.Forward = e.fwd
-	}
-	return d
-}
+func (e *Engine) localMember(g wire.GroupID) bool { return e.groups.LocalMember(g) }
 
-// shouldDeliver reports whether a mask/flood-routed packet is addressed to
-// this node: explicitly, or via a group with local members.
-func (e *Engine) shouldDeliver(p *wire.Packet) bool {
-	if p.Dst == e.self {
-		return true
+func (e *Engine) fanOut(fwd []wire.LinkID, mask wire.Bitmask, arrived wire.LinkID) []wire.LinkID {
+	v := e.viewNow()
+	for _, lid := range v.G.Incident(e.self) {
+		if lid != arrived && mask.Has(lid) && v.Usable(lid) {
+			fwd = append(fwd, lid)
+		}
 	}
-	return p.Dst == 0 && p.Group != 0 && e.groups.LocalMember(p.Group)
+	return fwd
 }
 
 // selfSPT returns the shortest-path tree rooted at this node, bringing the
@@ -315,16 +321,17 @@ func (e *Engine) selfSPT() *topology.SPT {
 	return &e.spt
 }
 
-// multicastMask returns the cached source-rooted tree for (src, group).
+// treeMask returns the cached source-rooted tree for (src, group),
+// computing it on a cache miss — the live engine always has an answer.
 // Every node computes the identical tree from identical shared state, so
 // tree forwarding is consistent without per-packet coordination.
-func (e *Engine) multicastMask(src wire.NodeID, group wire.GroupID) wire.Bitmask {
+func (e *Engine) treeMask(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bool) {
 	key := treeKey{src: src, group: group}
 	vv, gv := e.views.Version(), e.groups.Version()
 	e.pruneTrees(vv, gv)
 	if c, ok := e.trees[key]; ok && c.viewVersion == vv && c.groupVersion == gv {
 		e.treeStats.Hits.Add(1)
-		return c.mask
+		return c.mask, true
 	}
 	e.treeStats.Misses.Add(1)
 	// A freshly computed tree is forwarding state the published snapshot
@@ -333,14 +340,14 @@ func (e *Engine) multicastMask(src wire.NodeID, group wire.GroupID) wire.Bitmask
 	mask, _ := topology.MulticastTree(e.viewNow(), src, e.groups.Members(group), e.metric)
 	if c, ok := e.trees[key]; ok {
 		*c = cachedTree{mask: mask, viewVersion: vv, groupVersion: gv}
-		return mask
+		return mask, true
 	}
 	if len(e.trees) >= maxCachedTrees {
 		e.evictOldestTree()
 	}
 	e.trees[key] = &cachedTree{mask: mask, viewVersion: vv, groupVersion: gv}
 	e.treeOrder = append(e.treeOrder, key)
-	return mask
+	return mask, true
 }
 
 // pruneTrees discards every cached tree superseded by a view or group

@@ -24,15 +24,15 @@ type Snapshot struct {
 	// Self is the node the snapshot belongs to.
 	Self wire.NodeID
 	// Graph is the designed topology (immutable after configuration); it
-	// provides the dense node index NextHopFor resolves through.
+	// provides the dense node index next hops resolve through.
 	Graph *topology.Graph
 	// NextHop maps dense node index → unicast next hop. A hop with OK
 	// false means the destination was unreachable at publication.
 	NextHop []SnapHop
 	// Flood is the constrained-flooding link mask at publication.
 	Flood wire.Bitmask
-	// Incident lists the node's incident links with the neighbor behind
-	// each and whether the shared view considered the link usable.
+	// Incident lists the node's incident links and whether the shared view
+	// considered each usable.
 	Incident []SnapIncident
 	// Trees carries the multicast trees the engine had computed under the
 	// current view and group versions. A missing (source, group) pair is
@@ -50,9 +50,7 @@ type Snapshot struct {
 
 // SnapHop is one unicast next-hop entry.
 type SnapHop struct {
-	// Neighbor is the next-hop node.
-	Neighbor wire.NodeID
-	// Link is the incident link to Neighbor.
+	// Link is the incident link toward the next-hop node.
 	Link wire.LinkID
 	// OK reports reachability; a false entry means drop (no route).
 	OK bool
@@ -62,8 +60,6 @@ type SnapHop struct {
 type SnapIncident struct {
 	// Link is the incident link id (the bit tested against masks).
 	Link wire.LinkID
-	// Neighbor is the node on the other end.
-	Neighbor wire.NodeID
 	// Usable reports the shared view's verdict at publication.
 	Usable bool
 }
@@ -74,87 +70,49 @@ type TreeKey struct {
 	Group wire.GroupID
 }
 
-// NextHopFor returns the unicast next hop toward dst.
-func (s *Snapshot) NextHopFor(dst wire.NodeID) (SnapHop, bool) {
+// nextHop returns the link of the unicast next hop toward dst.
+func (s *Snapshot) nextHop(dst wire.NodeID) (wire.LinkID, bool) {
 	i, ok := s.Graph.NodeIndex(dst)
 	if !ok || i >= len(s.NextHop) || !s.NextHop[i].OK {
-		return SnapHop{}, false
+		return 0, false
 	}
-	return s.NextHop[i], true
+	return s.NextHop[i].Link, true
 }
 
-// Tree returns the multicast-tree mask for (src, group), reporting a miss
-// when the engine had not computed that tree at publication.
-func (s *Snapshot) Tree(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bool) {
+func (s *Snapshot) floodMask() wire.Bitmask { return s.Flood }
+
+// treeMask returns the multicast-tree mask for (src, group), reporting a
+// miss when the engine had not computed that tree at publication.
+func (s *Snapshot) treeMask(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bool) {
 	m, ok := s.Trees[TreeKey{Src: src, Group: group}]
 	return m, ok
 }
 
-// LocalGroup reports whether the node had local members of g at
+// localMember reports whether the node had local members of g at
 // publication.
-func (s *Snapshot) LocalGroup(g wire.GroupID) bool {
+func (s *Snapshot) localMember(g wire.GroupID) bool {
 	_, ok := s.Local[g]
 	return ok
 }
 
-// ShouldDeliver mirrors Engine.shouldDeliver over the snapshot: a
-// mask/flood packet is for this node when addressed to it explicitly or
-// to a group with local members.
-func (s *Snapshot) ShouldDeliver(p *wire.Packet) bool {
-	if p.Dst == s.Self {
-		return true
-	}
-	return p.Dst == 0 && p.Group != 0 && s.LocalGroup(p.Group)
-}
-
-// Decide is Engine.Decide against the frozen state: the same packet,
-// arrival link and first-sight verdict yield the same Decision the live
-// engine gave at publication. Forward is built in scratch, which the
-// caller owns (a snapshot is shared by every data shard and holds no
-// mutable state). ok is false on a miss — a multicast tree the engine had
-// not computed at publication — which the caller hands to the control
-// shard.
-func (s *Snapshot) Decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool, scratch []wire.LinkID) (d Decision, ok bool) {
-	var mask wire.Bitmask
-	switch p.Route {
-	case wire.RouteLinkState:
-		if p.Dst == s.Self {
-			return Decision{DeliverLocal: true}, true
-		}
-		if hop, reachable := s.NextHopFor(p.Dst); reachable {
-			d.Forward = append(scratch[:0], hop.Link)
-		}
-		return d, true
-	case wire.RouteSourceMask:
-		mask = p.Mask
-	case wire.RouteFlood:
-		mask = s.Flood
-	case wire.RouteMulticast:
-		if mask, ok = s.Tree(p.Src, p.Group); !ok && firstSeen {
-			return Decision{}, false
-		}
-	default:
-		return Decision{}, true
-	}
-	if !firstSeen {
-		return Decision{}, true
-	}
-	if p.Route == wire.RouteMulticast {
-		d.DeliverLocal = s.LocalGroup(p.Group)
-	} else {
-		d.DeliverLocal = s.ShouldDeliver(p)
-	}
-	fwd := scratch[:0]
+func (s *Snapshot) fanOut(fwd []wire.LinkID, mask wire.Bitmask, arrived wire.LinkID) []wire.LinkID {
 	for i := range s.Incident {
 		inc := &s.Incident[i]
 		if inc.Link != arrived && inc.Usable && mask.Has(inc.Link) {
 			fwd = append(fwd, inc.Link)
 		}
 	}
-	if len(fwd) > 0 {
-		d.Forward = fwd
-	}
-	return d, true
+	return fwd
+}
+
+// Decide is Engine.Decide against the frozen state: the same packet,
+// arrival link and first-sight verdict yield the Decision the live engine
+// gave at publication. Forward is built in scratch, which the caller owns
+// (a snapshot is shared by every data shard and holds no mutable state).
+// ok is false on a miss — a multicast tree the engine had not computed at
+// publication — which the caller hands to the control shard.
+func (s *Snapshot) Decide(p *wire.Packet, arrived wire.LinkID, firstSeen bool, scratch []wire.LinkID) (Decision, bool) {
+	return decide(s, s.Self, p, arrived, firstSeen, scratch)
 }
 
 // Torn reports whether the version stamps at the two ends of the snapshot
@@ -202,26 +160,14 @@ func (e *Engine) Publish() {
 		if dst == e.self {
 			continue
 		}
-		lid, ok := e.nextHop(dst)
-		if !ok {
-			continue
+		if lid, ok := e.nextHop(dst); ok {
+			snap.NextHop[i] = SnapHop{Link: lid, OK: true}
 		}
-		l, lok := g.Link(lid)
-		if !lok {
-			continue
-		}
-		nb, _ := l.Other(e.self)
-		snap.NextHop[i] = SnapHop{Neighbor: nb, Link: lid, OK: true}
 	}
 	inc := g.Incident(e.self)
 	snap.Incident = make([]SnapIncident, 0, len(inc))
 	for _, lid := range inc {
-		l, lok := g.Link(lid)
-		if !lok {
-			continue
-		}
-		nb, _ := l.Other(e.self)
-		snap.Incident = append(snap.Incident, SnapIncident{Link: lid, Neighbor: nb, Usable: v.Usable(lid)})
+		snap.Incident = append(snap.Incident, SnapIncident{Link: lid, Usable: v.Usable(lid)})
 	}
 	vv, gv := e.views.Version(), e.groups.Version()
 	if len(e.trees) > 0 {

@@ -40,20 +40,20 @@ func TestSnapshotPublishContent(t *testing.T) {
 	if len(snap.NextHop) != g.NumNodes() {
 		t.Fatalf("next-hop table %d entries, want %d", len(snap.NextHop), g.NumNodes())
 	}
-	hop, ok := snap.NextHopFor(4)
-	if !ok || hop.Neighbor != 2 || hop.Link != linkID(t, g, 1, 2) {
-		t.Fatalf("NextHopFor(4) = %+v ok=%v, want via neighbor 2", hop, ok)
+	hop, ok := snap.nextHop(4)
+	if !ok || hop != linkID(t, g, 1, 2) {
+		t.Fatalf("nextHop(4) = %v ok=%v, want via neighbor 2", hop, ok)
 	}
 	if len(snap.Incident) != len(g.Incident(1)) {
 		t.Fatalf("incident table %d entries, want %d", len(snap.Incident), len(g.Incident(1)))
 	}
-	if !snap.LocalGroup(9) || snap.LocalGroup(10) {
+	if !snap.localMember(9) || snap.localMember(10) {
 		t.Fatal("local group set not frozen correctly")
 	}
-	if !snap.ShouldDeliver(&wire.Packet{Dst: 0, Group: 9}) {
+	if d, _ := snap.Decide(&wire.Packet{Route: wire.RouteFlood, Dst: 0, Group: 9}, NoLink, true, nil); !d.DeliverLocal {
 		t.Fatal("group packet for a local group should deliver")
 	}
-	if snap.ShouldDeliver(&wire.Packet{Dst: 2}) {
+	if d, _ := snap.Decide(&wire.Packet{Route: wire.RouteFlood, Dst: 2}, NoLink, true, nil); d.DeliverLocal {
 		t.Fatal("packet for another node should not deliver")
 	}
 
@@ -66,13 +66,13 @@ func TestSnapshotPublishContent(t *testing.T) {
 	if snap2.Version <= snap.Version {
 		t.Fatalf("republication did not advance version: %d then %d", snap.Version, snap2.Version)
 	}
-	hop, ok = snap2.NextHopFor(4)
-	if !ok || hop.Neighbor != 3 {
-		t.Fatalf("after flap NextHopFor(4) = %+v ok=%v, want via neighbor 3", hop, ok)
+	hop, ok = snap2.nextHop(4)
+	if !ok || hop != linkID(t, g, 1, 3) {
+		t.Fatalf("after flap nextHop(4) = %v ok=%v, want via neighbor 3", hop, ok)
 	}
 	// The old snapshot is immutable: readers that loaded it still see the
 	// pre-flap route.
-	if hop, _ := snap.NextHopFor(4); hop.Neighbor != 2 {
+	if hop, _ := snap.nextHop(4); hop != linkID(t, g, 1, 2) {
 		t.Fatal("earlier snapshot mutated by republication")
 	}
 }
@@ -85,7 +85,7 @@ func TestSnapshotTreeMissThenDirtyRepublish(t *testing.T) {
 	var cell atomic.Pointer[Snapshot]
 	e.SetPublishTarget(&cell)
 	e.Publish()
-	if _, ok := cell.Load().Tree(1, 7); ok {
+	if _, ok := cell.Load().treeMask(1, 7); ok {
 		t.Fatal("tree present before any multicast packet")
 	}
 	// Routing a multicast packet computes the tree on demand and marks the
@@ -94,7 +94,7 @@ func TestSnapshotTreeMissThenDirtyRepublish(t *testing.T) {
 	e.Decide(p, linkID(t, g, 1, 2), true)
 	e.PublishIfDirty()
 	snap := cell.Load()
-	if _, ok := snap.Tree(1, 7); !ok {
+	if _, ok := snap.treeMask(1, 7); !ok {
 		t.Fatal("republished snapshot missing the tree routing just computed")
 	}
 	v := snap.Version

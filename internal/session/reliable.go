@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"sonet/internal/link"
 	"sonet/internal/wire"
 )
 
@@ -174,7 +175,10 @@ func (m *Manager) handleNack(p *wire.Packet) {
 
 // resend reinjects one sequence from the flow's history.
 func (f *Flow) resend(seq uint32) {
-	p, ok := f.history[seq]
+	if f.history == nil {
+		return
+	}
+	p, ok := f.history.Get(seq)
 	if !ok {
 		return
 	}
@@ -184,19 +188,13 @@ func (f *Flow) resend(seq uint32) {
 	_ = f.client.mgr.n.Resend(cp)
 }
 
-// remember retains a sent packet for end-to-end recovery, evicting the
-// oldest beyond the history limit.
+// remember retains a sent packet for end-to-end recovery; the history
+// covers the flow's last HistoryLimit sequences.
 func (f *Flow) remember(p *wire.Packet) {
 	if f.history == nil {
-		f.history = make(map[uint32]*wire.Packet)
+		f.history = link.NewSeqRing[*wire.Packet](f.client.mgr.HistoryLimit, nil)
 	}
-	f.history[p.FlowSeq] = p
-	f.histOrder = append(f.histOrder, p.FlowSeq)
-	for len(f.histOrder) > f.client.mgr.HistoryLimit {
-		old := f.histOrder[0]
-		f.histOrder = f.histOrder[1:]
-		delete(f.history, old)
-	}
+	f.history.Put(p.FlowSeq, p)
 }
 
 // armTailFlush (re)schedules the tail-protection timer: if the flow goes

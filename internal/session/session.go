@@ -447,8 +447,7 @@ type Flow struct {
 	maskValid   bool
 	// history retains sent packets for end-to-end recovery on reliable
 	// flows.
-	history   map[uint32]*wire.Packet
-	histOrder []uint32
+	history   *link.SeqRing[*wire.Packet]
 	tailTimer sim.Timer
 	tailTries int
 	closed    bool
@@ -469,7 +468,6 @@ func (f *Flow) Close() {
 		f.tailTimer.Stop()
 	}
 	f.history = nil
-	f.histOrder = nil
 	delete(f.client.mgr.flowPorts, f.srcPort)
 }
 

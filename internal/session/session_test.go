@@ -232,7 +232,6 @@ func TestEndToEndRecoveryGivesUpAfterMaxTries(t *testing.T) {
 	// the destination sees 5 after 3 and waits for 4 forever.
 	flow.seq++ // 4 is never sent
 	flow.history = nil
-	flow.histOrder = nil
 	if err := flow.Send([]byte("y")); err != nil { // seq 5
 		t.Fatalf("Send: %v", err)
 	}
@@ -439,13 +438,13 @@ func TestHistoryEviction(t *testing.T) {
 		}
 	}
 	s.RunFor(time.Second)
-	if len(flow.history) != 8 {
-		t.Fatalf("history holds %d entries, want 8", len(flow.history))
+	if got := flow.history.Len(); got != 8 {
+		t.Fatalf("history holds %d entries, want 8", got)
 	}
-	if _, ok := flow.history[20]; !ok {
+	if _, ok := flow.history.Get(20); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if _, ok := flow.history[1]; ok {
+	if _, ok := flow.history.Get(12); ok {
 		t.Fatal("oldest entry retained")
 	}
 	// A NACK for an evicted sequence is silently unanswerable.

@@ -188,7 +188,7 @@ func TestShardedLoopClose(t *testing.T) {
 		t.Fatalf("Close dropped queued work: ran %d of 2", ran.Load())
 	}
 	s.Post(func() { ran.Add(1) }) // dropped, must not panic
-	s.Close()                    // idempotent
+	s.Close()                     // idempotent
 	if ran.Load() != 2 {
 		t.Fatalf("post after Close ran")
 	}

@@ -323,14 +323,7 @@ func (n *Network) NodeStats(id NodeID) (NodeStats, bool) {
 	if nd == nil {
 		return NodeStats{}, false
 	}
-	st := nd.Stats()
-	return NodeStats{
-		Originated:     st.Originated,
-		Forwarded:      st.Forwarded,
-		DeliveredLocal: st.DeliveredLocal,
-		Duplicates:     st.Duplicates,
-		Blackholed:     st.Blackholed,
-	}, true
+	return fromNodeStats(nd.Stats()), true
 }
 
 // SchedStats reports a node's fair-scheduler accounting (§IV-B QoS
@@ -389,7 +382,8 @@ func fromSchedSnapshot(s metrics.SchedSnapshot) SchedStats {
 	}
 }
 
-// NodeStats summarizes one overlay node's packet handling.
+// NodeStats summarizes one overlay node's packet handling: what it
+// carried, and every way it can lose a packet, each under its own count.
 type NodeStats struct {
 	// Originated counts packets injected by local clients.
 	Originated uint64
@@ -400,12 +394,45 @@ type NodeStats struct {
 	// Duplicates counts redundant copies suppressed in the middle of the
 	// network.
 	Duplicates uint64
+	// DroppedTTL counts packets dropped at TTL expiry.
+	DroppedTTL uint64
+	// DroppedNoRoute counts packets the node had no route for.
+	DroppedNoRoute uint64
+	// DroppedAuth counts packets and frames failing authentication.
+	DroppedAuth uint64
+	// DroppedUnknownPeer counts frames from, and packets toward, a node
+	// that is not a registered neighbor.
+	DroppedUnknownPeer uint64
+	// DroppedCrossing counts packets a deployed daemon's full shard-crossing
+	// ring refused in transit. Always zero on emulated nodes, which run one
+	// shard.
+	DroppedCrossing uint64
+	// Replayed counts frames a deployed daemon received off their peer's
+	// home shard and passed on to it; steady growth means underlay steering
+	// and peer homing disagree.
+	Replayed uint64
 	// Blackholed counts packets absorbed by compromised behaviour.
 	Blackholed uint64
 	// ClientDropped counts messages a deployed daemon discarded because a
 	// client connection's delivery queue was full (the client read too
 	// slowly). Always zero on emulated nodes, whose clients are in-process.
 	ClientDropped uint64
+}
+
+func fromNodeStats(st node.Stats) NodeStats {
+	return NodeStats{
+		Originated:         st.Originated,
+		Forwarded:          st.Forwarded,
+		DeliveredLocal:     st.DeliveredLocal,
+		Duplicates:         st.Duplicates,
+		DroppedTTL:         st.DroppedTTL,
+		DroppedNoRoute:     st.DroppedNoRoute,
+		DroppedAuth:        st.DroppedAuth,
+		DroppedUnknownPeer: st.DroppedUnknownPeer,
+		DroppedCrossing:    st.DroppedCrossing,
+		Replayed:           st.Replayed,
+		Blackholed:         st.Blackholed,
+	}
 }
 
 // Client is an application endpoint attached to an overlay node.
