@@ -171,17 +171,14 @@ func (r *Reliable) newSlot() *sentFrame {
 	return &sentFrame{}
 }
 
-// reset releases the slot's captured buffer and empties the slot.
-func (sf *sentFrame) reset() {
-	if sf.buf != nil {
-		sf.buf.Release()
-	}
-	*sf = sentFrame{}
-}
-
 // releaseSlot releases the slot's captured buffer and recycles it.
 func (r *Reliable) releaseSlot(sf *sentFrame) {
-	sf.reset()
+	if sf.buf != nil {
+		sf.buf.Release()
+		sf.buf = nil
+	}
+	sf.pkt = wire.Packet{}
+	sf.retries = 0
 	sf.free = r.freeSlot
 	r.freeSlot = sf
 }

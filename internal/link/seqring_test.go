@@ -131,12 +131,9 @@ func (e *directEnd) Deliver(*wire.Packet) { e.delivered++ }
 
 // TestStrikesSendAllocBudget pins NM-Strikes' loss-free steady state at
 // zero allocations per message (`make bench-guard`): Send captures the
-// packet into the slot and pooled buffer the history ring just evicted,
+// packet over the slot the history ring just evicted,
 // and the receiver records and delivers — on both clocks.
 func TestStrikesSendAllocBudget(t *testing.T) {
-	if wire.RaceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
-	}
 	loop := sim.NewLoop()
 	defer loop.Close()
 	clocks := map[string]sim.Clock{
@@ -153,7 +150,7 @@ func TestStrikesSendAllocBudget(t *testing.T) {
 			p.Payload = make([]byte, 1200)
 			send := func() { tx.Send(p) }
 			for i := 0; i < 64; i++ {
-				send() // fill the history ring and warm the buffer pool
+				send() // fill the history ring
 			}
 			if avg := testing.AllocsPerRun(1000, send); avg != 0 {
 				t.Fatalf("send→deliver allocates %.2f allocs/op, budget is 0", avg)
@@ -166,31 +163,28 @@ func TestStrikesSendAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStrikesHistoryReleasesBuffers counts the captured buffers back into
-// the pool: every eviction returns one, and Close returns all that are
-// left.
-func TestStrikesHistoryReleasesBuffers(t *testing.T) {
-	recycled := func() uint64 { return wire.DefaultBufPool.Stats().Recycled.Load() }
-	s := NewStrikes(&directEnd{clock: sim.NewScheduler(1)}, StrikesConfig{HistoryLimit: 10})
-	base := recycled()
+// TestStrikesCloseDropsHistory checks a torn-down link holds no packet
+// memory: every slot leaves the ring, the spare slot with them, and a
+// request scheduled before Close retransmits nothing after it.
+func TestStrikesCloseDropsHistory(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	s := NewStrikes(&directEnd{clock: sched}, StrikesConfig{HistoryLimit: 10})
 	for i := uint32(1); i <= 50; i++ {
 		s.Send(dataPacket(i))
 	}
-	sf, ok := s.history.Get(50)
-	if !ok || sf.buf == nil {
+	if sp, ok := s.history.Get(50); !ok || sp.pkt.FlowSeq != 50 || len(sp.bytes) != len(dataPacket(50).Payload) {
 		t.Fatal("newest sequence not captured")
 	}
-	each := uint64(cap(sf.buf.B))
-	if got := recycled() - base; got != 40*each {
-		t.Fatalf("40 evictions recycled %d bytes, want %d", got, 40*each)
+	if s.history.Len() != 10 || s.spare == nil {
+		t.Fatalf("%d sequences held (spare %v), want 10 and the last evicted slot", s.history.Len(), s.spare)
 	}
-	// An answered request must not keep its sequence's buffer past Close.
 	s.HandleFrame(&wire.Frame{Proto: wire.LPRealTime, Kind: wire.FReq, Seq: 45, Ack: uint32(50 * time.Millisecond / time.Microsecond)})
 	s.Close()
-	if got := recycled() - base; got != 50*each {
-		t.Fatalf("after Close %d bytes recycled, want %d", got, 50*each)
+	sched.RunFor(time.Second)
+	if s.history.Len() != 0 || s.spare != nil || len(s.retransEpoch) != 0 {
+		t.Fatalf("after Close: %d sequences, spare %v, %d epochs", s.history.Len(), s.spare, len(s.retransEpoch))
 	}
-	if s.history.Len() != 0 {
-		t.Fatalf("%d sequences held after Close", s.history.Len())
+	if got := s.Stats().Retransmissions; got != 0 {
+		t.Fatalf("%d retransmissions from a closed link", got)
 	}
 }

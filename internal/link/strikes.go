@@ -105,12 +105,12 @@ type Strikes struct {
 	env Env
 	cfg StrikesConfig
 
-	// Sender state: the last HistoryLimit sent packets, each captured into
-	// a pooled buffer, for retransmission. spare is the slot the ring last
-	// evicted, which the next Send refills.
+	// Sender state: the last HistoryLimit sent packets, captured for
+	// retransmission. spare is the slot the ring last evicted, which the
+	// next Send captures over.
 	nextSeq uint32
-	history *SeqRing[*sentFrame]
-	spare   *sentFrame
+	history *SeqRing[*sentPacket]
+	spare   *sentPacket
 	// retransEpoch tracks sequences with retransmissions currently
 	// scheduled, so duplicate requests within one epoch don't multiply.
 	retransEpoch map[uint32][]sim.Timer
@@ -128,6 +128,16 @@ type Strikes struct {
 	// tx is the reusable frame for transmits (all calls are serialized by
 	// the node's executor, timers included).
 	tx wire.Frame
+}
+
+// sentPacket is one history slot: the packet header and, in bytes, its
+// signature and payload. The slot owns bytes and keeps them across reuse,
+// so a history of HistoryLimit packets holds what those packets weigh — a
+// pooled buffer would hold its size class for as long, 4 KiB for a 1.2 KB
+// video payload.
+type sentPacket struct {
+	pkt   wire.Packet
+	bytes []byte
 }
 
 type strikeState struct {
@@ -152,20 +162,20 @@ func NewStrikes(env Env, cfg StrikesConfig) *Strikes {
 }
 
 // Send implements Protocol. The packet is borrowed; the retransmission
-// history captures it into a pooled buffer.
+// history captures it.
 func (s *Strikes) Send(p *wire.Packet) {
 	if s.closed {
 		return
 	}
 	s.nextSeq++
 	seq := s.nextSeq
-	sf := s.spare
-	if sf == nil {
-		sf = &sentFrame{}
+	sp := s.spare
+	if sp == nil {
+		sp = &sentPacket{}
 	}
 	s.spare = nil
-	sf.buf = wire.CapturePacket(&sf.pkt, p, wire.DefaultBufPool)
-	s.history.Put(seq, sf)
+	sp.bytes = wire.CaptureInto(&sp.pkt, p, sp.bytes)
+	s.history.Put(seq, sp)
 	s.stats.DataSent++
 	s.tx = wire.Frame{
 		Proto:    wire.LPRealTime,
@@ -178,13 +188,11 @@ func (s *Strikes) Send(p *wire.Packet) {
 }
 
 // forget lets go of a sequence leaving the history: its retransmissions
-// still scheduled are cancelled, its buffer goes back to the pool and its
-// slot waits for the next Send.
-func (s *Strikes) forget(seq uint32, sf *sentFrame) {
+// still scheduled are cancelled and its slot waits for the next Send.
+func (s *Strikes) forget(seq uint32, sp *sentPacket) {
 	stopTimers(s.retransEpoch[seq])
 	delete(s.retransEpoch, seq)
-	sf.reset()
-	s.spare = sf
+	s.spare = sp
 }
 
 // HandleFrame implements Protocol.
@@ -316,20 +324,20 @@ func (s *Strikes) onReq(f *wire.Frame) {
 			if s.closed {
 				return
 			}
-			sf, still := s.history.Get(seq)
+			sp, still := s.history.Get(seq)
 			if !still {
 				return
 			}
 			// The history entry is link-owned, so the retransmission flag
 			// can be set in place.
-			sf.pkt.Flags |= wire.FRetrans
+			sp.pkt.Flags |= wire.FRetrans
 			s.stats.Retransmissions++
 			s.tx = wire.Frame{
 				Proto:    wire.LPRealTime,
 				Kind:     wire.FData,
 				Seq:      seq,
 				SendTime: s.env.Clock().Now(),
-				Packet:   &sf.pkt,
+				Packet:   &sp.pkt,
 			}
 			s.env.Transmit(&s.tx)
 		}))
@@ -360,6 +368,7 @@ func (s *Strikes) Close() {
 		delete(s.retransEpoch, seq)
 	}
 	// Drop the retransmission history so a torn-down link holds no packet
-	// memory (and returns no pooled bytes late).
+	// memory.
 	s.history.Clear()
+	s.spare = nil
 }

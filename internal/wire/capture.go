@@ -11,16 +11,27 @@ package wire
 // subslices, so appending to either is a misuse (it would clobber the
 // neighbouring field or the pool's recycled bytes).
 func CapturePacket(dst, src *Packet, pool *BufPool) *Buf {
-	*dst = *src
-	ns, np := len(src.Sig), len(src.Payload)
-	if ns+np == 0 {
+	size := len(src.Sig) + len(src.Payload)
+	if size == 0 {
+		*dst = *src
 		dst.Sig, dst.Payload = nil, nil
 		return nil
 	}
-	buf := pool.Get(ns + np)
-	b := append(buf.B, src.Sig...)
-	b = append(b, src.Payload...)
-	buf.B = b
+	buf := pool.Get(size)
+	buf.B = CaptureInto(dst, src, buf.B)
+	return buf
+}
+
+// CaptureInto is CapturePacket into bytes the caller owns: src's Sig and
+// Payload are packed into b[:0], grown if it is too small, dst's byte
+// fields alias the result, and the result is returned for the caller to
+// keep with dst and pass again when it captures over it. A long-lived
+// holder whose entries outlast a pool's turnover uses this: the bytes are
+// sized by the packets captured, not by a pool's size class.
+func CaptureInto(dst, src *Packet, b []byte) []byte {
+	*dst = *src
+	ns, np := len(src.Sig), len(src.Payload)
+	b = append(append(b[:0], src.Sig...), src.Payload...)
 	dst.Sig, dst.Payload = nil, nil
 	if ns > 0 {
 		dst.Sig = b[:ns:ns]
@@ -28,5 +39,5 @@ func CapturePacket(dst, src *Packet, pool *BufPool) *Buf {
 	if np > 0 {
 		dst.Payload = b[ns:][:np:np]
 	}
-	return buf
+	return b
 }

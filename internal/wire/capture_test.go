@@ -70,3 +70,30 @@ func TestCapturePacketSigOnly(t *testing.T) {
 	}
 	buf.Release()
 }
+
+// TestCaptureIntoReusesBytes captures twice into the same bytes: the
+// second, smaller packet overwrites the first in place, and a larger one
+// grows them.
+func TestCaptureIntoReusesBytes(t *testing.T) {
+	var dst Packet
+	first := &Packet{Type: PTData, FlowSeq: 1, Sig: []byte("sig"), Payload: bytes.Repeat([]byte{7}, 100)}
+	b := CaptureInto(&dst, first, nil)
+	first.Payload[0], first.Sig[0] = 0, 0
+	if !bytes.Equal(dst.Sig, []byte("sig")) || len(dst.Payload) != 100 || dst.Payload[0] != 7 ||
+		cap(dst.Sig) != 3 || cap(dst.Payload) != 100 {
+		t.Fatalf("first capture wrong: sig %q payload %d bytes", dst.Sig, len(dst.Payload))
+	}
+	second := &Packet{Type: PTData, FlowSeq: 2, Payload: []byte("small")}
+	allocs := testing.AllocsPerRun(100, func() { b = CaptureInto(&dst, second, b) })
+	if allocs != 0 || dst.FlowSeq != 2 || dst.Sig != nil || string(dst.Payload) != "small" || &b[0] != &dst.Payload[0] {
+		t.Fatalf("reuse allocated %.0f times or captured wrong: %+v", allocs, dst)
+	}
+	big := &Packet{Type: PTData, Payload: bytes.Repeat([]byte{9}, 4*cap(b))}
+	b = CaptureInto(&dst, big, b)
+	if !bytes.Equal(dst.Payload, big.Payload) || cap(b) < len(big.Payload) {
+		t.Fatal("growing capture lost bytes")
+	}
+	if b = CaptureInto(&dst, &Packet{Type: PTHello}, b); dst.Sig != nil || dst.Payload != nil || len(b) != 0 {
+		t.Fatalf("byteless capture kept slices: %+v", dst)
+	}
+}
