@@ -63,11 +63,12 @@ experiments:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# The machine-independent gate: every fast path's allocation budget, by
-# naming convention — a test called Test*AllocBudget anywhere in the tree
-# is part of it. Not under -race: sync.Pool drops Puts there.
+# The machine-independent gate: every fast path's allocation budget and
+# every resident-state budget, by naming convention — a test called
+# Test*AllocBudget or Test*Footprint anywhere in the tree is part of it.
+# Not under -race: sync.Pool drops Puts there.
 bench-guard:
-	$(GO) test -run AllocBudget -count=1 ./...
+	$(GO) test -run 'AllocBudget|Footprint' -count=1 ./...
 
 # The repository benchmark (BENCHMARK.json) is a nested module, so the
 # targets above never compile it. bench-check vets and tests it with and

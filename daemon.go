@@ -97,6 +97,7 @@ func (d *Daemon) EvictPeer(id NodeID) { d.inner.EvictPeer(id) }
 func (d *Daemon) Stats() NodeStats {
 	st := fromNodeStats(d.inner.NodeStats())
 	st.ClientDropped = d.inner.ClientStats().Dropped
+	st.Footprint = d.inner.DataPlane().Footprint()
 	return st
 }
 

@@ -92,8 +92,14 @@ func TestPublicDaemonAPI(t *testing.T) {
 			t.Fatalf("delivery %d = %+v", i, d)
 		}
 	}
-	if st := daemons[2].Stats(); st.Forwarded == 0 {
+	st := daemons[2].Stats()
+	if st.Forwarded == 0 {
 		t.Fatal("relay daemon forwarded nothing")
+	}
+	// Read on the daemon's loops: the relay's reliable endpoints have their
+	// receive windows, and unicast left nothing in the dedup table.
+	if fp := st.Footprint; fp.WindowBytes == 0 || fp.DedupEntries != 0 {
+		t.Fatalf("relay daemon footprint %+v", fp)
 	}
 }
 

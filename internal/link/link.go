@@ -95,6 +95,10 @@ type Stats struct {
 	// SendDropped counts packets dropped at the sender (window or buffer
 	// overflow).
 	SendDropped uint64
+	// HistoryPackets and HistoryBytes are gauges, not counts: the packets
+	// the endpoint holds for retransmission now and the signature and
+	// payload bytes they carry. WindowBytes is its receive-window bitmap.
+	HistoryPackets, HistoryBytes, WindowBytes int
 }
 
 // seqLE reports a <= b in RFC 1982 serial-number arithmetic over the full
@@ -119,17 +123,28 @@ type seqWindow struct {
 	// cum is the highest sequence (serially) such that all sequences at or
 	// before it were seen.
 	cum uint32
-	// bits marks sequences cum+1+i as seen at ring position (start+i).
-	bits  []bool
-	start int
+	// bits marks sequences cum+1+i as seen at ring position (start+i) % n,
+	// one bit each.
+	bits     []uint64
+	n, start int
 }
 
 func newSeqWindow(capacity int) *seqWindow {
-	return &seqWindow{bits: make([]bool, capacity)}
+	return &seqWindow{bits: make([]uint64, (capacity+63)/64), n: capacity}
+}
+
+// word returns the word and mask of ring position start+i, for i < n.
+func (w *seqWindow) word(i int) (*uint64, uint64) {
+	pos := w.start + i
+	if pos >= w.n {
+		pos -= w.n
+	}
+	return &w.bits[pos>>6], 1 << (pos & 63)
 }
 
 func (w *seqWindow) at(i int) bool {
-	return w.bits[(w.start+i)%len(w.bits)]
+	word, mask := w.word(i)
+	return *word&mask != 0
 }
 
 // Seen reports whether seq was recorded.
@@ -140,7 +155,7 @@ func (w *seqWindow) Seen(seq uint32) bool {
 	// seq is serially after cum, so the unsigned difference is the true
 	// forward distance even across a wrap.
 	idx := seq - w.cum - 1
-	return idx < uint32(len(w.bits)) && w.at(int(idx))
+	return idx < uint32(w.n) && w.at(int(idx))
 }
 
 // Record marks seq as seen and advances the cumulative edge. It reports
@@ -151,21 +166,25 @@ func (w *seqWindow) Record(seq uint32) bool {
 		return false
 	}
 	idx := seq - w.cum - 1
-	if idx >= uint32(len(w.bits)) {
+	if idx >= uint32(w.n) {
 		return false
 	}
-	pos := (w.start + int(idx)) % len(w.bits)
-	if w.bits[pos] {
+	word, mask := w.word(int(idx))
+	if *word&mask != 0 {
 		return false
 	}
-	w.bits[pos] = true
-	for w.bits[w.start] {
-		w.bits[w.start] = false
-		w.start = (w.start + 1) % len(w.bits)
+	*word |= mask
+	for w.at(0) {
+		word, mask = w.word(0)
+		*word &^= mask
+		w.start = (w.start + 1) % w.n
 		w.cum++
 	}
 	return true
 }
+
+// Bytes returns the size of the window's bitmap.
+func (w *seqWindow) Bytes() int { return 8 * len(w.bits) }
 
 // Cum returns the cumulative edge: every sequence serially at or before
 // Cum has been seen.
@@ -175,11 +194,7 @@ func (w *seqWindow) Cum() uint32 { return w.cum }
 // the selective-ack bitmap used in FAck frames.
 func (w *seqWindow) AckBits() uint64 {
 	var bits uint64
-	n := len(w.bits)
-	if n > 64 {
-		n = 64
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(w.n, 64); i++ {
 		if w.at(i) {
 			bits |= 1 << i
 		}
@@ -197,8 +212,8 @@ func (w *seqWindow) Missing(upTo uint32, max int) []uint32 {
 		return nil
 	}
 	span := upTo - w.cum
-	if span > uint32(len(w.bits)) {
-		span = uint32(len(w.bits))
+	if span > uint32(w.n) {
+		span = uint32(w.n)
 		windowStats.MissingClamps.Add(1)
 	}
 	var out []uint32

@@ -174,6 +174,7 @@ func (r *Reliable) newSlot() *sentFrame {
 // releaseSlot releases the slot's captured buffer and recycles it.
 func (r *Reliable) releaseSlot(sf *sentFrame) {
 	if sf.buf != nil {
+		r.stats.HistoryBytes -= len(sf.buf.B)
 		sf.buf.Release()
 		sf.buf = nil
 	}
@@ -255,6 +256,9 @@ func (r *Reliable) growRing() {
 }
 
 func (r *Reliable) enqueueSlot(sf *sentFrame) {
+	if sf.buf != nil {
+		r.stats.HistoryBytes += len(sf.buf.B)
+	}
 	if r.windowFull() {
 		if r.qlen >= r.cfg.QueueLimit {
 			r.stats.SendDropped++
@@ -507,7 +511,11 @@ func (r *Reliable) onRTO() {
 }
 
 // Stats implements Protocol.
-func (r *Reliable) Stats() Stats { return r.stats }
+func (r *Reliable) Stats() Stats {
+	st := r.stats
+	st.HistoryPackets, st.WindowBytes = r.inFlight+r.qlen, r.recvWin.Bytes()
+	return st
+}
 
 // OutstandingFrames returns the number of unacknowledged data frames —
 // used by tests and by backpressure-sensitive callers.

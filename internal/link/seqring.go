@@ -10,12 +10,19 @@ package link
 // keeps lookups exact across the 2^32 wrap (where, unless N is a power of
 // two, the index jumps once and one store may displace a younger entry).
 //
-// The slots are allocated by the first Put, so an endpoint that never
-// sends holds nothing.
+// The ring is sized by what its owner still wants, not by N: the first Put
+// allocates min(N, seqRingFloor) slots, indexed by seq % N folded onto the
+// slots there are, and the slots double — up to N — only when a Put would
+// displace a value keep still wants. Two sequences that share a slot of N
+// share one at every smaller size, so a ring whose owner wants everything
+// holds exactly what a ring of N slots would; and two live sequences in
+// different slots stay apart when the slots double, so growing moves
+// values and never drops one. An endpoint that never sends holds nothing.
 type SeqRing[T any] struct {
 	n     int
 	live  int
 	slots []seqSlot[T]
+	keep  func(v T) bool
 	evict func(seq uint32, v T)
 }
 
@@ -25,23 +32,41 @@ type seqSlot[T any] struct {
 	v    T
 }
 
-// NewSeqRing returns a ring over the last n sequences. evict, when not
-// nil, receives every value the ring lets go of — displaced by Put or
-// dropped by Clear — which is where a value that owns a pooled buffer
-// releases it.
-func NewSeqRing[T any](n int, evict func(seq uint32, v T)) *SeqRing[T] {
+// seqRingFloor is the size a ring starts at. A smaller one saves nothing
+// worth having (256 pointers) and changes what a slow link answers: at 64,
+// a single-strike request for a packet 65 sends old misses where the fixed
+// ring hit, which moves EXP-RTRM's pinned result.
+const seqRingFloor = 256
+
+// NewSeqRing returns a ring over the last n sequences. keep, when not nil,
+// reports whether the owner still wants a stored value; the ring grows
+// rather than displace one it does, and nil wants every value until the
+// ring has n slots. evict, when not nil, receives every value the ring
+// lets go of — displaced by Put or dropped by Clear — which is where a
+// value that owns a pooled buffer releases it.
+func NewSeqRing[T any](n int, keep func(v T) bool, evict func(seq uint32, v T)) *SeqRing[T] {
 	if n < 1 {
 		n = 1
 	}
-	return &SeqRing[T]{n: n, evict: evict}
+	return &SeqRing[T]{n: n, keep: keep, evict: evict}
 }
 
-// Put stores v under seq, evicting the slot's previous occupant.
+// slot returns the slot seq lives in at the ring's current size.
+func (r *SeqRing[T]) slot(seq uint32) *seqSlot[T] {
+	return &r.slots[seq%uint32(r.n)%uint32(len(r.slots))]
+}
+
+// Put stores v under seq, evicting the slot's previous occupant — or, if
+// the owner still wants that one and the ring can grow, moving it aside.
 func (r *SeqRing[T]) Put(seq uint32, v T) {
 	if r.slots == nil {
-		r.slots = make([]seqSlot[T], r.n)
+		r.slots = make([]seqSlot[T], min(r.n, seqRingFloor))
 	}
-	s := &r.slots[seq%uint32(r.n)]
+	s := r.slot(seq)
+	for s.full && s.seq != seq && len(r.slots) < r.n && (r.keep == nil || r.keep(s.v)) {
+		r.grow()
+		s = r.slot(seq)
+	}
 	if s.full {
 		r.drop(s)
 	}
@@ -49,12 +74,23 @@ func (r *SeqRing[T]) Put(seq uint32, v T) {
 	r.live++
 }
 
+// grow doubles the slots, up to n, and moves every value to its new one.
+func (r *SeqRing[T]) grow() {
+	old := r.slots
+	r.slots = make([]seqSlot[T], min(2*len(old), r.n))
+	for i := range old {
+		if old[i].full {
+			*r.slot(old[i].seq) = old[i]
+		}
+	}
+}
+
 // Get returns the value stored under seq, if the ring still holds it.
 func (r *SeqRing[T]) Get(seq uint32) (v T, ok bool) {
 	if r.slots == nil {
 		return v, false
 	}
-	s := &r.slots[seq%uint32(r.n)]
+	s := r.slot(seq)
 	if !s.full || s.seq != seq {
 		return v, false
 	}

@@ -25,6 +25,8 @@ type StrikesConfig struct {
 	// even the response to the last request can arrive within budget.
 	RTT time.Duration
 	// HistoryLimit bounds the sender's retransmission buffer (packets).
+	// The buffer grows toward it only as far as the packets of the last
+	// Budget + RTT need.
 	HistoryLimit int
 }
 
@@ -64,7 +66,7 @@ func (c StrikesConfig) withDefaults() StrikesConfig {
 // predecessor used for VoIP (§V-A, citing 1-800-OVERLAYS): one request and
 // one retransmission per lost packet.
 func SingleStrikeConfig(budget, rtt time.Duration) StrikesConfig {
-	return StrikesConfig{N: 1, M: 1, Budget: budget, RTT: rtt, HistoryLimit: 4096}
+	return StrikesConfig{N: 1, M: 1, Budget: budget, RTT: rtt}
 }
 
 // requestSpacing returns the interval between the receiver's N requests:
@@ -105,9 +107,9 @@ type Strikes struct {
 	env Env
 	cfg StrikesConfig
 
-	// Sender state: the last HistoryLimit sent packets, captured for
-	// retransmission. spare is the slot the ring last evicted, which the
-	// next Send captures over.
+	// Sender state: the sent packets a request can still ask for, at most
+	// the last HistoryLimit, captured for retransmission. spare is the slot
+	// the ring last evicted, which the next Send captures over.
 	nextSeq uint32
 	history *SeqRing[*sentPacket]
 	spare   *sentPacket
@@ -130,14 +132,15 @@ type Strikes struct {
 	tx wire.Frame
 }
 
-// sentPacket is one history slot: the packet header and, in bytes, its
-// signature and payload. The slot owns bytes and keeps them across reuse,
-// so a history of HistoryLimit packets holds what those packets weigh — a
+// sentPacket is one history slot: the packet header, in bytes its
+// signature and payload, and when it was sent. The slot owns bytes and
+// keeps them across reuse, so the history holds what its packets weigh — a
 // pooled buffer would hold its size class for as long, 4 KiB for a 1.2 KB
 // video payload.
 type sentPacket struct {
 	pkt   wire.Packet
 	bytes []byte
+	at    time.Duration
 }
 
 type strikeState struct {
@@ -157,8 +160,17 @@ func NewStrikes(env Env, cfg StrikesConfig) *Strikes {
 		recvWin:      newSeqWindow(1 << 16),
 		pending:      make(map[uint32]*strikeState),
 	}
-	s.history = NewSeqRing(cfg.HistoryLimit, s.forget)
+	s.history = NewSeqRing(cfg.HistoryLimit, s.wanted, s.forget)
 	return s
+}
+
+// wanted reports whether a request for sp can still arrive in time to be
+// worth answering: the receiver gives a missing packet up Budget after it
+// noticed, and its last request takes up to an RTT more to get here. The
+// history grows rather than displace such a packet, so it is sized by the
+// link's rate times this horizon instead of by HistoryLimit.
+func (s *Strikes) wanted(sp *sentPacket) bool {
+	return s.env.Clock().Now()-sp.at < s.cfg.Budget+s.cfg.RTT
 }
 
 // Send implements Protocol. The packet is borrowed; the retransmission
@@ -175,13 +187,15 @@ func (s *Strikes) Send(p *wire.Packet) {
 	}
 	s.spare = nil
 	sp.bytes = wire.CaptureInto(&sp.pkt, p, sp.bytes)
+	sp.at = s.env.Clock().Now()
 	s.history.Put(seq, sp)
+	s.stats.HistoryBytes += len(sp.bytes)
 	s.stats.DataSent++
 	s.tx = wire.Frame{
 		Proto:    wire.LPRealTime,
 		Kind:     wire.FData,
 		Seq:      seq,
-		SendTime: s.env.Clock().Now(),
+		SendTime: sp.at,
 		Packet:   p,
 	}
 	s.env.Transmit(&s.tx)
@@ -192,6 +206,7 @@ func (s *Strikes) Send(p *wire.Packet) {
 func (s *Strikes) forget(seq uint32, sp *sentPacket) {
 	stopTimers(s.retransEpoch[seq])
 	delete(s.retransEpoch, seq)
+	s.stats.HistoryBytes -= len(sp.bytes)
 	s.spare = sp
 }
 
@@ -355,7 +370,11 @@ func (s *Strikes) onReq(f *wire.Frame) {
 }
 
 // Stats implements Protocol.
-func (s *Strikes) Stats() Stats { return s.stats }
+func (s *Strikes) Stats() Stats {
+	st := s.stats
+	st.HistoryPackets, st.WindowBytes = s.history.Len(), s.recvWin.Bytes()
+	return st
+}
 
 // Close implements Protocol.
 func (s *Strikes) Close() {

@@ -20,19 +20,18 @@ type dedupKey struct {
 // dedupTable is a capacity-bounded first-seen set with FIFO eviction: the
 // overlay node's "ample memory" (§II-B) put to use tracking received
 // messages so redundantly transmitted copies can be de-duplicated in the
-// middle of the network.
+// middle of the network. It is sized by what it has seen: the set and the
+// ring grow with the distinct keys observed, up to capacity, so a node
+// that only forwards unicast holds nothing.
 type dedupTable struct {
-	seen map[dedupKey]struct{}
-	ring []dedupKey
-	next int
-	full bool
+	seen     map[dedupKey]struct{}
+	ring     []dedupKey
+	next     int
+	capacity int
 }
 
 func newDedupTable(capacity int) *dedupTable {
-	return &dedupTable{
-		seen: make(map[dedupKey]struct{}, capacity),
-		ring: make([]dedupKey, capacity),
-	}
+	return &dedupTable{seen: map[dedupKey]struct{}{}, capacity: capacity}
 }
 
 // Observe records the key and reports whether this was its first sighting.
@@ -40,16 +39,14 @@ func (d *dedupTable) Observe(k dedupKey) bool {
 	if _, ok := d.seen[k]; ok {
 		return false
 	}
-	if d.full {
-		delete(d.seen, d.ring[d.next])
-	}
-	d.ring[d.next] = k
 	d.seen[k] = struct{}{}
-	d.next++
-	if d.next == len(d.ring) {
-		d.next = 0
-		d.full = true
+	if len(d.ring) < d.capacity {
+		d.ring = append(d.ring, k)
+		return true
 	}
+	delete(d.seen, d.ring[d.next])
+	d.ring[d.next] = k
+	d.next = (d.next + 1) % d.capacity
 	return true
 }
 
@@ -95,6 +92,17 @@ func newSharedDedup(capacity, nshard int) *sharedDedup {
 		d.stripes[i].t = newDedupTable(max(capacity/dedupStripes, 16))
 	}
 	return d
+}
+
+// Len returns the number of keys tracked across every stripe.
+func (d *sharedDedup) Len() (n int) {
+	for i := range d.stripes {
+		s := &d.stripes[i]
+		s.mu.Lock()
+		n += s.t.Len()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Observe records the key and reports whether this was its first sighting

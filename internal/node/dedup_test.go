@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"sonet/internal/wire"
@@ -105,6 +106,74 @@ func TestDedupMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("cap=%d op=%d: Len = %d, reference holds %d",
 					capacity, op, d.Len(), len(ref.order))
 			}
+		}
+	}
+}
+
+// preallocDedup is the table this package had before it grew on demand:
+// map and ring sized to capacity before the first key. It stays here as
+// the reference the growing table is held to.
+type preallocDedup struct {
+	seen map[dedupKey]struct{}
+	ring []dedupKey
+	next int
+	full bool
+}
+
+func (d *preallocDedup) Observe(k dedupKey) bool {
+	if _, ok := d.seen[k]; ok {
+		return false
+	}
+	if d.full {
+		delete(d.seen, d.ring[d.next])
+	}
+	d.ring[d.next] = k
+	d.seen[k] = struct{}{}
+	d.next++
+	if d.next == len(d.ring) {
+		d.next = 0
+		d.full = true
+	}
+	return true
+}
+
+// fifo lists the tracked keys oldest first: the order they will be evicted.
+func (d *preallocDedup) fifo() []dedupKey {
+	if !d.full {
+		return d.ring[:d.next]
+	}
+	return append(append([]dedupKey(nil), d.ring[d.next:]...), d.ring[:d.next]...)
+}
+
+// TestDedupGrowsOnDemand holds the table to the preallocated one it
+// replaced: a fresh table has no ring and no keys; 200 000 seeded
+// observations with repeats — over fewer distinct keys than the capacity,
+// and over more — get the same answer call for call; and at the end both
+// hold the same keys in the same eviction order, in a ring exactly as long
+// as min(distinct keys, capacity).
+func TestDedupGrowsOnDemand(t *testing.T) {
+	for _, universe := range []int{3000, dedupCapacity + 20000} {
+		d := newSharedDedup(dedupCapacity, 1)
+		tab := d.stripes[0].t
+		if cap(tab.ring) != 0 || len(tab.seen) != 0 || d.Len() != 0 {
+			t.Fatalf("a fresh table holds a ring of %d and %d keys", cap(tab.ring), d.Len())
+		}
+		ref := &preallocDedup{seen: make(map[dedupKey]struct{}, dedupCapacity), ring: make([]dedupKey, dedupCapacity)}
+		rng := rand.New(rand.NewPCG(22, uint64(universe)))
+		distinct := make(map[dedupKey]struct{})
+		for op := 0; op < 200000; op++ {
+			k := dk(rng.IntN(universe))
+			distinct[k] = struct{}{}
+			if got, want := d.Observe(k), ref.Observe(k); got != want {
+				t.Fatalf("universe %d op %d: Observe(%v) = %v, the preallocated table says %v", universe, op, k, got, want)
+			}
+			if want := min(len(distinct), dedupCapacity); len(tab.ring) != want || d.Len() != len(ref.seen) {
+				t.Fatalf("universe %d op %d: ring of %d holding %d keys, want %d and %d", universe, op, len(tab.ring), d.Len(), want, len(ref.seen))
+			}
+		}
+		got := append(append([]dedupKey(nil), tab.ring[tab.next:]...), tab.ring[:tab.next]...)
+		if !slices.Equal(got, ref.fifo()) {
+			t.Fatalf("universe %d: eviction order differs from the preallocated table's", universe)
 		}
 	}
 }

@@ -259,6 +259,45 @@ func (pl *DataPlane) Stats() Stats {
 	return agg
 }
 
+// Footprint is the state a node holds resident between packets, counted
+// rather than measured: tracked duplicate-suppression keys and, summed over
+// every link-protocol endpoint, the packets held for retransmission, the
+// bytes they carry and the receive-window bitmaps.
+type Footprint struct {
+	DedupEntries                              int
+	HistoryPackets, HistoryBytes, WindowBytes int
+}
+
+// Footprint counts the plane's resident state, each shard's endpoints on
+// its own loop and the dedup table on shard 0's (a one-shard plane's table
+// takes no lock). An emulated node (no loops) is read in place, so call it
+// from the node's executor; on a daemon it is safe from any goroutine, and
+// a shard whose loop has closed contributes zeros.
+func (pl *DataPlane) Footprint() (fp Footprint) {
+	var mu sync.Mutex
+	add := func(s *DataShard) {
+		mu.Lock()
+		defer mu.Unlock()
+		if s.idx == 0 {
+			fp.DedupEntries = pl.dedup.Len()
+		}
+		for _, pr := range s.peers {
+			for _, p := range pr.protos {
+				st := p.Stats()
+				fp.HistoryPackets += st.HistoryPackets
+				fp.HistoryBytes += st.HistoryBytes
+				fp.WindowBytes += st.WindowBytes
+			}
+		}
+	}
+	if pl.loops == nil {
+		add(pl.shards[0])
+	} else {
+		pl.onShards(pl.shards, add)
+	}
+	return fp
+}
+
 // Snapshot returns the currently published forwarding snapshot: nil
 // before the first publication, and always on a one-shard plane, which
 // has no reader for one.

@@ -192,7 +192,7 @@ func (f *Flow) resend(seq uint32) {
 // covers the flow's last HistoryLimit sequences.
 func (f *Flow) remember(p *wire.Packet) {
 	if f.history == nil {
-		f.history = link.NewSeqRing[*wire.Packet](f.client.mgr.HistoryLimit, nil)
+		f.history = link.NewSeqRing[*wire.Packet](f.client.mgr.HistoryLimit, nil, nil)
 	}
 	f.history.Put(p.FlowSeq, p)
 }

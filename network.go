@@ -323,7 +323,9 @@ func (n *Network) NodeStats(id NodeID) (NodeStats, bool) {
 	if nd == nil {
 		return NodeStats{}, false
 	}
-	return fromNodeStats(nd.Stats()), true
+	st := fromNodeStats(nd.Stats())
+	st.Footprint = nd.DataPlane().Footprint()
+	return st, true
 }
 
 // SchedStats reports a node's fair-scheduler accounting (§IV-B QoS
@@ -417,7 +419,14 @@ type NodeStats struct {
 	// client connection's delivery queue was full (the client read too
 	// slowly). Always zero on emulated nodes, whose clients are in-process.
 	ClientDropped uint64
+	// Footprint is what the node holds resident now, by count.
+	Footprint Footprint
 }
+
+// Footprint counts a node's resident protocol state: duplicate-suppression
+// keys and, over all its link endpoints, packets held for retransmission,
+// their bytes, and receive-window bitmap bytes.
+type Footprint = node.Footprint
 
 func fromNodeStats(st node.Stats) NodeStats {
 	return NodeStats{

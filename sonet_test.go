@@ -487,3 +487,72 @@ func TestPublicAPIDeliveryPayloadIsOwned(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeStatsFootprint reads a node's resident state through the public
+// API: none before traffic, a unicast NM-Strikes flow leaves packets in the
+// history of each hop's sending endpoint — the last 256, not every one sent,
+// on a link this slow — and no duplicate-suppression keys anywhere, and a
+// flooded flow leaves one key per message on every node it reaches.
+func TestNodeStatsFootprint(t *testing.T) {
+	net, err := New(1, apiDiamond())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	footprint := func(id NodeID) Footprint {
+		st, ok := net.NodeStats(id)
+		if !ok {
+			t.Fatalf("no stats for node %d", id)
+		}
+		return st.Footprint
+	}
+	net.Run(time.Second)
+	for id := NodeID(1); id <= 4; id++ {
+		if fp := footprint(id); fp.DedupEntries != 0 || fp.HistoryPackets != 0 || fp.HistoryBytes != 0 {
+			t.Fatalf("idle node %d holds %+v", id, fp)
+		}
+	}
+	if _, err := net.Connect(4, 100); err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Connect(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	video, err := src.OpenFlow(FlowSpec{To: 4, ToPort: 100, Service: RealTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sends, size = 400, 1000
+	for i := 0; i < sends; i++ {
+		if err := video.Send(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		net.Run(2 * time.Millisecond)
+	}
+	net.Run(time.Second)
+	for _, id := range []NodeID{1, 2} {
+		fp := footprint(id)
+		if fp.HistoryPackets != 256 || fp.HistoryBytes != 256*size || fp.DedupEntries != 0 {
+			t.Fatalf("node %d after %d sends at 500 pkt/s holds %+v, want 256 packets of %d bytes and no dedup keys", id, sends, fp, size)
+		}
+	}
+	if fp := footprint(3); fp.HistoryPackets != 0 || fp.WindowBytes >= footprint(2).WindowBytes {
+		t.Fatalf("node 3, off the path, holds %+v", fp)
+	}
+	flood, err := src.OpenFlow(FlowSpec{To: 4, ToPort: 100, Flood: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := flood.Send(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run(time.Second)
+	for id := NodeID(1); id <= 4; id++ {
+		if fp := footprint(id); fp.DedupEntries != 50 {
+			t.Fatalf("node %d tracks %d keys after 50 flooded messages", id, fp.DedupEntries)
+		}
+	}
+}
