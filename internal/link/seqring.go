@@ -22,7 +22,7 @@ type SeqRing[T any] struct {
 	n     int
 	live  int
 	slots []seqSlot[T]
-	keep  func(v T) bool
+	keep  func(held, put T) bool
 	evict func(seq uint32, v T)
 }
 
@@ -39,12 +39,12 @@ type seqSlot[T any] struct {
 const seqRingFloor = 256
 
 // NewSeqRing returns a ring over the last n sequences. keep, when not nil,
-// reports whether the owner still wants a stored value; the ring grows
-// rather than displace one it does, and nil wants every value until the
-// ring has n slots. evict, when not nil, receives every value the ring
+// reports whether the owner still wants the value held where put is about
+// to go; the ring grows rather than displace one it does, and nil wants
+// every value until the ring has n slots. evict, when not nil, receives every value the ring
 // lets go of — displaced by Put or dropped by Clear — which is where a
 // value that owns a pooled buffer releases it.
-func NewSeqRing[T any](n int, keep func(v T) bool, evict func(seq uint32, v T)) *SeqRing[T] {
+func NewSeqRing[T any](n int, keep func(held, put T) bool, evict func(seq uint32, v T)) *SeqRing[T] {
 	if n < 1 {
 		n = 1
 	}
@@ -63,7 +63,7 @@ func (r *SeqRing[T]) Put(seq uint32, v T) {
 		r.slots = make([]seqSlot[T], min(r.n, seqRingFloor))
 	}
 	s := r.slot(seq)
-	for s.full && s.seq != seq && len(r.slots) < r.n && (r.keep == nil || r.keep(s.v)) {
+	for s.full && s.seq != seq && len(r.slots) < r.n && (r.keep == nil || r.keep(s.v, v)) {
 		r.grow()
 		s = r.slot(seq)
 	}

@@ -205,7 +205,7 @@ func seqRingGrowthRound(t *testing.T, n, start uint32, rng *rand.Rand) {
 func TestSeqRingGrowsOnlyForWantedValues(t *testing.T) {
 	var log evictLog
 	wantFrom := uint32(1 << 30)
-	r := NewSeqRing(1024, func(v uint32) bool { return v >= wantFrom }, log.evict)
+	r := NewSeqRing(1024, func(held, _ uint32) bool { return held >= wantFrom }, log.evict)
 	for seq := uint32(1); seq <= 1000; seq++ {
 		r.Put(seq, seq)
 	}

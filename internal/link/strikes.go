@@ -164,13 +164,13 @@ func NewStrikes(env Env, cfg StrikesConfig) *Strikes {
 	return s
 }
 
-// wanted reports whether a request for sp can still arrive in time to be
-// worth answering: the receiver gives a missing packet up Budget after it
-// noticed, and its last request takes up to an RTT more to get here. The
-// history grows rather than displace such a packet, so it is sized by the
-// link's rate times this horizon instead of by HistoryLimit.
-func (s *Strikes) wanted(sp *sentPacket) bool {
-	return s.env.Clock().Now()-sp.at < s.cfg.Budget+s.cfg.RTT
+// wanted reports whether, as put is sent, a request for held can still
+// arrive in time to be worth answering: the receiver gives a missing packet
+// up Budget after it noticed, and its last request takes up to an RTT more
+// to get here. The history grows rather than displace such a packet, so it
+// is sized by the link's rate times this horizon instead of by HistoryLimit.
+func (s *Strikes) wanted(held, put *sentPacket) bool {
+	return put.at-held.at < s.cfg.Budget+s.cfg.RTT
 }
 
 // Send implements Protocol. The packet is borrowed; the retransmission
