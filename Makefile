@@ -117,6 +117,8 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzFramePooledRoundTrip -fuzztime 30s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzFrameReader -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzClientRequest -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/linkstate/ -run xxx -fuzz FuzzAdvertisementDecode -fuzztime 30s
+	$(GO) test ./internal/groups/ -run xxx -fuzz FuzzAnnouncementDecode -fuzztime 30s
 
 # The size figures the simplification PRs and ROADMAP item 5 quote: raw
 # lines and non-blank non-comment lines of non-test Go outside bench/, for

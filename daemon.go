@@ -98,6 +98,7 @@ func (d *Daemon) Stats() NodeStats {
 	st := fromNodeStats(d.inner.NodeStats())
 	st.ClientDropped = d.inner.ClientStats().Dropped
 	st.Footprint = d.inner.DataPlane().Footprint()
+	st.Control = d.inner.ControlStats()
 	return st
 }
 

@@ -101,6 +101,14 @@ func TestPublicDaemonAPI(t *testing.T) {
 	if fp := st.Footprint; fp.WindowBytes == 0 || fp.DedupEntries != 0 {
 		t.Fatalf("relay daemon footprint %+v", fp)
 	}
+	// Read on the control loop: by the first refresh (2 s) the relay has
+	// passed an end daemon's advertisement on to the other.
+	for deadline := time.Now().Add(5 * time.Second); daemons[2].Stats().Control.FloodedLSAs == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay daemon flooding account %+v", daemons[2].Stats().Control)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // TestPublicDaemonSchedStats streams an intrusion-tolerant flow between

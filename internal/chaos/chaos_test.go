@@ -210,18 +210,18 @@ func TestChaosSmoke(t *testing.T) {
 // commit and says why.
 func TestSmokeTraceHashesPinned(t *testing.T) {
 	golden := map[string]uint64{
-		"flap-diamond":          0x0a8b4aa79519ef91,
-		"partition-ring":        0xe9029449aa492839,
-		"crash-grid":            0x284b80c94df64528,
-		"ispout-diamond":        0xdb7a969ad7a5167e,
-		"brownout-ring":         0xbbc01e5570819a1f,
-		"spike-grid":            0x755a9486ce5b09b7,
-		"flap-crash-ring":       0x6a189507dbf94f92,
-		"partition-ispout-grid": 0x311a6010ebf12b9c,
-		"everything-diamond":    0xd1473358be6845ef,
-		"scripted-mixed":        0x8b8438886ae2c170,
-		"churn-ring":            0xecb6e552b110dc45,
-		"churn-corrupt-grid":    0xf0e87940a03ee68c,
+		"flap-diamond":          0x5d6071e4697d3fae,
+		"partition-ring":        0xbc827824f5a7f7cb,
+		"crash-grid":            0xb4ffacf42a17e104,
+		"ispout-diamond":        0x5e5040a7b551e63f,
+		"brownout-ring":         0x636e174aac2ee81e,
+		"spike-grid":            0xfb3fc7243a225caf,
+		"flap-crash-ring":       0x8b15e2ba8bd23a0e,
+		"partition-ispout-grid": 0xe1fabaf0aacc5207,
+		"everything-diamond":    0x7e038b2b1991fe48,
+		"scripted-mixed":        0xd76aaf66563c9e0c,
+		"churn-ring":            0x4aeccbadbfe5f9d6,
+		"churn-corrupt-grid":    0xafdfad3d4e0a85f2,
 	}
 	campaigns := SmokeCampaigns()
 	if len(campaigns) != len(golden) {

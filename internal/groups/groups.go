@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sonet/internal/wire"
 )
@@ -61,25 +61,40 @@ func (a *Announcement) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalAnnouncement decodes a group-state payload.
-func UnmarshalAnnouncement(src []byte) (*Announcement, error) {
+// peekAnnouncement validates a group-state payload's framing and returns
+// the origin and sequence from its fixed header, decoding no group: most
+// copies a flood delivers are discarded on these two fields alone.
+func peekAnnouncement(src []byte) (origin wire.NodeID, seq uint32, err error) {
 	if len(src) < 8 {
-		return nil, fmt.Errorf("groups: header %d bytes: %w", len(src), ErrBadAnnouncement)
+		return 0, 0, fmt.Errorf("groups: header %d bytes: %w", len(src), ErrBadAnnouncement)
 	}
-	a := &Announcement{
-		Origin: wire.NodeID(binary.BigEndian.Uint16(src[0:])),
-		Seq:    binary.BigEndian.Uint32(src[2:]),
+	if count, body := int(binary.BigEndian.Uint16(src[6:])), len(src)-8; body < 4*count {
+		return 0, 0, fmt.Errorf("groups: %d groups in %d bytes: %w", count, body, ErrBadAnnouncement)
 	}
-	count := int(binary.BigEndian.Uint16(src[6:]))
-	src = src[8:]
-	if len(src) < 4*count {
-		return nil, fmt.Errorf("groups: %d groups in %d bytes: %w", count, len(src), ErrBadAnnouncement)
+	return wire.NodeID(binary.BigEndian.Uint16(src[0:])), binary.BigEndian.Uint32(src[2:]), nil
+}
+
+// decode fills a from a payload peekAnnouncement accepted, reusing
+// a.Groups' backing array.
+func (a *Announcement) decode(src []byte) {
+	a.Origin = wire.NodeID(binary.BigEndian.Uint16(src[0:]))
+	a.Seq = binary.BigEndian.Uint32(src[2:])
+	a.Groups = a.Groups[:0]
+	for g := src[8 : 8+4*int(binary.BigEndian.Uint16(src[6:]))]; len(g) > 0; g = g[4:] {
+		a.Groups = append(a.Groups, wire.GroupID(binary.BigEndian.Uint32(g)))
 	}
-	a.Groups = make([]wire.GroupID, count)
-	for i := 0; i < count; i++ {
-		a.Groups[i] = wire.GroupID(binary.BigEndian.Uint32(src[4*i:]))
-	}
-	return a, nil
+}
+
+// Stats counts group-state flooding activity.
+type Stats struct {
+	// Flooded counts announcements accepted as news and reflooded.
+	Flooded uint64
+	// Stale counts received announcements discarded on their header alone:
+	// a copy of one already seen, or an echo of this node's own.
+	Stale uint64
+	// Resync counts retained announcements pushed to a neighbor whose link
+	// recovered.
+	Resync uint64
 }
 
 // Manager is the Group State component for one node. All methods must be
@@ -97,13 +112,17 @@ type Manager struct {
 	// seen tracks the highest announcement sequence per origin.
 	seen map[wire.NodeID]uint32
 	// lastAnn retains the latest announcement payload per origin for
-	// link-recovery resync.
+	// link-recovery resync; origins lists its keys in ascending order.
 	lastAnn map[wire.NodeID][]byte
-	// remote holds the last applied group set per origin, to diff.
+	origins []wire.NodeID
+	// remote holds the last applied group set per origin, sorted, to diff.
 	remote map[wire.NodeID][]wire.GroupID
+	// rxAnn is the decode target of HandleAnnouncement.
+	rxAnn Announcement
 
 	mySeq   uint32
 	version uint64
+	stats   Stats
 }
 
 // NewManager returns a group-state manager for node self.
@@ -122,6 +141,9 @@ func NewManager(env Env, self wire.NodeID) *Manager {
 // Version returns a counter incremented on every membership change, for
 // multicast tree cache invalidation.
 func (m *Manager) Version() uint64 { return m.version }
+
+// Stats returns a snapshot of counters.
+func (m *Manager) Stats() Stats { return m.stats }
 
 // Join registers a local client's membership in a group. The first local
 // member triggers an announcement flood; only receivers need to join
@@ -182,63 +204,71 @@ func (m *Manager) Refresh() { m.announce() }
 // HandleAnnouncement processes a group-state packet received from a
 // neighbor, applying newer information and reflooding it.
 func (m *Manager) HandleAnnouncement(from wire.NodeID, p *wire.Packet) error {
-	a, err := UnmarshalAnnouncement(p.Payload)
+	origin, seq, err := peekAnnouncement(p.Payload)
 	if err != nil {
 		return err
 	}
-	if a.Origin == m.self {
+	if last, ok := m.seen[origin]; ok && seq <= last {
+		m.stats.Stale++
+		return nil
+	}
+	if origin == m.self {
 		// Our own announcement echoed back. A crash-restarted node's
 		// counter starts over while pre-crash announcements with higher
 		// sequence numbers still circulate; fast-forward past them and
 		// re-announce so the fresh membership supersedes the stale one.
 		// Strictly-greater keeps the steady-state echo from re-announcing.
-		if a.Seq > m.mySeq {
-			m.mySeq = a.Seq
+		if seq > m.mySeq {
+			m.mySeq = seq
 			m.announce()
+		} else {
+			m.stats.Stale++
 		}
 		return nil
 	}
-	if last, ok := m.seen[a.Origin]; ok && a.Seq <= last {
-		return nil
+	m.seen[origin] = seq
+	held, known := m.lastAnn[origin]
+	if !known {
+		i, _ := slices.BinarySearch(m.origins, origin)
+		m.origins = slices.Insert(m.origins, i, origin)
 	}
-	m.seen[a.Origin] = a.Seq
-	m.lastAnn[a.Origin] = append([]byte(nil), p.Payload...)
+	m.lastAnn[origin] = append(held[:0], p.Payload...)
 
-	changed := m.applyRemote(a.Origin, a.Groups)
-	if changed {
+	a := &m.rxAnn
+	a.decode(p.Payload)
+	if !slices.IsSorted(a.Groups) {
+		slices.Sort(a.Groups)
+	}
+	if m.applyRemote(origin, slices.Compact(a.Groups)) {
 		m.version++
 		m.env.GroupsChanged()
 	}
+	m.stats.Flooded++
 	m.env.FloodGroupState(p.Payload, from)
 	return nil
 }
 
-// applyRemote reconciles an origin's full group set against the previous
-// one, returning whether membership changed.
+// applyRemote reconciles an origin's full group set, sorted and free of
+// repeats, against the previous one by walking both, returning whether
+// membership changed.
 func (m *Manager) applyRemote(origin wire.NodeID, groups []wire.GroupID) bool {
 	prev := m.remote[origin]
-	next := make(map[wire.GroupID]bool, len(groups))
-	for _, g := range groups {
-		next[g] = true
-	}
 	changed := false
-	for _, g := range prev {
-		if !next[g] {
-			m.setMemberRaw(g, origin, false)
+	for i, j := 0, 0; i < len(prev) || j < len(groups); {
+		switch {
+		case j == len(groups) || i < len(prev) && prev[i] < groups[j]:
+			m.setMemberRaw(prev[i], origin, false)
 			changed = true
+			i++
+		case i == len(prev) || groups[j] < prev[i]:
+			m.setMemberRaw(groups[j], origin, true)
+			changed = true
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
-	prevSet := make(map[wire.GroupID]bool, len(prev))
-	for _, g := range prev {
-		prevSet[g] = true
-	}
-	for _, g := range groups {
-		if !prevSet[g] {
-			m.setMemberRaw(g, origin, true)
-			changed = true
-		}
-	}
-	m.remote[origin] = append([]wire.GroupID(nil), groups...)
+	m.remote[origin] = append(prev[:0], groups...)
 	return changed
 }
 
@@ -250,38 +280,23 @@ func (m *Manager) setMember(g wire.GroupID, n wire.NodeID, member bool) {
 
 func (m *Manager) setMemberRaw(g wire.GroupID, n wire.NodeID, member bool) {
 	set := m.members[g]
-	i := sort.Search(len(set), func(i int) bool { return set[i] >= n })
-	present := i < len(set) && set[i] == n
-	if member {
-		if present {
-			return
-		}
-		set = append(set, 0)
-		copy(set[i+1:], set[i:])
-		set[i] = n
-		m.members[g] = set
-		return
-	}
-	if !present {
-		return
-	}
-	set = append(set[:i], set[i+1:]...)
-	if len(set) == 0 {
+	i, present := slices.BinarySearch(set, n)
+	switch {
+	case member == present:
+	case member:
+		m.members[g] = slices.Insert(set, i, n)
+	case len(set) == 1:
 		delete(m.members, g)
-		return
+	default:
+		m.members[g] = slices.Delete(set, i, i+1)
 	}
-	m.members[g] = set
 }
 
 // Resync pushes the latest known announcement of every origin, plus this
 // node's own membership, to one neighbor whose link just recovered.
 func (m *Manager) Resync(n wire.NodeID) {
-	origins := make([]wire.NodeID, 0, len(m.lastAnn))
-	for o := range m.lastAnn {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
+	for _, o := range m.origins {
+		m.stats.Resync++
 		m.env.SendGroupState(n, m.lastAnn[o])
 	}
 	m.announce()
@@ -294,7 +309,7 @@ func (m *Manager) announce() {
 	for g := range m.local {
 		groups = append(groups, g)
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
+	slices.Sort(groups)
 	a := Announcement{Origin: m.self, Seq: m.mySeq, Groups: groups}
 	m.env.FloodGroupState(a.Marshal(), 0)
 }

@@ -3,6 +3,7 @@ package groups
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sonet/internal/wire"
@@ -259,5 +260,63 @@ func TestRestartFastForwardsAnnouncementSeq(t *testing.T) {
 	}
 	if fresh.mySeq != cur {
 		t.Fatalf("steady-state echo advanced mySeq %d -> %d", cur, fresh.mySeq)
+	}
+}
+
+// TestRemoteSetsTrackAnnouncements feeds one manager seeded announcements
+// from three origins whose group lists arrive unsorted and with repeats —
+// nothing on the wire promises otherwise — and checks after each one that
+// the origin is a member of exactly the groups it last announced, that the
+// version moved exactly when some membership did, and that the two counters
+// split the traffic: the walk over two sorted slices in applyRemote against
+// plain sets.
+func TestRemoteSetsTrackAnnouncements(t *testing.T) {
+	f := newFabric(1)
+	m := f.envs[1].mgr
+	r := rand.New(rand.NewSource(5))
+	latest := map[wire.NodeID]map[wire.GroupID]bool{}
+	seq := map[wire.NodeID]uint32{}
+	var fresh, stale uint64
+	for i := 0; i < 2000; i++ {
+		origin := wire.NodeID(2 + r.Intn(3))
+		a := Announcement{Origin: origin, Seq: seq[origin] + uint32(r.Intn(3))}
+		for n := r.Intn(6); n > 0; n-- {
+			a.Groups = append(a.Groups, wire.GroupID(1+r.Intn(8)))
+		}
+		before, moved := m.Version(), false
+		if last, known := seq[origin]; !known || a.Seq > last {
+			fresh++
+			seq[origin] = a.Seq
+			set := map[wire.GroupID]bool{}
+			for _, g := range a.Groups {
+				set[g] = true
+			}
+			for g := wire.GroupID(1); g <= 8; g++ {
+				moved = moved || set[g] != latest[origin][g]
+			}
+			latest[origin] = set
+		} else {
+			stale++
+		}
+		if err := m.HandleAnnouncement(origin, &wire.Packet{Payload: a.Marshal()}); err != nil {
+			t.Fatal(err)
+		}
+		if (m.Version() != before) != moved {
+			t.Fatalf("step %d: membership moved %v, version %d → %d", i, moved, before, m.Version())
+		}
+		for g := wire.GroupID(1); g <= 8; g++ {
+			var want []wire.NodeID
+			for o := wire.NodeID(2); o <= 4; o++ {
+				if latest[o][g] {
+					want = append(want, o)
+				}
+			}
+			if got := m.Members(g); !slices.Equal(got, want) {
+				t.Fatalf("step %d: group %d members %v, want %v", i, g, got, want)
+			}
+		}
+	}
+	if st := m.Stats(); st.Flooded != fresh || st.Stale != stale || st.Resync != 0 {
+		t.Fatalf("stats %+v, want %d flooded and %d stale", st, fresh, stale)
 	}
 }

@@ -55,6 +55,22 @@ const advHeaderLen = 8
 // advFlagDelta marks a delta advertisement in the header flags byte.
 const advFlagDelta = 0x01
 
+// latencyUnits and lossUnits are an entry's quality as encoded: whole
+// microseconds below 2^32, whole hundredths of a percent in [0, 1]; quality
+// is what a receiver makes of them. Encoding a decoded quality yields the
+// same units again (lossUnits rounds, because k/10000 × 10000 can fall just
+// below k), so an origin that keeps quality(units(measured)) holds exactly
+// what every receiver of its advertisement holds.
+func latencyUnits(d time.Duration) uint32 {
+	return uint32(min(max(d/time.Microsecond, 0), 1<<32-1))
+}
+
+func lossUnits(loss float64) uint16 { return uint16(min(max(loss, 0), 1)*10000 + 0.5) }
+
+func quality(us uint32, bp uint16) (time.Duration, float64) {
+	return time.Duration(us) * time.Microsecond, float64(bp) / 10000
+}
+
 // Marshal encodes the advertisement.
 func (a *Advertisement) Marshal() []byte {
 	buf := make([]byte, advHeaderLen, advHeaderLen+len(a.Entries)*advEntryLen)
@@ -72,51 +88,41 @@ func (a *Advertisement) Marshal() []byte {
 		} else {
 			e[2] = 0
 		}
-		us := entry.Latency / time.Microsecond
-		if us < 0 {
-			us = 0
-		}
-		if us > 1<<32-1 {
-			us = 1<<32 - 1
-		}
-		binary.BigEndian.PutUint32(e[3:], uint32(us))
-		loss := entry.Loss
-		if loss < 0 {
-			loss = 0
-		}
-		if loss > 1 {
-			loss = 1
-		}
-		binary.BigEndian.PutUint16(e[7:], uint16(loss*10000))
+		binary.BigEndian.PutUint32(e[3:], latencyUnits(entry.Latency))
+		binary.BigEndian.PutUint16(e[7:], lossUnits(entry.Loss))
 		buf = append(buf, e[:]...)
 	}
 	return buf
 }
 
-// UnmarshalAdvertisement decodes a link-state payload.
-func UnmarshalAdvertisement(src []byte) (*Advertisement, error) {
+// peekAdvertisement validates a link-state payload's framing and returns
+// the origin and sequence from its fixed header, decoding no entry: a
+// flood delivers most copies of an advertisement after the first, and
+// those are discarded on these two fields alone.
+func peekAdvertisement(src []byte) (origin wire.NodeID, seq uint32, err error) {
 	if len(src) < advHeaderLen {
-		return nil, fmt.Errorf("linkstate: header %d bytes: %w", len(src), ErrBadAdvertisement)
+		return 0, 0, fmt.Errorf("linkstate: header %d bytes: %w", len(src), ErrBadAdvertisement)
 	}
-	a := &Advertisement{
-		Origin: wire.NodeID(binary.BigEndian.Uint16(src[0:])),
-		Seq:    binary.BigEndian.Uint32(src[2:]),
-		Delta:  src[6]&advFlagDelta != 0,
+	if count, body := int(src[7]), len(src)-advHeaderLen; body < count*advEntryLen {
+		return 0, 0, fmt.Errorf("linkstate: %d entries in %d bytes: %w", count, body, ErrBadAdvertisement)
 	}
-	count := int(src[7])
-	src = src[advHeaderLen:]
-	if len(src) < count*advEntryLen {
-		return nil, fmt.Errorf("linkstate: %d entries in %d bytes: %w", count, len(src), ErrBadAdvertisement)
-	}
-	a.Entries = make([]Entry, count)
-	for i := 0; i < count; i++ {
-		e := src[i*advEntryLen:]
-		a.Entries[i] = Entry{
+	return wire.NodeID(binary.BigEndian.Uint16(src[0:])), binary.BigEndian.Uint32(src[2:]), nil
+}
+
+// decode fills a from a payload peekAdvertisement accepted, reusing
+// a.Entries' backing array.
+func (a *Advertisement) decode(src []byte) {
+	a.Origin = wire.NodeID(binary.BigEndian.Uint16(src[0:]))
+	a.Seq = binary.BigEndian.Uint32(src[2:])
+	a.Delta = src[6]&advFlagDelta != 0
+	a.Entries = a.Entries[:0]
+	for e := src[advHeaderLen : advHeaderLen+int(src[7])*advEntryLen]; len(e) > 0; e = e[advEntryLen:] {
+		latency, loss := quality(binary.BigEndian.Uint32(e[3:]), binary.BigEndian.Uint16(e[7:]))
+		a.Entries = append(a.Entries, Entry{
 			Link:    wire.LinkID(binary.BigEndian.Uint16(e[0:])),
 			Up:      e[2] == 1,
-			Latency: time.Duration(binary.BigEndian.Uint32(e[3:])) * time.Microsecond,
-			Loss:    float64(binary.BigEndian.Uint16(e[7:])) / 10000,
-		}
+			Latency: latency,
+			Loss:    loss,
+		})
 	}
-	return a, nil
 }

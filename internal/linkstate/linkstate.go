@@ -13,7 +13,7 @@ package linkstate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sonet/internal/sim"
@@ -149,6 +149,13 @@ type Stats struct {
 	// NonMemberLSAsRejected counts advertisements dropped because their
 	// origin is not a current overlay member (dynamic membership).
 	NonMemberLSAsRejected uint64
+	// StaleLSAs counts received advertisements discarded on their header
+	// alone — a copy of one already seen, or an echo of this node's own —
+	// which is what a flood mostly delivers.
+	StaleLSAs uint64
+	// ResyncLSAs counts retained advertisements pushed to a neighbor whose
+	// link recovered.
+	ResyncLSAs uint64
 }
 
 // neighborState tracks hello liveness for one adjacent overlay link.
@@ -169,16 +176,13 @@ type neighborState struct {
 	disabled bool
 	// pendingAck marks a hello in flight awaiting its ack.
 	pendingAck bool
-	// rtt is the smoothed round-trip estimate.
-	rtt time.Duration
-	// window loss accounting.
+	// rtt is the smoothed round-trip estimate and loss the last closed
+	// window's one-way loss estimate: what this end measures. What it
+	// advertised is the link's entry in the view (maybeAdvertise).
+	rtt        time.Duration
 	helloCount int
 	ackCount   int
 	loss       float64
-	// advertised values, to rate-limit LSA floods.
-	advLatency time.Duration
-	advLoss    float64
-	advUp      bool
 	timer      sim.Timer
 }
 
@@ -198,11 +202,17 @@ type Manager struct {
 	seen map[wire.NodeID]uint32
 	// lastAdv retains the latest advertisement payload per origin, so a
 	// recovering link can be brought up to date immediately instead of
-	// waiting for every origin's next refresh.
+	// waiting for every origin's next refresh; origins lists its keys in
+	// ascending order.
 	lastAdv map[wire.NodeID][]byte
-	mySeq   uint32
-	stats   Stats
-	closed  bool
+	origins []wire.NodeID
+	// rxAdv is the decode target of HandleLSA and ctl the hello or
+	// hello-ack being sent: Env.SendControl marshals before it returns.
+	rxAdv  Advertisement
+	ctl    wire.Frame
+	mySeq  uint32
+	stats  Stats
+	closed bool
 	// sessionEpoch, when set, supplies the link-session epoch advertised
 	// in hellos; onPeerEpoch, when set, receives the epoch carried by
 	// each hello from a neighbor.
@@ -244,17 +254,19 @@ func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Man
 // AddNeighbor registers the adjacent link to a neighbor.
 func (m *Manager) AddNeighbor(n wire.NodeID, link wire.LinkID) {
 	st := m.view.State[link]
+	if m.self < n {
+		// An owned link's entry is what its first advertisement will say.
+		m.setOwned(link, st.Latency, st.Loss)
+	}
 	m.neighbors[n] = &neighborState{
-		linkID:     link,
-		owner:      m.self < n,
-		up:         true,
-		advUp:      true,
-		advLatency: st.Latency,
-		rtt:        2 * st.Latency,
-		timer:      m.env.Clock().NewTimer(func() { m.helloTick(n) }),
+		linkID: link,
+		owner:  m.self < n,
+		up:     true,
+		rtt:    2 * st.Latency,
+		timer:  m.env.Clock().NewTimer(func() { m.helloTick(n) }),
 	}
 	m.order = append(m.order, n)
-	sort.Slice(m.order, func(i, j int) bool { return m.order[i] < m.order[j] })
+	slices.Sort(m.order)
 }
 
 // Start begins hello probing and periodic refresh flooding, announcing the
@@ -395,6 +407,9 @@ func (m *Manager) ReconcileAdjacent() int {
 func (m *Manager) PurgeOrigin(n wire.NodeID) {
 	delete(m.seen, n)
 	delete(m.lastAdv, n)
+	if i, ok := slices.BinarySearch(m.origins, n); ok {
+		m.origins = slices.Delete(m.origins, i, i+1)
+	}
 }
 
 // Stop cancels all timers.
@@ -496,12 +511,13 @@ func (m *Manager) helloTick(n wire.NodeID) {
 	if m.sessionEpoch != nil {
 		seq |= (m.sessionEpoch(n) & epochMask) << 8
 	}
-	m.env.SendControl(n, &wire.Frame{
+	m.ctl = wire.Frame{
 		Proto:    wire.LPBestEffort,
 		Kind:     wire.FHello,
 		Seq:      seq,
 		SendTime: m.env.Clock().Now(),
-	})
+	}
+	m.env.SendControl(n, &m.ctl)
 	interval := m.cfg.HelloInterval
 	if !st.up {
 		interval = m.cfg.DownProbeInterval
@@ -559,11 +575,12 @@ func (m *Manager) HandleControl(n wire.NodeID, f *wire.Frame) {
 				}
 			}
 		}
-		m.env.SendControl(n, &wire.Frame{
+		m.ctl = wire.Frame{
 			Proto:    wire.LPBestEffort,
 			Kind:     wire.FHelloAck,
 			SendTime: f.SendTime,
-		})
+		}
+		m.env.SendControl(n, &m.ctl)
 	case wire.FHelloAck:
 		m.onHelloAck(n, f)
 	}
@@ -602,11 +619,8 @@ func (m *Manager) onHelloAck(n wire.NodeID, f *wire.Frame) {
 		return
 	}
 	// The owner publishes the link's measured latency; the other
-	// endpoint receives it via the owner's advertisements. Routed through
-	// SetQuality so the view version and change journal track it — the
-	// routing engine repairs its cached SPT incrementally off the journal.
+	// endpoint receives it via the owner's advertisements.
 	if st.owner {
-		m.view.SetQuality(st.linkID, st.rtt/2, m.view.State[st.linkID].Loss)
 		m.maybeAdvertise(st)
 	}
 }
@@ -636,7 +650,6 @@ func (m *Manager) noteHelloWindow(n wire.NodeID, st *neighborState) {
 		}
 	}
 	if st.up && st.owner {
-		m.view.SetQuality(st.linkID, m.view.State[st.linkID].Latency, st.loss)
 		m.maybeAdvertise(st)
 	}
 }
@@ -649,19 +662,26 @@ func (m *Manager) applyLocal(st *neighborState, up bool) {
 	m.env.ViewChanged()
 }
 
-// maybeAdvertise floods an update when measurements drifted materially
-// from the last advertised values.
+// setOwned moves an owned link's view entry to a quality as advertisements
+// carry it. Routed through SetQuality so the view version and change journal
+// track it — the routing engine repairs its cached SPT off the journal.
+func (m *Manager) setOwned(id wire.LinkID, latency time.Duration, loss float64) {
+	latency, loss = quality(latencyUnits(latency), lossUnits(loss))
+	m.view.SetQuality(id, latency, loss)
+}
+
+// maybeAdvertise floods an update when an owned link's measurements
+// drifted materially from its entry in the view, and only then moves the
+// entry: the owner's view holds what it last advertised, like every other
+// node's, so all of them break equal-cost ties the same way (a view that
+// tracked every hello-ack differed from the fleet's by microseconds between
+// refreshes, and two nodes could each decide the other served a receiver).
 func (m *Manager) maybeAdvertise(st *neighborState) {
-	cur := m.view.State[st.linkID]
-	latDrift := float64(cur.Latency-st.advLatency) / float64(max(int64(st.advLatency), 1))
-	if latDrift < 0 {
-		latDrift = -latDrift
-	}
-	lossDrift := cur.Loss - st.advLoss
-	if lossDrift < 0 {
-		lossDrift = -lossDrift
-	}
-	if latDrift >= latencyChangeFrac || lossDrift >= lossChangeAbs || st.advUp != st.up {
+	adv := m.view.State[st.linkID]
+	latDrift := float64(st.rtt/2-adv.Latency) / float64(max(int64(adv.Latency), 1))
+	lossDrift := st.loss - adv.Loss
+	if max(latDrift, -latDrift) >= latencyChangeFrac || max(lossDrift, -lossDrift) >= lossChangeAbs {
+		m.setOwned(st.linkID, st.rtt/2, st.loss)
 		m.version++
 		m.stats.Reconvergences++
 		m.env.ViewChanged()
@@ -697,9 +717,6 @@ func (m *Manager) originateLSA() {
 			Latency: cur.Latency,
 			Loss:    cur.Loss,
 		})
-		st.advUp = st.up
-		st.advLatency = cur.Latency
-		st.advLoss = cur.Loss
 	}
 	adv := Advertisement{Origin: m.self, Seq: m.mySeq, Entries: entries}
 	m.stats.LSAsSent++
@@ -725,41 +742,32 @@ func (m *Manager) originateDelta(st *neighborState) {
 			Loss:    cur.Loss,
 		}},
 	}
-	st.advUp = st.up
-	st.advLatency = cur.Latency
-	st.advLoss = cur.Loss
 	m.stats.LSAsSent++
 	m.stats.DeltaLSAsSent++
 	m.env.FloodLSA(adv.Marshal(), 0)
 }
 
 // resync pushes the latest known advertisement of every origin to one
-// neighbor.
+// neighbor, once each.
 func (m *Manager) resync(n wire.NodeID) {
-	for _, origin := range sortedOrigins(m.lastAdv) {
+	for _, origin := range m.origins {
+		m.stats.ResyncLSAs++
 		m.env.SendLSA(n, m.lastAdv[origin])
 	}
-}
-
-// sortedOrigins returns map keys in ascending order for deterministic
-// iteration.
-func sortedOrigins(m map[wire.NodeID][]byte) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HandleLSA processes a link-state packet received from a neighbor,
 // applying newer information and reflooding it.
 func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
-	adv, err := UnmarshalAdvertisement(p.Payload)
+	origin, seq, err := peekAdvertisement(p.Payload)
 	if err != nil {
 		return fmt.Errorf("linkstate: bad advertisement from %v: %w", from, err)
 	}
-	if adv.Origin == m.self {
+	if last, ok := m.seen[origin]; ok && seq <= last {
+		m.stats.StaleLSAs++
+		return nil
+	}
+	if origin == m.self {
 		// Our own advertisement echoed back. After a crash-restart the
 		// node's sequence counter starts over while its pre-crash
 		// advertisements still circulate with higher numbers, so peers
@@ -767,19 +775,20 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 		// caught up. Fast-forward past the stale sequence and re-originate
 		// so the fresh state supersedes it. Strictly-greater keeps the
 		// steady-state echo (Seq == mySeq) from triggering a reflood storm.
-		if adv.Seq > m.mySeq {
-			m.mySeq = adv.Seq
+		if seq > m.mySeq {
+			m.mySeq = seq
 			m.originateLSA()
+		} else {
+			m.stats.StaleLSAs++
 		}
 		return nil
 	}
-	if m.memberCheck != nil && !m.memberCheck(adv.Origin) {
+	if m.memberCheck != nil && !m.memberCheck(origin) {
 		m.stats.NonMemberLSAsRejected++
 		return nil
 	}
-	if last, ok := m.seen[adv.Origin]; ok && adv.Seq <= last {
-		return nil
-	}
+	adv := &m.rxAdv
+	adv.decode(p.Payload)
 	m.seen[adv.Origin] = adv.Seq
 	if !adv.Delta {
 		// Only full advertisements are retained for recovery resync: a
@@ -787,7 +796,12 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 		// therefore replay a sequence number older than deltas already
 		// seen — harmlessly discarded — and the origin's next refresh
 		// remains the authoritative repair.
-		m.lastAdv[adv.Origin] = append([]byte(nil), p.Payload...)
+		last, known := m.lastAdv[adv.Origin]
+		if !known {
+			i, _ := slices.BinarySearch(m.origins, adv.Origin)
+			m.origins = slices.Insert(m.origins, i, adv.Origin)
+		}
+		m.lastAdv[adv.Origin] = append(last[:0], p.Payload...)
 	}
 	changed := false
 	for _, e := range adv.Entries {

@@ -43,6 +43,9 @@ type nodeEnv struct {
 	mgr         *Manager
 	curPath     map[wire.NodeID]uint8
 	viewChanges int
+	// originated, when set, sees every advertisement this node floods as
+	// its origin, at the moment it floods it.
+	originated func(*Advertisement)
 }
 
 func newWorld(t *testing.T, g *topology.Graph, cfg Config, pathCount int) *world {
@@ -109,6 +112,13 @@ func (e *nodeEnv) SendControl(neighbor wire.NodeID, f *wire.Frame) {
 }
 
 func (e *nodeEnv) FloodLSA(payload []byte, except wire.NodeID) {
+	if e.originated != nil && except == 0 {
+		adv, err := UnmarshalAdvertisement(payload)
+		if err != nil {
+			e.w.t.Fatalf("originated advertisement: %v", err)
+		}
+		e.originated(adv)
+	}
 	for _, lid := range e.w.graph.Incident(e.self) {
 		l, _ := e.w.graph.Link(lid)
 		peer, _ := l.Other(e.self)
@@ -527,10 +537,11 @@ func TestHealthCountersTrackAdversity(t *testing.T) {
 	}
 	covered["DeltaLSAsForwarded"] = true
 
-	// The link heals.
+	// The link heals: node 2 pushes what it retains to node 1, and discards
+	// what node 1 pushes back — node 2's own advertisement and node 3's.
 	w.deadLinks[lid12] = false
 	delete(w.deadPaths, pathKey{link: lid12, path: 0})
-	phase("link up", 3*time.Second, 2, "UpDetections", "Reconvergences")
+	phase("link up", 3*time.Second, 2, "UpDetections", "Reconvergences", "ResyncLSAs", "StaleLSAs")
 
 	// Node 3 stops admitting node 1: its next refresh is refused.
 	w.envs[3].mgr.SetMemberCheck(func(id wire.NodeID) bool { return id != 1 })
@@ -776,6 +787,94 @@ func TestRingReconvergesAt1kNodes(t *testing.T) {
 	for id := wire.NodeID(1); id <= n; id++ {
 		if !w.envs[id].mgr.View().Usable(lid) {
 			t.Fatalf("node %d never learned of the recovery", id)
+		}
+	}
+}
+
+// TestOwnerViewIsAdvertisedView: the owner of a link measures it on every
+// hello-ack but routes, like everyone else, on what it last advertised.
+// RTT and loss drifting under the advertisement thresholds move the
+// measurements and neither the view entry nor any version; a drift over the
+// threshold moves the entry in the very step that floods it; and a full
+// refresh carries the entry as it stands.
+func TestOwnerViewIsAdvertisedView(t *testing.T) {
+	cfg := Config{HelloInterval: 50 * time.Millisecond, LossWindow: 50, RefreshInterval: time.Second}
+	w := newWorld(t, chain3(t), cfg, 1)
+	lid := w.linkBetween(1, 2)
+	env, m := w.envs[1], w.envs[1].mgr
+	// flooded is the owned link's entry in node 1's latest advertisement.
+	var flooded Entry
+	fulls, deltas := 0, 0
+	env.originated = func(adv *Advertisement) {
+		if adv.Delta {
+			deltas++
+		} else {
+			fulls++
+		}
+		for _, e := range adv.Entries {
+			if e.Link != lid {
+				continue
+			}
+			flooded = e
+			// Flooding and moving the view are one step.
+			if st := m.View().State[lid]; st.Latency != e.Latency || st.Loss != e.Loss || st.Up != e.Up {
+				t.Fatalf("advertising %+v while the view holds %+v", e, st)
+			}
+		}
+	}
+	// step runs the world in 1 ms steps; between any two, the view entry is
+	// the last flooded one.
+	step := func(d time.Duration) {
+		t.Helper()
+		for end := w.sched.Now() + d; w.sched.Now() < end; {
+			w.sched.RunFor(time.Millisecond)
+			if st := m.View().State[lid]; st.Latency != flooded.Latency || st.Loss != flooded.Loss {
+				t.Fatalf("at %v the view holds %+v, the last advertisement said %+v", w.sched.Now(), st, flooded)
+			}
+		}
+	}
+	w.sched.RunFor(1500 * time.Millisecond)
+	if fulls == 0 {
+		t.Fatal("no refresh seen")
+	}
+	held, viewVer, mgrVer := m.View().State[lid], m.View().Version(), m.Version()
+
+	// +10 % RTT and one lost probe in fifty (1 % loss, advertised at 2 %).
+	w.latency = 11 * time.Millisecond
+	step(time.Second)
+	w.deadLinks[lid] = true
+	step(cfg.HelloInterval)
+	w.deadLinks[lid] = false
+	fulls = 0
+	step(4 * time.Second)
+	st := m.neighbors[2]
+	if st.rtt < 21*time.Millisecond || st.loss == 0 {
+		t.Fatalf("premise: measurements should have moved, rtt %v loss %v", st.rtt, st.loss)
+	}
+	if got := m.View().State[lid]; got != held {
+		t.Fatalf("sub-threshold drift moved the view entry %+v → %+v", held, got)
+	}
+	if m.View().Version() != viewVer || m.Version() != mgrVer || deltas != 0 {
+		t.Fatalf("sub-threshold drift: view version %d → %d, manager version %d → %d, %d deltas",
+			viewVer, m.View().Version(), mgrVer, m.Version(), deltas)
+	}
+	if fulls < 3 {
+		t.Fatalf("%d refreshes in 4 s", fulls)
+	}
+
+	// +40 %: one delta, and the view moves with it.
+	w.latency = 14 * time.Millisecond
+	step(3 * time.Second)
+	if deltas == 0 || m.View().State[lid].Latency < 12500*time.Microsecond {
+		t.Fatalf("a 40 %% RTT rise advertised %d deltas, view latency %v", deltas, m.View().State[lid].Latency)
+	}
+	if m.View().Version() == viewVer || m.Version() == mgrVer {
+		t.Fatal("an advertised change moved no version")
+	}
+	// Everyone holds what the owner holds.
+	for id, e := range w.envs {
+		if got := e.mgr.View().State[lid]; got != m.View().State[lid] {
+			t.Fatalf("node %d holds %+v, the owner %+v", id, got, m.View().State[lid])
 		}
 	}
 }

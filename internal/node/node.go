@@ -129,6 +129,16 @@ type Stats struct {
 	Blackholed uint64
 }
 
+// ControlStats counts what the routing level's floods cost, link state and
+// group state side by side: flooded packets accepted as news and passed on,
+// flooded packets discarded on their header as already seen, and retained
+// packets pushed to a neighbor whose link recovered.
+type ControlStats struct {
+	FloodedLSAs, FloodedAnnouncements uint64
+	StaleLSAs, StaleAnnouncements     uint64
+	ResyncLSAs, ResyncAnnouncements   uint64
+}
+
 // neighborLink is the control plane's state for one adjacent overlay
 // link; its protocol endpoints live in the data plane's peer tables.
 type neighborLink struct {
@@ -161,6 +171,7 @@ type Node struct {
 
 	deliver      func(*wire.Packet)
 	onViewChange func()
+	ctlPacket    wire.Packet
 
 	// plane is the node's forwarding engines; ctl is its shard 0, the one
 	// on this node's executor.
@@ -197,7 +208,7 @@ func New(cfg Config) (*Node, error) {
 	n.ctl = n.plane.shards[0]
 	view := topology.NewView(cfg.Graph)
 	n.lsMgr = linkstate.NewManager(&lsEnv{n: n}, n.id, view, cfg.LinkState)
-	n.lsMgr.SetOnNeighborState(n.resetLinkSessions)
+	n.lsMgr.SetOnNeighborState(n.handleNeighborState)
 	n.lsMgr.SetSessionEpoch(n.sessionEpoch)
 	n.lsMgr.SetOnPeerEpoch(n.handlePeerEpoch)
 	n.grpMgr = groups.NewManager(&grpEnv{n: n}, n.id)
@@ -257,13 +268,15 @@ func (n *Node) Stop() {
 	n.ctl.close()
 }
 
-// resetLinkSessions discards the link-protocol endpoints for one neighbor
+// handleNeighborState discards the link-protocol endpoints for one neighbor
 // on a link down/up transition: whatever sequence state the old sessions
 // held is stale after a loss window — and actively wrong if the peer
 // crash-restarted, whose fresh sequences the old receive windows would
 // swallow as duplicates. The peer's hello machinery sees the same
-// transition and resets its own end, so both sides start clean.
-func (n *Node) resetLinkSessions(peer wire.NodeID, _ bool) {
+// transition and resets its own end, so both sides start clean. A healed
+// link then carries the group database across, once per recovery: the
+// link-state manager pushes its own right after this returns.
+func (n *Node) handleNeighborState(peer wire.NodeID, up bool) {
 	nl, ok := n.neighbors[peer]
 	if !ok {
 		return
@@ -271,6 +284,9 @@ func (n *Node) resetLinkSessions(peer wire.NodeID, _ bool) {
 	nl.epoch++
 	nl.awaitPeer = true
 	n.plane.resetPeer(peer)
+	if up {
+		n.grpMgr.Resync(peer)
+	}
 }
 
 // sessionEpoch supplies the link-session epoch advertised in hellos to a
@@ -483,6 +499,16 @@ func (n *Node) correctFinding(f membership.Finding) {
 // one-shard node's; DataPlane.Stats has the other shards'.
 func (n *Node) Stats() Stats { return n.ctl.stats }
 
+// ControlStats returns the routing level's flooding account.
+func (n *Node) ControlStats() ControlStats {
+	ls, gs := n.lsMgr.Stats(), n.grpMgr.Stats()
+	return ControlStats{
+		FloodedLSAs: ls.LSAsForwarded, FloodedAnnouncements: gs.Flooded,
+		StaleLSAs: ls.StaleLSAs, StaleAnnouncements: gs.Stale,
+		ResyncLSAs: ls.ResyncLSAs, ResyncAnnouncements: gs.Resync,
+	}
+}
+
 // SchedStats returns the node's aggregated fair-scheduler accounting:
 // drops by cause, backpressure refusals, and flow-table occupancy across
 // every IT discipline instance on every shard. The counters are atomic,
@@ -617,8 +643,6 @@ func (e *lsEnv) FloodLSA(payload []byte, except wire.NodeID) {
 
 func (e *lsEnv) SendLSA(neighbor wire.NodeID, payload []byte) {
 	e.n.sendControl(wire.PTLinkState, neighbor, payload)
-	// Group state recovers over the same healed link.
-	e.n.grpMgr.Resync(neighbor)
 }
 
 func (e *lsEnv) PathCount(neighbor wire.NodeID) int {
@@ -663,10 +687,12 @@ func (e *grpEnv) SendGroupState(neighbor wire.NodeID, payload []byte) {
 
 func (e *grpEnv) GroupsChanged() { e.n.forwardingChanged() }
 
-// controlPacket wraps a control payload for the best-effort link
-// protocol, which borrows the packet and marshals synchronously.
+// controlPacket wraps a control payload in the node's one control packet
+// for the best-effort link protocol, which borrows it and marshals
+// synchronously.
 func (n *Node) controlPacket(t wire.PacketType, payload []byte) *wire.Packet {
-	return &wire.Packet{Type: t, Route: wire.RouteFlood, TTL: defaultTTL, Src: n.id, Payload: payload}
+	n.ctlPacket = wire.Packet{Type: t, Route: wire.RouteFlood, TTL: defaultTTL, Src: n.id, Payload: payload}
+	return &n.ctlPacket
 }
 
 // sendControl sends one control packet to a single neighbor.

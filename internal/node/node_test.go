@@ -22,6 +22,8 @@ type fabric struct {
 	drop func(from, to wire.NodeID, path uint8, data []byte) bool
 	// paths is the number of underlay paths per link.
 	paths int
+	// delay, when set, replaces the link's designed latency per transmission.
+	delay func(l topology.Link) time.Duration
 }
 
 type port struct {
@@ -39,7 +41,11 @@ func (p *port) Send(neighbor wire.NodeID, path uint8, data []byte) {
 	}
 	buf := append([]byte(nil), data...)
 	from := p.self
-	p.f.sched.After(l.Latency, func() {
+	latency := l.Latency
+	if p.f.delay != nil {
+		latency = p.f.delay(l)
+	}
+	p.f.sched.After(latency, func() {
 		if dst, ok := p.f.nodes[neighbor]; ok {
 			dst.HandleUnderlay(from, buf)
 		}

@@ -323,8 +323,13 @@ func (e *Engine) selfSPT() *topology.SPT {
 
 // treeMask returns the cached source-rooted tree for (src, group),
 // computing it on a cache miss — the live engine always has an answer.
-// Every node computes the identical tree from identical shared state, so
-// tree forwarding is consistent without per-packet coordination.
+// Tree forwarding needs no per-packet coordination because every node
+// computes the identical tree, and that rests on one invariant: between
+// floods every node's view holds the same value for every link, its
+// owner's included — an owned link's entry is the owner's last
+// advertisement, never its latest measurement, or equal-cost paths tie-break
+// differently per node (linkstate.Manager.maybeAdvertise;
+// node.TestMulticastTreeAgreesOnEqualCostPaths holds it).
 func (e *Engine) treeMask(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bool) {
 	key := treeKey{src: src, group: group}
 	vv, gv := e.views.Version(), e.groups.Version()

@@ -286,6 +286,16 @@ func (d *Daemon) NodeStats() node.Stats {
 	return (<-ch).Merge(d.node.DataPlane().Stats())
 }
 
+// ControlStats reads the node's flooding account on the control loop;
+// zeros after Close, like NodeStats.
+func (d *Daemon) ControlStats() node.ControlStats {
+	ch := make(chan node.ControlStats, 1)
+	if !d.loop.TryPost(func() { ch <- d.node.ControlStats() }) {
+		return node.ControlStats{}
+	}
+	return <-ch
+}
+
 // DataPlane returns the node's data plane: one forwarding engine per
 // shard. Diagnostics only.
 func (d *Daemon) DataPlane() *node.DataPlane { return d.node.DataPlane() }

@@ -325,6 +325,7 @@ func (n *Network) NodeStats(id NodeID) (NodeStats, bool) {
 	}
 	st := fromNodeStats(nd.Stats())
 	st.Footprint = nd.DataPlane().Footprint()
+	st.Control = nd.ControlStats()
 	return st, true
 }
 
@@ -421,7 +422,15 @@ type NodeStats struct {
 	ClientDropped uint64
 	// Footprint is what the node holds resident now, by count.
 	Footprint Footprint
+	// Control is what the node's link-state and group-state floods cost.
+	Control ControlStats
 }
+
+// ControlStats counts a node's routing-level flooding, link state and group
+// state side by side: flooded packets accepted as news and passed on,
+// flooded packets discarded as already seen, and retained packets pushed to
+// a neighbor whose link recovered.
+type ControlStats = node.ControlStats
 
 // Footprint counts a node's resident protocol state: duplicate-suppression
 // keys and, over all its link endpoints, packets held for retransmission,

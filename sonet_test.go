@@ -556,3 +556,48 @@ func TestNodeStatsFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeStatsControl reads the flooding account through the public API:
+// a quiet diamond floods advertisements round its cycle, so every node both
+// passes news on and discards copies; nothing is resynced until a link is
+// cut and restored, and then each endpoint pushes what it retains — one
+// advertisement per other node — once.
+func TestNodeStatsControl(t *testing.T) {
+	net, err := New(1, apiDiamond())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	control := func(id NodeID) ControlStats {
+		st, ok := net.NodeStats(id)
+		if !ok {
+			t.Fatalf("no stats for node %d", id)
+		}
+		return st.Control
+	}
+	if _, err := net.Connect(4, 100); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(5 * time.Second)
+	for id := NodeID(1); id <= 4; id++ {
+		if c := control(id); c.FloodedLSAs == 0 || c.StaleLSAs == 0 || c.ResyncLSAs != 0 || c.ResyncAnnouncements != 0 {
+			t.Fatalf("quiet node %d: %+v", id, c)
+		}
+	}
+	if err := net.CutLink(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(2 * time.Second)
+	if err := net.RestoreLink(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(3 * time.Second)
+	for _, id := range []NodeID{1, 2} {
+		if c := control(id); c.ResyncLSAs != 3 || c.ResyncAnnouncements == 0 || c.FloodedAnnouncements == 0 {
+			t.Fatalf("endpoint %d after one recovery: %+v", id, c)
+		}
+	}
+	if c := control(3); c.ResyncLSAs != 0 {
+		t.Fatalf("bystander 3 resynced: %+v", c)
+	}
+}
