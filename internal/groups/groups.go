@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sonet/internal/flood"
 	"sonet/internal/wire"
 )
 
@@ -86,16 +87,7 @@ func (a *Announcement) decode(src []byte) {
 }
 
 // Stats counts group-state flooding activity.
-type Stats struct {
-	// Flooded counts announcements accepted as news and reflooded.
-	Flooded uint64
-	// Stale counts received announcements discarded on their header alone:
-	// a copy of one already seen, or an echo of this node's own.
-	Stale uint64
-	// Resync counts retained announcements pushed to a neighbor whose link
-	// recovered.
-	Resync uint64
-}
+type Stats = flood.Stats
 
 // Manager is the Group State component for one node. All methods must be
 // called from the node's executor.
@@ -109,20 +101,15 @@ type Manager struct {
 	// members, maintained by binary-search insertion so Members can return
 	// it without allocating.
 	members map[wire.GroupID][]wire.NodeID
-	// seen tracks the highest announcement sequence per origin.
-	seen map[wire.NodeID]uint32
-	// lastAnn retains the latest announcement payload per origin for
-	// link-recovery resync; origins lists its keys in ascending order.
-	lastAnn map[wire.NodeID][]byte
-	origins []wire.NodeID
+	// db numbers this node's announcements, orders everyone else's and
+	// retains the latest per origin for link-recovery resync.
+	db *flood.DB
 	// remote holds the last applied group set per origin, sorted, to diff.
 	remote map[wire.NodeID][]wire.GroupID
 	// rxAnn is the decode target of HandleAnnouncement.
 	rxAnn Announcement
 
-	mySeq   uint32
 	version uint64
-	stats   Stats
 }
 
 // NewManager returns a group-state manager for node self.
@@ -132,8 +119,7 @@ func NewManager(env Env, self wire.NodeID) *Manager {
 		self:    self,
 		local:   make(map[wire.GroupID]int),
 		members: make(map[wire.GroupID][]wire.NodeID),
-		seen:    make(map[wire.NodeID]uint32),
-		lastAnn: make(map[wire.NodeID][]byte),
+		db:      flood.New(self),
 		remote:  make(map[wire.NodeID][]wire.GroupID),
 	}
 }
@@ -143,7 +129,7 @@ func NewManager(env Env, self wire.NodeID) *Manager {
 func (m *Manager) Version() uint64 { return m.version }
 
 // Stats returns a snapshot of counters.
-func (m *Manager) Stats() Stats { return m.stats }
+func (m *Manager) Stats() Stats { return m.db.Stats() }
 
 // Join registers a local client's membership in a group. The first local
 // member triggers an announcement flood; only receivers need to join
@@ -208,31 +194,14 @@ func (m *Manager) HandleAnnouncement(from wire.NodeID, p *wire.Packet) error {
 	if err != nil {
 		return err
 	}
-	if last, ok := m.seen[origin]; ok && seq <= last {
-		m.stats.Stale++
+	switch m.db.Offer(origin, seq) {
+	case flood.Stale:
+		return nil
+	case flood.Reborn:
+		m.announce()
 		return nil
 	}
-	if origin == m.self {
-		// Our own announcement echoed back. A crash-restarted node's
-		// counter starts over while pre-crash announcements with higher
-		// sequence numbers still circulate; fast-forward past them and
-		// re-announce so the fresh membership supersedes the stale one.
-		// Strictly-greater keeps the steady-state echo from re-announcing.
-		if seq > m.mySeq {
-			m.mySeq = seq
-			m.announce()
-		} else {
-			m.stats.Stale++
-		}
-		return nil
-	}
-	m.seen[origin] = seq
-	held, known := m.lastAnn[origin]
-	if !known {
-		i, _ := slices.BinarySearch(m.origins, origin)
-		m.origins = slices.Insert(m.origins, i, origin)
-	}
-	m.lastAnn[origin] = append(held[:0], p.Payload...)
+	m.db.Accept(origin, seq, p.Payload, true)
 
 	a := &m.rxAnn
 	a.decode(p.Payload)
@@ -243,7 +212,6 @@ func (m *Manager) HandleAnnouncement(from wire.NodeID, p *wire.Packet) error {
 		m.version++
 		m.env.GroupsChanged()
 	}
-	m.stats.Flooded++
 	m.env.FloodGroupState(p.Payload, from)
 	return nil
 }
@@ -295,21 +263,17 @@ func (m *Manager) setMemberRaw(g wire.GroupID, n wire.NodeID, member bool) {
 // Resync pushes the latest known announcement of every origin, plus this
 // node's own membership, to one neighbor whose link just recovered.
 func (m *Manager) Resync(n wire.NodeID) {
-	for _, o := range m.origins {
-		m.stats.Resync++
-		m.env.SendGroupState(n, m.lastAnn[o])
-	}
+	m.db.Resync(n, m.env.SendGroupState)
 	m.announce()
 }
 
 // announce floods this node's full current membership.
 func (m *Manager) announce() {
-	m.mySeq++
 	groups := make([]wire.GroupID, 0, len(m.local))
 	for g := range m.local {
 		groups = append(groups, g)
 	}
 	slices.Sort(groups)
-	a := Announcement{Origin: m.self, Seq: m.mySeq, Groups: groups}
+	a := Announcement{Origin: m.self, Seq: m.db.Next(), Groups: groups}
 	m.env.FloodGroupState(a.Marshal(), 0)
 }

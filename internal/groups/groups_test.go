@@ -21,6 +21,10 @@ type fenv struct {
 	self    wire.NodeID
 	mgr     *Manager
 	changes int
+	// announced counts this node's own announcements and lastSeq is the
+	// sequence number of the latest, read off the flooded payload.
+	announced int
+	lastSeq   uint32
 }
 
 func newFabric(nodes ...wire.NodeID) *fabric {
@@ -34,6 +38,13 @@ func newFabric(nodes ...wire.NodeID) *fabric {
 }
 
 func (e *fenv) FloodGroupState(payload []byte, except wire.NodeID) {
+	if except == 0 {
+		_, seq, err := peekAnnouncement(payload)
+		if err != nil {
+			panic(err)
+		}
+		e.announced, e.lastSeq = e.announced+1, seq
+	}
 	for peer, env := range e.f.envs {
 		if peer == e.self || peer == except {
 			continue
@@ -220,15 +231,16 @@ func TestRestartFastForwardsAnnouncementSeq(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.envs[2].mgr.Refresh() // push node 2's sequence number up
 	}
-	oldSeq := f.envs[2].mgr.mySeq
+	env2 := f.envs[2]
+	oldSeq := env2.lastSeq
 
 	// Crash-restart node 2 with state loss: fresh manager, counter reset,
 	// and a re-join of its group.
-	fresh := NewManager(f.envs[2], 2)
-	f.envs[2].mgr = fresh
+	fresh := NewManager(env2, 2)
+	env2.mgr = fresh
 	fresh.Join(7)
-	if fresh.mySeq >= oldSeq {
-		t.Fatalf("fresh manager started with mySeq = %d", fresh.mySeq)
+	if env2.lastSeq >= oldSeq {
+		t.Fatalf("fresh manager started numbering at %d", env2.lastSeq)
 	}
 	// Peers ignore the reborn node's low-seq announcements: they still see
 	// the pre-crash membership under the old high sequence number... until
@@ -238,8 +250,8 @@ func TestRestartFastForwardsAnnouncementSeq(t *testing.T) {
 	if err := fresh.HandleAnnouncement(1, p); err != nil {
 		t.Fatalf("HandleAnnouncement: %v", err)
 	}
-	if fresh.mySeq <= oldSeq {
-		t.Fatalf("mySeq = %d after stale echo, want > %d", fresh.mySeq, oldSeq)
+	if env2.lastSeq <= oldSeq {
+		t.Fatalf("announced seq %d after stale echo, want > %d", env2.lastSeq, oldSeq)
 	}
 	// The fast-forwarded re-announcement must have superseded the stale
 	// state everywhere: group 9 (pre-crash only) gone, group 7 present.
@@ -251,15 +263,17 @@ func TestRestartFastForwardsAnnouncementSeq(t *testing.T) {
 			t.Fatalf("node %v sees group 7 members %v, want [2]", n, got)
 		}
 	}
-	// The steady-state echo (Seq == mySeq) must not re-announce.
-	cur := fresh.mySeq
-	echo := Announcement{Origin: 2, Seq: cur, Groups: []wire.GroupID{7}}
+	// The steady-state echo (the sequence just announced) must not
+	// re-announce; it counts as a stale copy.
+	announced, stale0 := env2.announced, fresh.Stats().Stale
+	echo := Announcement{Origin: 2, Seq: env2.lastSeq, Groups: []wire.GroupID{7}}
 	p = &wire.Packet{Type: wire.PTGroupState, Src: 1, Payload: echo.Marshal()}
 	if err := fresh.HandleAnnouncement(1, p); err != nil {
 		t.Fatalf("HandleAnnouncement echo: %v", err)
 	}
-	if fresh.mySeq != cur {
-		t.Fatalf("steady-state echo advanced mySeq %d -> %d", cur, fresh.mySeq)
+	if env2.announced != announced || fresh.Stats().Stale != stale0+1 {
+		t.Fatalf("steady-state echo: %d announcements (want %d), %d stale (want %d)",
+			env2.announced, announced, fresh.Stats().Stale, stale0+1)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package linkstate implements the Connectivity Graph Maintenance
 // component of the overlay node software architecture (Fig. 2): hello
 // probing of neighbors, failure detection, multihomed path failover,
-// measurement of per-link latency and loss, and sequence-numbered flooding
-// of link-state advertisements so that every overlay node maintains the
-// same global view of the overlay's condition (§II-B).
+// measurement of per-link latency and loss, and the link-state
+// advertisements that carry them, flooded by the rule in package flood so
+// that every overlay node maintains the same global view of the overlay's
+// condition (§II-B).
 //
 // Because a structured overlay has only a few tens of nodes, the full
 // global state is small and can be updated in a timely manner, giving the
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"time"
 
+	"sonet/internal/flood"
 	"sonet/internal/sim"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
@@ -131,10 +133,8 @@ type Stats struct {
 	// DeltaLSAsSent counts the subset of originated advertisements that
 	// were single-link deltas.
 	DeltaLSAsSent uint64
-	// LSAsForwarded counts advertisements reflooded for other origins.
-	LSAsForwarded uint64
-	// DeltaLSAsForwarded counts the subset of reflooded advertisements
-	// that were single-link deltas.
+	// DeltaLSAsForwarded counts the advertisements reflooded for other
+	// origins (FloodStats().Flooded) that were single-link deltas.
 	DeltaLSAsForwarded uint64
 	// Reconvergences counts topology-view version bumps: every time a
 	// local detection or a received LSA changed this node's view of the
@@ -149,13 +149,6 @@ type Stats struct {
 	// NonMemberLSAsRejected counts advertisements dropped because their
 	// origin is not a current overlay member (dynamic membership).
 	NonMemberLSAsRejected uint64
-	// StaleLSAs counts received advertisements discarded on their header
-	// alone — a copy of one already seen, or an echo of this node's own —
-	// which is what a flood mostly delivers.
-	StaleLSAs uint64
-	// ResyncLSAs counts retained advertisements pushed to a neighbor whose
-	// link recovered.
-	ResyncLSAs uint64
 }
 
 // neighborState tracks hello liveness for one adjacent overlay link.
@@ -198,19 +191,15 @@ type Manager struct {
 	// order lists neighbors in ascending ID order for deterministic
 	// iteration.
 	order []wire.NodeID
-	// seen tracks the highest advertisement sequence per origin.
-	seen map[wire.NodeID]uint32
-	// lastAdv retains the latest advertisement payload per origin, so a
-	// recovering link can be brought up to date immediately instead of
-	// waiting for every origin's next refresh; origins lists its keys in
-	// ascending order.
-	lastAdv map[wire.NodeID][]byte
-	origins []wire.NodeID
+	// db numbers this node's advertisements, orders everyone else's and
+	// retains the latest full one per origin, so a recovering link can be
+	// brought up to date at once instead of waiting for every origin's
+	// next refresh.
+	db *flood.DB
 	// rxAdv is the decode target of HandleLSA and ctl the hello or
 	// hello-ack being sent: Env.SendControl marshals before it returns.
 	rxAdv  Advertisement
 	ctl    wire.Frame
-	mySeq  uint32
 	stats  Stats
 	closed bool
 	// sessionEpoch, when set, supplies the link-session epoch advertised
@@ -244,8 +233,7 @@ func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Man
 		view:      view,
 		cfg:       cfg.withDefaults(),
 		neighbors: make(map[wire.NodeID]*neighborState),
-		seen:      make(map[wire.NodeID]uint32),
-		lastAdv:   make(map[wire.NodeID][]byte),
+		db:        flood.New(self),
 	}
 	m.refreshTimer = env.Clock().NewTimer(m.refresh)
 	return m
@@ -398,19 +386,10 @@ func (m *Manager) ReconcileAdjacent() int {
 	return fixed
 }
 
-// PurgeOrigin forgets the advertisement history of a departed origin: its
-// highest-seen sequence and retained resync payload. A rejoining node
-// restarts its sequence space from scratch; without the purge its fresh
-// advertisements would lose the highest-seq race against its own pre-leave
-// history (the crash-echo fast-forward also repairs this, but purging
-// makes rejoin immediate rather than echo-dependent).
-func (m *Manager) PurgeOrigin(n wire.NodeID) {
-	delete(m.seen, n)
-	delete(m.lastAdv, n)
-	if i, ok := slices.BinarySearch(m.origins, n); ok {
-		m.origins = slices.Delete(m.origins, i, i+1)
-	}
-}
+// PurgeOrigin forgets the advertisement history of an origin that left or
+// rejoined the overlay, so that a rejoiner's restarted numbering wins at
+// once rather than after its echo fast-forward.
+func (m *Manager) PurgeOrigin(n wire.NodeID) { m.db.Purge(n) }
 
 // Stop cancels all timers.
 func (m *Manager) Stop() {
@@ -430,6 +409,9 @@ func (m *Manager) Version() uint64 { return m.version }
 
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// FloodStats returns the advertisement database's flooding counters.
+func (m *Manager) FloodStats() flood.Stats { return m.db.Stats() }
 
 // SetOnNeighborState installs a callback invoked after an adjacent link is
 // declared down (up=false) or recovers (up=true). The host node uses it to
@@ -612,10 +594,9 @@ func (m *Manager) onHelloAck(n wire.NodeID, f *wire.Frame) {
 		if m.onNeighborState != nil {
 			m.onNeighborState(n, true)
 		}
-		// Database resync: the peer may have missed arbitrary updates
-		// while the link was down; push every origin's latest known
-		// advertisement instead of waiting for their refresh cycles.
-		m.resync(n)
+		// The peer may have missed arbitrary updates while the link was
+		// down.
+		m.db.Resync(n, m.env.SendLSA)
 		return
 	}
 	// The owner publishes the link's measured latency; the other
@@ -706,7 +687,6 @@ func (m *Manager) refresh() {
 // fast-forward all use them, so any delta a receiver missed is repaired
 // within one refresh interval.
 func (m *Manager) originateLSA() {
-	m.mySeq++
 	entries := make([]Entry, 0, len(m.neighbors))
 	for _, n := range m.order {
 		st := m.neighbors[n]
@@ -718,7 +698,7 @@ func (m *Manager) originateLSA() {
 			Loss:    cur.Loss,
 		})
 	}
-	adv := Advertisement{Origin: m.self, Seq: m.mySeq, Entries: entries}
+	adv := Advertisement{Origin: m.self, Seq: m.db.Next(), Entries: entries}
 	m.stats.LSAsSent++
 	m.env.FloodLSA(adv.Marshal(), 0)
 }
@@ -729,11 +709,10 @@ func (m *Manager) originateLSA() {
 // floods keep per-change traffic O(1) in node degree — the flooding-side
 // half of logarithmic-cost maintenance at 10k nodes.
 func (m *Manager) originateDelta(st *neighborState) {
-	m.mySeq++
 	cur := m.view.State[st.linkID]
 	adv := Advertisement{
 		Origin: m.self,
-		Seq:    m.mySeq,
+		Seq:    m.db.Next(),
 		Delta:  true,
 		Entries: []Entry{{
 			Link:    st.linkID,
@@ -747,15 +726,6 @@ func (m *Manager) originateDelta(st *neighborState) {
 	m.env.FloodLSA(adv.Marshal(), 0)
 }
 
-// resync pushes the latest known advertisement of every origin to one
-// neighbor, once each.
-func (m *Manager) resync(n wire.NodeID) {
-	for _, origin := range m.origins {
-		m.stats.ResyncLSAs++
-		m.env.SendLSA(n, m.lastAdv[origin])
-	}
-}
-
 // HandleLSA processes a link-state packet received from a neighbor,
 // applying newer information and reflooding it.
 func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
@@ -763,46 +733,24 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 	if err != nil {
 		return fmt.Errorf("linkstate: bad advertisement from %v: %w", from, err)
 	}
-	if last, ok := m.seen[origin]; ok && seq <= last {
-		m.stats.StaleLSAs++
+	switch m.db.Offer(origin, seq) {
+	case flood.Stale:
+		return nil
+	case flood.Reborn:
+		m.originateLSA()
 		return nil
 	}
-	if origin == m.self {
-		// Our own advertisement echoed back. After a crash-restart the
-		// node's sequence counter starts over while its pre-crash
-		// advertisements still circulate with higher numbers, so peers
-		// would discard everything the reborn node floods until its counter
-		// caught up. Fast-forward past the stale sequence and re-originate
-		// so the fresh state supersedes it. Strictly-greater keeps the
-		// steady-state echo (Seq == mySeq) from triggering a reflood storm.
-		if seq > m.mySeq {
-			m.mySeq = seq
-			m.originateLSA()
-		} else {
-			m.stats.StaleLSAs++
-		}
-		return nil
-	}
+	// The gate sits between Offer and Accept: a rejected origin's sequence
+	// is not recorded.
 	if m.memberCheck != nil && !m.memberCheck(origin) {
 		m.stats.NonMemberLSAsRejected++
 		return nil
 	}
 	adv := &m.rxAdv
 	adv.decode(p.Payload)
-	m.seen[adv.Origin] = adv.Seq
-	if !adv.Delta {
-		// Only full advertisements are retained for recovery resync: a
-		// delta is meaningless without the state it amends. A resync may
-		// therefore replay a sequence number older than deltas already
-		// seen — harmlessly discarded — and the origin's next refresh
-		// remains the authoritative repair.
-		last, known := m.lastAdv[adv.Origin]
-		if !known {
-			i, _ := slices.BinarySearch(m.origins, adv.Origin)
-			m.origins = slices.Insert(m.origins, i, adv.Origin)
-		}
-		m.lastAdv[adv.Origin] = append(last[:0], p.Payload...)
-	}
+	// Only full advertisements are retained for recovery resync: a delta
+	// is meaningless without the state it amends.
+	m.db.Accept(origin, seq, p.Payload, !adv.Delta)
 	changed := false
 	for _, e := range adv.Entries {
 		l, ok := m.view.G.Link(e.Link)
@@ -837,7 +785,6 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 		m.stats.Reconvergences++
 		m.env.ViewChanged()
 	}
-	m.stats.LSAsForwarded++
 	if adv.Delta {
 		m.stats.DeltaLSAsForwarded++
 	}

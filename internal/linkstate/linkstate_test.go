@@ -516,11 +516,14 @@ func TestHealthCountersTrackAdversity(t *testing.T) {
 
 	// Node 2 probes both neighbours, refreshes its own advertisement and
 	// relays node 1's toward node 3.
-	phase("quiet", 2*time.Second, 2, "HellosSent", "LSAsSent", "LSAsForwarded")
+	phase("quiet", 2*time.Second, 2, "HellosSent", "LSAsSent")
 	quiet := w.envs[2].mgr.Stats()
-	quiet.HellosSent, quiet.LSAsSent, quiet.LSAsForwarded = 0, 0, 0
+	quiet.HellosSent, quiet.LSAsSent = 0, 0
 	if quiet != (Stats{}) {
 		t.Fatalf("quiet world shows distress: %+v", quiet)
+	}
+	if fs := w.envs[2].mgr.FloodStats(); fs.Flooded == 0 || fs.Resync != 0 {
+		t.Fatalf("quiet world: node 2 flood counters %+v, want relayed advertisements and no resync", fs)
 	}
 
 	// One provider of 1-2 dies: the owner misses hellos and re-homes.
@@ -541,7 +544,11 @@ func TestHealthCountersTrackAdversity(t *testing.T) {
 	// what node 1 pushes back — node 2's own advertisement and node 3's.
 	w.deadLinks[lid12] = false
 	delete(w.deadPaths, pathKey{link: lid12, path: 0})
-	phase("link up", 3*time.Second, 2, "UpDetections", "Reconvergences", "ResyncLSAs", "StaleLSAs")
+	down := w.envs[2].mgr.FloodStats()
+	phase("link up", 3*time.Second, 2, "UpDetections", "Reconvergences")
+	if up := w.envs[2].mgr.FloodStats(); up.Resync == down.Resync || up.Stale == down.Stale {
+		t.Fatalf("link up: node 2 flood counters %+v -> %+v, want resync and stale to grow", down, up)
+	}
 
 	// Node 3 stops admitting node 1: its next refresh is refused.
 	w.envs[3].mgr.SetMemberCheck(func(id wire.NodeID) bool { return id != 1 })
@@ -554,13 +561,22 @@ func TestHealthCountersTrackAdversity(t *testing.T) {
 	}
 }
 
+// lastOriginated records on env the sequence number of each advertisement it
+// floods as origin from now on, and returns where to read the latest.
+func lastOriginated(env *nodeEnv) *uint32 {
+	seq := new(uint32)
+	env.originated = func(adv *Advertisement) { *seq = adv.Seq }
+	return seq
+}
+
 func TestRestartFastForwardsOwnSeq(t *testing.T) {
 	w := newWorld(t, chain3(t), Config{}, 1)
-	w.sched.RunFor(3 * time.Second) // refresh cycles push sequence numbers up
 	env2 := w.envs[2]
-	oldSeq := env2.mgr.mySeq
+	seq := lastOriginated(env2)
+	w.sched.RunFor(5 * time.Second) // refresh cycles push sequence numbers up
+	oldSeq := *seq
 	if oldSeq < 2 {
-		t.Fatalf("precondition: mySeq = %d, want refresh-driven growth", oldSeq)
+		t.Fatalf("precondition: last originated seq = %d, want refresh-driven growth", oldSeq)
 	}
 
 	// Crash-restart node 2 with total state loss: a fresh manager whose
@@ -574,8 +590,8 @@ func TestRestartFastForwardsOwnSeq(t *testing.T) {
 	}
 	env2.mgr = fresh
 	fresh.Start()
-	if fresh.mySeq >= oldSeq {
-		t.Fatalf("fresh manager started with mySeq = %d", fresh.mySeq)
+	if *seq >= oldSeq {
+		t.Fatalf("fresh manager started numbering at %d", *seq)
 	}
 
 	// A peer resyncs the reborn node with its own stale advertisement (a
@@ -586,30 +602,42 @@ func TestRestartFastForwardsOwnSeq(t *testing.T) {
 	if err := fresh.HandleLSA(1, p); err != nil {
 		t.Fatalf("HandleLSA: %v", err)
 	}
-	if fresh.mySeq <= oldSeq {
-		t.Fatalf("mySeq = %d after stale echo, want > %d", fresh.mySeq, oldSeq)
+	if *seq <= oldSeq {
+		t.Fatalf("originated seq %d after stale echo, want > %d", *seq, oldSeq)
 	}
+	// The peer took the re-origination: a copy numbered just past the
+	// pre-crash sequence is stale to it now.
 	w.sched.RunFor(time.Second)
-	if got := w.envs[1].mgr.seen[2]; got <= oldSeq {
-		t.Fatalf("peer still holds pre-crash seq %d, re-origination not accepted (seen=%d)", oldSeq, got)
+	mgr1 := w.envs[1].mgr
+	before := mgr1.FloodStats().Stale
+	p = &wire.Packet{Type: wire.PTLinkState, Src: 2, Payload: (&Advertisement{Origin: 2, Seq: oldSeq + 1}).Marshal()}
+	if err := mgr1.HandleLSA(2, p); err != nil {
+		t.Fatalf("HandleLSA: %v", err)
+	}
+	if mgr1.FloodStats().Stale != before+1 {
+		t.Fatalf("peer still holds pre-crash seq %d: re-origination not accepted", oldSeq)
 	}
 }
 
 func TestSteadyStateEchoDoesNotRefloodStorm(t *testing.T) {
 	w := newWorld(t, chain3(t), Config{}, 1)
-	w.sched.RunFor(time.Second)
+	seq := lastOriginated(w.envs[2])
+	w.sched.RunFor(3 * time.Second)
 	m := w.envs[2].mgr
-	before := m.stats.LSAsSent
-	// An echo of the node's CURRENT advertisement (Seq == mySeq) is the
-	// common case in a flood with cycles; it must not trigger another
-	// origination, or every flood would feed the next.
-	echo := Advertisement{Origin: 2, Seq: m.mySeq}
+	sent, stale := m.Stats().LSAsSent, m.FloodStats().Stale
+	// An echo of the node's CURRENT advertisement is the common case in a
+	// flood with cycles; it must not trigger another origination, or every
+	// flood would feed the next.
+	echo := Advertisement{Origin: 2, Seq: *seq}
 	p := &wire.Packet{Type: wire.PTLinkState, Src: 1, Payload: echo.Marshal()}
 	if err := m.HandleLSA(1, p); err != nil {
 		t.Fatalf("HandleLSA: %v", err)
 	}
-	if m.stats.LSAsSent != before {
+	if m.Stats().LSAsSent != sent {
 		t.Fatal("steady-state echo triggered a re-origination")
+	}
+	if m.FloodStats().Stale != stale+1 {
+		t.Fatal("steady-state echo not counted as stale")
 	}
 }
 

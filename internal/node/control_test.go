@@ -70,10 +70,9 @@ func TestLinkRecoveryResyncIsLinear(t *testing.T) {
 			t.Fatalf("node %d never declared the cut link down", id)
 		}
 	}
-	var lsBefore [2]linkstate.Stats
-	var grpBefore [2]groups.Stats
+	var before [2]ControlStats
 	for i, id := range []wire.NodeID{a, b} {
-		lsBefore[i], grpBefore[i] = f.nodes[id].LinkStateManager().Stats(), f.nodes[id].Groups().Stats()
+		before[i] = f.nodes[id].ControlStats()
 	}
 	cut, counting = false, true
 	f.sched.RunFor(3 * time.Second)
@@ -86,10 +85,10 @@ func TestLinkRecoveryResyncIsLinear(t *testing.T) {
 		if !nd.LinkStateManager().NeighborUp(a + b - id) {
 			t.Fatalf("node %d never saw the link recover", id)
 		}
-		if got := nd.LinkStateManager().Stats().ResyncLSAs - lsBefore[i].ResyncLSAs; got != retained {
+		if got := nd.ControlStats().ResyncLSAs - before[i].ResyncLSAs; got != retained {
 			t.Errorf("node %d resynced %d LSAs, want %d", id, got, retained)
 		}
-		if got := nd.Groups().Stats().Resync - grpBefore[i].Resync; got != retained {
+		if got := nd.ControlStats().ResyncAnnouncements - before[i].ResyncAnnouncements; got != retained {
 			t.Errorf("node %d resynced %d announcements, want %d", id, got, retained)
 		}
 		// On the wire: the resync plus the endpoint's own flood, once.
@@ -245,8 +244,8 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 			t.Errorf("%s: transmissions went %d → %d", c.name, sent, under.sent)
 		}
 	}
-	st := n.LinkStateManager().Stats()
-	if st.DownDetections != 0 || st.HellosMissed != 0 || st.StaleLSAs == 0 || n.Groups().Stats().Stale == 0 {
-		t.Fatalf("fixture drifted: %+v, groups %+v", st, n.Groups().Stats())
+	st, cs := n.LinkStateManager().Stats(), n.ControlStats()
+	if st.DownDetections != 0 || st.HellosMissed != 0 || cs.StaleLSAs == 0 || cs.StaleAnnouncements == 0 {
+		t.Fatalf("fixture drifted: %+v, floods %+v", st, cs)
 	}
 }

@@ -501,11 +501,11 @@ func (n *Node) Stats() Stats { return n.ctl.stats }
 
 // ControlStats returns the routing level's flooding account.
 func (n *Node) ControlStats() ControlStats {
-	ls, gs := n.lsMgr.Stats(), n.grpMgr.Stats()
+	ls, gs := n.lsMgr.FloodStats(), n.grpMgr.Stats()
 	return ControlStats{
-		FloodedLSAs: ls.LSAsForwarded, FloodedAnnouncements: gs.Flooded,
-		StaleLSAs: ls.StaleLSAs, StaleAnnouncements: gs.Stale,
-		ResyncLSAs: ls.ResyncLSAs, ResyncAnnouncements: gs.Resync,
+		FloodedLSAs: ls.Flooded, FloodedAnnouncements: gs.Flooded,
+		StaleLSAs: ls.Stale, StaleAnnouncements: gs.Stale,
+		ResyncLSAs: ls.Resync, ResyncAnnouncements: gs.Resync,
 	}
 }
 
