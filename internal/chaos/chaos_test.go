@@ -220,8 +220,8 @@ func TestSmokeTraceHashesPinned(t *testing.T) {
 		"partition-ispout-grid": 0xe1fabaf0aacc5207,
 		"everything-diamond":    0x7e038b2b1991fe48,
 		"scripted-mixed":        0xd76aaf66563c9e0c,
-		"churn-ring":            0x4aeccbadbfe5f9d6,
-		"churn-corrupt-grid":    0xafdfad3d4e0a85f2,
+		"churn-ring":            0x7ba472ee92b29388,
+		"churn-corrupt-grid":    0x73bd08ea6e156666,
 	}
 	campaigns := SmokeCampaigns()
 	if len(campaigns) != len(golden) {

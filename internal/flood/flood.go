@@ -2,8 +2,8 @@
 // databases — link state and group state (Fig. 2, §II-B) — stay alike at
 // every overlay node: each origin numbers what it floods, the newest number
 // per origin wins, a copy already seen is dropped on its header, an origin
-// that restarted fast-forwards past its own echo, and a healed link is
-// pushed everything retained.
+// that restarted fast-forwards past its own echo, an origin that is not an
+// overlay member is refused, and a healed link is pushed everything retained.
 //
 // A DB is that rule's state for one database at one node. It sends nothing
 // and decodes nothing: the owning manager checks the payload's framing,
@@ -33,6 +33,9 @@ const (
 	// counter has moved past the echo; the caller floods its current state,
 	// which then supersedes the old one everywhere.
 	Reborn
+	// Refused is news from an origin the membership gate rejects: counted,
+	// not recorded, not applied and not reflooded.
+	Refused
 	// News is newer than anything seen from its origin: the caller applies
 	// it, calls Accept, and refloods.
 	News
@@ -45,6 +48,9 @@ type Stats struct {
 	// Stale counts received payloads discarded on their header alone: a copy
 	// of one already seen, or an echo of this node's own.
 	Stale uint64
+	// Refused counts received payloads dropped because their origin is not
+	// a current overlay member (dynamic membership).
+	Refused uint64
 	// Resync counts retained payloads pushed to a neighbor whose link
 	// recovered.
 	Resync uint64
@@ -62,7 +68,9 @@ type DB struct {
 	// overwritten in place; origins lists its keys in ascending order.
 	held    map[wire.NodeID][]byte
 	origins []wire.NodeID
-	stats   Stats
+	// gate, when set, admits origins; nil admits all.
+	gate  func(wire.NodeID) bool
+	stats Stats
 }
 
 // New returns an empty database for node self.
@@ -77,13 +85,22 @@ func New(self wire.NodeID) *DB {
 // Stats returns a snapshot of counters.
 func (d *DB) Stats() Stats { return d.stats }
 
+// SetGate installs the overlay-membership gate. A nil gate (the default)
+// admits every origin, which is the static-topology behaviour; with one
+// installed, news from an origin it rejects is Refused, so a departed or
+// never-admitted node cannot put state back into the fleet — neither
+// directly nor through a neighbor that was partitioned away while the node
+// left and pushes what it retains when its link heals.
+func (d *DB) SetGate(admits func(origin wire.NodeID) bool) { d.gate = admits }
+
 // Next returns the sequence number for this node's next flood.
 func (d *DB) Next() uint32 {
 	d.seq++
 	return d.seq
 }
 
-// Offer classifies a received header. After a crash-restart a node's counter
+// Offer classifies a received header; a refused origin's sequence is not
+// recorded. After a crash-restart a node's counter
 // starts over while its earlier floods still circulate with higher numbers,
 // so peers would discard everything it floods until the counter caught up:
 // an own echo above the counter moves the counter there (Reborn). Strictly
@@ -96,6 +113,10 @@ func (d *DB) Offer(origin wire.NodeID, seq uint32) Verdict {
 			return Reborn
 		}
 	} else if last, ok := d.seen[origin]; !ok || seq > last {
+		if d.gate != nil && !d.gate(origin) {
+			d.stats.Refused++
+			return Refused
+		}
 		return News
 	}
 	d.stats.Stale++

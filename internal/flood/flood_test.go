@@ -30,7 +30,7 @@ func resynced(t *testing.T, d *DB, neighbor wire.NodeID) []string {
 // on a fresh DB with the answer every call owes, and the counters at the end.
 func TestRule(t *testing.T) {
 	type step struct {
-		op      string // offer, accept, next, resync, purge
+		op      string // offer, accept, next, resync, purge, gate (refuses origin)
 		origin  wire.NodeID
 		seq     uint32
 		payload string
@@ -126,6 +126,23 @@ func TestRule(t *testing.T) {
 			},
 			stats: Stats{Flooded: 3, Stale: 3, Resync: 3},
 		},
+		{
+			name: "gate refuses an origin without recording it",
+			steps: []step{
+				{op: "accept", origin: 3, seq: 5, payload: "three", retain: true},
+				{op: "gate", origin: 3},
+				// What is already known to be old is stale before it is refused.
+				{op: "offer", origin: 3, seq: 5, want: Stale},
+				{op: "offer", origin: 3, seq: 6, want: Refused},
+				{op: "offer", origin: 3, seq: 6, want: Refused},
+				{op: "offer", origin: 4, seq: 1, want: News},
+				// The gate never stands between a node and its own echo.
+				{op: "gate", origin: self},
+				{op: "offer", origin: self, seq: 9, want: Reborn},
+				{op: "offer", origin: 3, seq: 6, want: News},
+			},
+			stats: Stats{Flooded: 1, Stale: 1, Refused: 2},
+		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := New(self)
@@ -142,6 +159,8 @@ func TestRule(t *testing.T) {
 					got = resynced(t, d, s.origin)
 				case "purge":
 					d.Purge(s.origin)
+				case "gate":
+					d.SetGate(func(origin wire.NodeID) bool { return origin != s.origin })
 				default:
 					t.Fatalf("step %d: unknown op %q", i, s.op)
 				}
@@ -174,8 +193,8 @@ func TestAcceptCopiesPayload(t *testing.T) {
 // refDB is the flood logic as linkstate.Manager and groups.Manager each
 // carried it before package flood existed — the header checks at the top of
 // HandleLSA / HandleAnnouncement, the retention, the resync loop and
-// PurgeOrigin, with the member gate as a flag — kept as the reference the
-// DB is held to.
+// PurgeOrigin, with link state's member check as a flag — kept as the
+// reference the DB is held to.
 type refDB struct {
 	self    wire.NodeID
 	seen    map[wire.NodeID]uint32
@@ -204,7 +223,8 @@ func (r *refDB) handle(origin wire.NodeID, seq uint32, payload []byte, admitted,
 		return Stale
 	}
 	if !admitted {
-		return News
+		r.stats.Refused++
+		return Refused
 	}
 	r.seen[origin] = seq
 	if retain {
@@ -245,6 +265,8 @@ func TestDBMatchesManagerLogic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := New(self)
+		admitted := true
+		d.SetGate(func(wire.NodeID) bool { return admitted })
 		ref := &refDB{self: self, seen: make(map[wire.NodeID]uint32), last: make(map[wire.NodeID][]byte)}
 		// high tracks the largest sequence offered per origin so the stream
 		// mixes copies, the next number and jumps.
@@ -263,14 +285,15 @@ func TestDBMatchesManagerLogic(t *testing.T) {
 				}
 				high[origin] = max(high[origin], seq)
 				payload := []byte(fmt.Sprintf("%v/%d/%d", origin, seq, op))
-				admitted, retain := r.Intn(10) != 0, r.Intn(3) != 0
+				retain := r.Intn(3) != 0
+				admitted = r.Intn(10) != 0
 				want := ref.handle(origin, seq, payload, admitted, retain)
 				got := d.Offer(origin, seq)
 				if got != want {
 					t.Fatalf("%s: origin %v seq %d: verdict %v, reference %v", at, origin, seq, got, want)
 				}
 				switch {
-				case got == News && admitted:
+				case got == News:
 					d.Accept(origin, seq, payload, retain)
 				case got == Reborn:
 					if a, b := d.Next(), ref.originate(); a != b {
@@ -294,7 +317,7 @@ func TestDBMatchesManagerLogic(t *testing.T) {
 				t.Fatalf("%s: stats %+v, reference %+v", at, d.Stats(), ref.stats)
 			}
 		}
-		if d.Stats().Stale == 0 || d.Stats().Flooded == 0 || d.Stats().Resync == 0 {
+		if st := d.Stats(); st.Stale == 0 || st.Flooded == 0 || st.Refused == 0 || st.Resync == 0 {
 			t.Fatalf("seed %d: stream left a counter untouched: %+v", seed, d.Stats())
 		}
 	}

@@ -195,7 +195,7 @@ func (m *Manager) HandleAnnouncement(from wire.NodeID, p *wire.Packet) error {
 		return err
 	}
 	switch m.db.Offer(origin, seq) {
-	case flood.Stale:
+	case flood.Stale, flood.Refused:
 		return nil
 	case flood.Reborn:
 		m.announce()
@@ -214,6 +214,27 @@ func (m *Manager) HandleAnnouncement(from wire.NodeID, p *wire.Packet) error {
 	}
 	m.env.FloodGroupState(p.Payload, from)
 	return nil
+}
+
+// SetMemberCheck installs the overlay-membership gate for announcement
+// acceptance (flood.DB.SetGate).
+func (m *Manager) SetMemberCheck(fn func(wire.NodeID) bool) { m.db.SetGate(fn) }
+
+// PurgeOrigin forgets an origin's announcement history, so that a rejoiner's
+// restarted numbering wins at once. A departed origin has left the overlay
+// and announces nothing more, so its memberships go with it; a rejoined one
+// keeps them until its next announcement says otherwise.
+func (m *Manager) PurgeOrigin(origin wire.NodeID, departed bool) {
+	m.db.Purge(origin)
+	if !departed {
+		return
+	}
+	changed := m.applyRemote(origin, nil)
+	delete(m.remote, origin)
+	if changed {
+		m.version++
+		m.env.GroupsChanged()
+	}
 }
 
 // applyRemote reconciles an origin's full group set, sorted and free of

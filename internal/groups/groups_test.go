@@ -334,3 +334,50 @@ func TestRemoteSetsTrackAnnouncements(t *testing.T) {
 		t.Fatalf("stats %+v, want %d flooded and %d stale", st, fresh, stale)
 	}
 }
+
+// TestPurgeOrigin: forgetting a rejoined origin drops only its numbering —
+// its memberships stand until it announces again, and a restarted sequence
+// is then news — while forgetting a departed one drops its memberships too,
+// with one change notification, or none when it had no memberships.
+func TestPurgeOrigin(t *testing.T) {
+	f := newFabric(1, 2, 3)
+	f.envs[2].mgr.Join(7)
+	f.envs[2].mgr.Join(8)
+	f.envs[3].mgr.Join(8)
+	env := f.envs[1]
+	m := env.mgr
+
+	changes, version := env.changes, m.Version()
+	m.PurgeOrigin(2, false)
+	if got := m.Members(7); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("rejoined origin's membership dropped: %v", got)
+	}
+	if env.changes != changes || m.Version() != version {
+		t.Fatal("forgetting a numbering changed group state")
+	}
+	restarted := Announcement{Origin: 2, Seq: 1, Groups: []wire.GroupID{7}}
+	p := &wire.Packet{Type: wire.PTGroupState, Payload: restarted.Marshal()}
+	if err := m.HandleAnnouncement(2, p); err != nil {
+		t.Fatalf("HandleAnnouncement: %v", err)
+	}
+	if got := m.Members(8); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("restarted numbering not accepted: group 8 has %v, want [3]", got)
+	}
+
+	changes, version = env.changes, m.Version()
+	m.PurgeOrigin(2, true)
+	if got := m.Members(7); len(got) != 0 {
+		t.Fatalf("departed origin still a member: %v", got)
+	}
+	if got := m.Members(8); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("group 8 has %v after node 2 departed, want [3]", got)
+	}
+	if env.changes != changes+1 || m.Version() != version+1 {
+		t.Fatalf("departure notified %d changes, version moved %d", env.changes-changes, m.Version()-version)
+	}
+	m.PurgeOrigin(2, true)
+	m.PurgeOrigin(9, true)
+	if env.changes != changes+1 {
+		t.Fatal("forgetting an origin without memberships notified a change")
+	}
+}

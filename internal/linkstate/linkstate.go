@@ -146,9 +146,6 @@ type Stats struct {
 	DownDetections uint64
 	// UpDetections counts links declared back up.
 	UpDetections uint64
-	// NonMemberLSAsRejected counts advertisements dropped because their
-	// origin is not a current overlay member (dynamic membership).
-	NonMemberLSAsRejected uint64
 }
 
 // neighborState tracks hello liveness for one adjacent overlay link.
@@ -210,10 +207,6 @@ type Manager struct {
 	// onNeighborState, when set, is invoked after an adjacent link is
 	// declared down or back up.
 	onNeighborState func(wire.NodeID, bool)
-	// memberCheck, when set, gates advertisement acceptance on overlay
-	// membership: advertisements from origins the check rejects are
-	// dropped without being applied or reflooded.
-	memberCheck func(wire.NodeID) bool
 	// started records that Start ran, so neighbors registered afterwards
 	// (runtime joins) begin probing immediately.
 	started bool
@@ -283,11 +276,8 @@ func (m *Manager) AddNeighborLive(n wire.NodeID, link wire.LinkID) {
 }
 
 // SetMemberCheck installs the overlay-membership gate for advertisement
-// acceptance. A nil check (the default) admits every origin, preserving
-// static-topology behavior; with a check installed, advertisements whose
-// origin is rejected are dropped without being applied or reflooded, so a
-// departed (or never-admitted) node cannot pollute the fleet's view.
-func (m *Manager) SetMemberCheck(fn func(wire.NodeID) bool) { m.memberCheck = fn }
+// acceptance (flood.DB.SetGate).
+func (m *Manager) SetMemberCheck(fn func(wire.NodeID) bool) { m.db.SetGate(fn) }
 
 // DisableNeighbor administratively downs the link to a neighbor that left
 // the overlay: hello probing stops (no down-probe waste on a gone peer),
@@ -734,16 +724,10 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 		return fmt.Errorf("linkstate: bad advertisement from %v: %w", from, err)
 	}
 	switch m.db.Offer(origin, seq) {
-	case flood.Stale:
+	case flood.Stale, flood.Refused:
 		return nil
 	case flood.Reborn:
 		m.originateLSA()
-		return nil
-	}
-	// The gate sits between Offer and Accept: a rejected origin's sequence
-	// is not recorded.
-	if m.memberCheck != nil && !m.memberCheck(origin) {
-		m.stats.NonMemberLSAsRejected++
 		return nil
 	}
 	adv := &m.rxAdv

@@ -552,7 +552,10 @@ func TestHealthCountersTrackAdversity(t *testing.T) {
 
 	// Node 3 stops admitting node 1: its next refresh is refused.
 	w.envs[3].mgr.SetMemberCheck(func(id wire.NodeID) bool { return id != 1 })
-	phase("non-member", 3*time.Second, 3, "NonMemberLSAsRejected")
+	w.sched.RunFor(3 * time.Second)
+	if w.envs[3].mgr.FloodStats().Refused == 0 {
+		t.Fatal("non-member: node 3 refused none of node 1's advertisements")
+	}
 
 	for i, typ := 0, reflect.TypeOf(Stats{}); i < typ.NumField(); i++ {
 		if !covered[typ.Field(i).Name] {

@@ -130,12 +130,14 @@ type Stats struct {
 }
 
 // ControlStats counts what the routing level's floods cost, link state and
-// group state side by side: flooded packets accepted as news and passed on,
-// flooded packets discarded on their header as already seen, and retained
-// packets pushed to a neighbor whose link recovered.
+// group state side by side (one flood.Stats each): flooded packets accepted
+// as news and passed on, flooded packets discarded on their header as
+// already seen, packets refused because their origin is not an overlay
+// member, and retained packets pushed to a neighbor whose link recovered.
 type ControlStats struct {
 	FloodedLSAs, FloodedAnnouncements uint64
 	StaleLSAs, StaleAnnouncements     uint64
+	RefusedLSAs, RefusedAnnouncements uint64
 	ResyncLSAs, ResyncAnnouncements   uint64
 }
 
@@ -229,6 +231,7 @@ func New(cfg Config) (*Node, error) {
 		n.memMgr.SetOnFinding(n.correctFinding)
 		n.memMgr.SetOnReconcile(n.lsMgr.ReconcileAdjacent)
 		n.lsMgr.SetMemberCheck(n.memMgr.AllowsOrigin)
+		n.grpMgr.SetMemberCheck(n.memMgr.AllowsOrigin)
 	}
 	return n, nil
 }
@@ -443,36 +446,34 @@ func (n *Node) LearnLink(a, b wire.NodeID, latency time.Duration) error {
 }
 
 // EvictNeighbor administratively removes a departed neighbor at runtime:
-// its link is downed (the withdrawal floods) and its advertisement
-// history is purged so a rejoining incarnation's fresh sequence space
-// wins immediately. Must run on the node's executor.
+// its link is downed (the withdrawal floods) and what it flooded is
+// forgotten. Must run on the node's executor.
 func (n *Node) EvictNeighbor(peer wire.NodeID) {
-	n.lsMgr.PurgeOrigin(peer)
-	if _, ok := n.neighbors[peer]; ok {
-		n.lsMgr.DisableNeighbor(peer)
+	n.memberChanged(peer, true)
+}
+
+// handleMemberChange reacts to directory transitions.
+func (n *Node) handleMemberChange(id wire.NodeID, st membership.Status) {
+	if id != n.id {
+		n.memberChanged(id, st == membership.StatusLeft)
 	}
 }
 
-// handleMemberChange reacts to directory transitions: a departed neighbor
-// has its link administratively downed and its advertisement history
-// purged; a (re)joined neighbor resumes probing. Purging the departed
-// origin's highest-seen sequence lets a rejoining node's restarted
-// sequence space win immediately.
-func (n *Node) handleMemberChange(id wire.NodeID, st membership.Status) {
-	if id == n.id {
+// memberChanged follows a node's departure from, or (re)admission to, the
+// overlay. Either way both flood databases forget its numbering, so that a
+// rejoining incarnation's restarted sequence space wins at once; a departed
+// node's group memberships go too, and as a neighbor its link is
+// administratively downed, where a (re)joined neighbor resumes probing.
+func (n *Node) memberChanged(id wire.NodeID, departed bool) {
+	n.lsMgr.PurgeOrigin(id)
+	n.grpMgr.PurgeOrigin(id, departed)
+	if _, ok := n.neighbors[id]; !ok {
 		return
 	}
-	switch st {
-	case membership.StatusLeft:
-		n.lsMgr.PurgeOrigin(id)
-		if _, ok := n.neighbors[id]; ok {
-			n.lsMgr.DisableNeighbor(id)
-		}
-	case membership.StatusJoined:
-		n.lsMgr.PurgeOrigin(id)
-		if _, ok := n.neighbors[id]; ok {
-			n.lsMgr.EnableNeighbor(id)
-		}
+	if departed {
+		n.lsMgr.DisableNeighbor(id)
+	} else {
+		n.lsMgr.EnableNeighbor(id)
 	}
 }
 
@@ -505,6 +506,7 @@ func (n *Node) ControlStats() ControlStats {
 	return ControlStats{
 		FloodedLSAs: ls.Flooded, FloodedAnnouncements: gs.Flooded,
 		StaleLSAs: ls.Stale, StaleAnnouncements: gs.Stale,
+		RefusedLSAs: ls.Refused, RefusedAnnouncements: gs.Refused,
 		ResyncLSAs: ls.Resync, ResyncAnnouncements: gs.Resync,
 	}
 }

@@ -3,6 +3,9 @@ package sonet
 import (
 	"testing"
 	"time"
+
+	"sonet/internal/topology"
+	"sonet/internal/wire"
 )
 
 // ringSix is a 2-connected 6-node ring expressed through the public API.
@@ -158,5 +161,133 @@ func TestRejoinStaleEpoch(t *testing.T) {
 	}
 	if p := net.PathBetween(1, 4); len(p) == 0 {
 		t.Fatal("no route to the rejoined node")
+	}
+}
+
+// TestDepartedNodeLeavesItsGroups: a node that leaves the overlay announces
+// nothing more, so its group memberships must go with its directory record —
+// survivors used to list it as a member until it came back. After the leave
+// no survivor lists node 4 in the group and the sender's multicast tree is
+// empty; a rejoined incarnation whose client joins again is a member
+// everywhere and receives the group's traffic.
+func TestDepartedNodeLeavesItsGroups(t *testing.T) {
+	const grp GroupID = 7
+	const sender NodeID = 1
+	net := memberNet(t, 15)
+	defer net.Close()
+	join := func() *Client {
+		t.Helper()
+		c, err := net.Connect(4, 700)
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		c.Join(grp)
+		return c
+	}
+	members := func(at NodeID) []NodeID { return net.sim.Node(at).Groups().Members(grp) }
+	tree := func() []wire.LinkID {
+		nd := net.sim.Node(sender)
+		mask, _ := topology.MulticastTree(nd.View(), sender, members(sender), topology.ExpectedLatencyMetric)
+		return mask.Links()
+	}
+	survivors := []NodeID{1, 2, 3, 5, 6}
+
+	join()
+	net.Run(500 * time.Millisecond)
+	for _, id := range survivors {
+		if m := members(id); len(m) != 1 || m[0] != 4 {
+			t.Fatalf("before the leave node %d sees members %v, want [4]", id, m)
+		}
+	}
+	if len(tree()) == 0 {
+		t.Fatal("before the leave the sender's tree reaches nobody")
+	}
+
+	if err := net.LeaveNode(4); err != nil {
+		t.Fatalf("LeaveNode: %v", err)
+	}
+	// Four sweeps, well inside the 20-sweep stabilization bound.
+	net.Run(2 * time.Second)
+	for _, id := range survivors {
+		wantMembers(t, net, id, survivors)
+		if m := members(id); len(m) != 0 {
+			t.Fatalf("node %d still lists %v in the group after node 4 left", id, m)
+		}
+	}
+	if links := tree(); len(links) != 0 {
+		t.Fatalf("sender's multicast tree still has links %v", links)
+	}
+
+	if err := net.RejoinNode(4, 5); err != nil {
+		t.Fatalf("RejoinNode: %v", err)
+	}
+	rejoined := join()
+	net.Run(3 * time.Second)
+	for _, id := range survivors {
+		if m := members(id); len(m) != 1 || m[0] != 4 {
+			t.Fatalf("after the rejoin node %d sees members %v, want [4]", id, m)
+		}
+	}
+	src, err := net.Connect(sender, 701)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	flow, err := src.OpenFlow(FlowSpec{Group: grp, ToPort: 700})
+	if err != nil {
+		t.Fatalf("OpenFlow: %v", err)
+	}
+	if err := flow.Send([]byte("back")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	net.Run(200 * time.Millisecond)
+	if got := rejoined.Deliveries(); len(got) != 1 || string(got[0].Payload) != "back" {
+		t.Fatalf("rejoined member received %v", got)
+	}
+}
+
+// TestHealedPartitionDoesNotResurrectDepartedMember: node 2 is cut off while
+// node 5 leaves, so it still retains node 5's announcement when its links
+// heal and pushes it to neighbors that have forgotten node 5's numbering.
+// The membership gate must refuse it there; accepted, it would put node 5
+// back into the group at every node but 2, for good.
+func TestHealedPartitionDoesNotResurrectDepartedMember(t *testing.T) {
+	const grp GroupID = 7
+	net := memberNet(t, 16)
+	defer net.Close()
+	c, err := net.Connect(5, 700)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	c.Join(grp)
+	net.Run(500 * time.Millisecond)
+	for _, cut := range [][2]NodeID{{1, 2}, {2, 3}} {
+		if err := net.CutLink(cut[0], cut[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run(2 * time.Second)
+	if err := net.LeaveNode(5); err != nil {
+		t.Fatalf("LeaveNode: %v", err)
+	}
+	net.Run(2 * time.Second)
+	if m := net.sim.Node(2).Groups().Members(grp); len(m) != 1 || m[0] != 5 {
+		t.Fatalf("premise: cut-off node 2 sees members %v, want [5]", m)
+	}
+	for _, cut := range [][2]NodeID{{1, 2}, {2, 3}} {
+		if err := net.RestoreLink(cut[0], cut[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run(5 * time.Second)
+	refused := uint64(0)
+	for _, id := range []NodeID{1, 2, 3, 4, 6} {
+		if m := net.sim.Node(id).Groups().Members(grp); len(m) != 0 {
+			t.Errorf("node %d lists %v in the group after the partition healed", id, m)
+		}
+		st, _ := net.NodeStats(id)
+		refused += st.Control.RefusedAnnouncements
+	}
+	if refused == 0 {
+		t.Error("no node refused the departed node's retained announcement")
 	}
 }

@@ -428,8 +428,9 @@ type NodeStats struct {
 
 // ControlStats counts a node's routing-level flooding, link state and group
 // state side by side: flooded packets accepted as news and passed on,
-// flooded packets discarded as already seen, and retained packets pushed to
-// a neighbor whose link recovered.
+// flooded packets discarded as already seen, packets refused because their
+// origin is not an overlay member, and retained packets pushed to a neighbor
+// whose link recovered.
 type ControlStats = node.ControlStats
 
 // Footprint counts a node's resident protocol state: duplicate-suppression
