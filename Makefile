@@ -111,14 +111,19 @@ examples:
 	$(GO) run ./examples/remotemanip
 	$(GO) run ./examples/compoundflow
 
+# Every fuzz target in the tree, 30 s each: the list is whatever
+# `go test -list` finds, so a new Fuzz* function is in it by being written.
+# go test fuzzes one target of one package per run. The transport targets
+# cap minimization: shrinking a failing multi-frame stream can otherwise
+# outlast the run.
 fuzz:
-	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalPacket -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz FuzzUnmarshalFrame -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz FuzzFramePooledRoundTrip -fuzztime 30s
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzFrameReader -fuzztime 30s -fuzzminimizetime 2s
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzClientRequest -fuzztime 30s -fuzzminimizetime 2s
-	$(GO) test ./internal/linkstate/ -run xxx -fuzz FuzzAdvertisementDecode -fuzztime 30s
-	$(GO) test ./internal/groups/ -run xxx -fuzz FuzzAnnouncementDecode -fuzztime 30s
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ {name[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, name[i]; n = 0}' | \
+	while read pkg name; do \
+		case $$pkg in */transport) min="-fuzzminimizetime 2s";; *) min=;; esac; \
+		echo "== $$pkg $$name"; \
+		$(GO) test $$pkg -run xxx -fuzz "^$$name\$$" -fuzztime 30s $$min || exit 1; \
+	done
 
 # The size figures the simplification PRs and ROADMAP item 5 quote: raw
 # lines and non-blank non-comment lines of non-test Go outside bench/, for

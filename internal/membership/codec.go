@@ -89,10 +89,16 @@ func AppendSync(buf []byte, d *Directory) []byte {
 }
 
 // decodeRecords validates and returns the record region holding count
-// records.
+// records, each with a status the protocol defines.
 func decodeRecords(src []byte, count int) ([]byte, error) {
 	if len(src) < count*recLen {
 		return nil, fmt.Errorf("membership: %d records in %d bytes: %w", count, len(src), ErrBadMessage)
 	}
-	return src[:count*recLen], nil
+	src = src[:count*recLen]
+	for i := recLen - 1; i < len(src); i += recLen {
+		if !Status(src[i]).known() {
+			return nil, fmt.Errorf("membership: record %d has status %d: %w", i/recLen, src[i], ErrBadMessage)
+		}
+	}
+	return src, nil
 }

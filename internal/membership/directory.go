@@ -39,6 +39,11 @@ const (
 	StatusLeft Status = 2
 )
 
+// known reports whether s is a status the protocol defines. Anything else
+// is malformed input: a record carrying it would be merged and reflooded like
+// a departure, and refuted by nobody.
+func (s Status) known() bool { return s == StatusJoined || s == StatusLeft }
+
 // String returns a short mnemonic for the status.
 func (s Status) String() string {
 	switch s {
@@ -120,7 +125,7 @@ func (d *Directory) IsMember(id wire.NodeID) bool {
 // Apply merges one record, keeping the winner under the epoch order, and
 // reports whether the directory changed.
 func (d *Directory) Apply(r Record) bool {
-	if r.ID == 0 || r.Status == 0 {
+	if r.ID == 0 || !r.Status.known() {
 		return false
 	}
 	cur, ok := d.recs[r.ID]

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sonet/internal/membership"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
 )
@@ -289,5 +290,32 @@ func TestHealedPartitionDoesNotResurrectDepartedMember(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Error("no node refused the departed node's retained announcement")
+	}
+}
+
+// TestUnknownStatusRecordEvictsNobody plants a directory record with a
+// status byte the protocol does not define at one replica. Merged, it won
+// against node 4's admission by epoch, flooded, and was refuted by nobody —
+// self-defence answers departures only — so the whole fleet, node 4
+// included, dropped a live node for good. It is malformed input: the replica
+// refuses it and twenty sweeps later all six nodes are members everywhere.
+func TestUnknownStatusRecordEvictsNobody(t *testing.T) {
+	net := memberNet(t, 17)
+	defer net.Close()
+	net.Run(500 * time.Millisecond)
+	bad := membership.Record{ID: 4, Epoch: 2, Status: 3}
+	if net.sim.Node(1).Membership().InjectRecord(bad) {
+		t.Error("replica merged a record with an unknown status")
+	}
+	net.Run(20 * membership.DefaultConfig().SweepInterval)
+	all := []NodeID{1, 2, 3, 4, 5, 6}
+	for _, id := range all {
+		wantMembers(t, net, id, all)
+		if !net.sim.Node(id).Membership().AllowsOrigin(4) {
+			t.Errorf("node %d refuses node 4's advertisements", id)
+		}
+	}
+	if p := net.PathBetween(1, 4); len(p) == 0 {
+		t.Error("no route to node 4")
 	}
 }
