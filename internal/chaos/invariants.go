@@ -60,6 +60,13 @@ func (e *engine) checkConservationFinal() {
 	} else {
 		e.tracef("invariant %s ok: %d packets, every fate accounted", InvConservation, st.Sent)
 	}
+	// No campaign corrupts bytes in flight, so nothing a node received may
+	// have failed to decode.
+	for _, id := range e.w.Nodes {
+		if n := e.w.O.Node(id).Stats().DroppedMalformed; n > 0 {
+			e.violate(InvConservation, "node %v dropped %d malformed frames or control payloads", id, n)
+		}
+	}
 }
 
 // checkConvergence runs at the post-repair quiesce point: every fault has

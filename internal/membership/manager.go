@@ -218,7 +218,10 @@ func (m *Manager) InjectRecord(r Record) bool { return m.dir.Apply(r) }
 
 // HandlePacket processes a membership packet received from a neighbor.
 func (m *Manager) HandlePacket(from wire.NodeID, p *wire.Packet) error {
-	if m.closed || len(p.Payload) == 0 {
+	if m.closed {
+		return nil
+	}
+	if len(p.Payload) == 0 {
 		return fmt.Errorf("membership: empty payload from %v: %w", from, ErrBadMessage)
 	}
 	src := p.Payload

@@ -125,6 +125,10 @@ type Stats struct {
 	// hello a data shard saw, or a peer's frame arriving off its home.
 	// Steady growth means underlay steering and peer homing disagree.
 	Replayed uint64
+	// DroppedMalformed counts input that failed to decode: a frame the wire
+	// codec rejected, or a link-state, group-state or membership payload its
+	// manager rejected.
+	DroppedMalformed uint64
 	// Blackholed counts data packets absorbed by compromised behaviour.
 	Blackholed uint64
 }
@@ -616,15 +620,20 @@ func (n *Node) HandleUnderlay(from wire.NodeID, data []byte) {
 // handleControl absorbs a control payload a link protocol delivered, from
 // whichever shard's endpoint it surfaced on.
 func (n *Node) handleControl(from wire.NodeID, p *wire.Packet) {
+	var err error
 	switch p.Type {
 	case wire.PTLinkState:
-		_ = n.lsMgr.HandleLSA(from, p)
+		err = n.lsMgr.HandleLSA(from, p)
 	case wire.PTGroupState:
-		_ = n.grpMgr.HandleAnnouncement(from, p)
+		err = n.grpMgr.HandleAnnouncement(from, p)
 	case wire.PTMembership:
 		if n.memMgr != nil {
-			_ = n.memMgr.HandlePacket(from, p)
+			err = n.memMgr.HandlePacket(from, p)
 		}
+	}
+	if err != nil {
+		// The managers fail on malformed payloads only.
+		n.ctl.stats.DroppedMalformed++
 	}
 }
 

@@ -396,6 +396,7 @@ func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
 	}
 	f := &s.rxFrame
 	if _, err := wire.UnmarshalFrameInto(f, &s.rxPacket, data); err != nil {
+		s.stats.DroppedMalformed++
 		return
 	}
 	if cfg.Keyring != nil && !cfg.Keyring.VerifyFrame(f, from) {
@@ -719,6 +720,7 @@ func (s Stats) Merge(o Stats) Stats {
 		DroppedUnknownPeer: s.DroppedUnknownPeer + o.DroppedUnknownPeer,
 		DroppedCrossing:    s.DroppedCrossing + o.DroppedCrossing,
 		Replayed:           s.Replayed + o.Replayed,
+		DroppedMalformed:   s.DroppedMalformed + o.DroppedMalformed,
 		Blackholed:         s.Blackholed + o.Blackholed,
 	}
 }

@@ -433,3 +433,40 @@ func TestUnknownPeerIsCounted(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", got, want)
 	}
 }
+
+// TestMalformedInputIsCounted feeds the four kinds of input a node can fail
+// to decode — a truncated frame, and a truncated advertisement, a truncated
+// announcement and a membership payload of an unknown kind, each inside a
+// well-formed frame that reaches a data shard — and reads one count apiece:
+// nothing on the control path is dropped silently.
+func TestMalformedInputIsCounted(t *testing.T) {
+	r := newShardRig(t, func(_ *shardRig, cfg *Config) {
+		mc := membership.DefaultConfig()
+		cfg.Membership = &mc
+	})
+	whole, err := dataFrame(wire.Packet{Route: wire.RouteLinkState, Src: r.a1, Dst: r.self}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.on(1, func() { r.n.DataPlane().HandleUnderlay(1, r.a1, whole[:len(whole)/2]) })
+	r.settle()
+	if got := r.outcome().Stats; got != (Stats{DroppedMalformed: 1}) {
+		t.Fatalf("after a truncated frame: stats %+v, want one DroppedMalformed", got)
+	}
+
+	lsa := (&linkstate.Advertisement{Origin: r.a1, Seq: 1, Entries: []linkstate.Entry{{Link: 0, Up: true}}}).Marshal()
+	ann := (&groups.Announcement{Origin: r.a1, Seq: 1, Groups: []wire.GroupID{7}}).Marshal()
+	r.inject(1, r.a1, controlFrame(wire.PTLinkState, r.a1, lsa[:len(lsa)-1]))
+	r.inject(1, r.a1, controlFrame(wire.PTGroupState, r.a1, ann[:len(ann)-1]))
+	r.inject(1, r.a1, controlFrame(wire.PTMembership, r.a1, []byte{9}))
+	if got := r.outcome().Stats; got != (Stats{DroppedMalformed: 4}) {
+		t.Fatalf("stats %+v, want DroppedMalformed 4 and nothing else", got)
+	}
+	// Their well-formed versions count nothing.
+	r.inject(1, r.a1, controlFrame(wire.PTLinkState, r.a1, lsa))
+	r.inject(1, r.a1, controlFrame(wire.PTGroupState, r.a1, ann))
+	r.inject(1, r.a1, controlFrame(wire.PTMembership, r.a1, membership.AppendJoinReq(nil, r.far)))
+	if got := r.outcome().Stats.DroppedMalformed; got != 4 {
+		t.Fatalf("well-formed control payloads moved DroppedMalformed to %d", got)
+	}
+}

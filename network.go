@@ -414,6 +414,9 @@ type NodeStats struct {
 	// home shard and passed on to it; steady growth means underlay steering
 	// and peer homing disagree.
 	Replayed uint64
+	// DroppedMalformed counts frames and routing-level control payloads
+	// (link state, group state, membership) that failed to decode.
+	DroppedMalformed uint64
 	// Blackholed counts packets absorbed by compromised behaviour.
 	Blackholed uint64
 	// ClientDropped counts messages a deployed daemon discarded because a
@@ -450,6 +453,7 @@ func fromNodeStats(st node.Stats) NodeStats {
 		DroppedUnknownPeer: st.DroppedUnknownPeer,
 		DroppedCrossing:    st.DroppedCrossing,
 		Replayed:           st.Replayed,
+		DroppedMalformed:   st.DroppedMalformed,
 		Blackholed:         st.Blackholed,
 	}
 }
