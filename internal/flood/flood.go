@@ -100,12 +100,12 @@ func (d *DB) Next() uint32 {
 }
 
 // Offer classifies a received header; a refused origin's sequence is not
-// recorded. After a crash-restart a node's counter
-// starts over while its earlier floods still circulate with higher numbers,
-// so peers would discard everything it floods until the counter caught up:
-// an own echo above the counter moves the counter there (Reborn). Strictly
-// above, so that the steady-state echo of the current flood — every cycle in
-// the topology returns one — does not feed the next flood.
+// recorded. After a crash-restart a node's counter starts over while its
+// earlier floods still circulate with higher numbers, so peers would discard
+// everything it floods until the counter caught up: an own echo above the
+// counter moves the counter there (Reborn). Strictly above, so that the
+// steady-state echo of the current flood — every cycle in the topology
+// returns one — does not feed the next flood.
 func (d *DB) Offer(origin wire.NodeID, seq uint32) Verdict {
 	if origin == d.self {
 		if seq > d.seq {

@@ -231,7 +231,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Membership != nil {
 		n.memMgr = membership.NewManager(&memEnv{n: n}, n.id, *cfg.Membership)
 		n.memMgr.SetView(view)
-		n.memMgr.SetOnChange(n.handleMemberChange)
+		n.memMgr.SetOnChange(n.memberChanged)
 		n.memMgr.SetOnFinding(n.correctFinding)
 		n.memMgr.SetOnReconcile(n.lsMgr.ReconcileAdjacent)
 		n.lsMgr.SetMemberCheck(n.memMgr.AllowsOrigin)
@@ -453,22 +453,20 @@ func (n *Node) LearnLink(a, b wire.NodeID, latency time.Duration) error {
 // its link is downed (the withdrawal floods) and what it flooded is
 // forgotten. Must run on the node's executor.
 func (n *Node) EvictNeighbor(peer wire.NodeID) {
-	n.memberChanged(peer, true)
+	n.memberChanged(peer, membership.StatusLeft)
 }
 
-// handleMemberChange reacts to directory transitions.
-func (n *Node) handleMemberChange(id wire.NodeID, st membership.Status) {
-	if id != n.id {
-		n.memberChanged(id, st == membership.StatusLeft)
+// memberChanged follows another node's departure from, or (re)admission to,
+// the overlay — a directory transition or an eviction. Either way both flood
+// databases forget its numbering, so that a rejoining incarnation's
+// restarted sequence space wins at once; a departed node's group memberships
+// go too, and as a neighbor its link is administratively downed, where a
+// (re)joined neighbor resumes probing.
+func (n *Node) memberChanged(id wire.NodeID, st membership.Status) {
+	if id == n.id {
+		return
 	}
-}
-
-// memberChanged follows a node's departure from, or (re)admission to, the
-// overlay. Either way both flood databases forget its numbering, so that a
-// rejoining incarnation's restarted sequence space wins at once; a departed
-// node's group memberships go too, and as a neighbor its link is
-// administratively downed, where a (re)joined neighbor resumes probing.
-func (n *Node) memberChanged(id wire.NodeID, departed bool) {
+	departed := st == membership.StatusLeft
 	n.lsMgr.PurgeOrigin(id)
 	n.grpMgr.PurgeOrigin(id, departed)
 	if _, ok := n.neighbors[id]; !ok {
