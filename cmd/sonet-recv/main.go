@@ -149,8 +149,8 @@ func runWire(bind, peerBase string, shards, flows int, expect uint64) int {
 	}
 	for s := 0; s < u.NumShards(); s++ {
 		st := u.ShardStats(s)
-		fmt.Printf("sonet-recv: shard %d: recv %d delivered %d handoffs %d drops %d (%.1f pkts/read)\n",
-			s, st.RecvPackets, st.RecvDelivered, st.Handoffs, st.HandoffDrops, st.RecvBatchAvg())
+		fmt.Printf("sonet-recv: shard %d: recv %d (%d coalesced) delivered %d handoffs %d drops %d (%.1f pkts/read)\n",
+			s, st.RecvPackets, st.RecvCoalesced, st.RecvDelivered, st.Handoffs, st.HandoffDrops, st.RecvBatchAvg())
 	}
 	agg := u.Stats()
 	fmt.Printf("sonet-recv: %d frames received (%d unknown-sender)\n", received.Load(), agg.RecvUnknown)

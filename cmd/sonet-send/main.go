@@ -198,8 +198,8 @@ func runWire(bind, peer string, flows, count, size int, interval time.Duration) 
 		st := tx.Stats()
 		sent += st.SendPackets
 		dropped += st.SendDropped
-		fmt.Printf("sonet-send: flow %d (%s): sent %d in %d batches, dropped %d\n",
-			f, tx.LocalAddr(), st.SendPackets, st.SendBatches, st.SendDropped)
+		fmt.Printf("sonet-send: flow %d (%s): sent %d (%d segmented) in %d batches, dropped %d\n",
+			f, tx.LocalAddr(), st.SendPackets, st.SendSegmented, st.SendBatches, st.SendDropped)
 	}
 	if elapsed > 0 {
 		fmt.Printf("sonet-send: %d frames in %v: %.0f msgs/s, %.1f MB/s (%d dropped at source)\n",

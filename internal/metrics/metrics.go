@@ -261,20 +261,30 @@ func (s TreeCacheSnapshot) HitRatio() float64 {
 // The zero value is ready to use.
 type WireStats struct {
 	// RecvBatches counts receive wakeups (one recvmmsg call on Linux, one
-	// datagram read on the portable path).
+	// datagram read on the portable path; on Linux a call that returned
+	// more datagrams than the reader's table holds counts once more for
+	// the rest).
 	RecvBatches atomic.Uint64
-	// RecvPackets counts datagrams drained from the socket.
+	// RecvPackets counts datagrams drained from the socket, each datagram
+	// of a coalesced message on its own.
 	RecvPackets atomic.Uint64
+	// RecvCoalesced counts the datagrams of RecvPackets that arrived inside
+	// a multi-datagram message (UDP_GRO on Linux) and were split apart.
+	RecvCoalesced atomic.Uint64
 	// RecvBytes counts datagram payload bytes drained from the socket.
 	RecvBytes atomic.Uint64
 	// RecvUnknown counts datagrams dropped because the source address did
 	// not belong to a registered peer.
 	RecvUnknown atomic.Uint64
-	// SendBatches counts send flushes (one sendmmsg call on Linux, one
-	// write loop on the portable path).
+	// SendBatches counts send flushes of a shard's coalescing ring: one
+	// sendmmsg call per 32 messages on Linux, one write loop on the
+	// portable path.
 	SendBatches atomic.Uint64
 	// SendPackets counts datagrams handed to the kernel.
 	SendPackets atomic.Uint64
+	// SendSegmented counts the datagrams of SendPackets that left inside a
+	// multi-datagram message (UDP_SEGMENT on Linux).
+	SendSegmented atomic.Uint64
 	// SendBytes counts datagram payload bytes handed to the kernel.
 	SendBytes atomic.Uint64
 	// SendDropped counts frames dropped on the send side: socket errors,
@@ -310,6 +320,8 @@ func (s *WireStats) Snapshot() WireSnapshot {
 		SendBytes:   s.SendBytes.Load(),
 		SendDropped: s.SendDropped.Load(),
 
+		RecvCoalesced: s.RecvCoalesced.Load(),
+		SendSegmented: s.SendSegmented.Load(),
 		RecvDelivered: s.RecvDelivered.Load(),
 		Handoffs:      s.Handoffs.Load(),
 		HandoffDrops:  s.HandoffDrops.Load(),
@@ -335,6 +347,12 @@ type WireSnapshot struct {
 	SendBytes uint64
 	// SendDropped counts frames dropped on the send side.
 	SendDropped uint64
+	// RecvCoalesced counts datagrams that arrived inside a multi-datagram
+	// message.
+	RecvCoalesced uint64
+	// SendSegmented counts datagrams that left inside a multi-datagram
+	// message.
+	SendSegmented uint64
 	// RecvDelivered counts frames handed to the handler.
 	RecvDelivered uint64
 	// Handoffs counts frames handed to another shard over an SPSC ring.
@@ -361,6 +379,8 @@ func (s WireSnapshot) Merge(o WireSnapshot) WireSnapshot {
 		SendBytes:   s.SendBytes + o.SendBytes,
 		SendDropped: s.SendDropped + o.SendDropped,
 
+		RecvCoalesced: s.RecvCoalesced + o.RecvCoalesced,
+		SendSegmented: s.SendSegmented + o.SendSegmented,
 		RecvDelivered: s.RecvDelivered + o.RecvDelivered,
 		Handoffs:      s.Handoffs + o.Handoffs,
 		HandoffDrops:  s.HandoffDrops + o.HandoffDrops,

@@ -265,7 +265,8 @@ func (d *Daemon) TCPAddr() string {
 func (d *Daemon) Node() *node.Node { return d.node }
 
 // WireStats returns the UDP underlay's datagram counters (batches,
-// packets, bytes per direction); safe from any goroutine.
+// packets, bytes per direction, and how many datagrams left segmented
+// and arrived coalesced); safe from any goroutine.
 func (d *Daemon) WireStats() metrics.WireSnapshot { return d.udp.Stats() }
 
 // SchedStats returns the node's fair-scheduler accounting — drops by

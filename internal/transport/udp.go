@@ -54,9 +54,12 @@ import (
 //   - Send: frames produced within one event-loop turn accumulate in
 //     the flow's shard tx ring; a single flush posted on that shard's
 //     executor hands the whole turn's frames to the kernel at once
-//     (sendmmsg on Linux through the shard's own socket, a write loop
-//     elsewhere), so tx kernel crossings run on shard cores instead of
-//     stealing protocol time.
+//     (sendmmsg on Linux through the shard's own socket, each run of
+//     equal-sized frames to one peer a single UDP_SEGMENT message; a
+//     write loop elsewhere), so tx kernel crossings run on shard cores
+//     instead of stealing protocol time. The Linux reader asks for
+//     UDP_GRO and splits what the kernel coalesced before the loop below
+//     sees it.
 //
 // All per-direction batch/packet/byte counters live in per-shard
 // metrics.WireStats; Stats aggregates them race-free.
@@ -591,10 +594,11 @@ func (s *udpShard) flush() {
 			// The writer's header arrays are single-flush state; the shard
 			// loop serializes flushes, so this is uncontended there.
 			s.writeMu.Lock()
-			sent, dropped, bytes := s.writer.send(frames)
+			sent, dropped, segmented, bytes := s.writer.send(frames)
 			s.writeMu.Unlock()
 			s.stats.SendBatches.Add(1)
 			s.stats.SendPackets.Add(uint64(sent))
+			s.stats.SendSegmented.Add(uint64(segmented))
 			s.stats.SendBytes.Add(bytes)
 			if dropped > 0 {
 				s.stats.SendDropped.Add(uint64(dropped))
@@ -739,6 +743,7 @@ func (u *UDPUnderlay) readLoop(k int) {
 		}
 		arrival.stats.RecvBatches.Add(1)
 		arrival.stats.RecvPackets.Add(uint64(n))
+		arrival.stats.RecvCoalesced.Add(uint64(br.coalesced))
 		arrival.stats.RecvBytes.Add(bytes)
 		for t := touched; t != 0; {
 			s := bits.TrailingZeros64(t)

@@ -46,6 +46,8 @@ type batchReader struct {
 
 	addrs []netip.AddrPort
 	lens  []int
+	// coalesced is always 0: a datagram read here arrived on its own.
+	coalesced int
 }
 
 func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
@@ -84,9 +86,10 @@ func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {
 	return &batchWriter{conn: conn}, nil
 }
 
-// send hands frames to the kernel in order. Errors are indistinguishable
-// from loss, like IP: the frame is counted dropped and the flush goes on.
-func (bw *batchWriter) send(frames []outFrame) (sent, dropped int, bytes uint64) {
+// send hands frames to the kernel in order, one datagram per call, so
+// none is ever segmented. Errors are indistinguishable from loss, like IP:
+// the frame is counted dropped and the flush goes on.
+func (bw *batchWriter) send(frames []outFrame) (sent, dropped, segmented int, bytes uint64) {
 	for _, f := range frames {
 		if _, err := bw.conn.WriteToUDPAddrPort(f.buf.B, f.to); err != nil {
 			dropped++
@@ -95,5 +98,5 @@ func (bw *batchWriter) send(frames []outFrame) (sent, dropped int, bytes uint64)
 		sent++
 		bytes += uint64(len(f.buf.B))
 	}
-	return sent, dropped, bytes
+	return sent, dropped, 0, bytes
 }

@@ -311,9 +311,10 @@ func TestUDPUnderlaySendRingOverflow(t *testing.T) {
 }
 
 // TestBatchSyscallAllocBudget holds one kernel crossing each way — a
-// sendmmsg flush of eight datagrams and the recvmmsg reads that drain them
-// — to zero allocations: the netpoller callbacks are bound once per socket
-// and report through the reader's and writer's own fields.
+// sendmmsg flush of eight datagrams (one segmented message where the
+// kernel takes UDP_SEGMENT) and the recvmmsg reads that drain them — to
+// zero allocations: the netpoller callbacks are bound once per socket and
+// report through the reader's and writer's own fields.
 func TestBatchSyscallAllocBudget(t *testing.T) {
 	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -340,7 +341,7 @@ func TestBatchSyscallAllocBudget(t *testing.T) {
 		frames[i] = outFrame{to: to, buf: &wire.Buf{B: make([]byte, 1200)}}
 	}
 	batch := func() {
-		if sent, dropped, _ := bw.send(frames); sent != len(frames) || dropped != 0 {
+		if sent, dropped, _, _ := bw.send(frames); sent != len(frames) || dropped != 0 {
 			t.Fatalf("sent %d, dropped %d of %d", sent, dropped, len(frames))
 		}
 		for got := 0; got < len(frames); {
@@ -350,6 +351,11 @@ func TestBatchSyscallAllocBudget(t *testing.T) {
 			}
 			got += n
 		}
+	}
+	// A read that miscounts blocks for good; the deadline turns it into
+	// an error.
+	if err := rx.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
 	batch()
 	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
