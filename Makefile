@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet test test-race race cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
+.PHONY: all check build fmt vet test test-race race stress cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
 
 all: check
 
@@ -35,7 +35,8 @@ test:
 # (runtime admission of a peer homed off shard 0 among it) and the node's
 # shard-crossing tests (decision parity between shard 0 and a snapshot
 # shard, control payloads surfacing on a data shard, the crossing rings'
-# order, overflow, shutdown and all-pairs stress, admitted-peer homing)
+# order, overflow, shutdown and all-pairs stress, admitted-peer homing,
+# frames the ownership rule never sends a data shard)
 # pinned at four protocol shards: the auto shard count collapses to one on
 # single-core CI runners, and the engine's shard crossings (per-shard link
 # sessions, COW snapshot readers, per-pair hand-off rings) must be
@@ -43,9 +44,17 @@ test:
 test-race:
 	$(GO) test -race ./...
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestDaemon' ./internal/transport/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted|TestCrossing|TestDataPlaneCloseReleasesCrossings|TestAdmittedPeerIsHomedByHash' ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted|TestCrossing|TestDataPlaneCloseReleasesCrossings|TestAdmittedPeerIsHomedByHash|TestMisroutedFrameIsDropped' ./internal/node/
 
 race: test-race
+
+# Repetition for the cross-loop code, kept out of check (about 30 s): the
+# all-pairs crossing stress at four shards and the hand-off primitive both
+# rings are built on, 200 runs each under the race detector. A flake that
+# shows once in tens of runs fails here.
+stress:
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestCrossingStress ./internal/node/
+	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
 
 cover:
 	$(GO) test -cover ./...

@@ -10,7 +10,8 @@
 // Wire mode (-wire) skips the daemon and binds a sharded UDP underlay
 // directly, pairing with sonet-send -wire to reproduce the EXP-WIRE
 // multi-shard scaling measurement from the command line. Flow f is
-// expected from -peer-base's port plus f; the summary reports the
+// expected from -peer-base's port plus f and registered under a peer id
+// homed on that port's shard (port mod shards); the summary reports the
 // aggregate delivery rate and each shard's packet/delivery/handoff
 // counters.
 //
@@ -131,9 +132,16 @@ func runWire(bind, peerBase string, shards, flows int, expect uint64) int {
 		return 1
 	}
 	defer func() { _ = u.Close() }()
+	// A peer's frames are delivered on its home shard, so flow f gets an id
+	// homed on the shard the steering program picks for its source port
+	// (port mod shards): every frame then stays on the shard it arrived on.
+	next := make([]wire.NodeID, u.NumShards())
 	for f := 0; f < flows; f++ {
-		addr := netip.AddrPortFrom(base.Addr(), base.Port()+uint16(f)).String()
-		if err := u.AddPeer(wire.NodeID(f+1), addr); err != nil {
+		port := base.Port() + uint16(f)
+		s := int(port) % u.NumShards()
+		id := wire.HomedID(max(next[s], 1), s, u.NumShards())
+		next[s] = id + 1
+		if err := u.AddPeer(id, netip.AddrPortFrom(base.Addr(), port).String()); err != nil {
 			fmt.Fprintf(os.Stderr, "sonet-recv: %v\n", err)
 			return 1
 		}

@@ -3,11 +3,43 @@ package sonet
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sonet/internal/wire"
 )
+
+// await polls cond until it holds, failing the test after d with what
+// never happened.
+func await(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// awaitRoute sends best-effort probes from c until one reaches a
+// throwaway client at node dst, served by at: the overlay has converged.
+func awaitRoute(t *testing.T, c *RemoteClient, at *Daemon, dst NodeID) {
+	t.Helper()
+	var got atomic.Bool
+	probe, err := DialDaemon(at.TCPAddr(), 0, func(Delivery) { got.Store(true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = probe.Close() }()
+	f, err := c.OpenFlow(FlowSpec{To: dst, ToPort: probe.Port()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, 10*time.Second, "a route to the destination", func() bool {
+		_ = f.Send([]byte("probe"))
+		return got.Load()
+	})
+}
 
 // TestPublicDaemonAPI boots a three-daemon chain over loopback UDP via
 // the public API and streams a reliable flow across it.
@@ -65,26 +97,18 @@ func TestPublicDaemonAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	time.Sleep(200 * time.Millisecond) // hello convergence
+	awaitRoute(t, send, daemons[3], 3)
 	const n = 30
 	for i := 0; i < n; i++ {
 		if err := flow.Send([]byte("deployed")); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await(t, 5*time.Second, "every message delivered", func() bool {
 		mu.Lock()
-		count := len(got)
-		mu.Unlock()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d", count, n)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(got) == n
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	for i, d := range got {
@@ -103,12 +127,9 @@ func TestPublicDaemonAPI(t *testing.T) {
 	}
 	// Read on the control loop: by the first refresh (2 s) the relay has
 	// passed an end daemon's advertisement on to the other.
-	for deadline := time.Now().Add(5 * time.Second); daemons[2].Stats().Control.FloodedLSAs == 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("relay daemon flooding account %+v", daemons[2].Stats().Control)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	await(t, 5*time.Second, "the relay daemon to flood an LSA", func() bool {
+		return daemons[2].Stats().Control.FloodedLSAs > 0
+	})
 }
 
 // TestPublicDaemonSchedStats streams an intrusion-tolerant flow between
@@ -155,26 +176,18 @@ func TestPublicDaemonSchedStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	time.Sleep(200 * time.Millisecond) // hello convergence
+	awaitRoute(t, send, daemons[2], 2)
 	const n = 25
 	for i := 0; i < n; i++ {
 		if err := flow.Send([]byte("fair")); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await(t, 5*time.Second, "every message delivered", func() bool {
 		mu.Lock()
-		got := count
-		mu.Unlock()
-		if got == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d", got, n)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return count == n
+	})
 	st := daemons[1].SchedStats()
 	if st.Enqueued < n || st.Transmitted < n {
 		t.Fatalf("sender scheduler accounting = %+v, want >= %d enqueued and transmitted", st, n)
@@ -218,10 +231,5 @@ func TestPublicDaemonStatsShowDrops(t *testing.T) {
 	if _, err := stranger.WriteTo(data, to); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); d.Stats().DroppedUnknownPeer != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("stats %+v, want DroppedUnknownPeer 1", d.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	await(t, 5*time.Second, "DroppedUnknownPeer 1", func() bool { return d.Stats().DroppedUnknownPeer == 1 })
 }

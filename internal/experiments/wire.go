@@ -129,11 +129,11 @@ func closeFlows(flows []*wireFlow) {
 }
 
 // wireRigID is the id a rig's flows know their receiver by; the receiver
-// knows flow f as peer f+1.
+// knows flow f as a peer homed on shard f.
 const wireRigID = wire.NodeID(200)
 
 // wireRig is the loopback arena of the production data plane: an N-shard
-// transport.UDPUnderlay receiver and one flow per shard, pinned to it.
+// transport.UDPUnderlay receiver and one flow per shard, homed on it.
 // EXP-WIRE, BenchmarkUDPTransport and the wire allocation budget all
 // pump this rig; the batched-vs-per-packet rows use its one-shard inline
 // form.
@@ -153,8 +153,8 @@ func newWireRig(shards int, inline bool, payload []byte) (*wireRig, error) {
 		r.loops = sim.NewShardedLoop(shards)
 		execs = r.loops.Executors()
 	}
-	rx, err := transport.NewShardedUDPUnderlay("127.0.0.1:0", execs, func(_ int, from wire.NodeID, _ []byte) {
-		r.flows[from-1].hit()
+	rx, err := transport.NewShardedUDPUnderlay("127.0.0.1:0", execs, func(shard int, _ wire.NodeID, _ []byte) {
+		r.flows[shard].hit()
 	})
 	if err != nil {
 		r.close()
@@ -166,11 +166,7 @@ func newWireRig(shards int, inline bool, payload []byte) (*wireRig, error) {
 		return nil, err
 	}
 	for f, fl := range r.flows {
-		id := wire.NodeID(f + 1)
-		if err := rx.AddPeer(id, fl.tx.LocalAddr()); err == nil {
-			err = rx.PinFlow(id, f)
-		}
-		if err != nil {
+		if err := rx.AddPeer(wire.HomedID(1, f, len(r.flows)), fl.tx.LocalAddr()); err != nil {
 			r.close()
 			return nil, err
 		}
@@ -470,7 +466,7 @@ func WireThroughput(seed uint64) *Result {
 		batchedAllocs, baselineAllocs)
 
 	// Multi-shard scaling rows (video payloads): the sharded receiver
-	// with one pinned flow per shard, each pumped by its own producer. On
+	// with one flow homed on each shard, each pumped by its own producer. On
 	// a multi-core machine the Linux plane scales near-linearly until
 	// cores saturate; the asserted shape is only the accounting —
 	// loss-free delivery with every frame counted by exactly one shard —

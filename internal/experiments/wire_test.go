@@ -70,8 +70,8 @@ func benchPump(b *testing.B, flows []*wireFlow) {
 // loopback with video-sized payloads: coalesced sendmmsg flushes on the
 // way out, recvmmsg batch reads plus snapshot sender lookup on the way
 // in, per-flow shard placement in between. The shards=N variants drive N
-// pinned flows from N producers into an N-shard receiver — EXP-WIRE's
-// scaling rows under the testing.B clock. On a multi-core machine with
+// flows, one homed on each shard, from N producers into an N-shard
+// receiver — EXP-WIRE's scaling rows under the testing.B clock. On a multi-core machine with
 // the Linux plane each flow's socket, event loop, and counters are private
 // to one shard, so throughput scales with shards until cores or loopback
 // saturate.
@@ -105,8 +105,8 @@ func BenchmarkUDPBatchRead(b *testing.B) {
 // transport.TestBatchSyscallAllocBudget holds that at zero). What the
 // budget leaves room for is the rig's own: the pump's stall timer and the
 // sender's turn-queue closure, four objects per 64-datagram window. It
-// holds per shard count — the SPSC handoff rings and pooled drain runners
-// must not add garbage when delivery fans across shards.
+// holds per shard count — the sim.Handoff rings and their drains must not
+// add garbage when delivery fans across shards.
 func TestUDPTransportAllocBudget(t *testing.T) {
 	skipAllocsUnderRace(t)
 	const budget = 0.1

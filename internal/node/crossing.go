@@ -1,22 +1,18 @@
 package node
 
 import (
-	"sync/atomic"
-
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
 
 // Shard crossings. Work one shard has for another loop travels as a
-// by-value record over a bounded ring owned by the ordered pair (from,
-// to): the producing loop pushes, rings an atomic doorbell, and only the
-// push that finds the doorbell clear posts the ring's one pre-allocated
-// drain runner — a lone record leaves at once, a burst crosses with one
-// post, and the steady state allocates nothing (the same shape as the UDP
-// underlay's reader→shard hand-off). The target loop runs each record with
-// its packet borrowed, then releases the buffer that backs it. A full ring
-// refuses the record: overload between shards is a counted outcome, never
-// a longer queue.
+// by-value record over the sim.Handoff owned by the ordered pair (from,
+// to) — the same hand-off the UDP underlay's readers use toward the
+// shards: the producing loop pushes and rings, a burst crosses with one
+// post, and the steady state allocates nothing. The target loop runs each
+// record with its packet borrowed, then releases the buffer that backs it.
+// A full ring refuses the record: overload between shards is a counted
+// outcome, never a longer queue.
 
 // crossingRingCap bounds each pair's ring: many full receive batches of
 // headroom before overload sheds.
@@ -40,18 +36,15 @@ const (
 	crossHandoff
 	// crossControl hands a control payload to the managers on shard 0.
 	crossControl
-	// crossReplay re-enters raw frame bytes at the target's underlay entry
-	// point (a hello a data shard saw, a frame that missed its home).
-	crossReplay
 )
 
-// crossing is one record. p's byte fields alias buf; a replay carries the
-// raw frame in buf and no packet.
+// crossing is one record; buf backs p's byte fields, and is nil when p
+// has none.
 type crossing struct {
 	kind crossKind
 	// firstSeen is the arrival shard's dedup verdict (hand-off).
 	firstSeen bool
-	// neighbor is the next hop (egress) or the sender (control, replay).
+	// neighbor is the next hop (egress) or the sender (control).
 	neighbor wire.NodeID
 	// arrived is the arrival link (hand-off).
 	arrived wire.LinkID
@@ -59,16 +52,8 @@ type crossing struct {
 	buf     *wire.Buf
 }
 
-// crossRing is one ordered pair's ring, doorbell and drain runner.
-type crossRing struct {
-	ring *sim.SPSC[crossing]
-	bell atomic.Bool
-	to   *DataShard
-	loop *sim.Loop
-	// cur holds the record being run; it lives here rather than on the
-	// drain's stack because link protocols take the packet's address.
-	cur crossing
-}
+// crossRing is one ordered pair's hand-off.
+type crossRing = sim.Handoff[crossing]
 
 // ringTo returns this shard's ring toward target if it can take a record
 // now, building it on first use; nil means refuse (ring full, or this
@@ -79,14 +64,11 @@ func (s *DataShard) ringTo(target int) *crossRing {
 	}
 	r := s.out[target].Load()
 	if r == nil {
-		r = &crossRing{
-			ring: sim.NewSPSC[crossing](crossingRingCap),
-			to:   s.plane.shards[target],
-			loop: s.plane.loops.Shard(target),
-		}
+		r = sim.NewHandoff(crossingRingCap, crossingDrainQuota,
+			s.plane.loops.Shard(target), s.plane.shards[target].accept)
 		s.out[target].Store(r)
 	}
-	if r.ring.Len() == r.ring.Cap() {
+	if r.Len() == r.Cap() {
 		return nil
 	}
 	return r
@@ -100,38 +82,9 @@ func (s *DataShard) cross(target int, c crossing, p *wire.Packet) bool {
 		return false
 	}
 	c.buf = wire.CapturePacket(&c.p, p, wire.DefaultBufPool)
-	r.push(c)
+	r.Push(c)
+	r.Ring()
 	return true
-}
-
-// push enqueues a record ringTo found room for and rings the doorbell.
-func (r *crossRing) push(c crossing) {
-	r.ring.Push(c)
-	r.post()
-}
-
-// post rings the doorbell: the first caller to find it clear posts the
-// drain; everyone else knows one is already queued or running.
-func (r *crossRing) post() {
-	if r.bell.CompareAndSwap(false, true) {
-		r.loop.PostRunner(r)
-	}
-}
-
-// Run implements sim.Runner on the target shard's loop.
-func (r *crossRing) Run() {
-	r.bell.Store(false)
-	for i := 0; i < crossingDrainQuota; i++ {
-		var ok bool
-		if r.cur, ok = r.ring.Pop(); !ok {
-			break
-		}
-		r.to.accept(&r.cur)
-	}
-	r.cur = crossing{}
-	if !r.ring.Empty() {
-		r.post()
-	}
 }
 
 // accept runs one record on this shard's loop and releases its buffer; a
@@ -148,8 +101,6 @@ func (s *DataShard) accept(c *crossing) {
 			s.n.engine.PublishIfDirty()
 		case crossControl:
 			s.n.handleControl(c.neighbor, &c.p)
-		case crossReplay:
-			s.handleUnderlay(c.neighbor, c.buf.B)
 		}
 	}
 	if c.buf != nil {
@@ -162,9 +113,7 @@ func (s *DataShard) accept(c *crossing) {
 func (s *DataShard) drainInbound() {
 	for _, from := range s.plane.shards {
 		if r := from.out[s.idx].Load(); r != nil {
-			for !r.ring.Empty() {
-				r.Run()
-			}
+			r.Drain()
 		}
 	}
 }

@@ -218,8 +218,8 @@ func TestDataPlaneCloseReleasesCrossings(t *testing.T) {
 	}
 	for _, from := range r.n.plane.shards {
 		for to := range from.out {
-			if ring := from.out[to].Load(); ring != nil && !ring.ring.Empty() {
-				t.Errorf("ring %d→%d still holds %d records after Close", from.idx, to, ring.ring.Len())
+			if ring := from.out[to].Load(); ring != nil && !ring.Empty() {
+				t.Errorf("ring %d→%d still holds %d records after Close", from.idx, to, ring.Len())
 			}
 		}
 	}
@@ -338,9 +338,9 @@ func TestCrossingStress(t *testing.T) {
 }
 
 // TestAdmittedPeerIsHomedByHash is the regression test for runtime
-// admission homing every new peer on shard 0 while the daemon pinned its
-// underlay flow to wire.HomeShard: every data frame the peer sent then
-// arrived off its home and was replayed, copy and post, to shard 0.
+// admission homing every new peer on shard 0 while the underlay delivered
+// its frames on wire.HomeShard: every data frame the peer sent then
+// arrived off its home.
 func TestAdmittedPeerIsHomedByHash(t *testing.T) {
 	const frames = 32
 	r := newShardRig(t, nil)
@@ -361,8 +361,8 @@ func TestAdmittedPeerIsHomedByHash(t *testing.T) {
 		r.inject(1, peer, unicast(peer, r.a1, uint32(i+1)))
 	}
 	out := r.outcome()
-	if out.Stats.Replayed != 0 || out.Stats.DroppedUnknownPeer != 0 {
-		t.Fatalf("admitted peer's frames on shard %d: %+v; want none replayed, none unknown",
+	if out.Stats.DroppedUnknownPeer != 0 {
+		t.Fatalf("admitted peer's frames on shard %d: %+v; want none unknown",
 			wire.HomeShard(peer, nshard), out.Stats)
 	}
 	if len(out.Egress) != frames {
@@ -374,6 +374,29 @@ func TestAdmittedPeerIsHomedByHash(t *testing.T) {
 				t.Errorf("ring %d→%d exists: a frame crossed shards", from.idx, to)
 			}
 		}
+	}
+}
+
+// TestMisroutedFrameIsDropped feeds a data shard the two frames the
+// ownership rule never sends it — a hello, which is shard 0's, and a data
+// frame from a peer homed on shard 1 — and requires both counted as
+// unknown-peer drops, with no link endpoint built and nothing delivered
+// or sent.
+func TestMisroutedFrameIsDropped(t *testing.T) {
+	t.Setenv("SONET_DAEMON_SHARDS", "4")
+	r := newShardRig(t, nil)
+	r.inject(2, r.a1, &wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FHello})
+	r.inject(2, r.a1, unicast(r.a1, r.self, 1))
+	if out := r.outcome(); out.Stats != (Stats{DroppedUnknownPeer: 2}) || len(out.Local) != 0 || len(out.Egress) != 0 {
+		t.Fatalf("%d deliveries, %d transmissions, %+v; want nothing but two unknown-peer drops",
+			len(out.Local), len(out.Egress), out.Stats)
+	}
+	for _, s := range r.n.plane.shards[1:] {
+		r.on(s.idx, func() {
+			if n := len(s.peers[r.a1].protos); n != 0 {
+				t.Errorf("shard %d built %d link endpoints for the misrouted peer", s.idx, n)
+			}
+		})
 	}
 }
 

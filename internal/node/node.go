@@ -114,17 +114,14 @@ type Stats struct {
 	// DroppedAuth counts packets and frames failing authentication.
 	DroppedAuth uint64
 	// DroppedUnknownPeer counts frames from, and packets toward, a node
-	// the handling shard has no link entry for.
+	// the handling shard has no link entry for, and frames that reached a
+	// data shard the ownership rule did not name (a hello, or a peer homed
+	// elsewhere).
 	DroppedUnknownPeer uint64
-	// DroppedCrossing counts packets and frames refused by a full
-	// shard-crossing ring (transit egress, local delivery, hand-off,
-	// control, replay); a refused originated egress is backpressure, not
-	// counted here.
+	// DroppedCrossing counts packets refused by a full shard-crossing ring
+	// (transit egress, local delivery, hand-off, control); a refused
+	// originated egress is backpressure, not counted here.
 	DroppedCrossing uint64
-	// Replayed counts frames a shard passed to the shard that owns them: a
-	// hello a data shard saw, or a peer's frame arriving off its home.
-	// Steady growth means underlay steering and peer homing disagree.
-	Replayed uint64
 	// DroppedMalformed counts input that failed to decode: a frame the wire
 	// codec rejected, or a link-state, group-state or membership payload its
 	// manager rejected.

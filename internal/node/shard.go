@@ -21,14 +21,20 @@
 //   - Where work runs: work for the loop a shard is already on is a
 //     direct call; anything for another loop is one record on the bounded
 //     ring the two shards share (crossing.go), its packet captured into a
-//     pooled buffer the target borrows and releases. That covers a frame
-//     for a peer homed elsewhere (replayed on the home shard), hellos and
-//     control payloads surfacing on a data shard (to shard 0), egress
-//     toward a neighbor homed elsewhere (to its home, which owns the link
-//     session), and local delivery (to shard 0, where the session level
-//     lives). A full ring refuses the record: an originated packet counts
-//     the egress as refused, which is backpressure when no other egress
-//     took it; anything else counts Stats.DroppedCrossing.
+//     pooled buffer the target borrows and releases. That covers control
+//     payloads surfacing on a data shard (to shard 0), egress toward a
+//     neighbor homed elsewhere (to its home, which owns the link session),
+//     and local delivery (to shard 0, where the session level lives). A
+//     full ring refuses the record: an originated packet counts the egress
+//     as refused, which is backpressure when no other egress took it;
+//     anything else counts Stats.DroppedCrossing.
+//
+// Frames themselves never cross. The underlay delivers each one on the
+// shard the ownership rule names — hellos and control floods on shard 0,
+// everything else on the sender's home — so a frame that reaches a data
+// shard the rule did not name is counted DroppedUnknownPeer and dropped,
+// like a frame from a node the shard does not know. Shard 0 serves any
+// neighbor.
 //
 // Packets are borrowed all the way up: the delivery sink (Node.SetDeliver)
 // gets the packet the link protocol handed over, valid for the call only,
@@ -190,8 +196,8 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 
 // admit registers a neighbor on every shard, homed by wire.HomeShard over
 // the shards the plane has now: the startup neighbors land on shard 0 and
-// Grow re-homes them; a peer admitted at runtime gets the home the daemon
-// pinned its underlay flow to. Runs on the control loop.
+// Grow re-homes them; a peer admitted at runtime gets the home its
+// underlay delivers its frames on. Runs on the control loop.
 //
 // The other shards learn the entry by a posted closure, not a crossing
 // record: it must not be refused, and nothing orders it against records.
@@ -373,21 +379,6 @@ func (s *DataShard) close() {
 	}
 }
 
-// replay re-enters raw frame bytes at another shard's underlay entry point
-// (hellos a data shard still saw, or frames for a peer homed elsewhere
-// after a steering change).
-func (s *DataShard) replay(target int, from wire.NodeID, data []byte) {
-	r := s.ringTo(target)
-	if r == nil {
-		s.stats.DroppedCrossing++
-		return
-	}
-	s.stats.Replayed++
-	buf := wire.DefaultBufPool.Get(len(data))
-	buf.B = append(buf.B, data...)
-	r.push(crossing{kind: crossReplay, neighbor: from, buf: buf})
-}
-
 // handleUnderlay decodes and dispatches one frame on this shard's loop.
 func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
 	cfg := &s.n.cfg
@@ -404,25 +395,23 @@ func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
 		return
 	}
 	if f.Kind == wire.FHello || f.Kind == wire.FHelloAck {
-		// Liveness probes belong to the control loop's link-state manager.
+		// Liveness probes belong to the control loop's link-state manager;
+		// the ownership rule never names a data shard for one.
 		if s.idx != 0 {
-			s.replay(0, from, data)
+			s.stats.DroppedUnknownPeer++
 			return
 		}
 		s.n.lsMgr.HandleControl(from, f)
 		return
 	}
 	pr, ok := s.peers[from]
-	switch {
-	case !ok:
+	if !ok || s.idx != 0 && pr.home != s.idx {
+		// Not a neighbor, or one homed on another shard: this shard owns no
+		// link session the frame could belong to.
 		s.stats.DroppedUnknownPeer++
-	case s.idx != 0 && pr.home != s.idx:
-		// Not homed here (steering change in flight): the owning link
-		// session must see it.
-		s.replay(pr.home, from, data)
-	default:
-		s.protoFor(pr, f.Proto).HandleFrame(f)
+		return
 	}
+	s.protoFor(pr, f.Proto).HandleFrame(f)
 }
 
 // receiveFromLink accepts a routing-level packet delivered by a link
@@ -719,7 +708,6 @@ func (s Stats) Merge(o Stats) Stats {
 		DroppedAuth:        s.DroppedAuth + o.DroppedAuth,
 		DroppedUnknownPeer: s.DroppedUnknownPeer + o.DroppedUnknownPeer,
 		DroppedCrossing:    s.DroppedCrossing + o.DroppedCrossing,
-		Replayed:           s.Replayed + o.Replayed,
 		DroppedMalformed:   s.DroppedMalformed + o.DroppedMalformed,
 		Blackholed:         s.Blackholed + o.Blackholed,
 	}

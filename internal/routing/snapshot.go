@@ -3,7 +3,6 @@ package routing
 import (
 	"sync/atomic"
 
-	"sonet/internal/topology"
 	"sonet/internal/wire"
 )
 
@@ -17,18 +16,18 @@ import (
 // snapshot swaps as one pointer, a reader can never observe a next hop
 // from one SPF paired with a tree or usability column from another —
 // Version and Check stamp both ends of the struct so tests can assert
-// exactly that.
+// exactly that. A snapshot shares no memory with the engine, its view or
+// the topology graph, which keep changing on the control shard (runtime
+// admission adds nodes) while data shards read.
 type Snapshot struct {
 	// Version numbers the publication; it increments on every Publish.
 	Version uint64
 	// Self is the node the snapshot belongs to.
 	Self wire.NodeID
-	// Graph is the designed topology (immutable after configuration); it
-	// provides the dense node index next hops resolve through.
-	Graph *topology.Graph
-	// NextHop maps dense node index → unicast next hop. A hop with OK
-	// false means the destination was unreachable at publication.
-	NextHop []SnapHop
+	// NextHop maps each destination reachable at publication to the
+	// incident link toward its next hop; a missing destination is dropped
+	// (no route).
+	NextHop map[wire.NodeID]wire.LinkID
 	// Flood is the constrained-flooding link mask at publication.
 	Flood wire.Bitmask
 	// Incident lists the node's incident links and whether the shared view
@@ -48,14 +47,6 @@ type Snapshot struct {
 	Check uint64
 }
 
-// SnapHop is one unicast next-hop entry.
-type SnapHop struct {
-	// Link is the incident link toward the next-hop node.
-	Link wire.LinkID
-	// OK reports reachability; a false entry means drop (no route).
-	OK bool
-}
-
 // SnapIncident is one incident-link entry for mask and flood fan-out.
 type SnapIncident struct {
 	// Link is the incident link id (the bit tested against masks).
@@ -72,11 +63,8 @@ type TreeKey struct {
 
 // nextHop returns the link of the unicast next hop toward dst.
 func (s *Snapshot) nextHop(dst wire.NodeID) (wire.LinkID, bool) {
-	i, ok := s.Graph.NodeIndex(dst)
-	if !ok || i >= len(s.NextHop) || !s.NextHop[i].OK {
-		return 0, false
-	}
-	return s.NextHop[i].Link, true
+	lid, ok := s.NextHop[dst]
+	return lid, ok
 }
 
 func (s *Snapshot) floodMask() wire.Bitmask { return s.Flood }
@@ -151,8 +139,7 @@ func (e *Engine) Publish() {
 	snap := &Snapshot{
 		Version: e.pubVersion,
 		Self:    e.self,
-		Graph:   g,
-		NextHop: make([]SnapHop, n),
+		NextHop: make(map[wire.NodeID]wire.LinkID, n),
 		Flood:   v.FloodMask(),
 	}
 	for i := 0; i < n; i++ {
@@ -161,7 +148,7 @@ func (e *Engine) Publish() {
 			continue
 		}
 		if lid, ok := e.nextHop(dst); ok {
-			snap.NextHop[i] = SnapHop{Link: lid, OK: true}
+			snap.NextHop[dst] = lid
 		}
 	}
 	inc := g.Incident(e.self)

@@ -1,9 +1,13 @@
 package routing
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sonet/internal/wire"
 )
@@ -37,8 +41,8 @@ func TestSnapshotPublishContent(t *testing.T) {
 	if snap.Torn() {
 		t.Fatalf("fresh snapshot torn: version %d check %d", snap.Version, snap.Check)
 	}
-	if len(snap.NextHop) != g.NumNodes() {
-		t.Fatalf("next-hop table %d entries, want %d", len(snap.NextHop), g.NumNodes())
+	if len(snap.NextHop) != g.NumNodes()-1 {
+		t.Fatalf("next-hop table %d entries, want one per other node, %d", len(snap.NextHop), g.NumNodes()-1)
 	}
 	hop, ok := snap.nextHop(4)
 	if !ok || hop != linkID(t, g, 1, 2) {
@@ -104,6 +108,85 @@ func TestSnapshotTreeMissThenDirtyRepublish(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharesNothing publishes a snapshot, then changes everything
+// the engine reads — nodes and links added to the graph as runtime
+// admission adds them, links cut, group membership and local groups
+// changed, trees recomputed and republished — and requires every answer
+// the old snapshot gives, for every destination, to be what it was.
+func TestSnapshotSharesNothing(t *testing.T) {
+	g, views, grp, engines := diamondWorld(t)
+	grp.local[7] = true
+	grp.members[7] = []wire.NodeID{1, 4}
+	e := engines[1]
+	var cell atomic.Pointer[Snapshot]
+	e.SetPublishTarget(&cell)
+	e.Decide(&wire.Packet{Route: wire.RouteMulticast, Src: 2, Group: 7}, NoLink, true)
+	e.Publish()
+	snap := cell.Load()
+	dsts := []wire.NodeID{1, 2, 3, 4, 5, 6, 99}
+	answers := func() []string {
+		var out []string
+		for _, dst := range dsts {
+			for _, p := range []wire.Packet{
+				{Route: wire.RouteLinkState, Dst: dst},
+				{Route: wire.RouteFlood, Dst: dst},
+				{Route: wire.RouteMulticast, Src: dst, Group: 7},
+				{Route: wire.RouteFlood, Group: wire.GroupID(dst)},
+			} {
+				d, ok := snap.Decide(&p, NoLink, true, nil)
+				out = append(out, fmt.Sprintf("%v %v: %v %v %v", p.Route, dst, d.DeliverLocal, d.Forward, ok))
+			}
+		}
+		return out
+	}
+	before := answers()
+	// A data shard keeps reading while the control shard changes things:
+	// under -race any memory the two share is a reported race.
+	var stop atomic.Bool
+	var passes atomic.Int64
+	moved := make(chan []string, 1)
+	go func() {
+		defer close(moved)
+		for !stop.Load() {
+			if got := answers(); !reflect.DeepEqual(before, got) {
+				moved <- got
+				return
+			}
+			passes.Add(1)
+		}
+	}()
+
+	for _, l := range [][2]wire.NodeID{{4, 5}, {5, 6}, {1, 6}} {
+		if _, err := g.AddLink(l[0], l[1], time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views.view.Grow()
+	views.view.SetUp(linkID(t, g, 1, 2), false)
+	views.view.SetUp(linkID(t, g, 1, 4), false)
+	views.version++
+	grp.local[7], grp.local[5] = false, true
+	grp.members[7] = []wire.NodeID{3, 5, 6}
+	grp.version++
+	e.Invalidate()
+	e.Decide(&wire.Packet{Route: wire.RouteMulticast, Src: 2, Group: 7}, NoLink, true)
+	e.Publish()
+	// Let the reader finish a pass begun after the changes.
+	for p := passes.Load(); passes.Load() < p+2 && len(moved) == 0; {
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	if got, ok := <-moved; ok {
+		t.Fatalf("a reader saw a published snapshot's answers move:\nbefore %q\nduring %q", before, got)
+	}
+	if cell.Load() == snap {
+		t.Fatal("the changes published nothing new")
+	}
+	if after := answers(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a published snapshot's answers moved with the live state:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
 // TestSnapshotRepublishRace flaps a route while readers consume published
 // snapshots, asserting under the race detector that a reader never
 // observes a torn snapshot: the version stamps at both ends must agree,
@@ -141,7 +224,7 @@ func TestSnapshotRepublishRace(t *testing.T) {
 					return
 				}
 				lastVersion = snap.Version
-				if len(snap.NextHop) != g.NumNodes() {
+				if len(snap.NextHop) != g.NumNodes()-1 {
 					errs <- "next-hop table with wrong length"
 					return
 				}
@@ -150,7 +233,7 @@ func TestSnapshotRepublishRace(t *testing.T) {
 					usable[inc.Link] = inc.Usable
 				}
 				for _, hop := range snap.NextHop {
-					if hop.OK && !usable[hop.Link] {
+					if !usable[hop] {
 						errs <- "next hop over a link the same snapshot marks unusable"
 						return
 					}

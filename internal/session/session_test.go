@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -336,6 +337,35 @@ func TestNackEncodingRoundTrip(t *testing.T) {
 	if _, err := unmarshalNack([]byte{0, 7, 3, 132, 0, 9}); err == nil {
 		t.Fatal("nack with missing seqs accepted")
 	}
+}
+
+// FuzzNackDecode feeds arbitrary payloads to the NACK decoder, which reads
+// bytes any overlay node can send: it must not panic, and whatever it
+// accepts must re-marshal to exactly the bytes it consumed.
+func FuzzNackDecode(f *testing.F) {
+	for _, k := range []nack{
+		{origin: 7, port: 900, seqs: []uint32{3, 5, 1 << 30}},
+		{origin: 1, port: 2},
+		{origin: 65535, port: 65535, seqs: make([]uint32, maxNackSeqs)},
+	} {
+		b := k.marshal()
+		f.Add(b)
+		for _, cut := range []int{1, nackHeaderLen - 1, nackHeaderLen, len(b) - 1} {
+			if cut >= 0 && cut < len(b) {
+				f.Add(b[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		k, err := unmarshalNack(src)
+		if err != nil {
+			return
+		}
+		consumed := nackHeaderLen + 4*len(k.seqs)
+		if got := k.marshal(); !bytes.Equal(got, src[:consumed]) {
+			t.Fatalf("decoded %+v re-marshals to %x, consumed %x", k, got, src[:consumed])
+		}
+	})
 }
 
 func TestEphemeralPortWrapAround(t *testing.T) {

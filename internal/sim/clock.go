@@ -101,3 +101,13 @@ type RunnerExecutor interface {
 	// PostRunner enqueues r.Run for execution.
 	PostRunner(r Runner)
 }
+
+// PostRunner enqueues r on exec: without a closure where exec is a
+// RunnerExecutor, as r.Run otherwise.
+func PostRunner(exec Executor, r Runner) {
+	if re, ok := exec.(RunnerExecutor); ok {
+		re.PostRunner(r)
+		return
+	}
+	exec.Post(r.Run)
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,90 @@ func TestSPSCConcurrent(t *testing.T) {
 	if got.Load() != n {
 		t.Fatalf("consumed %d of %d", got.Load(), n)
 	}
+}
+
+// postLog is a RunnerExecutor that keeps what was posted for the test to
+// run by hand.
+type postLog struct{ runners []Runner }
+
+func (p *postLog) Post(fn func())      { p.PostRunner(runnerFunc(fn)) }
+func (p *postLog) PostRunner(r Runner) { p.runners = append(p.runners, r) }
+
+// next runs the oldest posted runner.
+func (p *postLog) next(t *testing.T) {
+	t.Helper()
+	if len(p.runners) == 0 {
+		t.Fatal("no drain posted")
+	}
+	r := p.runners[0]
+	p.runners = p.runners[1:]
+	r.Run()
+}
+
+// TestHandoff covers the hand-off's contract: FIFO order, one drain posted
+// per empty→non-empty transition however many pushes and rings follow, a
+// drain that stops at its quota and re-posts itself, and Drain emptying
+// the ring on the caller. Its last part streams values from a producer
+// goroutine to a real loop; under -race that checks the doorbell's
+// publication (nothing pushed is left behind by a drain that found the
+// bell set).
+func TestHandoff(t *testing.T) {
+	var exec postLog
+	var got []int
+	h := NewHandoff(8, 3, &exec, func(v *int) { got = append(got, *v) })
+	for i := 1; i <= 5; i++ {
+		h.Push(i)
+		h.Ring()
+	}
+	if len(exec.runners) != 1 {
+		t.Fatalf("five pushes and rings posted %d drains, want 1", len(exec.runners))
+	}
+	exec.next(t)
+	if !slices.Equal(got, []int{1, 2, 3}) || len(exec.runners) != 1 {
+		t.Fatalf("first drain ran %v and posted %d drains; want the quota [1 2 3] and one re-post", got, len(exec.runners))
+	}
+	exec.next(t)
+	if !slices.Equal(got, []int{1, 2, 3, 4, 5}) || len(exec.runners) != 0 {
+		t.Fatalf("second drain ran up to %v and posted %d drains; want [1 … 5] and none", got, len(exec.runners))
+	}
+	h.Push(6)
+	h.Ring()
+	if len(exec.runners) != 1 {
+		t.Fatalf("a push into the emptied ring posted %d drains, want 1", len(exec.runners))
+	}
+	for i := 7; i <= 11; i++ {
+		h.Push(i)
+	}
+	h.Drain()
+	if !h.Empty() || !slices.Equal(got[5:], []int{6, 7, 8, 9, 10, 11}) {
+		t.Fatalf("Drain left %d queued and ran %v, want all of [6 … 11]", h.Len(), got[5:])
+	}
+	exec.next(t) // the drain queued before Drain finds nothing to do
+	if len(got) != 11 || len(exec.runners) != 0 {
+		t.Fatalf("a drain of an empty ring ran %d values and posted %d drains", len(got)-11, len(exec.runners))
+	}
+
+	loop := NewLoop()
+	defer loop.Close()
+	const total = 20000
+	seen, done := 0, make(chan struct{})
+	stream := NewHandoff(64, 16, loop, func(v *int) {
+		if *v != seen {
+			t.Errorf("drain ran %d, want %d", *v, seen)
+		}
+		if seen++; seen == total {
+			close(done)
+		}
+	})
+	for i := 0; i < total; {
+		if stream.Push(i) {
+			i++
+		} else {
+			runtime.Gosched() // full: let the loop drain
+		}
+		stream.Ring()
+	}
+	<-done
 }
 
 // TestShardedLoopDistribution checks that each shard is a live

@@ -2,12 +2,11 @@ package sim
 
 import "sync/atomic"
 
-// SPSC is a bounded single-producer single-consumer ring. The sharded
-// data plane uses it to hand frames from one shard's receive loop to
-// another shard's event loop without taking a lock on either side: the
-// producer owns tail, the consumer owns head, and each side only ever
-// stores its own index. Go's sync/atomic gives the release/acquire
-// ordering that makes the element visible before the index advance.
+// SPSC is a bounded single-producer single-consumer ring, the queue inside
+// every Handoff: the producer owns tail, the consumer owns head, and each
+// side only ever stores its own index, so neither takes a lock. Go's
+// sync/atomic gives the release/acquire ordering that makes the element
+// visible before the index advance.
 //
 // Exactly one goroutine may call Push and exactly one may call Pop; the
 // consumer may change over time (e.g. a drain runner migrating between
@@ -66,4 +65,70 @@ func (r *SPSC[T]) Pop() (T, bool) {
 	r.buf[h&r.mask] = zero
 	r.head.Store(h + 1)
 	return v, true
+}
+
+// Handoff carries work from one goroutine to one event loop: an SPSC ring,
+// a doorbell, and the drain the doorbell posts. Every cross-loop hand-off a
+// sharded daemon makes is one — UDP reader to shard, and shard to shard.
+//
+// The producer pushes (the embedded SPSC's Push) and then rings. Only the
+// ring that finds the doorbell clear posts the drain, so a lone element
+// leaves at once, a burst crosses with one post, and the steady state
+// allocates nothing. On the target loop the drain hands up to quota
+// elements to run and re-posts itself while any remain, so a saturating
+// producer cannot starve the timers and other work sharing that loop.
+type Handoff[T any] struct {
+	*SPSC[T]
+	bell  atomic.Bool
+	exec  Executor
+	quota int
+	run   func(*T)
+	// cur holds the element being run. It lives here rather than on the
+	// drain's stack so run may keep its address for the call (a link
+	// protocol takes a packet's) without an allocation.
+	cur T
+}
+
+// NewHandoff returns a hand-off queueing at least capacity elements whose
+// drain runs on exec, passing at most quota elements to run per turn.
+func NewHandoff[T any](capacity, quota int, exec Executor, run func(*T)) *Handoff[T] {
+	return &Handoff[T]{SPSC: NewSPSC[T](capacity), exec: exec, quota: quota, run: run}
+}
+
+// Ring posts the drain unless one is already queued or running.
+func (h *Handoff[T]) Ring() {
+	if h.bell.CompareAndSwap(false, true) {
+		PostRunner(h.exec, h)
+	}
+}
+
+// Run implements Runner: one drain turn on the target loop.
+func (h *Handoff[T]) Run() {
+	h.bell.Store(false)
+	h.drain()
+	if !h.Empty() {
+		h.Ring()
+	}
+}
+
+// Drain runs every queued element on the calling goroutine, which must be
+// the target loop's. A close path calls it once the producer has stopped,
+// so that nothing the ring holds is left behind.
+func (h *Handoff[T]) Drain() {
+	for !h.Empty() {
+		h.drain()
+	}
+}
+
+// drain runs up to quota queued elements.
+func (h *Handoff[T]) drain() {
+	for i := 0; i < h.quota; i++ {
+		var ok bool
+		if h.cur, ok = h.Pop(); !ok {
+			break
+		}
+		h.run(&h.cur)
+	}
+	var zero T
+	h.cur = zero
 }

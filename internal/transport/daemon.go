@@ -57,9 +57,9 @@ type DaemonConfig struct {
 // also the control loop. Each peer is homed on one shard (wire.HomeShard
 // of its node id), whose loop owns the peer's link sessions and forwards
 // its transit data frames — a transit frame whose next hop shares its
-// arrival shard never crosses a shard boundary. The underlay's decode
-// classifier steers control frames (hellos, link-state, group-state,
-// membership) to shard 0.
+// arrival shard never crosses a shard boundary. The underlay delivers
+// control frames (hellos, link-state, group-state, membership) on shard 0
+// and every other frame on its sender's home.
 type Daemon struct {
 	cfg   DaemonConfig
 	loops *sim.ShardedLoop
@@ -109,7 +109,6 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d.udp = udp
-	udp.SteerControl(true)
 	for id, addrs := range cfg.Peers {
 		if id == cfg.ID {
 			continue
@@ -188,25 +187,21 @@ func (d *Daemon) SteeredRx() bool { return d.udp.SteeredRx() }
 
 // AddPeer registers (or updates) a peer's UDP addresses after start —
 // used when daemons bind ephemeral ports and exchange addresses out of
-// band. The peer's flow is pinned to its home shard — a stable hash of
-// its node id (wire.HomeShard), the shard whose loop owns the peer's
-// link sessions — so re-registration never moves a live flow.
+// band. The underlay homes the peer on wire.HomeShard of its node id, the
+// shard whose loop owns the peer's link sessions, so re-registration
+// never moves a live flow.
 func (d *Daemon) AddPeer(id wire.NodeID, addrs ...string) error {
-	if err := d.udp.AddPeer(id, addrs...); err != nil {
-		return err
-	}
-	return d.udp.PinFlow(id, wire.HomeShard(id, d.udp.NumShards()))
+	return d.udp.AddPeer(id, addrs...)
 }
 
 // RemovePeer unregisters a departed peer from the underlay: its sender
-// addresses and steering pin are dropped, so a node that left the overlay
-// no longer occupies peer-table or shard-steering state. A later AddPeer
-// (rejoin, possibly from new addresses) re-registers and re-pins from
-// scratch.
+// addresses are dropped, so a node that left the overlay no longer
+// occupies peer-table state. A later AddPeer (rejoin, possibly from new
+// addresses) re-registers it.
 func (d *Daemon) RemovePeer(id wire.NodeID) { d.udp.RemovePeer(id) }
 
 // AdmitPeer admits a new overlay neighbor at runtime: the peer's UDP
-// addresses register (pinned to its home shard), the shared topology
+// addresses register (homed on its home shard), the shared topology
 // gains the node and a direct link of the given designed latency, and
 // the daemon's node begins hello probing and re-announces its link
 // state, so the new member is discovered fleet-wide through normal LSA
@@ -241,7 +236,7 @@ func (d *Daemon) LearnLink(a, b wire.NodeID, latencyMs int) error {
 // EvictPeer removes a departed overlay neighbor at runtime: the node
 // withdraws the link (administrative down) and purges the peer's
 // advertisement history on its loop, then the underlay drops the peer's
-// addresses and steering pin.
+// addresses.
 func (d *Daemon) EvictPeer(id wire.NodeID) {
 	done := make(chan struct{})
 	d.loop.Post(func() {
@@ -402,7 +397,7 @@ const (
 	// clientQueueLen bounds the messages queued toward one client.
 	clientQueueLen = 256
 	// clientBatchMax bounds the requests one loop turn runs for one
-	// connection, the same quota the UDP drain runners keep, so a fast
+	// connection, the same quota the UDP hand-off drains keep, so a fast
 	// client cannot starve timers and other connections.
 	clientBatchMax = rxDrainQuota
 	// egressRetain is the largest write buffer a connection keeps between

@@ -55,7 +55,7 @@ func TestDaemonHomesPeersByHash(t *testing.T) {
 	for _, id := range []wire.NodeID{1, 3} {
 		want := int32(wire.HomeShard(id, shards))
 		if got := d.udp.table.Load().peers[id].home; got != want {
-			t.Errorf("peer %d pinned to shard %d, want home %d", id, got, want)
+			t.Errorf("peer %d homed on shard %d, want %d", id, got, want)
 		}
 	}
 	// Re-registering addresses (address exchange repeats out of band) must
@@ -173,10 +173,10 @@ func TestDaemonSteeredArrivalMatchesHome(t *testing.T) {
 }
 
 // TestDaemonAdmittedPeerFramesStayHome admits a peer into a running
-// four-shard daemon and drives data frames from it. AdmitPeer pins the
-// peer's underlay flow to wire.HomeShard, so the node must home its link
+// four-shard daemon and drives data frames from it. The underlay delivers
+// them on wire.HomeShard of the peer's id, so the node must home its link
 // session on the same shard: when it homed admitted peers on shard 0,
-// every one of these frames was replayed there, copy and post.
+// every one of these frames arrived on a shard that did not own it.
 func TestDaemonAdmittedPeerFramesStayHome(t *testing.T) {
 	const shards = 4
 	src := wire.NodeID(3)
@@ -208,8 +208,8 @@ func TestDaemonAdmittedPeerFramesStayHome(t *testing.T) {
 	}}
 	deadline := time.Now().Add(5 * time.Second)
 	for seq := uint32(1); d.NodeStats().DeliveredLocal < sent; seq++ {
-		// The admission reaches the peer's home shard a loop turn after
-		// AdmitPeer returns; frames that beat it count as unknown-peer drops.
+		// The admission is queued on the peer's home shard before AdmitPeer
+		// returns, so every frame sent after it meets the link entry.
 		if time.Now().After(deadline) {
 			t.Fatalf("delivered %d/%d: %+v", d.NodeStats().DeliveredLocal, sent, d.NodeStats())
 		}
@@ -221,9 +221,9 @@ func TestDaemonAdmittedPeerFramesStayHome(t *testing.T) {
 		drv.Send(2, 0, b)
 		time.Sleep(time.Millisecond)
 	}
-	if st := d.NodeStats(); st.Replayed != 0 {
-		t.Fatalf("%d of the admitted peer's frames were replayed off shard %d: %+v",
-			st.Replayed, wire.HomeShard(src, shards), st)
+	if st := d.NodeStats(); st.DroppedUnknownPeer != 0 {
+		t.Fatalf("%d of the admitted peer's frames missed its link session on shard %d: %+v",
+			st.DroppedUnknownPeer, wire.HomeShard(src, shards), st)
 	}
 }
 

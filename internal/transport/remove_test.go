@@ -69,10 +69,6 @@ func TestRemovePeerUnregisters(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return count() == 2 }) {
 		t.Fatal("frame after re-registration not delivered")
 	}
-	// The discarded pin does not survive: re-pinning works from scratch.
-	if err := a.PinFlow(2, 0); err != nil {
-		t.Fatalf("pin after re-register: %v", err)
-	}
 }
 
 // TestRemoveReRegisterRace hammers the copy-on-write peer table from
@@ -127,12 +123,12 @@ func TestRemoveReRegisterRace(t *testing.T) {
 	wg.Wait()
 
 	// Whatever interleaving won, a final re-register must fully restore
-	// the peer: deliverable frames and a pinnable flow.
+	// the peer, home shard included.
 	if err := a.AddPeer(2, addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PinFlow(2, 0); err != nil {
-		t.Fatal(err)
+	if ent := a.table.Load().peers[2]; ent.home != 0 || len(ent.addrs) != 1 {
+		t.Fatalf("re-registered entry %+v, want one address on home shard 0", ent)
 	}
 	sent := a.Stats().SendPackets
 	a.Send(2, 0, []byte("final"))

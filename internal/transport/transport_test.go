@@ -116,10 +116,11 @@ func TestUDPUnderlayIgnoresUnknownSenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	stranger.Send(1, 0, []byte("spoof"))
+	await(t, 2*time.Second, "the spoofed frame counted unknown", func() bool { return a.Stats().RecvUnknown == 1 })
 	select {
 	case <-got:
 		t.Fatal("frame from unregistered sender delivered")
-	case <-time.After(200 * time.Millisecond):
+	default:
 	}
 }
 
@@ -152,27 +153,18 @@ func TestDaemonChainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	// Give hellos a moment to converge, then stream.
-	time.Sleep(200 * time.Millisecond)
+	awaitRoute(t, daemons[3], send, 3)
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := flow.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await(t, 5*time.Second, "every message delivered", func() bool {
 		mu.Lock()
-		count := len(got)
-		mu.Unlock()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d", count, n)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(got) == n
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	for i, d := range got {
@@ -218,28 +210,28 @@ func TestDaemonMulticastOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	time.Sleep(300 * time.Millisecond) // membership flood
+	// The source must route to the far member and know both members from
+	// their flooded announcements before the tree it computes covers them.
+	awaitRoute(t, daemons[3], send, 3)
+	src := daemons[1]
+	await(t, 5*time.Second, "both members in the source's group directory", func() bool {
+		ch := make(chan int, 1)
+		src.loop.Post(func() { ch <- len(src.node.Groups().Members(grp)) })
+		return <-ch == 2
+	})
 	for i := 0; i < 10; i++ {
 		if err := flow.Send([]byte("mc")); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await(t, 5*time.Second, "10 messages at each member", func() bool {
 		mu2.Lock()
 		a := *n2
 		mu2.Unlock()
 		mu3.Lock()
-		b := *n3
-		mu3.Unlock()
-		if a == 10 && b == 10 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("members received %d/%d of 10", a, b)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		defer mu3.Unlock()
+		return a == 10 && *n3 == 10
+	})
 }
 
 func TestDaemonRejectsDuplicatePort(t *testing.T) {
@@ -321,9 +313,11 @@ func TestDaemonFailureTriggersReroute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	time.Sleep(200 * time.Millisecond) // hello convergence
+	awaitRoute(t, daemons[4], send, 4)
 
-	// Stream 20 msg/s; kill daemon 2 a third of the way in.
+	// Stream in lock step — each message delivered before the next leaves —
+	// and kill daemon 2 a third of the way in: the message sent across the
+	// failure must be recovered over the detour.
 	const n = 60
 	for i := 0; i < n; i++ {
 		if i == n/3 {
@@ -332,20 +326,11 @@ func TestDaemonFailureTriggersReroute(t *testing.T) {
 		if err := flow.Send([]byte("x")); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		count := received
-		mu.Unlock()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d after daemon failure", count, n)
-		}
-		time.Sleep(50 * time.Millisecond)
+		await(t, 10*time.Second, fmt.Sprintf("message %d delivered", i), func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return received > i
+		})
 	}
 	// The surviving detour must have carried traffic.
 	if fwd := daemons[3].NodeStats().Forwarded; fwd == 0 {
@@ -416,26 +401,18 @@ func TestDaemonRuntimeAdmissionMultiHop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlow: %v", err)
 	}
-	time.Sleep(200 * time.Millisecond) // hellos on the new 3-4 link
+	awaitRoute(t, d4, send, 4) // hellos on the new 3-4 link, LSAs to node 1
 	const n = 30
 	for i := 0; i < n; i++ {
 		if err := flow.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await(t, 5*time.Second, "every message at the admitted node", func() bool {
 		mu.Lock()
-		count := len(got)
-		mu.Unlock()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d at the admitted node", count, n)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(got) == n
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	for i, d := range got {

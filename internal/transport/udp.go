@@ -19,38 +19,38 @@ import (
 // provider-specific addresses).
 //
 // The data plane is sharded, batched, and lock-light. A shard is one
-// event loop plus one receive loop plus one coalescing tx ring; flows
-// partition across shards by a deterministic hash of (peer NodeID,
-// underlay address), so per-flow frame ordering is free — one flow never
-// spans two shards.
+// event loop plus one receive loop plus one coalescing tx ring. Which
+// loop owns a datagram is one rule, applied here and nowhere else: with
+// more than one shard, a datagram wire.DatagramIsControl recognises goes
+// to shard 0, and every other one to its sender's home,
+// wire.HomeShard(sender, shards) — the shard whose loop owns the peer's
+// link sessions. A peer's frames therefore all run, in order, on one
+// loop, and a peer's home is a function of its id, not a setting.
 //
 //   - Receive (Linux fast path, shards > 1): every shard binds its own
 //     SO_REUSEPORT socket on the underlay port, with a classic-BPF
 //     program attached to the group steering datagrams by UDP source
 //     port (shard = sport mod N). The kernel therefore delivers each
-//     remote endpoint's 4-tuple to one fixed socket, each shard drains
-//     its own socket with recvmmsg into its own pooled slab, and no two
-//     shards ever touch the same flow. If the program cannot be attached
-//     the kernel's seeded 4-tuple hash steers instead — still per-flow
-//     stable, just not balance-predictable (SteeredRx reports which).
-//   - Receive (portable path): one socket and one dispatcher read loop;
-//     the dispatcher steers each decoded datagram to its flow's shard by
-//     the same deterministic flow hash the tx side uses.
-//   - Delivery and cross-shard handoff: decoded frames travel from a
-//     receive loop to the owning shard's event loop over bounded SPSC
-//     rings (sim.SPSC), one ring per (reader, shard) pair, with an
-//     atomic doorbell that posts a pooled drain runner only on the
-//     empty→non-empty transition — under sustained load frames flow
-//     with no per-packet post and no lock on either side. A flow pinned
-//     to another shard (PinFlow; the daemon pins every peer to
-//     wire.HomeShard of its node id, the shard whose loop owns the
-//     peer's link sessions) is handed off the same way.
+//     remote endpoint's 4-tuple to one fixed socket and each shard drains
+//     its own socket with recvmmsg into its own pooled slab. If the
+//     program cannot be attached the kernel's seeded 4-tuple hash steers
+//     instead — still per-flow stable, just not predictable (SteeredRx
+//     reports which).
+//   - Receive (portable path): one socket and one read loop, which
+//     dispatches every datagram by the same rule.
+//   - Delivery: decoded frames travel from a receive loop to the owning
+//     shard's event loop over one sim.Handoff per (reader, shard) pair —
+//     a bounded SPSC ring whose doorbell posts the drain only on the
+//     empty→non-empty transition, so under sustained load frames flow
+//     with no per-packet post and no lock on either side. A frame whose
+//     arrival socket is not its owner's (a sender whose source port the
+//     kernel steered elsewhere) crosses the same way and counts as a
+//     handoff.
 //   - Sender identification: source addresses resolve through an
 //     immutable peer table keyed by netip.AddrPort, read via an atomic
 //     pointer — no per-packet lock, no addr.String() allocation. The
-//     table carries a per-peer steering column (the pinned home shard);
-//     AddPeer/PinFlow copy the table on write under a mutex and swap
-//     the pointer.
+//     table carries each peer's home shard; AddPeer and RemovePeer copy
+//     the table on write under a mutex and swap the pointer.
 //   - Send: frames produced within one event-loop turn accumulate in
 //     the flow's shard tx ring; a single flush posted on that shard's
 //     executor hands the whole turn's frames to the kernel at once
@@ -70,20 +70,10 @@ type UDPUnderlay struct {
 	// shards hold the per-shard executor, tx ring, writer, and counters.
 	shards []*udpShard
 	// rings[k][s] hands frames from reader k to shard s's loop. Reader k
-	// is the only producer and shard s's loop the only consumer, so the
-	// rings are true SPSC.
-	rings [][]handoff
-	// rxDispatch marks the single-socket dispatcher layout (fewer
-	// sockets than shards): reader 0 steers by flow hash instead of
-	// trusting kernel steering.
-	rxDispatch bool
+	// is the only producer and shard s's loop the only consumer.
+	rings [][]*sim.Handoff[rxFrame]
 	// steered reports that the reuseport steering program is attached.
 	steered bool
-	// ctrlSteer, when set, reroutes control-plane datagrams (hellos,
-	// link-state, group-state — wire.DatagramIsControl) to shard 0
-	// regardless of the flow's home, so a sharded protocol stack keeps its
-	// single-threaded control plane on the control shard.
-	ctrlSteer atomic.Bool
 	// handler receives frames on the owning shard's executor. Immutable
 	// after New.
 	handler ShardHandler
@@ -106,9 +96,6 @@ type udpShard struct {
 	idx  int
 	conn *net.UDPConn
 	exec sim.Executor
-	// runnerExec is exec's RunnerExecutor view, nil when unsupported;
-	// posting through it avoids a closure allocation per batch.
-	runnerExec sim.RunnerExecutor
 
 	// The send coalescing ring: Send appends under sendMu, the posted
 	// flush swaps pending with the spare slice and writes the batch out.
@@ -129,11 +116,11 @@ type udpShard struct {
 // dropped (best-effort, like IP) rather than buffering without bound.
 const maxPending = 4096
 
-// handoffRingCap bounds each reader→shard SPSC ring: enough for many
-// full recvmmsg batches of headroom before overload sheds.
+// handoffRingCap bounds each reader→shard ring: enough for many full
+// recvmmsg batches of headroom before overload sheds.
 const handoffRingCap = 1024
 
-// rxDrainQuota bounds how many frames one drain runner delivers before
+// rxDrainQuota bounds how many frames one drain delivers before
 // re-posting itself, so a saturating flow cannot starve timers and
 // control work sharing the shard's loop.
 const rxDrainQuota = 4 * wire.ReadBatch
@@ -156,17 +143,15 @@ func setShardSockBufs(conn *net.UDPConn) {
 }
 
 // peerTable is an immutable snapshot of the peer registrations. A new
-// table replaces the old one wholesale on every AddPeer/PinFlow.
+// table replaces the old one wholesale on every AddPeer/RemovePeer.
 type peerTable struct {
-	// peers maps a neighbor to its per-path addresses and its steering
-	// column entry.
+	// peers maps a neighbor to its per-path addresses and home shard.
 	peers map[wire.NodeID]peerEntry
 	// senders maps a source address to the neighbor it belongs to.
 	senders map[netip.AddrPort]senderEntry
 }
 
-// peerEntry is one neighbor's addresses plus its pinned home shard (the
-// steering column; -1 means unpinned, flows hash to their shard).
+// peerEntry is one neighbor's addresses plus its home shard.
 type peerEntry struct {
 	addrs []netip.AddrPort
 	home  int32
@@ -195,53 +180,14 @@ type rxFrame struct {
 	buf  *wire.Buf
 }
 
-// handoff is one reader→shard SPSC ring plus its doorbell and its
-// pre-allocated drain runner.
-type handoff struct {
-	ring *sim.SPSC[rxFrame]
-	bell atomic.Bool
-	d    drainRunner
-}
-
-// drainRunner delivers one handoff ring's frames on the target shard's
-// loop. It is posted at most once per empty→non-empty transition (the
-// doorbell) and re-posts itself while frames remain.
-type drainRunner struct {
-	u      *UDPUnderlay
-	h      *handoff
-	target int
-}
-
-// post rings the doorbell: the first caller to observe it clear posts
-// the drain; everyone else knows a drain is already queued or running.
-func (d *drainRunner) post() {
-	if d.h.bell.CompareAndSwap(false, true) {
-		d.u.shards[d.target].post(d)
+// deliver runs one handed-off frame on shard s's loop. After Close no
+// frame reaches the handler; the buffer is still released.
+func (s *udpShard) deliver(f *rxFrame) {
+	if !s.u.closed.Load() {
+		s.u.handler(s.idx, f.from, f.buf.B)
+		s.stats.RecvDelivered.Add(1)
 	}
-}
-
-// Run implements sim.Runner on the target shard's loop. After Close no
-// frame reaches the handler; the buffers are still released.
-func (d *drainRunner) Run() {
-	h := d.h
-	h.bell.Store(false)
-	u := d.u
-	s := u.shards[d.target]
-	deliver := !u.closed.Load()
-	for i := 0; i < rxDrainQuota; i++ {
-		f, ok := h.ring.Pop()
-		if !ok {
-			break
-		}
-		if deliver {
-			u.handler(d.target, f.from, f.buf.B)
-			s.stats.RecvDelivered.Add(1)
-		}
-		f.buf.Release()
-	}
-	if !h.ring.Empty() {
-		d.post()
-	}
+	f.buf.Release()
 }
 
 // flushRunner posts a shard's send-ring flush without allocating a
@@ -251,44 +197,14 @@ type flushRunner struct{ s *udpShard }
 // Run implements sim.Runner.
 func (f *flushRunner) Run() { f.s.flush() }
 
-// post enqueues r on the shard's executor, preferring the allocation-free
-// RunnerExecutor path.
-func (s *udpShard) post(r sim.Runner) {
-	if s.runnerExec != nil {
-		s.runnerExec.PostRunner(r)
-	} else {
-		s.exec.Post(r.Run)
-	}
-}
-
 // canonAddrPort normalizes an address for table keys and lookups: IPv4
 // and IPv4-in-IPv6 forms of the same endpoint must collide.
 func canonAddrPort(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// flowShard is the deterministic flow partition: FNV-1a over the peer
-// NodeID and the underlay address (the link-session identity), reduced
-// mod the shard count. Both the tx ring choice and the portable rx
-// dispatcher use it, so a flow's send and receive work land on one
-// shard.
-func flowShard(id wire.NodeID, ap netip.AddrPort, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(id)) * prime
-	a := ap.Addr().As16()
-	for _, b := range a {
-		h = (h ^ uint64(b)) * prime
-	}
-	h = (h ^ uint64(ap.Port())) * prime
-	return int(h % uint64(n))
-}
-
 // ShardHandler receives one decoded datagram's frame bytes on the
-// executor of the shard that owns the flow; the shard index says which.
+// executor of the shard that owns it; the shard index says which.
 type ShardHandler func(shard int, from wire.NodeID, data []byte)
 
 // NewUDPUnderlay binds a UDP socket and starts the receive loop; frames
@@ -302,10 +218,11 @@ func NewUDPUnderlay(bind string, exec sim.Executor, handler func(from wire.NodeI
 
 // NewShardedUDPUnderlay binds len(execs) data-plane shards on bind and
 // starts their receive loops. Frames are handed to handler on the owning
-// flow's shard executor: handler calls for different flows may run
-// concurrently (one call per shard at a time), but one flow's frames are
-// always delivered in order on one shard. Pass a sim.ShardedLoop's
-// Executors() for a deployed daemon.
+// shard's executor (shard 0 for control, the sender's home otherwise):
+// handler calls for different peers may run concurrently (one call per
+// shard at a time), but one peer's data frames are always delivered in
+// order on one shard. Pass a sim.ShardedLoop's Executors() for a deployed
+// daemon.
 func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandler) (*UDPUnderlay, error) {
 	n := len(execs)
 	if n == 0 {
@@ -318,12 +235,7 @@ func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandl
 	if err != nil {
 		return nil, err
 	}
-	u := &UDPUnderlay{
-		conns:      conns,
-		rxDispatch: len(conns) < n,
-		steered:    steered,
-		handler:    handler,
-	}
+	u := &UDPUnderlay{conns: conns, steered: steered, handler: handler}
 	u.table.Store(emptyPeerTable)
 	u.shards = make([]*udpShard, n)
 	for i := range u.shards {
@@ -332,7 +244,6 @@ func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandl
 			conn = conns[i]
 		}
 		s := &udpShard{u: u, idx: i, conn: conn, exec: execs[i]}
-		s.runnerExec, _ = execs[i].(sim.RunnerExecutor)
 		s.flusher.s = s
 		w, err := newBatchWriter(conn)
 		if err != nil {
@@ -342,13 +253,11 @@ func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandl
 		s.writer = w
 		u.shards[i] = s
 	}
-	u.rings = make([][]handoff, len(conns))
+	u.rings = make([][]*sim.Handoff[rxFrame], len(conns))
 	for k := range u.rings {
-		u.rings[k] = make([]handoff, n)
-		for s := range u.rings[k] {
-			h := &u.rings[k][s]
-			h.ring = sim.NewSPSC[rxFrame](handoffRingCap)
-			h.d = drainRunner{u: u, h: h, target: s}
+		u.rings[k] = make([]*sim.Handoff[rxFrame], n)
+		for i, s := range u.shards {
+			u.rings[k][i] = sim.NewHandoff(handoffRingCap, rxDrainQuota, s.exec, s.deliver)
 		}
 	}
 	u.done = make([]chan struct{}, len(conns))
@@ -378,14 +287,6 @@ func (u *UDPUnderlay) NumShards() int { return len(u.shards) }
 // is single-socket.
 func (u *UDPUnderlay) SteeredRx() bool { return u.steered }
 
-// SteerControl enables (or disables) control-plane steering: datagrams
-// the decode classifier recognizes as control — hellos and best-effort
-// link-state/group-state floods — deliver on shard 0 regardless of the
-// flow's home shard. The redirects count in ControlSteers, not Handoffs,
-// so the handoff counter keeps meaning "data frame missed its home
-// shard". The sharded daemon turns this on; it is off by default.
-func (u *UDPUnderlay) SteerControl(on bool) { u.ctrlSteer.Store(on) }
-
 // Stats returns the aggregate of every shard's datagram counters.
 func (u *UDPUnderlay) Stats() metrics.WireSnapshot {
 	var agg metrics.WireSnapshot
@@ -403,9 +304,11 @@ func (u *UDPUnderlay) ShardStats(i int) metrics.WireSnapshot {
 }
 
 // AddPeer registers (or re-registers) a neighbor's addresses, one per
-// underlay path. Re-registration replaces the previous addresses: frames
-// from an address the peer no longer owns are dropped as unknown. A pin
-// set with PinFlow survives re-registration.
+// underlay path, homed on wire.HomeShard(id, shards): its data frames are
+// delivered on that shard's executor and its Sends coalesce in that
+// shard's ring. Re-registration replaces the previous addresses — frames
+// from an address the peer no longer owns are dropped as unknown — and
+// never moves the peer.
 func (u *UDPUnderlay) AddPeer(id wire.NodeID, addrs ...string) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("transport: peer %v needs at least one address", id)
@@ -418,49 +321,18 @@ func (u *UDPUnderlay) AddPeer(id wire.NodeID, addrs ...string) error {
 		}
 		resolved = append(resolved, canonAddrPort(ua.AddrPort()))
 	}
+	home := int32(wire.HomeShard(id, len(u.shards)))
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	old := u.table.Load()
-	home := int32(-1)
-	if ent, ok := old.peers[id]; ok {
-		home = ent.home
-	}
-	u.table.Store(old.withPeer(id, peerEntry{addrs: resolved, home: home}))
-	return nil
-}
-
-// PinFlow pins a registered peer's flows to one shard (the steering
-// column): its frames are always delivered on that shard's executor
-// regardless of which shard they arrive on, and its tx frames coalesce
-// in that shard's ring. shard == -1 unpins (flows hash to their shard).
-// The deployed daemon pins every peer to wire.HomeShard of its node id,
-// the shard whose loop owns the peer's link sessions.
-//
-// Re-pinning a live flow moves it between loops: frames already queued
-// toward the old shard still deliver there, so cross-shard ordering is
-// only guaranteed for assignments that are stable while traffic flows.
-func (u *UDPUnderlay) PinFlow(id wire.NodeID, shard int) error {
-	if shard < -1 || shard >= len(u.shards) {
-		return fmt.Errorf("transport: pin peer %v: shard %d out of range [0,%d)", id, shard, len(u.shards))
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	old := u.table.Load()
-	ent, ok := old.peers[id]
-	if !ok {
-		return fmt.Errorf("transport: pin peer %v: not registered", id)
-	}
-	ent.home = int32(shard)
-	u.table.Store(old.withPeer(id, ent))
+	u.table.Store(u.table.Load().withPeer(id, peerEntry{addrs: resolved, home: home}))
 	return nil
 }
 
 // RemovePeer unregisters a departed peer: its addresses leave the sender
-// column (frames from them drop as unknown), its flow pin is discarded,
-// and Send toward it becomes a no-op. Like every table mutation it
-// replaces the COW snapshot, so concurrent readers always see a
-// consistent table; a later AddPeer re-registers from a clean slate (no
-// pin carried over). Removing an unknown peer is a no-op.
+// column (frames from them drop as unknown) and Send toward it becomes a
+// no-op. Like every table mutation it replaces the COW snapshot, so
+// concurrent readers always see a consistent table; a later AddPeer
+// re-registers it. Removing an unknown peer is a no-op.
 func (u *UDPUnderlay) RemovePeer(id wire.NodeID) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -494,32 +366,17 @@ func (t *peerTable) withoutPeer(id wire.NodeID) *peerTable {
 // withPeer returns a copy of the table with id's entry replaced and the
 // sender column rebuilt for it (stale addresses unregistered).
 func (t *peerTable) withPeer(id wire.NodeID, ent peerEntry) *peerTable {
-	nt := &peerTable{
-		peers:   make(map[wire.NodeID]peerEntry, len(t.peers)+1),
-		senders: make(map[netip.AddrPort]senderEntry, len(t.senders)+len(ent.addrs)),
-	}
-	for k, v := range t.peers {
-		if k != id {
-			nt.peers[k] = v
-		}
-	}
+	nt := t.withoutPeer(id)
 	nt.peers[id] = ent
-	for k, v := range t.senders {
-		// Skipping the peer's old entries unregisters any address it no
-		// longer owns.
-		if v.id != id {
-			nt.senders[k] = v
-		}
-	}
 	for _, ap := range ent.addrs {
 		nt.senders[ap] = senderEntry{id: id, home: ent.home}
 	}
 	return nt
 }
 
-// Send implements node.Underlay: the frame joins its flow's shard
-// coalescing ring and reaches the kernel in the flush posted for that
-// shard's current event-loop turn. The bytes are copied into a pooled
+// Send implements node.Underlay: the frame joins the coalescing ring of
+// the neighbor's home shard and reaches the kernel in the flush posted for
+// that shard's current event-loop turn. The bytes are copied into a pooled
 // buffer before Send returns, so the caller keeps ownership of data.
 // Send is safe from any goroutine.
 func (u *UDPUnderlay) Send(neighbor wire.NodeID, path uint8, data []byte) {
@@ -528,7 +385,7 @@ func (u *UDPUnderlay) Send(neighbor wire.NodeID, path uint8, data []byte) {
 
 // SendOn transmits like Send but coalesces on shard's own tx ring, so a
 // data shard's egress shares its own flush batch and socket instead of
-// the flow-hashed one. It implements node.ShardUnderlay.
+// the neighbor's home's. It implements node.ShardUnderlay.
 func (u *UDPUnderlay) SendOn(shard int, neighbor wire.NodeID, path uint8, data []byte) {
 	if shard < 0 || shard >= len(u.shards) {
 		shard = -1
@@ -537,7 +394,7 @@ func (u *UDPUnderlay) SendOn(shard int, neighbor wire.NodeID, path uint8, data [
 }
 
 // sendVia coalesces one frame on a shard tx ring: the given shard, or
-// (shard < 0) the flow's pinned home / hashed shard.
+// (shard < 0) the neighbor's home.
 func (u *UDPUnderlay) sendVia(shard int, neighbor wire.NodeID, path uint8, data []byte) {
 	if u.closed.Load() {
 		return
@@ -548,14 +405,10 @@ func (u *UDPUnderlay) sendVia(shard int, neighbor wire.NodeID, path uint8, data 
 		return
 	}
 	addr := ent.addrs[int(path)%len(ent.addrs)]
-	sh := shard
-	if sh < 0 {
-		sh = int(ent.home)
-		if sh < 0 {
-			sh = flowShard(neighbor, addr, len(u.shards))
-		}
+	if shard < 0 {
+		shard = int(ent.home)
 	}
-	s := u.shards[sh]
+	s := u.shards[shard]
 	buf := wire.DefaultBufPool.Get(len(data))
 	buf.B = append(buf.B, data...)
 	s.sendMu.Lock()
@@ -570,7 +423,7 @@ func (u *UDPUnderlay) sendVia(shard int, neighbor wire.NodeID, path uint8, data 
 	s.flushQueued = true
 	s.sendMu.Unlock()
 	if !queued {
-		s.post(&s.flusher)
+		sim.PostRunner(s.exec, &s.flusher)
 	}
 }
 
@@ -634,7 +487,7 @@ func (u *UDPUnderlay) PathCount(neighbor wire.NodeID) int {
 //     reached the kernel; a queued flush observing closed would do the
 //     same release).
 //
-// Frames already handed toward a shard loop (in an SPSC ring with a
+// Frames already handed toward a shard loop (in a hand-off ring with a
 // queued drain) are released without delivery when the drain runs —
 // identical to the pre-shard contract for posted batches. Close is
 // idempotent and safe to race.
@@ -671,8 +524,8 @@ func (u *UDPUnderlay) Close() error {
 }
 
 // readLoop drains socket k in batches until the connection closes,
-// pushing each decoded datagram onto its owning shard's handoff ring and
-// ringing doorbells once per touched shard per wakeup.
+// pushing each datagram onto its owning shard's hand-off ring and ringing
+// doorbells once per touched shard per wakeup.
 func (u *UDPUnderlay) readLoop(k int) {
 	defer close(u.done[k])
 	br, err := newBatchReader(u.conns[k])
@@ -682,7 +535,6 @@ func (u *UDPUnderlay) readLoop(k int) {
 		return
 	}
 	defer br.release()
-	nsh := len(u.shards)
 	arrival := u.shards[k]
 	for {
 		n, err := br.read()
@@ -693,7 +545,6 @@ func (u *UDPUnderlay) readLoop(k int) {
 			continue
 		}
 		tbl := u.table.Load()
-		steer := nsh > 1 && u.ctrlSteer.Load()
 		var bytes uint64
 		var touched uint64
 		for i := 0; i < n; i++ {
@@ -706,23 +557,14 @@ func (u *UDPUnderlay) readLoop(k int) {
 				arrival.stats.RecvUnknown.Add(1)
 				continue
 			}
+			// The ownership rule: control to shard 0, data to the sender's
+			// home. A control redirect has its own counter, so Handoffs
+			// keeps meaning "data frame arrived off its home".
+			data := br.segment(i)[:ln]
 			target := int(ent.home)
-			if target < 0 {
-				if u.rxDispatch {
-					target = flowShard(ent.id, br.addrs[i], nsh)
-				} else {
-					// Kernel steering already made the arrival socket this
-					// flow's home.
-					target = k
-				}
-			}
-			ctrl := false
-			if steer && target != 0 && wire.DatagramIsControl(br.segment(i)[:ln]) {
-				// Control plane lives on shard 0; the redirect has its own
-				// counter so Handoffs keeps meaning "data frame missed its
-				// home shard".
+			ctrl := target != 0 && wire.DatagramIsControl(data)
+			if ctrl {
 				target = 0
-				ctrl = true
 				arrival.stats.ControlSteers.Add(1)
 			}
 			// Copy the datagram out of the slab into a pooled buffer; the
@@ -730,9 +572,9 @@ func (u *UDPUnderlay) readLoop(k int) {
 			// recycled as soon as the handler returns. The pools are safe
 			// across the readLoop/executor boundary.
 			buf := wire.DefaultBufPool.Get(ln)
-			buf.B = append(buf.B, br.segment(i)[:ln]...)
+			buf.B = append(buf.B, data...)
 			touched |= 1 << uint(target)
-			if !u.rings[k][target].ring.Push(rxFrame{from: ent.id, buf: buf}) {
+			if !u.rings[k][target].Push(rxFrame{from: ent.id, buf: buf}) {
 				buf.Release()
 				arrival.stats.HandoffDrops.Add(1)
 				continue
@@ -748,7 +590,7 @@ func (u *UDPUnderlay) readLoop(k int) {
 		for t := touched; t != 0; {
 			s := bits.TrailingZeros64(t)
 			t &^= 1 << uint(s)
-			u.rings[k][s].d.post()
+			u.rings[k][s].Ring()
 		}
 		if u.closed.Load() {
 			return

@@ -24,22 +24,6 @@ func mustAddrPort(t *testing.T, s string) netip.AddrPort {
 	return canonAddrPort(ap)
 }
 
-// expectedShard predicts which shard u will deliver a flow on, or -1 when
-// the plane makes it unpredictable (kernel 4-tuple hash without the
-// steering program). Mirrors the readLoop steering decision.
-func expectedShard(u *UDPUnderlay, id wire.NodeID, src netip.AddrPort, pin int) int {
-	if pin >= 0 {
-		return pin
-	}
-	if u.rxDispatch {
-		return flowShard(id, src, len(u.shards))
-	}
-	if u.steered {
-		return int(src.Port()) % len(u.shards)
-	}
-	return -1
-}
-
 // TestShardedCloseMidBatch extends the close-mid-batch teardown contract
 // to N shards: a drain already doorbelled onto a shard's executor when
 // Close runs must release its frames without invoking the handler, on
@@ -64,12 +48,9 @@ func TestShardedCloseMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tx.Close() }()
-	if err := rx.AddPeer(2, tx.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	// Pin the flow to the last shard: the doorbell must land on that
+	// A peer homed on the last shard: the doorbell must land on that
 	// shard's executor whatever socket the frames arrive on.
-	if err := rx.PinFlow(2, n-1); err != nil {
+	if err := rx.AddPeer(wire.HomedID(2, n-1, n), tx.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.AddPeer(1, rx.LocalAddr()); err != nil {
@@ -79,11 +60,11 @@ func TestShardedCloseMidBatch(t *testing.T) {
 		tx.Send(1, 0, []byte("mid-batch"))
 	}
 	if !waitFor(t, 2*time.Second, func() bool { return caps[n-1].pending() > 0 }) {
-		t.Fatal("drain never doorbelled onto the pinned shard")
+		t.Fatal("drain never doorbelled onto the home shard")
 	}
 	for i := 0; i < n-1; i++ {
 		if caps[i].pending() != 0 {
-			t.Fatalf("shard %d received a post for a flow pinned to shard %d", i, n-1)
+			t.Fatalf("shard %d received a post for a peer homed on shard %d", i, n-1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -109,11 +90,10 @@ func TestShardedCloseMidBatch(t *testing.T) {
 }
 
 // TestShardedPerFlowOrdering is the flow-partition property test: under a
-// randomized mix of pinned and hash-steered flows, every flow's frames
-// must arrive in send order (a flow never spans two shards), the shard
-// placement must match the deterministic steering decision wherever the
-// plane makes one, and per-shard RecvDelivered must account for every
-// frame.
+// randomized placement of peers on home shards, every flow's frames must
+// arrive in send order (a flow never spans two shards), every frame must
+// be delivered on its sender's home, and per-shard RecvDelivered must
+// account for every frame.
 func TestShardedPerFlowOrdering(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -137,11 +117,28 @@ func testPerFlowOrdering(t *testing.T, nshards int, seed int64) {
 	loops := sim.NewShardedLoop(nshards)
 	defer loops.Close()
 
+	// Flow f is peer ids[f], homed on shard homes[f]; flowOf is read-only
+	// once traffic starts.
+	rng := rand.New(rand.NewSource(seed))
+	var ids [flows]wire.NodeID
+	var homes [flows]int
+	flowOf := make(map[wire.NodeID]int, flows)
+	next := make([]wire.NodeID, nshards)
+	for f := range ids {
+		h := rng.Intn(nshards)
+		homes[f], ids[f] = h, wire.HomedID(max(next[h], 1), h, nshards)
+		next[h] = ids[f] + 1
+		flowOf[ids[f]] = f
+	}
+
 	var counts [flows]atomic.Uint64
 	var lastSeq [flows]uint64 // written only by the flow's shard loop
-	var violations atomic.Uint64
-	rx, err := NewShardedUDPUnderlay("127.0.0.1:0", loops.Executors(), func(_ int, from wire.NodeID, data []byte) {
-		f := int(from) - 1
+	var violations, misplaced atomic.Uint64
+	rx, err := NewShardedUDPUnderlay("127.0.0.1:0", loops.Executors(), func(shard int, from wire.NodeID, data []byte) {
+		f := flowOf[from]
+		if shard != homes[f] {
+			misplaced.Add(1)
+		}
 		seq := binary.LittleEndian.Uint64(data)
 		if seq != lastSeq[f]+1 {
 			violations.Add(1)
@@ -154,9 +151,7 @@ func testPerFlowOrdering(t *testing.T, nshards int, seed int64) {
 	}
 	defer func() { _ = rx.Close() }()
 
-	rng := rand.New(rand.NewSource(seed))
 	txs := make([]*UDPUnderlay, flows)
-	expect := make([]int, flows) // predicted delivery shard, -1 unknown
 	for f := 0; f < flows; f++ {
 		tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
 		if err != nil {
@@ -164,20 +159,12 @@ func testPerFlowOrdering(t *testing.T, nshards int, seed int64) {
 		}
 		defer func() { _ = tx.Close() }()
 		txs[f] = tx
-		id := wire.NodeID(f + 1)
-		if err := rx.AddPeer(id, tx.LocalAddr()); err != nil {
+		if err := rx.AddPeer(ids[f], tx.LocalAddr()); err != nil {
 			t.Fatal(err)
-		}
-		pin := rng.Intn(nshards+1) - 1 // -1 leaves the flow hash-steered
-		if pin >= 0 {
-			if err := rx.PinFlow(id, pin); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := tx.AddPeer(100, rx.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
-		expect[f] = expectedShard(rx, id, mustAddrPort(t, tx.LocalAddr()), pin)
 	}
 
 	// One producer per flow, pumping seq-stamped frames in credit windows
@@ -219,42 +206,31 @@ func testPerFlowOrdering(t *testing.T, nshards int, seed int64) {
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d per-flow ordering violations across %d flows", v, flows)
 	}
+	if m := misplaced.Load(); m != 0 {
+		t.Fatalf("%d frames delivered off their sender's home shard", m)
+	}
 	// The delivery ledger: aggregate and per-shard placement.
 	total := uint64(flows * perFlow)
 	if got := rx.Stats().RecvDelivered; got != total {
 		t.Fatalf("aggregate RecvDelivered = %d, want %d", got, total)
 	}
-	known := make([]uint64, nshards)
-	allKnown := true
-	for f, s := range expect {
-		if s < 0 {
-			allKnown = false
-			continue
-		}
-		known[s] += perFlow
-		_ = f
+	want := make([]uint64, nshards)
+	for _, h := range homes {
+		want[h] += perFlow
 	}
-	var sum uint64
 	for s := 0; s < nshards; s++ {
-		got := rx.ShardStats(s).RecvDelivered
-		sum += got
-		if got < known[s] {
-			t.Fatalf("shard %d delivered %d, want at least %d (predicted flows)", s, got, known[s])
+		if got := rx.ShardStats(s).RecvDelivered; got != want[s] {
+			t.Fatalf("shard %d delivered %d, want exactly %d (its homed flows)", s, got, want[s])
 		}
-		if allKnown && got != known[s] {
-			t.Fatalf("shard %d delivered %d, predicted exactly %d", s, got, known[s])
-		}
-	}
-	if sum != total {
-		t.Fatalf("per-shard RecvDelivered sums to %d, want %d", sum, total)
 	}
 }
 
-// TestShardedLifecycleRace hammers Send, AddPeer, PinFlow, Stats, and
-// ShardStats from many goroutines with live inbound traffic while the
-// sharded underlay closes mid-flight; under -race this covers the
-// copy-on-write steering column against the lock-free readers and the
-// N-shard quiesce path.
+// TestShardedLifecycleRace hammers Send, AddPeer, Stats, and ShardStats
+// from many goroutines with live inbound traffic while the sharded
+// underlay closes mid-flight; the sender's address is re-registered under
+// peer ids homed on every shard in turn, so its frames move between loops.
+// Under -race this covers the copy-on-write peer table against the
+// lock-free readers and the N-shard quiesce path.
 func TestShardedLifecycleRace(t *testing.T) {
 	const n = 4
 	loops := sim.NewShardedLoop(n)
@@ -295,7 +271,7 @@ func TestShardedLifecycleRace(t *testing.T) {
 				case 2:
 					_ = rx.AddPeer(2, peer.LocalAddr())
 				case 3:
-					_ = rx.PinFlow(2, i%(n+1)-1) // rotates pins including unpin
+					_ = rx.AddPeer(wire.HomedID(3, i%n, n), peer.LocalAddr())
 				case 4:
 					_ = rx.Stats()
 				case 5:
@@ -317,11 +293,11 @@ func TestShardedLifecycleRace(t *testing.T) {
 	}
 }
 
-// TestShardSteeringPlacement checks the steering column end to end on
-// whichever plane is compiled: a flow pinned to shard 2 must deliver every
-// frame on shard 2's executor, arrival counters must accrue to the
-// arrival socket's shard, and the handoff counter must equal the frames
-// that crossed shards.
+// TestShardSteeringPlacement checks the ownership rule end to end on
+// whichever plane is compiled: a peer homed on shard 2 must have every
+// frame delivered on shard 2's executor, arrival counters must accrue to
+// the arrival socket's shard, and the handoff counter must equal the
+// frames that crossed shards.
 func TestShardSteeringPlacement(t *testing.T) {
 	const n = 4
 	const frames = 50
@@ -342,11 +318,8 @@ func TestShardSteeringPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tx.Close() }()
-	if err := rx.AddPeer(2, tx.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	const pinned = 2
-	if err := rx.PinFlow(2, pinned); err != nil {
+	const home = 2
+	if err := rx.AddPeer(wire.HomedID(2, home, n), tx.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.AddPeer(1, rx.LocalAddr()); err != nil {
@@ -362,13 +335,13 @@ func TestShardSteeringPlacement(t *testing.T) {
 	if !waitFor(t, 5*time.Second, func() bool { return delivered.Load() == frames }) {
 		t.Fatalf("delivered %d of %d", delivered.Load(), frames)
 	}
-	if got := rx.ShardStats(pinned).RecvDelivered; got != frames {
-		t.Fatalf("pinned shard delivered %d of %d", got, frames)
+	if got := rx.ShardStats(home).RecvDelivered; got != frames {
+		t.Fatalf("home shard delivered %d of %d", got, frames)
 	}
-	// Arrival accounting: the dispatcher plane drains everything on shard
-	// 0's socket; the steered Linux plane on the sport-mod-N socket.
+	// Arrival accounting: the single-socket plane drains everything on
+	// shard 0's socket; the steered Linux plane on the sport-mod-N socket.
 	arrival := 0
-	if !rx.rxDispatch {
+	if len(rx.conns) == n {
 		if !rx.steered {
 			t.Skipf("kernel hash steering: arrival shard not predictable")
 		}
@@ -378,18 +351,18 @@ func TestShardSteeringPlacement(t *testing.T) {
 		t.Fatalf("arrival shard %d counted %d of %d packets", arrival, got, frames)
 	}
 	wantHandoffs := uint64(frames)
-	if arrival == pinned {
+	if arrival == home {
 		wantHandoffs = 0
 	}
 	if got := rx.Stats().Handoffs; got != wantHandoffs {
-		t.Fatalf("Handoffs = %d, want %d (arrival shard %d, pinned %d)", got, wantHandoffs, arrival, pinned)
+		t.Fatalf("Handoffs = %d, want %d (arrival shard %d, home %d)", got, wantHandoffs, arrival, home)
 	}
 }
 
 // TestReuseportSteeringBalance checks the Linux fast path's deterministic
-// cBPF program: with steering attached, an unpinned flow's frames arrive
-// on — and are delivered by — exactly the shard its source port hashes to,
-// with zero cross-shard handoffs.
+// cBPF program: with steering attached, a flow's frames arrive on exactly
+// the shard its source port hashes to, and a peer homed there has them
+// delivered by that shard too, with zero cross-shard handoffs.
 func TestReuseportSteeringBalance(t *testing.T) {
 	if Plane != "linux-mmsg" {
 		t.Skipf("reuseport steering is a Linux fast-path feature (plane %s)", Plane)
@@ -413,6 +386,7 @@ func TestReuseportSteeringBalance(t *testing.T) {
 	}
 	const flows = 6
 	want := make([]uint64, n)
+	next := make([]wire.NodeID, n)
 	var sent uint64
 	for f := 0; f < flows; f++ {
 		tx, err := NewUDPUnderlay("127.0.0.1:0", sim.Inline{}, func(wire.NodeID, []byte) {})
@@ -420,14 +394,15 @@ func TestReuseportSteeringBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = tx.Close() }()
-		id := wire.NodeID(f + 1)
+		shard := int(mustAddrPort(t, tx.LocalAddr()).Port()) % n
+		id := wire.HomedID(max(next[shard], 1), shard, n)
+		next[shard] = id + 1
 		if err := rx.AddPeer(id, tx.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.AddPeer(100, rx.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
-		shard := int(mustAddrPort(t, tx.LocalAddr()).Port()) % n
 		want[shard] += frames
 		for i := 0; i < frames; i++ {
 			tx.Send(100, 0, []byte("balance"))
@@ -445,47 +420,6 @@ func TestReuseportSteeringBalance(t *testing.T) {
 		}
 	}
 	if h := rx.Stats().Handoffs; h != 0 {
-		t.Fatalf("steered unpinned flows crossed shards %d times", h)
-	}
-}
-
-// TestPinFlowValidation covers the steering column's edge cases: pins on
-// unknown peers and out-of-range shards are rejected, a pin survives peer
-// re-registration, and -1 unpins.
-func TestPinFlowValidation(t *testing.T) {
-	loops := sim.NewShardedLoop(2)
-	defer loops.Close()
-	u, err := NewShardedUDPUnderlay("127.0.0.1:0", loops.Executors(), func(int, wire.NodeID, []byte) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = u.Close() }()
-	if err := u.PinFlow(7, 0); err == nil {
-		t.Fatal("pin of unregistered peer succeeded")
-	}
-	if err := u.AddPeer(7, "127.0.0.1:9999"); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.PinFlow(7, 2); err == nil {
-		t.Fatal("pin to out-of-range shard succeeded")
-	}
-	if err := u.PinFlow(7, -2); err == nil {
-		t.Fatal("pin to shard -2 succeeded")
-	}
-	if err := u.PinFlow(7, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Re-registration must preserve the pin.
-	if err := u.AddPeer(7, "127.0.0.1:9998"); err != nil {
-		t.Fatal(err)
-	}
-	if home := u.table.Load().peers[7].home; home != 1 {
-		t.Fatalf("pin lost across re-registration: home = %d", home)
-	}
-	if err := u.PinFlow(7, -1); err != nil {
-		t.Fatal(err)
-	}
-	if home := u.table.Load().peers[7].home; home != -1 {
-		t.Fatalf("unpin failed: home = %d", home)
+		t.Fatalf("steered flows homed on their arrival shard crossed shards %d times", h)
 	}
 }

@@ -50,6 +50,9 @@ func TestSlabPoolAccounting(t *testing.T) {
 	if got := p.Stats().Snapshot(); got.Recycled != 64 {
 		t.Fatalf("recycled bytes = %d, want 64", got.Recycled)
 	}
+	if RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under -race, so reuse is not observable")
+	}
 	b := p.Get()
 	if b != a {
 		t.Fatal("pool did not recycle the slab")

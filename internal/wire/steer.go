@@ -2,11 +2,11 @@ package wire
 
 // HomeShard maps an overlay node to its home data-plane shard by a stable
 // FNV-1a hash of the node id. The deployed daemon homes each peer's link
-// sessions, dedup windows, and QoS cores on this shard and pins the peer's
-// underlay flow to it, so a peer's frames arrive on the shard that owns
-// its protocol state. The hash depends only on (id, shards): every daemon
-// in a deployment computes the same homing, and re-registering a peer's
-// addresses never moves it.
+// sessions, dedup windows, and QoS cores on this shard, and its UDP
+// underlay delivers every data frame the peer sends there, so a peer's
+// frames arrive on the shard that owns its protocol state. The hash
+// depends only on (id, shards): every daemon in a deployment computes the
+// same homing, and re-registering a peer's addresses never moves it.
 func HomeShard(id NodeID, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -16,6 +16,16 @@ func HomeShard(id NodeID, shards int) int {
 	h = (h ^ uint64(id&0xff)) * prime
 	h = (h ^ uint64(id>>8)) * prime
 	return int(h % uint64(shards))
+}
+
+// HomedID returns the smallest node id at or above from whose home among
+// shards is shard (0 <= shard < max(shards, 1)): how a rig picks a peer
+// that lands on the loop it wants.
+func HomedID(from NodeID, shard, shards int) NodeID {
+	for HomeShard(from, shards) != shard {
+		from++
+	}
+	return from
 }
 
 // DatagramIsControl classifies a marshaled frame without decoding it:

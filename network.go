@@ -404,16 +404,13 @@ type NodeStats struct {
 	// DroppedAuth counts packets and frames failing authentication.
 	DroppedAuth uint64
 	// DroppedUnknownPeer counts frames from, and packets toward, a node
-	// that is not a registered neighbor.
+	// that is not a registered neighbor, and any frame a deployed daemon's
+	// shard received that was not its to handle.
 	DroppedUnknownPeer uint64
 	// DroppedCrossing counts packets a deployed daemon's full shard-crossing
 	// ring refused in transit. Always zero on emulated nodes, which run one
 	// shard.
 	DroppedCrossing uint64
-	// Replayed counts frames a deployed daemon received off their peer's
-	// home shard and passed on to it; steady growth means underlay steering
-	// and peer homing disagree.
-	Replayed uint64
 	// DroppedMalformed counts frames and routing-level control payloads
 	// (link state, group state, membership) that failed to decode.
 	DroppedMalformed uint64
@@ -452,7 +449,6 @@ func fromNodeStats(st node.Stats) NodeStats {
 		DroppedAuth:        st.DroppedAuth,
 		DroppedUnknownPeer: st.DroppedUnknownPeer,
 		DroppedCrossing:    st.DroppedCrossing,
-		Replayed:           st.Replayed,
 		DroppedMalformed:   st.DroppedMalformed,
 		Blackholed:         st.Blackholed,
 	}
