@@ -48,13 +48,16 @@ test-race:
 
 race: test-race
 
-# Repetition for the cross-loop code, kept out of check (about 30 s): the
-# all-pairs crossing stress at four shards and the hand-off primitive both
-# rings are built on, 200 runs each under the race detector. A flake that
-# shows once in tens of runs fails here.
+# Repetition for the cross-loop code, kept out of check (about a minute):
+# the all-pairs crossing stress at four shards, the hand-off primitive both
+# rings are built on, and the link protocols on the realtime clock (one
+# recovery timer per link, re-armed from inside its own callback), 200 runs
+# each under the race detector. A flake that shows once in tens of runs
+# fails here.
 stress:
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestCrossingStress ./internal/node/
 	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
+	$(GO) test -race -count=200 -run 'OverRealtimeClock' ./internal/link/
 
 cover:
 	$(GO) test -cover ./...

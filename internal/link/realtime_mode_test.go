@@ -74,9 +74,29 @@ func (e *rtEnd) Deliver(pk *wire.Packet) {
 	}
 }
 
+// deliveredToB returns how many packets endpoint B delivered so far.
+func (p *rtPipe) deliveredToB() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.deliveredB)
+}
+
+// await polls cond until it holds, failing the test if it does not within
+// a few seconds. Realtime tests wait on conditions, never for a fixed time.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestStrikesOverRealtimeClock drives NM-Strikes on the wall clock: a
-// dropped packet must be recovered by a real timer-driven strike, proving
-// the protocol code is clock-implementation agnostic.
+// dropped packet must be recovered by a strike the link's timer sends,
+// proving the protocol code is clock-implementation agnostic. The budget
+// is long enough that a loaded host cannot make the copy late; what is
+// asserted is how many requests it took, never when they left.
 func TestStrikesOverRealtimeClock(t *testing.T) {
 	loop := sim.NewLoop()
 	defer loop.Close()
@@ -85,11 +105,9 @@ func TestStrikesOverRealtimeClock(t *testing.T) {
 		clock:   sim.NewRealtimeClock(loop),
 		latency: 2 * time.Millisecond,
 	}
-	cfg := StrikesConfig{N: 3, M: 2, Budget: 150 * time.Millisecond, RTT: 4 * time.Millisecond}
-	endA := &rtEnd{p: p, isA: true}
-	endB := &rtEnd{p: p, isA: false}
-	p.a = NewStrikes(endA, cfg)
-	p.b = NewStrikes(endB, cfg)
+	cfg := StrikesConfig{N: 3, M: 2, Budget: 3 * time.Second, RTT: 4 * time.Millisecond}
+	p.a = NewStrikes(&rtEnd{p: p, isA: true}, cfg)
+	p.b = NewStrikes(&rtEnd{p: p, isA: false}, cfg)
 	dropped := false
 	p.drop = func(f *wire.Frame) bool {
 		if f.Kind == wire.FData && f.Seq == 2 && !dropped {
@@ -98,38 +116,15 @@ func TestStrikesOverRealtimeClock(t *testing.T) {
 		}
 		return false
 	}
-
-	send := func(seq uint32) {
-		done := make(chan struct{})
-		loop.Post(func() {
-			p.a.Send(dataPacket(seq))
-			close(done)
-		})
-		<-done
+	for seq := uint32(1); seq <= 3; seq++ {
+		// seq 2 is dropped in flight; seq 3 reveals the gap.
+		loop.Post(func() { p.a.Send(dataPacket(seq)) })
 	}
-	send(1)
-	send(2) // dropped in flight
-	time.Sleep(10 * time.Millisecond)
-	send(3) // reveals the gap; strikes recover seq 2
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		p.mu.Lock()
-		n := len(p.deliveredB)
-		p.mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/3 over realtime clock", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	sync := make(chan Stats, 1)
-	loop.Post(func() { sync <- p.b.Stats() })
-	st := <-sync
-	if st.Requests == 0 {
-		t.Fatal("no strike requests fired on the realtime clock")
+	await(t, "3 packets delivered over the realtime clock", func() bool { return p.deliveredToB() == 3 })
+	stats := make(chan Stats, 1)
+	loop.Post(func() { stats <- p.b.Stats() })
+	if st := <-stats; st.Requests < 1 || st.Requests > uint64(cfg.N) {
+		t.Fatalf("%d strike requests for one loss, want 1 to N=%d", st.Requests, cfg.N)
 	}
 }
 
@@ -156,20 +151,7 @@ func TestReliableOverRealtimeClock(t *testing.T) {
 	}
 	const total = 40
 	for i := uint32(1); i <= total; i++ {
-		i := i
 		loop.Post(func() { p.a.Send(dataPacket(i)) })
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		got := len(p.deliveredB)
-		p.mu.Unlock()
-		if got == total {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d over realtime clock", got, total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	await(t, "every packet delivered over the realtime clock", func() bool { return p.deliveredToB() == total })
 }

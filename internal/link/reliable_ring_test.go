@@ -9,9 +9,9 @@ import (
 )
 
 // memEnd is one end of an in-memory link: frames a protocol transmits
-// wait, unmarshaled, in the peer's inbox until handleInbox hands them over. A
-// data frame's packet stays valid there because the sender's slot owns it
-// until the ack, which is handled later.
+// wait, unmarshaled, in the peer's inbox until handleInbox hands them over,
+// unless drop loses them. A data frame's packet stays valid there because
+// the sender's slot owns it until the ack, which is handled later.
 type memEnd struct {
 	clock     sim.Clock
 	peer      *memEnd
@@ -19,6 +19,7 @@ type memEnd struct {
 	inbox     []wire.Frame
 	sent      []wire.Frame // every frame transmitted, when record is set
 	record    bool
+	drop      func(*wire.Frame) bool
 	delivered int
 }
 
@@ -28,7 +29,7 @@ func (e *memEnd) Transmit(f *wire.Frame) {
 	if e.record {
 		e.sent = append(e.sent, *f)
 	}
-	if e.peer != nil {
+	if e.peer != nil && (e.drop == nil || !e.drop(f)) {
 		e.peer.inbox = append(e.peer.inbox, *f)
 	}
 }

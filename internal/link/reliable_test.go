@@ -314,7 +314,7 @@ func TestReliableSurvivesSequenceWraparound(t *testing.T) {
 	ra := p.a.proto.(*Reliable)
 	rb := p.b.proto.(*Reliable)
 	ra.nextSeq = edge
-	rb.recvWin.cum = edge
+	rb.recvWin.cum, rb.gaps.last = edge, edge
 	rb.nextDeliv = edge
 	r := rand.New(rand.NewSource(11))
 	p.a.drop = func(*wire.Frame) bool { return r.Float64() < 0.10 }
@@ -348,7 +348,7 @@ func TestReliableInOrderAcrossWraparound(t *testing.T) {
 	ra := p.a.proto.(*Reliable)
 	rb := p.b.proto.(*Reliable)
 	ra.nextSeq = edge
-	rb.recvWin.cum = edge
+	rb.recvWin.cum, rb.gaps.last = edge, edge
 	rb.nextDeliv = edge
 	dropped := false
 	p.a.drop = func(f *wire.Frame) bool {

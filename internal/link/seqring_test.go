@@ -240,18 +240,19 @@ func TestSeqRingGrowsOnlyForWantedValues(t *testing.T) {
 	}
 }
 
-// directEnd is a loss-free link with no delay: a transmitted frame is
-// handed to the peer endpoint inside the call that borrows it.
+// directEnd is a link with no delay: a transmitted frame is handed to the
+// peer endpoint inside the call that borrows it, unless drop loses it.
 type directEnd struct {
 	clock     sim.Clock
 	peer      Protocol
+	drop      func(*wire.Frame) bool
 	delivered int
 }
 
 func (e *directEnd) Clock() sim.Clock { return e.clock }
 
 func (e *directEnd) Transmit(f *wire.Frame) {
-	if e.peer != nil {
+	if e.peer != nil && (e.drop == nil || !e.drop(f)) {
 		e.peer.HandleFrame(f)
 	}
 }
@@ -294,7 +295,8 @@ func TestStrikesSendAllocBudget(t *testing.T) {
 
 // TestStrikesCloseDropsHistory checks a torn-down link holds no packet
 // memory: every slot leaves the ring, the spare slot with them, and a
-// request scheduled before Close retransmits nothing after it.
+// request answered before Close retransmits nothing after it and leaves no
+// timer armed.
 func TestStrikesCloseDropsHistory(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	s := NewStrikes(&directEnd{clock: sched}, StrikesConfig{HistoryLimit: 10})
@@ -308,11 +310,14 @@ func TestStrikesCloseDropsHistory(t *testing.T) {
 		t.Fatalf("%d sequences held (spare %v), want 10 and the last evicted slot", s.history.Len(), s.spare)
 	}
 	s.HandleFrame(&wire.Frame{Proto: wire.LPRealTime, Kind: wire.FReq, Seq: 45, Ack: uint32(50 * time.Millisecond / time.Microsecond)})
-	s.Close()
-	sched.RunFor(time.Second)
-	if s.history.Len() != 0 || s.spare != nil || len(s.retransEpoch) != 0 {
-		t.Fatalf("after Close: %d sequences, spare %v, %d epochs", s.history.Len(), s.spare, len(s.retransEpoch))
+	if sched.Pending() != 1 {
+		t.Fatalf("%d timers armed by a request, want the slot's one", sched.Pending())
 	}
+	s.Close()
+	if s.history.Len() != 0 || s.spare != nil || sched.Pending() != 0 {
+		t.Fatalf("after Close: %d sequences, spare %v, %d timers armed", s.history.Len(), s.spare, sched.Pending())
+	}
+	sched.RunFor(time.Second)
 	if got := s.Stats().Retransmissions; got != 0 {
 		t.Fatalf("%d retransmissions from a closed link", got)
 	}

@@ -110,7 +110,7 @@ func TestSeqWindowBitmapMatchesBoolWindow(t *testing.T) {
 				}
 				if i%16 == 0 {
 					upTo := ref.cum + uint32(r.Intn(2*reach))
-					if got, want := w.Missing(upTo, 40), ref.Missing(upTo, 40); !slices.Equal(got, want) {
+					if got, want := w.Missing(upTo, 40, nil), ref.Missing(upTo, 40); !slices.Equal(got, want) {
 						t.Fatalf("cap %d base %#x: Missing(%#x) = %v, the []bool window says %v", capacity, base, upTo, got, want)
 					}
 				}
