@@ -16,19 +16,19 @@ import (
 // the same binary already differ.
 var goldenResults = map[string]uint64{
 	"EXP-F3":        0x8c05f53a93560aca,
-	"EXP-F4":        0xa861cba2a8e621ef,
+	"EXP-F4":        0x07659ead6b108fa9,
 	"EXP-REROUTE":   0xf5534571085b33c7,
 	"EXP-MCAST":     0xf8a2d4bb23963f28,
 	"EXP-MONCTL":    0xf89ac5bf04ecca6a,
 	"EXP-IT":        0xf819197d2e355c29,
 	"EXP-FAIR":      0xf6e7a739016ca1ff,
-	"EXP-RTRM":      0x0086f1bd56d51464,
+	"EXP-RTRM":      0x9f12b21400355751,
 	"EXP-ANYCAST":   0x29b444a15d34fb9e,
 	"EXP-MULTIHOME": 0x59b4f9e154dbcb15,
 	"EXP-COMPOUND":  0xfc680e6c00a15802,
 	"EXP-METRIC":    0xc0419a4140ac76ed,
 	"EXP-GLOBAL":    0xe6aa5cc893d52eb2,
-	"EXP-CLIQUE":    0x992fad0898614524,
+	"EXP-CLIQUE":    0x983d5a92fe0a7498,
 	"EXP-CHAOS":     0xb11603dd562ce206,
 	"EXP-CHURN":     0xb525ff5242fc7526,
 }
