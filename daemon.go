@@ -146,7 +146,8 @@ func (c *RemoteClient) Leave(g GroupID) error { return c.inner.Leave(g) }
 // OnError installs a callback for asynchronous daemon errors.
 func (c *RemoteClient) OnError(fn func(error)) { c.inner.OnError(fn) }
 
-// Close terminates the session.
+// Close writes what is already queued and terminates the session; it
+// returns the sticky write error, if there is one.
 func (c *RemoteClient) Close() error { return c.inner.Close() }
 
 // OpenFlow opens a flow with the given service selection.
@@ -175,7 +176,8 @@ type RemoteFlow struct {
 	inner *transport.RemoteFlow
 }
 
-// Send transmits one message on the flow. The payload is written to the
-// daemon before Send returns and may be reused at once; one larger than
-// an overlay packet carries is refused with an error.
+// Send queues one message on the flow and returns; the payload may be
+// reused at once. A write error is sticky: the next Send, OpenFlow, Join
+// or Leave returns it, and so does Close. A payload larger than an
+// overlay packet carries is refused with an error.
 func (f *RemoteFlow) Send(payload []byte) error { return f.inner.Send(payload) }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sonet/internal/session"
@@ -19,22 +18,17 @@ import (
 type Client struct {
 	conn net.Conn
 
+	// w carries every request, in call order, to the connection's one
+	// writer goroutine.
+	w *edgeWriter
+
 	mu       sync.Mutex
 	nextFlow uint16
 	port     wire.Port
 	onErr    func(error)
 
-	// wmu serializes writers and guards wbuf, the connection-owned buffer
-	// (frameBufSize: any legal message fits) every request is encoded into
-	// and written from with one Write. Close never takes it: a writer
-	// blocked on a full TCP window holds it until the socket closes under
-	// it.
-	wmu  sync.Mutex
-	wbuf []byte
-
 	deliver   func(session.Delivery)
 	connected chan wire.Port
-	closed    atomic.Bool
 	done      chan struct{}
 }
 
@@ -56,33 +50,31 @@ func Dial(addr string, port wire.Port, deliver func(session.Delivery)) (*Client,
 func newClient(conn net.Conn, port wire.Port, deliver func(session.Delivery)) (*Client, error) {
 	c := &Client{
 		conn:      conn,
-		wbuf:      make([]byte, 0, frameBufSize),
+		w:         newEdgeWriter(conn),
 		deliver:   deliver,
 		connected: make(chan wire.Port, 1),
 		done:      make(chan struct{}),
 	}
 	go c.readLoop()
+	go c.w.run(func(int) {})
 	req := make([]byte, 3)
 	req[0] = msgConnect
 	binary.BigEndian.PutUint16(req[1:], uint16(port))
-	if err := c.write(req); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	select {
-	case p, ok := <-c.connected:
-		if !ok {
-			_ = conn.Close()
-			return nil, fmt.Errorf("transport: daemon refused connect")
+	err := c.w.put(req, nil)
+	if err == nil {
+		select {
+		case p, ok := <-c.connected:
+			if ok {
+				c.port = p // c is not shared yet
+				return c, nil
+			}
+			err = fmt.Errorf("transport: daemon refused connect")
+		case <-time.After(5 * time.Second):
+			err = fmt.Errorf("transport: connect timeout")
 		}
-		c.mu.Lock()
-		c.port = p
-		c.mu.Unlock()
-	case <-time.After(5 * time.Second):
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: connect timeout")
 	}
-	return c, nil
+	_ = c.Close()
+	return nil, err
 }
 
 // Port returns the bound virtual port.
@@ -99,13 +91,26 @@ func (c *Client) OnError(fn func(error)) {
 	c.onErr = fn
 }
 
-// Close terminates the session. It does not wait for writers: closing the
-// socket fails a Send blocked on a daemon that stopped reading.
+// Close writes what is already queued and terminates the session. A
+// daemon that stopped reading gets a second to take the queue, so Close
+// returns promptly either way, and a Send waiting for room returns
+// errClientClosed. Close returns the sticky write error, if there is one.
 func (c *Client) Close() error {
-	if c.closed.Swap(true) {
+	if !c.w.close() {
 		return nil
 	}
-	err := c.conn.Close()
+	_ = c.conn.SetDeadline(time.Now().Add(time.Second))
+	<-c.w.done
+	err := c.w.err // run has returned
+	// Closing with replies unread would reset the connection, and a reset
+	// discards what the daemon has not read yet: half-close, and read on
+	// until the daemon closes its end.
+	if hc, ok := c.conn.(interface{ CloseWrite() error }); ok && err == nil && hc.CloseWrite() == nil {
+		<-c.done
+	}
+	if cerr := c.conn.Close(); err == nil {
+		err = cerr
+	}
 	<-c.done
 	return err
 }
@@ -115,7 +120,7 @@ func (c *Client) Join(g wire.GroupID) error {
 	msg := make([]byte, 5)
 	msg[0] = msgJoin
 	binary.BigEndian.PutUint32(msg[1:], uint32(g))
-	return c.write(msg)
+	return c.w.put(msg, nil)
 }
 
 // Leave unsubscribes from a multicast group.
@@ -123,7 +128,7 @@ func (c *Client) Leave(g wire.GroupID) error {
 	msg := make([]byte, 5)
 	msg[0] = msgLeave
 	binary.BigEndian.PutUint32(msg[1:], uint32(g))
-	return c.write(msg)
+	return c.w.put(msg, nil)
 }
 
 // RemoteFlow is a flow opened over the client protocol.
@@ -160,7 +165,7 @@ func (c *Client) OpenFlow(spec session.FlowSpec) (*RemoteFlow, error) {
 	msg[14] = byte(spec.Dissem)
 	binary.BigEndian.PutUint32(msg[15:], uint32(spec.Deadline/time.Microsecond))
 	msg[19] = spec.Priority
-	if err := c.write(msg); err != nil {
+	if err := c.w.put(msg, nil); err != nil {
 		return nil, err
 	}
 	return &RemoteFlow{c: c, id: id}, nil
@@ -170,43 +175,18 @@ func (c *Client) OpenFlow(spec session.FlowSpec) (*RemoteFlow, error) {
 // payload.
 const sendHeaderLen = 3
 
-// Send transmits one message on the flow. The payload is encoded into
-// the connection's buffer and written with one Write before Send returns;
-// the caller may reuse it at once. A payload no overlay packet can carry
-// is refused here with an error satisfying errors.Is(err, wire.ErrTooLarge).
+// Send queues one message on the flow, encoded into the connection's
+// egress buffer, and returns; the caller may reuse the payload at once.
+// It waits while clientSendBound bytes are queued. A write error is
+// sticky: the next Send, OpenFlow, Join or Leave returns it, and so does
+// Close. A payload no overlay packet can carry is refused here with an
+// error satisfying errors.Is(err, wire.ErrTooLarge).
 func (f *RemoteFlow) Send(payload []byte) error {
 	if len(payload) > wire.MaxPayload {
 		return fmt.Errorf("transport: payload %d bytes exceeds %d: %w", len(payload), wire.MaxPayload, wire.ErrTooLarge)
 	}
-	c := f.c
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	buf := appendFrameHeader(c.wbuf[:0], sendHeaderLen+len(payload))
-	buf = append(buf, msgSend, byte(f.id>>8), byte(f.id))
-	return c.flush(append(buf, payload...))
-}
-
-// write sends one control message.
-func (c *Client) write(msg []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	buf, err := appendFrame(c.wbuf[:0], msg)
-	if err != nil {
-		return err
-	}
-	return c.flush(buf)
-}
-
-// flush writes the frame encoded in buf (built on c.wbuf) with one Write.
-// The caller holds wmu.
-func (c *Client) flush(buf []byte) error {
-	if c.closed.Load() {
-		return errClientClosed
-	}
-	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	return nil
+	hdr := [sendHeaderLen]byte{msgSend, byte(f.id >> 8), byte(f.id)}
+	return f.c.w.put(hdr[:], payload)
 }
 
 func (c *Client) readLoop() {

@@ -346,8 +346,7 @@ func (d *Daemon) acceptLoop() {
 // serve attaches one client connection to the daemon and starts its read
 // and write loops; false means the daemon is closed and conn with it.
 func (d *Daemon) serve(conn net.Conn) bool {
-	c := &clientConn{d: d, conn: conn}
-	c.cond = sync.NewCond(&c.mu)
+	c := &clientConn{d: d, conn: conn, w: newEdgeWriter(conn)}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -400,10 +399,6 @@ const (
 	// connection, the same quota the UDP hand-off drains keep, so a fast
 	// client cannot starve timers and other connections.
 	clientBatchMax = rxDrainQuota
-	// egressRetain is the largest write buffer a connection keeps between
-	// flushes: a full queue of kilobyte messages. Bursts of larger ones
-	// grow the buffer for as long as they last.
-	egressRetain = clientQueueLen << 10
 	// arenaChunk is the allocation unit request bodies are carved from.
 	arenaChunk = 32 << 10
 )
@@ -412,14 +407,8 @@ const (
 type clientConn struct {
 	d    *Daemon
 	conn net.Conn
-
-	// mu guards the egress queue: out holds outMsgs encoded frames the
-	// write loop has yet to take.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	closed  bool
-	out     []byte
-	outMsgs int
+	// w queues messages toward the client and writes them.
+	w *edgeWriter
 
 	// session and flows belong to the daemon loop.
 	session *session.Client
@@ -427,14 +416,9 @@ type clientConn struct {
 }
 
 func (c *clientConn) close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.w.close() {
 		return
 	}
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
 	_ = c.conn.Close()
 	c.d.loop.Post(func() {
 		if c.session != nil {
@@ -447,24 +431,13 @@ func (c *clientConn) close() {
 }
 
 // enqueue queues one message, hdr followed by payload, toward the client
-// as a single frame encoded straight into the egress buffer, and wakes the
-// write loop, which flushes at once: a message never waits for company.
-// When the client cannot keep up the message is dropped and counted
-// (timely service beats unbounded buffering).
+// as a single frame encoded straight into the egress buffer. When the
+// client cannot keep up the message is dropped and counted (timely service
+// beats unbounded buffering).
 func (c *clientConn) enqueue(hdr, payload []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	if c.outMsgs >= clientQueueLen {
+	if !c.w.offer(hdr, payload) {
 		c.d.edge.dropped.Add(1)
-		return
 	}
-	c.out = appendFrameHeader(c.out, len(hdr)+len(payload))
-	c.out = append(append(c.out, hdr...), payload...)
-	c.outMsgs++
-	c.cond.Signal()
 }
 
 // send queues a control reply toward the client.
@@ -474,37 +447,13 @@ func (c *clientConn) sendError(err error) {
 	c.send(append([]byte{msgError}, []byte(err.Error())...))
 }
 
-// writeLoop writes everything queued with one Write per wakeup. While a
-// Write is in the kernel the loop keeps appending to the other buffer, so
-// frames coalesce exactly when the socket is the bottleneck and a lone
-// message on an idle connection leaves immediately.
+// writeLoop runs the connection's writer, counting each flush.
 func (c *clientConn) writeLoop() {
 	defer c.d.wg.Done()
-	var buf []byte
-	for {
-		c.mu.Lock()
-		for c.outMsgs == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		buf, c.out = c.out, buf[:0]
-		n := c.outMsgs
-		c.outMsgs = 0
-		c.mu.Unlock()
-		if _, err := c.conn.Write(buf); err != nil {
-			return
-		}
+	c.w.run(func(frames int) {
 		c.d.edge.flushes.Add(1)
-		c.d.edge.framesOut.Add(uint64(n))
-		if cap(buf) > egressRetain {
-			// A burst of large messages grew this buffer; let it go
-			// rather than hold the high-water mark per connection.
-			buf = nil
-		}
-	}
+		c.d.edge.framesOut.Add(uint64(frames))
+	})
 }
 
 // payloadArena carves request bodies out of shared chunks: one allocation

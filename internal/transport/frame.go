@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // maxMessage bounds a framed client message.
@@ -19,25 +21,15 @@ const maxMessage = 1 << 20
 // frameHeaderLen is the big-endian length prefix of every client frame.
 const frameHeaderLen = 4
 
-// frameBufSize is the frameReader's fixed buffer, and the largest write
-// buffer a Client keeps: it holds any legal message (wire.MaxPayload plus
-// headers) and several dozen typical ones, so one read(2) carries a whole
-// burst.
+// frameBufSize is the frameReader's fixed buffer: it holds any legal
+// message (wire.MaxPayload plus headers) and several dozen typical ones,
+// so one read(2) carries a whole burst.
 const frameBufSize = 64 << 10
 
-// appendFrame appends msg to dst as one length-prefixed frame, header and
-// body contiguous so a single Write sends both.
-func appendFrame(dst, msg []byte) ([]byte, error) {
-	if len(msg) > maxMessage {
-		return dst, fmt.Errorf("transport: message %d bytes exceeds %d", len(msg), maxMessage)
-	}
-	return append(appendFrameHeader(dst, len(msg)), msg...), nil
-}
-
 // appendFrameHeader appends the header of an n-byte frame; the caller
-// appends exactly n body bytes behind it. The per-message paths encode
-// their fields straight into the connection buffer this way instead of
-// building a message slice first.
+// appends exactly n body bytes behind it, so that header and body are
+// contiguous and one Write sends both. Messages are encoded straight into
+// the connection's egress buffer this way, without a message slice first.
 func appendFrameHeader(dst []byte, n int) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
@@ -135,6 +127,137 @@ func (fr *frameReader) readLarge(n int) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// clientSendBound is the queued bytes at which a Client's Send waits for
+// its writer. It decides how a client's window travels: sent in one large
+// write, the three daemons of chain3-video-be work it one stage at a time
+// (1.07 of 2 cores busy, against 1.7 with a write per message); a few
+// frames per write keep several writes in flight, and the stages overlap.
+// Against a write per message (2-vCPU guest, parent/change pairs),
+// cpu_us_per_msg / msgs_per_s moved −22 % / −19 % at 256 KiB, −20 % / −21 %
+// at 64 KiB, −26 % / −2 % at 16 KiB and −27 % / +12 % at 8 KiB.
+const clientSendBound = 8 << 10
+
+// egressRetain is the largest write buffer an edgeWriter keeps between
+// flushes, a full daemon queue of kilobyte messages; a larger burst's
+// buffer is let go.
+const egressRetain = clientQueueLen << 10
+
+// edgeWriter is the one writer of a client-protocol connection, on both
+// sides of the hop: producers encode frames into out under mu, and run
+// writes everything queued with one Write per wakeup. A frame that finds
+// run idle leaves at once; frames coalesce only while a Write is in the
+// kernel. A full queue is each side's policy: the daemon drops (offer), a
+// client waits (put).
+type edgeWriter struct {
+	conn net.Conn
+	done chan struct{} // closed when run returns
+
+	mu     sync.Mutex
+	cond   sync.Cond
+	out    []byte // frames run has yet to take
+	msgs   int    // frames in out
+	closed bool
+	err    error // the failed Write's; run has stopped
+}
+
+func newEdgeWriter(conn net.Conn) *edgeWriter {
+	w := &edgeWriter{conn: conn, done: make(chan struct{})}
+	w.cond.L = &w.mu
+	return w
+}
+
+// put queues one frame, hdr followed by payload, waiting while
+// clientSendBound bytes are queued, as a Write waits on a full TCP window.
+// After close it fails with errClientClosed, after a failed Write with
+// that Write's error.
+func (w *edgeWriter) put(hdr, payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.out) >= clientSendBound && !w.closed && w.err == nil {
+		w.cond.Wait()
+	}
+	if w.closed {
+		return errClientClosed
+	}
+	if w.err == nil {
+		w.queue(hdr, payload)
+	}
+	return w.err
+}
+
+// offer queues one frame unless clientQueueLen frames wait, and reports
+// false, a drop for the caller to count, if they do. A frame for a closed
+// or failed edge goes nowhere and is not a drop.
+func (w *edgeWriter) offer(hdr, payload []byte) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed || w.err != nil {
+		return true
+	}
+	if w.msgs >= clientQueueLen {
+		return false
+	}
+	w.queue(hdr, payload)
+	return true
+}
+
+// queue appends one frame and wakes run. Signal reaches run: a put waits
+// only on a full queue, and run wakes every waiter when it takes the queue.
+func (w *edgeWriter) queue(hdr, payload []byte) {
+	w.out = appendFrameHeader(w.out, len(hdr)+len(payload))
+	w.out = append(append(w.out, hdr...), payload...)
+	w.msgs++
+	w.cond.Signal()
+}
+
+// close lets run return once what is queued is written and fails every
+// put from now on; false means it was closed already.
+func (w *edgeWriter) close() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return false
+	}
+	w.closed = true
+	w.cond.Broadcast()
+	return true
+}
+
+// run is the writer goroutine; flushed learns how many frames each Write
+// carried. A failed Write stops it: the error is kept for put, and the
+// connection is closed, so its reader ends the edge too.
+func (w *edgeWriter) run(flushed func(frames int)) {
+	defer close(w.done)
+	var buf []byte
+	for {
+		w.mu.Lock()
+		for w.msgs == 0 && !w.closed {
+			w.cond.Wait()
+		}
+		if w.msgs == 0 {
+			w.mu.Unlock()
+			return
+		}
+		buf, w.out = w.out, buf[:0]
+		n := w.msgs
+		w.msgs = 0
+		w.cond.Broadcast()
+		w.mu.Unlock()
+		if _, err := w.conn.Write(buf); err != nil {
+			w.mu.Lock()
+			w.err = fmt.Errorf("transport: write frame: %w", err)
+			w.cond.Broadcast()
+			w.mu.Unlock()
+			_ = w.conn.Close()
+			return
+		}
+		flushed(n)
+		if cap(buf) > egressRetain {
+			buf = nil
+		}
+	}
 }
 
 // Client–daemon message kinds.

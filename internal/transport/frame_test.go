@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"runtime"
@@ -110,6 +111,15 @@ func checkAgainstReference(t *testing.T, stream []byte, seed uint64) {
 	case !clean && err == io.EOF:
 		t.Fatal("truncated or oversized tail reported as a clean EOF")
 	}
+}
+
+// appendFrame appends msg to dst as one length-prefixed frame: the stream
+// a peer writes, built by hand.
+func appendFrame(dst, msg []byte) ([]byte, error) {
+	if len(msg) > maxMessage {
+		return dst, fmt.Errorf("transport: message %d bytes exceeds %d", len(msg), maxMessage)
+	}
+	return append(appendFrameHeader(dst, len(msg)), msg...), nil
 }
 
 func TestFrameRoundTrip(t *testing.T) {
