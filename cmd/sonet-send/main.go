@@ -76,7 +76,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sonet-send: %v\n", err)
 		return 1
 	}
-	defer func() { _ = c.Close() }()
+	defer func() { _ = c.Close() }() // for the error returns; the normal exit checks Close
 	c.OnError(func(err error) { fmt.Fprintf(os.Stderr, "sonet-send: %v\n", err) })
 	flow, err := c.OpenFlow(session.FlowSpec{
 		DstNode:   wire.NodeID(*to),
@@ -134,6 +134,11 @@ func run() int {
 	}
 	// Give in-flight recovery a moment before tearing down the session.
 	time.Sleep(200 * time.Millisecond)
+	// Send only queues, so a write that fails at the end is Close's error.
+	if err := c.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "sonet-send: %v\n", err)
+		return 1
+	}
 	fmt.Printf("sonet-send: %d messages sent\n", sent)
 	return 0
 }

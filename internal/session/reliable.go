@@ -92,28 +92,25 @@ func packetWantsE2E(p *wire.Packet) bool {
 	return p.Flags.Has(wire.FOrdered) && p.Deadline == 0 && p.Group == 0
 }
 
-// armNack schedules (or reschedules) the gap-recovery timer for one flow's
-// reorder state.
-func (c *Client) armNack(id flowID, st *reorderState) {
-	if st.nackArmed || c.closed {
+// armNack arms a reliable flow's timer for its next gap-recovery tick,
+// unless a tick is already pending.
+func (c *Client) armNack(st *reorderState) {
+	if st.armed || c.closed {
 		return
 	}
-	if st.nackTimer == nil {
-		st.nackTimer = c.mgr.clock.NewTimer(func() {
-			st.nackArmed = false
-			c.nackTick(id, st)
-		})
+	if st.timer == nil {
+		st.timer = c.mgr.clock.NewTimer(st.nackTick)
 	}
-	st.nackArmed = true
-	st.nackTimer.Reset(nackInterval)
+	st.armed = true
+	st.timer.Reset(nackInterval)
 }
 
-// nackTick requests the flow's missing sequences from the source, giving
-// up (and flushing past the gap) after NackMaxTries attempts.
-func (c *Client) nackTick(id flowID, st *reorderState) {
-	if c.closed {
-		return
-	}
+// nackTick is a reliable flow's timer. It requests the flow's missing
+// sequences from the source, giving up (and flushing past the gap) after
+// NackMaxTries attempts.
+func (st *reorderState) nackTick() {
+	st.armed = false
+	c := st.c
 	missing := st.missing(maxNackSeqs)
 	if len(missing) == 0 {
 		st.nackTries = 0
@@ -124,7 +121,7 @@ func (c *Client) nackTick(id flowID, st *reorderState) {
 		// The source is gone or its history no longer covers the gap;
 		// deliver what we have rather than stalling forever.
 		st.nackTries = 0
-		c.flushTo(id, st.maxSeen)
+		c.deliverHeld(st, st.maxSeen)
 		return
 	}
 	k := nack{origin: c.mgr.n.ID(), port: c.port, seqs: missing}
@@ -132,13 +129,13 @@ func (c *Client) nackTick(id flowID, st *reorderState) {
 		Type:      wire.PTSessionCtl,
 		Route:     wire.RouteLinkState,
 		LinkProto: wire.LPReliable,
-		Dst:       id.src,
-		DstPort:   id.srcPort,
+		Dst:       st.id.src,
+		DstPort:   st.id.srcPort,
 		SrcPort:   c.port,
 		Payload:   k.marshal(),
 	}
 	_ = c.mgr.n.Originate(p)
-	c.armNack(id, st)
+	c.armNack(st)
 }
 
 // missing returns up to max sequences in (next-1, maxSeen] absent from the
@@ -214,22 +211,4 @@ func (f *Flow) tailFlush() {
 	f.tailTries++
 	f.resend(f.seq)
 	f.tailTimer.Reset(tailFlushInterval << f.tailTries)
-}
-
-// stopTailTimers cancels tail-protection timers on client close.
-func (c *Client) stopTailTimers() {
-	for _, f := range c.flows {
-		if f.tailTimer != nil {
-			f.tailTimer.Stop()
-		}
-	}
-}
-
-// stopNackTimers cancels gap-recovery timers on client close.
-func (c *Client) stopNackTimers() {
-	for _, st := range c.reorder {
-		if st.nackTimer != nil {
-			st.nackTimer.Stop()
-		}
-	}
 }

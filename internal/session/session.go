@@ -42,7 +42,9 @@ type FlowSpec struct {
 	Dissem topology.ProblemArea
 	// Flood routes by constrained flooding over the whole topology.
 	Flood bool
-	// Ordered asks the destination to deliver in sequence order.
+	// Ordered asks the destination to deliver in sequence order. An
+	// ordered group or anycast flow needs a Deadline: nothing else ever
+	// releases what its destinations hold back.
 	Ordered bool
 	// Deadline is the one-way latency budget; late packets are discarded
 	// at the destination and ordered flows flush their hold-back buffer
@@ -159,14 +161,8 @@ func (m *Manager) NoClientDrops() uint64 { return m.noClient }
 // reorder, NACK, or tail-flush timer of the dead incarnation fires into
 // the reborn one.
 func (m *Manager) Close() {
-	ports := make([]wire.Port, 0, len(m.clients))
-	for port := range m.clients {
-		ports = append(ports, port)
-	}
-	for _, port := range ports {
-		if c, ok := m.clients[port]; ok {
-			c.Close()
-		}
+	for _, c := range m.clients {
+		c.Close()
 	}
 }
 
@@ -208,30 +204,29 @@ type Client struct {
 
 // reorderState is the destination hold-back buffer for one ordered flow.
 type reorderState struct {
+	c       *Client
+	id      flowID
 	next    uint32
 	maxSeen uint32
-	pending map[uint32]*heldPacket
+	pending map[uint32]heldPacket
 
-	// Gap-recovery state for reliable flows: one timer, made by the first
-	// armNack, pending while nackArmed.
-	nackTimer sim.Timer
-	nackArmed bool
+	// timer is the flow's one timer, made on first need and pending while
+	// armed. A flow's packets all carry its spec's deadline, so it serves
+	// one of two purposes: a deadline flow's flush, armed for due — the
+	// earliest deadline held — while anything is held; or a reliable
+	// flow's NACK tick.
+	timer     sim.Timer
+	armed     bool
+	due       time.Duration
 	nackTries int
 }
 
 // heldPacket is an out-of-order packet captured into one pooled buffer,
-// released once it is delivered, flushed past, or the client closes.
+// released once it is delivered, flushed past, or the client closes. At
+// 128 bytes it is the largest value a map stores without allocating it.
 type heldPacket struct {
-	p     wire.Packet
-	buf   *wire.Buf
-	timer sim.Timer
-}
-
-// stopTimer cancels the deadline flush, if the packet has one.
-func (h *heldPacket) stopTimer() {
-	if h.timer != nil {
-		h.timer.Stop()
-	}
+	p   wire.Packet
+	buf *wire.Buf
 }
 
 // release returns the captured buffer; h.p is dead afterwards.
@@ -272,16 +267,16 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	for _, st := range c.reorder {
+		if st.timer != nil {
+			st.timer.Stop()
+		}
 		for _, held := range st.pending {
-			held.stopTimer()
 			held.release()
 		}
 		clear(st.pending)
 	}
-	c.stopNackTimers()
-	c.stopTailTimers()
 	for _, f := range c.flows {
-		delete(c.mgr.flowPorts, f.srcPort)
+		f.Close()
 	}
 	delete(c.mgr.clients, c.port)
 }
@@ -293,6 +288,11 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 	}
 	if spec.Group == 0 && spec.Anycast {
 		return nil, fmt.Errorf("session: anycast flow needs a group")
+	}
+	if spec.Group != 0 && spec.Ordered && spec.Deadline == 0 {
+		// Group flows keep no history to recover from, so only a deadline
+		// flush could release a gap their destinations hold back.
+		return nil, fmt.Errorf("session: ordered group flow needs a deadline")
 	}
 	f := &Flow{client: c, spec: spec, srcPort: c.mgr.allocEphemeral()}
 	if wantsE2ERecovery(spec) {
@@ -328,7 +328,7 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 	id := flowID{src: p.Src, srcPort: p.SrcPort}
 	st, ok := c.reorder[id]
 	if !ok {
-		st = &reorderState{next: 1, pending: make(map[uint32]*heldPacket)}
+		st = &reorderState{c: c, id: id, next: 1, pending: make(map[uint32]heldPacket)}
 		c.reorder[id] = st
 	}
 	if p.FlowSeq > st.maxSeen {
@@ -348,65 +348,91 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 	if p.FlowSeq == st.next {
 		// In sequence: there is nothing to hold it back for.
 		st.next++
-		c.deliverUp(p, c.mgr.clock.Now()-p.Origin)
+		c.deliverUp(p, lat)
 	} else {
 		if _, dup := st.pending[p.FlowSeq]; dup {
 			c.stats.Duplicates++
 			return
 		}
-		held := &heldPacket{}
+		var held heldPacket
 		held.buf = wire.CapturePacket(&held.p, p, wire.DefaultBufPool)
 		st.pending[p.FlowSeq] = held
 		if p.Deadline > 0 {
-			// Flush the buffer when this packet's delivery deadline passes.
-			wait := p.Origin + p.Deadline - c.mgr.clock.Now()
-			seq := p.FlowSeq
-			held.timer = c.mgr.clock.After(wait, func() { c.flushTo(id, seq) })
+			st.flushBy(p.Origin + p.Deadline)
 		}
 	}
-	c.drain(id, st)
-	// Reliable flows recover remaining gaps end to end.
-	if packetWantsE2E(p) && len(st.missing(1)) > 0 {
-		c.armNack(id, st)
+	c.deliverHeld(st, 0)
+	switch {
+	case packetWantsE2E(p):
+		// Reliable flows recover remaining gaps end to end; next is
+		// missing iff anything above it was seen.
+		if st.next <= st.maxSeen {
+			c.armNack(st)
+		}
+	case st.armed && len(st.pending) == 0:
+		// Nothing is held, so there is nothing to flush.
+		st.timer.Stop()
+		st.armed = false
 	}
 }
 
-// drain delivers consecutively sequenced held packets.
-func (c *Client) drain(id flowID, st *reorderState) {
+// flushBy arms a deadline flow's timer for deadline, unless it is armed
+// for one no later.
+func (st *reorderState) flushBy(deadline time.Duration) {
+	if st.armed && st.due <= deadline {
+		return
+	}
+	if st.timer == nil {
+		st.timer = st.c.mgr.clock.NewTimer(st.flushDue)
+	}
+	st.armed, st.due = true, deadline
+	st.timer.Reset(deadline - st.c.mgr.clock.Now())
+}
+
+// flushDue is a deadline flow's timer. It flushes to the highest held
+// sequence whose deadline has passed — the union of the flushes each
+// held packet's own deadline would make — and re-arms, with one Reset,
+// for the earliest deadline still held.
+func (st *reorderState) flushDue() {
+	now := st.c.mgr.clock.Now()
+	var to uint32
+	for seq, held := range st.pending {
+		if seq > to && held.p.Deadline > 0 && held.p.Origin+held.p.Deadline <= now {
+			to = seq
+		}
+	}
+	st.c.deliverHeld(st, to)
+	st.armed = false
+	for _, held := range st.pending {
+		if due := held.p.Origin + held.p.Deadline; held.p.Deadline > 0 && (!st.armed || due < st.due) {
+			st.armed, st.due = true, due
+		}
+	}
+	if st.armed {
+		st.timer.Reset(st.due - now)
+	}
+}
+
+// deliverHeld delivers held packets in sequence: everything up to seq,
+// skipping the gaps below it — their deadline has passed, or their
+// recovery was given up, so waiting longer only hurts — and then every
+// packet held consecutively after that. With seq 0 it only delivers what
+// the next expected sequence releases.
+func (c *Client) deliverHeld(st *reorderState, seq uint32) {
 	for {
 		held, ok := st.pending[st.next]
-		if !ok {
-			return
-		}
-		delete(st.pending, st.next)
-		held.stopTimer()
-		st.next++
-		c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
-		held.release()
-	}
-}
-
-// flushTo advances the flow past any gaps up to and including seq, then
-// drains: the deadline has passed, so waiting longer only hurts.
-func (c *Client) flushTo(id flowID, seq uint32) {
-	if c.closed {
-		return
-	}
-	st, ok := c.reorder[id]
-	if !ok || seq < st.next {
-		return
-	}
-	// Deliver everything held at or below seq in order, skipping gaps.
-	for s := st.next; s <= seq; s++ {
-		if held, ok := st.pending[s]; ok {
-			delete(st.pending, s)
-			held.stopTimer()
+		switch {
+		case ok:
+			delete(st.pending, st.next)
+			st.next++
 			c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
 			held.release()
+		case st.next <= seq:
+			st.next++ // a gap, flushed past
+		default:
+			return
 		}
 	}
-	st.next = seq + 1
-	c.drain(id, st)
 }
 
 func (c *Client) deliverUp(p *wire.Packet, lat time.Duration) {

@@ -278,6 +278,36 @@ func TestOrderedDeadlineLateDiscard(t *testing.T) {
 	}
 }
 
+// TestOrderedGroupFlowNeedsDeadline: a group flow keeps no history and
+// its destinations send no NACKs, so an ordered one without a deadline
+// would hold everything behind its first loss for the life of the client.
+// OpenFlow refuses it and keeps accepting the ordered group flows that
+// have a deadline to flush by.
+func TestOrderedGroupFlowNeedsDeadline(t *testing.T) {
+	_, m1, _ := world(t, 0)
+	c, err := m1.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []FlowSpec{
+		{Group: 5, DstPort: 100, Ordered: true},
+		{Group: 5, DstPort: 100, Ordered: true, Anycast: true},
+	} {
+		if _, err := c.OpenFlow(spec); err == nil {
+			t.Errorf("OpenFlow(%+v) accepted an ordered group flow with no deadline", spec)
+		}
+	}
+	for _, spec := range []FlowSpec{
+		{Group: 5, DstPort: 100, Ordered: true, Deadline: 100 * time.Millisecond},
+		{Group: 5, DstPort: 100},
+		{DstNode: 2, DstPort: 100, Ordered: true},
+	} {
+		if _, err := c.OpenFlow(spec); err != nil {
+			t.Errorf("OpenFlow(%+v): %v", spec, err)
+		}
+	}
+}
+
 func TestClientCloseReleasesFlowPorts(t *testing.T) {
 	_, m1, _ := world(t, 0)
 	c, err := m1.Connect(500)
@@ -700,7 +730,8 @@ func TestReliableStreamSurvivesDestinationRestart(t *testing.T) {
 // TestOrderedInSequenceFastPath feeds the hold-back buffer by hand: a
 // packet that is next in sequence is delivered at once — nothing held, no
 // deadline timer armed and stopped again — and still releases whatever
-// was held behind it, with the accounting of the slow path.
+// was held behind it, with the accounting of the slow path. Whatever is
+// held, the flow arms one timer.
 func TestOrderedInSequenceFastPath(t *testing.T) {
 	s, _, m2 := world(t, 0)
 	dst, err := m2.Connect(100)
@@ -731,12 +762,12 @@ func TestOrderedInSequenceFastPath(t *testing.T) {
 	if got[2].Latency != 3*time.Millisecond {
 		t.Fatalf("latency %v, want now - origin = 3ms", got[2].Latency)
 	}
-	// 5 and 6 wait for 4, each under its own deadline timer.
+	// 5 and 6 wait for 4 under the flow's one deadline timer.
 	dst.receive(pkt(5, 0))
 	dst.receive(pkt(6, 0))
 	dst.receive(pkt(6, 0)) // duplicate of a held packet
-	if len(got) != 3 || len(st.pending) != 2 || s.sched.Pending()-idle != 2 {
-		t.Fatalf("out-of-sequence packets: delivered %d, held %d, timers %d; want 3, 2, 2",
+	if len(got) != 3 || len(st.pending) != 2 || s.sched.Pending()-idle != 1 {
+		t.Fatalf("out-of-sequence packets: delivered %d, held %d, timers %d; want 3, 2, 1",
 			len(got), len(st.pending), s.sched.Pending()-idle)
 	}
 	dst.receive(pkt(4, wire.FRetrans))

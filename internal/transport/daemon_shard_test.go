@@ -148,13 +148,9 @@ func TestDaemonSteeredArrivalMatchesHome(t *testing.T) {
 		}
 		drv.Send(2, 0, b)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.NodeStats().DeliveredLocal < sent {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d", d.NodeStats().DeliveredLocal, sent)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	await(t, 5*time.Second, fmt.Sprintf("%d frames delivered", sent), func() bool {
+		return d.NodeStats().DeliveredLocal >= sent
+	})
 	var handoffs uint64
 	for i := 0; i < shards; i++ {
 		st := d.ShardStats(i)
@@ -206,21 +202,20 @@ func TestDaemonAdmittedPeerFramesStayHome(t *testing.T) {
 	f := &wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FData, Packet: &wire.Packet{
 		Type: wire.PTData, Route: wire.RouteLinkState, TTL: 4, Src: src, Dst: 2,
 	}}
-	deadline := time.Now().Add(5 * time.Second)
-	for seq := uint32(1); d.NodeStats().DeliveredLocal < sent; seq++ {
-		// The admission is queued on the peer's home shard before AdmitPeer
-		// returns, so every frame sent after it meets the link entry.
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d: %+v", d.NodeStats().DeliveredLocal, sent, d.NodeStats())
+	// The admission is queued on the peer's home shard before AdmitPeer
+	// returns, so every frame sent after it meets the link entry.
+	await(t, 5*time.Second, fmt.Sprintf("%d frames delivered", sent), func() bool {
+		if d.NodeStats().DeliveredLocal >= sent {
+			return true
 		}
-		f.Packet.FlowSeq = seq
+		f.Packet.FlowSeq++
 		b, err := f.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
 		drv.Send(2, 0, b)
-		time.Sleep(time.Millisecond)
-	}
+		return false
+	})
 	if st := d.NodeStats(); st.DroppedUnknownPeer != 0 {
 		t.Fatalf("%d of the admitted peer's frames missed its link session on shard %d: %+v",
 			st.DroppedUnknownPeer, wire.HomeShard(src, shards), st)
@@ -285,45 +280,39 @@ func TestDaemonShardLedgersSumAndBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paced below the DRR drain rate: a tight-loop burst would (by
-	// design) evict from the bounded fair queue, and this test wants full
-	// delivery so the end-to-end count is exact.
+	// In lock step — each message delivered before the next leaves — so
+	// the bounded fair queue never evicts (by design, a tight-loop burst
+	// would) and the end-to-end count is exact.
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := flow.Send([]byte(fmt.Sprintf("it%d", i))); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		await(t, 5*time.Second, fmt.Sprintf("message %d delivered", i), func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return received > i
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		count := received
-		mu.Unlock()
-		if count >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			for id, d := range daemons {
-				t.Logf("daemon %d: node %+v sched %+v", id, d.NodeStats(), d.SchedStats())
+	// The last delivery can overtake the sending shards' bookkeeping: wait
+	// for the identities themselves.
+	balanced := func() error {
+		for id, d := range daemons {
+			var sum metrics.WireSnapshot
+			for i := 0; i < d.Shards(); i++ {
+				sum = sum.Merge(d.ShardStats(i))
 			}
-			t.Fatalf("received %d/%d", count, n)
+			if agg := d.WireStats(); sum != agg {
+				return fmt.Errorf("daemon %d: shard wire ledgers sum %+v != aggregate %+v", id, sum, agg)
+			}
+			if sched := d.SchedStats(); !sched.Balanced() {
+				return fmt.Errorf("daemon %d: scheduler ledger unbalanced: %+v", id, sched)
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		return nil
 	}
-	// Traffic has quiesced (hellos are hours apart); ledgers are stable.
-	time.Sleep(100 * time.Millisecond)
-	for id, d := range daemons {
-		var sum metrics.WireSnapshot
-		for i := 0; i < d.Shards(); i++ {
-			sum = sum.Merge(d.ShardStats(i))
-		}
-		if agg := d.WireStats(); sum != agg {
-			t.Errorf("daemon %d: shard wire ledgers sum %+v != aggregate %+v", id, sum, agg)
-		}
-		if sched := d.SchedStats(); !sched.Balanced() {
-			t.Errorf("daemon %d: scheduler ledger unbalanced: %+v", id, sched)
-		}
+	if !waitFor(t, 5*time.Second, func() bool { return balanced() == nil }) {
+		t.Fatal(balanced())
 	}
 	// The transit daemon's protocol work happened on its shards: the
 	// merged node stats must show the forwarding.

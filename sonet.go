@@ -112,7 +112,8 @@ type FlowSpec struct {
 	// Ordered delivers in sequence at the destination. Combined with a
 	// zero Deadline this selects the completely reliable transport
 	// service (end-to-end recovery); with a Deadline it selects the
-	// real-time reorder buffer that discards late packets (§IV-A).
+	// real-time reorder buffer that discards late packets (§IV-A). An
+	// ordered group flow needs a Deadline: OpenFlow refuses one without.
 	Ordered bool
 	// Deadline is the one-way latency budget; late packets are discarded
 	// at the destination.
