@@ -85,12 +85,14 @@ func (d *Daemon) AddPeer(id NodeID, addrs ...string) error {
 // registered, the shared topology gains the node and a direct link of
 // the given designed latency, and the daemon begins hello probing and
 // re-announces its link state so the joiner is discovered fleet-wide.
+// After Close it returns an error.
 func (d *Daemon) AdmitPeer(id NodeID, latency time.Duration, addrs ...string) error {
 	return d.inner.AdmitPeer(id, int(latency/time.Millisecond), addrs...)
 }
 
 // EvictPeer removes a departed overlay neighbor at runtime: the link is
 // withdrawn and the peer's underlay addresses and steering state drop.
+// After Close it does nothing.
 func (d *Daemon) EvictPeer(id NodeID) { d.inner.EvictPeer(id) }
 
 // Stats reports the daemon node's packet accounting.
@@ -107,7 +109,7 @@ func (d *Daemon) Stats() NodeStats {
 // aggregated across its intrusion-tolerant link disciplines. Safe from
 // any goroutine.
 func (d *Daemon) SchedStats() SchedStats {
-	return fromSchedSnapshot(d.inner.SchedStats())
+	return d.inner.SchedStats()
 }
 
 // Close stops the daemon.

@@ -40,6 +40,20 @@ func TestTopologyRegistry(t *testing.T) {
 	}
 }
 
+func TestStatsClean(t *testing.T) {
+	if (Stats{}).Clean() {
+		t.Fatal("zero checks must not report Clean")
+	}
+	s := Stats{EventsInjected: 12, FaultsActive: 1, InvariantChecks: 40, Campaigns: 1}
+	if !s.Clean() {
+		t.Fatal("violation-free run must report Clean")
+	}
+	s.Violations++
+	if s.Clean() {
+		t.Fatal("run with a violation must not report Clean")
+	}
+}
+
 func TestExpandIsDeterministicAndBounded(t *testing.T) {
 	c := Campaign{
 		Topo: "ring8", Seed: 77, Duration: 6 * time.Second,

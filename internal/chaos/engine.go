@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sonet/internal/membership"
-	"sonet/internal/metrics"
 	"sonet/internal/netemu"
 	"sonet/internal/session"
 	"sonet/internal/wire"
@@ -77,11 +76,35 @@ type Report struct {
 	// Violations lists every invariant failure, in time order.
 	Violations []Violation
 	// Stats summarizes engine activity.
-	Stats metrics.ChaosSnapshot
+	Stats Stats
 }
 
 // Failed reports whether any invariant was violated.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
+
+// Stats counts fault-campaign activity in one engine run: injected
+// adversity on one side, invariant outcomes on the other. The engine is
+// single-threaded, and the counters are read once the run is over.
+type Stats struct {
+	// EventsInjected counts fault and repair events applied to the world.
+	EventsInjected uint64
+	// FaultsActive tracks the number of currently outstanding faults
+	// (injected and not yet healed/restored).
+	FaultsActive int64
+	// InvariantChecks counts individual invariant evaluations, continuous
+	// and at quiesce points.
+	InvariantChecks uint64
+	// Violations counts invariant evaluations that failed.
+	Violations uint64
+	// Campaigns counts completed campaign runs.
+	Campaigns uint64
+}
+
+// Clean reports whether every invariant evaluation so far passed (and at
+// least one ran).
+func (s Stats) Clean() bool {
+	return s.InvariantChecks > 0 && s.Violations == 0
+}
 
 // engine executes one campaign against one world.
 type engine struct {
@@ -89,7 +112,7 @@ type engine struct {
 	camp   Campaign
 	events []Event
 	base   time.Duration
-	stats  metrics.ChaosStats
+	stats  Stats
 
 	trace []TraceEntry
 	viol  []Violation
@@ -190,7 +213,7 @@ func (e *engine) run() {
 	e.checkMulticast()
 	e.checkSched()
 	e.teardown()
-	e.stats.Campaigns.Add(1)
+	e.stats.Campaigns++
 	e.tracef("campaign end violations=%d", len(e.viol))
 }
 
@@ -205,7 +228,7 @@ func (e *engine) report() *Report {
 		Trace:      e.trace,
 		TraceHash:  h.Sum64(),
 		Violations: e.viol,
-		Stats:      e.stats.Snapshot(),
+		Stats:      e.stats,
 	}
 }
 
@@ -221,7 +244,7 @@ func (e *engine) tracef(format string, args ...any) {
 func (e *engine) violate(invariant, format string, args ...any) {
 	v := Violation{At: e.rel(), Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 	e.viol = append(e.viol, v)
-	e.stats.Violations.Add(1)
+	e.stats.Violations++
 	e.tracef("VIOLATION %s: %s", v.Invariant, v.Detail)
 }
 
@@ -266,7 +289,7 @@ func (e *engine) apply(ev Event) {
 		e.tracef("skip %s", ev)
 		return
 	}
-	e.stats.EventsInjected.Add(1)
+	e.stats.EventsInjected++
 	switch {
 	case ev.Kind == KindCorruptView:
 		// Corruption has no repair event and holds no capacity down; the
@@ -274,9 +297,9 @@ func (e *engine) apply(ev Event) {
 		e.appliedKinds[ev.Kind] = true
 	case isFault(ev.Kind):
 		e.appliedKinds[ev.Kind] = true
-		e.stats.FaultsActive.Add(1)
+		e.stats.FaultsActive++
 	default:
-		e.stats.FaultsActive.Add(-1)
+		e.stats.FaultsActive--
 	}
 	e.tracef("apply %s", ev)
 }
@@ -555,32 +578,32 @@ func (e *engine) restoreAll() {
 	for li := range e.linkCut {
 		for e.linkCut[li] > 0 {
 			e.restoreLink(li)
-			e.stats.FaultsActive.Add(-1)
+			e.stats.FaultsActive--
 			e.tracef("restore-all link=%d", li)
 		}
 	}
 	for len(e.partitions) > 0 {
 		mask := e.partitions[0]
 		e.heal(mask)
-		e.stats.FaultsActive.Add(-1)
+		e.stats.FaultsActive--
 		e.tracef("restore-all partition mask=%s", mask)
 	}
 	for isp := 0; isp < 2; isp++ {
 		for e.ispOut[isp] > 0 {
 			e.ispRestore(isp)
-			e.stats.FaultsActive.Add(-1)
+			e.stats.FaultsActive--
 			e.tracef("restore-all isp=%d", isp)
 		}
 		for e.brownDepth[isp] > 0 {
 			e.brownoutEnd(isp)
-			e.stats.FaultsActive.Add(-1)
+			e.stats.FaultsActive--
 			e.tracef("restore-all brownout isp=%d", isp)
 		}
 	}
 	for li := range e.spikeDepth {
 		for e.spikeDepth[li] > 0 {
 			e.latencyNormal(li)
-			e.stats.FaultsActive.Add(-1)
+			e.stats.FaultsActive--
 			e.tracef("restore-all latency link=%d", li)
 		}
 	}
@@ -589,7 +612,7 @@ func (e *engine) restoreAll() {
 			depth := e.crashDepth[ni]
 			e.crashDepth[ni] = 1
 			e.restartNode(ni)
-			e.stats.FaultsActive.Add(int64(-depth))
+			e.stats.FaultsActive -= int64(depth)
 			e.tracef("restore-all node=%d", ni)
 		}
 	}
@@ -600,7 +623,7 @@ func (e *engine) restoreAll() {
 			depth := e.leaveDepth[ni]
 			e.leaveDepth[ni] = 1
 			e.rejoinNode(ni)
-			e.stats.FaultsActive.Add(int64(-depth))
+			e.stats.FaultsActive -= int64(depth)
 			e.tracef("restore-all rejoin node=%d", ni)
 		}
 	}

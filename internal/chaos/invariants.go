@@ -38,7 +38,7 @@ func (e *engine) scheduleConservationTicks() {
 }
 
 func (e *engine) checkConservationProgress() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	st := e.w.O.Net.Stats()
 	resolved := st.Delivered + st.DroppedLoss + st.DroppedDown + st.DroppedNoRoute
 	if st.Sent < resolved {
@@ -49,7 +49,7 @@ func (e *engine) checkConservationProgress() {
 // checkConservationFinal runs after teardown drained the world: every
 // sent packet must have met exactly one fate.
 func (e *engine) checkConservationFinal() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	st := e.w.O.Net.Stats()
 	resolved := st.Delivered + st.DroppedLoss + st.DroppedDown + st.DroppedNoRoute
 	if st.Sent != resolved {
@@ -75,7 +75,7 @@ func (e *engine) checkConservationFinal() {
 // up. A stale entry means detection, flooding, or refresh repair missed
 // the bound.
 func (e *engine) checkConvergence() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	bad := 0
 	for _, id := range e.w.Nodes {
 		view := e.w.O.Node(id).View()
@@ -94,7 +94,7 @@ func (e *engine) checkConvergence() {
 // checkGroups runs at the quiesce point: every node's replicated group
 // state must agree on the designed membership.
 func (e *engine) checkGroups() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	want := map[wire.NodeID]bool{
 		e.w.Nodes[mcastMemberLo]: true,
 		e.w.Nodes[mcastMemberHi]: true,
@@ -129,7 +129,7 @@ func (e *engine) checkHealth() {
 	if !topoFault {
 		return
 	}
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	var reconv, missed, downs, deltas uint64
 	for _, id := range e.w.Nodes {
 		st := e.w.O.Node(id).LinkStateManager().Stats()
@@ -168,7 +168,7 @@ func (e *engine) checkStabilization() {
 	if !e.w.Topo.Membership {
 		return
 	}
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	bad := 0
 	var refDigest uint64
 	var sweeps, incons, corrections uint64
@@ -213,7 +213,7 @@ func (e *engine) checkStabilization() {
 // exhaust its TTL — on a converged loop-free view, TTL death can only
 // mean a forwarding loop.
 func (e *engine) runProbes() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	ttlBefore := e.ttlDrops()
 	before := make([]int, len(e.probeGot))
 	copy(before, e.probeGot)
@@ -266,7 +266,7 @@ func (e *engine) ttlDrops() uint64 {
 // is only checkable here, once end-to-end recovery has had the whole
 // drain to finish.
 func (e *engine) checkStream() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	if e.streamGot != e.streamSent {
 		e.violate(InvStream, "stream delivered %d of %d sends after %v drain", e.streamGot, e.streamSent, drainTime)
 	} else {
@@ -278,7 +278,7 @@ func (e *engine) checkStream() {
 // invariant; best-effort multicast may lose packets under faults, so
 // completeness is reported, not required.
 func (e *engine) checkMulticast() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	for ni := mcastMemberLo; ni <= mcastMemberHi; ni++ {
 		if e.mcastSeen[ni] == nil {
 			continue
@@ -296,7 +296,7 @@ func (e *engine) checkMulticast() {
 // live incarnation's counters; each incarnation's identity must hold on
 // its own.
 func (e *engine) checkSched() {
-	e.stats.InvariantChecks.Add(1)
+	e.stats.InvariantChecks++
 	var agg metrics.SchedSnapshot
 	bad := 0
 	for _, id := range e.w.Nodes {

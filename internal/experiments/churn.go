@@ -41,7 +41,7 @@ type churnFabric struct {
 	alive []bool
 	// base accumulates counters of dead incarnations so fleet totals
 	// survive manager replacement.
-	base metrics.MembershipSnapshot
+	base membership.Stats
 	// applied counts churn events that actually fired; lastEvent is when
 	// the final one did — the clock convergence is measured from.
 	applied   int
@@ -201,7 +201,7 @@ func (f *churnFabric) settle(since time.Duration) (time.Duration, bool) {
 
 // stats returns fleet-aggregate membership counters, dead incarnations
 // included.
-func (f *churnFabric) stats() metrics.MembershipSnapshot {
+func (f *churnFabric) stats() membership.Stats {
 	agg := f.base
 	for i, m := range f.mgrs {
 		if f.alive[i] {

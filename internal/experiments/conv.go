@@ -222,10 +222,10 @@ func measureConvergence(n, rounds int) (convOutcome, error) {
 // 64-node world: members spread around the ring, repeated tree lookups
 // between churn events, then a burst of distinct groups to overflow the
 // cache cap.
-func multicastChurn(rounds int) (metrics.TreeCacheSnapshot, error) {
+func multicastChurn(rounds int) (routing.TreeCacheStats, error) {
 	w, err := buildConvWorld(64)
 	if err != nil {
-		return metrics.TreeCacheSnapshot{}, err
+		return routing.TreeCacheStats{}, err
 	}
 	w.groups.members[1] = []wire.NodeID{5, 21, 37, 53}
 	e := w.engines[0]

@@ -43,7 +43,7 @@ func rerouteOverlay(seed uint64, hello time.Duration) rerouteOutcome {
 // (§II-A). It also returns the underlay route-cache counters: the cut and
 // its convergence event are the only epoch bumps, so the ~6000-packet
 // stream must be served almost entirely from cache.
-func rerouteBGP(seed uint64) (rerouteOutcome, metrics.RouteCacheSnapshot) {
+func rerouteBGP(seed uint64) (rerouteOutcome, netemu.RouteCacheStats) {
 	o := core.New(seed, netemu.DefaultConfig())
 	a := o.AddSite("A")
 	b := o.AddSite("B")

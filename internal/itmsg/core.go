@@ -25,7 +25,7 @@ import (
 //     O(1): no idle-source skipping, no backlog scans. Priority orders
 //     packets within a flow, never across flows — the paper's discipline.
 //   - Per-flow queues are bounded chains of pooled entries holding a
-//     refcounted wire.Buf captured once at enqueue (wire.CapturePacket) —
+//     pooled wire.Buf captured once at enqueue (wire.CapturePacket) —
 //     no clones. Within a flow, entries are ordered by a short list of
 //     priority lanes (FIFO within a lane, lanes sorted high→low), which
 //     reproduces the seed discipline bit for bit: serve highest priority
@@ -122,7 +122,7 @@ type coreLane struct {
 }
 
 // coreEntry is one queued packet: header copied inline, bytes captured
-// into a refcounted pooled buffer.
+// into a pooled buffer.
 type coreEntry struct {
 	next int32
 	buf  *wire.Buf
@@ -475,7 +475,7 @@ func (c *Core) enqueueFIFO(p *wire.Packet) Outcome {
 // round-robin across the backlogged flows, one packet per visit, highest
 // priority oldest-first within a flow. The returned packet header points
 // at core-owned scratch, valid until the next Dequeue; buf (possibly nil)
-// is the refcounted backing of its byte fields, and ownership transfers to
+// is the pooled backing of its byte fields, and ownership transfers to
 // the caller, who must Release it — or hand it on — once the packet is
 // done. The time argument is unused: bench/layers_ladder.go calls
 // Dequeue(0), so it stays until a benchmark PR can drop it.

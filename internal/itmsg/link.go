@@ -25,8 +25,8 @@ type SchedConfig struct {
 	// TotalBuffer bounds the FIFO queue in the unfair baseline.
 	TotalBuffer int
 	// Stats receives drop/backpressure accounting; nil gets a private
-	// sink. The node shares one SchedStats across its discipline
-	// instances so Daemon.SchedStats aggregates the whole QoS plane.
+	// sink. Each node shard sets its own, shared by the discipline
+	// instances it hosts, and Daemon.SchedStats merges the shards'.
 	Stats *metrics.SchedStats
 }
 
@@ -129,7 +129,7 @@ func newLink(env link.Env, cfg SchedConfig, policy OverflowPolicy, inner storedS
 
 // Send implements link.Protocol: it enqueues under the fair-allocation
 // policy and lets the pacer transmit at link rate. The packet is borrowed;
-// the core captures its bytes into pooled refcounted buffers.
+// the core captures its bytes into pooled buffers.
 func (l *Link) Send(p *wire.Packet) { _ = l.TrySend(p) }
 
 // TrySend implements link.TrySender: like Send, but a packet refused by

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"time"
 
-	"sonet/internal/metrics"
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
@@ -99,6 +98,12 @@ type Stats struct {
 	// the endpoint holds for retransmission now and the signature and
 	// payload bytes they carry. WindowBytes is its receive-window bitmap.
 	HistoryPackets, HistoryBytes, WindowBytes int
+	// MissingClamps counts Reliable gap scans whose peer-supplied bound lay
+	// past the receive window and was cut to it; GapScanClamps counts
+	// Strikes arrivals that jumped more than maxGapScan sequences ahead.
+	// Either means a corrupt or hostile frame, or a peer that restarted its
+	// sequence space.
+	MissingClamps, GapScanClamps uint64
 }
 
 // seqLE reports a <= b in RFC 1982 serial-number arithmetic over the full
@@ -127,6 +132,9 @@ type seqWindow struct {
 	// one bit each.
 	bits     []uint64
 	n, start int
+	// clamps counts Missing scans cut to the window; the owning endpoint
+	// reports it as Stats.MissingClamps.
+	clamps uint64
 }
 
 func newSeqWindow(capacity int) *seqWindow {
@@ -214,7 +222,7 @@ func (w *seqWindow) Missing(upTo uint32, max int, out []uint32) []uint32 {
 	span := upTo - w.cum
 	if span > uint32(w.n) {
 		span = uint32(w.n)
-		windowStats.MissingClamps.Add(1)
+		w.clamps++
 	}
 	for i, found := uint32(1), 0; i <= span && found < max; i++ {
 		if seq := w.cum + i; !w.Seen(seq) {
@@ -224,13 +232,6 @@ func (w *seqWindow) Missing(upTo uint32, max int, out []uint32) []uint32 {
 	}
 	return out
 }
-
-// windowStats counts defensive clamps in sequence-window scans across the
-// process; exposed via WindowStatsSnapshot for monitoring.
-var windowStats metrics.SeqWindowStats
-
-// WindowStatsSnapshot returns the process-wide sequence-window counters.
-func WindowStatsSnapshot() metrics.SeqWindowSnapshot { return windowStats.Snapshot() }
 
 // orDefault sets a configuration field that is not positive to its
 // default.

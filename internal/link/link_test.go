@@ -305,20 +305,15 @@ func TestSeqWindowWraparoundMatchesReference(t *testing.T) {
 }
 
 // TestSeqWindowMissingClampsAbsurdUpTo pins the event-loop DoS fix: a
-// corrupt or hostile FAck carrying a huge upTo must scan at most the
-// window capacity (anything beyond it could never have been recorded), and
-// the defensive clamp is counted.
+// corrupt or hostile data frame carrying a huge sequence must scan at most
+// the window capacity (anything beyond it could never have been recorded),
+// and the endpoint that received it counts the clamp.
 func TestSeqWindowMissingClampsAbsurdUpTo(t *testing.T) {
 	w := newSeqWindow(64)
 	if !w.Record(2) { // gap at 1
 		t.Fatal("Record(2) = false")
 	}
-	before := WindowStatsSnapshot()
 	miss := w.Missing(0x80000000, 1<<30, nil)
-	after := WindowStatsSnapshot()
-	if after.MissingClamps != before.MissingClamps+1 {
-		t.Fatalf("MissingClamps %d -> %d, want +1", before.MissingClamps, after.MissingClamps)
-	}
 	// Sequences 1..64 scanned, of which only 2 was seen.
 	if len(miss) != 63 || miss[0] != 1 || miss[1] != 3 {
 		t.Fatalf("Missing clamped scan = %d entries starting %v, want 63 starting [1 3]", len(miss), miss[:2])
@@ -327,12 +322,20 @@ func TestSeqWindowMissingClampsAbsurdUpTo(t *testing.T) {
 	if got := w.Missing(0, 10, nil); got != nil {
 		t.Fatalf("Missing(0) = %v, want nil", got)
 	}
-	// A sane upTo is unaffected and uncounted.
-	mid := WindowStatsSnapshot()
+	// A sane upTo is unaffected.
 	if got := w.Missing(4, 10, nil); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("Missing(4) = %v, want [1 3 4]", got)
 	}
-	if WindowStatsSnapshot().MissingClamps != mid.MissingClamps {
-		t.Fatal("sane Missing counted a clamp")
+
+	// On a Reliable receiver the absurd frame is one clamp and a sane gap
+	// none; the sender counted nothing.
+	p := reliablePair(sim.NewScheduler(1), time.Millisecond, ReliableConfig{})
+	p.b.proto.HandleFrame(&wire.Frame{Proto: wire.LPReliable, Kind: wire.FData, Seq: 0x80000000, Packet: dataPacket(1)})
+	p.b.proto.HandleFrame(&wire.Frame{Proto: wire.LPReliable, Kind: wire.FData, Seq: 3, Packet: dataPacket(3)})
+	if got := p.b.proto.Stats().MissingClamps; got != 1 {
+		t.Fatalf("receiver MissingClamps = %d, want 1", got)
+	}
+	if got := p.a.proto.Stats().MissingClamps; got != 0 {
+		t.Fatalf("sender MissingClamps = %d, want 0", got)
 	}
 }

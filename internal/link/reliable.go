@@ -75,7 +75,7 @@ type Reliable struct {
 	cfg ReliableConfig
 
 	// Sender state. Retransmission slots hold the packet header inline
-	// and its bytes in a refcounted pooled buffer; drained slots recycle
+	// and its bytes in a pooled buffer; drained slots recycle
 	// through a freelist so the steady-state send path allocates nothing.
 	//
 	// Frames in flight sit in ring, indexed by sequence number modulo its
@@ -165,7 +165,7 @@ func (r *Reliable) releaseSlot(sf *sentFrame) {
 }
 
 // Send implements Protocol. The packet is borrowed; the link captures it
-// into a retransmission slot backed by a pooled refcounted buffer.
+// into a retransmission slot backed by a pooled buffer.
 func (r *Reliable) Send(p *wire.Packet) {
 	if r.closed {
 		return
@@ -176,7 +176,7 @@ func (r *Reliable) Send(p *wire.Packet) {
 }
 
 // SendStored is Send for a packet whose byte fields are backed by buf, a
-// refcounted buffer whose ownership transfers to the link (a pacing queue
+// pooled buffer whose ownership transfers to the link (a pacing queue
 // handing over its captured entry). The link releases buf once the frame
 // is acknowledged, abandoned, or closed; buf may be nil for a byteless
 // packet.
@@ -449,6 +449,7 @@ func (r *Reliable) onRTO() {
 func (r *Reliable) Stats() Stats {
 	st := r.stats
 	st.HistoryPackets, st.WindowBytes = r.OutstandingFrames(), r.recvWin.Bytes()
+	st.MissingClamps = r.recvWin.clamps
 	return st
 }
 

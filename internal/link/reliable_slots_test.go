@@ -17,7 +17,7 @@ func storedPacket(pool *wire.BufPool, seq uint32) (*wire.Packet, *wire.Buf) {
 }
 
 // TestReliableSendStoredReleasesOnAck checks the zero-copy handoff: a
-// refcounted buffer given to SendStored must be released (recycled to its
+// pooled buffer given to SendStored must be released (recycled to its
 // pool) once the frame is acknowledged — and not before.
 func TestReliableSendStoredReleasesOnAck(t *testing.T) {
 	sched := sim.NewScheduler(1)

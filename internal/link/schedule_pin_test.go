@@ -111,9 +111,19 @@ func (l *impairedLink) digest(p *pipe) uint64 {
 		h.Write(buf[:])
 	}
 	for _, e := range []*pipeEnd{p.a, p.b} {
-		fmt.Fprintf(h, "%+v %v", e.proto.Stats(), deliveredSeqs(e))
+		fmt.Fprintf(h, "%+v %v", pinnedCounters(e.proto.Stats()), deliveredSeqs(e))
 	}
 	return h.Sum64()
+}
+
+// pinnedCounters is Stats as the digests were recorded, before the clamp
+// counters existed: a counter added to Stats does not move the pins.
+func pinnedCounters(st Stats) any {
+	return struct {
+		DataSent, Retransmissions, Requests, Acks, Delivered, DuplicatesDropped, SendDropped uint64
+		HistoryPackets, HistoryBytes, WindowBytes                                            int
+	}{st.DataSent, st.Retransmissions, st.Requests, st.Acks, st.Delivered, st.DuplicatesDropped, st.SendDropped,
+		st.HistoryPackets, st.HistoryBytes, st.WindowBytes}
 }
 
 // scheduleCase is one link configuration the pin runs, with a one-way

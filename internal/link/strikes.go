@@ -233,7 +233,7 @@ func (s *Strikes) onData(f *wire.Frame) {
 	span := f.Seq - prev - 1
 	if span > maxGapScan {
 		span = maxGapScan
-		windowStats.GapScanClamps.Add(1)
+		s.stats.GapScanClamps++
 	}
 	for i := uint32(1); i <= span; i++ {
 		s.gaps.add(prev + i)

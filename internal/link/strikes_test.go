@@ -306,16 +306,14 @@ func TestStrikesGapScanClamped(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	p := strikesPair(sched, time.Millisecond, continentalStrikes())
 	s := p.b.proto.(*Strikes)
-	before := WindowStatsSnapshot()
 	s.HandleFrame(&wire.Frame{
 		Proto:  wire.LPRealTime,
 		Kind:   wire.FData,
 		Seq:    60000,
 		Packet: dataPacket(1),
 	})
-	after := WindowStatsSnapshot()
-	if after.GapScanClamps != before.GapScanClamps+1 {
-		t.Fatalf("GapScanClamps %d -> %d, want +1", before.GapScanClamps, after.GapScanClamps)
+	if got := s.Stats().GapScanClamps; got != 1 {
+		t.Fatalf("GapScanClamps = %d, want 1", got)
 	}
 	if n := s.gaps.lives.len(); n != maxGapScan {
 		t.Fatalf("%d gaps queued after a jump of 60 000, want %d", n, maxGapScan)
@@ -323,10 +321,9 @@ func TestStrikesGapScanClamped(t *testing.T) {
 	// A small genuine gap on a sane sequence is not counted.
 	sane := strikesPair(sched, time.Millisecond, continentalStrikes())
 	sb := sane.b.proto.(*Strikes)
-	mid := WindowStatsSnapshot()
 	sb.HandleFrame(&wire.Frame{Proto: wire.LPRealTime, Kind: wire.FData, Seq: 3, Packet: dataPacket(3)})
-	if WindowStatsSnapshot().GapScanClamps != mid.GapScanClamps {
-		t.Fatal("sane gap counted a clamp")
+	if got := sb.Stats().GapScanClamps; got != 0 {
+		t.Fatalf("sane gap counted %d clamps", got)
 	}
 	if n := sb.gaps.lives.len(); n != 2 {
 		t.Fatalf("%d gaps queued for {1,2}, want 2", n)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"sonet/internal/metrics"
 	"sonet/internal/sim"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
@@ -73,7 +72,7 @@ type Manager struct {
 	dir  *Directory
 	view *topology.View
 
-	stats   metrics.MembershipStats
+	stats   Stats
 	closed  bool
 	started bool
 	// leaving suppresses the self-defense refutation once this node
@@ -137,8 +136,49 @@ func (m *Manager) SetOnReconcile(fn func() int) { m.onReconcile = fn }
 // Directory returns the node's member directory.
 func (m *Manager) Directory() *Directory { return m.dir }
 
-// Stats returns a snapshot of protocol counters.
-func (m *Manager) Stats() metrics.MembershipSnapshot { return m.stats.Snapshot() }
+// Stats returns the protocol counters.
+func (m *Manager) Stats() Stats { return m.stats }
+
+// Stats counts dynamic-membership protocol activity on one node:
+// admissions and departures it observed, directory gossip volume, and the
+// self-stabilization machinery's work — detector sweeps run,
+// inconsistencies flagged, and corrective actions applied. It is written
+// and read on the node's control loop.
+type Stats struct {
+	// Joins counts members this node learned joined (including itself).
+	Joins uint64
+	// Leaves counts members this node learned left.
+	Leaves uint64
+	// UpdatesSent counts directory-update floods this node originated.
+	UpdatesSent uint64
+	// DigestsSent counts view-digest probes sent to neighbors.
+	DigestsSent uint64
+	// SyncsSent counts full-directory syncs pushed to divergent peers.
+	SyncsSent uint64
+	// DetectorSweeps counts periodic detector rounds executed.
+	DetectorSweeps uint64
+	// Inconsistencies counts local inconsistencies the detector flagged
+	// (stale links to departed members, digest divergence, refuted
+	// self-departure records).
+	Inconsistencies uint64
+	// Corrections counts corrective actions the corrector applied.
+	Corrections uint64
+}
+
+// Merge returns the field-wise sum of two counter sets, for fleet-level
+// aggregation across nodes (and across a node's dead incarnations).
+func (s Stats) Merge(o Stats) Stats {
+	return Stats{
+		Joins:           s.Joins + o.Joins,
+		Leaves:          s.Leaves + o.Leaves,
+		UpdatesSent:     s.UpdatesSent + o.UpdatesSent,
+		DigestsSent:     s.DigestsSent + o.DigestsSent,
+		SyncsSent:       s.SyncsSent + o.SyncsSent,
+		DetectorSweeps:  s.DetectorSweeps + o.DetectorSweeps,
+		Inconsistencies: s.Inconsistencies + o.Inconsistencies,
+		Corrections:     s.Corrections + o.Corrections,
+	}
+}
 
 // IsMember reports whether id is currently a joined member.
 func (m *Manager) IsMember(id wire.NodeID) bool { return m.dir.IsMember(id) }
@@ -204,7 +244,7 @@ func (m *Manager) Leave() {
 	}
 	rec := Record{ID: m.self, Epoch: epoch, Status: StatusLeft}
 	if m.dir.Apply(rec) {
-		m.stats.Leaves.Add(1)
+		m.stats.Leaves++
 		m.floodUpdate(rec)
 	}
 }
@@ -253,7 +293,7 @@ func (m *Manager) HandlePacket(from wire.NodeID, p *wire.Packet) error {
 		count := int(binary.BigEndian.Uint16(src[1:]))
 		digest := binary.BigEndian.Uint64(src[3:])
 		if count != m.dir.Len() || digest != m.dir.Digest() {
-			m.stats.Inconsistencies.Add(1)
+			m.stats.Inconsistencies++
 			m.sendSync(from)
 		}
 	case msgJoinReq:
@@ -312,7 +352,7 @@ func (m *Manager) admit(id wire.NodeID) {
 	}
 	rec := Record{ID: id, Epoch: epoch, Status: StatusJoined}
 	if m.dir.Apply(rec) {
-		m.stats.Joins.Add(1)
+		m.stats.Joins++
 		m.noteChange(rec)
 		m.floodUpdate(rec)
 	}
@@ -324,7 +364,7 @@ func (m *Manager) admit(id wire.NodeID) {
 func (m *Manager) applyExternal(r Record) bool {
 	if r.ID == m.self && r.Status == StatusLeft && !m.leaving {
 		if cur, ok := m.dir.Get(m.self); !ok || r.supersedes(cur) {
-			m.stats.Inconsistencies.Add(1)
+			m.stats.Inconsistencies++
 			m.refuteSelf(r.Epoch)
 		}
 		return false
@@ -334,9 +374,9 @@ func (m *Manager) applyExternal(r Record) bool {
 	}
 	switch r.Status {
 	case StatusJoined:
-		m.stats.Joins.Add(1)
+		m.stats.Joins++
 	case StatusLeft:
-		m.stats.Leaves.Add(1)
+		m.stats.Leaves++
 	}
 	m.noteChange(r)
 	return true
@@ -348,7 +388,7 @@ func (m *Manager) applyExternal(r Record) bool {
 func (m *Manager) refuteSelf(badEpoch uint32) {
 	rec := Record{ID: m.self, Epoch: badEpoch + 1, Status: StatusJoined}
 	if m.dir.Apply(rec) {
-		m.stats.Corrections.Add(1)
+		m.stats.Corrections++
 		m.floodUpdate(rec)
 	}
 }
@@ -360,13 +400,13 @@ func (m *Manager) noteChange(r Record) {
 }
 
 func (m *Manager) floodUpdate(recs ...Record) {
-	m.stats.UpdatesSent.Add(1)
+	m.stats.UpdatesSent++
 	m.buf = AppendUpdate(m.buf[:0], recs...)
 	m.env.Flood(m.buf, 0)
 }
 
 func (m *Manager) sendSync(to wire.NodeID) {
-	m.stats.SyncsSent.Add(1)
+	m.stats.SyncsSent++
 	m.buf = AppendSync(m.buf[:0], m.dir)
 	m.env.Send(to, m.buf)
 }
@@ -387,34 +427,34 @@ func (m *Manager) sweepTick() {
 // nothing, corrects nothing, and allocates nothing; the digest probes it
 // sends are answered only by divergent neighbors.
 func (m *Manager) Sweep() {
-	m.stats.DetectorSweeps.Add(1)
+	m.stats.DetectorSweeps++
 	// A planted record of our own departure (corrupted-state injection)
 	// may sit in the directory without ever arriving as a message; the
 	// sweep refutes it just as the merge path would.
 	if cur, ok := m.dir.Get(m.self); ok && cur.Status == StatusLeft && !m.leaving {
-		m.stats.Inconsistencies.Add(1)
+		m.stats.Inconsistencies++
 		m.refuteSelf(cur.Epoch)
 	}
 	if m.view != nil {
 		m.findings = Detect(m.view, m.dir, m.findings[:0])
 		for _, f := range m.findings {
-			m.stats.Inconsistencies.Add(1)
+			m.stats.Inconsistencies++
 			if m.onFinding != nil {
 				m.onFinding(f)
-				m.stats.Corrections.Add(1)
+				m.stats.Corrections++
 			}
 		}
 	}
 	if m.onReconcile != nil {
 		if n := m.onReconcile(); n > 0 {
-			m.stats.Inconsistencies.Add(uint64(n))
-			m.stats.Corrections.Add(uint64(n))
+			m.stats.Inconsistencies += uint64(n)
+			m.stats.Corrections += uint64(n)
 		}
 	}
 	if m.dir.Len() > 0 {
 		m.buf = AppendDigest(m.buf[:0], m.dir.Len(), m.dir.Digest())
 		for _, nb := range m.env.Neighbors() {
-			m.stats.DigestsSent.Add(1)
+			m.stats.DigestsSent++
 			m.env.Send(nb, m.buf)
 		}
 	}

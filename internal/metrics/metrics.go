@@ -1,6 +1,12 @@
 // Package metrics collects and summarizes the delivery measurements the
 // experiments report: one-way latency distributions, jitter, on-time
 // fractions under deadlines, and transmission-overhead ratios.
+//
+// It also holds the four counter families that another goroutine writes or
+// reads while their owner runs, which is why they alone are atomic
+// (DESIGN.md §6 *Counters*): PoolStats, SPFStats, WireStats and SchedStats.
+// Every other family is a plain struct in the package that owns it, written
+// and read on that package's loop.
 package metrics
 
 import (
@@ -13,9 +19,8 @@ import (
 )
 
 // PoolStats counts buffer-pool activity on the forwarding fast path. The
-// counters are atomic because pooled buffers cross goroutines in deployment
-// (UDP receive loop → event loop); in emulation everything is one thread
-// and the atomics cost a few nanoseconds per packet.
+// counters are atomic: the process-wide pool is drawn from and released to
+// by the UDP read loops and every event loop at once.
 //
 // The zero value is ready to use.
 type PoolStats struct {
@@ -57,59 +62,12 @@ func (s PoolSnapshot) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// RouteCacheStats counts underlay route-cache activity on the per-packet
-// Send path. Like PoolStats the counters are atomic so deployment-mode
-// readers (monitoring endpoints) can snapshot them without coordinating
-// with the event loop; in emulation everything is one thread.
-//
-// The zero value is ready to use.
-type RouteCacheStats struct {
-	// Hits counts Send route lookups served by a cached route whose epoch
-	// matched the provider's current topology epoch.
-	Hits atomic.Uint64
-	// Misses counts lookups that ran the SPF — first packets of a flow and
-	// lookups after an invalidation.
-	Misses atomic.Uint64
-	// Invalidations counts provider topology-epoch bumps (fiber added,
-	// convergence event applied, site liveness change). One bump lazily
-	// invalidates every cached route of that provider.
-	Invalidations atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *RouteCacheStats) Snapshot() RouteCacheSnapshot {
-	return RouteCacheSnapshot{
-		Hits:          s.Hits.Load(),
-		Misses:        s.Misses.Load(),
-		Invalidations: s.Invalidations.Load(),
-	}
-}
-
-// RouteCacheSnapshot is a point-in-time copy of RouteCacheStats.
-type RouteCacheSnapshot struct {
-	// Hits counts lookups served from cache.
-	Hits uint64
-	// Misses counts lookups that recomputed the route.
-	Misses uint64
-	// Invalidations counts topology-epoch bumps.
-	Invalidations uint64
-}
-
-// HitRatio returns Hits / (Hits + Misses), or 0 before the first lookup.
-func (s RouteCacheSnapshot) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // SPFStats counts overlay shortest-path-tree recomputation activity in the
 // control plane. Every LSA that changes the shared view forces each node to
 // rebuild its SPT; the dense slice-indexed SPF reuses a per-tree scratch
 // arena, so a warmed recompute performs zero allocations. The counters are
-// atomic for the same reason as PoolStats: deployment-mode monitoring
-// readers snapshot them without coordinating with the event loop.
+// atomic: they are one process-wide set, written by every routing engine in
+// the process and read by harnesses while daemons run.
 //
 // The zero value is ready to use.
 type SPFStats struct {
@@ -176,87 +134,11 @@ func (s SPFSnapshot) MeanRepairSize() float64 {
 	return float64(s.RepairedNodes) / float64(s.Incrementals)
 }
 
-// SeqWindowStats counts defensive clamps in the link-level sequence
-// windows: scans whose peer-supplied bounds would have walked an absurd
-// span of sequence space (a corrupt or malicious frame) and were cut to
-// the window capacity instead. The counters are atomic for the same
-// reason as PoolStats: monitoring readers snapshot them without
-// coordinating with the event loop.
-//
-// The zero value is ready to use.
-type SeqWindowStats struct {
-	// MissingClamps counts Missing scans clamped to the window capacity.
-	MissingClamps atomic.Uint64
-	// GapScanClamps counts receiver gap scans (NM-Strikes) clamped.
-	GapScanClamps atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *SeqWindowStats) Snapshot() SeqWindowSnapshot {
-	return SeqWindowSnapshot{
-		MissingClamps: s.MissingClamps.Load(),
-		GapScanClamps: s.GapScanClamps.Load(),
-	}
-}
-
-// SeqWindowSnapshot is a point-in-time copy of SeqWindowStats.
-type SeqWindowSnapshot struct {
-	// MissingClamps counts clamped Missing scans.
-	MissingClamps uint64
-	// GapScanClamps counts clamped gap scans.
-	GapScanClamps uint64
-}
-
-// TreeCacheStats counts multicast-tree cache activity in one routing
-// engine: trees memoized per (source, group) under the shared view and
-// group versions, bounded by a fixed capacity.
-//
-// The zero value is ready to use.
-type TreeCacheStats struct {
-	// Hits counts tree lookups served by a cached mask computed under the
-	// current view and group versions.
-	Hits atomic.Uint64
-	// Misses counts lookups that recomputed the tree.
-	Misses atomic.Uint64
-	// Evictions counts cache entries discarded — superseded entries pruned
-	// on a version change, capacity evictions, and eager invalidations.
-	Evictions atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *TreeCacheStats) Snapshot() TreeCacheSnapshot {
-	return TreeCacheSnapshot{
-		Hits:      s.Hits.Load(),
-		Misses:    s.Misses.Load(),
-		Evictions: s.Evictions.Load(),
-	}
-}
-
-// TreeCacheSnapshot is a point-in-time copy of TreeCacheStats.
-type TreeCacheSnapshot struct {
-	// Hits counts lookups served from cache.
-	Hits uint64
-	// Misses counts lookups that recomputed the tree.
-	Misses uint64
-	// Evictions counts discarded cache entries.
-	Evictions uint64
-}
-
-// HitRatio returns Hits / (Hits + Misses), or 0 before the first lookup.
-func (s TreeCacheSnapshot) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // WireStats counts datagram-level activity on one real UDP underlay: how
 // many datagrams and bytes crossed the socket in each direction, and how
 // effectively the batched data plane amortizes its syscalls (packets per
-// recvmmsg/sendmmsg wakeup). The counters are atomic because the receive
-// loop, the event loop, and monitoring readers touch them from different
-// goroutines.
+// recvmmsg/sendmmsg wakeup). The counters are atomic: the read goroutines,
+// the shard loops and Send from any goroutine all write them.
 //
 // The zero value is ready to use.
 type WireStats struct {
@@ -406,143 +288,13 @@ func (s WireSnapshot) SendBatchAvg() float64 {
 	return float64(s.SendPackets) / float64(s.SendBatches)
 }
 
-// ChaosStats counts fault-campaign activity in one chaos engine run:
-// injected adversity on one side, invariant outcomes on the other. The
-// counters are atomic so campaign progress can be observed from outside the
-// simulated world (soak tooling, tests polling mid-run).
-//
-// The zero value is ready to use.
-type ChaosStats struct {
-	// EventsInjected counts fault and repair events applied to the world.
-	EventsInjected atomic.Uint64
-	// FaultsActive tracks the number of currently outstanding faults
-	// (injected and not yet healed/restored).
-	FaultsActive atomic.Int64
-	// InvariantChecks counts individual invariant evaluations, continuous
-	// and at quiesce points.
-	InvariantChecks atomic.Uint64
-	// Violations counts invariant evaluations that failed.
-	Violations atomic.Uint64
-	// Campaigns counts completed campaign runs.
-	Campaigns atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *ChaosStats) Snapshot() ChaosSnapshot {
-	return ChaosSnapshot{
-		EventsInjected:  s.EventsInjected.Load(),
-		FaultsActive:    s.FaultsActive.Load(),
-		InvariantChecks: s.InvariantChecks.Load(),
-		Violations:      s.Violations.Load(),
-		Campaigns:       s.Campaigns.Load(),
-	}
-}
-
-// MembershipStats counts dynamic-membership protocol activity on one
-// node: admissions and departures it observed, directory gossip volume,
-// and the self-stabilization machinery's work — detector sweeps run,
-// inconsistencies flagged, and corrective actions applied. The counters
-// are atomic so deployment-mode monitoring readers snapshot them without
-// coordinating with the event loop.
-//
-// The zero value is ready to use.
-type MembershipStats struct {
-	// Joins counts members this node learned joined (including itself).
-	Joins atomic.Uint64
-	// Leaves counts members this node learned left.
-	Leaves atomic.Uint64
-	// UpdatesSent counts directory-update floods this node originated.
-	UpdatesSent atomic.Uint64
-	// DigestsSent counts view-digest probes sent to neighbors.
-	DigestsSent atomic.Uint64
-	// SyncsSent counts full-directory syncs pushed to divergent peers.
-	SyncsSent atomic.Uint64
-	// DetectorSweeps counts periodic detector rounds executed.
-	DetectorSweeps atomic.Uint64
-	// Inconsistencies counts local inconsistencies the detector flagged
-	// (stale links to departed members, digest divergence, refuted
-	// self-departure records).
-	Inconsistencies atomic.Uint64
-	// Corrections counts corrective actions the corrector applied.
-	Corrections atomic.Uint64
-}
-
-// Snapshot returns a consistent-enough copy of the counters.
-func (s *MembershipStats) Snapshot() MembershipSnapshot {
-	return MembershipSnapshot{
-		Joins:           s.Joins.Load(),
-		Leaves:          s.Leaves.Load(),
-		UpdatesSent:     s.UpdatesSent.Load(),
-		DigestsSent:     s.DigestsSent.Load(),
-		SyncsSent:       s.SyncsSent.Load(),
-		DetectorSweeps:  s.DetectorSweeps.Load(),
-		Inconsistencies: s.Inconsistencies.Load(),
-		Corrections:     s.Corrections.Load(),
-	}
-}
-
-// MembershipSnapshot is a point-in-time copy of MembershipStats.
-type MembershipSnapshot struct {
-	// Joins counts members learned joined.
-	Joins uint64
-	// Leaves counts members learned left.
-	Leaves uint64
-	// UpdatesSent counts directory-update floods originated.
-	UpdatesSent uint64
-	// DigestsSent counts view-digest probes sent.
-	DigestsSent uint64
-	// SyncsSent counts full-directory syncs pushed.
-	SyncsSent uint64
-	// DetectorSweeps counts detector rounds executed.
-	DetectorSweeps uint64
-	// Inconsistencies counts inconsistencies flagged.
-	Inconsistencies uint64
-	// Corrections counts corrective actions applied.
-	Corrections uint64
-}
-
-// Merge returns the field-wise sum of two snapshots, for fleet-level
-// aggregation across nodes (and across a node's dead incarnations).
-func (s MembershipSnapshot) Merge(o MembershipSnapshot) MembershipSnapshot {
-	return MembershipSnapshot{
-		Joins:           s.Joins + o.Joins,
-		Leaves:          s.Leaves + o.Leaves,
-		UpdatesSent:     s.UpdatesSent + o.UpdatesSent,
-		DigestsSent:     s.DigestsSent + o.DigestsSent,
-		SyncsSent:       s.SyncsSent + o.SyncsSent,
-		DetectorSweeps:  s.DetectorSweeps + o.DetectorSweeps,
-		Inconsistencies: s.Inconsistencies + o.Inconsistencies,
-		Corrections:     s.Corrections + o.Corrections,
-	}
-}
-
-// ChaosSnapshot is a point-in-time copy of ChaosStats.
-type ChaosSnapshot struct {
-	// EventsInjected counts fault and repair events applied.
-	EventsInjected uint64
-	// FaultsActive is the number of currently outstanding faults.
-	FaultsActive int64
-	// InvariantChecks counts invariant evaluations.
-	InvariantChecks uint64
-	// Violations counts failed invariant evaluations.
-	Violations uint64
-	// Campaigns counts completed campaign runs.
-	Campaigns uint64
-}
-
-// Clean reports whether every invariant evaluation so far passed (and at
-// least one ran).
-func (s ChaosSnapshot) Clean() bool {
-	return s.InvariantChecks > 0 && s.Violations == 0
-}
-
 // SchedStats counts fair-scheduler activity (§IV-B disciplines): packets
 // accepted into per-flow queues, packets handed to the pacer, drops by
 // cause, backpressure refusals signalled upstream, and flow-table
-// occupancy. The counters are atomic so deployment-mode monitoring readers
-// (Daemon.SchedStats) can snapshot them without coordinating with the
-// event loop; one stats instance may be shared by every discipline
-// instance on a node, so the gauges aggregate across links.
+// occupancy. The counters are atomic: Node.SchedStats and
+// Daemon.SchedStats promise reads from any goroutine, without a round trip
+// to the loop. One stats instance is shared by every discipline instance
+// on a shard, so the gauges aggregate across links.
 //
 // Accounting identity: every packet accepted into a queue is eventually
 // transmitted, evicted by buffer policy, or discarded at Close, so at any

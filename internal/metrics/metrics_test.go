@@ -9,24 +9,6 @@ import (
 	"time"
 )
 
-func TestRouteCacheSnapshot(t *testing.T) {
-	var s RouteCacheStats
-	s.Hits.Add(9)
-	s.Misses.Add(1)
-	s.Invalidations.Add(2)
-	snap := s.Snapshot()
-	if snap.Hits != 9 || snap.Misses != 1 || snap.Invalidations != 2 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if got := snap.HitRatio(); got != 0.9 {
-		t.Fatalf("HitRatio = %v, want 0.9", got)
-	}
-	var zero RouteCacheSnapshot
-	if zero.HitRatio() != 0 {
-		t.Fatal("empty snapshot HitRatio != 0")
-	}
-}
-
 func TestLatenciesEmpty(t *testing.T) {
 	var l Latencies
 	if l.Count() != 0 || l.Min() != 0 || l.Max() != 0 || l.Mean() != 0 {
@@ -151,28 +133,5 @@ func TestTableFormatting(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
-	}
-}
-
-func TestChaosStatsSnapshotAndClean(t *testing.T) {
-	var s ChaosStats
-	if s.Snapshot().Clean() {
-		t.Fatal("zero checks must not report Clean")
-	}
-	s.EventsInjected.Add(12)
-	s.FaultsActive.Add(3)
-	s.FaultsActive.Add(-2)
-	s.InvariantChecks.Add(40)
-	s.Campaigns.Add(1)
-	snap := s.Snapshot()
-	if snap.EventsInjected != 12 || snap.FaultsActive != 1 || snap.InvariantChecks != 40 || snap.Campaigns != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if !snap.Clean() {
-		t.Fatal("violation-free run must report Clean")
-	}
-	s.Violations.Add(1)
-	if s.Snapshot().Clean() {
-		t.Fatal("run with a violation must not report Clean")
 	}
 }

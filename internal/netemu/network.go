@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sonet/internal/metrics"
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
@@ -227,10 +226,8 @@ func (n *Network) NodeSite(node wire.NodeID) (SiteID, bool) {
 // Stats returns a snapshot of underlay counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// RouteCacheStats returns a snapshot of the underlay route-cache counters.
-func (n *Network) RouteCacheStats() metrics.RouteCacheSnapshot {
-	return n.routes.stats.Snapshot()
-}
+// RouteCacheStats returns the underlay route-cache counters.
+func (n *Network) RouteCacheStats() RouteCacheStats { return n.routes.stats }
 
 // delivery is one in-flight packet: a pooled sim.Runner that performs the
 // destination-side checks and hands the payload to the handler.

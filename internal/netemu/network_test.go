@@ -394,28 +394,35 @@ func TestRouteCacheCountersAndInvalidation(t *testing.T) {
 	net.Send(1, 2, 0, []byte("a"))
 	net.Send(1, 2, 0, []byte("b"))
 	sched.Run()
-	rc := net.RouteCacheStats()
-	if rc.Misses != 1 || rc.Hits != 1 {
-		t.Fatalf("after two sends: hits=%d misses=%d, want 1/1", rc.Hits, rc.Misses)
+	// Laying the fiber was the first invalidation.
+	if rc := net.RouteCacheStats(); rc != (RouteCacheStats{Hits: 1, Misses: 1, Invalidations: 1}) {
+		t.Fatalf("after two sends: %+v, want 1 hit, 1 miss, 1 invalidation", rc)
 	}
 	// A cut fires a convergence event; once applied the epoch moves and
 	// the next send recomputes.
 	net.CutFiber(fid)
 	sched.RunFor(time.Minute)
-	inv := net.RouteCacheStats().Invalidations
-	if inv == rc.Invalidations {
-		t.Fatal("convergence event did not bump the topology epoch")
+	if inv := net.RouteCacheStats().Invalidations; inv != 2 {
+		t.Fatalf("convergence event left %d invalidations, want 2", inv)
 	}
 	net.Send(1, 2, 0, []byte("c"))
 	sched.Run()
-	rc2 := net.RouteCacheStats()
-	if rc2.Misses != 2 {
-		t.Fatalf("post-invalidation send did not recompute: %+v", rc2)
+	if rc := net.RouteCacheStats(); rc != (RouteCacheStats{Hits: 1, Misses: 2, Invalidations: 2}) {
+		t.Fatalf("post-invalidation send did not recompute: %+v", rc)
 	}
 	if len(*got) != 2 {
 		t.Fatalf("delivered %d, want 2", len(*got))
 	}
 	assertStatsIdentity(t, net)
+}
+
+func TestRouteCacheStatsHitRatio(t *testing.T) {
+	if got := (RouteCacheStats{Hits: 9, Misses: 1}).HitRatio(); got != 0.9 {
+		t.Fatalf("HitRatio = %v, want 0.9", got)
+	}
+	if got := (RouteCacheStats{}).HitRatio(); got != 0 {
+		t.Fatalf("HitRatio before the first lookup = %v, want 0", got)
+	}
 }
 
 func TestRouteCacheFlapFasterThanConvergence(t *testing.T) {

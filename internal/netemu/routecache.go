@@ -1,10 +1,6 @@
 package netemu
 
-import (
-	"time"
-
-	"sonet/internal/metrics"
-)
+import "time"
 
 // The underlay's per-packet routing cost is the dominant simulation cost:
 // every EXP-* scenario funnels through Network.Send, and each packet needs
@@ -47,7 +43,31 @@ type routeCache struct {
 	visited   []bool
 	prevFiber []FiberID
 
-	stats metrics.RouteCacheStats
+	stats RouteCacheStats
+}
+
+// RouteCacheStats counts underlay route-cache activity on the per-packet
+// Send path. Like Stats it is written and read on the scheduler goroutine.
+type RouteCacheStats struct {
+	// Hits counts Send route lookups served by a cached route whose epoch
+	// matched the provider's current topology epoch.
+	Hits uint64
+	// Misses counts lookups that ran the SPF — first packets of a flow and
+	// lookups after an invalidation.
+	Misses uint64
+	// Invalidations counts provider topology-epoch bumps (fiber added,
+	// convergence event applied, site liveness change). One bump lazily
+	// invalidates every cached route of that provider.
+	Invalidations uint64
+}
+
+// HitRatio returns Hits / (Hits + Misses), or 0 before the first lookup.
+func (s RouteCacheStats) HitRatio() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
 }
 
 // addProvider appends an empty cache for a newly registered ISP.
@@ -69,7 +89,7 @@ func (c *routeCache) grow(n int) {
 // its topology epoch. Entries are reconciled lazily on their next lookup.
 func (n *Network) bumpEpoch(provider ISPID) {
 	n.isps[provider].epoch++
-	n.routes.stats.Invalidations.Add(1)
+	n.routes.stats.Invalidations++
 }
 
 // bumpAllEpochs invalidates every provider's cached routes (site liveness
@@ -90,15 +110,15 @@ func (n *Network) convergedPath(provider ISPID, src, dst SiteID) ([]FiberID, tim
 	cache := n.routes.byProvider[provider]
 	if e, ok := cache[key]; ok {
 		if e.epoch == prov.epoch {
-			n.routes.stats.Hits.Add(1)
+			n.routes.stats.Hits++
 			return e.path, e.latency, e.ok
 		}
-		n.routes.stats.Misses.Add(1)
+		n.routes.stats.Misses++
 		e.path, e.latency, e.ok = n.spf(prov, src, dst, e.path[:0])
 		e.epoch = prov.epoch
 		return e.path, e.latency, e.ok
 	}
-	n.routes.stats.Misses.Add(1)
+	n.routes.stats.Misses++
 	e := &routeEntry{epoch: prov.epoch}
 	e.path, e.latency, e.ok = n.spf(prov, src, dst, nil)
 	cache[key] = e

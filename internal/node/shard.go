@@ -144,17 +144,14 @@ func newDataPlane(n *Node) *DataPlane {
 		under = soloUnderlay{n.cfg.Underlay}
 	}
 	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(dedupCapacity, 1)}
-	// One scheduler-accounting sink serves every discipline instance on
-	// the control shard; an externally supplied one (Config.ITSched.Stats)
-	// lets a host aggregate several nodes.
-	pl.addShard(n.clock, n.cfg.ITSched.Stats)
+	pl.addShard(n.clock)
 	return pl
 }
 
-func (pl *DataPlane) addShard(clock sim.Clock, sink *metrics.SchedStats) {
-	if sink == nil {
-		sink = &metrics.SchedStats{}
-	}
+// addShard appends a shard on clock. Each shard makes its own
+// scheduler-accounting sink, shared by every discipline instance it hosts.
+func (pl *DataPlane) addShard(clock sim.Clock) {
+	sink := &metrics.SchedStats{}
 	s := &DataShard{
 		n: pl.n, plane: pl, idx: len(pl.shards), clock: clock,
 		peers:  make(map[wire.NodeID]*peer),
@@ -180,7 +177,7 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	}
 	pl.dedup = newSharedDedup(dedupCapacity, nshard)
 	for i := 1; i < nshard; i++ {
-		pl.addShard(clocks[i], nil)
+		pl.addShard(clocks[i])
 	}
 	for _, s := range pl.shards {
 		s.out = make([]atomic.Pointer[crossRing], nshard)

@@ -57,6 +57,9 @@ func TestTreeCacheHitsServedFromCache(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 10 {
 		t.Fatalf("hits/misses = %d/%d, want 10/1", st.Hits, st.Misses)
 	}
+	if got := st.HitRatio(); got != 10.0/11 {
+		t.Fatalf("HitRatio = %v, want 10/11", got)
+	}
 }
 
 func TestTreeCachePrunesSupersededOnVersionChange(t *testing.T) {
@@ -90,6 +93,11 @@ func TestTreeCachePrunesSupersededOnVersionChange(t *testing.T) {
 	e.Decide(&wire.Packet{Type: wire.PTData, Route: wire.RouteMulticast, Src: 1, Group: 777}, NoLink, true)
 	if len(e.trees) != 2 {
 		t.Fatalf("cache holds %d trees after refresh, want 2", len(e.trees))
+	}
+	// 20 fills, 100 and 777 under the first change, both again under the
+	// second; 20 pruned by the first change, 2 by the second.
+	if st := e.TreeCacheStats(); st != (TreeCacheStats{Misses: 24, Evictions: 22}) {
+		t.Fatalf("counters %+v, want 24 misses and 22 evictions", st)
 	}
 }
 

@@ -12,7 +12,6 @@ package routing
 import (
 	"sync/atomic"
 
-	"sonet/internal/metrics"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
 )
@@ -93,7 +92,7 @@ type Engine struct {
 	treeOrder []treeKey
 	treeVV    uint64
 	treeGV    uint64
-	treeStats metrics.TreeCacheStats
+	treeStats TreeCacheStats
 
 	// fwd is the reusable backing array for Decision.Forward, so the
 	// per-packet decision allocates nothing on the forwarding fast path.
@@ -150,14 +149,36 @@ func NewEngine(self wire.NodeID, views ViewSource, groups GroupSource, metric to
 func (e *Engine) Invalidate() {
 	for k := range e.trees {
 		delete(e.trees, k)
-		e.treeStats.Evictions.Add(1)
+		e.treeStats.Evictions++
 	}
 	e.treeOrder = e.treeOrder[:0]
 }
 
 // TreeCacheStats returns the engine's multicast-tree cache counters.
-func (e *Engine) TreeCacheStats() metrics.TreeCacheSnapshot {
-	return e.treeStats.Snapshot()
+func (e *Engine) TreeCacheStats() TreeCacheStats { return e.treeStats }
+
+// TreeCacheStats counts multicast-tree cache activity in one routing
+// engine: trees memoized per (source, group) under the shared view and
+// group versions, bounded by a fixed capacity. It is written and read on
+// the control loop.
+type TreeCacheStats struct {
+	// Hits counts tree lookups served by a cached mask computed under the
+	// current view and group versions.
+	Hits uint64
+	// Misses counts lookups that recomputed the tree.
+	Misses uint64
+	// Evictions counts cache entries discarded — superseded entries pruned
+	// on a version change, capacity evictions, and eager invalidations.
+	Evictions uint64
+}
+
+// HitRatio returns Hits / (Hits + Misses), or 0 before the first lookup.
+func (s TreeCacheStats) HitRatio() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
 }
 
 // table is the forwarding state one decision reads. *Engine answers from
@@ -335,10 +356,10 @@ func (e *Engine) treeMask(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bo
 	vv, gv := e.views.Version(), e.groups.Version()
 	e.pruneTrees(vv, gv)
 	if c, ok := e.trees[key]; ok && c.viewVersion == vv && c.groupVersion == gv {
-		e.treeStats.Hits.Add(1)
+		e.treeStats.Hits++
 		return c.mask, true
 	}
-	e.treeStats.Misses.Add(1)
+	e.treeStats.Misses++
 	// A freshly computed tree is forwarding state the published snapshot
 	// does not carry yet; mark it so the control shard republishes.
 	e.pubDirty = true
@@ -374,7 +395,7 @@ func (e *Engine) pruneTrees(vv, gv uint64) {
 			continue
 		}
 		delete(e.trees, k)
-		e.treeStats.Evictions.Add(1)
+		e.treeStats.Evictions++
 	}
 	e.treeOrder = kept
 }
@@ -388,7 +409,7 @@ func (e *Engine) evictOldestTree() {
 	k := e.treeOrder[0]
 	e.treeOrder = e.treeOrder[1:]
 	delete(e.trees, k)
-	e.treeStats.Evictions.Add(1)
+	e.treeStats.Evictions++
 }
 
 // AnycastResolve selects the destination node for an anycast packet: the

@@ -8,6 +8,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sonet/internal/link"
@@ -103,7 +104,7 @@ func NewManager(n *node.Node) *Manager {
 		clock:         n.Clock(),
 		clients:       make(map[wire.Port]*Client),
 		flowPorts:     make(map[wire.Port]*Flow),
-		nextEphemeral: 49152,
+		nextEphemeral: firstEphemeral,
 	}
 	n.SetDeliver(m.handleDelivery)
 	return m
@@ -113,11 +114,15 @@ func NewManager(n *node.Node) *Manager {
 func (m *Manager) Node() *node.Node { return m.n }
 
 // Connect registers a client on a virtual port. Port zero allocates an
-// ephemeral port. Clients are identified overlay-wide by the node's ID
-// plus this port, mimicking IP address + port addressing (§II-B).
+// ephemeral port, and fails once clients and flows hold them all. Clients
+// are identified overlay-wide by the node's ID plus this port, mimicking
+// IP address + port addressing (§II-B).
 func (m *Manager) Connect(port wire.Port) (*Client, error) {
 	if port == 0 {
-		port = m.allocEphemeral()
+		var err error
+		if port, err = m.allocEphemeral(); err != nil {
+			return nil, err
+		}
 	}
 	if m.portInUse(port) {
 		return nil, fmt.Errorf("session: port %d in use on node %v", port, m.n.ID())
@@ -140,17 +145,23 @@ func (m *Manager) portInUse(port wire.Port) bool {
 	return ok
 }
 
-// allocEphemeral returns a fresh ephemeral virtual port.
-func (m *Manager) allocEphemeral() wire.Port {
-	for m.portInUse(m.nextEphemeral) || m.nextEphemeral == 0 {
-		m.nextEphemeral++
-		if m.nextEphemeral == 0 {
-			m.nextEphemeral = 49152
+// firstEphemeral is the bottom of the ephemeral range; it runs to the top
+// of the port space.
+const firstEphemeral wire.Port = 49152
+
+// allocEphemeral returns the next free ephemeral virtual port, or an error
+// when every one of them is taken.
+func (m *Manager) allocEphemeral() (wire.Port, error) {
+	for range 1<<16 - int(firstEphemeral) {
+		port := m.nextEphemeral
+		if m.nextEphemeral++; m.nextEphemeral == 0 {
+			m.nextEphemeral = firstEphemeral
+		}
+		if !m.portInUse(port) {
+			return port, nil
 		}
 	}
-	port := m.nextEphemeral
-	m.nextEphemeral++
-	return port
+	return 0, fmt.Errorf("session: every ephemeral port is in use on node %v", m.n.ID())
 }
 
 // NoClientDrops returns packets that arrived for ports without clients.
@@ -275,7 +286,10 @@ func (c *Client) Close() {
 		}
 		clear(st.pending)
 	}
-	for _, f := range c.flows {
+	// Flow.Close takes a flow off c.flows, so take the list first.
+	flows := c.flows
+	c.flows = nil
+	for _, f := range flows {
 		f.Close()
 	}
 	delete(c.mgr.clients, c.port)
@@ -294,7 +308,11 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 		// flush could release a gap their destinations hold back.
 		return nil, fmt.Errorf("session: ordered group flow needs a deadline")
 	}
-	f := &Flow{client: c, spec: spec, srcPort: c.mgr.allocEphemeral()}
+	port, err := c.mgr.allocEphemeral()
+	if err != nil {
+		return nil, err
+	}
+	f := &Flow{client: c, spec: spec, srcPort: port}
 	if wantsE2ERecovery(spec) {
 		f.tailTimer = c.mgr.clock.NewTimer(f.tailFlush)
 	}
@@ -495,6 +513,9 @@ func (f *Flow) Close() {
 	}
 	f.history = nil
 	delete(f.client.mgr.flowPorts, f.srcPort)
+	if i := slices.Index(f.client.flows, f); i >= 0 {
+		f.client.flows = slices.Delete(f.client.flows, i, i+1)
+	}
 }
 
 // Stats returns the flow's send-side accounting.

@@ -419,6 +419,60 @@ func TestEphemeralPortWrapAround(t *testing.T) {
 	if a.Port() == c.Port() || b.Port() == c.Port() {
 		t.Fatal("wrapped allocation collided")
 	}
+	if c.Port() != firstEphemeral {
+		t.Fatalf("wrapped to port %d, want the bottom of the range %d", c.Port(), firstEphemeral)
+	}
+}
+
+// TestEphemeralPortsExhausted takes every ephemeral port with flows: the
+// next OpenFlow and Connect(0) must fail rather than search forever, and
+// a closed flow's port is free again.
+func TestEphemeralPortsExhausted(t *testing.T) {
+	_, m1, _ := world(t, 0)
+	c, err := m1.Connect(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []*Flow
+	done := make(chan error, 1)
+	go func() {
+		for {
+			f, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100})
+			if err != nil {
+				done <- err
+				return
+			}
+			flows = append(flows, f)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("OpenFlow never reported the ephemeral range exhausted")
+	}
+	if want := 1<<16 - int(firstEphemeral); len(flows) != want {
+		t.Fatalf("opened %d flows, want one per ephemeral port (%d)", len(flows), want)
+	}
+	for _, f := range flows {
+		if f.srcPort < firstEphemeral {
+			t.Fatalf("flow got port %d, outside the ephemeral range", f.srcPort)
+		}
+	}
+	if _, err := m1.Connect(0); err == nil {
+		t.Fatal("Connect(0) succeeded with every ephemeral port taken")
+	}
+	freed := flows[100].srcPort
+	flows[100].Close()
+	if len(c.flows) != len(flows)-1 {
+		t.Fatalf("client lists %d flows after one closed, want %d", len(c.flows), len(flows)-1)
+	}
+	f, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100})
+	if err != nil {
+		t.Fatalf("OpenFlow after a close: %v", err)
+	}
+	if f.srcPort != freed {
+		t.Fatalf("OpenFlow after a close got port %d, want the freed %d", f.srcPort, freed)
+	}
 }
 
 func TestFlowSpecVariantsInPackage(t *testing.T) {

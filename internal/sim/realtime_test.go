@@ -45,43 +45,76 @@ func TestLoopCloseDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestLoopPostAfterCloseIsDropped posts to a closed loop: Close waited for
+// the loop goroutine to exit, so a closure the queue refuses can never run.
 func TestLoopPostAfterCloseIsDropped(t *testing.T) {
 	l := NewLoop()
 	l.Close()
 	l.Post(func() { t.Error("closure ran after Close") })
-	time.Sleep(10 * time.Millisecond)
+	if l.TryPost(func() { t.Error("closure ran after Close") }) {
+		t.Fatal("TryPost on a closed loop = true")
+	}
+	if len(l.queue) != 0 {
+		t.Fatalf("closed loop queued %d closures", len(l.queue))
+	}
 }
+
+// waitLimit bounds every wait in this package's real-time tests. It is a
+// timeout only: no assertion depends on how long anything took.
+const waitLimit = 10 * time.Second
 
 func TestRealtimeClockFiresTimer(t *testing.T) {
 	l := NewLoop()
 	defer l.Close()
 	c := NewRealtimeClock(l)
 	done := make(chan time.Duration, 1)
-	c.After(5*time.Millisecond, func() { done <- c.Now() })
+	var due time.Duration
+	l.Post(func() {
+		tm := c.After(time.Millisecond, func() { done <- c.Now() })
+		due = tm.(*event).at
+	})
 	select {
 	case at := <-done:
-		if at < 5*time.Millisecond {
-			t.Fatalf("timer fired early at %v", at)
+		if at < due {
+			t.Fatalf("timer armed for %v fired at %v", due, at)
 		}
-	case <-time.After(2 * time.Second):
+	case <-time.After(waitLimit):
 		t.Fatal("timer never fired")
 	}
 }
 
+// TestRealtimeClockStopPreventsCallback stops a timer, then waits for a
+// witness armed after it for a deadline no earlier: timers fire in deadline
+// order, so had the stopped one still been queued it would have run first.
 func TestRealtimeClockStopPreventsCallback(t *testing.T) {
 	l := NewLoop()
 	defer l.Close()
 	c := NewRealtimeClock(l)
-	fired := make(chan struct{}, 1)
-	tm := c.After(50*time.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Stop() {
-		t.Fatal("Stop() = false on pending timer")
-	}
+	var fired []string
+	witnessed := make(chan struct{})
+	l.Post(func() {
+		tm := c.After(time.Millisecond, func() { fired = append(fired, "stopped") })
+		if !tm.Stop() {
+			t.Error("Stop() = false on pending timer")
+		}
+		c.After(time.Millisecond, func() {
+			fired = append(fired, "witness")
+			close(witnessed)
+		})
+	})
 	select {
-	case <-fired:
-		t.Fatal("stopped timer fired")
-	case <-time.After(120 * time.Millisecond):
+	case <-witnessed:
+	case <-time.After(waitLimit):
+		t.Fatal("witness timer never fired")
 	}
+	done := make(chan struct{})
+	l.Post(func() {
+		if len(fired) != 1 {
+			t.Errorf("fired %v, want only the witness", fired)
+		}
+		close(done)
+	})
+	<-done
 }
 
 func TestRealtimeClockNowAdvances(t *testing.T) {
@@ -89,10 +122,27 @@ func TestRealtimeClockNowAdvances(t *testing.T) {
 	defer l.Close()
 	c := NewRealtimeClock(l)
 	a := c.Now()
-	time.Sleep(5 * time.Millisecond)
-	if b := c.Now(); b <= a {
-		t.Fatalf("Now() did not advance: %v then %v", a, b)
+	for limit := time.Now().Add(waitLimit); c.Now() <= a; {
+		if time.Now().After(limit) {
+			t.Fatalf("Now() stayed at %v", a)
+		}
 	}
+}
+
+// elapsedAtLeast reads now, spins until the monotonic clock has moved, and
+// reads now again: a clock running at real speed advanced by at least the
+// monotonic time measured strictly between its two readings.
+func elapsedAtLeast(t *testing.T, now func() time.Duration) (advanced, between time.Duration) {
+	t.Helper()
+	before := now()
+	t0 := time.Now()
+	t1 := t0
+	for limit := t0.Add(waitLimit); t1.Sub(t0) <= 0; t1 = time.Now() {
+		if t1.After(limit) {
+			t.Fatal("the monotonic clock did not move")
+		}
+	}
+	return now() - before, t1.Sub(t0)
 }
 
 // TestRealtimeClockNowMonotonicUnderEpochSkew simulates the wall clock
@@ -117,8 +167,7 @@ func TestRealtimeClockNowMonotonicUnderEpochSkew(t *testing.T) {
 	}
 	// Subsequent readings must stay non-decreasing too.
 	prev := after
-	for i := 0; i < 10; i++ {
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 1000; i++ {
 		cur := c.Now()
 		if cur < prev {
 			t.Fatalf("Now() ran backwards: %v then %v", prev, cur)
@@ -149,15 +198,9 @@ func TestRealtimeClockAdvancesUnderEpochSkew(t *testing.T) {
 	l := NewLoop()
 	defer l.Close()
 	c := NewRealtimeClock(l)
-	before := c.Now()
 	c.epoch = time.Now().Add(time.Hour).Round(0)
-	time.Sleep(20 * time.Millisecond)
-	after := c.Now()
-	if after < before {
-		t.Fatalf("Now() ran backwards across epoch skew: %v then %v", before, after)
-	}
-	if got := after - before; got < 10*time.Millisecond {
-		t.Fatalf("Now() advanced only %v across a 20ms sleep under epoch skew; clock frozen", got)
+	if advanced, between := elapsedAtLeast(t, c.Now); advanced < between {
+		t.Fatalf("Now() advanced %v while %v passed under epoch skew; clock frozen", advanced, between)
 	}
 }
 
@@ -168,12 +211,10 @@ func TestRealtimeClockLiteralEpochAdvances(t *testing.T) {
 	l := NewLoop()
 	defer l.Close()
 	c := &RealtimeClock{exec: l, epoch: time.Now().Add(time.Minute).Round(0)}
-	first := c.Now()
-	if first < 0 {
+	if first := c.Now(); first < 0 {
 		t.Fatalf("Now() = %v, want >= 0", first)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if got := c.Now() - first; got < 10*time.Millisecond {
-		t.Fatalf("Now() advanced only %v across a 20ms sleep, want real progress", got)
+	if advanced, between := elapsedAtLeast(t, c.Now); advanced < between {
+		t.Fatalf("Now() advanced %v while %v passed, want real progress", advanced, between)
 	}
 }

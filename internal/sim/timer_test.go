@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand/v2"
-	"sort"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,8 @@ type clockRig struct {
 	// pass lets at least d of clock time go by and every callback due by
 	// then run.
 	pass func(d time.Duration)
+	// settle runs callbacks until no timer is armed.
+	settle func()
 	// onExecutor reports whether the caller runs on the clock's executor.
 	onExecutor func() bool
 	// exact is set when callbacks fire at their deadline to the
@@ -53,23 +57,35 @@ func realtimeRig(t *testing.T, exec Executor, m *markedLoop) clockRig {
 		<-done
 	}
 	c := NewRealtimeClock(exec)
+	// await polls cond on the executor, where no callback is running, so
+	// when it holds every callback it depends on has returned.
+	await := func(what string, cond func() bool) {
+		for limit := time.Now().Add(waitLimit); ; runtime.Gosched() {
+			var ok bool
+			do(func() {
+				c.mu.Lock()
+				ok = cond()
+				c.mu.Unlock()
+			})
+			if ok {
+				return
+			}
+			if time.Now().After(limit) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
 	return clockRig{
 		clock: c,
 		do:    do,
 		pass: func(d time.Duration) {
 			target := c.Now() + d
-			time.Sleep(d)
-			// A loaded machine may take a while to get from the runtime
-			// timer to the executor: wait until nothing due is queued.
-			for patience := time.Now().Add(10 * time.Second); time.Now().Before(patience); time.Sleep(time.Millisecond) {
-				c.mu.Lock()
-				due := len(c.timers) > 0 && c.timers[0].at <= target
-				c.mu.Unlock()
-				if !due {
-					break
-				}
-			}
-			do(func() {}) // behind the expiry pass that emptied the queue
+			await("the clock to pass its target with nothing due queued", func() bool {
+				return c.nowLocked() >= target && (len(c.timers) == 0 || c.timers[0].at > target)
+			})
+		},
+		settle: func() {
+			await("every armed timer to fire", func() bool { return len(c.timers) == 0 })
 		},
 		onExecutor: m.in.Load,
 	}
@@ -86,6 +102,11 @@ func clockRigs() map[string]func(*testing.T) clockRig {
 				pass: func(d time.Duration) {
 					running = true
 					s.RunFor(d)
+					running = false
+				},
+				settle: func() {
+					running = true
+					s.Run()
 					running = false
 				},
 				onExecutor: func() bool { return running },
@@ -268,7 +289,7 @@ func TestTimerContract(t *testing.T) {
 				})
 				tm.Reset(0)
 			})
-			r.pass(4 * tick)
+			r.settle()
 			r.do(func() {
 				if fired != 4 {
 					t.Errorf("periodic timer fired %d times, want 4", fired)
@@ -300,19 +321,27 @@ func TestTimerContract(t *testing.T) {
 			f.check(t, r, first, second)
 		},
 		"many timers fire in deadline order": func(t *testing.T, r clockRig) {
+			// Real time cannot promise that the delays' order is the
+			// deadlines' (arming takes time), so the order asked for is the
+			// one the clock recorded: by deadline, then by arming.
 			const n = 40
 			delays := rand.New(rand.NewPCG(7, 7)).Perm(n)
-			var order []int
+			var armed, order []*event
 			r.do(func() {
 				for _, d := range delays {
-					d := d
-					r.clock.NewTimer(func() { order = append(order, d) }).Reset(time.Duration(d) * time.Millisecond)
+					var ev *event
+					ev = r.clock.NewTimer(func() { order = append(order, ev) }).(*event)
+					ev.Reset(time.Duration(d) * time.Millisecond)
+					armed = append(armed, ev)
 				}
 			})
-			r.pass(n * time.Millisecond)
+			r.settle()
 			r.do(func() {
-				if len(order) != n || !sort.IntsAreSorted(order) {
-					t.Errorf("fired in order %v, want 0..%d ascending", order, n-1)
+				slices.SortFunc(armed, func(a, b *event) int {
+					return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+				})
+				if !slices.Equal(order, armed) {
+					t.Errorf("%d of %d timers fired, not in (deadline, arming) order", len(order), n)
 				}
 			})
 		},
@@ -397,9 +426,8 @@ func TestRealtimeTimersRace(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for fired.Load() < workers*rounds && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for limit := time.Now().Add(waitLimit); fired.Load() < workers*rounds && time.Now().Before(limit); {
+		runtime.Gosched()
 	}
 	if got := fired.Load(); got < workers*rounds {
 		t.Fatalf("%d callbacks ran, want at least the %d one-shots", got, workers*rounds)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -165,6 +166,10 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	return d, nil
 }
 
+// errDaemonClosed is what a call that needs the control loop returns after
+// Close.
+var errDaemonClosed = errors.New("transport: daemon closed")
+
 func (d *Daemon) shutdownEarly() {
 	_ = d.udp.Close()
 	d.loops.Close()
@@ -206,6 +211,7 @@ func (d *Daemon) RemovePeer(id wire.NodeID) { d.udp.RemovePeer(id) }
 // the daemon's node begins hello probing and re-announces its link
 // state, so the new member is discovered fleet-wide through normal LSA
 // flooding. Idempotent: calling again just refreshes the addresses.
+// After Close it returns an error.
 func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error {
 	if id == d.cfg.ID {
 		return fmt.Errorf("transport: cannot admit self")
@@ -214,9 +220,11 @@ func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error
 		return err
 	}
 	ch := make(chan error, 1)
-	d.loop.Post(func() {
+	if !d.loop.TryPost(func() {
 		ch <- d.node.AdmitNeighbor(id, time.Duration(latencyMs)*time.Millisecond)
-	})
+	}) {
+		return errDaemonClosed
+	}
 	return <-ch
 }
 
@@ -224,25 +232,30 @@ func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error
 // config reload on a non-adjacent daemon): the topology view grows so
 // SPF can route through the new link, while hello probing and
 // availability stay the endpoints' business. Links adjacent to this
-// daemon are delegated to the full admission path.
+// daemon are delegated to the full admission path. After Close it returns
+// an error.
 func (d *Daemon) LearnLink(a, b wire.NodeID, latencyMs int) error {
 	ch := make(chan error, 1)
-	d.loop.Post(func() {
+	if !d.loop.TryPost(func() {
 		ch <- d.node.LearnLink(a, b, time.Duration(latencyMs)*time.Millisecond)
-	})
+	}) {
+		return errDaemonClosed
+	}
 	return <-ch
 }
 
 // EvictPeer removes a departed overlay neighbor at runtime: the node
 // withdraws the link (administrative down) and purges the peer's
 // advertisement history on its loop, then the underlay drops the peer's
-// addresses.
+// addresses. After Close it does nothing.
 func (d *Daemon) EvictPeer(id wire.NodeID) {
 	done := make(chan struct{})
-	d.loop.Post(func() {
+	if !d.loop.TryPost(func() {
 		d.node.EvictNeighbor(id)
 		close(done)
-	})
+	}) {
+		return
+	}
 	<-done
 	d.udp.RemovePeer(id)
 }
@@ -602,6 +615,11 @@ func (c *clientConn) onOpenFlow(body []byte) {
 	spec.Anycast = flags&flowFlagAnycast != 0
 	spec.Ordered = flags&flowFlagOrdered != 0
 	spec.Flood = flags&flowFlagFlood != 0
+	// A reused id replaces its flow, which must give its port back.
+	if old := c.flows[id]; old != nil {
+		old.Close()
+		delete(c.flows, id)
+	}
 	f, err := c.session.OpenFlow(spec)
 	if err != nil {
 		c.sendError(err)

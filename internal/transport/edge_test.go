@@ -995,6 +995,65 @@ func TestClientRequestsKeepOrderAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestClientReusedFlowIDClosesFlow opens two flows under one id over the
+// raw client protocol: the second replaces the first, whose source port
+// must then be free for another client, while the second's stays taken.
+func TestClientReusedFlowIDClosesFlow(t *testing.T) {
+	d := startSolo(t)
+	var mu sync.Mutex
+	var ports []wire.Port
+	recv, err := Dial(d.TCPAddr(), 700, func(dv session.Delivery) {
+		mu.Lock()
+		ports = append(ports, dv.SrcPort)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = recv.Close() }()
+	conn, err := net.Dial("tcp", d.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	open := make([]byte, 20)
+	open[0], open[2] = msgOpenFlow, 1 // flow id 1
+	open[4] = 1                       // dst node 1
+	open[5], open[6] = 0x02, 0xbc     // dst port 700
+	stream, _ := appendFrame(nil, []byte{msgConnect, 0, 0})
+	for range 2 {
+		stream, _ = appendFrame(stream, open)
+		stream, _ = appendFrame(stream, []byte{msgSend, 0, 1, 'x'})
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for i := 0; i < 3; i++ {
+		if msg, err := fr.next(); err != nil || len(msg) == 0 || msg[0] != msgOK {
+			t.Fatalf("reply %d = %q, %v; want OK", i, msg, err)
+		}
+	}
+	await(t, 10*time.Second, "both sends to be delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ports) == 2
+	})
+	if ports[0] == ports[1] {
+		t.Fatalf("both flows sent from port %d", ports[0])
+	}
+	replaced, err := Dial(d.TCPAddr(), ports[0], nil)
+	if err != nil {
+		t.Fatalf("the replaced flow still holds port %d: %v", ports[0], err)
+	}
+	_ = replaced.Close()
+	if c, err := Dial(d.TCPAddr(), ports[1], nil); err == nil {
+		_ = c.Close()
+		t.Fatalf("the live flow's port %d was handed to a client", ports[1])
+	}
+}
+
 // clientScript turns fuzz input into a stream of client requests: each
 // record is selector(1) length(1) body(length), the selector choosing
 // among the four request kinds that carry a body worth attacking.

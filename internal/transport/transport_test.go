@@ -252,6 +252,34 @@ func TestDaemonCloseIsIdempotent(t *testing.T) {
 	daemons[1].Close()
 }
 
+// TestDaemonAdmissionAfterCloseReturns calls each runtime-admission method
+// on a closed daemon. Its control loop is gone, so each must return, with
+// an error where it has one, instead of waiting for a reply nobody sends.
+func TestDaemonAdmissionAfterCloseReturns(t *testing.T) {
+	d := startSolo(t)
+	d.Close()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"AdmitPeer", func() error { return d.AdmitPeer(2, 1, "127.0.0.1:9") }},
+		{"LearnLink", func() error { return d.LearnLink(2, 3, 1) }},
+		{"EvictPeer", func() error { d.EvictPeer(2); return nil }},
+	}
+	for _, c := range calls {
+		done := make(chan error, 1)
+		go func() { done <- c.call() }()
+		select {
+		case err := <-done:
+			if err == nil && c.name != "EvictPeer" {
+				t.Errorf("%s after Close returned no error", c.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s after Close never returned", c.name)
+		}
+	}
+}
+
 func TestDaemonFailureTriggersReroute(t *testing.T) {
 	// Diamond over real UDP: 1-2-4 and 1-3-4. Daemon 2 dies mid-stream;
 	// the overlay detects the dead neighbor via hellos and reroutes the

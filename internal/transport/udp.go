@@ -32,7 +32,7 @@ import (
 //     program attached to the group steering datagrams by UDP source
 //     port (shard = sport mod N). The kernel therefore delivers each
 //     remote endpoint's 4-tuple to one fixed socket and each shard drains
-//     its own socket with recvmmsg into its own pooled slab. If the
+//     its own socket with recvmmsg into its own arena. If the
 //     program cannot be attached the kernel's seeded 4-tuple hash steers
 //     instead — still per-flow stable, just not predictable (SteeredRx
 //     reports which).
@@ -480,9 +480,8 @@ func (u *UDPUnderlay) PathCount(neighbor wire.NodeID) int {
 //  1. mark closed — new Sends and queued drains become no-op releases;
 //  2. close every shard socket, which errors the readLoops out of their
 //     batch reads;
-//  3. wait for every readLoop to exit (their slabs return to the pool on
-//     the way out), so no producer touches a handoff ring or a counter
-//     afterward;
+//  3. wait for every readLoop to exit, so no producer touches a handoff
+//     ring or a counter afterward;
 //  4. release every shard tx ring's still-coalesced frames (they never
 //     reached the kernel; a queued flush observing closed would do the
 //     same release).
@@ -534,7 +533,6 @@ func (u *UDPUnderlay) readLoop(k int) {
 		// underlay stays up for sending only.
 		return
 	}
-	defer br.release()
 	arrival := u.shards[k]
 	for {
 		n, err := br.read()
@@ -567,7 +565,7 @@ func (u *UDPUnderlay) readLoop(k int) {
 				target = 0
 				arrival.stats.ControlSteers.Add(1)
 			}
-			// Copy the datagram out of the slab into a pooled buffer; the
+			// Copy the datagram out of the arena into a pooled buffer; the
 			// handler borrows it on the target shard's loop, and it is
 			// recycled as soon as the handler returns. The pools are safe
 			// across the readLoop/executor boundary.

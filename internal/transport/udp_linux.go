@@ -218,14 +218,16 @@ type mmsghdr struct {
 // nil alongside a non-empty msg control-free header on some kernels).
 var zeroByte byte
 
-// batchReader drains the socket with recvmmsg into a pooled slab, one
-// message per slab segment, and splits coalesced messages into their
-// datagrams.
+// batchReader drains the socket with recvmmsg into its arena, one message
+// per segment, and splits coalesced messages into their datagrams.
 type batchReader struct {
-	rc   syscall.RawConn
-	slab *wire.Slab
-	hdrs []mmsghdr
-	iovs []syscall.Iovec
+	rc syscall.RawConn
+	// arena is the reader's landing area, allocated once and owned for the
+	// reader's life: wire.ReadBatch segments of wire.MaxDatagram bytes whose
+	// addresses stay fixed across recvmmsg calls (seg).
+	arena []byte
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
 	// names is the per-slot sockaddr storage; RawSockaddrInet6 is large
 	// enough for both address families.
 	names []syscall.RawSockaddrInet6
@@ -266,7 +268,7 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 	k := wire.ReadBatch
 	br := &batchReader{
 		rc:    rc,
-		slab:  wire.DefaultSlabs.Get(),
+		arena: make([]byte, k*wire.MaxDatagram),
 		hdrs:  make([]mmsghdr, k),
 		iovs:  make([]syscall.Iovec, k),
 		names: make([]syscall.RawSockaddrInet6, k),
@@ -282,7 +284,7 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 		return nil, err
 	}
 	for i := 0; i < k; i++ {
-		seg := br.slab.Segment(i)
+		seg := br.seg(i)
 		br.iovs[i].Base = &seg[0]
 		br.iovs[i].SetLen(len(seg))
 		br.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&br.names[i]))
@@ -295,12 +297,16 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 	return br, nil
 }
 
-// segment returns the slab bytes from the start of datagram i of the last
+// seg returns arena segment i, capacity-clipped so an append past it
+// cannot bleed into its neighbour.
+func (br *batchReader) seg(i int) []byte {
+	off := i * wire.MaxDatagram
+	return br.arena[off : off+wire.MaxDatagram : off+wire.MaxDatagram]
+}
+
+// segment returns the arena bytes from the start of datagram i of the last
 // read.
 func (br *batchReader) segment(i int) []byte { return br.datas[i] }
-
-// release returns the slab to the shared pool.
-func (br *batchReader) release() { wire.DefaultSlabs.Put(br.slab) }
 
 // read blocks until the socket is readable, then drains up to
 // wire.ReadBatch messages in one recvmmsg call. It returns the number of
@@ -334,7 +340,7 @@ func (br *batchReader) split() int {
 			size = g
 		}
 		addr := rawToAddrPort(&br.names[i])
-		seg := br.slab.Segment(i)
+		seg := br.seg(i)
 		for {
 			if k == len(br.lens) {
 				if k == maxBatchDatagrams {

@@ -1,8 +1,8 @@
 //go:build !linux || sonet_portable || !(amd64 || arm64)
 
 // The portable data plane: one datagram per kernel crossing through the
-// net package, sharing the slab buffer-ownership model and the coalescing
-// ring with the Linux fast path — only the batch width differs. The
+// net package, sharing the reader-owned arena and the coalescing ring with
+// the Linux fast path — only the batch width differs. The
 // sonet_portable build tag compiles this file in on Linux too, so the
 // full transport test suite can exercise the fallback there.
 
@@ -39,10 +39,11 @@ func openShardConns(bind string, n int) ([]*net.UDPConn, bool, error) {
 	return []*net.UDPConn{conn}, false, nil
 }
 
-// batchReader reads one datagram per wakeup into slab segment 0.
+// batchReader reads one datagram per wakeup into its arena, one
+// wire.MaxDatagram buffer allocated once and owned for the reader's life.
 type batchReader struct {
-	conn *net.UDPConn
-	slab *wire.Slab
+	conn  *net.UDPConn
+	arena []byte
 
 	addrs []netip.AddrPort
 	lens  []int
@@ -53,22 +54,19 @@ type batchReader struct {
 func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 	return &batchReader{
 		conn:  conn,
-		slab:  wire.DefaultSlabs.Get(),
+		arena: make([]byte, wire.MaxDatagram),
 		addrs: make([]netip.AddrPort, 1),
 		lens:  make([]int, 1),
 	}, nil
 }
 
-// segment returns the slab landing area of datagram i from the last read.
-func (br *batchReader) segment(i int) []byte { return br.slab.Segment(i) }
-
-// release returns the slab to the shared pool.
-func (br *batchReader) release() { wire.DefaultSlabs.Put(br.slab) }
+// segment returns the landing area of the last read's datagram.
+func (br *batchReader) segment(int) []byte { return br.arena }
 
 // read blocks for one datagram. ReadFromUDPAddrPort keeps the path
 // allocation-free: no *net.UDPAddr and no addr.String() per packet.
 func (br *batchReader) read() (int, error) {
-	n, ap, err := br.conn.ReadFromUDPAddrPort(br.slab.Segment(0))
+	n, ap, err := br.conn.ReadFromUDPAddrPort(br.arena)
 	if err != nil {
 		return 0, err
 	}

@@ -330,7 +330,6 @@ func TestBatchSyscallAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer br.release()
 	bw, err := newBatchWriter(tx)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"sonet/internal/metrics"
 )
@@ -12,17 +11,15 @@ import (
 // to the latency-sensitive experiments, so the hot path draws them from a
 // BufPool instead: Get returns a Buf whose capacity covers the request,
 // Release returns it for reuse once the bytes have left the pipeline
-// (handed to the underlay, delivered, or dropped). Fan-out over several
-// egress links shares one marshaled buffer by reference counting
-// (Retain/Release) instead of copying per link.
+// (handed to the underlay, delivered, or dropped).
 //
 // Ownership rules (see DESIGN.md §6):
-//   - Get returns a Buf with reference count 1; the caller owns it.
-//   - Every consumer that keeps the bytes past the current call must
-//     Retain before handing the buffer on, and Release when done.
-//   - After the final Release the bytes belong to the pool; reading or
-//     writing them is a use-after-free. The race detector sees misuse as
-//     concurrent map/slice access in tests.
+//   - Get returns a Buf the caller owns; every Buf has exactly one owner.
+//   - Handing the buffer on hands ownership on; whoever owns it last
+//     Releases it, once.
+//   - After Release the bytes belong to the pool; reading or writing them
+//     is a use-after-free. The race detector sees misuse as concurrent
+//     map/slice access in tests.
 
 // bufClasses are the pooled capacity classes. The largest covers a frame
 // wrapping a MaxPayload packet with full mask, signature, and auth trailer;
@@ -35,27 +32,22 @@ type Buf struct {
 	// B holds the buffer contents; append into B[:0] after Get.
 	B []byte
 
-	refs atomic.Int32
+	// released is set by Release and cleared by Get.
+	released bool
 	// class is the index into the owning pool's classes, or -1 for an
 	// oversized one-shot buffer that is not recycled.
 	class int
 	pool  *BufPool
 }
 
-// Retain adds a reference so the buffer survives until a matching Release.
-// Fan-out paths retain once per extra consumer.
-func (b *Buf) Retain() { b.refs.Add(1) }
-
-// Release drops one reference; the final release recycles the buffer.
-// Releasing more times than Get+Retain acquired panics: a double release
-// means some pipeline stage used the buffer after handing it off.
+// Release gives the buffer back to the pool. Releasing it twice panics: a
+// double release means some pipeline stage used the buffer after handing
+// it off.
 func (b *Buf) Release() {
-	switch n := b.refs.Add(-1); {
-	case n > 0:
-		return
-	case n < 0:
-		panic("wire: Buf released more times than retained")
+	if b.released {
+		panic("wire: Buf released twice")
 	}
+	b.released = true
 	if b.class < 0 || b.pool == nil {
 		return
 	}
@@ -82,8 +74,8 @@ func NewBufPool(stats *metrics.PoolStats) *BufPool {
 // Stats returns the pool's counters.
 func (p *BufPool) Stats() *metrics.PoolStats { return p.stats }
 
-// Get returns a buffer with len(B) == 0 and cap(B) >= size, reference
-// count 1. Oversized requests are served by a fresh unpooled allocation.
+// Get returns a buffer with len(B) == 0 and cap(B) >= size, owned by the
+// caller. Oversized requests are served by a fresh unpooled allocation.
 func (p *BufPool) Get(size int) *Buf {
 	for i, c := range bufClasses {
 		if size > c {
@@ -93,20 +85,15 @@ func (p *BufPool) Get(size int) *Buf {
 			b, ok := v.(*Buf)
 			if ok {
 				p.stats.Hits.Add(1)
-				b.B = b.B[:0]
-				b.refs.Store(1)
+				b.B, b.released = b.B[:0], false
 				return b
 			}
 		}
 		p.stats.Misses.Add(1)
-		b := &Buf{B: make([]byte, 0, c), class: i, pool: p}
-		b.refs.Store(1)
-		return b
+		return &Buf{B: make([]byte, 0, c), class: i, pool: p}
 	}
 	p.stats.Misses.Add(1)
-	b := &Buf{B: make([]byte, 0, size), class: -1, pool: p}
-	b.refs.Store(1)
-	return b
+	return &Buf{B: make([]byte, 0, size), class: -1, pool: p}
 }
 
 // DefaultBufPool is the process-wide pool the node, emulator, and UDP

@@ -51,27 +51,6 @@ func TestBufPoolReuseHits(t *testing.T) {
 	}
 }
 
-func TestBufRetainDefersRecycle(t *testing.T) {
-	stats := &metrics.PoolStats{}
-	p := NewBufPool(stats)
-	b := p.Get(64)
-	b.B = append(b.B, 0xBE)
-	b.Retain()
-	b.Release()
-	// One reference remains: the contents must still be intact and the
-	// buffer not yet recycled.
-	if got := stats.Snapshot().Recycled; got != 0 {
-		t.Fatalf("recycled %d bytes with a reference outstanding", got)
-	}
-	if len(b.B) != 1 || b.B[0] != 0xBE {
-		t.Fatalf("retained buffer contents changed: %v", b.B)
-	}
-	b.Release()
-	if stats.Snapshot().Recycled == 0 {
-		t.Fatal("final release did not recycle")
-	}
-}
-
 func TestBufDoubleReleasePanics(t *testing.T) {
 	p := NewBufPool(nil)
 	// Use an oversized (unpooled) buffer so the panic check does not

@@ -2,10 +2,10 @@ package wire
 
 // CapturePacket copies src into dst for retention past the borrowing call
 // (queues, retransmission state), backing dst's byte fields with a single
-// pooled refcounted buffer instead of the fresh per-field allocations
-// Clone performs. It returns the backing Buf with reference count 1 —
-// ownership transfers to the caller, who must Release it (or hand it on)
-// once dst is no longer needed — or nil when src carries no bytes.
+// pooled buffer instead of the fresh per-field allocations Clone
+// performs. It returns the backing Buf — ownership transfers to the
+// caller, who must Release it (or hand it on) once dst is no longer needed
+// — or nil when src carries no bytes.
 //
 // dst's Sig and Payload alias the returned buffer: they are full-capacity
 // subslices, so appending to either is a misuse (it would clobber the

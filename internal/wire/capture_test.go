@@ -33,8 +33,8 @@ func TestCapturePacketCopiesBytes(t *testing.T) {
 		t.Fatalf("subslices not capacity-clamped: sig %d/%d payload %d/%d",
 			len(dst.Sig), cap(dst.Sig), len(dst.Payload), cap(dst.Payload))
 	}
-	if got := buf.refs.Load(); got != 1 {
-		t.Fatalf("buffer refcount %d, want 1", got)
+	if buf.released {
+		t.Fatal("capture buffer handed out released")
 	}
 	buf.Release()
 	if got := pool.Stats().Recycled.Load(); got == 0 {

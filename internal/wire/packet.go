@@ -20,6 +20,15 @@ var (
 // MaxPayload is the maximum payload size carried by a single packet.
 const MaxPayload = 60000
 
+// MaxDatagram is the largest UDP payload a receive buffer must hold — the
+// 64 KiB IPv4 datagram ceiling, comfortably above any marshaled frame
+// (MaxPayload plus headers).
+const MaxDatagram = 1 << 16
+
+// ReadBatch is the number of datagrams a batch reader drains per wakeup,
+// each into its own MaxDatagram segment of the reader's arena.
+const ReadBatch = 32
+
 // packetFixedLen is the size of the fixed portion of the packet header.
 const packetFixedLen = 38
 

@@ -336,54 +336,13 @@ func (n *Network) SchedStats(id NodeID) (SchedStats, bool) {
 	if nd == nil {
 		return SchedStats{}, false
 	}
-	return fromSchedSnapshot(nd.SchedStats()), true
+	return nd.SchedStats(), true
 }
 
 // SchedStats summarizes one node's fair-scheduler activity: queue
 // throughput, drops by cause, backpressure refusals, and flow-table
 // occupancy.
-type SchedStats struct {
-	// Enqueued counts packets accepted into scheduler queues.
-	Enqueued uint64
-	// Transmitted counts packets dequeued for transmission.
-	Transmitted uint64
-	// DropEvicted counts packets evicted by the priority buffer policy.
-	DropEvicted uint64
-	// DropRefusedLow counts packets refused as lowest-priority newcomers
-	// to a full flow.
-	DropRefusedLow uint64
-	// DropFIFOOverflow counts unfair-baseline FIFO overflow drops.
-	DropFIFOOverflow uint64
-	// DropClosed counts queued packets discarded when links closed.
-	DropClosed uint64
-	// Backpressure counts refusals signalled upstream as ErrBackpressure.
-	Backpressure uint64
-	// FlowsRetired counts drained flows whose scheduler state was
-	// recycled.
-	FlowsRetired uint64
-	// Queued is the number of packets currently stored.
-	Queued int64
-	// ActiveFlows is the number of flows currently holding state.
-	ActiveFlows int64
-	// FlowsPeak is the ActiveFlows high-water mark.
-	FlowsPeak int64
-}
-
-func fromSchedSnapshot(s metrics.SchedSnapshot) SchedStats {
-	return SchedStats{
-		Enqueued:         s.Enqueued,
-		Transmitted:      s.Transmitted,
-		DropEvicted:      s.DropEvicted,
-		DropRefusedLow:   s.DropRefusedLow,
-		DropFIFOOverflow: s.DropFIFOOverflow,
-		DropClosed:       s.DropClosed,
-		Backpressure:     s.Backpressure,
-		FlowsRetired:     s.FlowsRetired,
-		Queued:           s.Queued,
-		ActiveFlows:      s.ActiveFlows,
-		FlowsPeak:        s.FlowsPeak,
-	}
-}
+type SchedStats = metrics.SchedSnapshot
 
 // NodeStats summarizes one overlay node's packet handling: what it
 // carried, and every way it can lose a packet, each under its own count.
