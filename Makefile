@@ -49,14 +49,15 @@ test-race:
 race: test-race
 
 # Repetition for the cross-goroutine code, kept out of check (about a
-# quarter of an hour): the all-pairs crossing stress at four shards, the
-# hand-off primitive both rings are built on, the loop and the realtime
+# quarter of an hour): the all-pairs crossing stress and the plane's close
+# with records in flight, at four shards, the hand-off primitive both
+# rings are built on, the loop and the realtime
 # clock's timers, the link protocols on the realtime clock (one recovery
 # timer per link, re-armed from inside its own callback), and the client
 # edge (Send, the edge writer goroutine and Close), 200 runs each under the
 # race detector. A flake that shows once in tens of runs fails here.
 stress:
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestCrossingStress ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings' ./internal/node/
 	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
 	$(GO) test -race -count=200 -run 'TestLoop|TestRealtime|TestTimerContract/realtime' ./internal/sim/
 	$(GO) test -race -count=200 -run 'OverRealtimeClock' ./internal/link/

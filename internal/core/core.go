@@ -35,9 +35,11 @@ type Overlay struct {
 	nodes        map[wire.NodeID]*node.Node
 	sessions     map[wire.NodeID]*session.Manager
 	sites        map[wire.NodeID]netemu.SiteID
-	linkISPs     map[wire.LinkID][]netemu.ISPID
-	pendingCfg   map[wire.NodeID]func(*node.Config)
-	started      bool
+	// linkISPs lists each link's providers, indexed by LinkID: IDs are
+	// dense and never reused, so the per-datagram lookup is a slice read.
+	linkISPs   [][]netemu.ISPID
+	pendingCfg map[wire.NodeID]func(*node.Config)
+	started    bool
 }
 
 // New returns an empty overlay world with the given determinism seed.
@@ -60,7 +62,6 @@ func NewOnNetwork(sched *sim.Scheduler, net *netemu.Network) *Overlay {
 		nodes:      make(map[wire.NodeID]*node.Node),
 		sessions:   make(map[wire.NodeID]*session.Manager),
 		sites:      make(map[wire.NodeID]netemu.SiteID),
-		linkISPs:   make(map[wire.LinkID][]netemu.ISPID),
 		pendingCfg: make(map[wire.NodeID]func(*node.Config)),
 	}
 }
@@ -106,6 +107,9 @@ func (o *Overlay) AddLink(a, b wire.NodeID, latency time.Duration, isps ...netem
 	id, err := o.Graph.AddLink(a, b, latency)
 	if err != nil {
 		return 0, err
+	}
+	if grow := int(id) + 1 - len(o.linkISPs); grow > 0 {
+		o.linkISPs = append(o.linkISPs, make([][]netemu.ISPID, grow)...)
 	}
 	o.linkISPs[id] = append([]netemu.ISPID(nil), isps...)
 	return id, nil
@@ -305,7 +309,7 @@ func (p *underlayPort) Send(neighbor wire.NodeID, path uint8, data []byte) {
 	if !ok {
 		return
 	}
-	isps := p.o.linkISPs[l.ID]
+	isps := p.o.ispsOf(l.ID)
 	if len(isps) == 0 {
 		return
 	}
@@ -318,8 +322,17 @@ func (p *underlayPort) PathCount(neighbor wire.NodeID) int {
 	if !ok {
 		return 1
 	}
-	if n := len(p.o.linkISPs[l.ID]); n > 0 {
+	if n := len(p.o.ispsOf(l.ID)); n > 0 {
 		return n
 	}
 	return 1
+}
+
+// ispsOf returns the providers of link id; none for a link added to the
+// graph without going through AddLink.
+func (o *Overlay) ispsOf(id wire.LinkID) []netemu.ISPID {
+	if int(id) < len(o.linkISPs) {
+		return o.linkISPs[id]
+	}
+	return nil
 }

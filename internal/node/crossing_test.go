@@ -195,8 +195,19 @@ func TestDataPlaneCloseReleasesCrossings(t *testing.T) {
 		}
 	})
 	r.loops.PostTo(0, r.n.Stop)
+	// Close posts shard 1's close behind everything shard 1 has queued. It
+	// must be queued before shard 1 runs again: a drain that ran first would
+	// re-post its remainder ahead of the close, and those records would be
+	// sent. Nothing else posts to shard 1 while both shards are parked.
+	shard1 := r.loops.Shard(1)
+	queued := shard1.Pending()
 	closed := make(chan struct{})
 	go func() { r.n.DataPlane().Close(); close(closed) }()
+	for limit := time.Now().Add(5 * time.Second); shard1.Pending() == queued; runtime.Gosched() {
+		if time.Now().After(limit) {
+			t.Fatal("DataPlane.Close did not post shard 1's close")
+		}
+	}
 	release1()
 	release0()
 	select {
@@ -393,11 +404,22 @@ func TestMisroutedFrameIsDropped(t *testing.T) {
 	}
 	for _, s := range r.n.plane.shards[1:] {
 		r.on(s.idx, func() {
-			if n := len(s.peers[r.a1].protos); n != 0 {
+			if n := builtEndpoints(s.peers[r.a1]); n != 0 {
 				t.Errorf("shard %d built %d link endpoints for the misrouted peer", s.idx, n)
 			}
 		})
 	}
+}
+
+// builtEndpoints counts the link-protocol endpoints a peer entry holds.
+func builtEndpoints(pr *peer) int {
+	n := 0
+	for _, p := range pr.protos {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // countingUnderlay counts transmissions and allocates nothing.

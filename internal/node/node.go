@@ -535,9 +535,11 @@ func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
 	if !ok {
 		return nil
 	}
-	out := make(map[wire.LinkProtoID]link.Stats, len(pr.protos))
+	out := make(map[wire.LinkProtoID]link.Stats)
 	for id, p := range pr.protos {
-		out[id] = p.Stats()
+		if p != nil {
+			out[wire.LinkProtoID(id)] = p.Stats()
+		}
 	}
 	return out
 }

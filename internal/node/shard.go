@@ -134,8 +134,11 @@ type peer struct {
 	// path is the link's current underlay path, shared by the neighbor's
 	// entries on every shard: the control loop's link-state machinery
 	// writes it, the transmitting shard reads it.
-	path   *atomic.Uint32
-	protos map[wire.LinkProtoID]link.Protocol
+	path *atomic.Uint32
+	// protos holds the link's endpoints by service, each built on first
+	// use. Slot 0 stays empty: protoFor files a packet that leaves its
+	// LinkProto unset under best effort.
+	protos [wire.LPITReliable + 1]link.Protocol
 }
 
 func newDataPlane(n *Node) *DataPlane {
@@ -204,9 +207,8 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 func (pl *DataPlane) admit(neighbor wire.NodeID, lid wire.LinkID, latency time.Duration) {
 	pr := &peer{
 		neighbor: neighbor, linkID: lid, latency: latency,
-		home:   wire.HomeShard(neighbor, len(pl.shards)),
-		path:   new(atomic.Uint32),
-		protos: make(map[wire.LinkProtoID]link.Protocol),
+		home: wire.HomeShard(neighbor, len(pl.shards)),
+		path: new(atomic.Uint32),
 	}
 	pl.shards[0].addPeer(pr)
 	for _, s := range pl.shards[1:] {
@@ -218,7 +220,7 @@ func (pl *DataPlane) admit(neighbor wire.NodeID, lid wire.LinkID, latency time.D
 // sibling returns another shard's entry for the same neighbor.
 func (pr *peer) sibling() *peer {
 	sib := *pr
-	sib.protos = make(map[wire.LinkProtoID]link.Protocol)
+	clear(sib.protos[:])
 	return &sib
 }
 
@@ -286,6 +288,9 @@ func (pl *DataPlane) Footprint() (fp Footprint) {
 		}
 		for _, pr := range s.peers {
 			for _, p := range pr.protos {
+				if p == nil {
+					continue
+				}
 				st := p.Stats()
 				fp.HistoryPackets += st.HistoryPackets
 				fp.HistoryBytes += st.HistoryBytes
@@ -360,10 +365,14 @@ func (pl *DataPlane) resetPeer(neighbor wire.NodeID) {
 	}
 }
 
+// closeProtos closes the link's endpoints in service order and forgets
+// them.
 func (pr *peer) closeProtos() {
 	for id, p := range pr.protos {
-		p.Close()
-		delete(pr.protos, id)
+		if p != nil {
+			p.Close()
+			pr.protos[id] = nil
+		}
 	}
 }
 
@@ -616,9 +625,15 @@ func (s *DataShard) egress(neighbor wire.NodeID, p *wire.Packet) {
 }
 
 // protoFor lazily instantiates this shard's link protocol endpoint for
-// one neighbor link, on the shard's clock and scheduler sink.
+// one neighbor link, on the shard's clock and scheduler sink. A LinkProto
+// of zero, which control packets leave unset, is best effort; one above
+// wire.LPITReliable never gets this far (the wire decoders and
+// session.Client.OpenFlow refuse it).
 func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
-	if p, ok := pr.protos[id]; ok {
+	if id == 0 {
+		id = wire.LPBestEffort
+	}
+	if p := pr.protos[id]; p != nil {
 		return p
 	}
 	cfg := &s.n.cfg
@@ -642,7 +657,6 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 	case wire.LPITReliable:
 		p = itmsg.NewReliableFairLink(env, s.itcfg, cfg.Reliable)
 	default:
-		env.proto = wire.LPBestEffort
 		p = link.NewBestEffort(env)
 	}
 	pr.protos[id] = p

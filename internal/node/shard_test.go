@@ -470,3 +470,56 @@ func TestMalformedInputIsCounted(t *testing.T) {
 		t.Fatalf("well-formed control payloads moved DroppedMalformed to %d", got)
 	}
 }
+
+// TestUnknownLinkProtoBuildsNoEndpoint feeds a peer's home shard a frame
+// badged with every byte that names no link protocol, and frames whose
+// packet asks for a link protocol above wire.LPITReliable. Each is refused
+// at decode and counted malformed, and none builds a link endpoint: an
+// endpoint lives as long as its link, so one datagram per byte value would
+// otherwise leave up to 250 of them per peer. A packet that leaves its
+// LinkProto unset (0, as control packets do) still travels best effort,
+// on the one best-effort endpoint.
+func TestUnknownLinkProtoBuildsNoEndpoint(t *testing.T) {
+	r := newShardRig(t, nil)
+	pkt := wire.Packet{Route: wire.RouteLinkState, Src: r.a1, Dst: r.self, Payload: []byte("x")}
+	var bad [][]byte
+	for b := 0; b < 256; b++ {
+		if lp := wire.LinkProtoID(b); lp < wire.LPBestEffort || lp > wire.LPITReliable {
+			f := dataFrame(pkt)
+			f.Proto = lp
+			bad = append(bad, marshalFrame(t, f))
+		}
+	}
+	for _, lp := range []wire.LinkProtoID{wire.LPITReliable + 1, 0xff} {
+		p := pkt
+		p.LinkProto = lp
+		bad = append(bad, marshalFrame(t, dataFrame(p)))
+	}
+	r.on(1, func() {
+		for _, b := range bad {
+			r.n.DataPlane().HandleUnderlay(1, r.a1, b)
+		}
+	})
+	r.settle()
+	home := r.n.plane.shards[1]
+	var built int
+	r.on(1, func() { built = builtEndpoints(home.peers[r.a1]) })
+	if out := r.outcome(); out.Stats != (Stats{DroppedMalformed: uint64(len(bad))}) || len(out.Local) != 0 || built != 0 {
+		t.Fatalf("%d frames with unknown link protocols: %d deliveries, %d endpoints built, %+v; want each counted malformed and nothing built",
+			len(bad), len(out.Local), built, out.Stats)
+	}
+
+	for _, lp := range []wire.LinkProtoID{0, wire.LPBestEffort} {
+		p := pkt
+		p.LinkProto = lp
+		r.inject(1, r.a1, dataFrame(p))
+	}
+	var bestEffort bool
+	r.on(1, func() {
+		built = builtEndpoints(home.peers[r.a1])
+		bestEffort = home.peers[r.a1].protos[wire.LPBestEffort] != nil
+	})
+	if out := r.outcome(); len(out.Local) != 2 || built != 1 || !bestEffort {
+		t.Fatalf("unset and best-effort LinkProto: %d deliveries, %d endpoints built; want 2 on the one best-effort endpoint", len(out.Local), built)
+	}
+}

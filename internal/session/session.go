@@ -303,6 +303,9 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 	if spec.Group == 0 && spec.Anycast {
 		return nil, fmt.Errorf("session: anycast flow needs a group")
 	}
+	if spec.LinkProto > wire.LPITReliable {
+		return nil, fmt.Errorf("session: unknown link protocol %v", spec.LinkProto)
+	}
 	if spec.Group != 0 && spec.Ordered && spec.Deadline == 0 {
 		// Group flows keep no history to recover from, so only a deadline
 		// flush could release a gap their destinations hold back.

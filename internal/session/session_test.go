@@ -308,6 +308,27 @@ func TestOrderedGroupFlowNeedsDeadline(t *testing.T) {
 	}
 }
 
+// TestOpenFlowRefusesUnknownLinkProto: a flow spec can arrive from a
+// client connection with any link-protocol byte, and a node has an
+// endpoint slot only for the defined services.
+func TestOpenFlowRefusesUnknownLinkProto(t *testing.T) {
+	_, m1, _ := world(t, 0)
+	c, err := m1.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lp := range []wire.LinkProtoID{wire.LPITReliable + 1, 0xff} {
+		if _, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100, LinkProto: lp}); err == nil {
+			t.Errorf("OpenFlow accepted link protocol %v", lp)
+		}
+	}
+	for _, lp := range []wire.LinkProtoID{0, wire.LPBestEffort, wire.LPITReliable} {
+		if _, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100, LinkProto: lp}); err != nil {
+			t.Errorf("OpenFlow with link protocol %v: %v", lp, err)
+		}
+	}
+}
+
 func TestClientCloseReleasesFlowPorts(t *testing.T) {
 	_, m1, _ := world(t, 0)
 	c, err := m1.Connect(500)

@@ -69,6 +69,14 @@ func (l *Loop) PostRunner(r Runner) {
 	l.cond.Signal()
 }
 
+// Pending returns how many posted tasks wait for the loop; the batch it is
+// running, if any, is not counted. Safe from any goroutine.
+func (l *Loop) Pending() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.queue)
+}
+
 // Close stops the loop after the already-queued closures run and waits for
 // the loop goroutine to exit.
 func (l *Loop) Close() {

@@ -431,18 +431,47 @@ func timerChurn(s *Scheduler) func() {
 	}
 }
 
-// BenchmarkSchedulerTimers measures re-arm/cancel churn. The heap must
-// not accumulate dead events (Stop removes its event at once).
+// rearmRunner re-arms itself a random delay ahead every time it runs, so
+// a population of them keeps the heap at a constant size.
+type rearmRunner struct{ s *Scheduler }
+
+func (r *rearmRunner) Run() {
+	r.s.AfterRunner(time.Duration(r.s.Rand().IntN(1000))*time.Microsecond, r)
+}
+
+// BenchmarkSchedulerTimers measures the heap two ways. churn is re-arm and
+// cancel of one timer, the Reliable retransmission pattern; the heap must
+// not accumulate dead events (Stop removes its event at once). pop is one
+// Step over a few thousand pending events, each of which re-arms itself,
+// the shape of a large emulated world: every op is a pop and a push at a
+// random depth.
 func BenchmarkSchedulerTimers(b *testing.B) {
-	s := NewScheduler(1)
-	churn := timerChurn(s)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		churn()
-	}
-	if pending := s.Pending(); pending != 0 {
-		b.Fatalf("heap retains %d dead events", pending)
-	}
+	b.Run("churn", func(b *testing.B) {
+		s := NewScheduler(1)
+		churn := timerChurn(s)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			churn()
+		}
+		if pending := s.Pending(); pending != 0 {
+			b.Fatalf("heap retains %d dead events", pending)
+		}
+	})
+	b.Run("pop", func(b *testing.B) {
+		const pending = 4096
+		s := NewScheduler(1)
+		for i := 0; i < pending; i++ {
+			(&rearmRunner{s: s}).Run()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Step()
+		}
+		if got := s.Pending(); got != pending {
+			b.Fatalf("heap holds %d events, want %d", got, pending)
+		}
+	})
 }
 
 // TestSchedulerTimersAllocBudget pins re-arming and cancelling a timer at

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -192,6 +194,114 @@ func TestMulticastTreeDisconnectedMembers(t *testing.T) {
 	for _, id := range v.G.Incident(11) {
 		if mask.Has(id) {
 			t.Fatalf("tree mask crosses into disconnected component via link %v", id)
+		}
+	}
+}
+
+// TestDenseIndexMatchesMap checks NodeIndex, HasNode, Incident and
+// LinkBetween against maps built beside the graph, over random graphs whose
+// IDs are sparse and reach the ends of the 16-bit space (1, 4096, 65535).
+// Some nodes are added bare after links already exist, and each graph then
+// takes a runtime join — a new node and its links added after a view and a
+// tree were built over it, as core.Overlay.Join does — which the grown view
+// and a recomputed tree must reach.
+func TestDenseIndexMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pick := func() wire.NodeID {
+			switch r.Intn(8) {
+			case 0:
+				return 1
+			case 1:
+				return 4096
+			case 2:
+				return 65535
+			default:
+				return wire.NodeID(1 + r.Intn(65535))
+			}
+		}
+		g := NewGraph()
+		index := map[wire.NodeID]int{}
+		incident := map[wire.NodeID][]wire.LinkID{}
+		between := map[[2]wire.NodeID]wire.LinkID{}
+		add := func(n wire.NodeID) {
+			g.AddNode(n)
+			if _, ok := index[n]; !ok {
+				index[n] = len(index)
+			}
+		}
+		link := func(a, b wire.NodeID) {
+			if a == b {
+				return
+			}
+			id := mustLink(t, g, a, b, time.Duration(1+r.Intn(20))*time.Millisecond)
+			for _, n := range []wire.NodeID{min(a, b), max(a, b)} {
+				if _, ok := index[n]; !ok {
+					index[n] = len(index)
+				}
+				incident[n] = append(incident[n], id)
+			}
+			if _, ok := between[[2]wire.NodeID{min(a, b), max(a, b)}]; !ok {
+				between[[2]wire.NodeID{min(a, b), max(a, b)}] = id
+			}
+		}
+		var known []wire.NodeID
+		for i := 0; i < 30; i++ {
+			n := pick()
+			if r.Intn(4) == 0 {
+				add(n) // a bare node, maybe after links already exist
+			} else if len(known) > 0 {
+				link(n, known[r.Intn(len(known))])
+			}
+			known = append(known, n)
+		}
+		v := NewView(g)
+		root := g.Nodes()[0]
+		spt := ShortestPaths(v, root, HopMetric)
+
+		joiner := pick()
+		for g.HasNode(joiner) {
+			joiner = pick()
+		}
+		add(joiner)
+		link(joiner, root)
+		v.Grow()
+		SPTInto(spt, v, root, HopMetric)
+		if !spt.Reachable(joiner) {
+			t.Fatalf("seed %d: joiner %v unreachable from %v after the view grew", seed, joiner, root)
+		}
+
+		probes := append([]wire.NodeID{0, 1, 2, 4095, 4096, 4097, 65534, 65535}, known...)
+		for i := 0; i < 50; i++ {
+			probes = append(probes, pick())
+		}
+		for _, n := range probes {
+			want, in := index[n]
+			got, ok := g.NodeIndex(n)
+			if ok != in || in && got != want {
+				t.Fatalf("seed %d: NodeIndex(%v) = %d,%v; map says %d,%v", seed, n, got, ok, want, in)
+			}
+			if g.HasNode(n) != in {
+				t.Fatalf("seed %d: HasNode(%v) = %v; map says %v", seed, n, !in, in)
+			}
+			if got := g.Incident(n); !slices.Equal(got, incident[n]) {
+				t.Fatalf("seed %d: Incident(%v) = %v; map says %v", seed, n, got, incident[n])
+			}
+			for _, m := range probes[:12] {
+				want, linked := between[[2]wire.NodeID{min(n, m), max(n, m)}]
+				l, ok := g.LinkBetween(n, m)
+				if ok != linked || linked && l.ID != want {
+					t.Fatalf("seed %d: LinkBetween(%v, %v) = %v,%v; map says %v,%v", seed, n, m, l.ID, ok, want, linked)
+				}
+			}
+		}
+		for pair, want := range between {
+			if l, ok := g.LinkBetween(pair[1], pair[0]); !ok || l.ID != want {
+				t.Fatalf("seed %d: LinkBetween(%v, %v) = %v,%v; map says %v", seed, pair[1], pair[0], l.ID, ok, want)
+			}
+		}
+		if g.NumNodes() != len(index) {
+			t.Fatalf("seed %d: %d nodes, map has %d", seed, g.NumNodes(), len(index))
 		}
 	}
 }

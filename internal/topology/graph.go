@@ -62,10 +62,14 @@ type halfLink struct {
 type Graph struct {
 	nodes []wire.NodeID
 	links []Link
-	// index maps a NodeID to its dense index in nodes (insertion order).
-	index map[wire.NodeID]int32
-	// adj lists incident link IDs per node (public Incident API).
-	adj map[wire.NodeID][]wire.LinkID
+	// index maps a NodeID to its dense index in nodes (insertion order)
+	// plus one, zero meaning absent. It is a table indexed by the ID itself,
+	// sized to the largest ID added: a NodeID is 16 bits, so the table is at
+	// most 256 KiB, and every lookup on the per-packet path is a slice read
+	// where a map would hash.
+	index []int32
+	// adj lists incident link IDs per node index (public Incident API).
+	adj [][]wire.LinkID
 	// dadj is the dense adjacency: half-edges by node index, in link
 	// insertion order (determinism depends on this ordering).
 	dadj [][]halfLink
@@ -77,19 +81,7 @@ type Graph struct {
 }
 
 // NewGraph returns an empty overlay topology.
-func NewGraph() *Graph {
-	g := &Graph{}
-	g.ensure()
-	return g
-}
-
-func (g *Graph) ensure() {
-	if g.index == nil {
-		g.index = make(map[wire.NodeID]int32)
-		g.adj = make(map[wire.NodeID][]wire.LinkID)
-		g.pairs = make(map[uint64]wire.LinkID)
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // pairKey packs a canonical (low, high) endpoint-index pair into one map key.
 func pairKey(a, b int32) uint64 {
@@ -103,14 +95,24 @@ func pairKey(a, b int32) uint64 {
 // Nothing is ever removed from a Graph (membership downs links through
 // linkstate), so dense indices and LinkIDs are never reused.
 func (g *Graph) AddNode(n wire.NodeID) {
-	g.ensure()
-	if _, ok := g.index[n]; ok {
+	if g.indexOf(n) >= 0 {
 		return
 	}
-	g.index[n] = int32(len(g.nodes))
+	if grow := int(n) + 1 - len(g.index); grow > 0 {
+		g.index = append(g.index, make([]int32, grow)...)
+	}
 	g.nodes = append(g.nodes, n)
-	g.adj[n] = nil
+	g.index[n] = int32(len(g.nodes))
+	g.adj = append(g.adj, nil)
 	g.dadj = append(g.dadj, nil)
+}
+
+// indexOf returns n's dense index, or -1 when n is not in the graph.
+func (g *Graph) indexOf(n wire.NodeID) int32 {
+	if int(n) < len(g.index) {
+		return g.index[n] - 1
+	}
+	return -1
 }
 
 // MaxGraphLinks is the most links a Graph can hold: the LinkID space less
@@ -134,14 +136,17 @@ func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, e
 	}
 	g.AddNode(a)
 	g.AddNode(b)
-	ai, bi := g.index[a], g.index[b]
+	ai, bi := g.indexOf(a), g.indexOf(b)
 	id := wire.LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Latency: latency})
 	g.ends = append(g.ends, [2]int32{ai, bi})
-	g.adj[a] = append(g.adj[a], id)
-	g.adj[b] = append(g.adj[b], id)
+	g.adj[ai] = append(g.adj[ai], id)
+	g.adj[bi] = append(g.adj[bi], id)
 	g.dadj[ai] = append(g.dadj[ai], halfLink{id: id, to: bi})
 	g.dadj[bi] = append(g.dadj[bi], halfLink{id: id, to: ai})
+	if g.pairs == nil {
+		g.pairs = make(map[uint64]wire.LinkID)
+	}
 	if _, dup := g.pairs[pairKey(ai, bi)]; !dup {
 		g.pairs[pairKey(ai, bi)] = id
 	}
@@ -188,8 +193,8 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Dense indices key all slice-backed routing state (SPT scratch, next-hop
 // memos).
 func (g *Graph) NodeIndex(n wire.NodeID) (int, bool) {
-	i, ok := g.index[n]
-	return int(i), ok
+	i := g.indexOf(n)
+	return int(i), i >= 0
 }
 
 // NodeAt returns the node ID at dense index i.
@@ -208,18 +213,19 @@ func (g *Graph) Links() []Link { return g.links }
 
 // Incident returns the IDs of the links incident to n. The caller must not
 // modify the returned slice.
-func (g *Graph) Incident(n wire.NodeID) []wire.LinkID { return g.adj[n] }
+func (g *Graph) Incident(n wire.NodeID) []wire.LinkID {
+	if i := g.indexOf(n); i >= 0 {
+		return g.adj[i]
+	}
+	return nil
+}
 
 // LinkBetween returns the link joining a and b, if one exists. With
 // parallel links, the earliest-added one is returned. The lookup is O(1)
 // via the endpoint-pair table.
 func (g *Graph) LinkBetween(a, b wire.NodeID) (Link, bool) {
-	ai, ok := g.index[a]
-	if !ok {
-		return Link{}, false
-	}
-	bi, ok := g.index[b]
-	if !ok {
+	ai, bi := g.indexOf(a), g.indexOf(b)
+	if ai < 0 || bi < 0 {
 		return Link{}, false
 	}
 	id, ok := g.pairs[pairKey(ai, bi)]
@@ -230,10 +236,7 @@ func (g *Graph) LinkBetween(a, b wire.NodeID) (Link, bool) {
 }
 
 // HasNode reports whether n is in the graph.
-func (g *Graph) HasNode(n wire.NodeID) bool {
-	_, ok := g.index[n]
-	return ok
-}
+func (g *Graph) HasNode(n wire.NodeID) bool { return g.indexOf(n) >= 0 }
 
 // LinkState is the dynamic condition of one overlay link as maintained by
 // the Connectivity Graph Maintenance component: availability plus the

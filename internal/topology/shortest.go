@@ -89,12 +89,11 @@ func SPTInto(t *SPT, v *View, src wire.NodeID, metric Metric) {
 		t.pos[i] = -1
 	}
 	t.heap = t.heap[:0]
-	si, ok := g.index[src]
-	if !ok {
-		t.src = -1
+	si := g.indexOf(src)
+	t.src = si
+	if si < 0 {
 		return
 	}
-	t.src = si
 	t.dist[si] = 0
 	t.heapPush(si)
 	for len(t.heap) > 0 {
@@ -224,11 +223,7 @@ func (t *SPT) lookup(dst wire.NodeID) int32 {
 	if t.g == nil {
 		return -1
 	}
-	i, ok := t.g.index[dst]
-	if !ok {
-		return -1
-	}
-	return i
+	return t.g.indexOf(dst)
 }
 
 // Reachable reports whether dst is reachable from the root.

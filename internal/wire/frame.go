@@ -134,7 +134,9 @@ func (f *Frame) Marshal() ([]byte, error) {
 // wrapped packet (if any) is decoded into pkt, and f.Auth plus the packet's
 // Sig/Payload alias src. The decoded frame borrows src and pkt; callers
 // that keep it past the lifetime of either must Clone the packet and copy
-// Auth. All fields of f are overwritten. Returns any trailing bytes.
+// Auth. All fields of f are overwritten. A frame badged with no defined
+// link protocol is malformed: every endpoint a receiver builds is for one
+// of them. Returns any trailing bytes.
 func UnmarshalFrameInto(f *Frame, pkt *Packet, src []byte) ([]byte, error) {
 	if len(src) < frameFixedLen {
 		return nil, fmt.Errorf("wire: frame header: %w", ErrTruncated)
@@ -146,6 +148,9 @@ func UnmarshalFrameInto(f *Frame, pkt *Packet, src []byte) ([]byte, error) {
 		Ack:      binary.BigEndian.Uint32(src[8:]),
 		AckBits:  binary.BigEndian.Uint64(src[12:]),
 		SendTime: time.Duration(binary.BigEndian.Uint64(src[20:])),
+	}
+	if f.Proto < LPBestEffort || f.Proto > LPITReliable {
+		return nil, fmt.Errorf("wire: frame link protocol %d: %w", src[0], ErrMalformed)
 	}
 	flags := src[2]
 	rest := src[frameFixedLen:]

@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalPacket checks the packet decoder never panics and that any
-// successfully decoded packet re-encodes and decodes to the same value.
+// FuzzUnmarshalPacket checks the packet decoder never panics, that it
+// refuses a link protocol above LPITReliable (zero, a control packet's
+// unset one, is accepted), and that any successfully decoded packet
+// re-encodes and decodes to the same value.
 func FuzzUnmarshalPacket(f *testing.F) {
 	seed, err := samplePacket().Marshal()
 	if err != nil {
@@ -16,8 +18,16 @@ func FuzzUnmarshalPacket(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(make([]byte, packetFixedLen))
+	for _, lp := range []byte{0, byte(LPITReliable) + 1, 0xff} {
+		b := bytes.Clone(seed)
+		b[4] = lp
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, _, err := UnmarshalPacket(data)
+		if len(data) > 4 && data[4] > byte(LPITReliable) && err == nil {
+			t.Fatalf("decoded a packet with link protocol %d", data[4])
+		}
 		if err != nil {
 			return
 		}
@@ -35,7 +45,9 @@ func FuzzUnmarshalPacket(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalFrame checks the frame decoder the same way.
+// FuzzUnmarshalFrame checks the frame decoder the same way; a frame's
+// link protocol must be one of the defined ones, zero included in what it
+// refuses.
 func FuzzUnmarshalFrame(f *testing.F) {
 	fr := &Frame{Proto: LPReliable, Kind: FData, Seq: 3, Packet: samplePacket()}
 	seed, err := fr.Marshal()
@@ -45,8 +57,16 @@ func FuzzUnmarshalFrame(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(make([]byte, frameFixedLen))
+	for _, lp := range []byte{0, byte(LPITReliable) + 1, 0xff} {
+		b := bytes.Clone(seed)
+		b[0] = lp
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, _, err := UnmarshalFrame(data)
+		if len(data) > 0 && (data[0] < byte(LPBestEffort) || data[0] > byte(LPITReliable)) && err == nil {
+			t.Fatalf("decoded a frame with link protocol %d", data[0])
+		}
 		if err != nil {
 			return
 		}

@@ -147,7 +147,9 @@ func (p *Packet) Marshal() ([]byte, error) {
 // UnmarshalPacketInto decodes a packet into p without allocating: p.Sig and
 // p.Payload alias src, so p borrows src and is valid only as long as src is.
 // Callers that keep the packet past the lifetime of src must Clone it. All
-// fields of p are overwritten. Returns any trailing bytes.
+// fields of p are overwritten. A LinkProto of zero is a control packet's,
+// which leaves it unset and travels best effort; one above LPITReliable is
+// malformed. Returns any trailing bytes.
 func UnmarshalPacketInto(p *Packet, src []byte) ([]byte, error) {
 	if len(src) < packetFixedLen {
 		return nil, fmt.Errorf("wire: packet header: %w", ErrTruncated)
@@ -167,6 +169,9 @@ func UnmarshalPacketInto(p *Packet, src []byte) ([]byte, error) {
 		FlowSeq:   binary.BigEndian.Uint32(src[18:]),
 		Origin:    time.Duration(binary.BigEndian.Uint64(src[22:])),
 		Deadline:  time.Duration(binary.BigEndian.Uint64(src[30:])),
+	}
+	if p.LinkProto > LPITReliable {
+		return nil, fmt.Errorf("wire: packet link protocol %d: %w", src[4], ErrMalformed)
 	}
 	rest := src[packetFixedLen:]
 	var err error
