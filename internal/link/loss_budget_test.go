@@ -98,10 +98,10 @@ func TestStrikesLossAllocBudget(t *testing.T) {
 }
 
 // TestReliableLossAllocBudget pins the Reliable link's steady state under
-// loss at zero allocations (`make bench-guard`): the gap scan fills a
-// reused slice, the gap goes on the link's one recovery schedule with its
-// first request, the retransmission recovers it and the schedule later
-// drops it — on both clocks.
+// loss at zero allocations (`make bench-guard`): the arrival past the gap
+// puts it on the link's one recovery schedule with its first request, the
+// retransmission recovers it and the schedule later drops it — on both
+// clocks.
 func TestReliableLossAllocBudget(t *testing.T) {
 	if wire.RaceEnabled {
 		t.Skip("sync.Pool drops buffers at random under -race")

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"time"
 
+	"sonet/internal/seqno"
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
@@ -89,16 +90,15 @@ type Reliable struct {
 	ring     []*sentFrame
 	inFlight int
 	// queue holds slots waiting for window space, at most QueueLimit.
-	queue    fifo[*sentFrame]
+	queue    seqno.FIFO[*sentFrame]
 	freeSlot *sentFrame
 	rtoTimer sim.Timer
 	srtt     time.Duration
 	rto      time.Duration
 
-	// Receiver state. missing is scratch for the gaps one frame reveals.
-	recvWin   *seqWindow
-	gaps      *gapQueue
-	missing   []uint32
+	// Receiver state.
+	recvWin   *seqno.Window
+	gaps      *seqno.Queue
 	inOrder   map[uint32]*wire.Packet
 	nextDeliv uint32
 
@@ -131,14 +131,36 @@ func NewReliable(env Env, cfg ReliableConfig) *Reliable {
 	r := &Reliable{
 		env:     env,
 		cfg:     cfg,
-		recvWin: newSeqWindow(cfg.Window * 2),
+		recvWin: seqno.NewWindow(cfg.Window * 2),
 		inOrder: make(map[uint32]*wire.Packet),
 		rto:     cfg.RTOInit,
 	}
 	r.rtoTimer = env.Clock().NewTimer(r.onRTO)
-	life := time.Duration(cfg.MaxReqs) * cfg.ReqInterval
-	r.gaps = newGapQueue(env.Clock(), r.recvWin, r, cfg.ReqInterval, cfg.MaxReqs, life)
+	var rx seqno.Receiver = r.recvWin
+	if cfg.InOrderForwarding {
+		rx = inOrderWindow{r.recvWin, r}
+	}
+	// An accepted arrival lies inside the window, so the clamp, the
+	// window's capacity, is never reached.
+	r.gaps = seqno.NewQueue(env.Clock(), rx, r.request, seqno.Schedule{
+		Step:  cfg.ReqInterval,
+		Tries: cfg.MaxReqs,
+		Life:  time.Duration(cfg.MaxReqs) * cfg.ReqInterval,
+		Clamp: uint32(cfg.Window * 2),
+	})
 	return r
+}
+
+// inOrderWindow is the receive window of a link that forwards in order:
+// giving a sequence up also releases what was held behind it.
+type inOrderWindow struct {
+	*seqno.Window
+	r *Reliable
+}
+
+func (w inOrderWindow) Pass(seq uint32) {
+	w.Window.Pass(seq)
+	w.r.flushInOrder()
 }
 
 // newSlot returns a retransmission slot from the freelist (or fresh).
@@ -240,12 +262,12 @@ func (r *Reliable) enqueueSlot(sf *sentFrame) {
 		r.stats.HistoryBytes += len(sf.buf.B)
 	}
 	if r.windowFull() {
-		if r.queue.len() >= r.cfg.QueueLimit {
+		if r.queue.Len() >= r.cfg.QueueLimit {
 			r.stats.SendDropped++
 			r.releaseSlot(sf)
 			return
 		}
-		r.queue.push(sf)
+		r.queue.Push(sf)
 		return
 	}
 	r.transmitNew(sf)
@@ -293,18 +315,14 @@ func (r *Reliable) onData(f *wire.Frame) {
 	if f.Packet == nil {
 		return
 	}
-	if r.recvWin.Record(f.Seq) {
-		r.deliverUp(f.Seq, f.Packet)
-	} else {
+	if !r.recvWin.Record(f.Seq) {
 		r.stats.DuplicatesDropped++
+		r.sendAck(f.SendTime)
+		return
 	}
+	r.deliverUp(f.Seq, f.Packet)
 	r.sendAck(f.SendTime)
-	// The first 64 missing sequences above the edge are the gaps; those
-	// already on the schedule stay where they are.
-	r.missing = r.recvWin.Missing(f.Seq, 64, r.missing[:0])
-	for _, seq := range r.missing {
-		r.gaps.add(seq)
-	}
+	r.gaps.Reveal(f.Seq)
 }
 
 func (r *Reliable) deliverUp(seq uint32, p *wire.Packet) {
@@ -319,17 +337,22 @@ func (r *Reliable) deliverUp(seq uint32, p *wire.Packet) {
 	r.flushInOrder()
 }
 
-// flushInOrder delivers consecutively sequenced buffered packets.
+// flushInOrder delivers buffered packets in sequence. A sequence at or
+// before the window's edge that nothing holds was given up, and is passed
+// over.
 func (r *Reliable) flushInOrder() {
 	for {
-		next, ok := r.inOrder[r.nextDeliv+1]
-		if !ok {
-			break
+		seq := r.nextDeliv + 1
+		next, ok := r.inOrder[seq]
+		if !ok && !seqno.LE(seq, r.recvWin.Cum()) {
+			return
 		}
-		delete(r.inOrder, r.nextDeliv+1)
-		r.nextDeliv++
-		r.stats.Delivered++
-		r.env.Deliver(next)
+		r.nextDeliv = seq
+		if ok {
+			delete(r.inOrder, seq)
+			r.stats.Delivered++
+			r.env.Deliver(next)
+		}
 	}
 }
 
@@ -345,25 +368,18 @@ func (r *Reliable) sendAck(echo time.Duration) {
 	r.env.Transmit(&r.tx)
 }
 
-// gaveUp implements gapOwner. The sender has long since given up on the
-// sequence too (dead peer or severed link); in-order delivery skips it.
-func (r *Reliable) gaveUp(seq uint32) {
-	if r.cfg.InOrderForwarding && seq == r.nextDeliv+1 {
-		r.nextDeliv++
-		r.flushInOrder()
+// request transmits one retransmission request per gap due.
+func (r *Reliable) request(due []seqno.Request) {
+	for _, req := range due {
+		r.stats.Requests++
+		r.tx = wire.Frame{
+			Proto:    wire.LPReliable,
+			Kind:     wire.FReq,
+			Seq:      req.Seq,
+			SendTime: r.env.Clock().Now(),
+		}
+		r.env.Transmit(&r.tx)
 	}
-}
-
-// request implements gapOwner.
-func (r *Reliable) request(seq uint32, _ time.Duration) {
-	r.stats.Requests++
-	r.tx = wire.Frame{
-		Proto:    wire.LPReliable,
-		Kind:     wire.FReq,
-		Seq:      seq,
-		SendTime: r.env.Clock().Now(),
-	}
-	r.env.Transmit(&r.tx)
 }
 
 func (r *Reliable) onAck(f *wire.Frame) {
@@ -381,7 +397,7 @@ func (r *Reliable) onAck(f *wire.Frame) {
 	// The cumulative ack settles everything up to it. Serial-number
 	// compares keep it clearing the window after the sequence space wraps
 	// past 2^32.
-	for r.inFlight > 0 && seqLE(r.low, f.Ack) {
+	for r.inFlight > 0 && seqno.LE(r.low, f.Ack) {
 		r.settle(r.low)
 	}
 	// Bit d-1 of the selective ack is sequence Ack+d.
@@ -391,8 +407,8 @@ func (r *Reliable) onAck(f *wire.Frame) {
 			r.settle(seq)
 		}
 	}
-	for r.queue.len() > 0 && !r.windowFull() {
-		r.transmitNew(r.queue.pop())
+	for r.queue.Len() > 0 && !r.windowFull() {
+		r.transmitNew(r.queue.Pop())
 	}
 	r.armRTO()
 }
@@ -449,28 +465,27 @@ func (r *Reliable) onRTO() {
 func (r *Reliable) Stats() Stats {
 	st := r.stats
 	st.HistoryPackets, st.WindowBytes = r.OutstandingFrames(), r.recvWin.Bytes()
-	st.MissingClamps = r.recvWin.clamps
 	return st
 }
 
 // OutstandingFrames returns the number of unacknowledged data frames —
 // used by tests and by backpressure-sensitive callers.
-func (r *Reliable) OutstandingFrames() int { return r.inFlight + r.queue.len() }
+func (r *Reliable) OutstandingFrames() int { return r.inFlight + r.queue.Len() }
 
 // Close implements Protocol.
 func (r *Reliable) Close() {
 	r.closed = true
 	r.rtoTimer.Stop()
-	r.gaps.close()
+	r.gaps.Close()
 	// Release retransmission and reordering buffers so a torn-down link
 	// holds no packet memory (and returns no pooled bytes late).
 	for r.inFlight > 0 {
 		r.settle(r.low)
 	}
 	r.ring = nil
-	for r.queue.len() > 0 {
-		r.releaseSlot(r.queue.pop())
+	for r.queue.Len() > 0 {
+		r.releaseSlot(r.queue.Pop())
 	}
-	r.queue = fifo[*sentFrame]{}
+	r.queue = seqno.FIFO[*sentFrame]{}
 	clear(r.inOrder)
 }

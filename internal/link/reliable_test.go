@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sonet/internal/seqno"
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
@@ -314,7 +315,7 @@ func TestReliableSurvivesSequenceWraparound(t *testing.T) {
 	ra := p.a.proto.(*Reliable)
 	rb := p.b.proto.(*Reliable)
 	ra.nextSeq = edge
-	rb.recvWin.cum, rb.gaps.last = edge, edge
+	fastForward(rb.recvWin, rb.gaps, edge)
 	rb.nextDeliv = edge
 	r := rand.New(rand.NewSource(11))
 	p.a.drop = func(*wire.Frame) bool { return r.Float64() < 0.10 }
@@ -348,8 +349,8 @@ func TestReliableInOrderAcrossWraparound(t *testing.T) {
 	ra := p.a.proto.(*Reliable)
 	rb := p.b.proto.(*Reliable)
 	ra.nextSeq = edge
-	rb.recvWin.cum, rb.gaps.last = edge, edge
 	rb.nextDeliv = edge
+	fastForward(rb.recvWin, rb.gaps, edge)
 	dropped := false
 	p.a.drop = func(f *wire.Frame) bool {
 		// Lose the first frame after the wrap once; later arrivals must be
@@ -372,5 +373,16 @@ func TestReliableInOrderAcrossWraparound(t *testing.T) {
 		if seq != uint32(i+1) {
 			t.Fatalf("in-order mode delivered out of order at %d: flow seq %d", i, seq)
 		}
+	}
+}
+
+// fastForward moves a fresh receiver's window, and the gap queue over it,
+// to edge, as a link that has run that long: two give-ups of less than
+// half the sequence space each, with a reveal after each to take the
+// queue's mark along.
+func fastForward(w *seqno.Window, q *seqno.Queue, edge uint32) {
+	for _, at := range []uint32{edge / 2, edge} {
+		w.Pass(at)
+		q.Reveal(at)
 	}
 }

@@ -3,6 +3,7 @@ package link
 import (
 	"time"
 
+	"sonet/internal/seqno"
 	"sonet/internal/sim"
 	"sonet/internal/wire"
 )
@@ -105,11 +106,8 @@ type Strikes struct {
 	spare   *sentPacket
 
 	// Receiver state.
-	recvWin *seqWindow
-	gaps    *gapQueue
-	// high is the highest sequence the window accepted; an arrival above
-	// high+1 reveals the sequences between as gaps.
-	high uint32
+	recvWin *seqno.Window
+	gaps    *seqno.Queue
 
 	stats  Stats
 	closed bool
@@ -145,9 +143,14 @@ var _ Protocol = (*Strikes)(nil)
 // NewStrikes returns an NM-Strikes endpoint.
 func NewStrikes(env Env, cfg StrikesConfig) *Strikes {
 	cfg = cfg.withDefaults()
-	s := &Strikes{env: env, cfg: cfg, recvWin: newSeqWindow(1 << 16)}
+	s := &Strikes{env: env, cfg: cfg, recvWin: seqno.NewWindow(1 << 16)}
 	s.history = NewSeqRing(cfg.HistoryLimit, s.wanted, s.forget)
-	s.gaps = newGapQueue(env.Clock(), s.recvWin, s, cfg.requestSpacing(), cfg.N, cfg.Budget)
+	s.gaps = seqno.NewQueue(env.Clock(), s.recvWin, s.request, seqno.Schedule{
+		Step:  cfg.requestSpacing(),
+		Tries: cfg.N,
+		Life:  cfg.Budget,
+		Clamp: maxGapScan,
+	})
 	return s
 }
 
@@ -221,50 +224,36 @@ func (s *Strikes) onData(f *wire.Frame) {
 	}
 	s.stats.Delivered++
 	s.env.Deliver(f.Packet)
-	if !seqLT(s.high, f.Seq) {
-		return
-	}
-	// An arrival past the high mark reveals every sequence between as a
-	// gap. The sequence comes off the wire, so the scan is clamped — a
-	// wild jump (corruption, or a peer restarting its space) must not spin
-	// the event loop queueing billions of gaps.
-	prev := s.high
-	s.high = f.Seq
-	span := f.Seq - prev - 1
-	if span > maxGapScan {
-		span = maxGapScan
+	if s.gaps.Reveal(f.Seq) {
 		s.stats.GapScanClamps++
 	}
-	for i := uint32(1); i <= span; i++ {
-		s.gaps.add(prev + i)
-	}
 }
 
-// maxGapScan bounds how many sequences one data frame can newly mark as
-// missing. Genuine reordering gaps are tiny (a few packets); anything
-// larger is lost for good from a real-time protocol's perspective anyway.
+// maxGapScan bounds how many gaps one data frame can queue. The sequence
+// comes off the wire, and a wild jump (corruption, or a peer restarting
+// its space) must not spin the event loop queueing tens of thousands of
+// gaps. Genuine reordering gaps are tiny (a few packets); the older ones
+// of a larger span are given up at once, being lost for good from a
+// real-time protocol's perspective anyway.
 const maxGapScan = 1024
 
-// request implements gapOwner: one of the N spaced strikes for a missing
-// sequence (the receiver side of Fig. 4). The request carries the time
-// left before the receiver gives the sequence up (in microseconds, via the
-// Ack field) so the sender can spread its M copies over exactly the useful
-// window.
-func (s *Strikes) request(seq uint32, left time.Duration) {
-	s.stats.Requests++
-	s.tx = wire.Frame{
-		Proto:    wire.LPRealTime,
-		Kind:     wire.FReq,
-		Seq:      seq,
-		Ack:      uint32(left / time.Microsecond),
-		SendTime: s.env.Clock().Now(),
+// request sends one of the N spaced strikes for each missing sequence due
+// (the receiver side of Fig. 4). A request carries the time left before
+// the receiver gives the sequence up (in microseconds, via the Ack field)
+// so the sender can spread its M copies over exactly the useful window.
+func (s *Strikes) request(due []seqno.Request) {
+	for _, req := range due {
+		s.stats.Requests++
+		s.tx = wire.Frame{
+			Proto:    wire.LPRealTime,
+			Kind:     wire.FReq,
+			Seq:      req.Seq,
+			Ack:      uint32(req.Left / time.Microsecond),
+			SendTime: s.env.Clock().Now(),
+		}
+		s.env.Transmit(&s.tx)
 	}
-	s.env.Transmit(&s.tx)
 }
-
-// gaveUp implements gapOwner; a real-time receiver has nothing held back
-// to release.
-func (s *Strikes) gaveUp(uint32) {}
 
 // onReq answers the first received retransmission request with M spaced
 // retransmissions (the sender side of Fig. 4): the copies are spread over
@@ -322,7 +311,7 @@ func (s *Strikes) Stats() Stats {
 // Close implements Protocol.
 func (s *Strikes) Close() {
 	s.closed = true
-	s.gaps.close()
+	s.gaps.Close()
 	// Drop the retransmission history, stopping every slot's timer, so a
 	// torn-down link holds no packet memory.
 	s.history.Clear()

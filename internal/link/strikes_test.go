@@ -159,7 +159,7 @@ func TestStrikesGivesUpAfterBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("not a Strikes")
 	}
-	if n := strikes.gaps.lives.len() + strikes.gaps.reqs.len(); n != 0 {
+	if n := strikes.gaps.Len(); n != 0 {
 		t.Fatalf("%d gap entries left after the budget", n)
 	}
 	if got := strikes.recvWin.Cum(); got != 2 {
@@ -315,7 +315,7 @@ func TestStrikesGapScanClamped(t *testing.T) {
 	if got := s.Stats().GapScanClamps; got != 1 {
 		t.Fatalf("GapScanClamps = %d, want 1", got)
 	}
-	if n := s.gaps.lives.len(); n != maxGapScan {
+	if n := s.gaps.Len(); n != maxGapScan {
 		t.Fatalf("%d gaps queued after a jump of 60 000, want %d", n, maxGapScan)
 	}
 	// A small genuine gap on a sane sequence is not counted.
@@ -325,14 +325,14 @@ func TestStrikesGapScanClamped(t *testing.T) {
 	if got := sb.Stats().GapScanClamps; got != 0 {
 		t.Fatalf("sane gap counted %d clamps", got)
 	}
-	if n := sb.gaps.lives.len(); n != 2 {
+	if n := sb.gaps.Len(); n != 2 {
 		t.Fatalf("%d gaps queued for {1,2}, want 2", n)
 	}
 }
 
 // TestStrikesSurvivesSequenceWraparound pushes the real-time protocol
-// across the 2^32 boundary under loss: the high-water mark and gap
-// detection must keep working in serial arithmetic.
+// across the 2^32 boundary under loss: gap discovery must keep working in
+// serial arithmetic.
 func TestStrikesSurvivesSequenceWraparound(t *testing.T) {
 	sched := sim.NewScheduler(9)
 	p := strikesPair(sched, 20*time.Millisecond, continentalStrikes())
@@ -340,8 +340,7 @@ func TestStrikesSurvivesSequenceWraparound(t *testing.T) {
 	sa := p.a.proto.(*Strikes)
 	sb := p.b.proto.(*Strikes)
 	sa.nextSeq = edge
-	sb.high = edge
-	sb.recvWin.cum, sb.gaps.last = edge, edge
+	fastForward(sb.recvWin, sb.gaps, edge)
 	dropped := 0
 	p.a.drop = func(f *wire.Frame) bool {
 		// Lose two data frames straddling the wrap exactly once each.
@@ -395,6 +394,40 @@ func TestStrikesWindowSurvivesPermanentLoss(t *testing.T) {
 	}
 	if got := sb.recvWin.Cum(); got != n {
 		t.Fatalf("cumulative edge %d, want the last sequence %d", got, n)
+	}
+}
+
+// TestStrikesWindowSurvivesLongOutage loses every copy of frames 2–2001,
+// an outage longer than maxGapScan frames, and streams on for more than
+// the receive window's 2^16 sequences. The arrival after the outage queues
+// the newest maxGapScan gaps and gives the older ones up at once, so every
+// sequence of the outage is given up within Budget and every later frame
+// is delivered. When the older ones were never queued, nothing ever
+// recorded them: the edge stopped below them for good, and the window
+// refused every frame from 2^16 past it on.
+func TestStrikesWindowSurvivesLongOutage(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	p := strikesPair(sched, time.Millisecond, StrikesConfig{})
+	const outage = 2000
+	p.a.drop = func(f *wire.Frame) bool { return f.Kind == wire.FData && f.Seq >= 2 && f.Seq <= 1+outage }
+	sb := p.b.proto.(*Strikes)
+	const n, batch = 70_000, 1000 // past 2^16 beyond the outage
+	for sent := 0; sent < n; sent += batch {
+		for i := 1; i <= batch; i++ {
+			p.a.proto.Send(dataPacket(uint32(sent + i)))
+		}
+		sched.RunFor(10 * time.Millisecond)
+	}
+	sched.RunFor(time.Second)
+	if got, want := len(p.b.delivered), n-outage; got != want {
+		t.Fatalf("%d of %d frames delivered (edge %d)", got, want, sb.recvWin.Cum())
+	}
+	if got := sb.recvWin.Cum(); got != n {
+		t.Fatalf("cumulative edge %d, want the last sequence %d", got, n)
+	}
+	if st := sb.Stats(); st.GapScanClamps != 1 || st.Requests != uint64(maxGapScan*sb.cfg.N) {
+		t.Fatalf("%d clamps and %d requests, want 1 and %d: the newest %d gaps requested, the rest given up",
+			st.GapScanClamps, st.Requests, maxGapScan*sb.cfg.N, maxGapScan)
 	}
 }
 

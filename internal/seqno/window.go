@@ -1,0 +1,107 @@
+package seqno
+
+// Window tracks which sequence numbers have been seen, supporting
+// cumulative-plus-bitmap acknowledgment and duplicate suppression. It
+// handles the sequences 1,2,3,… of a link, compared in serial-number
+// arithmetic so sessions survive the sequence space wrapping past 2^32.
+// The window is a ring of bits, so recording and advancing are O(1)
+// amortized.
+//
+// The zero value tracks nothing; use NewWindow.
+type Window struct {
+	// cum is the highest sequence (serially) such that all sequences at or
+	// before it were seen.
+	cum uint32
+	// bits marks sequences cum+1+i as seen at ring position (start+i) % n,
+	// one bit each.
+	bits     []uint64
+	n, start int
+}
+
+// NewWindow returns a window over the capacity sequences after its edge.
+func NewWindow(capacity int) *Window {
+	return &Window{bits: make([]uint64, (capacity+63)/64), n: capacity}
+}
+
+// word returns the word and mask of ring position start+i, for i < n.
+func (w *Window) word(i int) (*uint64, uint64) {
+	pos := w.start + i
+	if pos >= w.n {
+		pos -= w.n
+	}
+	return &w.bits[pos>>6], 1 << (pos & 63)
+}
+
+func (w *Window) at(i int) bool {
+	word, mask := w.word(i)
+	return *word&mask != 0
+}
+
+// Seen reports whether seq was recorded or passed.
+func (w *Window) Seen(seq uint32) bool {
+	if LE(seq, w.cum) {
+		return true
+	}
+	// seq is serially after cum, so the unsigned difference is the true
+	// forward distance even across a wrap.
+	idx := seq - w.cum - 1
+	return idx < uint32(w.n) && w.at(int(idx))
+}
+
+// Record marks seq as seen and advances the cumulative edge. It reports
+// whether the sequence was newly recorded (false for duplicates and for
+// sequences too far ahead of the window, which are dropped).
+func (w *Window) Record(seq uint32) bool {
+	if LE(seq, w.cum) {
+		return false
+	}
+	idx := seq - w.cum - 1
+	if idx >= uint32(w.n) {
+		return false
+	}
+	word, mask := w.word(int(idx))
+	if *word&mask != 0 {
+		return false
+	}
+	*word |= mask
+	for w.at(0) {
+		word, mask = w.word(0)
+		*word &^= mask
+		w.start = (w.start + 1) % w.n
+		w.cum++
+	}
+	return true
+}
+
+// Pass gives up every sequence at or before seq: each reads as seen, as
+// if it had arrived, and the cumulative edge moves past seq. It records
+// one sequence at a time, never more than the window holds: past that,
+// nothing in the window is left to keep.
+func (w *Window) Pass(seq uint32) {
+	if LT(w.cum, seq) && seq-w.cum > uint32(w.n) {
+		clear(w.bits)
+		w.start, w.cum = 0, seq
+	}
+	for LT(w.cum, seq) {
+		w.Record(w.cum + 1)
+	}
+}
+
+// Bytes returns the size of the window's bitmap.
+func (w *Window) Bytes() int { return 8 * len(w.bits) }
+
+// Cum returns the cumulative edge: every sequence serially at or before
+// Cum has been seen.
+func (w *Window) Cum() uint32 { return w.cum }
+
+// AckBits encodes the out-of-order sequences above the cumulative edge as
+// the selective-ack bitmap used in FAck frames.
+func (w *Window) AckBits() uint64 {
+	var bits uint64
+	for i := 0; i < min(w.n, 64); i++ {
+		if w.at(i) {
+			bits |= 1 << i
+		}
+	}
+	return bits
+}

@@ -7,6 +7,7 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"sonet/internal/link"
 	"sonet/internal/metrics"
 	"sonet/internal/node"
+	"sonet/internal/seqno"
 	"sonet/internal/sim"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
@@ -78,8 +80,8 @@ type Delivery struct {
 
 // Manager is the session level of one overlay node.
 type Manager struct {
-	// NackMaxTries bounds gap-recovery attempts before flushing past the
-	// gap.
+	// NackMaxTries bounds the NACKs a reliable flow's destination sends
+	// for one gap before it flushes past the gap.
 	NackMaxTries int
 	// HistoryLimit bounds per-flow sent-packet history retained for
 	// end-to-end recovery.
@@ -218,18 +220,19 @@ type reorderState struct {
 	c       *Client
 	id      flowID
 	next    uint32
-	maxSeen uint32
 	pending map[uint32]heldPacket
+	// passed is scratch for deliverHeld.
+	passed []uint32
 
-	// timer is the flow's one timer, made on first need and pending while
-	// armed. A flow's packets all carry its spec's deadline, so it serves
-	// one of two purposes: a deadline flow's flush, armed for due — the
-	// earliest deadline held — while anything is held; or a reliable
-	// flow's NACK tick.
-	timer     sim.Timer
-	armed     bool
-	due       time.Duration
-	nackTries int
+	// gaps is a reliable flow's recovery schedule (reliable.go), nil for a
+	// deadline flow. A flow's packets all carry its spec's deadline, so a
+	// flow has one or the other.
+	gaps *seqno.Queue
+	// timer is a deadline flow's flush, made on first need and armed for
+	// due — the earliest deadline held — while anything is held.
+	timer sim.Timer
+	armed bool
+	due   time.Duration
 }
 
 // heldPacket is an out-of-order packet captured into one pooled buffer,
@@ -280,6 +283,9 @@ func (c *Client) Close() {
 	for _, st := range c.reorder {
 		if st.timer != nil {
 			st.timer.Stop()
+		}
+		if st.gaps != nil {
+			st.gaps.Close()
 		}
 		for _, held := range st.pending {
 			held.release()
@@ -349,13 +355,13 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 	id := flowID{src: p.Src, srcPort: p.SrcPort}
 	st, ok := c.reorder[id]
 	if !ok {
-		st = &reorderState{c: c, id: id, next: 1, pending: make(map[uint32]heldPacket)}
+		st = c.newReorderState(id, packetWantsE2E(p))
 		c.reorder[id] = st
 	}
-	if p.FlowSeq > st.maxSeen {
-		st.maxSeen = p.FlowSeq
-	}
-	if p.FlowSeq < st.next {
+	// Half the sequence space ahead of next is behind it: serial order
+	// leaves that one distance undecided, and taking it as ahead would put
+	// the next delivery before the last.
+	if !seqno.LE(st.next, p.FlowSeq) {
 		if p.Flags.Has(wire.FRetrans) {
 			// A redundant tail or recovery copy of something already
 			// delivered.
@@ -382,14 +388,11 @@ func (c *Client) receiveOrdered(p *wire.Packet, lat time.Duration) {
 			st.flushBy(p.Origin + p.Deadline)
 		}
 	}
-	c.deliverHeld(st, 0)
+	c.deliverHeld(st, st.next-1)
 	switch {
-	case packetWantsE2E(p):
-		// Reliable flows recover remaining gaps end to end; next is
-		// missing iff anything above it was seen.
-		if st.next <= st.maxSeen {
-			c.armNack(st)
-		}
+	case st.gaps != nil:
+		// Reliable flows recover the gaps this arrival reveals end to end.
+		st.gaps.Reveal(p.FlowSeq)
 	case st.armed && len(st.pending) == 0:
 		// Nothing is held, so there is nothing to flush.
 		st.timer.Stop()
@@ -416,9 +419,10 @@ func (st *reorderState) flushBy(deadline time.Duration) {
 // for the earliest deadline still held.
 func (st *reorderState) flushDue() {
 	now := st.c.mgr.clock.Now()
-	var to uint32
+	base := st.next - 1
+	to := base
 	for seq, held := range st.pending {
-		if seq > to && held.p.Deadline > 0 && held.p.Origin+held.p.Deadline <= now {
+		if held.p.Deadline > 0 && held.p.Origin+held.p.Deadline <= now && seq-base > to-base {
 			to = seq
 		}
 	}
@@ -434,25 +438,44 @@ func (st *reorderState) flushDue() {
 	}
 }
 
-// deliverHeld delivers held packets in sequence: everything up to seq,
-// skipping the gaps below it — their deadline has passed, or their
-// recovery was given up, so waiting longer only hurts — and then every
-// packet held consecutively after that. With seq 0 it only delivers what
-// the next expected sequence releases.
-func (c *Client) deliverHeld(st *reorderState, seq uint32) {
+// deliverHeld moves next past through — delivering in sequence the
+// packets held up to it and skipping the gaps between them: their deadline
+// has passed, or their recovery was given up, so waiting longer only hurts
+// — and then delivers every packet held consecutively after it. Through
+// next − 1 it does only the latter. It sorts what it passes rather than
+// step through the span, which may be as long as half the sequence space.
+func (c *Client) deliverHeld(st *reorderState, through uint32) {
+	if base, span := st.next, through-st.next; seqno.LE(base, through) {
+		st.passed = st.passed[:0]
+		for s := range st.pending {
+			if s-base <= span {
+				st.passed = append(st.passed, s)
+			}
+		}
+		slices.SortFunc(st.passed, func(a, b uint32) int { return cmp.Compare(a-base, b-base) })
+		for _, s := range st.passed {
+			// A delivery's callback may close the client, which releases
+			// what is held, so every packet is looked up again.
+			if held, ok := st.pending[s]; ok {
+				delete(st.pending, s)
+				st.next = s + 1
+				c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
+				held.release()
+			}
+		}
+		if st.next-base <= span {
+			st.next = through + 1
+		}
+	}
 	for {
 		held, ok := st.pending[st.next]
-		switch {
-		case ok:
-			delete(st.pending, st.next)
-			st.next++
-			c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
-			held.release()
-		case st.next <= seq:
-			st.next++ // a gap, flushed past
-		default:
+		if !ok {
 			return
 		}
+		delete(st.pending, st.next)
+		st.next++
+		c.deliverUp(&held.p, c.mgr.clock.Now()-held.p.Origin)
+		held.release()
 	}
 }
 
