@@ -228,12 +228,12 @@ func TestSmokeTraceHashesPinned(t *testing.T) {
 		"partition-ring":        0xbc827824f5a7f7cb,
 		"crash-grid":            0xb4ffacf42a17e104,
 		"ispout-diamond":        0x5e5040a7b551e63f,
-		"brownout-ring":         0x636e174aac2ee81e,
+		"brownout-ring":         0x62d9d9d3e71a6bbe,
 		"spike-grid":            0xfb3fc7243a225caf,
 		"flap-crash-ring":       0x8b15e2ba8bd23a0e,
-		"partition-ispout-grid": 0xe1fabaf0aacc5207,
-		"everything-diamond":    0x7e038b2b1991fe48,
-		"scripted-mixed":        0xd76aaf66563c9e0c,
+		"partition-ispout-grid": 0xd3b846b30d93889c,
+		"everything-diamond":    0xd1e0c1f695253fe6,
+		"scripted-mixed":        0x470175a9c6a81483,
 		"churn-ring":            0x7ba472ee92b29388,
 		"churn-corrupt-grid":    0x73bd08ea6e156666,
 	}
