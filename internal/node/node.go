@@ -587,12 +587,19 @@ func (n *Node) Originate(p *wire.Packet) error {
 
 // Resend reinjects a previously originated packet for end-to-end
 // recovery, preserving its original origin timestamp so measured latency
-// reflects the full recovery delay.
+// reflects the full recovery delay. A recovery copy differs from what was
+// signed (its retransmission mark, its route), so intrusion-tolerant
+// traffic is signed again.
 func (n *Node) Resend(p *wire.Packet) error {
 	if p.Src != n.id {
 		return fmt.Errorf("node %v: resend of foreign packet from %v", n.id, p.Src)
 	}
 	p.TTL = defaultTTL
+	if n.requiresSignature(p) {
+		if err := n.cfg.Keyring.SignPacket(p); err != nil {
+			return fmt.Errorf("node %v: %w", n.id, err)
+		}
+	}
 	n.ctl.route(p, routing.NoLink)
 	return nil
 }

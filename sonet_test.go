@@ -601,3 +601,66 @@ func TestNodeStatsControl(t *testing.T) {
 		t.Fatalf("bystander 3 resynced: %+v", c)
 	}
 }
+
+// tailCopies sends one message on a reliable ordered flow (ordered, no
+// deadline) and lets its source re-send it three times in two seconds,
+// the tail protection of end-to-end recovery. It returns what the
+// destination counted and what the source node suppressed.
+func tailCopies(t *testing.T, spec FlowSpec, opts ...Option) (dst ClientStats, srcNode NodeStats, auth uint64) {
+	t.Helper()
+	net, err := New(11, apiDiamond(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	d, err := net.Connect(4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Connect(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.To, spec.ToPort, spec.Ordered = 4, 100, true
+	flow, err := src.OpenFlow(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flow.Send([]byte("cmd")); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(2 * time.Second)
+	for id := NodeID(1); id <= 4; id++ {
+		st, _ := net.NodeStats(id)
+		auth += st.DroppedAuth
+	}
+	srcNode, _ = net.NodeStats(1)
+	return d.Stats(), srcNode, auth
+}
+
+// TestRecoveryCopiesOfSignedFlowsVerify re-sends a message of a signed
+// flow: the copy carries the retransmission mark, which the signature
+// covers, so its source signs it again and every hop accepts it. Signed
+// as originated, all three copies were refused at the next hop.
+func TestRecoveryCopiesOfSignedFlowsVerify(t *testing.T) {
+	for _, service := range []LinkService{ITPriority, ITReliable} {
+		dst, _, auth := tailCopies(t, FlowSpec{Service: service}, WithAuthentication([]byte("k")))
+		if dst.Received != 1 || dst.Duplicates != 3 || auth != 0 {
+			t.Fatalf("service %v: %d received, %d copies arrived, %d refused; want 1, 3, 0", service, dst.Received, dst.Duplicates, auth)
+		}
+	}
+}
+
+// TestRecoveryCopiesOfRedundantFlowsLeaveTheSource re-sends a message of
+// a reliable flow routed by flooding, a dissemination graph or disjoint
+// paths: the copies take the link-state route, which no duplicate table
+// judges. On the flow's own route the source's table, which saw the
+// sequence when it was originated, suppressed every copy.
+func TestRecoveryCopiesOfRedundantFlowsLeaveTheSource(t *testing.T) {
+	for _, spec := range []FlowSpec{{Flood: true}, {DissemGraph: ProblemSource}, {DisjointPaths: 2}} {
+		dst, src, _ := tailCopies(t, spec)
+		if dst.Received != 1 || dst.Duplicates != 3 || src.Duplicates != 0 {
+			t.Fatalf("%+v: %d received, %d copies arrived, %d suppressed at the source; want 1, 3, 0", spec, dst.Received, dst.Duplicates, src.Duplicates)
+		}
+	}
+}
