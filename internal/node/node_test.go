@@ -416,29 +416,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestDedupTable(t *testing.T) {
-	d := newDedupTable(4)
-	k := func(i uint32) dedupKey { return dedupKey{src: 1, flowSeq: i} }
-	for i := uint32(1); i <= 4; i++ {
-		if !d.Observe(k(i)) {
-			t.Fatalf("first observation of %d = false", i)
-		}
-	}
-	if d.Observe(k(1)) {
-		t.Fatal("duplicate observed as new")
-	}
-	// Eviction: adding a 5th evicts the oldest (1).
-	if !d.Observe(k(5)) {
-		t.Fatal("new key after eviction = false")
-	}
-	if !d.Observe(k(1)) {
-		t.Fatal("evicted key not treated as new")
-	}
-	if d.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", d.Len())
-	}
-}
-
 func TestStopQuiescesNode(t *testing.T) {
 	f := buildWorld(t, diamondGraph(t), nil)
 	f.sched.RunFor(time.Second)

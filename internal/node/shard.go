@@ -146,7 +146,7 @@ func newDataPlane(n *Node) *DataPlane {
 	if !ok {
 		under = soloUnderlay{n.cfg.Underlay}
 	}
-	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(dedupCapacity, 1)}
+	pl := &DataPlane{n: n, under: under, dedup: newSharedDedup(1)}
 	pl.addShard(n.clock)
 	return pl
 }
@@ -178,7 +178,7 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	if nshard == 1 {
 		return
 	}
-	pl.dedup = newSharedDedup(dedupCapacity, nshard)
+	pl.dedup = newSharedDedup(dedupStripes)
 	for i := 1; i < nshard; i++ {
 		pl.addShard(clocks[i])
 	}
@@ -265,9 +265,10 @@ func (pl *DataPlane) Stats() Stats {
 }
 
 // Footprint is the state a node holds resident between packets, counted
-// rather than measured: tracked duplicate-suppression keys and, summed over
-// every link-protocol endpoint, the packets held for retransmission, the
-// bytes they carry and the receive-window bitmaps.
+// rather than measured: the flows its duplicate suppression tracks and,
+// summed over every link-protocol endpoint, the packets held for
+// retransmission and the bytes they carry. WindowBytes is every sequence
+// bitmap: the endpoints' receive windows and one window per tracked flow.
 type Footprint struct {
 	DedupEntries                              int
 	HistoryPackets, HistoryBytes, WindowBytes int
@@ -284,7 +285,8 @@ func (pl *DataPlane) Footprint() (fp Footprint) {
 		mu.Lock()
 		defer mu.Unlock()
 		if s.idx == 0 {
-			fp.DedupEntries = pl.dedup.Len()
+			fp.DedupEntries = pl.dedup.Flows()
+			fp.WindowBytes += fp.DedupEntries * dedupWindow / 8
 		}
 		for _, pr := range s.peers {
 			for _, p := range pr.protos {
@@ -487,11 +489,7 @@ func (s *DataShard) routeAuthed(p *wire.Packet, arrived wire.LinkID) {
 func (s *DataShard) route(p *wire.Packet, arrived wire.LinkID) bool {
 	firstSeen := true
 	if p.Route != wire.RouteLinkState {
-		firstSeen = s.plane.dedup.Observe(dedupKey{
-			src: p.Src, srcPort: p.SrcPort,
-			dst: p.Dst, dstPort: p.DstPort,
-			group: p.Group, flowSeq: p.FlowSeq,
-		})
+		firstSeen = s.plane.dedup.Observe(flow{p.Src, p.Dst, p.SrcPort, p.DstPort, p.Group}, p.FlowSeq)
 		if !firstSeen {
 			s.stats.Duplicates++
 		}

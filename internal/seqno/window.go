@@ -3,7 +3,8 @@ package seqno
 // Window tracks which sequence numbers have been seen, supporting
 // cumulative-plus-bitmap acknowledgment and duplicate suppression. It
 // handles the sequences 1,2,3,… of a link, compared in serial-number
-// arithmetic so sessions survive the sequence space wrapping past 2^32.
+// arithmetic so sessions survive the sequence space wrapping past 2^32,
+// and, judged by Observe, the sequences of one flow a node sees copies of.
 // The window is a ring of bits, so recording and advancing are O(1)
 // amortized.
 //
@@ -37,6 +38,14 @@ func (w *Window) at(i int) bool {
 	return *word&mask != 0
 }
 
+// set marks ring position start+i and reports whether it was clear.
+func (w *Window) set(i int) bool {
+	word, mask := w.word(i)
+	unset := *word&mask == 0
+	*word |= mask
+	return unset
+}
+
 // Seen reports whether seq was recorded or passed.
 func (w *Window) Seen(seq uint32) bool {
 	if LE(seq, w.cum) {
@@ -59,13 +68,11 @@ func (w *Window) Record(seq uint32) bool {
 	if idx >= uint32(w.n) {
 		return false
 	}
-	word, mask := w.word(int(idx))
-	if *word&mask != 0 {
+	if !w.set(int(idx)) {
 		return false
 	}
-	*word |= mask
 	for w.at(0) {
-		word, mask = w.word(0)
+		word, mask := w.word(0)
 		*word &^= mask
 		w.start = (w.start + 1) % w.n
 		w.cum++
@@ -85,6 +92,34 @@ func (w *Window) Pass(seq uint32) {
 	for LT(w.cum, seq) {
 		w.Record(w.cum + 1)
 	}
+}
+
+// Observe judges seq for duplicate suppression and reports whether it is a
+// first sighting. The window slides rather than refuse: it covers the
+// capacity sequences up to its top, the newest seen. A sequence inside is
+// judged by its bit, one past the top moves the top to it, and one a whole
+// window or more behind the top reads as a restart of the numbering and
+// reopens the window there. A window that has judged nothing opens at seq.
+// The top's bit is always set once open, which is how a fresh window is
+// told apart. A window that Observe judges is judged by Observe alone.
+func (w *Window) Observe(seq uint32) bool {
+	open := w.at(w.n - 1)
+	if idx := seq - w.cum - 1; open && idx < uint32(w.n) {
+		return w.set(int(idx))
+	}
+	// Distances are serial: d is how far seq lies past the top.
+	if d := seq - w.cum - uint32(w.n); open && d < uint32(w.n) {
+		for ; d > 0; d-- {
+			word, mask := w.word(0)
+			*word &^= mask
+			w.start = (w.start + 1) % w.n
+		}
+	} else {
+		clear(w.bits)
+		w.start = 0
+	}
+	w.cum = seq - uint32(w.n)
+	return w.set(w.n - 1)
 }
 
 // Bytes returns the size of the window's bitmap.

@@ -286,3 +286,69 @@ func TestSeqWindowBitmapMatchesBoolWindow(t *testing.T) {
 		}
 	}
 }
+
+// slideRef is the rule Observe implements, written out on a set: a fresh
+// window opens at the first sequence; one serially past the top becomes
+// the top; one less than a window behind is a copy iff seen; anything else
+// restarts the window there.
+type slideRef struct {
+	n    uint32
+	open bool
+	top  uint32
+	seen map[uint32]bool
+}
+
+func (r *slideRef) observe(seq uint32) bool {
+	switch {
+	case r.open && LT(r.top, seq):
+		r.top = seq
+		for s := range r.seen {
+			if r.top-s >= r.n {
+				delete(r.seen, s)
+			}
+		}
+	case r.open && r.top-seq < r.n:
+		first := !r.seen[seq]
+		r.seen[seq] = true
+		return first
+	default:
+		r.open, r.top, r.seen = true, seq, map[uint32]bool{}
+	}
+	r.seen[seq] = true
+	return true
+}
+
+// TestWindowObserveMatchesRule drives Observe and the rule on a set with
+// copies inside the window, sequences just past its top and just past its
+// far edge, long jumps either way and half the space away, from bases on
+// either side of 2^32 and of the int32 sign boundary, at capacities that do
+// and do not fill their last word, and holds every verdict equal. Each run
+// starts from a fresh window, so how one opens is checked hundreds of times.
+func TestWindowObserveMatchesRule(t *testing.T) {
+	for _, capacity := range []int{1, 8, 64, 100} {
+		for _, base := range []uint32{0, 0x7fffffff - 20, 0xffffffff - 15} {
+			r := rand.New(rand.NewSource(int64(base) + int64(capacity)))
+			for run := 0; run < 200; run++ {
+				w, ref := NewWindow(capacity), &slideRef{n: uint32(capacity)}
+				top := base + uint32(r.Intn(2*capacity)) - uint32(capacity)
+				for i := 0; i < 100; i++ {
+					seq := top - uint32(r.Intn(capacity+3)) + 3
+					switch r.Intn(16) {
+					case 0:
+						seq = top + uint32(capacity) + uint32(r.Intn(3)) - 1
+					case 1:
+						seq = top - uint32(capacity) + uint32(r.Intn(3)) - 1
+					case 2:
+						seq = top + 1<<31 + uint32(r.Intn(5)) - 2
+					case 3:
+						seq = top + uint32(r.Int31())
+					}
+					if got, want := w.Observe(seq), ref.observe(seq); got != want {
+						t.Fatalf("cap %d base %#x run %d step %d: Observe(%#x) = %v with top %#x, the rule says %v", capacity, base, run, i, seq, got, ref.top, want)
+					}
+					top = ref.top
+				}
+			}
+		}
+	}
+}

@@ -392,9 +392,10 @@ type NodeStats struct {
 // whose link recovered.
 type ControlStats = node.ControlStats
 
-// Footprint counts a node's resident protocol state: duplicate-suppression
-// keys and, over all its link endpoints, packets held for retransmission,
-// their bytes, and receive-window bitmap bytes.
+// Footprint counts a node's resident protocol state: the flows its
+// duplicate suppression tracks, and, over all its link endpoints, packets
+// held for retransmission and their bytes. WindowBytes counts every sequence
+// bitmap: the endpoints' receive windows and one per tracked flow.
 type Footprint = node.Footprint
 
 func fromNodeStats(st node.Stats) NodeStats {

@@ -491,8 +491,9 @@ func TestPublicAPIDeliveryPayloadIsOwned(t *testing.T) {
 // TestNodeStatsFootprint reads a node's resident state through the public
 // API: none before traffic, a unicast NM-Strikes flow leaves packets in the
 // history of each hop's sending endpoint — the last 256, not every one sent,
-// on a link this slow — and no duplicate-suppression keys anywhere, and a
-// flooded flow leaves one key per message on every node it reaches.
+// on a link this slow — and no duplicate-suppression state anywhere, and a
+// flooded flow leaves one tracked flow, one window of bitmap, on every node
+// it reaches, however many messages it sent.
 func TestNodeStatsFootprint(t *testing.T) {
 	net, err := New(1, apiDiamond())
 	if err != nil {
@@ -534,11 +535,15 @@ func TestNodeStatsFootprint(t *testing.T) {
 	for _, id := range []NodeID{1, 2} {
 		fp := footprint(id)
 		if fp.HistoryPackets != 256 || fp.HistoryBytes != 256*size || fp.DedupEntries != 0 {
-			t.Fatalf("node %d after %d sends at 500 pkt/s holds %+v, want 256 packets of %d bytes and no dedup keys", id, sends, fp, size)
+			t.Fatalf("node %d after %d sends at 500 pkt/s holds %+v, want 256 packets of %d bytes and no dedup flows", id, sends, fp, size)
 		}
 	}
 	if fp := footprint(3); fp.HistoryPackets != 0 || fp.WindowBytes >= footprint(2).WindowBytes {
 		t.Fatalf("node 3, off the path, holds %+v", fp)
+	}
+	before := map[NodeID]int{}
+	for id := NodeID(1); id <= 4; id++ {
+		before[id] = footprint(id).WindowBytes
 	}
 	flood, err := src.OpenFlow(FlowSpec{To: 4, ToPort: 100, Flood: true})
 	if err != nil {
@@ -550,9 +555,11 @@ func TestNodeStatsFootprint(t *testing.T) {
 		}
 	}
 	net.Run(time.Second)
+	const window = 1 << 14 / 8
 	for id := NodeID(1); id <= 4; id++ {
-		if fp := footprint(id); fp.DedupEntries != 50 {
-			t.Fatalf("node %d tracks %d keys after 50 flooded messages", id, fp.DedupEntries)
+		if fp := footprint(id); fp.DedupEntries != 1 || fp.WindowBytes != before[id]+window {
+			t.Fatalf("node %d after 50 flooded messages tracks %d flows in %d more window bytes, want 1 in %d",
+				id, fp.DedupEntries, fp.WindowBytes-before[id], window)
 		}
 	}
 }
