@@ -17,6 +17,7 @@ package flood
 import (
 	"slices"
 
+	"sonet/internal/seqno"
 	"sonet/internal/wire"
 )
 
@@ -105,14 +106,15 @@ func (d *DB) Next() uint32 {
 // everything it floods until the counter caught up: an own echo above the
 // counter moves the counter there (Reborn). Strictly above, so that the
 // steady-state echo of the current flood — every cycle in the topology
-// returns one — does not feed the next flood.
+// returns one — does not feed the next flood. Above and newest are serial
+// (seqno.LT), so an origin's numbering wraps past 2^32 like any other.
 func (d *DB) Offer(origin wire.NodeID, seq uint32) Verdict {
 	if origin == d.self {
-		if seq > d.seq {
+		if seqno.LT(d.seq, seq) {
 			d.seq = seq
 			return Reborn
 		}
-	} else if last, ok := d.seen[origin]; !ok || seq > last {
+	} else if last, ok := d.seen[origin]; !ok || seqno.LT(last, seq) {
 		if d.gate != nil && !d.gate(origin) {
 			d.stats.Refused++
 			return Refused

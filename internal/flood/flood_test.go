@@ -175,6 +175,39 @@ func TestRule(t *testing.T) {
 	}
 }
 
+// TestNumberingWrapsPast2To32: a header numbered 2^32 − 1 — forged,
+// corrupt, or a long-lived origin's own — that a peer accepts and the origin
+// is Reborn to moves the origin's counter to the top of the space. Its next
+// flood is numbered 0, and the peer must read that, and what follows, as
+// news: compared raw, the origin went dark at every peer that saw the high
+// value, and its own echo could not repair it.
+func TestNumberingWrapsPast2To32(t *testing.T) {
+	const x wire.NodeID = 3
+	const high = 1<<32 - 1
+	peer, origin := New(self), New(x)
+	origin.seq = high - 10 // an origin that has flooded for a long time
+	if v := peer.Offer(x, high); v != News {
+		t.Fatalf("peer reads (x, %#x) as %v", uint32(high), v)
+	}
+	peer.Accept(x, high, []byte("high"), true)
+	if v := origin.Offer(x, high); v != Reborn {
+		t.Fatalf("origin reads its own echo %#x as %v", uint32(high), v)
+	}
+	for want := uint32(0); want < 3; want++ {
+		seq := origin.Next()
+		if seq != want {
+			t.Fatalf("origin numbered its flood %d, want %d", seq, want)
+		}
+		if v := peer.Offer(x, seq); v != News {
+			t.Fatalf("peer reads the flood numbered %d after the wrap as %v", seq, v)
+		}
+		peer.Accept(x, seq, []byte("after"), true)
+	}
+	if v := peer.Offer(x, high); v != Stale {
+		t.Fatalf("peer reads the pre-wrap header as %v after the wrap", v)
+	}
+}
+
 // TestAcceptCopiesPayload: the retained entry is the DB's own bytes, and a
 // later payload from the same origin reuses them.
 func TestAcceptCopiesPayload(t *testing.T) {
