@@ -36,7 +36,8 @@ test:
 # shard-crossing tests (decision parity between shard 0 and a snapshot
 # shard, control payloads surfacing on a data shard, the crossing rings'
 # order, overflow, shutdown and all-pairs stress, admitted-peer homing,
-# frames the ownership rule never sends a data shard)
+# frames the ownership rule never sends a data shard, and the duplicate
+# table's stripes observed from four goroutines)
 # pinned at four protocol shards: the auto shard count collapses to one on
 # single-core CI runners, and the engine's shard crossings (per-shard link
 # sessions, COW snapshot readers, per-pair hand-off rings) must be
@@ -44,20 +45,21 @@ test:
 test-race:
 	$(GO) test -race ./...
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestDaemon' ./internal/transport/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted|TestCrossing|TestDataPlaneCloseReleasesCrossings|TestAdmittedPeerIsHomedByHash|TestMisroutedFrameIsDropped' ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=1 -run 'TestShardDecisionParity|TestMembershipOnDataShard|TestUnknownPeerIsCounted|TestCrossing|TestDataPlaneCloseReleasesCrossings|TestAdmittedPeerIsHomedByHash|TestMisroutedFrameIsDropped|TestDedupStripesConcurrent' ./internal/node/
 
 race: test-race
 
 # Repetition for the cross-goroutine code, kept out of check (about a
 # quarter of an hour): the all-pairs crossing stress and the plane's close
-# with records in flight, at four shards, the hand-off primitive both
+# with records in flight, at four shards, the duplicate table's stripes
+# under four observers, the hand-off primitive both
 # rings are built on, the loop and the realtime
 # clock's timers, the link protocols on the realtime clock (one recovery
 # timer per link, re-armed from inside its own callback), and the client
 # edge (Send, the edge writer goroutine and Close), 200 runs each under the
 # race detector. A flake that shows once in tens of runs fails here.
 stress:
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings' ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings|TestDedupStripesConcurrent' ./internal/node/
 	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
 	$(GO) test -race -count=200 -run 'TestLoop|TestRealtime|TestTimerContract/realtime' ./internal/sim/
 	$(GO) test -race -count=200 -run 'OverRealtimeClock' ./internal/link/
