@@ -15,13 +15,9 @@ import (
 // world models the paper's shared global state by handing every node's
 // engine the same view, exactly like the fully-converged steady state
 // after an LSA flood.
-type convViews struct {
-	view    *topology.View
-	version uint64
-}
+type convViews struct{ view *topology.View }
 
 func (c *convViews) View() *topology.View { return c.view }
-func (c *convViews) Version() uint64      { return c.version }
 
 // convGroups is a fixed membership map for the multicast churn phase.
 type convGroups struct {
@@ -95,7 +91,6 @@ func (w *convWorld) churn(round int) {
 		lid = wire.LinkID(n + (round/2)%(nl-n))
 	}
 	w.views.view.SetUp(lid, round%2 == 1)
-	w.views.version++
 }
 
 // reconvergeAll forces every engine to reconverge its SPT and answer one
@@ -137,7 +132,6 @@ func measureConvergence(n, rounds int) (convOutcome, error) {
 	out := convOutcome{nodes: n, links: w.views.view.G.NumLinks()}
 
 	// Warm every engine's scratch (first compute sizes the arenas).
-	w.views.version++
 	w.reconvergeAll()
 
 	spf0 := topology.SPFStatsSnapshot()

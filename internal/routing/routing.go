@@ -20,9 +20,8 @@ import (
 const NoLink wire.LinkID = 0xffff
 
 // maxCachedTrees caps the per-engine (source, group) multicast-tree cache.
-// Beyond the cap the oldest entry is evicted; under churn superseded
-// entries are pruned as soon as a version change is observed, so the cache
-// cannot grow without bound either way.
+// Beyond the cap the oldest entry is evicted, and a view or group version
+// move clears it, so it cannot grow without bound either way.
 const maxCachedTrees = 64
 
 // GroupSource provides the shared group state (Fig. 2 Group State
@@ -37,12 +36,11 @@ type GroupSource interface {
 }
 
 // ViewSource provides the shared connectivity state (Fig. 2 Connectivity
-// Graph Maintenance component).
+// Graph Maintenance component). The view's own Version, which moves on
+// every change to it, is the one version the engine's caches key on.
 type ViewSource interface {
 	// View returns the current shared view.
 	View() *topology.View
-	// Version increments on connectivity changes.
-	Version() uint64
 }
 
 // Decision is the routing outcome for one packet at one node.
@@ -71,7 +69,6 @@ type Engine struct {
 	// which view object and version the tree reflects so the journal can be
 	// consulted, and chgBuf is the allocation-free ChangesSince buffer.
 	spt             topology.SPT
-	sptVersion      uint64
 	sptValid        bool
 	lastView        *topology.View
 	lastViewVersion uint64
@@ -86,9 +83,9 @@ type Engine struct {
 
 	// Cached multicast trees keyed by (source, group), bounded by
 	// maxCachedTrees. treeOrder tracks insertion order for FIFO capacity
-	// eviction; treeVV/treeGV are the last versions observed, so superseded
-	// entries are pruned the moment a version change is seen.
-	trees     map[treeKey]*cachedTree
+	// eviction; treeVV/treeGV are the view and group versions every cached
+	// tree was computed under.
+	trees     map[treeKey]wire.Bitmask
 	treeOrder []treeKey
 	treeVV    uint64
 	treeGV    uint64
@@ -118,12 +115,6 @@ type treeKey struct {
 	group wire.GroupID
 }
 
-type cachedTree struct {
-	mask         wire.Bitmask
-	viewVersion  uint64
-	groupVersion uint64
-}
-
 // NewEngine returns a routing engine for node self. metric defaults to
 // the loss-penalized expected-latency metric used by Spines-style
 // overlays.
@@ -136,22 +127,8 @@ func NewEngine(self wire.NodeID, views ViewSource, groups GroupSource, metric to
 		views:  views,
 		groups: groups,
 		metric: metric,
-		trees:  make(map[treeKey]*cachedTree),
+		trees:  make(map[treeKey]wire.Bitmask),
 	}
-}
-
-// Invalidate drops cached multicast trees; the node calls it on view or
-// group changes (cache keys would catch staleness anyway, but eager
-// invalidation keeps memory tidy when topology churns). The unicast SPT is
-// not dropped: selfSPT tracks both the source version and the view's own
-// change journal, so any actual change — including direct State mutation
-// followed by View.Invalidate — still forces a repair or recompute.
-func (e *Engine) Invalidate() {
-	for k := range e.trees {
-		delete(e.trees, k)
-		e.treeStats.Evictions++
-	}
-	e.treeOrder = e.treeOrder[:0]
 }
 
 // TreeCacheStats returns the engine's multicast-tree cache counters.
@@ -167,8 +144,8 @@ type TreeCacheStats struct {
 	Hits uint64
 	// Misses counts lookups that recomputed the tree.
 	Misses uint64
-	// Evictions counts cache entries discarded — superseded entries pruned
-	// on a version change, capacity evictions, and eager invalidations.
+	// Evictions counts cache entries discarded: every entry a view or
+	// group version move cleared, and capacity evictions.
 	Evictions uint64
 }
 
@@ -294,18 +271,17 @@ func (e *Engine) fanOut(fwd []wire.LinkID, mask wire.Bitmask, arrived wire.LinkI
 }
 
 // selfSPT returns the shortest-path tree rooted at this node, bringing the
-// engine-owned scratch up to date when the shared view changed. When the
-// view's change journal shows exactly one link changed (possibly several
-// times — a flap) the tree is repaired in place with SPTRepair; multi-link
-// batches, journal overflow, and untracked mutations (View.Invalidate
-// after direct State writes) fall back to a full SPTInto. Both paths
-// advance the next-hop memo stamp, invalidating every memoized next hop at
-// once.
+// engine-owned scratch up to date when the shared view changed — another
+// view object, or the view's version moved. When the view's change journal
+// shows exactly one link changed (possibly several times — a flap) the
+// tree is repaired in place with SPTRepair; multi-link batches, journal
+// overflow, and untracked mutations (View.Invalidate after direct State
+// writes) fall back to a full SPTInto. Both paths advance the next-hop
+// memo stamp, invalidating every memoized next hop at once.
 func (e *Engine) selfSPT() *topology.SPT {
-	cur := e.views.Version()
 	v := e.viewNow()
 	vv := v.Version()
-	if e.sptValid && e.sptVersion == cur && e.lastView == v && e.lastViewVersion == vv {
+	if e.sptValid && e.lastView == v && e.lastViewVersion == vv {
 		return &e.spt
 	}
 	full := true
@@ -318,9 +294,6 @@ func (e *Engine) selfSPT() *topology.SPT {
 					break
 				}
 			}
-			// A zero-entry span means the source version moved without a
-			// journaled view change (direct State mutation); stay on the
-			// conservative full path for that.
 			if single && topology.SPTRepair(&e.spt, v, links[0], e.metric) {
 				full = false
 			}
@@ -329,7 +302,6 @@ func (e *Engine) selfSPT() *topology.SPT {
 	if full {
 		topology.SPTInto(&e.spt, v, e.self, e.metric)
 	}
-	e.sptVersion = cur
 	e.lastView = v
 	e.lastViewVersion = vv
 	e.sptValid = true
@@ -352,52 +324,37 @@ func (e *Engine) selfSPT() *topology.SPT {
 // differently per node (linkstate.Manager.maybeAdvertise;
 // node.TestMulticastTreeAgreesOnEqualCostPaths holds it).
 func (e *Engine) treeMask(src wire.NodeID, group wire.GroupID) (wire.Bitmask, bool) {
+	e.clearStaleTrees()
 	key := treeKey{src: src, group: group}
-	vv, gv := e.views.Version(), e.groups.Version()
-	e.pruneTrees(vv, gv)
-	if c, ok := e.trees[key]; ok && c.viewVersion == vv && c.groupVersion == gv {
+	if mask, ok := e.trees[key]; ok {
 		e.treeStats.Hits++
-		return c.mask, true
+		return mask, true
 	}
 	e.treeStats.Misses++
 	// A freshly computed tree is forwarding state the published snapshot
 	// does not carry yet; mark it so the control shard republishes.
 	e.pubDirty = true
 	mask, _ := topology.MulticastTree(e.viewNow(), src, e.groups.Members(group), e.metric)
-	if c, ok := e.trees[key]; ok {
-		*c = cachedTree{mask: mask, viewVersion: vv, groupVersion: gv}
-		return mask, true
-	}
 	if len(e.trees) >= maxCachedTrees {
 		e.evictOldestTree()
 	}
-	e.trees[key] = &cachedTree{mask: mask, viewVersion: vv, groupVersion: gv}
+	e.trees[key] = mask
 	e.treeOrder = append(e.treeOrder, key)
 	return mask, true
 }
 
-// pruneTrees discards every cached tree superseded by a view or group
-// version change. Versions only move forward, so anything not computed
-// under the current pair is stale for good.
-func (e *Engine) pruneTrees(vv, gv uint64) {
+// clearStaleTrees empties the tree cache when the view or group version
+// moved since its trees were computed: every cached tree was computed
+// under the one pair the engine holds, so a move makes all of them stale.
+func (e *Engine) clearStaleTrees() {
+	vv, gv := e.viewNow().Version(), e.groups.Version()
 	if vv == e.treeVV && gv == e.treeGV {
 		return
 	}
 	e.treeVV, e.treeGV = vv, gv
-	if len(e.trees) == 0 {
-		return
-	}
-	kept := e.treeOrder[:0]
-	for _, k := range e.treeOrder {
-		c := e.trees[k]
-		if c != nil && c.viewVersion == vv && c.groupVersion == gv {
-			kept = append(kept, k)
-			continue
-		}
-		delete(e.trees, k)
-		e.treeStats.Evictions++
-	}
-	e.treeOrder = kept
+	e.treeStats.Evictions += uint64(len(e.trees))
+	clear(e.trees)
+	e.treeOrder = e.treeOrder[:0]
 }
 
 // evictOldestTree removes the oldest cache entry (FIFO) to stay under

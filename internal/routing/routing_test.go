@@ -10,13 +10,9 @@ import (
 	"sonet/internal/wire"
 )
 
-type fakeViews struct {
-	view    *topology.View
-	version uint64
-}
+type fakeViews struct{ view *topology.View }
 
 func (f *fakeViews) View() *topology.View { return f.view }
-func (f *fakeViews) Version() uint64      { return f.version }
 
 type fakeGroups struct {
 	members map[wire.GroupID][]wire.NodeID
@@ -90,7 +86,6 @@ func TestUnicastReroutesOnViewChange(t *testing.T) {
 		t.Fatalf("initial route %v", d.Forward)
 	}
 	views.view.SetUp(linkID(t, g, 1, 2), false)
-	views.version++
 	d = engines[1].Decide(p, NoLink, true)
 	if len(d.Forward) != 1 || d.Forward[0] != linkID(t, g, 1, 3) {
 		t.Fatalf("rerouted forward = %v, want via 1-3", d.Forward)
@@ -102,7 +97,6 @@ func TestUnicastUnreachableDrops(t *testing.T) {
 	for _, lid := range g.Incident(4) {
 		views.view.SetUp(lid, false)
 	}
-	views.version++
 	p := &wire.Packet{Type: wire.PTData, Route: wire.RouteLinkState, Src: 1, Dst: 4}
 	d := engines[1].Decide(p, NoLink, true)
 	if d.DeliverLocal || len(d.Forward) != 0 {
@@ -167,7 +161,6 @@ func TestFloodUsesAllUpLinks(t *testing.T) {
 	}
 	// A down link is excluded from the flood.
 	views.view.SetUp(linkID(t, g, 1, 3), false)
-	views.version++
 	d = engines[1].Decide(p, linkID(t, g, 1, 2), true)
 	if len(d.Forward) != 1 || d.Forward[0] != linkID(t, g, 1, 4) {
 		t.Fatalf("flood with down link = %v", d.Forward)
@@ -209,7 +202,6 @@ func TestMulticastCacheInvalidation(t *testing.T) {
 	}
 	// Fail 1-2: the tree must recompute through 3.
 	views.view.SetUp(linkID(t, g, 1, 2), false)
-	views.version++
 	d = engines[1].Decide(p, NoLink, true)
 	if len(d.Forward) != 1 || d.Forward[0] != linkID(t, g, 1, 3) {
 		t.Fatalf("post-failure tree forward = %v, want via 3", d.Forward)
@@ -258,7 +250,7 @@ func TestPathToAndReachable(t *testing.T) {
 	for i := range views.view.State {
 		views.view.State[i].Up = false
 	}
-	views.version++
+	views.view.Invalidate()
 	if engines[1].Reachable(4) {
 		t.Fatal("4 reachable with all links down")
 	}
@@ -268,10 +260,10 @@ func TestInvalidateForcesRecompute(t *testing.T) {
 	g, views, _, engines := diamondWorld(t)
 	p := &wire.Packet{Type: wire.PTData, Route: wire.RouteLinkState, Src: 1, Dst: 4}
 	_ = engines[1].Decide(p, NoLink, true)
-	// Mutate the view without bumping the version: stale cache would keep
-	// the old route; Invalidate must force recomputation.
-	views.view.SetUp(linkID(t, g, 1, 2), false)
-	engines[1].Invalidate()
+	// A direct State write moves no version; View.Invalidate does, untracked
+	// by the change journal, so the engine must recompute in full.
+	views.view.State[linkID(t, g, 1, 2)].Up = false
+	views.view.Invalidate()
 	d := engines[1].Decide(p, NoLink, true)
 	if len(d.Forward) != 1 || d.Forward[0] != linkID(t, g, 1, 3) {
 		t.Fatalf("post-Invalidate forward = %v, want via 1-3", d.Forward)

@@ -156,13 +156,11 @@ func (e *Engine) Publish() {
 	for _, lid := range inc {
 		snap.Incident = append(snap.Incident, SnapIncident{Link: lid, Usable: v.Usable(lid)})
 	}
-	vv, gv := e.views.Version(), e.groups.Version()
+	e.clearStaleTrees()
 	if len(e.trees) > 0 {
 		snap.Trees = make(map[TreeKey]wire.Bitmask, len(e.trees))
-		for k, c := range e.trees {
-			if c.viewVersion == vv && c.groupVersion == gv {
-				snap.Trees[TreeKey{Src: k.src, Group: k.group}] = c.mask
-			}
+		for k, mask := range e.trees {
+			snap.Trees[TreeKey{Src: k.src, Group: k.group}] = mask
 		}
 	}
 	if lg, ok := e.groups.(LocalGroupLister); ok {

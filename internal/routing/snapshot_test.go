@@ -63,8 +63,6 @@ func TestSnapshotPublishContent(t *testing.T) {
 
 	// A view change reroutes; the republished snapshot must agree.
 	views.view.SetUp(linkID(t, g, 1, 2), false)
-	views.version++
-	e.Invalidate()
 	e.Publish()
 	snap2 := cell.Load()
 	if snap2.Version <= snap.Version {
@@ -82,7 +80,7 @@ func TestSnapshotPublishContent(t *testing.T) {
 }
 
 func TestSnapshotTreeMissThenDirtyRepublish(t *testing.T) {
-	g, _, grp, engines := diamondWorld(t)
+	g, views, grp, engines := diamondWorld(t)
 	grp.local[7] = true
 	grp.members[7] = []wire.NodeID{1, 4}
 	e := engines[2]
@@ -105,6 +103,12 @@ func TestSnapshotTreeMissThenDirtyRepublish(t *testing.T) {
 	e.PublishIfDirty()
 	if cell.Load().Version != v {
 		t.Fatal("PublishIfDirty republished with nothing dirty")
+	}
+	// A view change supersedes the tree: the next publication drops it.
+	moveView(t, g, views)
+	e.Publish()
+	if _, ok := cell.Load().treeMask(1, 7); ok {
+		t.Fatal("snapshot after a view change carries a tree computed before it")
 	}
 }
 
@@ -164,11 +168,9 @@ func TestSnapshotSharesNothing(t *testing.T) {
 	views.view.Grow()
 	views.view.SetUp(linkID(t, g, 1, 2), false)
 	views.view.SetUp(linkID(t, g, 1, 4), false)
-	views.version++
 	grp.local[7], grp.local[5] = false, true
 	grp.members[7] = []wire.NodeID{3, 5, 6}
 	grp.version++
-	e.Invalidate()
 	e.Decide(&wire.Packet{Route: wire.RouteMulticast, Src: 2, Group: 7}, NoLink, true)
 	e.Publish()
 	// Let the reader finish a pass begun after the changes.
@@ -245,8 +247,6 @@ func TestSnapshotRepublishRace(t *testing.T) {
 	// and the engine, and readers touch only published snapshots.
 	for i := 0; i < flaps; i++ {
 		views.view.SetUp(flapLink, i%2 == 0)
-		views.version++
-		e.Invalidate()
 		e.Publish()
 	}
 	stop.Store(true)

@@ -620,11 +620,11 @@ func (f *Flow) Send(payload []byte) error {
 // source-route bitmask: a dissemination graph or K node-disjoint paths.
 func (f *Flow) sourceMask() (wire.Bitmask, error) {
 	n := f.client.mgr.n
-	ver := n.LinkStateManager().Version()
+	view := n.View()
+	ver := view.Version()
 	if f.maskValid && f.maskVersion == ver {
 		return f.mask, nil
 	}
-	view := n.View()
 	var mask wire.Bitmask
 	var err error
 	if f.spec.Dissem != 0 {

@@ -671,3 +671,50 @@ func TestRecoveryCopiesOfRedundantFlowsLeaveTheSource(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimeJoinReachesSourceRoutedFlows opens a two-disjoint-path flow
+// on the line 1–2–3, which has one path, then joins node 4 with links
+// 1–4 and 4–3. The flow's source mask is cached per view version, and the
+// join moves that version, so the messages sent after it take the new
+// second path through node 4 as well.
+func TestRuntimeJoinReachesSourceRoutedFlows(t *testing.T) {
+	ms := time.Millisecond
+	net, err := New(35, []Link{{A: 1, B: 2, Latency: 10 * ms}, {A: 2, B: 3, Latency: 10 * ms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	dst, err := net.Connect(3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Connect(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, err := src.OpenFlow(FlowSpec{To: 3, ToPort: 100, DisjointPaths: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	send := func() {
+		for i := 0; i < n; i++ {
+			if err := flow.Send([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Run(time.Second)
+	}
+	send()
+	if err := net.JoinNode(4, 0, Link{A: 1, B: 4, Latency: 10 * ms}, Link{A: 4, B: 3, Latency: 10 * ms}); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	send()
+	if got := len(dst.Deliveries()); got != 2*n {
+		t.Fatalf("delivered %d messages, want %d", got, 2*n)
+	}
+	if st, ok := net.NodeStats(4); !ok || st.Forwarded == 0 {
+		t.Fatalf("joined node 4 forwarded nothing of the flow (stats %+v)", st)
+	}
+}
