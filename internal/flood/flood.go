@@ -15,8 +15,6 @@
 package flood
 
 import (
-	"slices"
-
 	"sonet/internal/seqno"
 	"sonet/internal/wire"
 )
@@ -63,25 +61,26 @@ type DB struct {
 	self wire.NodeID
 	// seq numbers this node's own floods.
 	seq uint32
-	// seen holds the highest sequence accepted per origin.
-	seen map[wire.NodeID]uint32
+	// seen holds the highest sequence accepted per origin; an origin never
+	// heard from (or purged since) has ok unset.
+	seen wire.NodeTable[mark]
 	// held retains the latest payload per origin for link-recovery resync,
-	// overwritten in place; origins lists its keys in ascending order.
-	held    map[wire.NodeID][]byte
-	origins []wire.NodeID
+	// overwritten in place; nil when none is retained (a payload is never
+	// empty: it carries its origin and sequence).
+	held wire.NodeTable[[]byte]
 	// gate, when set, admits origins; nil admits all.
 	gate  func(wire.NodeID) bool
 	stats Stats
 }
 
-// New returns an empty database for node self.
-func New(self wire.NodeID) *DB {
-	return &DB{
-		self: self,
-		seen: make(map[wire.NodeID]uint32),
-		held: make(map[wire.NodeID][]byte),
-	}
+// mark is one origin's highest accepted sequence.
+type mark struct {
+	seq uint32
+	ok  bool
 }
+
+// New returns an empty database for node self.
+func New(self wire.NodeID) *DB { return &DB{self: self} }
 
 // Stats returns a snapshot of counters.
 func (d *DB) Stats() Stats { return d.stats }
@@ -114,7 +113,7 @@ func (d *DB) Offer(origin wire.NodeID, seq uint32) Verdict {
 			d.seq = seq
 			return Reborn
 		}
-	} else if last, ok := d.seen[origin]; !ok || seqno.LT(last, seq) {
+	} else if last := d.seen.At(origin); !last.ok || seqno.LT(last.seq, seq) {
 		if d.gate != nil && !d.gate(origin) {
 			d.stats.Refused++
 			return Refused
@@ -132,25 +131,23 @@ func (d *DB) Offer(origin wire.NodeID, seq uint32) Verdict {
 // seen — harmlessly stale at the receiver — and the origin's next full flood
 // remains the authoritative repair.
 func (d *DB) Accept(origin wire.NodeID, seq uint32, payload []byte, retain bool) {
-	d.seen[origin] = seq
+	d.seen.Put(origin, mark{seq: seq, ok: true})
 	d.stats.Flooded++
-	if !retain {
-		return
+	if retain {
+		d.held.Put(origin, append(d.held.At(origin)[:0], payload...))
 	}
-	held, known := d.held[origin]
-	if !known {
-		i, _ := slices.BinarySearch(d.origins, origin)
-		d.origins = slices.Insert(d.origins, i, origin)
-	}
-	d.held[origin] = append(held[:0], payload...)
 }
 
 // Resync pushes every retained payload to one neighbor, once each in origin
 // order: the peer may have missed arbitrary floods while the link was down.
+// The walk spans the largest origin ID retained; it runs once per link
+// recovery, not per flood.
 func (d *DB) Resync(neighbor wire.NodeID, send func(neighbor wire.NodeID, payload []byte)) {
-	for _, origin := range d.origins {
-		d.stats.Resync++
-		send(neighbor, d.held[origin])
+	for _, payload := range d.held {
+		if payload != nil {
+			d.stats.Resync++
+			send(neighbor, payload)
+		}
 	}
 }
 
@@ -159,9 +156,9 @@ func (d *DB) Resync(neighbor wire.NodeID, send func(neighbor wire.NodeID, payloa
 // its fresh floods would lose the newest-wins race against its own earlier
 // ones until the echo fast-forward caught up.
 func (d *DB) Purge(origin wire.NodeID) {
-	delete(d.seen, origin)
-	delete(d.held, origin)
-	if i, ok := slices.BinarySearch(d.origins, origin); ok {
-		d.origins = slices.Delete(d.origins, i, i+1)
-	}
+	d.seen.Put(origin, mark{})
+	d.held.Put(origin, nil)
 }
+
+// TableBytes returns the memory of the per-origin tables.
+func (d *DB) TableBytes() int { return d.seen.Bytes() + d.held.Bytes() }

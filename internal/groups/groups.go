@@ -105,7 +105,7 @@ type Manager struct {
 	// retains the latest per origin for link-recovery resync.
 	db *flood.DB
 	// remote holds the last applied group set per origin, sorted, to diff.
-	remote map[wire.NodeID][]wire.GroupID
+	remote wire.NodeTable[[]wire.GroupID]
 	// rxAnn is the decode target of HandleAnnouncement.
 	rxAnn Announcement
 
@@ -120,9 +120,12 @@ func NewManager(env Env, self wire.NodeID) *Manager {
 		local:   make(map[wire.GroupID]int),
 		members: make(map[wire.GroupID][]wire.NodeID),
 		db:      flood.New(self),
-		remote:  make(map[wire.NodeID][]wire.GroupID),
 	}
 }
+
+// TableBytes returns the memory of the per-node tables: the per-origin
+// group sets and the flood database.
+func (m *Manager) TableBytes() int { return m.remote.Bytes() + m.db.TableBytes() }
 
 // Version returns a counter incremented on every membership change, for
 // multicast tree cache invalidation.
@@ -230,7 +233,7 @@ func (m *Manager) PurgeOrigin(origin wire.NodeID, departed bool) {
 		return
 	}
 	changed := m.applyRemote(origin, nil)
-	delete(m.remote, origin)
+	m.remote.Put(origin, nil)
 	if changed {
 		m.version++
 		m.env.GroupsChanged()
@@ -241,7 +244,7 @@ func (m *Manager) PurgeOrigin(origin wire.NodeID, departed bool) {
 // repeats, against the previous one by walking both, returning whether
 // membership changed.
 func (m *Manager) applyRemote(origin wire.NodeID, groups []wire.GroupID) bool {
-	prev := m.remote[origin]
+	prev := m.remote.At(origin)
 	changed := false
 	for i, j := 0, 0; i < len(prev) || j < len(groups); {
 		switch {
@@ -257,7 +260,9 @@ func (m *Manager) applyRemote(origin wire.NodeID, groups []wire.GroupID) bool {
 			i, j = i+1, j+1
 		}
 	}
-	m.remote[origin] = append(prev[:0], groups...)
+	if prev != nil || len(groups) > 0 {
+		m.remote.Put(origin, append(prev[:0], groups...))
+	}
 	return changed
 }
 

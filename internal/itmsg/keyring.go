@@ -28,27 +28,28 @@ import (
 type Keyring struct {
 	self    wire.NodeID
 	signKey ed25519.PrivateKey
-	verify  map[wire.NodeID]ed25519.PublicKey
-	// linkKeys holds the pairwise HMAC key shared with each peer.
-	linkKeys map[wire.NodeID][]byte
+	// peers holds every valid node's verification key and the pairwise
+	// HMAC key shared with it, by node ID.
+	peers wire.NodeTable[*peerKeys]
+}
+
+// peerKeys is what a keyring holds for one node.
+type peerKeys struct {
+	verify ed25519.PublicKey
+	link   []byte
 }
 
 // NewDeterministicKeyring derives a full keyring for node self from a
 // shared deployment seed: every node derives the same key material, which
 // stands in for the out-of-band provisioning a real deployment would use.
 func NewDeterministicKeyring(self wire.NodeID, all []wire.NodeID, seed []byte) *Keyring {
-	k := &Keyring{
-		self:     self,
-		verify:   make(map[wire.NodeID]ed25519.PublicKey, len(all)),
-		linkKeys: make(map[wire.NodeID][]byte, len(all)),
-	}
+	k := &Keyring{self: self}
 	for _, n := range all {
 		priv := ed25519.NewKeyFromSeed(deriveSeed(seed, "sign", uint32(n), 0))
 		pub, ok := priv.Public().(ed25519.PublicKey)
 		if !ok {
 			continue
 		}
-		k.verify[n] = pub
 		if n == self {
 			k.signKey = priv
 		}
@@ -56,7 +57,7 @@ func NewDeterministicKeyring(self wire.NodeID, all []wire.NodeID, seed []byte) *
 		if a > b {
 			a, b = b, a
 		}
-		k.linkKeys[n] = deriveSeed(seed, "link", uint32(a), uint32(b))
+		k.peers.Put(n, &peerKeys{verify: pub, link: deriveSeed(seed, "link", uint32(a), uint32(b))})
 	}
 	return k
 }
@@ -71,6 +72,9 @@ func deriveSeed(seed []byte, label string, a, b uint32) []byte {
 	h.Write(buf[:])
 	return h.Sum(nil)
 }
+
+// TableBytes returns the memory of the per-node key table.
+func (k *Keyring) TableBytes() int { return k.peers.Bytes() }
 
 // Self returns the keyring's node.
 func (k *Keyring) Self() wire.NodeID { return k.self }
@@ -97,23 +101,23 @@ func (k *Keyring) VerifyPacket(p *wire.Packet) bool {
 	if !p.Flags.Has(wire.FSigned) || len(p.Sig) != ed25519.SignatureSize {
 		return false
 	}
-	pub, ok := k.verify[p.Src]
-	if !ok {
+	pk := k.peers.At(p.Src)
+	if pk == nil {
 		return false
 	}
 	msg, err := p.SignableBytes()
 	if err != nil {
 		return false
 	}
-	return ed25519.Verify(pub, msg, p.Sig)
+	return ed25519.Verify(pk.verify, msg, p.Sig)
 }
 
 // MacFrame attaches the pairwise HMAC for the link to peer. The canonical
 // encoding is built in a pooled buffer, so MACing adds no per-frame buffer
 // allocation.
 func (k *Keyring) MacFrame(f *wire.Frame, peer wire.NodeID) error {
-	key, ok := k.linkKeys[peer]
-	if !ok {
+	pk := k.peers.At(peer)
+	if pk == nil {
 		return fmt.Errorf("itmsg: no link key for peer %v", peer)
 	}
 	f.Auth = nil
@@ -124,7 +128,7 @@ func (k *Keyring) MacFrame(f *wire.Frame, peer wire.NodeID) error {
 		return fmt.Errorf("itmsg: mac: %w", err)
 	}
 	buf.B = msg
-	mac := hmac.New(sha256.New, key)
+	mac := hmac.New(sha256.New, pk.link)
 	mac.Write(msg)
 	f.Auth = mac.Sum(nil)
 	return nil
@@ -133,8 +137,8 @@ func (k *Keyring) MacFrame(f *wire.Frame, peer wire.NodeID) error {
 // VerifyFrame checks a frame's link HMAC against the pairwise key shared
 // with peer.
 func (k *Keyring) VerifyFrame(f *wire.Frame, peer wire.NodeID) bool {
-	key, ok := k.linkKeys[peer]
-	if !ok || len(f.Auth) == 0 {
+	pk := k.peers.At(peer)
+	if pk == nil || len(f.Auth) == 0 {
 		return false
 	}
 	buf := wire.DefaultBufPool.Get(f.MarshaledSize())
@@ -144,7 +148,7 @@ func (k *Keyring) VerifyFrame(f *wire.Frame, peer wire.NodeID) bool {
 		return false
 	}
 	buf.B = msg
-	mac := hmac.New(sha256.New, key)
+	mac := hmac.New(sha256.New, pk.link)
 	mac.Write(msg)
 	return hmac.Equal(mac.Sum(nil), f.Auth)
 }

@@ -184,9 +184,10 @@ type Manager struct {
 	view *topology.View
 	cfg  Config
 
-	neighbors map[wire.NodeID]*neighborState
-	// order lists neighbors in ascending ID order for deterministic
-	// iteration.
+	neighbors wire.NodeTable[*neighborState]
+	// order lists neighbors in ascending ID order. Every full advertisement
+	// walks it, so it stays beside the table: a walk of the table spans the
+	// largest neighbor ID, not the node's degree.
 	order []wire.NodeID
 	// db numbers this node's advertisements, orders everyone else's and
 	// retains the latest full one per origin, so a recovering link can be
@@ -219,12 +220,11 @@ type Manager struct {
 // AddNeighbor before Start.
 func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Manager {
 	m := &Manager{
-		env:       env,
-		self:      self,
-		view:      view,
-		cfg:       cfg.withDefaults(),
-		neighbors: make(map[wire.NodeID]*neighborState),
-		db:        flood.New(self),
+		env:  env,
+		self: self,
+		view: view,
+		cfg:  cfg.withDefaults(),
+		db:   flood.New(self),
 	}
 	m.refreshTimer = env.Clock().NewTimer(m.refresh)
 	return m
@@ -237,15 +237,15 @@ func (m *Manager) AddNeighbor(n wire.NodeID, link wire.LinkID) {
 		// An owned link's entry is what its first advertisement will say.
 		m.setOwned(link, st.Latency, st.Loss)
 	}
-	m.neighbors[n] = &neighborState{
+	m.neighbors.Put(n, &neighborState{
 		linkID: link,
 		owner:  m.self < n,
 		up:     true,
 		rtt:    2 * st.Latency,
 		timer:  m.env.Clock().NewTimer(func() { m.helloTick(n) }),
-	}
-	m.order = append(m.order, n)
-	slices.Sort(m.order)
+	})
+	i, _ := slices.BinarySearch(m.order, n)
+	m.order = slices.Insert(m.order, i, n)
 }
 
 // Start begins hello probing and periodic refresh flooding, announcing the
@@ -263,7 +263,7 @@ func (m *Manager) Start() {
 // manager (a runtime join): probing starts immediately and the node's full
 // link states — now including the new link — are re-announced.
 func (m *Manager) AddNeighborLive(n wire.NodeID, link wire.LinkID) {
-	if _, ok := m.neighbors[n]; ok {
+	if m.neighbors.At(n) != nil {
 		return
 	}
 	m.AddNeighbor(n, link)
@@ -282,8 +282,8 @@ func (m *Manager) SetMemberCheck(fn func(wire.NodeID) bool) { m.db.SetGate(fn) }
 // the local view marks the link down, and a withdrawal delta floods so the
 // fleet routes around it. A later EnableNeighbor (rejoin) resumes probing.
 func (m *Manager) DisableNeighbor(n wire.NodeID) {
-	st, ok := m.neighbors[n]
-	if !ok || st.disabled {
+	st := m.neighbors.At(n)
+	if st == nil || st.disabled {
 		return
 	}
 	st.disabled = true
@@ -305,8 +305,8 @@ func (m *Manager) DisableNeighbor(n wire.NodeID) {
 // (a rejoin). The link comes back up through the ordinary ack-recovery
 // path, which re-announces it and resyncs the peer's database.
 func (m *Manager) EnableNeighbor(n wire.NodeID) {
-	st, ok := m.neighbors[n]
-	if !ok || !st.disabled {
+	st := m.neighbors.At(n)
+	if st == nil || !st.disabled {
 		return
 	}
 	st.disabled = false
@@ -358,7 +358,8 @@ func (m *Manager) ApplyCorrection(id wire.LinkID, up bool) {
 // allocates nothing.
 func (m *Manager) ReconcileAdjacent() int {
 	fixed := 0
-	for _, st := range m.neighbors {
+	for _, n := range m.order {
+		st := m.neighbors[n]
 		effective := st.up && !st.disabled
 		if m.view.Usable(st.linkID) != effective {
 			m.view.SetUp(st.linkID, effective)
@@ -380,8 +381,8 @@ func (m *Manager) PurgeOrigin(n wire.NodeID) { m.db.Purge(n) }
 // Stop cancels all timers.
 func (m *Manager) Stop() {
 	m.closed = true
-	for _, st := range m.neighbors {
-		st.timer.Stop()
+	for _, n := range m.order {
+		m.neighbors[n].timer.Stop()
 	}
 	m.refreshTimer.Stop()
 }
@@ -391,6 +392,10 @@ func (m *Manager) View() *topology.View { return m.view }
 
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// TableBytes returns the memory of the per-node tables: the neighbor table
+// and the advertisement database.
+func (m *Manager) TableBytes() int { return m.neighbors.Bytes() + m.db.TableBytes() }
 
 // FloodStats returns the advertisement database's flooding counters.
 func (m *Manager) FloodStats() flood.Stats { return m.db.Stats() }
@@ -427,14 +432,14 @@ func (m *Manager) SetOnPeerEpoch(fn func(neighbor wire.NodeID, epoch uint32)) {
 
 // NeighborUp reports whether the link to a neighbor is considered up.
 func (m *Manager) NeighborUp(n wire.NodeID) bool {
-	st, ok := m.neighbors[n]
-	return ok && st.up
+	st := m.neighbors.At(n)
+	return st != nil && st.up
 }
 
 // NeighborRTT returns the smoothed hello RTT for a neighbor.
 func (m *Manager) NeighborRTT(n wire.NodeID) (time.Duration, bool) {
-	st, ok := m.neighbors[n]
-	if !ok {
+	st := m.neighbors.At(n)
+	if st == nil {
 		return 0, false
 	}
 	return st.rtt, true
@@ -532,7 +537,7 @@ func (m *Manager) HandleControl(n wire.NodeID, f *wire.Frame) {
 		// other endpoint adopts the path carried in the owner's hellos so
 		// the link stays on-net (same provider both ways).
 		if m.self > n {
-			if st, ok := m.neighbors[n]; ok {
+			if st := m.neighbors.At(n); st != nil {
 				if p := uint8(f.Seq); p != st.curPath && int(p) < m.env.PathCount(n) {
 					st.curPath = p
 					m.env.SetPath(n, p)
@@ -551,8 +556,8 @@ func (m *Manager) HandleControl(n wire.NodeID, f *wire.Frame) {
 }
 
 func (m *Manager) onHelloAck(n wire.NodeID, f *wire.Frame) {
-	st, ok := m.neighbors[n]
-	if !ok || st.disabled {
+	st := m.neighbors.At(n)
+	if st == nil || st.disabled {
 		return
 	}
 	st.pendingAck = false
@@ -667,7 +672,7 @@ func (m *Manager) refresh() {
 // fast-forward all use them, so any delta a receiver missed is repaired
 // within one refresh interval.
 func (m *Manager) originateLSA() {
-	entries := make([]Entry, 0, len(m.neighbors))
+	entries := make([]Entry, 0, len(m.order))
 	for _, n := range m.order {
 		st := m.neighbors[n]
 		cur := m.view.State[st.linkID]

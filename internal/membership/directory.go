@@ -21,11 +21,7 @@
 // self-stabilization.
 package membership
 
-import (
-	"sort"
-
-	"sonet/internal/wire"
-)
+import "sonet/internal/wire"
 
 // Status is a member's lifecycle state in the directory.
 type Status uint8
@@ -83,9 +79,12 @@ func (r Record) supersedes(cur Record) bool {
 // gossip order converges every replica to the same fixed point. All
 // methods must be called from the owning node's executor.
 type Directory struct {
-	recs map[wire.NodeID]Record
-	// order lists record IDs ascending for deterministic iteration.
-	order []wire.NodeID
+	// recs holds each node's record by ID; a zero Status means none. A walk
+	// over it is in ascending ID order and spans the largest ID recorded,
+	// and runs only on a change (a digest recompute, a full sync).
+	recs wire.NodeTable[entry]
+	// n counts records (joined and left).
+	n int
 	// version bumps on every accepted record; it keys the digest cache.
 	version uint64
 	// members counts records with StatusJoined.
@@ -96,13 +95,17 @@ type Directory struct {
 	digestOK  bool
 }
 
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{recs: make(map[wire.NodeID]Record)}
+// entry is a Record without its ID, which is its index in the table.
+type entry struct {
+	epoch  uint32
+	status Status
 }
 
+// NewDirectory returns an empty directory.
+func NewDirectory() *Directory { return &Directory{} }
+
 // Len returns the number of records (joined and left).
-func (d *Directory) Len() int { return len(d.recs) }
+func (d *Directory) Len() int { return d.n }
 
 // NumMembers returns the number of joined members.
 func (d *Directory) NumMembers() int { return d.members }
@@ -112,14 +115,13 @@ func (d *Directory) Version() uint64 { return d.version }
 
 // Get returns the record for id, if any.
 func (d *Directory) Get(id wire.NodeID) (Record, bool) {
-	r, ok := d.recs[id]
-	return r, ok
+	e := d.recs.At(id)
+	return Record{ID: id, Epoch: e.epoch, Status: e.status}, e.status != 0
 }
 
 // IsMember reports whether id is currently joined.
 func (d *Directory) IsMember(id wire.NodeID) bool {
-	r, ok := d.recs[id]
-	return ok && r.Status == StatusJoined
+	return d.recs.At(id).status == StatusJoined
 }
 
 // Apply merges one record, keeping the winner under the epoch order, and
@@ -128,42 +130,44 @@ func (d *Directory) Apply(r Record) bool {
 	if r.ID == 0 || !r.Status.known() {
 		return false
 	}
-	cur, ok := d.recs[r.ID]
+	cur, ok := d.Get(r.ID)
 	if ok && !r.supersedes(cur) {
 		return false
 	}
 	if !ok {
-		i := sort.Search(len(d.order), func(i int) bool { return d.order[i] >= r.ID })
-		d.order = append(d.order, 0)
-		copy(d.order[i+1:], d.order[i:])
-		d.order[i] = r.ID
+		d.n++
 	} else if cur.Status == StatusJoined {
 		d.members--
 	}
 	if r.Status == StatusJoined {
 		d.members++
 	}
-	d.recs[r.ID] = r
+	d.recs.Put(r.ID, entry{epoch: r.Epoch, status: r.Status})
 	d.version++
 	return true
 }
 
 // Each calls fn for every record in ascending ID order.
 func (d *Directory) Each(fn func(Record)) {
-	for _, id := range d.order {
-		fn(d.recs[id])
+	for id, e := range d.recs {
+		if e.status != 0 {
+			fn(Record{ID: wire.NodeID(id), Epoch: e.epoch, Status: e.status})
+		}
 	}
 }
 
 // Members appends the joined member IDs in ascending order to buf.
 func (d *Directory) Members(buf []wire.NodeID) []wire.NodeID {
-	for _, id := range d.order {
-		if d.recs[id].Status == StatusJoined {
-			buf = append(buf, id)
+	for id, e := range d.recs {
+		if e.status == StatusJoined {
+			buf = append(buf, wire.NodeID(id))
 		}
 	}
 	return buf
 }
+
+// TableBytes returns the memory of the record table.
+func (d *Directory) TableBytes() int { return d.recs.Bytes() }
 
 // Digest returns an order-insensitive FNV-1a fingerprint of the full
 // record set. Two directories with equal digests hold the same records
@@ -175,8 +179,7 @@ func (d *Directory) Digest() uint64 {
 	}
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, id := range d.order {
-		r := d.recs[id]
+	d.Each(func(r Record) {
 		h = (h ^ uint64(r.ID&0xff)) * prime
 		h = (h ^ uint64(r.ID>>8)) * prime
 		h = (h ^ uint64(r.Epoch&0xff)) * prime
@@ -184,7 +187,7 @@ func (d *Directory) Digest() uint64 {
 		h = (h ^ uint64((r.Epoch>>16)&0xff)) * prime
 		h = (h ^ uint64(r.Epoch>>24)) * prime
 		h = (h ^ uint64(r.Status)) * prime
-	}
+	})
 	d.digest = h
 	d.digestVer = d.version
 	d.digestOK = true

@@ -110,12 +110,9 @@ type Network struct {
 	isps   []isp
 	fibers []fiber
 
-	// Node tables indexed densely by wire.NodeID so the per-packet path
-	// does no map lookups. attached distinguishes "never attached" from
-	// the zero SiteID.
-	attach   []SiteID
-	attached []bool
-	handlers []Handler
+	// nodes holds each attached node's site and handler by its ID, so the
+	// per-packet path does no map lookups.
+	nodes wire.NodeTable[attachment]
 
 	routes routeCache
 
@@ -170,7 +167,7 @@ func (n *Network) AddFiber(provider ISPID, a, b SiteID, latency, jitter time.Dur
 	})
 	prov := &n.isps[provider]
 	prov.fibers = append(prov.fibers, id)
-	if need := int(max16(a, b)) + 1; need > len(prov.adj) {
+	if need := int(max(a, b)) + 1; need > len(prov.adj) {
 		adj := make([][]halfFiber, need)
 		copy(adj, prov.adj)
 		prov.adj = adj
@@ -181,46 +178,28 @@ func (n *Network) AddFiber(provider ISPID, a, b SiteID, latency, jitter time.Dur
 	return id, nil
 }
 
-func max16(a, b SiteID) SiteID {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // AttachNode places an overlay node in a site and registers its packet
 // handler.
 func (n *Network) AttachNode(node wire.NodeID, at SiteID, h Handler) error {
 	if int(at) >= len(n.sites) {
 		return fmt.Errorf("netemu: unknown site %d", at)
 	}
-	if need := int(node) + 1; need > len(n.attach) {
-		// Grow all three tables in lockstep, doubling to amortize
-		// ascending-ID attachment.
-		size := need
-		if s := 2 * len(n.attach); s > size {
-			size = s
-		}
-		attach := make([]SiteID, size)
-		copy(attach, n.attach)
-		attached := make([]bool, size)
-		copy(attached, n.attached)
-		handlers := make([]Handler, size)
-		copy(handlers, n.handlers)
-		n.attach, n.attached, n.handlers = attach, attached, handlers
-	}
-	n.attach[node] = at
-	n.attached[node] = true
-	n.handlers[node] = h
+	n.nodes.Put(node, attachment{site: at, ok: true, handler: h})
 	return nil
+}
+
+// attachment is where a node is attached: ok distinguishes "never
+// attached" from the zero SiteID.
+type attachment struct {
+	site    SiteID
+	ok      bool
+	handler Handler
 }
 
 // NodeSite returns the site a node is attached to.
 func (n *Network) NodeSite(node wire.NodeID) (SiteID, bool) {
-	if int(node) >= len(n.attached) || !n.attached[node] {
-		return 0, false
-	}
-	return n.attach[node], true
+	a := n.nodes.At(node)
+	return a.site, a.ok
 }
 
 // Stats returns a snapshot of underlay counters.
@@ -248,7 +227,7 @@ func (d *delivery) Run() {
 		n.stats.DroppedDown++
 		return
 	}
-	h := n.handlers[to]
+	h := n.nodes[to].handler
 	if h == nil {
 		// The destination detached (or attached with no handler) while the
 		// packet was in flight: the address no longer routes anywhere.

@@ -49,7 +49,7 @@ func assertStatsIdentity(t *testing.T, net *Network) {
 func TestSendDeliversWithLatency(t *testing.T) {
 	sched, net, _, got := twoSiteWorld(t, NoLoss{})
 	var deliveredAt time.Duration
-	net.handlers[2] = func(from wire.NodeID, data []byte) {
+	net.nodes[2].handler = func(from wire.NodeID, data []byte) {
 		deliveredAt = sched.Now()
 		*got = append(*got, string(data))
 	}
@@ -355,7 +355,7 @@ func TestHandlerUnregisteredAtDeliveryCountsNoRoute(t *testing.T) {
 	sched, net, _, got := twoSiteWorld(t, NoLoss{})
 	net.Send(1, 2, 0, []byte("x"))
 	// The destination detaches while the packet is in flight.
-	sched.After(5*time.Millisecond, func() { net.handlers[2] = nil })
+	sched.After(5*time.Millisecond, func() { net.nodes[2].handler = nil })
 	sched.Run()
 	if len(*got) != 0 {
 		t.Fatalf("delivered to an unregistered handler: %v", *got)
@@ -537,7 +537,7 @@ func TestSetFiberLatencyReroutesAndInvalidatesCache(t *testing.T) {
 		t.Fatalf("post-spike PathLatency = %v,%v, want 30ms detour", lat, ok)
 	}
 	var deliveredAt time.Duration
-	net.handlers[3] = func(from wire.NodeID, data []byte) {
+	net.nodes[3].handler = func(from wire.NodeID, data []byte) {
 		deliveredAt = sched.Now()
 		*got = append(*got, string(data))
 	}

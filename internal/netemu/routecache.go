@@ -12,11 +12,6 @@ import "time"
 // Rapid flap sequences therefore stay correct without eager cache walks —
 // a stale entry is simply recomputed on its next use.
 
-// routeKey packs a (src, dst) site pair into one map key.
-func routeKey(src, dst SiteID) uint32 {
-	return uint32(src)<<16 | uint32(dst)
-}
-
 // routeEntry is one memoized converged route.
 type routeEntry struct {
 	// epoch is the provider topology epoch the route was computed under.
@@ -33,9 +28,10 @@ type routeEntry struct {
 // routeCache memoizes converged routes for every provider and owns the
 // dense scratch state of the slice-indexed SPF.
 type routeCache struct {
-	// byProvider maps routeKey(src, dst) to the cached route, one map per
-	// ISPID. Lookups on the Send fast path allocate nothing.
-	byProvider []map[uint32]*routeEntry
+	// byProvider holds each ISPID's cached routes: a row per source site,
+	// allocated on its first lookup, indexed by destination site. Lookups
+	// on the Send fast path allocate nothing.
+	byProvider [][][]*routeEntry
 
 	// SPF scratch, sized to the site count and reused across runs: the
 	// emulator is single-threaded (see Network), so one set suffices.
@@ -71,8 +67,20 @@ func (s RouteCacheStats) HitRatio() float64 {
 }
 
 // addProvider appends an empty cache for a newly registered ISP.
-func (c *routeCache) addProvider() {
-	c.byProvider = append(c.byProvider, make(map[uint32]*routeEntry))
+func (c *routeCache) addProvider() { c.byProvider = append(c.byProvider, nil) }
+
+// slot returns the cache cell for (src, dst) under provider, growing the
+// provider's rows to cover the sites [0, sites).
+func (c *routeCache) slot(provider ISPID, src, dst SiteID, sites int) **routeEntry {
+	rows := c.byProvider[provider]
+	if int(src) >= len(rows) {
+		rows = append(rows, make([][]*routeEntry, sites-len(rows))...)
+		c.byProvider[provider] = rows
+	}
+	if int(dst) >= len(rows[src]) {
+		rows[src] = append(rows[src], make([]*routeEntry, sites-len(rows[src]))...)
+	}
+	return &rows[src][dst]
 }
 
 // grow ensures the SPF scratch covers sites [0, n).
@@ -106,9 +114,8 @@ func (n *Network) bumpAllEpochs() {
 // owned by the cache: callers must not retain or modify it across calls.
 func (n *Network) convergedPath(provider ISPID, src, dst SiteID) ([]FiberID, time.Duration, bool) {
 	prov := &n.isps[provider]
-	key := routeKey(src, dst)
-	cache := n.routes.byProvider[provider]
-	if e, ok := cache[key]; ok {
+	slot := n.routes.slot(provider, src, dst, len(n.sites))
+	if e := *slot; e != nil {
 		if e.epoch == prov.epoch {
 			n.routes.stats.Hits++
 			return e.path, e.latency, e.ok
@@ -121,7 +128,7 @@ func (n *Network) convergedPath(provider ISPID, src, dst SiteID) ([]FiberID, tim
 	n.routes.stats.Misses++
 	e := &routeEntry{epoch: prov.epoch}
 	e.path, e.latency, e.ok = n.spf(prov, src, dst, nil)
-	cache[key] = e
+	*slot = e
 	return e.path, e.latency, e.ok
 }
 

@@ -13,7 +13,7 @@ package node
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sonet/internal/groups"
@@ -168,9 +168,10 @@ type Node struct {
 	memMgr *membership.Manager
 	engine *routing.Engine
 
-	neighbors map[wire.NodeID]*neighborLink
-	// neighborOrder lists neighbors in ascending ID order so fan-out
-	// (flooding, broadcasts) is deterministic.
+	neighbors wire.NodeTable[*neighborLink]
+	// neighborOrder lists neighbors in ascending ID order. Every control
+	// flood fans out over it, so it stays beside the table: a walk of the
+	// table spans the largest neighbor ID, not the node's degree.
 	neighborOrder []wire.NodeID
 
 	deliver      func(*wire.Packet)
@@ -201,11 +202,10 @@ func New(cfg Config) (*Node, error) {
 		cfg.GroupRefresh = 2 * time.Second
 	}
 	n := &Node{
-		cfg:       cfg,
-		id:        cfg.ID,
-		clock:     cfg.Clock,
-		neighbors: make(map[wire.NodeID]*neighborLink),
-		deliver:   func(*wire.Packet) {},
+		cfg:     cfg,
+		id:      cfg.ID,
+		clock:   cfg.Clock,
+		deliver: func(*wire.Packet) {},
 	}
 	n.refreshTimer = n.clock.NewTimer(n.groupRefresh)
 	n.plane = newDataPlane(n)
@@ -223,9 +223,6 @@ func New(cfg Config) (*Node, error) {
 		n.addNeighbor(peer, lid, l.Latency)
 		n.lsMgr.AddNeighbor(peer, lid)
 	}
-	sort.Slice(n.neighborOrder, func(i, j int) bool {
-		return n.neighborOrder[i] < n.neighborOrder[j]
-	})
 	if cfg.Membership != nil {
 		n.memMgr = membership.NewManager(&memEnv{n: n}, n.id, *cfg.Membership)
 		n.memMgr.SetView(view)
@@ -241,8 +238,9 @@ func New(cfg Config) (*Node, error) {
 // addNeighbor registers an adjacent link with the control plane and the
 // data plane's peer tables.
 func (n *Node) addNeighbor(peer wire.NodeID, lid wire.LinkID, latency time.Duration) {
-	n.neighbors[peer] = &neighborLink{}
-	n.neighborOrder = append(n.neighborOrder, peer)
+	n.neighbors.Put(peer, &neighborLink{})
+	i, _ := slices.BinarySearch(n.neighborOrder, peer)
+	n.neighborOrder = slices.Insert(n.neighborOrder, i, peer)
 	n.plane.admit(peer, lid, latency)
 }
 
@@ -282,8 +280,8 @@ func (n *Node) Stop() {
 // link then carries the group database across, once per recovery: the
 // link-state manager pushes its own right after this returns.
 func (n *Node) handleNeighborState(peer wire.NodeID, up bool) {
-	nl, ok := n.neighbors[peer]
-	if !ok {
+	nl := n.neighbors.At(peer)
+	if nl == nil {
 		return
 	}
 	nl.epoch = (nl.epoch + 1) & linkstate.EpochMask
@@ -297,7 +295,7 @@ func (n *Node) handleNeighborState(peer wire.NodeID, up bool) {
 // sessionEpoch supplies the link-session epoch advertised in hellos to a
 // neighbor.
 func (n *Node) sessionEpoch(peer wire.NodeID) uint32 {
-	if nl, ok := n.neighbors[peer]; ok {
+	if nl := n.neighbors.At(peer); nl != nil {
 		return nl.epoch
 	}
 	return 0
@@ -312,8 +310,8 @@ func (n *Node) sessionEpoch(peer wire.NodeID) uint32 {
 // final reset discards anything its pre-reset endpoint sent in the
 // interim.
 func (n *Node) handlePeerEpoch(peer wire.NodeID, h uint32) {
-	nl, ok := n.neighbors[peer]
-	if !ok {
+	nl := n.neighbors.At(peer)
+	if nl == nil {
 		return
 	}
 	switch {
@@ -384,17 +382,12 @@ func (n *Node) SyncTopology() {
 			continue
 		}
 		peer, _ := l.Other(n.id)
-		if _, ok := n.neighbors[peer]; ok {
+		if n.neighbors.At(peer) != nil {
 			continue
 		}
 		n.addNeighbor(peer, lid, l.Latency)
 		n.lsMgr.AddNeighborLive(peer, lid)
 		grew = true
-	}
-	if grew {
-		sort.Slice(n.neighborOrder, func(i, j int) bool {
-			return n.neighborOrder[i] < n.neighborOrder[j]
-		})
 	}
 	if added > 0 || grew {
 		n.forwardingChanged()
@@ -477,7 +470,7 @@ func (n *Node) memberChanged(id wire.NodeID, st membership.Status) {
 	departed := st == membership.StatusLeft
 	n.lsMgr.PurgeOrigin(id)
 	n.grpMgr.PurgeOrigin(id, departed)
-	if _, ok := n.neighbors[id]; !ok {
+	if n.neighbors.At(id) == nil {
 		return
 	}
 	if departed {
@@ -498,12 +491,28 @@ func (n *Node) correctFinding(f membership.Finding) {
 		return
 	}
 	if f.Node != 0 {
-		if _, ok := n.neighbors[f.Node]; ok {
+		if n.neighbors.At(f.Node) != nil {
 			n.lsMgr.DisableNeighbor(f.Node)
 			return
 		}
 	}
 	n.lsMgr.ApplyCorrection(f.Link, false)
+}
+
+// tableBytes sums the control plane's per-node tables (the shards' peer
+// tables are counted by each shard).
+func (n *Node) tableBytes() int {
+	b := n.neighbors.Bytes() + n.lsMgr.TableBytes() + n.grpMgr.TableBytes() + n.cfg.Graph.TableBytes()
+	if n.memMgr != nil {
+		b += n.memMgr.Directory().TableBytes()
+	}
+	if n.cfg.Keyring != nil {
+		b += n.cfg.Keyring.TableBytes()
+	}
+	if snap := n.plane.snap.Load(); snap != nil {
+		b += snap.NextHop.Bytes()
+	}
+	return b
 }
 
 // Stats returns a snapshot of the control shard's counters — all of a
@@ -542,8 +551,8 @@ func (n *Node) SetOnViewChange(fn func()) { n.onViewChange = fn }
 // LinkStats returns the link-protocol counters of the control shard's
 // endpoints on the link to one neighbor.
 func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
-	pr, ok := n.ctl.peers[neighbor]
-	if !ok {
+	pr := n.ctl.peers.At(neighbor)
+	if pr == nil {
 		return nil
 	}
 	out := make(map[wire.LinkProtoID]link.Stats)
@@ -658,7 +667,7 @@ type lsEnv struct{ n *Node }
 func (e *lsEnv) Clock() sim.Clock { return e.n.clock }
 
 func (e *lsEnv) SendControl(neighbor wire.NodeID, f *wire.Frame) {
-	if pr, ok := e.n.ctl.peers[neighbor]; ok {
+	if pr := e.n.ctl.peers.At(neighbor); pr != nil {
 		e.n.ctl.transmitFrame(pr, f)
 	}
 }
@@ -676,7 +685,7 @@ func (e *lsEnv) PathCount(neighbor wire.NodeID) int {
 }
 
 func (e *lsEnv) SetPath(neighbor wire.NodeID, path uint8) {
-	if pr, ok := e.n.ctl.peers[neighbor]; ok {
+	if pr := e.n.ctl.peers.At(neighbor); pr != nil {
 		pr.path.Store(uint32(path))
 	}
 }
@@ -723,7 +732,7 @@ func (n *Node) controlPacket(t wire.PacketType, payload []byte) *wire.Packet {
 
 // sendControl sends one control packet to a single neighbor.
 func (n *Node) sendControl(t wire.PacketType, neighbor wire.NodeID, payload []byte) {
-	if pr, ok := n.ctl.peers[neighbor]; ok {
+	if pr := n.ctl.peers.At(neighbor); pr != nil {
 		n.ctl.protoFor(pr, wire.LPBestEffort).Send(n.controlPacket(t, payload))
 	}
 }
@@ -734,7 +743,7 @@ func (n *Node) floodControl(t wire.PacketType, payload []byte, except wire.NodeI
 	p := n.controlPacket(t, payload)
 	for _, peer := range n.neighborOrder {
 		if peer != except {
-			n.ctl.protoFor(n.ctl.peers[peer], wire.LPBestEffort).Send(p)
+			n.ctl.protoFor(n.ctl.peers.At(peer), wire.LPBestEffort).Send(p)
 		}
 	}
 }

@@ -100,7 +100,7 @@ type DataShard struct {
 	// peers and byLink hold an entry per neighbor on every shard — the
 	// home lookup for egress — but only the home shard and shard 0 ever
 	// instantiate endpoints in it.
-	peers  map[wire.NodeID]*peer
+	peers  wire.NodeTable[*peer]
 	byLink map[wire.LinkID]*peer
 
 	// rxFrame and rxPacket are the receive-path decode scratch: every
@@ -157,7 +157,6 @@ func (pl *DataPlane) addShard(clock sim.Clock) {
 	sink := &metrics.SchedStats{}
 	s := &DataShard{
 		n: pl.n, plane: pl, idx: len(pl.shards), clock: clock,
-		peers:  make(map[wire.NodeID]*peer),
 		byLink: make(map[wire.LinkID]*peer),
 		sched:  sink,
 		itcfg:  pl.n.cfg.ITSched,
@@ -186,6 +185,9 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 		s.out = make([]atomic.Pointer[crossRing], nshard)
 	}
 	for _, pr := range pl.shards[0].peers {
+		if pr == nil {
+			continue
+		}
 		pr.home = wire.HomeShard(pr.neighbor, nshard)
 		for _, s := range pl.shards[1:] {
 			s.addPeer(pr.sibling())
@@ -225,7 +227,7 @@ func (pr *peer) sibling() *peer {
 }
 
 func (s *DataShard) addPeer(pr *peer) {
-	s.peers[pr.neighbor] = pr
+	s.peers.Put(pr.neighbor, pr)
 	s.byLink[pr.linkID] = pr
 }
 
@@ -269,9 +271,13 @@ func (pl *DataPlane) Stats() Stats {
 // summed over every link-protocol endpoint, the packets held for
 // retransmission and the bytes they carry. WindowBytes is every sequence
 // bitmap: the endpoints' receive windows and one window per tracked flow.
+// NodeTableBytes is every table the node indexes by NodeID (each a
+// wire.NodeTable), by capacity: each spans the largest ID stored in it, at
+// most 65 536 entries.
 type Footprint struct {
 	DedupEntries                              int
 	HistoryPackets, HistoryBytes, WindowBytes int
+	NodeTableBytes                            int
 }
 
 // Footprint counts the plane's resident state, each shard's endpoints on
@@ -287,8 +293,13 @@ func (pl *DataPlane) Footprint() (fp Footprint) {
 		if s.idx == 0 {
 			fp.DedupEntries = pl.dedup.Flows()
 			fp.WindowBytes += fp.DedupEntries * dedupWindow / 8
+			fp.NodeTableBytes += pl.n.tableBytes()
 		}
+		fp.NodeTableBytes += s.peers.Bytes()
 		for _, pr := range s.peers {
+			if pr == nil {
+				continue
+			}
 			for _, p := range pr.protos {
 				if p == nil {
 					continue
@@ -352,15 +363,15 @@ func (pl *DataPlane) onShards(shards []*DataShard, fn func(*DataShard)) {
 // the new one just after — and that is the case the session-epoch
 // handshake exists for; a record, unlike this closure, could be refused.
 func (pl *DataPlane) resetPeer(neighbor wire.NodeID) {
-	pr, ok := pl.shards[0].peers[neighbor]
-	if !ok {
+	pr := pl.shards[0].peers.At(neighbor)
+	if pr == nil {
 		return
 	}
 	pr.closeProtos()
 	if pr.home != 0 {
 		s := pl.shards[pr.home]
 		pl.loops.PostTo(pr.home, func() {
-			if hp, ok := s.peers[neighbor]; ok {
+			if hp := s.peers.At(neighbor); hp != nil {
 				hp.closeProtos()
 			}
 		})
@@ -383,7 +394,9 @@ func (pr *peer) closeProtos() {
 func (s *DataShard) close() {
 	s.closed = true
 	for _, pr := range s.peers {
-		pr.closeProtos()
+		if pr != nil {
+			pr.closeProtos()
+		}
 	}
 }
 
@@ -412,8 +425,8 @@ func (s *DataShard) handleUnderlay(from wire.NodeID, data []byte) {
 		s.n.lsMgr.HandleControl(from, f)
 		return
 	}
-	pr, ok := s.peers[from]
-	if !ok || s.idx != 0 && pr.home != s.idx {
+	pr := s.peers.At(from)
+	if pr == nil || s.idx != 0 && pr.home != s.idx {
 		// Not a neighbor, or one homed on another shard: this shard owns no
 		// link session the frame could belong to.
 		s.stats.DroppedUnknownPeer++
@@ -613,8 +626,8 @@ func (s *DataShard) deliverLocal(p *wire.Packet) {
 // egress transmits a packet another shard handed over, on the link
 // session this shard owns.
 func (s *DataShard) egress(neighbor wire.NodeID, p *wire.Packet) {
-	pr, ok := s.peers[neighbor]
-	if !ok {
+	pr := s.peers.At(neighbor)
+	if pr == nil {
 		s.stats.DroppedUnknownPeer++
 		return
 	}

@@ -24,10 +24,11 @@ type Snapshot struct {
 	Version uint64
 	// Self is the node the snapshot belongs to.
 	Self wire.NodeID
-	// NextHop maps each destination reachable at publication to the
-	// incident link toward its next hop; a missing destination is dropped
-	// (no route).
-	NextHop map[wire.NodeID]wire.LinkID
+	// NextHop holds, by destination ID, the incident link toward the next
+	// hop of each destination reachable at publication plus one (link IDs
+	// stop below NoLink, so it never wraps), sized to the largest such ID;
+	// zero, or an ID past the end, is no route (the packet is dropped).
+	NextHop wire.NodeTable[wire.LinkID]
 	// Flood is the constrained-flooding link mask at publication.
 	Flood wire.Bitmask
 	// Incident lists the node's incident links and whether the shared view
@@ -63,8 +64,8 @@ type TreeKey struct {
 
 // nextHop returns the link of the unicast next hop toward dst.
 func (s *Snapshot) nextHop(dst wire.NodeID) (wire.LinkID, bool) {
-	lid, ok := s.NextHop[dst]
-	return lid, ok
+	hop := s.NextHop.At(dst)
+	return hop - 1, hop != 0
 }
 
 func (s *Snapshot) floodMask() wire.Bitmask { return s.Flood }
@@ -139,16 +140,14 @@ func (e *Engine) Publish() {
 	snap := &Snapshot{
 		Version: e.pubVersion,
 		Self:    e.self,
-		NextHop: make(map[wire.NodeID]wire.LinkID, n),
+		NextHop: make(wire.NodeTable[wire.LinkID], 0, n+1),
 		Flood:   v.FloodMask(),
 	}
 	for i := 0; i < n; i++ {
-		dst := g.NodeAt(i)
-		if dst == e.self {
-			continue
-		}
-		if lid, ok := e.nextHop(dst); ok {
-			snap.NextHop[dst] = lid
+		if dst := g.NodeAt(i); dst != e.self {
+			if lid, ok := e.nextHop(dst); ok {
+				snap.NextHop.Put(dst, lid+1)
+			}
 		}
 	}
 	inc := g.Incident(e.self)

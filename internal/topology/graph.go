@@ -63,11 +63,8 @@ type Graph struct {
 	nodes []wire.NodeID
 	links []Link
 	// index maps a NodeID to its dense index in nodes (insertion order)
-	// plus one, zero meaning absent. It is a table indexed by the ID itself,
-	// sized to the largest ID added: a NodeID is 16 bits, so the table is at
-	// most 256 KiB, and every lookup on the per-packet path is a slice read
-	// where a map would hash.
-	index []int32
+	// plus one, zero meaning absent: 4-byte entries, so at most 256 KiB.
+	index wire.NodeTable[int32]
 	// adj lists incident link IDs per node index (public Incident API).
 	adj [][]wire.LinkID
 	// dadj is the dense adjacency: half-edges by node index, in link
@@ -75,21 +72,10 @@ type Graph struct {
 	dadj [][]halfLink
 	// ends records each link's endpoint indices: ends[id] = {index(A), index(B)}.
 	ends [][2]int32
-	// pairs maps a canonical endpoint-index pair to the first link joining
-	// it, making LinkBetween O(1) instead of an O(degree) scan.
-	pairs map[uint64]wire.LinkID
 }
 
 // NewGraph returns an empty overlay topology.
 func NewGraph() *Graph { return &Graph{} }
-
-// pairKey packs a canonical (low, high) endpoint-index pair into one map key.
-func pairKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
 
 // AddNode registers an overlay node. Adding an existing node is a no-op.
 // Nothing is ever removed from a Graph (membership downs links through
@@ -98,22 +84,14 @@ func (g *Graph) AddNode(n wire.NodeID) {
 	if g.indexOf(n) >= 0 {
 		return
 	}
-	if grow := int(n) + 1 - len(g.index); grow > 0 {
-		g.index = append(g.index, make([]int32, grow)...)
-	}
 	g.nodes = append(g.nodes, n)
-	g.index[n] = int32(len(g.nodes))
+	g.index.Put(n, int32(len(g.nodes)))
 	g.adj = append(g.adj, nil)
 	g.dadj = append(g.dadj, nil)
 }
 
 // indexOf returns n's dense index, or -1 when n is not in the graph.
-func (g *Graph) indexOf(n wire.NodeID) int32 {
-	if int(n) < len(g.index) {
-		return g.index[n] - 1
-	}
-	return -1
-}
+func (g *Graph) indexOf(n wire.NodeID) int32 { return g.index.At(n) - 1 }
 
 // MaxGraphLinks is the most links a Graph can hold: the LinkID space less
 // the 0xffff sentinel (routing.NoLink). Source-route bitmasks and the
@@ -144,12 +122,6 @@ func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, e
 	g.adj[bi] = append(g.adj[bi], id)
 	g.dadj[ai] = append(g.dadj[ai], halfLink{id: id, to: bi})
 	g.dadj[bi] = append(g.dadj[bi], halfLink{id: id, to: ai})
-	if g.pairs == nil {
-		g.pairs = make(map[uint64]wire.LinkID)
-	}
-	if _, dup := g.pairs[pairKey(ai, bi)]; !dup {
-		g.pairs[pairKey(ai, bi)] = id
-	}
 	return id, nil
 }
 
@@ -221,19 +193,27 @@ func (g *Graph) Incident(n wire.NodeID) []wire.LinkID {
 }
 
 // LinkBetween returns the link joining a and b, if one exists. With
-// parallel links, the earliest-added one is returned. The lookup is O(1)
-// via the endpoint-pair table.
+// parallel links, the earliest-added one is returned: it scans the
+// adjacency of the endpoint with fewer links, which is in link-insertion
+// order, for the other end.
 func (g *Graph) LinkBetween(a, b wire.NodeID) (Link, bool) {
 	ai, bi := g.indexOf(a), g.indexOf(b)
 	if ai < 0 || bi < 0 {
 		return Link{}, false
 	}
-	id, ok := g.pairs[pairKey(ai, bi)]
-	if !ok {
-		return Link{}, false
+	if len(g.dadj[ai]) > len(g.dadj[bi]) {
+		ai, bi = bi, ai
 	}
-	return g.links[id], true
+	for _, h := range g.dadj[ai] {
+		if h.to == bi {
+			return g.links[h.id], true
+		}
+	}
+	return Link{}, false
 }
+
+// TableBytes returns the memory of the node-index table.
+func (g *Graph) TableBytes() int { return g.index.Bytes() }
 
 // HasNode reports whether n is in the graph.
 func (g *Graph) HasNode(n wire.NodeID) bool { return g.indexOf(n) >= 0 }

@@ -7,7 +7,10 @@
 // marshaling path.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // NodeID identifies an overlay node. The zero value is invalid; node
 // identifiers are assigned from 1 upward when the overlay topology is
@@ -16,6 +19,40 @@ type NodeID uint16
 
 // String renders the node ID as "n<id>".
 func (n NodeID) String() string { return fmt.Sprintf("n%d", uint16(n)) }
+
+// NodeTable is a per-node table: the entry for node id is t[id], and the
+// table grows to cover an ID when an entry is first stored under it. A
+// lookup is a bounds check and a load where a map would hash, and a walk
+// visits entries in ascending ID order. A NodeID is 16 bits, so a table
+// holds at most 65 536 entries however sparse the IDs: 512 KiB with
+// entries of at most 8 bytes (a pointer or a small value), 1.5 MiB with
+// slice entries.
+type NodeTable[T any] []T
+
+// At returns the entry for id, or the zero value when none is stored.
+func (t NodeTable[T]) At(id NodeID) T {
+	if int(id) < len(t) {
+		return t[id]
+	}
+	var zero T
+	return zero
+}
+
+// Put stores v as the entry for id, growing the table to cover id. The
+// length is computed in int: NodeID(0xffff)+1 wraps to 0.
+func (t *NodeTable[T]) Put(id NodeID, v T) {
+	if n := int(id) + 1; n > len(*t) {
+		*t = append(*t, make([]T, n-len(*t))...)
+	}
+	(*t)[id] = v
+}
+
+// Bytes returns the memory the table holds: its capacity times the entry
+// size.
+func (t NodeTable[T]) Bytes() int {
+	var zero T
+	return cap(t) * int(unsafe.Sizeof(zero))
+}
 
 // Port is a virtual port in the overlay addressing scheme. Together with a
 // NodeID it identifies a client endpoint, mimicking the Internet's

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -86,21 +87,28 @@ func (m *Bitmask) Links() []LinkID {
 // String renders the mask as a set of link IDs.
 func (m *Bitmask) String() string { return fmt.Sprintf("mask%v", m.Links()) }
 
-// appendMask writes the mask with a 1-byte length prefix, trimming trailing
-// zero bytes.
-func appendMask(dst []byte, m Bitmask) []byte {
-	var raw [maskBytes]byte
-	for i, w := range m {
-		for b := 0; b < 8; b++ {
-			raw[i*8+b] = byte(w >> (8 * b))
+// wireLen returns the marshaled length of m without its prefix: the
+// little-endian bytes up to and including the highest nonzero one.
+func (m *Bitmask) wireLen() int {
+	for i := len(m) - 1; i >= 0; i-- {
+		if m[i] != 0 {
+			return i*8 + (71-bits.LeadingZeros64(m[i]))/8
 		}
 	}
-	n := maskBytes
-	for n > 0 && raw[n-1] == 0 {
-		n--
-	}
+	return 0
+}
+
+// appendMask writes the mask with a 1-byte length prefix, trimming trailing
+// zero bytes: word by word, the last one cut to the bytes it needs.
+func appendMask(dst []byte, m Bitmask) []byte {
+	n := m.wireLen()
 	dst = append(dst, byte(n))
-	return append(dst, raw[:n]...)
+	var word [8]byte
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(word[:], m[i/8])
+		dst = append(dst, word[:min(n-i, 8)]...)
+	}
+	return dst
 }
 
 // readMask parses a length-prefixed mask, returning the remaining bytes.

@@ -101,3 +101,60 @@ func TestReadMaskRejectsOversizedLength(t *testing.T) {
 		t.Fatal("readMask accepted oversized length")
 	}
 }
+
+// byteMask is the byte-at-a-time encoding the word-wise one replaced:
+// unpack all 32 bytes little-endian, then trim trailing zero bytes.
+func byteMask(m Bitmask) []byte {
+	var raw [maskBytes]byte
+	for i, w := range m {
+		for b := 0; b < 8; b++ {
+			raw[i*8+b] = byte(w >> (8 * b))
+		}
+	}
+	n := maskBytes
+	for n > 0 && raw[n-1] == 0 {
+		n--
+	}
+	return append([]byte{byte(n)}, raw[:n]...)
+}
+
+// TestMaskEncodingMatchesByteLoop holds the word-wise mask encoding and
+// Packet.MarshaledSize to the byte loop, on the edge masks (empty, bit 0,
+// bit 255, one bit on each side of every byte boundary) and on seeded
+// random masks of every density.
+func TestMaskEncodingMatchesByteLoop(t *testing.T) {
+	masks := []Bitmask{{}}
+	for _, id := range []LinkID{0, 255} {
+		var m Bitmask
+		m.Set(id)
+		masks = append(masks, m)
+	}
+	for b := LinkID(8); b < MaxLinks; b += 8 {
+		for _, id := range []LinkID{b - 1, b} {
+			var m Bitmask
+			m.Set(id)
+			masks = append(masks, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 10000; i++ {
+		var m Bitmask
+		for w := range m {
+			// Clear whole words at random so short and long masks both occur.
+			if rng.Intn(3) > 0 {
+				m[w] = rng.Uint64() >> rng.Intn(64)
+			}
+		}
+		masks = append(masks, m)
+	}
+	for _, m := range masks {
+		want := byteMask(m)
+		if got := appendMask(nil, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mask %v encodes as % x, byte loop gives % x", m, got, want)
+		}
+		p := Packet{Mask: m}
+		if got := p.MarshaledSize(); got != packetFixedLen+len(want)+3 {
+			t.Fatalf("mask %v: MarshaledSize %d, byte loop gives %d", m, got, packetFixedLen+len(want)+3)
+		}
+	}
+}

@@ -91,17 +91,7 @@ func (p *Packet) Clone() *Packet {
 
 // MarshaledSize returns the exact encoded size of p.
 func (p *Packet) MarshaledSize() int {
-	var raw [maskBytes]byte
-	for i, w := range p.Mask {
-		for b := 0; b < 8; b++ {
-			raw[i*8+b] = byte(w >> (8 * b))
-		}
-	}
-	maskLen := maskBytes
-	for maskLen > 0 && raw[maskLen-1] == 0 {
-		maskLen--
-	}
-	return packetFixedLen + 1 + maskLen + 1 + len(p.Sig) + 2 + len(p.Payload)
+	return packetFixedLen + 1 + p.Mask.wireLen() + 1 + len(p.Sig) + 2 + len(p.Payload)
 }
 
 // AppendMarshal appends the encoding of p to dst and returns the extended

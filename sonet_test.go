@@ -718,3 +718,92 @@ func TestRuntimeJoinReachesSourceRoutedFlows(t *testing.T) {
 		t.Fatalf("joined node 4 forwarded nothing of the flow (stats %+v)", st)
 	}
 }
+
+// TestJoinTopNodeID joins the largest node ID at runtime, where every
+// per-node table grows to its full 65 536 entries: the fleet accepts its
+// floods (its group announcement reaches node 1), admits it as a member,
+// finds its link, and delivers a flow to it.
+func TestJoinTopNodeID(t *testing.T) {
+	const top, group = NodeID(0xffff), GroupID(5)
+	net, err := New(1, apiDiamond(), WithMembership())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.Run(500 * time.Millisecond)
+	if err := net.JoinNode(top, 4, Link{A: 4, B: top, Latency: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(2 * time.Second)
+	dst, err := net.Connect(top, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.Join(group)
+	net.Run(time.Second)
+	n1 := net.sim.Node(1)
+	if m := n1.Groups().Members(group); len(m) != 1 || m[0] != top {
+		t.Fatalf("node 1 sees group %v held by %v, want the top ID's announcement", group, m)
+	}
+	if !n1.Membership().IsMember(top) {
+		t.Fatalf("node 1 does not count %v a member (members %v)", top, net.Members(1))
+	}
+	l, ok := n1.View().G.LinkBetween(top, 4)
+	if !ok || !n1.View().Usable(l.ID) {
+		t.Fatalf("node 1 finds link %v-4 ok=%v usable=%v", top, ok, ok && n1.View().Usable(l.ID))
+	}
+	src, err := net.Connect(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, err := src.OpenFlow(FlowSpec{To: top, ToPort: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := flow.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run(time.Second)
+	if got := len(dst.Deliveries()); got != 10 {
+		t.Fatalf("delivered %d of 10 messages to %v", got, top)
+	}
+}
+
+// TestNodeTableFootprint counts the per-node tables of a world with
+// sparse IDs {1, 2, 0xffff}, where every table that holds the top ID spans
+// the whole ID space. Node 1's tables that are read by origin or member ID
+// grow to 65 536 entries — the graph index (4 bytes an entry), each of the
+// two flood databases' sequences (8) and retained payloads (24), the
+// directory (8) and the keyring (8) — while its neighbor and peer tables
+// stay as long as its largest neighbor ID. That is the worst case: 84
+// bytes an entry, 5.25 MiB.
+func TestNodeTableFootprint(t *testing.T) {
+	const top = NodeID(0xffff)
+	ms := time.Millisecond
+	net, err := New(1, []Link{{A: 1, B: 2, Latency: 10 * ms}, {A: 2, B: top, Latency: 10 * ms}},
+		WithMembership(), WithAuthentication([]byte("sparse")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.Run(2 * time.Second)
+	st, ok := net.NodeStats(1)
+	if !ok {
+		t.Fatal("no stats for node 1")
+	}
+	const full, worst = 1 << 16, 84 << 16
+	if got := st.Footprint.NodeTableBytes; got < worst-full || got > worst+full {
+		t.Fatalf("node 1's per-node tables hold %d bytes, want the worst case %d (within %d)", got, worst, full)
+	}
+	dense, err := New(1, apiDiamond(), WithMembership(), WithAuthentication([]byte("dense")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dense.Close()
+	dense.Run(2 * time.Second)
+	if st, _ := dense.NodeStats(1); st.Footprint.NodeTableBytes > 1<<10 {
+		t.Fatalf("a four-node world's tables hold %d bytes", st.Footprint.NodeTableBytes)
+	}
+}
