@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet test test-race race stress cover bench bench-guard bench-check bench-repo experiments examples fuzz chaos-smoke chaos-soak loc clean
+.PHONY: all check build fmt vet test test-race race stress cover bench bench-guard bench-check bench-repo bench-pairs experiments examples fuzz chaos-smoke chaos-soak loc clean
 
 all: check
 
@@ -106,6 +106,18 @@ bench-repo:
 	for w in chain3-video-be chain3-small-reliable emu-mixed-loss emu-churn-64; do \
 		$(GO) -C bench run . --workload $$w --seed $(BENCH_SEED) --seconds 28 --trace 0 || exit 1; \
 	done
+
+# Alternating parent/change pairs of the same command, the way a
+# BENCH_pr<N>.json records a claim: PARENT and the working tree are each
+# built from a git archive, odd pairs run the parent first, and every run
+# prints one JSON line in the shape of that file's "runs" (about 80 s per
+# pair and workload). Not part of check.
+#   make bench-pairs PARENT=<rev> PAIRS=<n> WORKLOADS="<w> ..."
+PAIRS ?= 10
+WORKLOADS ?= chain3-video-be chain3-small-reliable emu-mixed-loss emu-churn-64
+bench-pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [PAIRS=<n>] [WORKLOADS="<w> ..."]' >&2; exit 2; }
+	PAIRS=$(PAIRS) WORKLOADS="$(WORKLOADS)" sh scripts/bench-pairs.sh $(PARENT)
 
 # Pinned-seed fault-campaign suite (internal/chaos): twelve campaigns
 # spanning link flaps, partitions, crash-restarts, ISP outages,

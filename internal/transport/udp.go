@@ -54,12 +54,13 @@ import (
 //   - Send: frames produced within one event-loop turn accumulate in
 //     the flow's shard tx ring; a single flush posted on that shard's
 //     executor hands the whole turn's frames to the kernel at once
-//     (sendmmsg on Linux through the shard's own socket, each run of
-//     equal-sized frames to one peer a single UDP_SEGMENT message; a
-//     write loop elsewhere), so tx kernel crossings run on shard cores
-//     instead of stealing protocol time. The Linux reader asks for
-//     UDP_GRO and splits what the kernel coalesced before the loop below
-//     sees it.
+//     (sendmmsg on Linux through the shard's own socket; a write loop
+//     elsewhere), so tx kernel crossings run on shard cores instead of
+//     stealing protocol time. On Linux the flush is grouped by peer and
+//     each run of equal-sized frames to one peer is a single UDP_SEGMENT
+//     message, so a relay's forwarded data and its acks both leave
+//     segmented. The Linux reader asks for UDP_GRO and splits what the
+//     kernel coalesced before the loop below sees it.
 //
 // All per-direction batch/packet/byte counters live in per-shard
 // metrics.WireStats; Stats aggregates them race-free.

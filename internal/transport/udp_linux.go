@@ -8,10 +8,11 @@
 // batching never busy-waits and never blocks an OS thread.
 //
 // Where the kernel offers them, a message is a run of datagrams rather
-// than one: the writer sends each run of equal-sized frames to one peer as
-// one UDP_SEGMENT message and the reader asks for UDP_GRO, splitting each
-// coalesced message back into its datagrams before anyone sees it. Every
-// datagram leaves and arrives byte-for-byte as a plain send would.
+// than one: the writer groups each flush by peer and sends each run of
+// equal-sized frames to one peer as one UDP_SEGMENT message, and the
+// reader asks for UDP_GRO, splitting each coalesced message back into its
+// datagrams before anyone sees it. Every datagram leaves and arrives
+// byte-for-byte as a plain send would.
 //
 // Build with -tags sonet_portable to compile this file out and exercise
 // the portable per-datagram path on Linux (the transport test suite runs
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"syscall"
 	"unsafe"
 
@@ -399,8 +401,8 @@ func (br *batchReader) recvmmsg(fd uintptr) bool {
 	}
 }
 
-// batchWriter flushes coalesced frames with sendmmsg, one message per run
-// of frames (runLen).
+// batchWriter flushes coalesced frames with sendmmsg, grouped by peer
+// while it segments, one message per run of frames (runLen).
 type batchWriter struct {
 	rc syscall.RawConn
 	v6 bool
@@ -416,6 +418,11 @@ type batchWriter struct {
 	// is the frame count of message i.
 	iovs []syscall.Iovec
 	runs []int
+	// peers and grouped are group's scratch: a flush's destinations in
+	// order of first appearance, and the flush reordered by peer, cleared
+	// before send returns.
+	peers   [maxGroupPeers]netip.AddrPort
+	grouped []outFrame
 
 	// xmit is the sendmmsg method bound once for rc.Write, which takes the
 	// batch size from k and reports through n and operr (see
@@ -495,13 +502,60 @@ func refusesSegment(errno syscall.Errno) bool {
 	return errno == syscall.EINVAL || errno == syscall.EIO || errno == syscall.EMSGSIZE
 }
 
-// send hands frames to the kernel in sendmmsg batches, preserving order.
+// maxGroupPeers bounds the destinations group reorders one flush over, so
+// its scans stay short on a hub; a flush to more peers than this leaves in
+// its own order.
+const maxGroupPeers = 16
+
+// group returns frames reordered stably by destination, each peer's frames
+// in their order and the peers in order of first appearance, so runLen
+// sees every peer's frames together: a relay's turn alternates data to the
+// next hop with acks to the previous one. It returns nil for a flush that
+// is already grouped or goes to more than maxGroupPeers peers: that flush
+// leaves as it is.
+func (bw *batchWriter) group(frames []outFrame) []outFrame {
+	np, p, sorted := 0, 0, true
+	for _, f := range frames {
+		if np == 0 || f.to != bw.peers[p] {
+			if p = slices.Index(bw.peers[:np], f.to); p >= 0 {
+				sorted = false
+			} else if np == maxGroupPeers {
+				return nil
+			} else {
+				p, bw.peers[np] = np, f.to
+				np++
+			}
+		}
+	}
+	if sorted {
+		return nil
+	}
+	out := bw.grouped[:0]
+	for _, to := range bw.peers[:np] {
+		for _, f := range frames {
+			if f.to == to {
+				out = append(out, f)
+			}
+		}
+	}
+	bw.grouped = out
+	return out
+}
+
+// send hands frames to the kernel in sendmmsg batches, grouped by peer
+// (group) while the socket segments and in their order otherwise.
 // Undeliverable frames (family mismatch, per-message socket errors) are
 // dropped, like IP would; a segmented message the kernel refuses is sent
 // again as plain datagrams, and the writer stops segmenting. It returns
 // datagrams sent, datagrams dropped, datagrams sent inside segmented
 // messages, and payload bytes sent.
 func (bw *batchWriter) send(frames []outFrame) (sent, dropped, segmented int, bytes uint64) {
+	if bw.gso && len(frames) > 2 {
+		if g := bw.group(frames); g != nil {
+			frames = g
+			defer clear(g) // the scratch keeps no buffer past the flush
+		}
+	}
 	// Grown here, before any header points into it.
 	if need := min(len(frames), maxBatchDatagrams); need > len(bw.iovs) {
 		bw.iovs = make([]syscall.Iovec, min(max(need, 2*len(bw.iovs)), maxBatchDatagrams))

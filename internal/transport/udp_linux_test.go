@@ -222,6 +222,50 @@ func TestRunLen(t *testing.T) {
 	}
 }
 
+// TestGroupByPeer pins the order a segmenting writer sends a flush in:
+// stably by destination, peers in order of first appearance; a flush that
+// is already grouped, or goes to more than maxGroupPeers peers, is sent as
+// it came, without a copy.
+func TestGroupByPeer(t *testing.T) {
+	addr := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(7000+i))
+	}
+	hub := make([]int, 2*(maxGroupPeers+1))
+	for i := range hub {
+		hub[i] = i % (maxGroupPeers + 1)
+	}
+	cases := []struct {
+		name  string
+		peers []int // destination of each frame
+		want  []int // frame numbers in the order sent; nil: as they came
+	}{
+		{"one peer", []int{1, 1, 1}, nil},
+		{"already grouped", []int{1, 1, 2, 2, 3}, nil},
+		{"a relay's turn", []int{3, 1, 3, 1, 3, 1}, []int{0, 2, 4, 1, 3, 5}},
+		{"peers in order of first appearance", []int{2, 1, 3, 1, 2, 3}, []int{0, 4, 1, 3, 2, 5}},
+		{"a peer that comes back", []int{1, 2, 2, 1}, []int{0, 3, 1, 2}},
+		{"more peers than maxGroupPeers", hub, nil},
+	}
+	bw := &batchWriter{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			frames := make([]outFrame, len(tc.peers))
+			for i, p := range tc.peers {
+				frames[i] = outFrame{to: addr(p), buf: &wire.Buf{B: []byte{byte(i)}}}
+			}
+			got := bw.group(frames)
+			if (got == nil) != (tc.want == nil) {
+				t.Fatalf("reordered %v, want %v", got != nil, tc.want != nil)
+			}
+			for i, w := range tc.want {
+				if got[i] != frames[w] {
+					t.Fatalf("position %d holds frame %d, want frame %d", i, got[i].buf.B[0], w)
+				}
+			}
+		})
+	}
+}
+
 // TestSegmentedFlushIsOneCrossingEachWay counts the kernel crossings of
 // one flush of equal frames to one peer: one segmented message out, one
 // read in, every datagram byte-identical and in order.
@@ -253,8 +297,9 @@ func TestSegmentedFlushIsOneCrossingEachWay(t *testing.T) {
 }
 
 // TestSegmentedFlushMixedSizesAndPeers sends one flush that interleaves
-// two destinations and several frame sizes: each peer gets its frames
-// intact and in order, and only runs of two or more leave segmented.
+// two destinations and several frame sizes: the writer groups it by peer,
+// each peer gets its frames intact and in order, and only runs of two or
+// more leave segmented.
 func TestSegmentedFlushMixedSizesAndPeers(t *testing.T) {
 	requireOffloads(t)
 	recB, recC := newRecorder(), newRecorder()
@@ -266,8 +311,10 @@ func TestSegmentedFlushMixedSizesAndPeers(t *testing.T) {
 		to   wire.NodeID
 		size int
 	}
-	// Runs: B×4 (1200,1200,1200,700), C×2, B×2, B alone (0), C×3, B alone,
-	// C×2 (9000), B×3 then B×2 (1300: longer).
+	// Grouped by peer, B's frames come first. B's runs: ×4 (1200,1200,
+	// 1200,700), ×2 (1200, closed by the zero-length frame), 0 alone, 64
+	// alone (the 1200 after it is longer), ×3 (1200), then ×2 (1300:
+	// longer). C's runs: ×2 (300), ×3 (1500), ×2 (9000).
 	plan := []send{
 		{1, 1200}, {1, 1200}, {1, 1200}, {1, 700},
 		{3, 300}, {3, 300},
@@ -294,6 +341,51 @@ func TestSegmentedFlushMixedSizesAndPeers(t *testing.T) {
 	sameFrames(t, "peer 3", recC.from(2), want[3])
 	if st := tx.Stats(); st.SendPackets != uint64(len(plan)) || st.SendSegmented != segmented || st.SendDropped != 0 {
 		t.Fatalf("sender: %+v, want %d sent, %d segmented", st, len(plan), segmented)
+	}
+}
+
+// TestRelayFlushSegmentsPerPeer sends a relay's forward-and-ack turn: one
+// flush that alternates equal data frames to the next hop with equal,
+// shorter acks to the previous hop. Each peer's frames leave as one
+// segmented message and arrive as one coalesced read, intact and in order.
+func TestRelayFlushSegmentsPerPeer(t *testing.T) {
+	requireOffloads(t)
+	recA, recC := newRecorder(), newRecorder()
+	exec := &captureExec{}
+	tx := testUnderlay(t, exec, nil)
+	rxA := testUnderlay(t, sim.Inline{}, recA.handle)
+	rxC := testUnderlay(t, sim.Inline{}, recC.handle)
+	connect(t, tx, 2, rxA, 1)
+	connect(t, tx, 2, rxC, 3)
+	awaitGRO(t, rxA)
+	awaitGRO(t, rxC)
+	const n = 16
+	rng := rand.New(rand.NewSource(7))
+	var wantA, wantC [][]byte
+	for i := 0; i < n; i++ {
+		wantC = append(wantC, payload(rng, 2*i, 120))
+		tx.Send(3, 0, wantC[i])
+		wantA = append(wantA, payload(rng, 2*i+1, 40))
+		tx.Send(1, 0, wantA[i])
+	}
+	exec.runAll()
+	if !waitFor(t, 5*time.Second, func() bool { return recA.count()+recC.count() == 2*n }) {
+		t.Fatalf("delivered %d of %d", recA.count()+recC.count(), 2*n)
+	}
+	sameFrames(t, "peer 1", recA.from(2), wantA)
+	sameFrames(t, "peer 3", recC.from(2), wantC)
+	for _, f := range tx.shards[0].writer.grouped {
+		if f.buf != nil {
+			t.Fatal("the writer's grouping scratch keeps a buffer past the flush")
+		}
+	}
+	if st := tx.Stats(); st.SendBatches != 1 || st.SendPackets != 2*n || st.SendSegmented != 2*n || st.SendDropped != 0 {
+		t.Fatalf("sender: %+v, want 1 flush of %d datagrams, all segmented", st, 2*n)
+	}
+	for _, rx := range []*UDPUnderlay{rxA, rxC} {
+		if st := rx.Stats(); st.RecvBatches != 1 || st.RecvPackets != n || st.RecvCoalesced != n {
+			t.Fatalf("receiver: %+v, want 1 read of %d datagrams, all coalesced", st, n)
+		}
 	}
 }
 

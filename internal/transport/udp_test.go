@@ -314,50 +314,76 @@ func TestUDPUnderlaySendRingOverflow(t *testing.T) {
 // sendmmsg flush of eight datagrams (one segmented message where the
 // kernel takes UDP_SEGMENT) and the recvmmsg reads that drain them — to
 // zero allocations: the netpoller callbacks are bound once per socket and
-// report through the reader's and writer's own fields.
+// report through the reader's and writer's own fields. A second flush
+// alternates two destinations, a relay's data and acks, which the Linux
+// writer groups by peer in its own scratch: it is held to zero as well.
 func TestBatchSyscallAllocBudget(t *testing.T) {
-	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
+	listen := func() *net.UDPConn {
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		// A read that miscounts blocks for good; the deadline turns it
+		// into an error.
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	defer func() { _ = rx.Close() }()
-	tx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tx.Close() }()
-	br, err := newBatchReader(rx)
-	if err != nil {
-		t.Fatal(err)
+	rx, rx2, tx := listen(), listen(), listen()
+	var readers []*batchReader
+	for _, conn := range []*net.UDPConn{rx, rx2} {
+		br, err := newBatchReader(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, br)
 	}
 	bw, err := newBatchWriter(tx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	to := rx.LocalAddr().(*net.UDPAddr).AddrPort()
-	frames := make([]outFrame, 8)
-	for i := range frames {
-		frames[i] = outFrame{to: to, buf: &wire.Buf{B: make([]byte, 1200)}}
+	to2 := rx2.LocalAddr().(*net.UDPAddr).AddrPort()
+	onePeer := make([]outFrame, 8)
+	for i := range onePeer {
+		onePeer[i] = outFrame{to: to, buf: &wire.Buf{B: make([]byte, 1200)}}
 	}
-	batch := func() {
-		if sent, dropped, _, _ := bw.send(frames); sent != len(frames) || dropped != 0 {
-			t.Fatalf("sent %d, dropped %d of %d", sent, dropped, len(frames))
+	twoPeers := make([]outFrame, 16)
+	for i := range twoPeers {
+		if i%2 == 0 {
+			twoPeers[i] = outFrame{to: to, buf: &wire.Buf{B: make([]byte, 120)}}
+		} else {
+			twoPeers[i] = outFrame{to: to2, buf: &wire.Buf{B: make([]byte, 40)}}
 		}
-		for got := 0; got < len(frames); {
-			n, err := br.read()
-			if err != nil {
-				t.Fatal(err)
+	}
+	flush := func(frames []outFrame, per ...int) func() {
+		return func() {
+			if sent, dropped, _, _ := bw.send(frames); sent != len(frames) || dropped != 0 {
+				t.Fatalf("sent %d, dropped %d of %d", sent, dropped, len(frames))
 			}
-			got += n
+			for i, want := range per {
+				for got := 0; got < want; {
+					n, err := readers[i].read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got += n
+				}
+			}
 		}
 	}
-	// A read that miscounts blocks for good; the deadline turns it into
-	// an error.
-	if err := rx.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	batch()
-	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
-		t.Fatalf("one flush and the reads that drain it allocate %.2f objects, budget is 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		batch func()
+	}{
+		{"one peer", flush(onePeer, len(onePeer))},
+		{"two interleaved peers", flush(twoPeers, len(twoPeers)/2, len(twoPeers)/2)},
+	} {
+		tc.batch()
+		if allocs := testing.AllocsPerRun(100, tc.batch); allocs != 0 {
+			t.Fatalf("%s: one flush and the reads that drain it allocate %.2f objects, budget is 0", tc.name, allocs)
+		}
 	}
 }
