@@ -127,7 +127,7 @@ bench-pairs:
 # violations tolerated. Deterministic — a failure here replays
 # bit-for-bit with `go run ./cmd/sonet-chaos run -campaign <name>`.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestSmokeTraceHashesPinned|TestCampaignDeterminism|TestReplayFromArtifact' ./internal/chaos/
+	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestSmokeTraceHashesPinned|TestCampaignDeterminism|TestReplayFromArtifact|TestRestoreAllRepairsEveryFault' ./internal/chaos/
 
 # Long-haul randomized campaigns across every topology and fault mix.
 chaos-soak:
