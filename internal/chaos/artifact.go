@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -93,14 +94,6 @@ func Replay(a Artifact) (r *Report, match bool, err error) {
 		return nil, false, err
 	}
 	match = fmt.Sprintf("%016x", r.TraceHash) == a.TraceHash &&
-		len(r.Violations) == len(a.Violations)
-	for i := range r.Violations {
-		if !match {
-			break
-		}
-		if r.Violations[i] != a.Violations[i] {
-			match = false
-		}
-	}
+		slices.Equal(r.Violations, a.Violations)
 	return r, match, nil
 }

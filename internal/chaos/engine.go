@@ -1,11 +1,12 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
-	"sonet/internal/membership"
 	"sonet/internal/netemu"
 	"sonet/internal/session"
 	"sonet/internal/wire"
@@ -117,21 +118,16 @@ type engine struct {
 	trace []TraceEntry
 	viol  []Violation
 
-	// Fault bookkeeping. fiberCuts reference-counts severed fibers
-	// across cut-link, partition, and isp-outage events so overlapping
-	// faults compose: a repair only resurrects a fiber no other
-	// outstanding fault still claims.
-	fiberCuts  map[netemu.FiberID]int
-	linkCut    []int
-	crashDepth []int
-	leaveDepth []int
-	ispOut     [2]int
-	brownDepth [2]int
-	spikeDepth []int
-	partitions []NodeMask
-	// appliedKinds records which fault kinds actually fired, for
-	// fault-sensitive invariants.
-	appliedKinds map[Kind]bool
+	// Fault bookkeeping. held lists every applied, unrepaired fault in
+	// the order applied; a target's depth is how many entries name it.
+	// fiberCuts reference-counts severed fibers across cut-link,
+	// partition, and isp-outage events so overlapping faults compose: a
+	// repair only resurrects a fiber no other outstanding fault still
+	// claims. severed records that a fault which takes topology down
+	// fired, for checkHealth.
+	held      []held
+	fiberCuts map[netemu.FiberID]int
+	severed   bool
 
 	// Traffic state.
 	streamFlow *session.Flow
@@ -170,18 +166,13 @@ func Run(c Campaign) (*Report, error) {
 		return nil, err
 	}
 	e := &engine{
-		w:            w,
-		camp:         c,
-		events:       events,
-		fiberCuts:    make(map[netemu.FiberID]int),
-		linkCut:      make([]int, len(w.Links)),
-		crashDepth:   make([]int, len(w.Nodes)),
-		leaveDepth:   make([]int, len(w.Nodes)),
-		spikeDepth:   make([]int, len(w.Links)),
-		appliedKinds: make(map[Kind]bool),
-		streamNext:   1,
-		mcastSeen:    make([]map[uint32]bool, len(w.Nodes)),
-		probeGot:     make([]int, len(w.Nodes)),
+		w:          w,
+		camp:       c,
+		events:     events,
+		fiberCuts:  make(map[netemu.FiberID]int),
+		streamNext: 1,
+		mcastSeen:  make([]map[uint32]bool, len(w.Nodes)),
+		probeGot:   make([]int, len(w.Nodes)),
 	}
 	e.run()
 	return e.report(), nil
@@ -250,58 +241,52 @@ func (e *engine) violate(invariant, format string, args ...any) {
 
 // ---- fault application ----
 
+// held is one applied fault not yet repaired.
+type held struct {
+	f  *fault
+	ev Event
+}
+
 // apply executes one scheduled event against the world.
 func (e *engine) apply(ev Event) {
-	applied := false
-	switch ev.Kind {
-	case KindCutLink:
-		applied = e.cutLink(ev.Arg)
-	case KindRestoreLink:
-		applied = e.restoreLink(ev.Arg)
-	case KindCrashNode:
-		applied = e.crashNode(ev.Arg)
-	case KindRestartNode:
-		applied = e.restartNode(ev.Arg)
-	case KindPartition:
-		applied = e.partition(ev.Mask)
-	case KindHeal:
-		applied = e.heal(ev.Mask)
-	case KindISPOutage:
-		applied = e.ispOutage(ev.Arg)
-	case KindISPRestore:
-		applied = e.ispRestore(ev.Arg)
-	case KindBrownout:
-		applied = e.brownout(ev.Arg, ev.Val)
-	case KindBrownoutEnd:
-		applied = e.brownoutEnd(ev.Arg)
-	case KindLatencySpike:
-		applied = e.latencySpike(ev.Arg, ev.Val)
-	case KindLatencyNormal:
-		applied = e.latencyNormal(ev.Arg)
-	case KindLeaveNode:
-		applied = e.leaveNode(ev.Arg)
-	case KindRejoinNode:
-		applied = e.rejoinNode(ev.Arg)
-	case KindCorruptView:
-		applied = e.corruptView(ev.Arg, ev.Val)
-	}
-	if !applied {
+	f, repair := faultOf(ev.Kind)
+	switch {
+	case repair && e.repair(f, ev):
+		e.stats.FaultsActive--
+	case !repair && f.inject(e, ev, e.find(f.kind, ev) < 0):
+		// Corruption has no repair event and holds no capacity down; the
+		// stabilization sweeps repair it, so it never counts as active.
+		if f.repair != "" {
+			e.held = append(e.held, held{f, ev})
+			e.stats.FaultsActive++
+		}
+		e.severed = e.severed || f.severs
+	default:
 		e.tracef("skip %s", ev)
 		return
 	}
 	e.stats.EventsInjected++
-	switch {
-	case ev.Kind == KindCorruptView:
-		// Corruption has no repair event and holds no capacity down; the
-		// stabilization sweeps repair it, so it never counts as active.
-		e.appliedKinds[ev.Kind] = true
-	case isFault(ev.Kind):
-		e.appliedKinds[ev.Kind] = true
-		e.stats.FaultsActive++
-	default:
-		e.stats.FaultsActive--
-	}
 	e.tracef("apply %s", ev)
+}
+
+// repair undoes the first outstanding fault of f's kind on ev's target,
+// and reports false when none is outstanding.
+func (e *engine) repair(f *fault, ev Event) bool {
+	i := e.find(f.kind, ev)
+	if i < 0 {
+		return false
+	}
+	e.held = slices.Delete(e.held, i, i+1)
+	f.undo(e, ev, e.find(f.kind, ev) < 0)
+	return true
+}
+
+// find returns the index in held of the first outstanding fault of kind
+// k on ev's target, or -1.
+func (e *engine) find(k Kind, ev Event) int {
+	return slices.IndexFunc(e.held, func(h held) bool {
+		return h.f.kind == k && h.f.space.same(h.ev, ev)
+	})
 }
 
 // cutFiber / releaseFiber reference-count underlay cuts.
@@ -322,309 +307,25 @@ func (e *engine) releaseFiber(f netemu.FiberID) {
 	}
 }
 
-func (e *engine) cutLink(li int) bool {
-	e.linkCut[li]++
-	for _, f := range e.w.Fibers[e.w.Links[li]] {
-		e.cutFiber(f)
-	}
-	return true
-}
-
-func (e *engine) restoreLink(li int) bool {
-	if e.linkCut[li] == 0 {
-		return false
-	}
-	e.linkCut[li]--
-	for _, f := range e.w.Fibers[e.w.Links[li]] {
-		e.releaseFiber(f)
-	}
-	return true
-}
-
-func (e *engine) crashNode(ni int) bool {
-	e.crashDepth[ni]++
-	if e.crashDepth[ni] > 1 {
-		return true
-	}
-	id := e.w.Nodes[ni]
-	e.w.O.Net.SetSiteUp(e.w.Sites[id], false)
-	e.w.O.Node(id).Stop()
-	e.w.O.Session(id).Close()
-	return true
-}
-
-func (e *engine) restartNode(ni int) bool {
-	if e.crashDepth[ni] == 0 {
-		return false
-	}
-	e.crashDepth[ni]--
-	if e.crashDepth[ni] > 0 {
-		return true
-	}
-	id := e.w.Nodes[ni]
-	e.w.O.Net.SetSiteUp(e.w.Sites[id], true)
-	if err := e.w.O.RestartNode(id); err != nil {
-		e.violate("engine", "restart node %v: %v", id, err)
-		return true
-	}
-	tuneSessions(e.w.O.Session(id))
-	// The reborn node redeploys its probe service; stream and multicast
-	// clients are deliberately NOT recreated — losing one is real state
-	// loss the invariants must see.
-	e.connectProbe(ni)
-	return true
-}
-
-// leaveNode departs a node gracefully: departure record flooded (in
-// membership worlds), LSAs withdrawn, sessions closed, node stopped. A
-// crashed node cannot announce a leave.
-func (e *engine) leaveNode(ni int) bool {
-	if e.crashDepth[ni] > 0 {
-		return false
-	}
-	e.leaveDepth[ni]++
-	if e.leaveDepth[ni] > 1 {
-		return true
-	}
-	id := e.w.Nodes[ni]
-	if err := e.w.O.Leave(id); err != nil {
-		e.violate("engine", "leave node %v: %v", id, err)
-	}
-	return true
-}
-
-// rejoinNode brings a departed node back as a fresh incarnation and — in
-// membership worlds — re-runs admission through the lowest-index alive
-// contact. Its seeded directory is deliberately stale (everyone joined
-// at epoch 1); anti-entropy heals it.
-func (e *engine) rejoinNode(ni int) bool {
-	if e.leaveDepth[ni] == 0 {
-		return false
-	}
-	e.leaveDepth[ni]--
-	if e.leaveDepth[ni] > 0 {
-		return true
-	}
-	id := e.w.Nodes[ni]
-	if err := e.w.O.RestartNode(id); err != nil {
-		e.violate("engine", "rejoin node %v: %v", id, err)
-		return true
-	}
-	tuneSessions(e.w.O.Session(id))
-	e.connectProbe(ni)
-	if m := e.w.O.Node(id).Membership(); m != nil {
-		if contact := e.aliveContact(ni); contact != 0 {
-			m.Join(contact)
-		}
-	}
-	return true
-}
-
-// aliveContact returns the lowest-index node that is neither crashed nor
-// departed (excluding ni), or zero when none is.
-func (e *engine) aliveContact(ni int) wire.NodeID {
-	for j := range e.w.Nodes {
-		if j != ni && e.crashDepth[j] == 0 && e.leaveDepth[j] == 0 {
-			return e.w.Nodes[j]
-		}
-	}
-	return 0
-}
-
-// corruptView corrupts one running node's control-plane state in place.
-// Flavor 0 plants a bogus departure record for another live member in
-// the victim's directory — it supersedes the real record, spreads by
-// anti-entropy, and must be beaten back by the target's self-defense
-// refutation. Flavor 1 marks the victim's first incident link down in
-// its view — a stale entry the owner's refresh flood must repair. Both
-// heal without any repair event, bounded by the stabilization invariant.
-func (e *engine) corruptView(ni, flavor int) bool {
-	if e.crashDepth[ni] > 0 || e.leaveDepth[ni] > 0 {
-		return false
-	}
-	id := e.w.Nodes[ni]
-	n := e.w.O.Node(id)
-	if flavor%2 == 0 {
-		if m := n.Membership(); m != nil {
-			target := e.aliveContact(ni)
-			if target == 0 {
-				return false
-			}
-			epoch := uint32(1)
-			if cur, ok := m.Directory().Get(target); ok {
-				epoch = cur.Epoch + 1
-			}
-			return m.InjectRecord(membership.Record{
-				ID: target, Epoch: epoch, Status: membership.StatusLeft,
-			})
-		}
-	}
-	for li, pair := range e.w.Topo.Pairs {
-		if pair[0] == ni+1 || pair[1] == ni+1 {
-			n.LinkStateManager().ApplyCorrection(e.w.Links[li], false)
-			return true
-		}
-	}
-	return false
-}
-
-// crossingLinks returns the indices of links crossing a node bipartition.
-func (e *engine) crossingLinks(mask NodeMask) []int {
-	var out []int
-	for li, pair := range e.w.Topo.Pairs {
-		inA := mask.Bit(pair[0] - 1)
-		inB := mask.Bit(pair[1] - 1)
-		if inA != inB {
-			out = append(out, li)
-		}
-	}
-	return out
-}
-
-func (e *engine) partition(mask NodeMask) bool {
-	e.partitions = append(e.partitions, mask)
-	for _, li := range e.crossingLinks(mask) {
-		for _, f := range e.w.Fibers[e.w.Links[li]] {
-			e.cutFiber(f)
-		}
-	}
-	return true
-}
-
-func (e *engine) heal(mask NodeMask) bool {
-	found := -1
-	for i, m := range e.partitions {
-		if m.Equal(mask) {
-			found = i
-			break
-		}
-	}
-	if found < 0 {
-		return false
-	}
-	e.partitions = append(e.partitions[:found], e.partitions[found+1:]...)
-	for _, li := range e.crossingLinks(mask) {
-		for _, f := range e.w.Fibers[e.w.Links[li]] {
-			e.releaseFiber(f)
-		}
-	}
-	return true
-}
-
-func (e *engine) ispOutage(isp int) bool {
-	e.ispOut[isp]++
-	for _, lid := range e.w.Links {
-		e.cutFiber(e.w.Fibers[lid][isp])
-	}
-	return true
-}
-
-func (e *engine) ispRestore(isp int) bool {
-	if e.ispOut[isp] == 0 {
-		return false
-	}
-	e.ispOut[isp]--
-	for _, lid := range e.w.Links {
-		e.releaseFiber(e.w.Fibers[lid][isp])
-	}
-	return true
-}
-
-func (e *engine) brownout(isp, permille int) bool {
-	e.brownDepth[isp]++
-	e.w.O.Net.SetISPExtraLoss(e.w.ISPs[isp], float64(permille)/1000)
-	return true
-}
-
-func (e *engine) brownoutEnd(isp int) bool {
-	if e.brownDepth[isp] == 0 {
-		return false
-	}
-	e.brownDepth[isp]--
-	if e.brownDepth[isp] == 0 {
-		e.w.O.Net.SetISPExtraLoss(e.w.ISPs[isp], 0)
-	}
-	return true
-}
-
-func (e *engine) latencySpike(li, fac10 int) bool {
-	e.spikeDepth[li]++
-	if e.spikeDepth[li] > 1 {
-		return true
-	}
-	lid := e.w.Links[li]
-	lat := e.w.Lat[lid] * time.Duration(fac10) / 10
-	e.w.O.Net.SetFiberLatency(e.w.Fibers[lid][0], lat, lat/8)
-	return true
-}
-
-func (e *engine) latencyNormal(li int) bool {
-	if e.spikeDepth[li] == 0 {
-		return false
-	}
-	e.spikeDepth[li]--
-	if e.spikeDepth[li] == 0 {
-		lid := e.w.Links[li]
-		e.w.O.Net.SetFiberLatency(e.w.Fibers[lid][0], e.w.Lat[lid], 0)
-	}
-	return true
-}
-
 // restoreAll repairs every outstanding fault at the end of the fault
 // window (a minimized script's repairs may have been truncated away), so
 // the post-repair convergence bound always starts from a fully repaired
-// world. Iteration is index-ordered for determinism.
+// world. It goes in each kind's restore order (fault.restore): link cuts
+// by link index, partitions in the order applied, each ISP's outage then
+// its brownout, latency spikes by link index, crashed nodes by node
+// index, and departed nodes by node index last.
 func (e *engine) restoreAll() {
-	for li := range e.linkCut {
-		for e.linkCut[li] > 0 {
-			e.restoreLink(li)
-			e.stats.FaultsActive--
-			e.tracef("restore-all link=%d", li)
-		}
-	}
-	for len(e.partitions) > 0 {
-		mask := e.partitions[0]
-		e.heal(mask)
+	order := slices.Clone(e.held)
+	slices.SortStableFunc(order, func(a, b held) int {
+		return cmp.Or(cmp.Compare(a.f.restore[0], b.f.restore[0]),
+			cmp.Compare(a.f.space.index(a.ev), b.f.space.index(b.ev)),
+			cmp.Compare(a.f.restore[1], b.f.restore[1]))
+	})
+	for _, h := range order {
+		e.repair(h.f, h.ev)
 		e.stats.FaultsActive--
-		e.tracef("restore-all partition mask=%s", mask)
-	}
-	for isp := 0; isp < 2; isp++ {
-		for e.ispOut[isp] > 0 {
-			e.ispRestore(isp)
-			e.stats.FaultsActive--
-			e.tracef("restore-all isp=%d", isp)
-		}
-		for e.brownDepth[isp] > 0 {
-			e.brownoutEnd(isp)
-			e.stats.FaultsActive--
-			e.tracef("restore-all brownout isp=%d", isp)
-		}
-	}
-	for li := range e.spikeDepth {
-		for e.spikeDepth[li] > 0 {
-			e.latencyNormal(li)
-			e.stats.FaultsActive--
-			e.tracef("restore-all latency link=%d", li)
-		}
-	}
-	for ni := range e.crashDepth {
-		if e.crashDepth[ni] > 0 {
-			depth := e.crashDepth[ni]
-			e.crashDepth[ni] = 1
-			e.restartNode(ni)
-			e.stats.FaultsActive -= int64(depth)
-			e.tracef("restore-all node=%d", ni)
-		}
-	}
-	// Departed nodes rejoin last, once every crashed contact candidate is
-	// back, so admission has a live contact to go through.
-	for ni := range e.leaveDepth {
-		if e.leaveDepth[ni] > 0 {
-			depth := e.leaveDepth[ni]
-			e.leaveDepth[ni] = 1
-			e.rejoinNode(ni)
-			e.stats.FaultsActive -= int64(depth)
-			e.tracef("restore-all rejoin node=%d", ni)
+		if !h.f.restoreOnce || e.find(h.f.kind, h.ev) < 0 {
+			e.tracef("restore-all "+h.f.restoreTrace, h.f.space.target(h.ev))
 		}
 	}
 }
@@ -632,93 +333,84 @@ func (e *engine) restoreAll() {
 // ---- traffic ----
 
 // setupTraffic connects the campaign's workload: one reliable ordered
-// stream, one best-effort multicast group, and a probe client per node.
-// Delivery callbacks double as continuous invariant monitors.
+// stream, one intrusion-tolerant priority stream, one best-effort
+// multicast group, and a probe client per node. Delivery callbacks double
+// as continuous invariant monitors.
 func (e *engine) setupTraffic() {
-	o := e.w.O
-	src, err := o.Session(e.w.Nodes[streamSrcIndex]).Connect(streamSrcPort)
-	if err != nil {
-		e.violate("engine", "stream source: %v", err)
-		return
-	}
-	dst, err := o.Session(e.w.Nodes[streamDstIndex]).Connect(streamDstPort)
-	if err != nil {
-		e.violate("engine", "stream destination: %v", err)
-		return
-	}
-	dst.OnDeliver(func(d session.Delivery) {
-		e.streamGot++
-		if d.Seq != e.streamNext {
-			e.violate("session-order", "stream delivered seq %d, want %d", d.Seq, e.streamNext)
-			e.streamNext = d.Seq
-		}
-		e.streamNext++
+	dst := e.w.Nodes[streamDstIndex]
+	e.streamFlow = e.openFlow("stream", streamSrcPort, session.FlowSpec{
+		DstNode: dst, DstPort: streamDstPort, LinkProto: wire.LPReliable, Ordered: true,
+	}, []int{streamDstIndex}, func(_ int, c *session.Client) {
+		c.OnDeliver(func(d session.Delivery) {
+			e.streamGot++
+			if d.Seq != e.streamNext {
+				e.violate("session-order", "stream delivered seq %d, want %d", d.Seq, e.streamNext)
+				e.streamNext = d.Seq
+			}
+			e.streamNext++
+		})
 	})
-	e.streamFlow, err = src.OpenFlow(session.FlowSpec{
-		DstNode:   e.w.Nodes[streamDstIndex],
-		DstPort:   streamDstPort,
-		LinkProto: wire.LPReliable,
-		Ordered:   true,
-	})
-	if err != nil {
-		e.violate("engine", "stream flow: %v", err)
+	if e.streamFlow == nil {
 		return
 	}
 	// A light intrusion-tolerant priority stream exercises the fair
 	// scheduler's drop/backpressure accounting under faults; the sched
 	// invariant cross-checks it against packet conservation at drain.
-	itSrc, err := o.Session(e.w.Nodes[streamSrcIndex]).Connect(itSrcPort)
-	if err != nil {
-		e.violate("engine", "it stream source: %v", err)
-		return
-	}
-	itDst, err := o.Session(e.w.Nodes[streamDstIndex]).Connect(itDstPort)
-	if err != nil {
-		e.violate("engine", "it stream destination: %v", err)
-		return
-	}
-	itDst.OnDeliver(func(session.Delivery) { e.itGot++ })
-	e.itFlow, err = itSrc.OpenFlow(session.FlowSpec{
-		DstNode:   e.w.Nodes[streamDstIndex],
-		DstPort:   itDstPort,
-		LinkProto: wire.LPITPriority,
+	e.itFlow = e.openFlow("it stream", itSrcPort, session.FlowSpec{
+		DstNode: dst, DstPort: itDstPort, LinkProto: wire.LPITPriority,
+	}, []int{streamDstIndex}, func(_ int, c *session.Client) {
+		c.OnDeliver(func(session.Delivery) { e.itGot++ })
 	})
-	if err != nil {
-		e.violate("engine", "it stream flow: %v", err)
+	if e.itFlow == nil {
 		return
 	}
-	msrc, err := o.Session(e.w.Nodes[streamSrcIndex]).Connect(mcastSrcPort)
-	if err != nil {
-		e.violate("engine", "multicast source: %v", err)
-		return
-	}
-	for ni := mcastMemberLo; ni <= mcastMemberHi; ni++ {
-		ni := ni
-		member, err := o.Session(e.w.Nodes[ni]).Connect(mcastPort)
-		if err != nil {
-			e.violate("engine", "multicast member %d: %v", ni, err)
-			return
-		}
-		member.Join(chaosGroup)
+	e.mcastFlow = e.openFlow("multicast", mcastSrcPort, session.FlowSpec{
+		Group: chaosGroup, DstPort: mcastPort,
+	}, []int{mcastMemberLo, mcastMemberHi}, func(ni int, c *session.Client) {
+		c.Join(chaosGroup)
 		e.mcastSeen[ni] = make(map[uint32]bool)
-		member.OnDeliver(func(d session.Delivery) {
+		c.OnDeliver(func(d session.Delivery) {
 			if e.mcastSeen[ni][d.Seq] {
 				e.violate("multicast-dup", "member %d saw seq %d twice", ni, d.Seq)
 			}
 			e.mcastSeen[ni][d.Seq] = true
 		})
-	}
-	e.mcastFlow, err = msrc.OpenFlow(session.FlowSpec{
-		Group:   chaosGroup,
-		DstPort: mcastPort,
 	})
-	if err != nil {
-		e.violate("engine", "multicast flow: %v", err)
+	if e.mcastFlow == nil {
 		return
 	}
 	for ni := range e.w.Nodes {
 		e.connectProbe(ni)
 	}
+}
+
+// openFlow connects a flow's source client on the stream source node and
+// a sink client on spec.DstPort at each sink node index, in that order,
+// lets attach set up each sink, and opens the flow. It records an error
+// as a violation and returns nil.
+func (e *engine) openFlow(name string, srcPort wire.Port, spec session.FlowSpec, sinks []int, attach func(ni int, c *session.Client)) *session.Flow {
+	src, err := e.w.O.Session(e.w.Nodes[streamSrcIndex]).Connect(srcPort)
+	if err != nil {
+		e.violate("engine", "%s source: %v", name, err)
+		return nil
+	}
+	for _, ni := range sinks {
+		c, err := e.w.O.Session(e.w.Nodes[ni]).Connect(spec.DstPort)
+		if err != nil {
+			if spec.Group != 0 {
+				e.violate("engine", "%s member %d: %v", name, ni, err)
+			} else {
+				e.violate("engine", "%s destination: %v", name, err)
+			}
+			return nil
+		}
+		attach(ni, c)
+	}
+	fl, err := src.OpenFlow(spec)
+	if err != nil {
+		e.violate("engine", "%s flow: %v", name, err)
+	}
+	return fl
 }
 
 // connectProbe (re)connects a node's probe client; restarted nodes call
@@ -732,29 +424,21 @@ func (e *engine) connectProbe(ni int) {
 	c.OnDeliver(func(session.Delivery) { e.probeGot[ni]++ })
 }
 
+// scheduleTraffic paces each flow's sends across the fault window:
+// stream, then multicast, then the intrusion-tolerant stream.
 func (e *engine) scheduleTraffic() {
-	o := e.w.O
-	nStream := int(e.camp.Duration / streamInterval)
-	for k := 0; k < nStream; k++ {
-		o.Sched.At(e.base+time.Duration(k)*streamInterval, func() {
-			if e.streamFlow != nil && e.streamFlow.Send([]byte("stream")) == nil {
-				e.streamSent++
-			}
-		})
-	}
-	nMcast := int(e.camp.Duration / mcastInterval)
-	for k := 0; k < nMcast; k++ {
-		o.Sched.At(e.base+time.Duration(k)*mcastInterval, func() {
-			if e.mcastFlow != nil && e.mcastFlow.Send([]byte("mcast")) == nil {
-				e.mcastSent++
-			}
-		})
-	}
-	nIT := int(e.camp.Duration / itInterval)
-	for k := 0; k < nIT; k++ {
-		o.Sched.At(e.base+time.Duration(k)*itInterval, func() {
-			if e.itFlow != nil && e.itFlow.Send([]byte("fairshed")) == nil {
-				e.itSent++
+	e.sendEvery(streamInterval, e.streamFlow, "stream", &e.streamSent)
+	e.sendEvery(mcastInterval, e.mcastFlow, "mcast", &e.mcastSent)
+	e.sendEvery(itInterval, e.itFlow, "fairshed", &e.itSent)
+}
+
+// sendEvery schedules one send of payload on fl per interval, counting
+// the sends the flow accepts in *sent.
+func (e *engine) sendEvery(interval time.Duration, fl *session.Flow, payload string, sent *int) {
+	for k := 0; k < int(e.camp.Duration/interval); k++ {
+		e.w.O.Sched.At(e.base+time.Duration(k)*interval, func() {
+			if fl != nil && fl.Send([]byte(payload)) == nil {
+				(*sent)++
 			}
 		})
 	}

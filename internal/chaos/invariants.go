@@ -124,9 +124,7 @@ func (e *engine) checkGroups() {
 // somewhere. Silent counters mean the instrumentation — or the detection
 // machinery it watches — is broken.
 func (e *engine) checkHealth() {
-	topoFault := e.appliedKinds[KindCutLink] || e.appliedKinds[KindPartition] ||
-		e.appliedKinds[KindISPOutage] || e.appliedKinds[KindCrashNode]
-	if !topoFault {
+	if !e.severed {
 		return
 	}
 	e.stats.InvariantChecks++

@@ -25,15 +25,16 @@ func Minimize(c Campaign) (Campaign, *Report, error) {
 	if err != nil {
 		return Campaign{}, nil, err
 	}
-	runPrefix := func(n int) (*Report, error) {
-		return Run(Campaign{
+	prefix := func(n int) Campaign {
+		return Campaign{
 			Name:     c.Name,
 			Topo:     c.Topo,
 			Seed:     c.Seed,
 			Duration: c.Duration,
 			Script:   append([]Event(nil), events[:n]...),
-		})
+		}
 	}
+	runPrefix := func(n int) (*Report, error) { return Run(prefix(n)) }
 	full, err := runPrefix(len(events))
 	if err != nil {
 		return Campaign{}, nil, err
@@ -57,12 +58,5 @@ func Minimize(c Campaign) (Campaign, *Report, error) {
 			lo = mid + 1
 		}
 	}
-	minimal := Campaign{
-		Name:     c.Name,
-		Topo:     c.Topo,
-		Seed:     c.Seed,
-		Duration: c.Duration,
-		Script:   append([]Event(nil), events[:hi]...),
-	}
-	return minimal, best, nil
+	return prefix(hi), best, nil
 }

@@ -6,92 +6,6 @@ import (
 	"time"
 )
 
-// Kind names one fault or repair primitive. Faults come in pairs: every
-// fault kind has a matching repair kind, and the engine reference-counts
-// overlapping faults on the same underlay resource so a repair never
-// resurrects capacity another outstanding fault still holds down.
-type Kind string
-
-const (
-	// KindCutLink severs both fibers of one overlay link (Arg = link
-	// index). Short cut/restore pairs are "flaps" — faster than hello
-	// convergence when the window is under HelloInterval × HelloMiss.
-	KindCutLink Kind = "cut-link"
-	// KindRestoreLink repairs a prior cut of the same link.
-	KindRestoreLink Kind = "restore-link"
-	// KindCrashNode crash-stops a node with total state loss (Arg = node
-	// index): its site drops off the underlay and its session manager,
-	// link-state database, and sequence counters die with it.
-	KindCrashNode Kind = "crash-node"
-	// KindRestartNode boots a fresh incarnation of a crashed node.
-	KindRestartNode Kind = "restart-node"
-	// KindPartition cuts every fiber crossing a node bipartition (Mask
-	// bit i = world node index i in group A).
-	KindPartition Kind = "partition"
-	// KindHeal repairs a prior partition with the same mask.
-	KindHeal Kind = "heal"
-	// KindISPOutage severs every fiber of one provider backbone (Arg =
-	// ISP index 0 or 1): the correlated failure multihoming exists to
-	// survive.
-	KindISPOutage Kind = "isp-outage"
-	// KindISPRestore repairs a prior ISP outage.
-	KindISPRestore Kind = "isp-restore"
-	// KindBrownout imposes extra Bernoulli loss on one provider (Arg =
-	// ISP index, Val = loss in permille): a burst-loss storm rather than
-	// a clean cut.
-	KindBrownout Kind = "brownout"
-	// KindBrownoutEnd lifts a prior brownout.
-	KindBrownoutEnd Kind = "brownout-end"
-	// KindLatencySpike multiplies one link's primary-fiber latency (Arg =
-	// link index, Val = factor ×10) and adds jitter.
-	KindLatencySpike Kind = "latency-spike"
-	// KindLatencyNormal restores a spiked link's designed latency.
-	KindLatencyNormal Kind = "latency-normal"
-	// KindLeaveNode departs a node gracefully (Arg = node index): it
-	// floods its departure record (in membership worlds), withdraws its
-	// link-state advertisements, and stops.
-	KindLeaveNode Kind = "leave-node"
-	// KindRejoinNode rejoins a departed node as a fresh incarnation: it
-	// restarts with its deliberately stale seeded directory and — in
-	// membership worlds — re-runs admission through the lowest-index
-	// alive contact, healing the stale state by anti-entropy.
-	KindRejoinNode Kind = "rejoin-node"
-	// KindCorruptView corrupts one node's control-plane state in place
-	// (Arg = node index, Val selects the flavor): a bogus departure
-	// record planted in its member directory, or a live link marked down
-	// in its topology view. There is no repair event — the
-	// self-stabilizing detector/corrector sweeps must converge the fleet
-	// back, within the stabilization bound, on their own.
-	KindCorruptView Kind = "corrupt-view"
-)
-
-// repairOf maps each fault kind to its repair kind.
-var repairOf = map[Kind]Kind{
-	KindCutLink:      KindRestoreLink,
-	KindCrashNode:    KindRestartNode,
-	KindPartition:    KindHeal,
-	KindISPOutage:    KindISPRestore,
-	KindBrownout:     KindBrownoutEnd,
-	KindLatencySpike: KindLatencyNormal,
-	KindLeaveNode:    KindRejoinNode,
-}
-
-// isFault reports whether a kind injects (rather than repairs) adversity.
-// Corrupt-view is the exception with no repair pair: the protocol's own
-// stabilization sweeps are its repair, so it is generator-usable but
-// never holds underlay capacity down.
-func isFault(k Kind) bool { _, ok := repairOf[k]; return ok }
-
-// generatorKind reports whether a kind may appear in a GeneratorSpec.
-func generatorKind(k Kind) bool { return isFault(k) || k == KindCorruptView }
-
-// FaultKinds lists every fault kind usable in a GeneratorSpec, in stable
-// order.
-func FaultKinds() []Kind {
-	return []Kind{KindCutLink, KindCrashNode, KindLeaveNode, KindPartition,
-		KindISPOutage, KindBrownout, KindLatencySpike, KindCorruptView}
-}
-
 // Event is one scheduled fault or repair, at a campaign-relative virtual
 // time. Arg addresses a link index, node index, or ISP index depending on
 // Kind; Val carries a magnitude (brownout loss permille, latency factor
@@ -128,8 +42,7 @@ func (e Event) Equal(o Event) bool {
 // world starts moving, so a campaign's behaviour depends only on the
 // concrete script and the world seed — the foundation of replay.
 type GeneratorSpec struct {
-	// Kind is a fault kind: cut-link, crash-node, partition, isp-outage,
-	// brownout, or latency-spike.
+	// Kind is one of FaultKinds.
 	Kind Kind `json:"kind"`
 	// Rate is the target fault-injection rate in faults per second of
 	// campaign window.
@@ -167,44 +80,24 @@ func (c Campaign) Validate() error {
 		return fmt.Errorf("chaos: negative duration %v", c.Duration)
 	}
 	for _, ev := range c.Script {
-		if err := validateEvent(ev, t); err != nil {
+		f, _ := faultOf(ev.Kind)
+		switch {
+		case ev.At < 0:
+			return fmt.Errorf("chaos: event %v before campaign start", ev)
+		case f == nil:
+			return fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
+		}
+		if err := f.space.check(ev, t); err != nil {
 			return err
 		}
 	}
 	for _, g := range c.Generators {
-		if !generatorKind(g.Kind) {
+		if f, repair := faultOf(g.Kind); f == nil || repair {
 			return fmt.Errorf("chaos: generator kind %q is not a fault kind", g.Kind)
 		}
 		if g.Rate <= 0 {
 			return fmt.Errorf("chaos: generator %q needs a positive rate", g.Kind)
 		}
-	}
-	return nil
-}
-
-func validateEvent(ev Event, t Topology) error {
-	if ev.At < 0 {
-		return fmt.Errorf("chaos: event %v before campaign start", ev)
-	}
-	switch ev.Kind {
-	case KindCutLink, KindRestoreLink, KindLatencySpike, KindLatencyNormal:
-		if ev.Arg < 0 || ev.Arg >= len(t.Pairs) {
-			return fmt.Errorf("chaos: event %v: link index out of range", ev)
-		}
-	case KindCrashNode, KindRestartNode, KindLeaveNode, KindRejoinNode, KindCorruptView:
-		if ev.Arg < 0 || ev.Arg >= t.N {
-			return fmt.Errorf("chaos: event %v: node index out of range", ev)
-		}
-	case KindISPOutage, KindISPRestore, KindBrownout, KindBrownoutEnd:
-		if ev.Arg < 0 || ev.Arg > 1 {
-			return fmt.Errorf("chaos: event %v: ISP index out of range", ev)
-		}
-	case KindPartition, KindHeal:
-		if ev.Mask.Empty() || ev.Mask.MaxBit() >= t.N {
-			return fmt.Errorf("chaos: event %v: partition mask empty or out of range", ev)
-		}
-	default:
-		return fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
 	}
 	return nil
 }
