@@ -186,7 +186,8 @@ type Manager struct {
 
 	neighbors wire.NodeTable[*neighborState]
 	// order lists neighbors in ascending ID order. Every full advertisement
-	// walks it, so it stays beside the table: a walk of the table spans the
+	// and, through Neighbors, every control flood of the host node walks
+	// it, so it stays beside the table: a walk of the table spans the
 	// largest neighbor ID, not the node's degree.
 	order []wire.NodeID
 	// db numbers this node's advertisements, orders everyone else's and
@@ -290,15 +291,7 @@ func (m *Manager) DisableNeighbor(n wire.NodeID) {
 	st.pendingAck = false
 	st.missed = 0
 	st.timer.Stop()
-	if st.up {
-		st.up = false
-		m.stats.DownDetections++
-		m.applyLocal(st, false)
-		m.originateDelta(st)
-		if m.onNeighborState != nil {
-			m.onNeighborState(n, false)
-		}
-	}
+	m.declareDown(n, st)
 }
 
 // EnableNeighbor resumes hello probing of a previously disabled neighbor
@@ -430,6 +423,11 @@ func (m *Manager) SetOnPeerEpoch(fn func(neighbor wire.NodeID, epoch uint32)) {
 	m.onPeerEpoch = fn
 }
 
+// Neighbors returns the registered neighbors in ascending ID order. The
+// slice is the manager's own: callers read it and must not keep it
+// across a neighbor registration.
+func (m *Manager) Neighbors() []wire.NodeID { return m.order }
+
 // NeighborUp reports whether the link to a neighbor is considered up.
 func (m *Manager) NeighborUp(n wire.NodeID) bool {
 	st := m.neighbors.At(n)
@@ -510,16 +508,24 @@ func (m *Manager) helloTimeout(n wire.NodeID, st *neighborState) {
 		st.curPath = 0
 		m.env.SetPath(n, 0)
 	}
-	if st.up {
-		st.up = false
-		m.stats.DownDetections++
-		m.applyLocal(st, false)
-		// A single link changed: flood a delta so reconvergence traffic
-		// scales with the change, not with this node's degree.
-		m.originateDelta(st)
-		if m.onNeighborState != nil {
-			m.onNeighborState(n, false)
-		}
+	m.declareDown(n, st)
+}
+
+// declareDown takes an up link to a neighbor down, the one path both a
+// hello timeout and DisableNeighbor take: the local view marks it, a
+// delta floods (a single link changed, so reconvergence traffic scales
+// with the change, not with this node's degree), and the neighbor-state
+// callback runs.
+func (m *Manager) declareDown(n wire.NodeID, st *neighborState) {
+	if !st.up {
+		return
+	}
+	st.up = false
+	m.stats.DownDetections++
+	m.applyLocal(st, false)
+	m.originateDelta(st)
+	if m.onNeighborState != nil {
+		m.onNeighborState(n, false)
 	}
 }
 

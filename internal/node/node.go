@@ -13,7 +13,6 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"sonet/internal/groups"
@@ -168,11 +167,11 @@ type Node struct {
 	memMgr *membership.Manager
 	engine *routing.Engine
 
+	// neighbors is indexed by neighbor ID. Control floods walk the same
+	// neighbors in ascending order through linkstate.Manager.Neighbors:
+	// every addNeighbor is paired with the manager's AddNeighbor (New) or
+	// AddNeighborLive (SyncTopology).
 	neighbors wire.NodeTable[*neighborLink]
-	// neighborOrder lists neighbors in ascending ID order. Every control
-	// flood fans out over it, so it stays beside the table: a walk of the
-	// table spans the largest neighbor ID, not the node's degree.
-	neighborOrder []wire.NodeID
 
 	deliver      func(*wire.Packet)
 	onViewChange func()
@@ -239,8 +238,6 @@ func New(cfg Config) (*Node, error) {
 // data plane's peer tables.
 func (n *Node) addNeighbor(peer wire.NodeID, lid wire.LinkID, latency time.Duration) {
 	n.neighbors.Put(peer, &neighborLink{})
-	i, _ := slices.BinarySearch(n.neighborOrder, peer)
-	n.neighborOrder = slices.Insert(n.neighborOrder, i, peer)
 	n.plane.admit(peer, lid, latency)
 }
 
@@ -707,7 +704,7 @@ func (e *memEnv) Send(to wire.NodeID, payload []byte) {
 	e.n.sendControl(wire.PTMembership, to, payload)
 }
 
-func (e *memEnv) Neighbors() []wire.NodeID { return e.n.neighborOrder }
+func (e *memEnv) Neighbors() []wire.NodeID { return e.n.lsMgr.Neighbors() }
 
 // grpEnv adapts the node to groups.Env.
 type grpEnv struct{ n *Node }
@@ -741,7 +738,7 @@ func (n *Node) sendControl(t wire.PacketType, neighbor wire.NodeID, payload []by
 // single packet value serves the whole fan-out.
 func (n *Node) floodControl(t wire.PacketType, payload []byte, except wire.NodeID) {
 	p := n.controlPacket(t, payload)
-	for _, peer := range n.neighborOrder {
+	for _, peer := range n.lsMgr.Neighbors() {
 		if peer != except {
 			n.ctl.protoFor(n.ctl.peers.At(peer), wire.LPBestEffort).Send(p)
 		}
