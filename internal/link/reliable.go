@@ -285,15 +285,16 @@ func (r *Reliable) transmitNew(sf *sentFrame) {
 	r.ring[seq&uint32(len(r.ring)-1)] = sf
 	r.inFlight++
 	r.stats.DataSent++
+	now := r.env.Clock().Now()
 	r.tx = wire.Frame{
 		Proto:    wire.LPReliable,
 		Kind:     wire.FData,
 		Seq:      seq,
-		SendTime: r.env.Clock().Now(),
+		SendTime: now,
 		Packet:   &sf.pkt,
 	}
 	r.env.Transmit(&r.tx)
-	r.armRTO()
+	r.armRTO(now)
 }
 
 // HandleFrame implements Protocol.
@@ -383,8 +384,9 @@ func (r *Reliable) request(due []seqno.Request) {
 }
 
 func (r *Reliable) onAck(f *wire.Frame) {
+	now := r.env.Clock().Now()
 	if f.SendTime > 0 {
-		rtt := r.env.Clock().Now() - f.SendTime
+		rtt := now - f.SendTime
 		if rtt > 0 {
 			if r.srtt == 0 {
 				r.srtt = rtt
@@ -410,7 +412,7 @@ func (r *Reliable) onAck(f *wire.Frame) {
 	for r.queue.Len() > 0 && !r.windowFull() {
 		r.transmitNew(r.queue.Pop())
 	}
-	r.armRTO()
+	r.armRTO(now)
 }
 
 func (r *Reliable) onReq(f *wire.Frame) {
@@ -441,14 +443,14 @@ func (r *Reliable) retransmit(seq uint32, entry *sentFrame) {
 	r.env.Transmit(&r.tx)
 }
 
-// armRTO (re)arms the sender retransmission timer when frames are in
-// flight.
-func (r *Reliable) armRTO() {
+// armRTO (re)arms the sender retransmission timer for rto after now,
+// the caller's reading of the clock, when frames are in flight.
+func (r *Reliable) armRTO(now time.Duration) {
 	if r.inFlight == 0 {
 		r.rtoTimer.Stop()
 		return
 	}
-	r.rtoTimer.Reset(r.rto)
+	r.rtoTimer.ResetAt(now + r.rto)
 }
 
 // onRTO retransmits the serially oldest outstanding frame and backs off.
@@ -458,7 +460,7 @@ func (r *Reliable) onRTO() {
 	}
 	r.retransmit(r.low, r.inFlightSlot(r.low))
 	r.rto = clampDur(2*r.rto, rtoMin)
-	r.armRTO()
+	r.armRTO(r.env.Clock().Now())
 }
 
 // Stats implements Protocol.

@@ -96,6 +96,64 @@ func TestReliableLinkAllocBudget(t *testing.T) {
 	}
 }
 
+// countingClock counts the readings protocol code takes of its clock: a
+// Now, or a relative Reset, which reads the clock to find its deadline.
+// An absolute ResetAt reads nothing.
+type countingClock struct {
+	sim.Clock
+	reads int
+}
+
+func (c *countingClock) Now() time.Duration {
+	c.reads++
+	return c.Clock.Now()
+}
+
+func (c *countingClock) NewTimer(fn func()) sim.Timer {
+	return countingTimer{c.Clock.NewTimer(fn), c}
+}
+
+type countingTimer struct {
+	sim.Timer
+	c *countingClock
+}
+
+func (t countingTimer) Reset(d time.Duration) {
+	t.c.reads++
+	t.Timer.Reset(d)
+}
+
+// TestReliableClockReadsPerCycle pins the clock readings of the Reliable
+// link's steady state: the send stamp, which also arms the retransmission
+// timeout, and the ack's RTT sample, which re-arms it. An in-order arrival
+// reveals no gap and reads nothing.
+func TestReliableClockReadsPerCycle(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	clock := &countingClock{Clock: sched}
+	a, b := memPair(clock, ReliableConfig{})
+	cycle := func() {
+		a.proto.Send(dataPacket(1))
+		b.handleInbox() // data in, ack out
+		a.handleInbox() // ack in
+		sched.RunFor(time.Microsecond)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	const cycles = 100
+	clock.reads = 0
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	if perCycle := float64(clock.reads) / cycles; perCycle > 2 {
+		t.Fatalf("send→data→ack cycle reads the clock %.1f times, want at most 2", perCycle)
+	}
+	if b.delivered != 16+cycles || a.proto.Stats().Retransmissions != 0 {
+		t.Fatalf("delivered %d with %d retransmissions, want every send delivered once",
+			b.delivered, a.proto.Stats().Retransmissions)
+	}
+}
+
 // lastData returns the sequence of the most recent data frame sent.
 func lastData(t *testing.T, e *memEnd) uint32 {
 	t.Helper()

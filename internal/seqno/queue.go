@@ -110,11 +110,16 @@ func (q *Queue) Reveal(seq uint32) (clamped bool) {
 		q.reqs, q.lives = FIFO[gap]{}, FIFO[gap]{}
 		clamped = true
 	}
-	now := q.clock.Now()
+	// The clock is read at the first gap: an arrival that reveals none,
+	// the common case, needs no time.
+	now := time.Duration(-1)
 	q.due = q.due[:0]
 	for s := from + 1; s != seq; s++ {
 		if q.rx.Seen(s) {
 			continue
+		}
+		if now < 0 {
+			now = q.clock.Now()
 		}
 		q.lives.Push(gap{seq: s, due: now + q.s.Life})
 		g := gap{seq: s, due: now + q.s.Step, end: now + q.s.Life}
@@ -153,7 +158,7 @@ func (q *Queue) arm() {
 		return
 	}
 	q.at, q.armed = at, true
-	q.timer.Reset(at - q.clock.Now())
+	q.timer.ResetAt(at)
 }
 
 // fire gives up every gap whose life is over, then sends every request

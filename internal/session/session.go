@@ -410,7 +410,7 @@ func (st *reorderState) flushBy(deadline time.Duration) {
 		st.timer = st.c.mgr.clock.NewTimer(st.flushDue)
 	}
 	st.armed, st.due = true, deadline
-	st.timer.Reset(deadline - st.c.mgr.clock.Now())
+	st.timer.ResetAt(deadline)
 }
 
 // flushDue is a deadline flow's timer. It flushes to the highest held
@@ -434,7 +434,7 @@ func (st *reorderState) flushDue() {
 		}
 	}
 	if st.armed {
-		st.timer.Reset(st.due - now)
+		st.timer.ResetAt(st.due)
 	}
 }
 

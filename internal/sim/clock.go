@@ -14,11 +14,11 @@ import "time"
 
 // Timer is a handle to one callback on a Clock. The callback runs once per
 // arming: After arms it at creation, NewTimer leaves it idle until the
-// first Reset. A Timer belongs to the clock that made it and, like all
-// protocol state on that clock, is used from the clock's executor: Reset
-// and Stop are called from callbacks and posted closures of that
-// executor, which is what makes "Stop returned true" mean the callback
-// will not run.
+// first Reset or ResetAt. A Timer belongs to the clock that made it and,
+// like all protocol state on that clock, is used from the clock's
+// executor: it is armed and stopped from callbacks and posted closures of
+// that executor, which is what makes "Stop returned true" mean the
+// callback will not run.
 type Timer interface {
 	// Stop cancels the pending callback. It reports whether the call
 	// prevented the callback from firing (false if the callback already
@@ -28,8 +28,15 @@ type Timer interface {
 	// Reset arms the timer to fire d from now, whether it is pending (the
 	// deadline moves, earlier or later), stopped, or has fired — including
 	// from inside its own callback. A non-positive d fires as soon as
-	// possible, still asynchronously. Reset allocates nothing.
+	// possible, still asynchronously. Reset allocates nothing. It is
+	// ResetAt(Now() + max(d, 0)).
 	Reset(d time.Duration)
+
+	// ResetAt is Reset to the absolute clock time at: a caller that holds
+	// a deadline, or the time it was computed from, arms without reading
+	// the clock again. An at not after Now fires as soon as possible,
+	// still asynchronously.
+	ResetAt(at time.Duration)
 }
 
 // Clock provides virtual or real time to protocol code.

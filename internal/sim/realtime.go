@@ -141,17 +141,17 @@ type RealtimeClock struct {
 	exec  Executor
 	epoch time.Time
 
-	mu sync.Mutex
-	// base anchors elapsed-time measurement: Now is baseVal plus the
-	// monotonic-clock distance from base, so wall-clock steps (NTP) during
-	// or after startup cannot skew or freeze the clock. base always
-	// carries a monotonic reading — it is taken with time.Now at
-	// construction, or lazily on the first reading for struct-literal
-	// clocks whose epoch may be wall-only.
+	// anchor sets base and baseVal once, on the first reading: Now is
+	// baseVal plus the monotonic-clock distance from base, a time.Now
+	// reading, so wall-clock steps (NTP) cannot skew or freeze the clock
+	// and a reading takes no lock.
+	anchor  sync.Once
 	base    time.Time
 	baseVal time.Duration
-	last    time.Duration
 
+	// mu guards the timer heap and the runtime timer: start-up code arms
+	// its first timers before the executor runs.
+	mu     sync.Mutex
 	timers eventHeap
 	seq    uint64
 	// wake is the one runtime timer, made on the first arming. While
@@ -166,54 +166,36 @@ var _ Clock = (*RealtimeClock)(nil)
 // NewRealtimeClock returns a clock whose epoch is the moment of creation
 // and whose callbacks run on exec.
 func NewRealtimeClock(exec Executor) *RealtimeClock {
-	now := time.Now()
-	return &RealtimeClock{exec: exec, epoch: now, base: now}
+	return &RealtimeClock{exec: exec, epoch: time.Now()}
 }
 
 // NewRealtimeClockAt returns a clock anchored at a caller-supplied epoch
 // whose callbacks run on exec. A sharded daemon gives every shard loop
 // its own clock constructed from one shared epoch, so timestamps taken on
 // different shards (packet origins, scheduler deadlines) are mutually
-// comparable. The epoch should be a recent time.Now() reading: its
-// monotonic component anchors elapsed-time measurement.
+// comparable. The epoch should be a recent time.Now() reading: with its
+// monotonic component, the offset from it is measured on the monotonic
+// clock too.
 func NewRealtimeClockAt(exec Executor, epoch time.Time) *RealtimeClock {
-	return &RealtimeClock{exec: exec, epoch: epoch, base: epoch}
+	return &RealtimeClock{exec: exec, epoch: epoch}
 }
 
-// Now returns the time elapsed since the clock's epoch, measured on the
-// monotonic clock and clamped to be non-decreasing. Subtracting the epoch
-// directly would degrade to wall-clock arithmetic whenever the epoch lost
-// its monotonic reading (serialized, arithmetic-stripped, or predating the
-// process); a wall step would then make readings jump, freeze under the
-// non-decreasing clamp, or go negative — wrecking RTT estimates, timer
-// deadlines, and origin timestamps that assume time flows forward at one
-// second per second.
+// Now returns the time elapsed since the clock's epoch: one monotonic
+// reading, taken without a lock, so readings never decrease. Only the
+// first reading is measured against the epoch, clamped at zero. An epoch
+// that lost its monotonic reading (serialized, arithmetic-stripped, or
+// predating the process) would otherwise make every reading wall-clock
+// arithmetic, which a wall step makes jump, freeze, or go negative —
+// wrecking RTT estimates, timer deadlines, and origin timestamps that
+// assume time flows forward at one second per second.
 func (c *RealtimeClock) Now() time.Duration {
-	c.mu.Lock()
-	d := c.nowLocked()
-	c.mu.Unlock()
-	return d
+	c.anchor.Do(c.setBase)
+	return c.baseVal + time.Since(c.base)
 }
 
-func (c *RealtimeClock) nowLocked() time.Duration {
-	now := time.Now()
-	if c.base.IsZero() {
-		// Struct-literal construction: anchor to this first reading. The
-		// epoch offset is wall-only here, so clamp it — an epoch ahead of
-		// the wall clock must not read negative.
-		c.baseVal = now.Sub(c.epoch)
-		if c.baseVal < 0 {
-			c.baseVal = 0
-		}
-		c.base = now
-	}
-	d := c.baseVal + now.Sub(c.base)
-	if d < c.last {
-		d = c.last
-	} else {
-		c.last = d
-	}
-	return d
+func (c *RealtimeClock) setBase() {
+	c.base = time.Now()
+	c.baseVal = max(c.base.Sub(c.epoch), 0)
 }
 
 // After schedules fn on the executor d from now.
@@ -228,15 +210,15 @@ func (c *RealtimeClock) After(d time.Duration, fn func()) Timer {
 func (c *RealtimeClock) NewTimer(fn func()) Timer { return &event{fn: fn, q: c} }
 
 // arm implements timerQueue for Timer.Reset.
-func (c *RealtimeClock) arm(ev *event, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+func (c *RealtimeClock) arm(ev *event, d time.Duration) { c.armAt(ev, c.Now()+max(d, 0)) }
+
+// armAt implements timerQueue for Timer.ResetAt. It reads the clock only
+// when the runtime timer must move earlier.
+func (c *RealtimeClock) armAt(ev *event, at time.Duration) {
 	c.mu.Lock()
-	now := c.nowLocked()
-	c.timers.schedule(ev, now+d, c.seq)
+	c.timers.schedule(ev, at, c.seq)
 	c.seq++
-	c.armWake(now)
+	c.armWake()
 	c.mu.Unlock()
 }
 
@@ -252,7 +234,7 @@ func (c *RealtimeClock) disarm(ev *event) bool {
 
 // armWake makes sure an expiry pass is due no later than the earliest
 // deadline. c.mu is held.
-func (c *RealtimeClock) armWake(now time.Duration) {
+func (c *RealtimeClock) armWake() {
 	if len(c.timers) == 0 {
 		return
 	}
@@ -261,6 +243,7 @@ func (c *RealtimeClock) armWake(now time.Duration) {
 		return
 	}
 	c.waking, c.wakeAt = true, at
+	now := c.Now()
 	if c.wake != nil {
 		c.wake.Reset(at - now)
 		return
@@ -289,9 +272,9 @@ func (x *clockExpiry) Run() { (*RealtimeClock)(x).expire() }
 // themselves wait for the next pass even when already due, so a callback
 // that re-arms with no delay cannot keep the executor from its queue.
 func (c *RealtimeClock) expire() {
+	now := c.Now()
 	c.mu.Lock()
 	c.waking = false
-	now := c.nowLocked()
 	armedBefore := c.seq
 	for len(c.timers) > 0 {
 		ev := c.timers[0]
@@ -303,6 +286,6 @@ func (c *RealtimeClock) expire() {
 		ev.fn()
 		c.mu.Lock()
 	}
-	c.armWake(c.nowLocked())
+	c.armWake()
 	c.mu.Unlock()
 }

@@ -218,3 +218,45 @@ func TestRealtimeClockLiteralEpochAdvances(t *testing.T) {
 		t.Fatalf("Now() advanced %v while %v passed, want real progress", advanced, between)
 	}
 }
+
+// TestRealtimeClockNowRace reads Now from four goroutines on a
+// struct-literal clock, which anchors itself on the first reading, while
+// the executor arms and fires a timer that re-arms itself: a reading takes
+// no lock, so -race checks how the anchor is published, and each
+// goroutine's readings must never decrease.
+func TestRealtimeClockNowRace(t *testing.T) {
+	l := NewLoop()
+	defer l.Close()
+	c := &RealtimeClock{exec: l, epoch: time.Now()}
+	stop := make(chan struct{})
+	l.Post(func() {
+		var tm Timer
+		tm = c.NewTimer(func() {
+			select {
+			case <-stop:
+			default:
+				tm.Reset(time.Microsecond)
+			}
+		})
+		tm.Reset(0)
+	})
+	const readers, reads = 4, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := c.Now()
+			for i := 0; i < reads; i++ {
+				now := c.Now()
+				if now < prev {
+					t.Errorf("Now() ran backwards: %v then %v", prev, now)
+					return
+				}
+				prev = now
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+}

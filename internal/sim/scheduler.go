@@ -89,12 +89,11 @@ func (s *Scheduler) schedule(ev *event, at time.Duration) {
 }
 
 // arm implements timerQueue for Timer.Reset.
-func (s *Scheduler) arm(ev *event, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.schedule(ev, s.now+d)
-}
+func (s *Scheduler) arm(ev *event, d time.Duration) { s.schedule(ev, s.now+max(d, 0)) }
+
+// armAt implements timerQueue for Timer.ResetAt. Times in the past are
+// clamped to now, as in At.
+func (s *Scheduler) armAt(ev *event, at time.Duration) { s.schedule(ev, max(at, s.now)) }
 
 // disarm implements timerQueue for Timer.Stop.
 func (s *Scheduler) disarm(ev *event) bool { return s.events.remove(ev) }

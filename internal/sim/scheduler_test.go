@@ -475,13 +475,26 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 }
 
 // TestSchedulerTimersAllocBudget pins re-arming and cancelling a timer at
-// zero allocations (`make bench-guard`), and the dead-event bound with it.
+// zero allocations (`make bench-guard`), with Reset and with ResetAt later,
+// earlier and in the past, and the dead-event bound with it.
 func TestSchedulerTimersAllocBudget(t *testing.T) {
 	s := NewScheduler(1)
 	s.NewTimer(func() {}).Reset(time.Hour) // company in the heap
 	churn := timerChurn(s)
 	if avg := testing.AllocsPerRun(1000, churn); avg != 0 {
 		t.Fatalf("re-arm+cancel allocates %.2f allocs/op, budget is 0", avg)
+	}
+	tm := s.NewTimer(func() {})
+	churnAt := func() {
+		tm.ResetAt(s.Now() + time.Second)
+		tm.ResetAt(s.Now() + 2*time.Second)
+		tm.ResetAt(s.Now() + time.Millisecond)
+		tm.ResetAt(s.Now() - time.Second)
+		tm.Stop()
+		s.RunFor(time.Millisecond)
+	}
+	if avg := testing.AllocsPerRun(1000, churnAt); avg != 0 {
+		t.Fatalf("ResetAt+cancel allocates %.2f allocs/op, budget is 0", avg)
 	}
 	if pending := s.Pending(); pending != 1 {
 		t.Fatalf("heap holds %d events, want the 1 live timer", pending)

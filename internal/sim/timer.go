@@ -24,6 +24,9 @@ type event struct {
 type timerQueue interface {
 	// arm queues ev to fire d from now, moving it if already queued.
 	arm(ev *event, d time.Duration)
+	// armAt queues ev to fire at clock time at, moving it if already
+	// queued.
+	armAt(ev *event, at time.Duration)
 	// disarm removes ev from the queue, reporting whether it was there.
 	disarm(ev *event) bool
 }
@@ -32,6 +35,9 @@ var _ Timer = (*event)(nil)
 
 // Reset implements Timer.
 func (e *event) Reset(d time.Duration) { e.q.arm(e, d) }
+
+// ResetAt implements Timer.
+func (e *event) ResetAt(at time.Duration) { e.q.armAt(e, at) }
 
 // Stop implements Timer.
 func (e *event) Stop() bool { return e.q.disarm(e) }

@@ -81,7 +81,7 @@ func realtimeRig(t *testing.T, exec Executor, m *markedLoop) clockRig {
 		pass: func(d time.Duration) {
 			target := c.Now() + d
 			await("the clock to pass its target with nothing due queued", func() bool {
-				return c.nowLocked() >= target && (len(c.timers) == 0 || c.timers[0].at > target)
+				return c.Now() >= target && (len(c.timers) == 0 || c.timers[0].at > target)
 			})
 		},
 		settle: func() {
@@ -246,6 +246,47 @@ func TestTimerContract(t *testing.T) {
 			})
 			r.pass(tick)
 			f.check(t, r, due)
+		},
+		"ResetAt in the past fires asynchronously": func(t *testing.T, r clockRig) {
+			var f firing
+			var now time.Duration
+			r.do(func() {
+				tm := r.clock.NewTimer(f.callback(r))
+				now = r.clock.Now()
+				tm.ResetAt(now - tick)
+				if len(f.at) != 0 {
+					t.Error("ResetAt in the past ran the callback inside the call")
+				}
+			})
+			r.pass(0)
+			f.check(t, r, now)
+		},
+		"ResetAt(Now()+d) is Reset(d)": func(t *testing.T, r clockRig) {
+			// b is armed after a each time, for the same d from a later
+			// reading, so it fires after a: at the same instant in
+			// virtual time.
+			var fa, fb firing
+			var order []string
+			var aDue, bDue time.Duration
+			r.do(func() {
+				ca, cb := fa.callback(r), fb.callback(r)
+				a := r.clock.NewTimer(func() { order = append(order, "a"); ca() })
+				b := r.clock.NewTimer(func() { order = append(order, "b"); cb() })
+				for _, d := range []time.Duration{tick, time.Hour, 2 * tick} {
+					aDue = r.clock.Now() + d
+					a.Reset(d)
+					bDue = r.clock.Now() + d
+					b.ResetAt(bDue)
+				}
+			})
+			r.pass(2 * tick)
+			fa.check(t, r, aDue)
+			fb.check(t, r, bDue)
+			r.do(func() {
+				if len(order) != 2 || order[0] != "a" {
+					t.Errorf("fired in order %v, want [a b]", order)
+				}
+			})
 		},
 		"Reset revives a stopped timer": func(t *testing.T, r clockRig) {
 			var f firing
@@ -450,14 +491,22 @@ func (w *stopAfterWorld) reset(i int, d time.Duration) {
 	w.cur[i] = w.s.After(d, w.fns[i])
 }
 
+func (w *stopAfterWorld) resetAt(i int, at time.Duration) {
+	if w.cur[i] != nil {
+		w.cur[i].Stop()
+	}
+	w.cur[i] = w.s.At(at, w.fns[i])
+}
+
 func (w *stopAfterWorld) stop(i int) bool { return w.cur[i] != nil && w.cur[i].Stop() }
 
 // resetWorld expresses the same operations with one handle per logical
 // timer, made once.
 type resetWorld struct{ timers []Timer }
 
-func (w *resetWorld) reset(i int, d time.Duration) { w.timers[i].Reset(d) }
-func (w *resetWorld) stop(i int) bool              { return w.timers[i].Stop() }
+func (w *resetWorld) reset(i int, d time.Duration)    { w.timers[i].Reset(d) }
+func (w *resetWorld) resetAt(i int, at time.Duration) { w.timers[i].ResetAt(at) }
+func (w *resetWorld) stop(i int) bool                 { return w.timers[i].Stop() }
 
 type traceRunner struct {
 	trace *[]traceEntry
@@ -474,14 +523,16 @@ func (r *traceRunner) Run() { *r.trace = append(*r.trace, traceEntry{r.id, r.s.N
 
 // TestSchedulerResetMatchesStopAfter is the differential property behind
 // "replays stay identical": a seeded random mix of NewTimer/Reset/Stop on
-// logical timers, one-shot After and AfterRunner events, callbacks that
-// re-arm other timers, and clock advances produces the same firing trace
-// — same callbacks, same instants, same order among equal instants —
-// whether re-arming is Reset in place or Stop plus a fresh After.
+// logical timers, ResetAt to instants ahead and behind, one-shot After and
+// AfterRunner events, callbacks that re-arm other timers, and clock
+// advances produces the same firing trace — same callbacks, same instants,
+// same order among equal instants — whether re-arming is Reset or ResetAt
+// in place or Stop plus a fresh After or At.
 func TestSchedulerResetMatchesStopAfter(t *testing.T) {
 	const timers, ops = 12, 4000
 	type world interface {
 		reset(i int, d time.Duration)
+		resetAt(i int, at time.Duration)
 		stop(i int) bool
 	}
 	run := func(seed uint64, inPlace bool) (trace []traceEntry, stops []bool, ran uint64, pending int) {
@@ -515,9 +566,11 @@ func TestSchedulerResetMatchesStopAfter(t *testing.T) {
 		}
 		for op := 0; op < ops; op++ {
 			i := rng.IntN(timers)
-			switch rng.IntN(8) {
+			switch rng.IntN(9) {
 			case 0, 1, 2:
 				w.reset(i, delay())
+			case 8:
+				w.resetAt(i, s.Now()+delay()-4*time.Millisecond)
 			case 3:
 				stops = append(stops, w.stop(i))
 			case 4:
@@ -559,8 +612,8 @@ func TestSchedulerResetMatchesStopAfter(t *testing.T) {
 }
 
 // TestRealtimeTimerAllocBudget pins re-arming a real-time timer — later,
-// earlier (which re-arms the runtime timer) and stopped — at zero
-// allocations (`make bench-guard`).
+// earlier (which re-arms the runtime timer), in the past and stopped, with
+// Reset and with ResetAt — at zero allocations (`make bench-guard`).
 func TestRealtimeTimerAllocBudget(t *testing.T) {
 	l := NewLoop()
 	defer l.Close()
@@ -573,6 +626,11 @@ func TestRealtimeTimerAllocBudget(t *testing.T) {
 		tm.Reset(time.Minute)
 		tm.Stop()
 		tm.Reset(time.Hour)
+		now := c.Now()
+		tm.ResetAt(now + 3*time.Hour)
+		tm.ResetAt(now + time.Minute)
+		tm.ResetAt(now - time.Hour)
+		tm.ResetAt(now + time.Hour)
 	}
 	if avg := testing.AllocsPerRun(1000, rearm); avg != 0 {
 		t.Fatalf("re-arming a real-time timer allocates %.2f allocs/op, budget is 0", avg)
