@@ -56,14 +56,9 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	raw, err := os.ReadFile(*cfgPath)
+	cfg, err := loadConfig(*cfgPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sonetd: %v\n", err)
-		return 1
-	}
-	var cfg transport.DaemonConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "sonetd: parse %s: %v\n", *cfgPath, err)
 		return 1
 	}
 	if *shards != 0 {
@@ -139,7 +134,7 @@ func applyMembershipDelta(d *transport.Daemon, cur *transport.DaemonConfig, next
 				peer = l.B
 			}
 			addrs := next.Peers[peer]
-			if err := d.AdmitPeer(peer, linkLatencyMs(next, cur.ID, peer), addrs...); err != nil {
+			if err := d.AdmitPeer(peer, l.LatencyMs, addrs...); err != nil {
 				fmt.Fprintf(os.Stderr, "sonetd: admit %v: %v\n", peer, err)
 				continue
 			}
@@ -214,17 +209,4 @@ func linkKey(a, b wire.NodeID) [2]wire.NodeID {
 		a, b = b, a
 	}
 	return [2]wire.NodeID{a, b}
-}
-
-// linkLatencyMs finds the designed latency of the a-b link in the
-// reloaded topology, defaulting to 10 ms (the paper's favored link).
-func linkLatencyMs(cfg transport.DaemonConfig, a, b wire.NodeID) int {
-	for _, l := range cfg.Links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			if l.LatencyMs > 0 {
-				return l.LatencyMs
-			}
-		}
-	}
-	return 10
 }

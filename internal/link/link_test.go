@@ -71,8 +71,9 @@ func (e *pipeEnd) arrive(buf []byte, d time.Duration) {
 	})
 }
 
+// Deliver keeps a copy: the link lends the packet for the call.
 func (e *pipeEnd) Deliver(p *wire.Packet) {
-	e.delivered = append(e.delivered, p)
+	e.delivered = append(e.delivered, p.Clone())
 }
 
 func dataPacket(seq uint32) *wire.Packet {

@@ -96,6 +96,45 @@ func TestReliableLinkAllocBudget(t *testing.T) {
 	}
 }
 
+// TestReliableInOrderHoldAllocBudget pins the in-order ablation's hold-back
+// at zero allocations (`make bench-guard`): every cycle a warmed in-order
+// endpoint receives two frames swapped, holds the second in a pooled
+// buffer, and releases it when the first fills the gap. The request the
+// gap sends brings a retransmission, dropped as a duplicate, and the gap
+// queue's timer drops the gap once it has arrived.
+func TestReliableInOrderHoldAllocBudget(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	sched := sim.NewScheduler(1)
+	a, b := memPair(sched, ReliableConfig{InOrderForwarding: true})
+	p := dataPacket(1)
+	p.Payload = make([]byte, 64)
+	cycle := func() {
+		a.proto.Send(p)
+		a.proto.Send(p)
+		b.inbox[0], b.inbox[1] = b.inbox[1], b.inbox[0]
+		b.handleInbox() // the second frame is held, the first releases it
+		a.handleInbox() // acks, and the gap's request retransmits the first
+		b.handleInbox() // the retransmission is a duplicate
+		a.handleInbox()
+		sched.RunFor(30 * time.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm the hold-back buffer, the pool and the gap queue
+	}
+	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
+		t.Fatalf("a cycle holding one frame allocates %.2f allocs/op, budget is 0", avg)
+	}
+	if st := b.proto.Stats(); b.delivered != 2*601 || st.Delivered != 2*601 || st.DuplicatesDropped == 0 {
+		t.Fatalf("delivered %d (%d counted) with %d duplicates, want %d and some duplicates",
+			b.delivered, st.Delivered, st.DuplicatesDropped, 2*601)
+	}
+	if b.proto.hold.Len() != 0 || a.proto.OutstandingFrames() != 0 {
+		t.Fatalf("%d frames held, %d outstanding after the last cycle", b.proto.hold.Len(), a.proto.OutstandingFrames())
+	}
+}
+
 // countingClock counts the readings protocol code takes of its clock: a
 // Now, or a relative Reset, which reads the clock to find its deadline.
 // An absolute ResetAt reads nothing.

@@ -25,8 +25,8 @@ import (
 
 // EpochMask bounds the link-session epoch carried in hello Seq values:
 // the low byte holds the underlay path index, the upper 24 bits the
-// sender's epoch. A host keeps its epochs in these 24 bits and compares
-// them in serial arithmetic modulo 2^24, so wrap-around is harmless.
+// sender's epoch. Epochs stay within these 24 bits and compare in serial
+// arithmetic modulo 2^24 (epochAhead), so wrap-around is harmless.
 const EpochMask = 0xffffff
 
 // Env is what the manager needs from its host overlay node.
@@ -174,6 +174,17 @@ type neighborState struct {
 	ackCount   int
 	loss       float64
 	timer      sim.Timer
+	// epoch numbers the link's session incarnation: it bumps on every
+	// down/up transition, when the host restarts the link's protocol
+	// endpoints, and is advertised in hellos so the peer can detect
+	// restarts it did not itself observe (an asymmetric loss streak resets
+	// only the lossy side; the peer's stale receive windows would
+	// otherwise swallow — and acknowledge — the fresh sequences).
+	epoch uint32
+	// awaitPeer is set after a local restart until the peer confirms the
+	// new epoch; a confirming hello restarts the sessions once more, to
+	// clear anything the peer's old endpoints sent in the interim.
+	awaitPeer bool
 }
 
 // Manager is the Connectivity Graph Maintenance component for one node.
@@ -201,13 +212,10 @@ type Manager struct {
 	ctl    wire.Frame
 	stats  Stats
 	closed bool
-	// sessionEpoch, when set, supplies the link-session epoch advertised
-	// in hellos; onPeerEpoch, when set, receives the epoch carried by
-	// each hello from a neighbor.
-	sessionEpoch func(wire.NodeID) uint32
-	onPeerEpoch  func(wire.NodeID, uint32)
-	// onNeighborState, when set, is invoked after an adjacent link is
-	// declared down or back up.
+	// onSessionReset is invoked whenever a neighbor's link sessions must
+	// restart, and onNeighborState after an adjacent link is declared down
+	// or back up; both do nothing until the host sets them.
+	onSessionReset  func(wire.NodeID)
 	onNeighborState func(wire.NodeID, bool)
 	// started records that Start ran, so neighbors registered afterwards
 	// (runtime joins) begin probing immediately.
@@ -221,11 +229,13 @@ type Manager struct {
 // AddNeighbor before Start.
 func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Manager {
 	m := &Manager{
-		env:  env,
-		self: self,
-		view: view,
-		cfg:  cfg.withDefaults(),
-		db:   flood.New(self),
+		env:             env,
+		self:            self,
+		view:            view,
+		cfg:             cfg.withDefaults(),
+		db:              flood.New(self),
+		onSessionReset:  func(wire.NodeID) {},
+		onNeighborState: func(wire.NodeID, bool) {},
 	}
 	m.refreshTimer = env.Clock().NewTimer(m.refresh)
 	return m
@@ -394,33 +404,23 @@ func (m *Manager) TableBytes() int { return m.neighbors.Bytes() + m.db.TableByte
 func (m *Manager) FloodStats() flood.Stats { return m.db.Stats() }
 
 // SetOnNeighborState installs a callback invoked after an adjacent link is
-// declared down (up=false) or recovers (up=true). The host node uses it to
-// reset per-neighbor link-protocol sessions: across a down window frames
-// were lost wholesale — or the peer crashed and restarted with fresh
-// sequence state — so the old windows would misclassify the peer's next
-// frames as duplicates or wild jumps. Both endpoints observe the
-// transition through their own hello machinery, so both reset.
+// declared down (up=false) or recovers (up=true), right after the link's
+// sessions were restarted.
 func (m *Manager) SetOnNeighborState(fn func(neighbor wire.NodeID, up bool)) {
 	m.onNeighborState = fn
 }
 
-// SetSessionEpoch installs the provider of the node's link-session epoch
-// for a neighbor, advertised in every hello. The epoch increments each
-// time the node resets its link-protocol endpoints, letting the peer
-// detect resets it cannot observe through its own hello machinery — a
-// one-sided hello-loss streak resets only the lossy side, and without the
-// epoch the peer's stale receive windows would silently swallow (and
-// acknowledge) the fresh endpoint's restarted sequence numbers.
-func (m *Manager) SetSessionEpoch(fn func(neighbor wire.NodeID) uint32) {
-	m.sessionEpoch = fn
-}
-
-// SetOnPeerEpoch installs a callback invoked with the neighbor's
-// link-session epoch carried by each received hello; the host node uses
-// it to resynchronize its own endpoints with peer resets (see
-// SetSessionEpoch).
-func (m *Manager) SetOnPeerEpoch(fn func(neighbor wire.NodeID, epoch uint32)) {
-	m.onPeerEpoch = fn
+// SetOnSessionReset installs the callback that restarts the link-protocol
+// sessions to a neighbor. It runs on every down/up transition: across a
+// down window frames were lost wholesale — or the peer crashed and
+// restarted with fresh sequence state — so the old windows would
+// misclassify the peer's next frames as duplicates or wild jumps. Both
+// endpoints observe a transition through their own hello machinery, so
+// both restart. It also runs when the link-session epoch in a neighbor's
+// hellos shows the peer restarted without this end seeing a transition,
+// and once more when the peer confirms this end's restart.
+func (m *Manager) SetOnSessionReset(fn func(neighbor wire.NodeID)) {
+	m.onSessionReset = fn
 }
 
 // Neighbors returns the registered neighbors in ascending ID order. The
@@ -474,14 +474,10 @@ func (m *Manager) helloTick(n wire.NodeID) {
 	// lower node ID owns the choice and the peer adopts it. The upper
 	// bits carry the sender's link-session epoch so the peer can detect
 	// endpoint resets it did not itself observe.
-	seq := uint32(st.curPath)
-	if m.sessionEpoch != nil {
-		seq |= (m.sessionEpoch(n) & EpochMask) << 8
-	}
 	m.ctl = wire.Frame{
 		Proto:    wire.LPBestEffort,
 		Kind:     wire.FHello,
-		Seq:      seq,
+		Seq:      st.epoch<<8 | uint32(st.curPath),
 		SendTime: m.env.Clock().Now(),
 	}
 	m.env.SendControl(n, &m.ctl)
@@ -524,9 +520,47 @@ func (m *Manager) declareDown(n wire.NodeID, st *neighborState) {
 	m.stats.DownDetections++
 	m.applyLocal(st, false)
 	m.originateDelta(st)
-	if m.onNeighborState != nil {
-		m.onNeighborState(n, false)
+	m.restartSessions(n, st)
+	m.onNeighborState(n, false)
+}
+
+// restartSessions moves the link to a new session epoch and restarts its
+// sessions, the local half of the epoch handshake: the epoch stays
+// unconfirmed until the peer's hellos carry it.
+func (m *Manager) restartSessions(n wire.NodeID, st *neighborState) {
+	st.epoch = (st.epoch + 1) & EpochMask
+	st.awaitPeer = true
+	m.onSessionReset(n)
+}
+
+// applyPeerEpoch resynchronizes this end of a link with the epoch h the
+// peer advertises in a hello. An epoch ahead of ours means the peer
+// restarted its sessions without this side seeing a hello transition
+// (one-sided loss, crash-restart): adopt it and restart, or the peer's
+// fresh sequences would be swallowed by stale receive windows here. An
+// equal epoch while awaiting confirmation means the peer has caught up;
+// one final restart discards anything its old endpoints sent in the
+// interim.
+func (m *Manager) applyPeerEpoch(n wire.NodeID, st *neighborState, h uint32) {
+	switch {
+	case epochAhead(h, st.epoch):
+		st.epoch = h
+	case h == st.epoch && st.awaitPeer:
+	default:
+		return
 	}
+	st.awaitPeer = false
+	m.onSessionReset(n)
+}
+
+// epochAhead reports whether epoch h is ahead of e in serial arithmetic
+// modulo 2^24, the epoch space a hello carries: ahead by less than half
+// the space, or by exactly half with the larger value, so that two ends
+// half the space apart still agree which of them is ahead. Within 2^23 of
+// each other it is h > e.
+func epochAhead(h, e uint32) bool {
+	d := (h - e) & EpochMask
+	return d != 0 && (d < 1<<23 || d == 1<<23 && h > e)
 }
 
 // HandleControl processes hello traffic arriving from a neighbor.
@@ -536,18 +570,14 @@ func (m *Manager) HandleControl(n wire.NodeID, f *wire.Frame) {
 	}
 	switch f.Kind {
 	case wire.FHello:
-		if m.onPeerEpoch != nil {
-			m.onPeerEpoch(n, f.Seq>>8)
-		}
-		// The link owner (lower node ID) dictates the underlay path; the
-		// other endpoint adopts the path carried in the owner's hellos so
-		// the link stays on-net (same provider both ways).
-		if m.self > n {
-			if st := m.neighbors.At(n); st != nil {
-				if p := uint8(f.Seq); p != st.curPath && int(p) < m.env.PathCount(n) {
-					st.curPath = p
-					m.env.SetPath(n, p)
-				}
+		if st := m.neighbors.At(n); st != nil {
+			m.applyPeerEpoch(n, st, f.Seq>>8)
+			// The link owner (lower node ID) dictates the underlay path;
+			// the other endpoint adopts the path carried in the owner's
+			// hellos so the link stays on-net (same provider both ways).
+			if p := uint8(f.Seq); m.self > n && p != st.curPath && int(p) < m.env.PathCount(n) {
+				st.curPath = p
+				m.env.SetPath(n, p)
 			}
 		}
 		m.ctl = wire.Frame{
@@ -584,9 +614,8 @@ func (m *Manager) onHelloAck(n wire.NodeID, f *wire.Frame) {
 		m.stats.UpDetections++
 		m.applyLocal(st, true)
 		m.originateLSA()
-		if m.onNeighborState != nil {
-			m.onNeighborState(n, true)
-		}
+		m.restartSessions(n, st)
+		m.onNeighborState(n, true)
 		// The peer may have missed arbitrary updates while the link was
 		// down.
 		m.db.Resync(n, m.env.SendLSA)

@@ -647,41 +647,27 @@ func TestSteadyStateEchoDoesNotRefloodStorm(t *testing.T) {
 // TestHelloCarriesSessionEpoch is the regression test for the asymmetric
 // link-session reset black hole: hellos must transport the sender's
 // link-session epoch in the Seq upper bits so a peer that never saw a
-// hello transition still learns the other side reset its endpoints —
-// without disturbing the path index carried in the low byte.
+// hello transition still learns the other side reset its endpoints, and
+// restarts its own through the reset hook — without disturbing the path
+// index carried in the low byte.
 func TestHelloCarriesSessionEpoch(t *testing.T) {
 	w := newWorld(t, chain3(t), Config{}, 2)
-	epoch1 := uint32(0)
-	w.envs[1].mgr.SetSessionEpoch(func(wire.NodeID) uint32 { return epoch1 })
-	var got []uint32
-	w.envs[2].mgr.SetOnPeerEpoch(func(n wire.NodeID, e uint32) {
+	resets := 0
+	w.envs[2].mgr.SetOnSessionReset(func(n wire.NodeID) {
 		if n == 1 {
-			got = append(got, e)
+			resets++
 		}
 	})
 	w.sched.RunFor(time.Second)
-	if len(got) == 0 {
-		t.Fatal("peer epoch callback never fired")
-	}
-	for _, e := range got {
-		if e != 0 {
-			t.Fatalf("epoch %d before any reset, want 0", e)
-		}
+	if resets != 0 || w.envs[2].mgr.neighbors[1].epoch != 0 {
+		t.Fatalf("%d resets and epoch %d before any reset, want none and 0", resets, w.envs[2].mgr.neighbors[1].epoch)
 	}
 	// Simulate a one-sided reset on node 1: only its advertised epoch
-	// changes; no hello transition happens anywhere. Drain hellos already
-	// in flight with the old epoch before asserting.
-	epoch1 = 7
-	w.sched.RunFor(100 * time.Millisecond)
-	got = got[:0]
+	// changes; no hello transition happens anywhere.
+	w.envs[1].mgr.neighbors[2].epoch = 7
 	w.sched.RunFor(time.Second)
-	if len(got) == 0 {
-		t.Fatal("peer epoch callback stopped firing")
-	}
-	for _, e := range got {
-		if e != 7 {
-			t.Fatalf("peer saw epoch %d after reset, want 7", e)
-		}
+	if resets != 1 || w.envs[2].mgr.neighbors[1].epoch != 7 {
+		t.Fatalf("after the peer's reset: %d resets and epoch %d, want 1 and 7", resets, w.envs[2].mgr.neighbors[1].epoch)
 	}
 	// The path index in the low byte must survive epoch stamping: node 1
 	// owns link 1-2 (lower ID) and node 2 must still adopt its path.

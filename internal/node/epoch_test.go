@@ -1,136 +1,70 @@
 package node
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
-	"sonet/internal/linkstate"
+	"sonet/internal/link"
 	"sonet/internal/topology"
 	"sonet/internal/wire"
 )
 
-// epochPair is two started nodes on one 10 ms link, hellos every 100 ms.
-func epochPair(t *testing.T) *fabric {
+// TestPeerEpochResetsLinkEndpoints injects into node 1 a hello from node 2
+// whose link-session epoch is ahead of the one node 1 holds, as a peer
+// that restarted its sessions unseen sends it. Node 1 must rebuild its
+// Reliable endpoint toward node 2 — linkstate's reset hook reaching the
+// data plane — and, once the handshake settles, a Reliable stream across
+// the link delivers every message, before the reset and after it.
+func TestPeerEpochResetsLinkEndpoints(t *testing.T) {
 	g := topology.NewGraph()
 	if _, err := g.AddLink(1, 2, 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	return buildWorld(t, g, nil)
-}
+	f := buildWorld(t, g, nil)
+	got := collect(f.nodes[2])
+	f.sched.RunFor(500 * time.Millisecond)
+	seq := uint32(0)
+	stream := func(n int) {
+		for range n {
+			seq++
+			if err := f.nodes[1].Originate(&wire.Packet{
+				Type: wire.PTData, Route: wire.RouteLinkState,
+				LinkProto: wire.LPReliable, Dst: 2, DstPort: 7, FlowSeq: seq,
+				Payload: []byte{byte(seq)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			f.sched.RunFor(time.Millisecond)
+		}
+		f.sched.RunFor(200 * time.Millisecond)
+	}
+	endpoint := func() link.Protocol { return f.nodes[1].ctl.peers.At(2).protos[wire.LPReliable] }
 
-// injectHello hands node to a hello from its peer carrying epoch, as if
-// the peer had sent it.
-func injectHello(t *testing.T, f *fabric, to wire.NodeID, epoch uint32) {
-	fr := wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FHello, Seq: (epoch & linkstate.EpochMask) << 8, SendTime: f.sched.Now()}
-	b, err := fr.Marshal()
+	stream(20)
+	before := endpoint()
+	if before == nil || len(*got) != 20 {
+		t.Fatalf("premise: %d of 20 delivered, endpoint %v", len(*got), before)
+	}
+	hello := wire.Frame{Proto: wire.LPBestEffort, Kind: wire.FHello, Seq: 5 << 8, SendTime: f.sched.Now()}
+	b, err := hello.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.nodes[to].HandleUnderlay(3-to, b)
-}
-
-// linkEpochs returns each end's epoch for the link 1–2 and whether either
-// end still awaits its peer's confirmation.
-func linkEpochs(f *fabric) (e1, e2 uint32, awaiting bool) {
-	a, b := f.nodes[1].neighbors[2], f.nodes[2].neighbors[1]
-	return a.epoch, b.epoch, a.awaitPeer || b.awaitPeer
-}
-
-// TestEpochCeilingWraps drives a link's session epoch to the top of the
-// 24 bits a hello carries — peer hellos with 2^23−1, then 2^24−1, each
-// ahead of the last, which both ends adopt — and resets one end once. Its
-// epoch wraps to 0, which the peer must take as ahead of 2^24−1 and adopt
-// within one hello round; the reset end is confirmed the round after.
-// Compared as plain integers, the wrapped epoch read as behind and the
-// reset end waited for ever.
-func TestEpochCeilingWraps(t *testing.T) {
-	f := epochPair(t)
-	f.sched.RunFor(time.Second)
-	for _, e := range []uint32{1<<23 - 1, linkstate.EpochMask} {
-		injectHello(t, f, 2, e)
-		f.sched.RunFor(time.Second)
+	f.nodes[1].HandleUnderlay(2, b)
+	if endpoint() != nil {
+		t.Fatal("the Reliable endpoint toward node 2 survived a peer epoch ahead of node 1's")
 	}
-	if e1, e2, awaiting := linkEpochs(f); e1 != linkstate.EpochMask || e2 != linkstate.EpochMask || awaiting {
-		t.Fatalf("premise: epochs %#x/%#x awaiting %v, want both at the ceiling and settled", e1, e2, awaiting)
+	f.sched.RunFor(300 * time.Millisecond) // node 2 adopts node 1's new epoch from its hellos
+	stream(20)
+	if after := endpoint(); after == nil || after == before {
+		t.Fatal("node 1 still sends on the endpoint it had before the reset")
 	}
-	f.nodes[1].handleNeighborState(2, true)
-	const round = 110 * time.Millisecond // one hello interval and one link latency
-	f.sched.RunFor(round)
-	e1, e2, _ := linkEpochs(f)
-	if e1 != 0 || e2 != e1 {
-		t.Fatalf("one round after the reset: epochs %#x/%#x, want the peer to hold the reset end's 0", e1, e2)
+	if len(*got) != 40 {
+		t.Fatalf("delivered %d of 40 messages across the reset", len(*got))
 	}
-	f.sched.RunFor(round)
-	if _, _, awaiting := linkEpochs(f); awaiting {
-		t.Fatal("the reset end still awaits its peer two rounds after the reset")
-	}
-}
-
-// TestEpochAheadAgreesWithIntegerOrder: within 2^23 of each other, serial
-// order is the integer order the epochs were compared by before they
-// wrapped, and of two distinct epochs exactly one is ahead.
-func TestEpochAheadAgreesWithIntegerOrder(t *testing.T) {
-	for _, c := range [][2]uint32{{0, 1}, {5, 9}, {0, 1<<23 - 1}, {0, 1 << 23}, {1 << 22, 3 << 22}, {7, 7}} {
-		h, e := c[0], c[1]
-		if epochAhead(h, e) != (h > e) || epochAhead(e, h) != (e > h) {
-			t.Fatalf("epochAhead on %#x, %#x disagrees with integer order", h, e)
+	for i, p := range *got {
+		if p.FlowSeq != uint32(i+1) {
+			t.Fatalf("delivery %d is message %d", i, p.FlowSeq)
 		}
 	}
-	for _, c := range [][2]uint32{{0, linkstate.EpochMask}, {3, 1<<23 + 3}, {1<<23 + 1, 1}, {100, 1<<24 - 100}} {
-		if epochAhead(c[0], c[1]) == epochAhead(c[1], c[0]) {
-			t.Fatalf("epochs %#x and %#x: both or neither ahead", c[0], c[1])
-		}
-	}
-}
-
-// FuzzHelloEpoch drives both ends of one link through arbitrary injected
-// hellos and one-sided resets, then lets the link run clean: no injection,
-// no reset, no loss. The epoch handshake must close (closure in the
-// self-stabilization sense): after three clean hello rounds both ends
-// hold the same epoch and neither awaits its peer. Each step is one op
-// byte, its low two bits the op and bit 2 the node:
-//
-//	0: a hello with the absolute epoch in the next three bytes
-//	1: a hello with an epoch the next two bytes (signed) from the node's own
-//	2: a local reset, link down when bit 3 is set, up otherwise
-//	3: the next byte in milliseconds of time
-func FuzzHelloEpoch(f *testing.F) {
-	f.Add([]byte{0, 0xff, 0xff, 0xff, 3, 200, 3, 200, 3, 200, 2})
-	f.Add([]byte{1, 0x80, 0x00, 3, 50, 6, 3, 5, 2})
-	f.Add([]byte{0, 0x80, 0x00, 0x00, 2, 3, 1, 4, 0x7f, 0xff, 10})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 256 {
-			ops = ops[:256]
-		}
-		fb := epochPair(t)
-		fb.sched.RunFor(500 * time.Millisecond)
-		for i := 0; i < len(ops); i++ {
-			op, node := ops[i], wire.NodeID(1+ops[i]>>2&1)
-			own := fb.nodes[node].neighbors[3-node].epoch
-			switch op & 3 {
-			case 0:
-				if i+3 < len(ops) {
-					injectHello(t, fb, node, uint32(ops[i+1])<<16|uint32(ops[i+2])<<8|uint32(ops[i+3]))
-					i += 3
-				}
-			case 1:
-				if i+2 < len(ops) {
-					injectHello(t, fb, node, own+uint32(int16(binary.BigEndian.Uint16(ops[i+1:]))))
-					i += 2
-				}
-			case 2:
-				fb.nodes[node].handleNeighborState(3-node, op&8 == 0)
-			case 3:
-				if i+1 < len(ops) {
-					fb.sched.RunFor(time.Duration(ops[i+1]) * time.Millisecond)
-					i++
-				}
-			}
-		}
-		fb.sched.RunFor(310 * time.Millisecond)
-		if e1, e2, awaiting := linkEpochs(fb); e1 != e2 || awaiting {
-			t.Fatalf("after three clean rounds: epochs %#x/%#x, awaiting %v", e1, e2, awaiting)
-		}
-	})
 }

@@ -141,22 +141,6 @@ type ControlStats struct {
 	ResyncLSAs, ResyncAnnouncements   uint64
 }
 
-// neighborLink is the control plane's state for one adjacent overlay
-// link; its protocol endpoints live in the data plane's peer tables.
-type neighborLink struct {
-	// epoch numbers the link-session incarnation; it bumps on every
-	// local reset and is advertised in hellos so the peer can detect
-	// resets it did not itself observe (an asymmetric loss streak resets
-	// only the lossy side; the peer's stale receive windows would
-	// otherwise swallow — and acknowledge — the fresh sequences). It
-	// stays within the 24 bits a hello carries (linkstate.EpochMask).
-	epoch uint32
-	// awaitPeer is set after a local reset until the peer confirms the
-	// new epoch; a confirming hello triggers one final local reset to
-	// clear anything the peer's pre-reset endpoint sent in the interim.
-	awaitPeer bool
-}
-
 // Node is one overlay node.
 type Node struct {
 	cfg    Config
@@ -166,12 +150,6 @@ type Node struct {
 	grpMgr *groups.Manager
 	memMgr *membership.Manager
 	engine *routing.Engine
-
-	// neighbors is indexed by neighbor ID. Control floods walk the same
-	// neighbors in ascending order through linkstate.Manager.Neighbors:
-	// every addNeighbor is paired with the manager's AddNeighbor (New) or
-	// AddNeighborLive (SyncTopology).
-	neighbors wire.NodeTable[*neighborLink]
 
 	deliver      func(*wire.Packet)
 	onViewChange func()
@@ -211,15 +189,14 @@ func New(cfg Config) (*Node, error) {
 	n.ctl = n.plane.shards[0]
 	view := topology.NewView(cfg.Graph)
 	n.lsMgr = linkstate.NewManager(&lsEnv{n: n}, n.id, view, cfg.LinkState)
+	n.lsMgr.SetOnSessionReset(n.plane.resetPeer)
 	n.lsMgr.SetOnNeighborState(n.handleNeighborState)
-	n.lsMgr.SetSessionEpoch(n.sessionEpoch)
-	n.lsMgr.SetOnPeerEpoch(n.handlePeerEpoch)
 	n.grpMgr = groups.NewManager(&grpEnv{n: n}, n.id)
 	n.engine = routing.NewEngine(n.id, n.lsMgr, n.grpMgr, cfg.Metric)
 	for _, lid := range cfg.Graph.Incident(n.id) {
 		l, _ := cfg.Graph.Link(lid)
 		peer, _ := l.Other(n.id)
-		n.addNeighbor(peer, lid, l.Latency)
+		n.plane.admit(peer, lid, l.Latency)
 		n.lsMgr.AddNeighbor(peer, lid)
 	}
 	if cfg.Membership != nil {
@@ -232,13 +209,6 @@ func New(cfg Config) (*Node, error) {
 		n.grpMgr.SetMemberCheck(n.memMgr.AllowsOrigin)
 	}
 	return n, nil
-}
-
-// addNeighbor registers an adjacent link with the control plane and the
-// data plane's peer tables.
-func (n *Node) addNeighbor(peer wire.NodeID, lid wire.LinkID, latency time.Duration) {
-	n.neighbors.Put(peer, &neighborLink{})
-	n.plane.admit(peer, lid, latency)
 }
 
 // DataPlane returns the node's forwarding engines: one shard until
@@ -268,68 +238,14 @@ func (n *Node) Stop() {
 	n.ctl.close()
 }
 
-// handleNeighborState discards the link-protocol endpoints for one neighbor
-// on a link down/up transition: whatever sequence state the old sessions
-// held is stale after a loss window — and actively wrong if the peer
-// crash-restarted, whose fresh sequences the old receive windows would
-// swallow as duplicates. The peer's hello machinery sees the same
-// transition and resets its own end, so both sides start clean. A healed
-// link then carries the group database across, once per recovery: the
+// handleNeighborState follows an adjacent link's down/up transition, after
+// linkstate restarted the link's sessions (DataPlane.resetPeer): a healed
+// link carries the group database across, once per recovery — the
 // link-state manager pushes its own right after this returns.
 func (n *Node) handleNeighborState(peer wire.NodeID, up bool) {
-	nl := n.neighbors.At(peer)
-	if nl == nil {
-		return
-	}
-	nl.epoch = (nl.epoch + 1) & linkstate.EpochMask
-	nl.awaitPeer = true
-	n.plane.resetPeer(peer)
 	if up {
 		n.grpMgr.Resync(peer)
 	}
-}
-
-// sessionEpoch supplies the link-session epoch advertised in hellos to a
-// neighbor.
-func (n *Node) sessionEpoch(peer wire.NodeID) uint32 {
-	if nl := n.neighbors.At(peer); nl != nil {
-		return nl.epoch
-	}
-	return 0
-}
-
-// handlePeerEpoch resynchronizes this end of a link with the epoch the
-// peer advertises in its hellos. An epoch ahead of ours means the peer
-// reset its endpoints without this side seeing a hello transition
-// (one-sided loss, crash-restart): adopt it and reset, or the peer's fresh
-// sequences would be swallowed by stale receive windows here. An equal
-// epoch while awaiting confirmation means the peer has caught up; one
-// final reset discards anything its pre-reset endpoint sent in the
-// interim.
-func (n *Node) handlePeerEpoch(peer wire.NodeID, h uint32) {
-	nl := n.neighbors.At(peer)
-	if nl == nil {
-		return
-	}
-	switch {
-	case epochAhead(h, nl.epoch):
-		nl.epoch = h
-	case h == nl.epoch && nl.awaitPeer:
-	default:
-		return
-	}
-	nl.awaitPeer = false
-	n.plane.resetPeer(peer)
-}
-
-// epochAhead reports whether epoch h is ahead of e in serial arithmetic
-// modulo 2^24, the epoch space a hello carries: ahead by less than half
-// the space, or by exactly half with the larger value, so that two ends
-// half the space apart still agree which of them is ahead. Within 2^23 of
-// each other it is h > e.
-func epochAhead(h, e uint32) bool {
-	d := (h - e) & linkstate.EpochMask
-	return d != 0 && (d < 1<<23 || d == 1<<23 && h > e)
 }
 
 // ID returns the node's overlay identifier.
@@ -379,10 +295,10 @@ func (n *Node) SyncTopology() {
 			continue
 		}
 		peer, _ := l.Other(n.id)
-		if n.neighbors.At(peer) != nil {
+		if n.ctl.peers.At(peer) != nil {
 			continue
 		}
-		n.addNeighbor(peer, lid, l.Latency)
+		n.plane.admit(peer, lid, l.Latency)
 		n.lsMgr.AddNeighborLive(peer, lid)
 		grew = true
 	}
@@ -467,7 +383,7 @@ func (n *Node) memberChanged(id wire.NodeID, st membership.Status) {
 	departed := st == membership.StatusLeft
 	n.lsMgr.PurgeOrigin(id)
 	n.grpMgr.PurgeOrigin(id, departed)
-	if n.neighbors.At(id) == nil {
+	if n.ctl.peers.At(id) == nil {
 		return
 	}
 	if departed {
@@ -488,7 +404,7 @@ func (n *Node) correctFinding(f membership.Finding) {
 		return
 	}
 	if f.Node != 0 {
-		if n.neighbors.At(f.Node) != nil {
+		if n.ctl.peers.At(f.Node) != nil {
 			n.lsMgr.DisableNeighbor(f.Node)
 			return
 		}
@@ -499,7 +415,7 @@ func (n *Node) correctFinding(f membership.Finding) {
 // tableBytes sums the control plane's per-node tables (the shards' peer
 // tables are counted by each shard).
 func (n *Node) tableBytes() int {
-	b := n.neighbors.Bytes() + n.lsMgr.TableBytes() + n.grpMgr.TableBytes() + n.cfg.Graph.TableBytes()
+	b := n.lsMgr.TableBytes() + n.grpMgr.TableBytes() + n.cfg.Graph.TableBytes()
 	if n.memMgr != nil {
 		b += n.memMgr.Directory().TableBytes()
 	}

@@ -1,10 +1,12 @@
-// Package seqno is sequence-number arithmetic and the gap recovery built
-// on it, written once for every scope that recovers loss: a link receiver
-// (the Reliable Data Link and NM-Strikes, §III-A and §IV-A) and a reliable
-// flow's destination (§III-B) — and for the one scope that only suppresses
-// copies, a node's duplicate table. It holds the serial-number compares, a
-// bitmap window, a growable FIFO and the Queue that requests missing
-// sequences on a schedule and gives them up at a deadline.
+// Package seqno is sequence-number arithmetic and the gap recovery and
+// in-order release built on it, written once for every scope that recovers
+// loss: a link receiver (the Reliable Data Link and NM-Strikes, §III-A and
+// §IV-A) and a reliable flow's destination (§III-B) — and for the one scope
+// that only suppresses copies, a node's duplicate table. It holds the
+// serial-number compares, a bitmap window, a growable FIFO, the Queue that
+// requests missing sequences on a schedule and gives them up at a
+// deadline, and the HoldBack that releases packets in sequence at an
+// ordered flow's destination and on a link that forwards in order.
 package seqno
 
 // LE reports a <= b in RFC 1982 serial-number arithmetic over the full

@@ -196,7 +196,7 @@ func TestHoldBackMatchesPerPacketTimers(t *testing.T) {
 		c := clientOn(clock)
 		var got []heldDelivery
 		c.OnDeliver(func(d Delivery) { got = append(got, heldDelivery{d.Seq, d.Latency, d.Retransmitted}) })
-		held := func() int { return len(c.reorder[flowID{src: 1, srcPort: 50000}].pending) }
+		held := func() int { return c.reorder[flowID{src: 1, srcPort: 50000}].hold.Len() }
 		for i := range arrivals {
 			a := &arrivals[i]
 			clock.At(a.at, func() {

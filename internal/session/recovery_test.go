@@ -343,7 +343,7 @@ func TestReliableGapKeepsItsOwnBudget(t *testing.T) {
 // reveal after each to take the queue's mark along.
 func positionAt(st *reorderState, next uint32) {
 	for _, at := range []uint32{next / 2, next} {
-		st.next = at
+		st.hold = seqno.NewHoldBack(at)
 		if st.gaps != nil {
 			st.gaps.Reveal(at - 1)
 		}

@@ -104,7 +104,7 @@ func packetWantsE2E(p *wire.Packet) bool {
 // the destination delivers what it has rather than stall. Gaps further
 // back than the source's history are given up at once.
 func (c *Client) newReorderState(id flowID, reliable bool) *reorderState {
-	st := &reorderState{c: c, id: id, next: 1, pending: make(map[uint32]heldPacket)}
+	st := &reorderState{c: c, id: id, hold: seqno.NewHoldBack(1)}
 	if reliable {
 		m := c.mgr
 		st.gaps = seqno.NewQueue(m.clock, st, st.requestGaps, seqno.Schedule{
@@ -121,12 +121,9 @@ func (c *Client) newReorderState(id flowID, reliable bool) *reorderState {
 // Seen and Pass make the hold-back buffer the window a reliable flow's
 // gaps are recovered in: a sequence has arrived if it is below next or
 // held, and giving one up delivers past it.
-func (st *reorderState) Seen(seq uint32) bool {
-	_, held := st.pending[seq]
-	return held || seqno.LT(seq, st.next)
-}
+func (st *reorderState) Seen(seq uint32) bool { return st.hold.Seen(seq) }
 
-func (st *reorderState) Pass(seq uint32) { st.c.deliverHeld(st, seq) }
+func (st *reorderState) Pass(seq uint32) { st.hold.Release(seq, st.deliver) }
 
 // requestGaps NACKs the gaps due in one firing of the flow's recovery
 // schedule, in as few packets as maxNackSeqs allows.

@@ -828,8 +828,8 @@ func TestOrderedInSequenceFastPath(t *testing.T) {
 		dst.receive(pkt(seq, 0))
 	}
 	st := dst.reorder[flowID{src: 1, srcPort: 50000}]
-	if len(got) != 3 || st.next != 4 || len(st.pending) != 0 {
-		t.Fatalf("in-sequence packets: delivered %d, next %d, held %d; want 3, 4, 0", len(got), st.next, len(st.pending))
+	if len(got) != 3 || st.hold.Next() != 4 || st.hold.Len() != 0 {
+		t.Fatalf("in-sequence packets: delivered %d, next %d, held %d; want 3, 4, 0", len(got), st.hold.Next(), st.hold.Len())
 	}
 	if armed := s.sched.Pending() - idle; armed != 0 {
 		t.Fatalf("in-sequence packets armed %d timers", armed)
@@ -841,14 +841,14 @@ func TestOrderedInSequenceFastPath(t *testing.T) {
 	dst.receive(pkt(5, 0))
 	dst.receive(pkt(6, 0))
 	dst.receive(pkt(6, 0)) // duplicate of a held packet
-	if len(got) != 3 || len(st.pending) != 2 || s.sched.Pending()-idle != 1 {
+	if len(got) != 3 || st.hold.Len() != 2 || s.sched.Pending()-idle != 1 {
 		t.Fatalf("out-of-sequence packets: delivered %d, held %d, timers %d; want 3, 2, 1",
-			len(got), len(st.pending), s.sched.Pending()-idle)
+			len(got), st.hold.Len(), s.sched.Pending()-idle)
 	}
 	dst.receive(pkt(4, wire.FRetrans))
-	if len(got) != 6 || st.next != 7 || len(st.pending) != 0 || s.sched.Pending() != idle {
+	if len(got) != 6 || st.hold.Next() != 7 || st.hold.Len() != 0 || s.sched.Pending() != idle {
 		t.Fatalf("gap filled: delivered %d, next %d, held %d, timers %d; want 6, 7, 0, 0",
-			len(got), st.next, len(st.pending), s.sched.Pending()-idle)
+			len(got), st.hold.Next(), st.hold.Len(), s.sched.Pending()-idle)
 	}
 	for i, d := range got {
 		if d.Seq != uint32(i+1) {

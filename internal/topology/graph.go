@@ -101,10 +101,19 @@ func (g *Graph) indexOf(n wire.NodeID) int32 { return g.index.At(n) - 1 }
 const MaxGraphLinks = 0xffff
 
 // AddLink registers an overlay link between a and b with the given designed
-// latency, adding the endpoints if needed, and returns its LinkID.
+// latency, adding the endpoints if needed, and returns its LinkID. It is
+// the one gate every link passes on its way into a graph: a zero endpoint,
+// a self link and a negative latency — a negative edge weight to SPF — are
+// refused. A zero latency is legal.
 func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, error) {
+	if a == 0 || b == 0 {
+		return 0, fmt.Errorf("topology: link %v-%v has a zero endpoint", a, b)
+	}
 	if a == b {
 		return 0, fmt.Errorf("topology: self link on %v", a)
+	}
+	if latency < 0 {
+		return 0, fmt.Errorf("topology: link %v-%v has negative latency %v", a, b, latency)
 	}
 	if len(g.links) >= MaxGraphLinks {
 		return 0, fmt.Errorf("topology: link limit %d reached", MaxGraphLinks)

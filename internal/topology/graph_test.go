@@ -73,6 +73,24 @@ func TestGraphRejectsSelfLink(t *testing.T) {
 	}
 }
 
+// TestGraphRejectsBadLinks: a zero endpoint and a negative latency are
+// refused like a self link, and leave the graph as it was; a zero latency
+// is a link.
+func TestGraphRejectsBadLinks(t *testing.T) {
+	g := NewGraph()
+	for _, l := range []Link{{A: 0, B: 1, Latency: time.Millisecond}, {A: 2, B: 0}, {A: 1, B: 2, Latency: -time.Millisecond}} {
+		if _, err := g.AddLink(l.A, l.B, l.Latency); err == nil {
+			t.Fatalf("AddLink(%v, %v, %v) succeeded", l.A, l.B, l.Latency)
+		}
+	}
+	if g.NumNodes() != 0 || g.NumLinks() != 0 {
+		t.Fatalf("refused links left %d nodes and %d links", g.NumNodes(), g.NumLinks())
+	}
+	if _, err := g.AddLink(1, 2, 0); err != nil {
+		t.Fatalf("zero-latency link refused: %v", err)
+	}
+}
+
 func TestGraphAddNodeIdempotent(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(5)

@@ -72,6 +72,22 @@ func TestGenerateConfigsValidation(t *testing.T) {
 	}
 }
 
+// TestNewDaemonRefusesBadLinks: a hand-written config is held to the rule
+// GenerateConfigs applies — a negative latency would be a negative edge
+// weight to SPF, and node 0 is no node — by the graph it builds.
+func TestNewDaemonRefusesBadLinks(t *testing.T) {
+	for name, l := range map[string]LinkDef{
+		"negative latency": {A: 1, B: 2, LatencyMs: -5},
+		"zero endpoint":    {A: 0, B: 1, LatencyMs: 5},
+	} {
+		d, err := NewDaemon(DaemonConfig{ID: 1, BindUDP: "127.0.0.1:0", Links: []LinkDef{l}})
+		if err == nil {
+			d.Close()
+			t.Errorf("%s: NewDaemon accepted link %+v", name, l)
+		}
+	}
+}
+
 func TestGeneratedConfigsBootDaemons(t *testing.T) {
 	// Generate loopback configs and actually boot the deployment.
 	tc := TopologyConfig{

@@ -281,6 +281,15 @@ func TestPublicAPIValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeLatency: a link's latency is its designed edge
+// weight, and SPF takes no negative one.
+func TestNewRefusesNegativeLatency(t *testing.T) {
+	if net, err := New(1, []Link{{A: 1, B: 2, Latency: -time.Millisecond}}); err == nil {
+		net.Close()
+		t.Fatal("a link with negative latency accepted")
+	}
+}
+
 func TestPublicAPIDelayAndCorruptOptions(t *testing.T) {
 	net, err := New(9, apiDiamond(),
 		WithAuthentication([]byte("k")),
