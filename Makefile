@@ -27,9 +27,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags sonet_portable ./internal/transport/ ./internal/experiments/
 
+# The unit tests, then the portable plane's transport suite and the
+# experiments' allocation budgets on its one-datagram reads.
 test:
 	$(GO) test ./...
 	$(GO) test -tags sonet_portable ./internal/transport/
+	$(GO) test -tags sonet_portable -run AllocBudget ./internal/experiments/
 
 # The race gate runs the full suite once, then re-runs the daemon suite
 # (runtime admission of a peer homed off shard 0 among it) and the node's

@@ -11,9 +11,8 @@
 // directly, pairing with sonet-send -wire to reproduce the EXP-WIRE
 // multi-shard scaling measurement from the command line. Flow f is
 // expected from -peer-base's port plus f and registered under a peer id
-// homed on that port's shard (port mod shards); the summary reports the
-// aggregate delivery rate and each shard's packet/delivery/handoff
-// counters.
+// homed on shard f mod shards; the summary reports the aggregate delivery
+// rate and each shard's packet/delivery/drop counters.
 //
 //	sonet-recv -wire -bind 127.0.0.1:7700 -shards 4 -flows 4 \
 //	    -peer-base 127.0.0.1:7800 -expect 400000
@@ -133,21 +132,19 @@ func runWire(bind, peerBase string, shards, flows int, expect uint64) int {
 	}
 	defer func() { _ = u.Close() }()
 	// A peer's frames are delivered on its home shard, so flow f gets an id
-	// homed on the shard the steering program picks for its source port
-	// (port mod shards): every frame then stays on the shard it arrived on.
-	next := make([]wire.NodeID, u.NumShards())
+	// homed on shard f mod shards: the flows spread evenly over the loops.
+	next := wire.NodeID(1)
 	for f := 0; f < flows; f++ {
+		id := wire.HomedID(next, f%u.NumShards(), u.NumShards())
+		next = id + 1
 		port := base.Port() + uint16(f)
-		s := int(port) % u.NumShards()
-		id := wire.HomedID(max(next[s], 1), s, u.NumShards())
-		next[s] = id + 1
 		if err := u.AddPeer(id, netip.AddrPortFrom(base.Addr(), port).String()); err != nil {
 			fmt.Fprintf(os.Stderr, "sonet-recv: %v\n", err)
 			return 1
 		}
 	}
-	fmt.Printf("sonet-recv: wire mode on %s — %d shards (plane %s, steered %v), %d flows from %s (ctrl-c to stop)\n",
-		u.LocalAddr(), u.NumShards(), transport.Plane, u.SteeredRx(), flows, peerBase)
+	fmt.Printf("sonet-recv: wire mode on %s — %d shards (plane %s), %d flows from %s (ctrl-c to stop)\n",
+		u.LocalAddr(), u.NumShards(), transport.Plane, flows, peerBase)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -157,8 +154,8 @@ func runWire(bind, peerBase string, shards, flows int, expect uint64) int {
 	}
 	for s := 0; s < u.NumShards(); s++ {
 		st := u.ShardStats(s)
-		fmt.Printf("sonet-recv: shard %d: recv %d (%d coalesced) delivered %d handoffs %d drops %d (%.1f pkts/read)\n",
-			s, st.RecvPackets, st.RecvCoalesced, st.RecvDelivered, st.Handoffs, st.HandoffDrops, st.RecvBatchAvg())
+		fmt.Printf("sonet-recv: shard %d: recv %d (%d coalesced) delivered %d drops %d (%.1f pkts/read)\n",
+			s, st.RecvPackets, st.RecvCoalesced, st.RecvDelivered, st.HandoffDrops, st.RecvBatchAvg())
 	}
 	agg := u.Stats()
 	fmt.Printf("sonet-recv: %d frames received (%d unknown-sender)\n", received.Load(), agg.RecvUnknown)

@@ -154,19 +154,7 @@ func (c *RemoteClient) Close() error { return c.inner.Close() }
 
 // OpenFlow opens a flow with the given service selection.
 func (c *RemoteClient) OpenFlow(spec FlowSpec) (*RemoteFlow, error) {
-	inner, err := c.inner.OpenFlow(session.FlowSpec{
-		DstNode:   spec.To,
-		DstPort:   spec.ToPort,
-		Group:     spec.Group,
-		Anycast:   spec.Anycast,
-		LinkProto: spec.Service,
-		DisjointK: spec.DisjointPaths,
-		Dissem:    spec.DissemGraph,
-		Flood:     spec.Flood,
-		Ordered:   spec.Ordered,
-		Deadline:  spec.Deadline,
-		Priority:  spec.Priority,
-	})
+	inner, err := c.inner.OpenFlow(spec.sessionSpec())
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"net"
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,8 +58,8 @@ func (d *deliveries) delivered() uint64       { return d.count.Load() }
 func (d *deliveries) wakeCh() <-chan struct{} { return d.wake }
 
 // wireFlow is one sender of a loopback rig: its own single-shard
-// production underlay (own source port, so the kernel steers it as one
-// 4-tuple), its own turn queue, and its own delivery counter, which the
+// production underlay (own source port, so the receiver knows it as one
+// peer), its own turn queue, and its own delivery counter, which the
 // rig's receiving end bumps.
 type wireFlow struct {
 	deliveries
@@ -79,19 +78,8 @@ func (f *wireFlow) close() {
 }
 
 // newWireFlows binds one sender per shard toward the receiver at rxAddr.
-// Flow f's source port is congruent to f mod shards, so on the Linux fast
-// path the steering program's arrival socket is shard f and a frame of a
-// flow homed there never crosses shards. Ephemeral binds that miss the
-// residue stay bound (parked) until every flow has its port, so the next
-// bind draws a fresh one.
 func newWireFlows(shards int, to wire.NodeID, rxAddr string, payload []byte) ([]*wireFlow, error) {
 	var flows []*wireFlow
-	var parked []*transport.UDPUnderlay
-	defer func() {
-		for _, p := range parked {
-			_ = p.Close()
-		}
-	}()
 	fail := func(err error) ([]*wireFlow, error) {
 		closeFlows(flows)
 		return nil, err
@@ -99,23 +87,13 @@ func newWireFlows(shards int, to wire.NodeID, rxAddr string, payload []byte) ([]
 	for f := 0; f < shards; f++ {
 		fl := &wireFlow{to: to, payload: payload}
 		fl.wake = make(chan struct{}, 1)
-		for fl.tx == nil {
-			tx, err := transport.NewUDPUnderlay("127.0.0.1:0", &fl.exec, func(wire.NodeID, []byte) {})
-			if err != nil {
-				return fail(err)
-			}
-			ap, err := netip.ParseAddrPort(tx.LocalAddr())
-			if err == nil && int(ap.Port())%shards == f {
-				fl.tx = tx
-				break
-			}
-			parked = append(parked, tx)
-			if err != nil || len(parked) > 4096 {
-				return fail(fmt.Errorf("could not cover port residue %d of %d: %v", f, shards, err))
-			}
+		tx, err := transport.NewUDPUnderlay("127.0.0.1:0", &fl.exec, func(wire.NodeID, []byte) {})
+		if err != nil {
+			return fail(err)
 		}
+		fl.tx = tx
 		flows = append(flows, fl)
-		if err := fl.tx.AddPeer(to, rxAddr); err != nil {
+		if err := tx.AddPeer(to, rxAddr); err != nil {
 			return fail(err)
 		}
 	}
@@ -466,11 +444,11 @@ func WireThroughput(seed uint64) *Result {
 		batchedAllocs, baselineAllocs)
 
 	// Multi-shard scaling rows (video payloads): the sharded receiver
-	// with one flow homed on each shard, each pumped by its own producer. On
-	// a multi-core machine the Linux plane scales near-linearly until
-	// cores saturate; the asserted shape is only the accounting —
-	// loss-free delivery with every frame counted by exactly one shard —
-	// because raw scaling depends on the runner's core count.
+	// with one flow homed on each shard, each pumped by its own producer.
+	// The receiver's one read loop feeds every shard's event loop; the
+	// asserted shape is only the accounting — loss-free delivery with
+	// every frame counted by exactly one shard — because raw scaling
+	// depends on the runner's core count.
 	shardLedgerOK := true
 	buf := make([]byte, 1200)
 	for _, ns := range []int{1, 2, 4} {
@@ -481,11 +459,9 @@ func WireThroughput(seed uint64) *Result {
 		}
 		o := rig.measure(total, window)
 		perShard, sum := rig.shardLedger()
-		handoffs := rig.rx.Stats().Handoffs
 		rig.close()
 		row(fmt.Sprintf("shards=%d", ns), 1200, o)
-		r.addFinding("shards=%d: %.0f pps, per-shard delivered %v, %d handoffs",
-			ns, o.pps(), perShard, handoffs)
+		r.addFinding("shards=%d: %.0f pps, per-shard delivered %v", ns, o.pps(), perShard)
 		lossFree = lossFree && o.delivered == o.sent
 		shardLedgerOK = shardLedgerOK && sum == o.delivered+uint64(window) // + the warm window
 	}

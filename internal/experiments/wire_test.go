@@ -71,10 +71,9 @@ func benchPump(b *testing.B, flows []*wireFlow) {
 // way out, recvmmsg batch reads plus snapshot sender lookup on the way
 // in, per-flow shard placement in between. The shards=N variants drive N
 // flows, one homed on each shard, from N producers into an N-shard
-// receiver — EXP-WIRE's scaling rows under the testing.B clock. On a multi-core machine with
-// the Linux plane each flow's socket, event loop, and counters are private
-// to one shard, so throughput scales with shards until cores or loopback
-// saturate.
+// receiver — EXP-WIRE's scaling rows under the testing.B clock. The
+// receiver's one read loop hands each flow's frames to its own shard's
+// event loop.
 func BenchmarkUDPTransport(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -82,7 +81,6 @@ func BenchmarkUDPTransport(b *testing.B) {
 			benchPump(b, rig.flows)
 			st := rig.rx.Stats()
 			b.ReportMetric(st.RecvBatchAvg(), "pkts/read")
-			b.ReportMetric(float64(st.Handoffs), "handoffs")
 		})
 	}
 }
@@ -128,13 +126,12 @@ const daemonFwdID = wire.NodeID(400)
 
 // newDaemonFwdRig is the end-to-end transit arena: the wire rig's flows
 // with one middle daemon running the sharded protocol plane where the
-// bare receiver was. Flow f's source peer hash-homes on daemon shard f (and
-// its source port steers there), and a sink underlay standing in for the
-// next-hop neighbor, homed on the same shard, counts the forwarded copies.
-// On the Linux steered plane a transit frame then arrives on its owner
-// shard, is decoded, verified, routed against the copy-on-write forwarding
-// snapshot, and retransmitted out that shard's own send ring — never
-// crossing a shard boundary. Each flow resends one pre-marshaled frame
+// bare receiver was. Flow f's source peer hash-homes on daemon shard f,
+// and a sink underlay standing in for the next-hop neighbor, homed on the
+// same shard, counts the forwarded copies. The read loop hands a transit
+// frame to its owner shard, where it is decoded, verified, routed against
+// the copy-on-write forwarding snapshot, and retransmitted out that
+// shard's own send ring. Each flow resends one pre-marshaled frame
 // verbatim: link-state unicast skips the dedup window and the best-effort
 // link protocol keeps no per-frame state, so the bytes are reusable.
 func newDaemonFwdRig(tb testing.TB, shards, payload int) (*transport.Daemon, []*wireFlow) {
@@ -212,27 +209,18 @@ func newDaemonFwdRig(tb testing.TB, shards, payload int) (*transport.Daemon, []*
 
 // BenchmarkDaemonForwarding measures end-to-end transit forwarding
 // through the full deployed protocol stack: recvmmsg batch read and
-// reuseport flow steering, zero-copy frame decode and verification on the
-// arrival shard, link-protocol receive, a routing decision against the
-// lock-free copy-on-write forwarding snapshot, in-place TTL accounting,
-// pooled re-encode, and a coalesced sendmmsg flush out the same shard's
-// ring. One op is one video-sized frame through the daemon; pps is the
-// sustained transit rate. The shards=N variants drive one flow per shard,
-// each homed on its arrival shard — on the Linux steered plane the whole
-// path runs on the owner shard and the handoffs metric must stay zero.
+// hand-off to the sender's home shard, zero-copy frame decode and
+// verification there, link-protocol receive, a routing decision against
+// the lock-free copy-on-write forwarding snapshot, in-place TTL
+// accounting, pooled re-encode, and a coalesced sendmmsg flush out the
+// same shard's ring. One op is one video-sized frame through the daemon;
+// pps is the sustained transit rate. The shards=N variants drive one flow
+// per shard, each homed on its own shard.
 func BenchmarkDaemonForwarding(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			d, flows := newDaemonFwdRig(b, shards, 1200)
+			_, flows := newDaemonFwdRig(b, shards, 1200)
 			benchPump(b, flows)
-			var handoffs uint64
-			for i := 0; i < d.Shards(); i++ {
-				handoffs += d.ShardStats(i).Handoffs
-			}
-			b.ReportMetric(float64(handoffs), "handoffs")
-			if d.SteeredRx() && handoffs != 0 {
-				b.Fatalf("transit frames crossed shards %d times on the steered plane, want 0", handoffs)
-			}
 		})
 	}
 }

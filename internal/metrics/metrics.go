@@ -137,7 +137,7 @@ func (s SPFSnapshot) MeanRepairSize() float64 {
 // WireStats counts datagram-level activity on one real UDP underlay: how
 // many datagrams and bytes crossed the socket in each direction, and how
 // effectively the batched data plane amortizes its syscalls (packets per
-// recvmmsg/sendmmsg wakeup). The counters are atomic: the read goroutines,
+// recvmmsg/sendmmsg wakeup). The counters are atomic: the read goroutine,
 // the shard loops and Send from any goroutine all write them.
 //
 // The zero value is ready to use.
@@ -174,19 +174,20 @@ type WireStats struct {
 	// pending when the underlay closed.
 	SendDropped atomic.Uint64
 	// RecvDelivered counts frames handed to the handler on this shard's
-	// event loop (after any cross-shard handoff; a sharded underlay's
-	// arrival shard and delivery shard can differ).
+	// event loop. The receive counters above are the read loop's and
+	// accrue to shard 0.
 	RecvDelivered atomic.Uint64
-	// Handoffs counts frames that arrived on this shard but belonged to
-	// another shard's flow state and were handed over an SPSC ring.
+	// Handoffs reads 0: with one read loop no frame arrives on a shard
+	// other than the one it is handed to. It stays only because the
+	// repository benchmark reads it by name, and goes with that benchmark's
+	// next change.
 	Handoffs atomic.Uint64
 	// HandoffDrops counts frames dropped because the target shard's
 	// handoff ring was full (overload; best-effort like IP).
 	HandoffDrops atomic.Uint64
 	// ControlSteers counts frames the receive-path classifier redirected
-	// to the control shard (hellos, link-state, group-state): expected
-	// shard crossings of the control plane, kept out of Handoffs so that
-	// counter isolates data-plane steering misses.
+	// to the control shard (hellos, link-state, group-state) from a
+	// sender homed elsewhere.
 	ControlSteers atomic.Uint64
 }
 
@@ -237,7 +238,7 @@ type WireSnapshot struct {
 	SendSegmented uint64
 	// RecvDelivered counts frames handed to the handler.
 	RecvDelivered uint64
-	// Handoffs counts frames handed to another shard over an SPSC ring.
+	// Handoffs reads 0 (see WireStats.Handoffs).
 	Handoffs uint64
 	// HandoffDrops counts frames dropped on a full handoff ring.
 	HandoffDrops uint64

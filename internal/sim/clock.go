@@ -79,6 +79,10 @@ type Inline struct{}
 // Post runs fn.
 func (Inline) Post(fn func()) { fn() }
 
+// PostRunner runs r, implementing RunnerExecutor: posting a Runner inline
+// allocates no closure.
+func (Inline) PostRunner(r Runner) { r.Run() }
+
 // TurnQueue is the Executor of a goroutine that is its own event loop:
 // Post queues work and Run, called when the owner ends its turn, runs it —
 // so a burst of underlay Sends coalesces into one flush exactly as on a

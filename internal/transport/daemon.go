@@ -42,8 +42,8 @@ type DaemonConfig struct {
 	Links []LinkDef `json:"links"`
 	// HelloIntervalMs optionally overrides failure-detection probing.
 	HelloIntervalMs int `json:"hello_interval_ms"`
-	// Shards is the data-plane shard count: event loops, UDP sockets
-	// (SO_REUSEPORT on Linux), and tx rings. 0 means min(GOMAXPROCS, 8).
+	// Shards is the data-plane shard count: event loops and tx rings
+	// behind the one UDP socket. 0 means min(GOMAXPROCS, 8).
 	// The overlay protocol shards with them: one forwarding engine per
 	// loop, the control plane (link state, routing, groups, sessions)
 	// single-threaded on shard 0's, every peer homed on one shard by a
@@ -184,11 +184,6 @@ func (d *Daemon) Shards() int { return d.udp.NumShards() }
 // ShardStats returns shard i's own datagram counters; safe from any
 // goroutine.
 func (d *Daemon) ShardStats(i int) metrics.WireSnapshot { return d.udp.ShardStats(i) }
-
-// SteeredRx reports whether the kernel steers arriving datagrams by flow
-// (the Linux reuseport program), making the arrival shard a deterministic
-// function of the sender's source port.
-func (d *Daemon) SteeredRx() bool { return d.udp.SteeredRx() }
 
 // AddPeer registers (or updates) a peer's UDP addresses after start —
 // used when daemons bind ephemeral ports and exchange addresses out of

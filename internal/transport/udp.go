@@ -18,34 +18,24 @@ import (
 // remote addresses (one per underlay path, supporting multihoming across
 // provider-specific addresses).
 //
-// The data plane is sharded, batched, and lock-light. A shard is one
-// event loop plus one receive loop plus one coalescing tx ring. Which
-// loop owns a datagram is one rule, applied here and nowhere else: with
-// more than one shard, a datagram wire.DatagramIsControl recognises goes
-// to shard 0, and every other one to its sender's home,
-// wire.HomeShard(sender, shards) — the shard whose loop owns the peer's
-// link sessions. A peer's frames therefore all run, in order, on one
-// loop, and a peer's home is a function of its id, not a setting.
+// The data plane is sharded, batched, and lock-light. It binds one socket
+// and runs one read loop whatever the shard count; a shard is one event
+// loop plus one coalescing tx ring. Which loop owns a datagram is one
+// rule, applied here and nowhere else: with more than one shard, a
+// datagram wire.DatagramIsControl recognises goes to shard 0, and every
+// other one to its sender's home, wire.HomeShard(sender, shards) — the
+// shard whose loop owns the peer's link sessions. A peer's frames
+// therefore all run, in order, on one loop, and a peer's home is a
+// function of its id, not a setting.
 //
-//   - Receive (Linux fast path, shards > 1): every shard binds its own
-//     SO_REUSEPORT socket on the underlay port, with a classic-BPF
-//     program attached to the group steering datagrams by UDP source
-//     port (shard = sport mod N). The kernel therefore delivers each
-//     remote endpoint's 4-tuple to one fixed socket and each shard drains
-//     its own socket with recvmmsg into its own arena. If the
-//     program cannot be attached the kernel's seeded 4-tuple hash steers
-//     instead — still per-flow stable, just not predictable (SteeredRx
-//     reports which).
-//   - Receive (portable path): one socket and one read loop, which
-//     dispatches every datagram by the same rule.
-//   - Delivery: decoded frames travel from a receive loop to the owning
-//     shard's event loop over one sim.Handoff per (reader, shard) pair —
-//     a bounded SPSC ring whose doorbell posts the drain only on the
-//     empty→non-empty transition, so under sustained load frames flow
-//     with no per-packet post and no lock on either side. A frame whose
-//     arrival socket is not its owner's (a sender whose source port the
-//     kernel steered elsewhere) crosses the same way and counts as a
-//     handoff.
+//   - Receive: the read loop drains the socket in batches (recvmmsg into
+//     one arena on Linux, one datagram per read elsewhere), resolves each
+//     datagram's sender and dispatches it by the rule above.
+//   - Delivery: decoded frames travel from the read loop to the owning
+//     shard's event loop over one sim.Handoff per shard — a bounded SPSC
+//     ring whose doorbell posts the drain only on the empty→non-empty
+//     transition, so under sustained load frames flow with no per-packet
+//     post and no lock on either side.
 //   - Sender identification: source addresses resolve through an
 //     immutable peer table keyed by netip.AddrPort, read via an atomic
 //     pointer — no per-packet lock, no addr.String() allocation. The
@@ -54,27 +44,26 @@ import (
 //   - Send: frames produced within one event-loop turn accumulate in
 //     the flow's shard tx ring; a single flush posted on that shard's
 //     executor hands the whole turn's frames to the kernel at once
-//     (sendmmsg on Linux through the shard's own socket; a write loop
+//     through the one socket (sendmmsg on Linux; a write loop
 //     elsewhere), so tx kernel crossings run on shard cores instead of
 //     stealing protocol time. On Linux the flush is grouped by peer and
 //     each run of equal-sized frames to one peer is a single UDP_SEGMENT
 //     message, so a relay's forwarded data and its acks both leave
 //     segmented. The Linux reader asks for UDP_GRO and splits what the
-//     kernel coalesced before the loop below sees it.
+//     kernel coalesced before the read loop sees it.
 //
 // All per-direction batch/packet/byte counters live in per-shard
-// metrics.WireStats; Stats aggregates them race-free.
+// metrics.WireStats; the read loop's accrue to shard 0. Stats aggregates
+// them race-free.
 type UDPUnderlay struct {
-	// conns are the bound sockets: one per shard on the Linux fast path
-	// with shards > 1, exactly one otherwise.
-	conns []*net.UDPConn
+	// conn is the one bound socket: the read loop drains it and every
+	// shard's writer flushes through it.
+	conn *net.UDPConn
 	// shards hold the per-shard executor, tx ring, writer, and counters.
 	shards []*udpShard
-	// rings[k][s] hands frames from reader k to shard s's loop. Reader k
-	// is the only producer and shard s's loop the only consumer.
-	rings [][]*sim.Handoff[rxFrame]
-	// steered reports that the reuseport steering program is attached.
-	steered bool
+	// rings[s] hands frames from the read loop to shard s's loop. The read
+	// loop is the only producer and shard s's loop the only consumer.
+	rings []*sim.Handoff[rxFrame]
 	// handler receives frames on the owning shard's executor. Immutable
 	// after New.
 	handler ShardHandler
@@ -84,8 +73,8 @@ type UDPUnderlay struct {
 	table  atomic.Pointer[peerTable]
 	closed atomic.Bool
 	mu     sync.Mutex
-	// done has one channel per read loop (per socket).
-	done []chan struct{}
+	// done closes when the read loop exits.
+	done chan struct{}
 }
 
 // udpShard is one shard's share of the data plane: its executor, its
@@ -95,7 +84,6 @@ type UDPUnderlay struct {
 type udpShard struct {
 	u    *UDPUnderlay
 	idx  int
-	conn *net.UDPConn
 	exec sim.Executor
 
 	// The send coalescing ring: Send appends under sendMu, the posted
@@ -117,7 +105,7 @@ type udpShard struct {
 // dropped (best-effort, like IP) rather than buffering without bound.
 const maxPending = 4096
 
-// handoffRingCap bounds each reader→shard ring: enough for many full
+// handoffRingCap bounds each shard's hand-off ring: enough for many full
 // recvmmsg batches of headroom before overload sheds.
 const handoffRingCap = 1024
 
@@ -126,21 +114,35 @@ const handoffRingCap = 1024
 // control work sharing the shard's loop.
 const rxDrainQuota = 4 * wire.ReadBatch
 
-// maxShards bounds the shard count (the readers' pending-doorbell set is
-// a 64-bit mask; far above any sane core count anyway).
+// maxShards bounds the shard count (the read loop's pending-doorbell set
+// is a 64-bit mask; far above any sane core count anyway).
 const maxShards = 64
 
-// shardSockBuf is the per-socket buffer request: batch reads amortize
-// kernel crossings only if bursts survive in the socket queue until the
-// shard's readLoop wakes, so every shard socket asks for a deep buffer.
-// The kernel clamps the request to net.core.rmem_max/wmem_max without
-// privilege, so failure is impossible and partial grants are fine.
-const shardSockBuf = 4 << 20
+// sockBuf is the socket buffer request: batch reads amortize kernel
+// crossings only if bursts survive in the socket queue until the read
+// loop wakes, so the socket asks for a deep buffer. The kernel clamps the
+// request to net.core.rmem_max/wmem_max without privilege, so failure is
+// impossible and partial grants are fine.
+const sockBuf = 4 << 20
 
-// setShardSockBufs applies shardSockBuf to a freshly bound shard socket.
-func setShardSockBufs(conn *net.UDPConn) {
-	_ = conn.SetReadBuffer(shardSockBuf)
-	_ = conn.SetWriteBuffer(shardSockBuf)
+// setSockBufs applies sockBuf to a freshly bound socket.
+func setSockBufs(conn *net.UDPConn) {
+	_ = conn.SetReadBuffer(sockBuf)
+	_ = conn.SetWriteBuffer(sockBuf)
+}
+
+// listenUDP binds the underlay's socket on bind.
+func listenUDP(bind string) (*net.UDPConn, error) {
+	addr, err := net.ResolveUDPAddr("udp", bind)
+	if err != nil {
+		return nil, fmt.Errorf("transport: resolve %q: %w", bind, err)
+	}
+	conn, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %q: %w", bind, err)
+	}
+	setSockBufs(conn)
+	return conn, nil
 }
 
 // peerTable is an immutable snapshot of the peer registrations. A new
@@ -217,13 +219,13 @@ func NewUDPUnderlay(bind string, exec sim.Executor, handler func(from wire.NodeI
 		func(_ int, from wire.NodeID, data []byte) { handler(from, data) })
 }
 
-// NewShardedUDPUnderlay binds len(execs) data-plane shards on bind and
-// starts their receive loops. Frames are handed to handler on the owning
-// shard's executor (shard 0 for control, the sender's home otherwise):
-// handler calls for different peers may run concurrently (one call per
-// shard at a time), but one peer's data frames are always delivered in
-// order on one shard. Pass a sim.ShardedLoop's Executors() for a deployed
-// daemon.
+// NewShardedUDPUnderlay binds one socket on bind for len(execs)
+// data-plane shards and starts its read loop. Frames are handed to
+// handler on the owning shard's executor (shard 0 for control, the
+// sender's home otherwise): handler calls for different peers may run
+// concurrently (one call per shard at a time), but one peer's data
+// frames are always delivered in order on one shard. Pass a
+// sim.ShardedLoop's Executors() for a deployed daemon.
 func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandler) (*UDPUnderlay, error) {
 	n := len(execs)
 	if n == 0 {
@@ -232,61 +234,35 @@ func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandl
 	if n > maxShards {
 		return nil, fmt.Errorf("transport: %d shards exceeds the maximum of %d", n, maxShards)
 	}
-	conns, steered, err := openShardConns(bind, n)
+	conn, err := listenUDP(bind)
 	if err != nil {
 		return nil, err
 	}
-	u := &UDPUnderlay{conns: conns, steered: steered, handler: handler}
+	u := &UDPUnderlay{conn: conn, handler: handler, done: make(chan struct{})}
 	u.table.Store(emptyPeerTable)
 	u.shards = make([]*udpShard, n)
+	u.rings = make([]*sim.Handoff[rxFrame], n)
 	for i := range u.shards {
-		conn := conns[0]
-		if len(conns) == n {
-			conn = conns[i]
-		}
-		s := &udpShard{u: u, idx: i, conn: conn, exec: execs[i]}
+		s := &udpShard{u: u, idx: i, exec: execs[i]}
 		s.flusher.s = s
 		w, err := newBatchWriter(conn)
 		if err != nil {
-			u.closeConns()
+			_ = conn.Close()
 			return nil, fmt.Errorf("transport: batch writer: %w", err)
 		}
 		s.writer = w
 		u.shards[i] = s
+		u.rings[i] = sim.NewHandoff(handoffRingCap, rxDrainQuota, s.exec, s.deliver)
 	}
-	u.rings = make([][]*sim.Handoff[rxFrame], len(conns))
-	for k := range u.rings {
-		u.rings[k] = make([]*sim.Handoff[rxFrame], n)
-		for i, s := range u.shards {
-			u.rings[k][i] = sim.NewHandoff(handoffRingCap, rxDrainQuota, s.exec, s.deliver)
-		}
-	}
-	u.done = make([]chan struct{}, len(conns))
-	for k := range u.done {
-		u.done[k] = make(chan struct{})
-		go u.readLoop(k)
-	}
+	go u.readLoop()
 	return u, nil
 }
 
-func (u *UDPUnderlay) closeConns() {
-	for _, c := range u.conns {
-		_ = c.Close()
-	}
-}
-
-// LocalAddr returns the bound address (shared by every shard socket:
-// with shards > 1 on Linux they form one SO_REUSEPORT group).
-func (u *UDPUnderlay) LocalAddr() string { return u.conns[0].LocalAddr().String() }
+// LocalAddr returns the bound address.
+func (u *UDPUnderlay) LocalAddr() string { return u.conn.LocalAddr().String() }
 
 // NumShards returns the data-plane shard count.
 func (u *UDPUnderlay) NumShards() int { return len(u.shards) }
-
-// SteeredRx reports whether the deterministic reuseport steering program
-// (shard = UDP source port mod shards) is attached; false means the
-// kernel's own 4-tuple hash steers (still per-flow stable) or the plane
-// is single-socket.
-func (u *UDPUnderlay) SteeredRx() bool { return u.steered }
 
 // Stats returns the aggregate of every shard's datagram counters.
 func (u *UDPUnderlay) Stats() metrics.WireSnapshot {
@@ -297,9 +273,9 @@ func (u *UDPUnderlay) Stats() metrics.WireSnapshot {
 	return agg
 }
 
-// ShardStats returns shard i's own counters. Receive-side arrival
-// counters accrue to the shard that drained the socket; RecvDelivered
-// accrues to the shard whose loop ran the handler.
+// ShardStats returns shard i's own counters. The read loop's arrival
+// counters accrue to shard 0; RecvDelivered accrues to the shard whose
+// loop ran the handler.
 func (u *UDPUnderlay) ShardStats(i int) metrics.WireSnapshot {
 	return u.shards[i].stats.Snapshot()
 }
@@ -385,8 +361,8 @@ func (u *UDPUnderlay) Send(neighbor wire.NodeID, path uint8, data []byte) {
 }
 
 // SendOn transmits like Send but coalesces on shard's own tx ring, so a
-// data shard's egress shares its own flush batch and socket instead of
-// the neighbor's home's. It implements node.ShardUnderlay.
+// data shard's egress shares its own flush batch instead of the
+// neighbor's home's. It implements node.ShardUnderlay.
 func (u *UDPUnderlay) SendOn(shard int, neighbor wire.NodeID, path uint8, data []byte) {
 	if shard < 0 || shard >= len(u.shards) {
 		shard = -1
@@ -479,9 +455,9 @@ func (u *UDPUnderlay) PathCount(neighbor wire.NodeID) int {
 // Close shuts the data plane down along its single quiesce path:
 //
 //  1. mark closed — new Sends and queued drains become no-op releases;
-//  2. close every shard socket, which errors the readLoops out of their
-//     batch reads;
-//  3. wait for every readLoop to exit, so no producer touches a handoff
+//  2. close the socket, which errors the read loop out of its batch
+//     read;
+//  3. wait for the read loop to exit, so no producer touches a handoff
 //     ring or a counter afterward;
 //  4. release every shard tx ring's still-coalesced frames (they never
 //     reached the kernel; a queued flush observing closed would do the
@@ -499,15 +475,8 @@ func (u *UDPUnderlay) Close() error {
 	}
 	u.closed.Store(true)
 	u.mu.Unlock()
-	var err error
-	for _, c := range u.conns {
-		if e := c.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	for _, d := range u.done {
-		<-d
-	}
+	err := u.conn.Close()
+	<-u.done
 	for _, s := range u.shards {
 		s.sendMu.Lock()
 		frames := s.pending
@@ -523,18 +492,18 @@ func (u *UDPUnderlay) Close() error {
 	return err
 }
 
-// readLoop drains socket k in batches until the connection closes,
-// pushing each datagram onto its owning shard's hand-off ring and ringing
-// doorbells once per touched shard per wakeup.
-func (u *UDPUnderlay) readLoop(k int) {
-	defer close(u.done[k])
-	br, err := newBatchReader(u.conns[k])
+// readLoop drains the socket in batches until it closes, pushing each
+// datagram onto its owning shard's hand-off ring and ringing doorbells
+// once per touched shard per wakeup.
+func (u *UDPUnderlay) readLoop() {
+	defer close(u.done)
+	br, err := newBatchReader(u.conn)
 	if err != nil {
 		// The socket cannot be read (platform refuses raw access); the
 		// underlay stays up for sending only.
 		return
 	}
-	arrival := u.shards[k]
+	arrival := u.shards[0]
 	for {
 		n, err := br.read()
 		if err != nil {
@@ -557,12 +526,10 @@ func (u *UDPUnderlay) readLoop(k int) {
 				continue
 			}
 			// The ownership rule: control to shard 0, data to the sender's
-			// home. A control redirect has its own counter, so Handoffs
-			// keeps meaning "data frame arrived off its home".
+			// home.
 			data := br.segment(i)[:ln]
 			target := int(ent.home)
-			ctrl := target != 0 && wire.DatagramIsControl(data)
-			if ctrl {
+			if target != 0 && wire.DatagramIsControl(data) {
 				target = 0
 				arrival.stats.ControlSteers.Add(1)
 			}
@@ -573,13 +540,9 @@ func (u *UDPUnderlay) readLoop(k int) {
 			buf := wire.DefaultBufPool.Get(ln)
 			buf.B = append(buf.B, data...)
 			touched |= 1 << uint(target)
-			if !u.rings[k][target].Push(rxFrame{from: ent.id, buf: buf}) {
+			if !u.rings[target].Push(rxFrame{from: ent.id, buf: buf}) {
 				buf.Release()
 				arrival.stats.HandoffDrops.Add(1)
-				continue
-			}
-			if target != k && !ctrl {
-				arrival.stats.Handoffs.Add(1)
 			}
 		}
 		arrival.stats.RecvBatches.Add(1)
@@ -589,7 +552,7 @@ func (u *UDPUnderlay) readLoop(k int) {
 		for t := touched; t != 0; {
 			s := bits.TrailingZeros64(t)
 			t &^= 1 << uint(s)
-			u.rings[k][s].Ring()
+			u.rings[s].Ring()
 		}
 		if u.closed.Load() {
 			return

@@ -21,9 +21,7 @@
 package transport
 
 import (
-	"context"
 	"encoding/binary"
-	"fmt"
 	"net"
 	"net/netip"
 	"slices"
@@ -39,11 +37,9 @@ const Plane = "linux-mmsg"
 
 // Socket options the syscall package does not name on Linux.
 const (
-	soReusePort           = 0xf // SO_REUSEPORT
-	soAttachReuseportCBPF = 51  // SO_ATTACH_REUSEPORT_CBPF
-	solUDP                = 17  // SOL_UDP
-	udpSegment            = 103 // UDP_SEGMENT: send a message as datagrams of this size
-	udpGRO                = 104 // UDP_GRO: receive coalesced datagrams and their size
+	solUDP     = 17  // SOL_UDP
+	udpSegment = 103 // UDP_SEGMENT: send a message as datagrams of this size
+	udpGRO     = 104 // UDP_GRO: receive coalesced datagrams and their size
 )
 
 // A segmented message carries at most maxSegments datagrams (the kernel's
@@ -88,124 +84,6 @@ func (c *udpCmsg) groSize(controllen uint64) int {
 		return 0
 	}
 	return int(int32(binary.NativeEndian.Uint32(c.data[:])))
-}
-
-// skfNetOff is classic BPF's SKF_NET_OFF as the kernel sees it: loads at
-// k >= this magic offset read relative to the network (IP) header even
-// though the reuseport program's data pointer starts at the UDP payload.
-const skfNetOff = 0xfff00000
-
-// reuseportSteerProg builds the classic-BPF program attached to the
-// shard socket group: return the datagram's UDP source port mod n, which
-// reuseport interprets as the index of the socket (= shard) to deliver
-// to. A remote endpoint keeps one source port for the life of its
-// socket, so steering is per-flow stable AND deterministic — unlike the
-// kernel's seeded 4-tuple hash, the shard of a flow is predictable from
-// its port, which the scaling benchmarks and the steering tests rely on.
-// The program handles IPv4 (honoring IHL) and IPv6 (fixed 40-byte
-// header; datagrams with extension headers fall back to whatever port
-// bytes sit at offset 40 — mis-steering only costs balance, never
-// correctness, because a given flow's datagrams still all read the same
-// bytes).
-func reuseportSteerProg(n int) []syscall.SockFilter {
-	// Opcodes: BPF_LD=0x00 BPF_ALU=0x04 BPF_JMP=0x05 BPF_RET=0x06
-	// BPF_MISC=0x07 | size W=0x00 H=0x08 B=0x10 | mode ABS=0x20 IND=0x40
-	// | BPF_AND=0x50 BPF_LSH=0x60 BPF_MOD=0x90 BPF_JEQ=0x10 BPF_TAX=0x00
-	// | RET+A=0x10.
-	k := uint32(n)
-	return []syscall.SockFilter{
-		{Code: 0x30, K: skfNetOff},          // ldb [net+0]       IP version/IHL
-		{Code: 0x54, K: 0xf0},               // and #0xf0
-		{Code: 0x15, Jt: 0, Jf: 7, K: 0x40}, // jeq #0x40 ? v4 : v6
-		{Code: 0x30, K: skfNetOff},          // ldb [net+0]
-		{Code: 0x54, K: 0x0f},               // and #0x0f         IHL in words
-		{Code: 0x64, K: 2},                  // lsh #2            IHL in bytes
-		{Code: 0x07},                        // tax
-		{Code: 0x48, K: skfNetOff},          // ldh [x + net+0]   UDP source port
-		{Code: 0x94, K: k},                  // mod #n
-		{Code: 0x16},                        // ret A
-		{Code: 0x28, K: skfNetOff + 40},     // v6: ldh [net+40]  UDP source port
-		{Code: 0x94, K: k},                  // mod #n
-		{Code: 0x16},                        // ret A
-	}
-}
-
-// openShardConns binds the shard sockets. One shard binds a plain socket
-// (bit-identical to the pre-shard plane). More than one binds an
-// SO_REUSEPORT group — every socket on the same address and port — and
-// attaches the steering program to the group; if the kernel refuses the
-// program (old kernel, seccomp), the sockets still work under the
-// kernel's own per-4-tuple hash and steered reports false.
-func openShardConns(bind string, n int) ([]*net.UDPConn, bool, error) {
-	if n == 1 {
-		addr, err := net.ResolveUDPAddr("udp", bind)
-		if err != nil {
-			return nil, false, fmt.Errorf("transport: resolve %q: %w", bind, err)
-		}
-		conn, err := net.ListenUDP("udp", addr)
-		if err != nil {
-			return nil, false, fmt.Errorf("transport: listen %q: %w", bind, err)
-		}
-		setShardSockBufs(conn)
-		return []*net.UDPConn{conn}, false, nil
-	}
-	lc := net.ListenConfig{Control: func(network, address string, c syscall.RawConn) error {
-		var serr error
-		if err := c.Control(func(fd uintptr) {
-			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
-		}); err != nil {
-			return err
-		}
-		return serr
-	}}
-	conns := make([]*net.UDPConn, 0, n)
-	fail := func(err error) ([]*net.UDPConn, bool, error) {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		return nil, false, err
-	}
-	target := bind
-	for i := 0; i < n; i++ {
-		pc, err := lc.ListenPacket(context.Background(), "udp", target)
-		if err != nil {
-			return fail(fmt.Errorf("transport: listen shard %d of %d on %q: %w", i, n, target, err))
-		}
-		conns = append(conns, pc.(*net.UDPConn))
-		setShardSockBufs(conns[i])
-		if i == 0 {
-			// An ephemeral bind resolved to a concrete port; the remaining
-			// group members must join it, not pick their own.
-			target = conns[0].LocalAddr().String()
-		}
-	}
-	steered := attachReuseportSteering(conns[0], n) == nil
-	return conns, steered, nil
-}
-
-// attachReuseportSteering attaches the steering program to the group
-// through any member socket.
-func attachReuseportSteering(conn *net.UDPConn, n int) error {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return err
-	}
-	prog := reuseportSteerProg(n)
-	fprog := syscall.SockFprog{Len: uint16(len(prog)), Filter: &prog[0]}
-	var serr error
-	if err := rc.Control(func(fd uintptr) {
-		// The syscall package has no SetsockoptSockFprog; raw setsockopt
-		// with the fprog struct is the same call the stdlib would make.
-		_, _, errno := syscall.Syscall6(syscall.SYS_SETSOCKOPT, fd,
-			syscall.SOL_SOCKET, soAttachReuseportCBPF,
-			uintptr(unsafe.Pointer(&fprog)), unsafe.Sizeof(fprog), 0)
-		if errno != 0 {
-			serr = errno
-		}
-	}); err != nil {
-		return err
-	}
-	return serr
 }
 
 // mmsghdr mirrors struct mmsghdr: one msghdr plus the kernel-filled

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"net"
@@ -36,37 +37,35 @@ func requireOffloads(t *testing.T) {
 	}
 }
 
-// awaitGRO waits until every socket of u coalesces on receive. Each read
-// loop turns UDP_GRO on when it starts, after NewUDPUnderlay has
-// returned; a segmented message that arrives before that is split by the
-// kernel, which is correct but not what a crossing count expects.
+// awaitGRO waits until u's socket coalesces on receive. The read loop
+// turns UDP_GRO on when it starts, after NewUDPUnderlay has returned; a
+// segmented message that arrives before that is split by the kernel,
+// which is correct but not what a crossing count expects.
 func awaitGRO(t *testing.T, u *UDPUnderlay) {
 	t.Helper()
-	for _, conn := range u.conns {
-		rc, err := conn.SyscallConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		on := func() bool {
-			v := 0
-			_ = rc.Control(func(fd uintptr) { v, _ = syscall.GetsockoptInt(int(fd), solUDP, udpGRO) })
-			return v == 1
-		}
-		if !waitFor(t, 5*time.Second, on) {
-			t.Fatal("read loop never turned UDP_GRO on")
-		}
+	rc, err := u.conn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := func() bool {
+		v := 0
+		_ = rc.Control(func(fd uintptr) { v, _ = syscall.GetsockoptInt(int(fd), solUDP, udpGRO) })
+		return v == 1
+	}
+	if !waitFor(t, 5*time.Second, on) {
+		t.Fatal("read loop never turned UDP_GRO on")
 	}
 }
 
-// listenLoopback binds a loopback socket with the shard socket buffers and
-// closes it when the test ends.
+// listenLoopback binds a loopback socket with the underlay's socket
+// buffers and closes it when the test ends.
 func listenLoopback(t *testing.T) *net.UDPConn {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	setShardSockBufs(conn)
+	setSockBufs(conn)
 	t.Cleanup(func() { _ = conn.Close() })
 	return conn
 }
@@ -546,7 +545,7 @@ func TestSegmentRefusalFallsBackToPlain(t *testing.T) {
 	rec := newRecorder()
 	exec := &captureExec{}
 	tx := testUnderlay(t, exec, nil)
-	setNoCheck(t, tx.conns[0])
+	setNoCheck(t, tx.conn)
 	connect(t, tx, 2, testUnderlay(t, sim.Inline{}, rec.handle), 1)
 	rng := rand.New(rand.NewSource(3))
 	var want [][]byte
@@ -715,4 +714,38 @@ func TestSegmentationDifferential(t *testing.T) {
 		sameFrames(t, "segmentation off", off[d], want)
 	}
 	t.Logf("%d of %d datagrams left segmented", segmented, len(stream))
+}
+
+// TestUnderlayOwnsItsPort binds a four-shard underlay, then a socket that
+// asks for SO_REUSEPORT on the same address. The underlay's one socket
+// never set the option, so the kernel must refuse the second bind: no
+// other socket can take a share of the underlay's datagrams.
+func TestUnderlayOwnsItsPort(t *testing.T) {
+	const soReusePort = 0xf // SO_REUSEPORT, which the syscall package does not name
+	execs := make([]sim.Executor, 4)
+	for i := range execs {
+		execs[i] = sim.Inline{}
+	}
+	u, err := NewShardedUDPUnderlay("127.0.0.1:0", execs, func(int, wire.NodeID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = u.Close() }()
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	pc, err := lc.ListenPacket(context.Background(), "udp", u.LocalAddr())
+	if err == nil {
+		_ = pc.Close()
+		t.Fatalf("a SO_REUSEPORT socket joined the underlay's port %s", u.LocalAddr())
+	}
+	if !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("second bind on %s: %v, want EADDRINUSE", u.LocalAddr(), err)
+	}
 }

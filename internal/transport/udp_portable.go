@@ -9,7 +9,6 @@
 package transport
 
 import (
-	"fmt"
 	"net"
 	"net/netip"
 
@@ -19,25 +18,6 @@ import (
 // Plane identifies the compiled data plane for diagnostics and the
 // EXP-WIRE report.
 const Plane = "portable"
-
-// openShardConns on the portable plane always binds exactly one socket,
-// whatever the shard count: the single read loop becomes a dispatcher
-// that steers each decoded datagram to its flow's shard by the
-// deterministic flow hash (SO_REUSEPORT steering is a Linux fast-path
-// feature). Shard tx rings all flush through this socket — the net
-// package serializes concurrent writes safely.
-func openShardConns(bind string, n int) ([]*net.UDPConn, bool, error) {
-	addr, err := net.ResolveUDPAddr("udp", bind)
-	if err != nil {
-		return nil, false, fmt.Errorf("transport: resolve %q: %w", bind, err)
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, false, fmt.Errorf("transport: listen %q: %w", bind, err)
-	}
-	setShardSockBufs(conn)
-	return []*net.UDPConn{conn}, false, nil
-}
 
 // batchReader reads one datagram per wakeup into its arena, one
 // wire.MaxDatagram buffer allocated once and owned for the reader's life.

@@ -479,19 +479,7 @@ type ClientStats struct {
 
 // OpenFlow creates a flow with the given service selection.
 func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
-	f, err := c.inner.OpenFlow(session.FlowSpec{
-		DstNode:   spec.To,
-		DstPort:   spec.ToPort,
-		Group:     spec.Group,
-		Anycast:   spec.Anycast,
-		LinkProto: spec.Service,
-		DisjointK: spec.DisjointPaths,
-		Dissem:    spec.DissemGraph,
-		Flood:     spec.Flood,
-		Ordered:   spec.Ordered,
-		Deadline:  spec.Deadline,
-		Priority:  spec.Priority,
-	})
+	f, err := c.inner.OpenFlow(spec.sessionSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -510,6 +498,23 @@ func (f *Flow) Send(payload []byte) error { return f.inner.Send(payload) }
 
 // Sent returns the number of messages sent on the flow.
 func (f *Flow) Sent() uint64 { return f.inner.Stats().Sent }
+
+// sessionSpec maps a public flow spec onto the session layer's.
+func (spec FlowSpec) sessionSpec() session.FlowSpec {
+	return session.FlowSpec{
+		DstNode:   spec.To,
+		DstPort:   spec.ToPort,
+		Group:     spec.Group,
+		Anycast:   spec.Anycast,
+		LinkProto: spec.Service,
+		DisjointK: spec.DisjointPaths,
+		Dissem:    spec.DissemGraph,
+		Flood:     spec.Flood,
+		Ordered:   spec.Ordered,
+		Deadline:  spec.Deadline,
+		Priority:  spec.Priority,
+	}
+}
 
 func fromSessionDelivery(d session.Delivery) Delivery {
 	return Delivery{
