@@ -35,7 +35,8 @@ test:
 	$(GO) test -tags sonet_portable -run AllocBudget ./internal/experiments/
 
 # The race gate runs the full suite once, then re-runs the daemon suite
-# (runtime admission of a peer homed off shard 0 among it) and the node's
+# (the reload suite TestDaemonApply* and TestDaemonReadmitAfterEvict, and
+# runtime admission of a peer homed off shard 0, among it) and the node's
 # shard-crossing tests (decision parity between shard 0 and a snapshot
 # shard, control payloads surfacing on a data shard, the crossing rings'
 # order, overflow, shutdown and all-pairs stress, admitted-peer homing,
@@ -58,15 +59,20 @@ race: test-race
 # under four observers, the hand-off primitive both
 # rings are built on, the loop and the realtime
 # clock's timers, the link protocols on the realtime clock (one recovery
-# timer per link, re-armed from inside its own callback), and the client
-# edge (Send, the edge writer goroutine and Close), 200 runs each under the
-# race detector. A flake that shows once in tens of runs fails here.
+# timer per link, re-armed from inside its own callback), the client
+# edge (Send, the edge writer goroutine and Close), and admission at four
+# shards (a config applied to a live daemon, and an admitted peer homed by
+# hash: admission posts sibling peer entries across shard loops), 200 runs
+# each under the race detector. A flake that shows once in tens of runs
+# fails here.
 stress:
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings|TestDedupStripesConcurrent' ./internal/node/
 	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
 	$(GO) test -race -count=200 -run 'TestLoop|TestRealtime|TestTimerContract/realtime' ./internal/sim/
 	$(GO) test -race -count=200 -run 'OverRealtimeClock' ./internal/link/
 	$(GO) test -race -count=200 -run 'ClientEdge|ClientClose|ClientWrite' ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestDaemonApply|TestDaemonReadmit' ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestAdmittedPeerIsHomedByHash ./internal/node/
 
 cover:
 	$(GO) test -cover ./...

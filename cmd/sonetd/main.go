@@ -23,12 +23,15 @@
 //	}
 //
 // Runtime admission: regenerate the configs with the grown (or shrunk)
-// topology and send every running daemon SIGHUP. Each daemon diffs its
-// reloaded link set: a new link incident to it admits the other
-// endpoint live — addresses registered, hello probing started, link
-// state re-announced — a new remote link grows its topology view so it
-// can route through the newcomer, and a withdrawn incident link evicts
-// the departed neighbor. No restart required.
+// topology and send every running daemon SIGHUP. Each daemon re-reads its
+// config and applies it (transport.Daemon.Apply, the same path its start
+// took): a new link incident to it admits the other endpoint live (hello
+// probing started, link state re-announced), a new remote link grows its
+// topology view so it can route through the newcomer, and a withdrawn
+// incident link evicts the departed neighbor. A new incident link whose
+// peer has no address yet is admitted all the same and starts probing
+// once a later reload supplies the address; re-adding an evicted link
+// brings it back up. No restart required.
 package main
 
 import (
@@ -40,7 +43,6 @@ import (
 	"syscall"
 
 	"sonet/internal/transport"
-	"sonet/internal/wire"
 )
 
 func main() {
@@ -82,16 +84,15 @@ func run() int {
 		if s != syscall.SIGHUP {
 			break
 		}
-		// Runtime admission: re-read the config and apply the membership
-		// delta. New peers are admitted (addresses registered, link added,
-		// hello probing begins, LSAs re-announced); removed peers are
-		// evicted (link withdrawn, addresses dropped).
 		next, err := loadConfig(*cfgPath)
+		if err == nil {
+			err = d.Apply(next)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sonetd: reload: %v\n", err)
 			continue
 		}
-		applyMembershipDelta(d, &cfg, next)
+		fmt.Println("sonetd: reloaded", *cfgPath)
 	}
 	fmt.Println("sonetd: shutting down")
 	return 0
@@ -107,106 +108,4 @@ func loadConfig(path string) (transport.DaemonConfig, error) {
 		return cfg, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return cfg, nil
-}
-
-// applyMembershipDelta diffs the reloaded config against the running
-// state. Links decide adjacency: a new link incident to this daemon
-// admits the other endpoint as a live neighbor (addresses registered,
-// hello probing started, link state re-announced), a new remote link
-// grows the topology view so SPF can route through it, and a withdrawn
-// incident link evicts the departed neighbor. Peers is the address
-// book: new entries not covered by an admission are registered so
-// frames can reach them, departed entries are dropped. cur is updated
-// in place to the applied state.
-func applyMembershipDelta(d *transport.Daemon, cur *transport.DaemonConfig, next transport.DaemonConfig) {
-	have := make(map[[2]wire.NodeID]bool, len(cur.Links))
-	for _, l := range cur.Links {
-		have[linkKey(l.A, l.B)] = true
-	}
-	for _, l := range next.Links {
-		if have[linkKey(l.A, l.B)] {
-			continue
-		}
-		switch {
-		case l.A == cur.ID || l.B == cur.ID:
-			peer := l.A
-			if peer == cur.ID {
-				peer = l.B
-			}
-			addrs := next.Peers[peer]
-			if err := d.AdmitPeer(peer, l.LatencyMs, addrs...); err != nil {
-				fmt.Fprintf(os.Stderr, "sonetd: admit %v: %v\n", peer, err)
-				continue
-			}
-			fmt.Printf("sonetd: admitted peer %v (%v)\n", peer, addrs)
-			if cur.Peers == nil {
-				cur.Peers = make(map[wire.NodeID][]string)
-			}
-			cur.Peers[peer] = addrs
-		default:
-			if err := d.LearnLink(l.A, l.B, l.LatencyMs); err != nil {
-				fmt.Fprintf(os.Stderr, "sonetd: learn link %v-%v: %v\n", l.A, l.B, err)
-				continue
-			}
-			fmt.Printf("sonetd: learned link %v-%v\n", l.A, l.B)
-		}
-		cur.Links = append(cur.Links, l)
-	}
-	want := make(map[[2]wire.NodeID]bool, len(next.Links))
-	for _, l := range next.Links {
-		want[linkKey(l.A, l.B)] = true
-	}
-	kept := cur.Links[:0]
-	for _, l := range cur.Links {
-		if want[linkKey(l.A, l.B)] {
-			kept = append(kept, l)
-			continue
-		}
-		if l.A == cur.ID || l.B == cur.ID {
-			peer := l.A
-			if peer == cur.ID {
-				peer = l.B
-			}
-			d.EvictPeer(peer)
-			fmt.Printf("sonetd: evicted peer %v\n", peer)
-			delete(cur.Peers, peer)
-		}
-		// A withdrawn remote link stays in the view administratively down;
-		// its endpoints' LSA floods already withdrew its availability.
-	}
-	cur.Links = kept
-	for id, addrs := range next.Peers {
-		if id == cur.ID {
-			continue
-		}
-		if _, known := cur.Peers[id]; known {
-			continue
-		}
-		if err := d.AddPeer(id, addrs...); err != nil {
-			fmt.Fprintf(os.Stderr, "sonetd: add peer %v: %v\n", id, err)
-			continue
-		}
-		if cur.Peers == nil {
-			cur.Peers = make(map[wire.NodeID][]string)
-		}
-		cur.Peers[id] = addrs
-	}
-	for id := range cur.Peers {
-		if id == cur.ID {
-			continue
-		}
-		if _, still := next.Peers[id]; still {
-			continue
-		}
-		d.RemovePeer(id)
-		delete(cur.Peers, id)
-	}
-}
-
-// linkKey canonicalizes an undirected link's endpoints.
-func linkKey(a, b wire.NodeID) [2]wire.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]wire.NodeID{a, b}
 }

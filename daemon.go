@@ -85,7 +85,8 @@ func (d *Daemon) AddPeer(id NodeID, addrs ...string) error {
 // registered, the shared topology gains the node and a direct link of
 // the given designed latency, and the daemon begins hello probing and
 // re-announces its link state so the joiner is discovered fleet-wide.
-// After Close it returns an error.
+// Admitting an evicted peer again brings its link back up. After Close it
+// returns an error.
 func (d *Daemon) AdmitPeer(id NodeID, latency time.Duration, addrs ...string) error {
 	return d.inner.AdmitPeer(id, int(latency/time.Millisecond), addrs...)
 }

@@ -542,28 +542,6 @@ func (c *Core) FlowSlots() int { return len(c.flows) }
 // EntrySlots returns the entry arena capacity (peak queued packets).
 func (c *Core) EntrySlots() int { return len(c.entries) }
 
-// QueuedFor returns the flow's queue depth (diagnostics).
-func (c *Core) QueuedFor(key FlowKey) int {
-	if c.cfg.FIFO {
-		return 0
-	}
-	if fi := c.lookup(flowKeyBits(key)); fi != nilRef {
-		return int(c.flows[fi].qlen)
-	}
-	return 0
-}
-
-// Accepts reports whether the flow currently has buffer space — the
-// backpressure signal an upstream hop or source consults before handing
-// over another message.
-func (c *Core) Accepts(key FlowKey) bool {
-	if c.cfg.FIFO {
-		return c.fifoLen < c.cfg.TotalBuffer
-	}
-	fi := c.lookup(flowKeyBits(key))
-	return fi == nilRef || int(c.flows[fi].qlen) < c.cfg.FlowBuffer
-}
-
 // Close drains every queue, releasing captured buffers and accounting the
 // discarded packets as DropClosed. A closed core refuses Enqueue.
 func (c *Core) Close() {

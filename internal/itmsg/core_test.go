@@ -19,6 +19,18 @@ func corePacket(src, dst wire.NodeID, seq uint32, prio uint8) *wire.Packet {
 	}
 }
 
+// queued returns a flow's queue depth, read off the core's flow table.
+func queued(c *Core, key FlowKey) int {
+	if fi := c.lookup(flowKeyBits(key)); fi != nilRef {
+		return int(c.flows[fi].qlen)
+	}
+	return 0
+}
+
+// full reports whether a flow holds all the packets its buffer allows, the
+// backpressure an upstream hop or source sees.
+func full(c *Core, key FlowKey) bool { return queued(c, key) >= c.cfg.FlowBuffer }
+
 func drainCore(c *Core) []wire.Packet {
 	var out []wire.Packet
 	for {
@@ -462,8 +474,8 @@ func TestCoreHashGrowth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		key := FlowKey{Src: wire.NodeID(i/256 + 1), Dst: wire.NodeID(i % 256)}
-		if got := c.QueuedFor(key); got != 1 {
-			t.Fatalf("flow %d: QueuedFor = %d, want 1", i, got)
+		if got := queued(c, key); got != 1 {
+			t.Fatalf("flow %d: queue depth %d, want 1", i, got)
 		}
 	}
 	if got := len(drainCore(c)); got != n {

@@ -205,8 +205,8 @@ func TestPriorityLowerNewcomerDropped(t *testing.T) {
 	sender.Send(srcPacket(1, 1, 5))
 	sender.Send(srcPacket(1, 2, 5))
 	sender.Send(srcPacket(1, 3, 1)) // lower priority than everything stored
-	if sender.core.QueuedFor(FlowKey{Src: 1}) != 2 {
-		t.Fatalf("queue depth %d, want 2", sender.core.QueuedFor(FlowKey{Src: 1}))
+	if queued(sender.core, FlowKey{Src: 1}) != 2 {
+		t.Fatalf("queue depth %d, want 2", queued(sender.core, FlowKey{Src: 1}))
 	}
 	if sender.refused != 1 {
 		t.Fatalf("Evicted = %d, want 1 (the newcomer)", sender.refused)
@@ -294,10 +294,10 @@ func TestReliableFairBackpressurePerFlow(t *testing.T) {
 	for i := uint32(1); i <= 500; i++ {
 		sender.Send(flowPacket(66, 9, i))
 	}
-	if sender.core.Accepts(flood) {
+	if !full(sender.core, flood) {
 		t.Fatal("saturated flow still accepted")
 	}
-	if !sender.core.Accepts(honest) {
+	if full(sender.core, honest) {
 		t.Fatal("backpressure on one flow blocked another")
 	}
 	if sender.refused != 500-8 {
@@ -388,15 +388,15 @@ func TestReliableFairAcceptsRecoversAfterDrain(t *testing.T) {
 	for i := uint32(1); i <= 4; i++ {
 		sender.Send(flowPacket(1, 9, i))
 	}
-	if sender.core.Accepts(key) {
+	if !full(sender.core, key) {
 		t.Fatal("full flow still accepted")
 	}
 	sched.RunFor(time.Second) // pacer drains the queue
-	if !sender.core.Accepts(key) {
+	if full(sender.core, key) {
 		t.Fatal("backpressure did not release after drain")
 	}
-	if sender.core.QueuedFor(key) != 0 {
-		t.Fatalf("queue depth %d after drain", sender.core.QueuedFor(key))
+	if queued(sender.core, key) != 0 {
+		t.Fatalf("queue depth %d after drain", queued(sender.core, key))
 	}
 }
 

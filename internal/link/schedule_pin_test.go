@@ -151,7 +151,7 @@ var scheduleCases = []scheduleCase{
 		func(e Env) Protocol { return NewStrikes(e, continentalStrikes()) }},
 	{"single-strike", 5 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond,
 		func(e Env) Protocol {
-			return NewStrikes(e, SingleStrikeConfig(60*time.Millisecond, 20*time.Millisecond))
+			return NewStrikes(e, StrikesConfig{N: 1, M: 1, Budget: 60 * time.Millisecond, RTT: 20 * time.Millisecond})
 		}},
 }
 

@@ -53,13 +53,6 @@ func (c StrikesConfig) withDefaults() StrikesConfig {
 	return c
 }
 
-// SingleStrikeConfig returns the configuration of the NM-Strikes
-// predecessor used for VoIP (§V-A, citing 1-800-OVERLAYS): one request and
-// one retransmission per lost packet.
-func SingleStrikeConfig(budget, rtt time.Duration) StrikesConfig {
-	return StrikesConfig{N: 1, M: 1, Budget: budget, RTT: rtt}
-}
-
 // requestSpacing returns the interval between the receiver's N requests:
 // the requests are spread as much as possible over the budget while
 // leaving one RTT for the final response to arrive (§IV-A: "requests

@@ -205,11 +205,11 @@ func TestStrikesDuplicateRetransmissionsSuppressed(t *testing.T) {
 	}
 }
 
+// TestStrikesSingleStrikeConfig runs the single-strike VoIP configuration
+// (§V-A, citing 1-800-OVERLAYS): one request and one retransmission per
+// lost packet.
 func TestStrikesSingleStrikeConfig(t *testing.T) {
-	cfg := SingleStrikeConfig(60*time.Millisecond, 20*time.Millisecond)
-	if cfg.N != 1 || cfg.M != 1 {
-		t.Fatalf("SingleStrikeConfig N=%d M=%d, want 1/1", cfg.N, cfg.M)
-	}
+	cfg := StrikesConfig{N: 1, M: 1, Budget: 60 * time.Millisecond, RTT: 20 * time.Millisecond}
 	sched := sim.NewScheduler(1)
 	p := strikesPair(sched, 10*time.Millisecond, cfg)
 	p.a.drop = func(f *wire.Frame) bool { return f.Kind == wire.FData && f.Seq == 1 }

@@ -225,8 +225,7 @@ type Manager struct {
 }
 
 // NewManager returns a manager for node self sharing view. The view must
-// already contain the designed topology; neighbors are registered with
-// AddNeighbor before Start.
+// already contain every link a neighbor is registered on with AddNeighbor.
 func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Manager {
 	m := &Manager{
 		env:             env,
@@ -241,8 +240,15 @@ func NewManager(env Env, self wire.NodeID, view *topology.View, cfg Config) *Man
 	return m
 }
 
-// AddNeighbor registers the adjacent link to a neighbor.
+// AddNeighbor registers the adjacent link to a neighbor; a neighbor
+// already registered is left as it is. On a started manager (a runtime
+// join) probing begins at once and the node's full link states — now
+// including the new link — are re-announced; before Start, Start does
+// both.
 func (m *Manager) AddNeighbor(n wire.NodeID, link wire.LinkID) {
+	if m.neighbors.At(n) != nil {
+		return
+	}
 	st := m.view.State[link]
 	if m.self < n {
 		// An owned link's entry is what its first advertisement will say.
@@ -257,6 +263,10 @@ func (m *Manager) AddNeighbor(n wire.NodeID, link wire.LinkID) {
 	})
 	i, _ := slices.BinarySearch(m.order, n)
 	m.order = slices.Insert(m.order, i, n)
+	if m.started && !m.closed {
+		m.scheduleHello(n, m.cfg.HelloInterval)
+		m.originateLSA()
+	}
 }
 
 // Start begins hello probing and periodic refresh flooding, announcing the
@@ -268,20 +278,6 @@ func (m *Manager) Start() {
 	}
 	m.originateLSA()
 	m.refreshTimer.Reset(m.cfg.RefreshInterval)
-}
-
-// AddNeighborLive registers the adjacent link to a neighbor on a running
-// manager (a runtime join): probing starts immediately and the node's full
-// link states — now including the new link — are re-announced.
-func (m *Manager) AddNeighborLive(n wire.NodeID, link wire.LinkID) {
-	if m.neighbors.At(n) != nil {
-		return
-	}
-	m.AddNeighbor(n, link)
-	if m.started && !m.closed {
-		m.scheduleHello(n, m.cfg.HelloInterval)
-		m.originateLSA()
-	}
 }
 
 // SetMemberCheck installs the overlay-membership gate for advertisement
@@ -432,15 +428,6 @@ func (m *Manager) Neighbors() []wire.NodeID { return m.order }
 func (m *Manager) NeighborUp(n wire.NodeID) bool {
 	st := m.neighbors.At(n)
 	return st != nil && st.up
-}
-
-// NeighborRTT returns the smoothed hello RTT for a neighbor.
-func (m *Manager) NeighborRTT(n wire.NodeID) (time.Duration, bool) {
-	st := m.neighbors.At(n)
-	if st == nil {
-		return 0, false
-	}
-	return st.rtt, true
 }
 
 func (m *Manager) scheduleHello(n wire.NodeID, after time.Duration) {

@@ -187,11 +187,7 @@ func TestHelloKeepsLinksUp(t *testing.T) {
 			}
 		}
 	}
-	rtt, ok := w.envs[1].mgr.NeighborRTT(2)
-	if !ok {
-		t.Fatal("no RTT for neighbor")
-	}
-	if rtt != 20*time.Millisecond {
+	if rtt := w.envs[1].mgr.neighbors.At(2).rtt; rtt != 20*time.Millisecond {
 		t.Fatalf("RTT = %v, want 20ms", rtt)
 	}
 	if w.envs[1].mgr.Stats().DownDetections != 0 {

@@ -553,22 +553,6 @@ type FlowStats struct {
 	Latency Latencies
 }
 
-// DeliveryRatio returns Received / Sent, or 0 when nothing was sent.
-func (f *FlowStats) DeliveryRatio() float64 {
-	if f.Sent == 0 {
-		return 0
-	}
-	return float64(f.Received) / float64(f.Sent)
-}
-
-// LossRatio returns 1 − DeliveryRatio, or 0 when nothing was sent.
-func (f *FlowStats) LossRatio() float64 {
-	if f.Sent == 0 {
-		return 0
-	}
-	return 1 - f.DeliveryRatio()
-}
-
 // Table formats experiment output as fixed-width rows so every benchmark
 // prints series the way the paper's evaluation would tabulate them.
 type Table struct {

@@ -104,21 +104,6 @@ func TestPercentileMatchesSortProperty(t *testing.T) {
 	}
 }
 
-func TestFlowStatsRatios(t *testing.T) {
-	var f FlowStats
-	if f.DeliveryRatio() != 0 || f.LossRatio() != 0 {
-		t.Fatal("zero FlowStats returned nonzero ratios")
-	}
-	f.Sent = 100
-	f.Received = 97
-	if f.DeliveryRatio() != 0.97 {
-		t.Fatalf("DeliveryRatio = %v", f.DeliveryRatio())
-	}
-	if got := f.LossRatio(); got < 0.0299 || got > 0.0301 {
-		t.Fatalf("LossRatio = %v", got)
-	}
-}
-
 func TestTableFormatting(t *testing.T) {
 	tab := NewTable("proto", "p99", "ontime")
 	tab.AddRow("e2e", 150*time.Millisecond, 0.95)

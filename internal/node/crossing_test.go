@@ -321,7 +321,7 @@ func TestCrossingStress(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			r.on(0, func() {
 				if i == rounds/2 {
-					if err := r.n.AdmitNeighbor(newcomer, time.Millisecond); err != nil {
+					if err := r.n.LearnLink(r.self, newcomer, time.Millisecond); err != nil {
 						t.Error(err)
 					}
 				}
@@ -361,7 +361,7 @@ func TestAdmittedPeerIsHomedByHash(t *testing.T) {
 		peer++
 	}
 	r.on(0, func() {
-		if err := r.n.AdmitNeighbor(peer, time.Millisecond); err != nil {
+		if err := r.n.LearnLink(r.self, peer, time.Millisecond); err != nil {
 			t.Error(err)
 		}
 	})

@@ -151,9 +151,8 @@ type Node struct {
 	memMgr *membership.Manager
 	engine *routing.Engine
 
-	deliver      func(*wire.Packet)
-	onViewChange func()
-	ctlPacket    wire.Packet
+	deliver   func(*wire.Packet)
+	ctlPacket wire.Packet
 
 	// plane is the node's forwarding engines; ctl is its shard 0, the one
 	// on this node's executor.
@@ -193,12 +192,7 @@ func New(cfg Config) (*Node, error) {
 	n.lsMgr.SetOnNeighborState(n.handleNeighborState)
 	n.grpMgr = groups.NewManager(&grpEnv{n: n}, n.id)
 	n.engine = routing.NewEngine(n.id, n.lsMgr, n.grpMgr, cfg.Metric)
-	for _, lid := range cfg.Graph.Incident(n.id) {
-		l, _ := cfg.Graph.Link(lid)
-		peer, _ := l.Other(n.id)
-		n.plane.admit(peer, lid, l.Latency)
-		n.lsMgr.AddNeighbor(peer, lid)
-	}
+	n.registerIncident()
 	if cfg.Membership != nil {
 		n.memMgr = membership.NewManager(&memEnv{n: n}, n.id, *cfg.Membership)
 		n.memMgr.SetView(view)
@@ -288,78 +282,58 @@ func (n *Node) Leave() {
 // runtime join). Safe to call when nothing changed.
 func (n *Node) SyncTopology() {
 	added := n.lsMgr.View().Grow()
+	if n.registerIncident() || added > 0 {
+		n.forwardingChanged()
+	}
+}
+
+// registerIncident gives every incident link of the graph whose neighbor
+// has no entry yet its data-plane entry (DataPlane.admit) and its hello
+// machinery (linkstate's AddNeighbor, which probes at once on a started
+// node), in link order, and reports whether it registered any.
+func (n *Node) registerIncident() bool {
 	grew := false
 	for _, lid := range n.cfg.Graph.Incident(n.id) {
-		l, ok := n.cfg.Graph.Link(lid)
-		if !ok {
-			continue
-		}
+		l, _ := n.cfg.Graph.Link(lid)
 		peer, _ := l.Other(n.id)
 		if n.ctl.peers.At(peer) != nil {
 			continue
 		}
 		n.plane.admit(peer, lid, l.Latency)
-		n.lsMgr.AddNeighborLive(peer, lid)
+		n.lsMgr.AddNeighbor(peer, lid)
 		grew = true
 	}
-	if added > 0 || grew {
-		n.forwardingChanged()
-	}
+	return grew
 }
 
 // forwardingChanged follows every change to the shared view or group
-// state: data shards get a fresh snapshot, and the view-change hook runs.
-// The engine's caches notice the change by the view and group versions.
-func (n *Node) forwardingChanged() {
-	n.engine.Publish()
-	if n.onViewChange != nil {
-		n.onViewChange()
-	}
-}
+// state: data shards get a fresh snapshot. The engine's caches notice the
+// change by the view and group versions.
+func (n *Node) forwardingChanged() { n.engine.Publish() }
 
-// AdmitNeighbor admits a new overlay neighbor at runtime (the daemon
-// admission path): the shared graph gains the peer and a direct link if
-// one is not already designed, and SyncTopology registers the link's
-// neighbor machinery and begins hello probing. Idempotent; must run on
-// the node's executor.
-func (n *Node) AdmitNeighbor(peer wire.NodeID, latency time.Duration) error {
-	if peer == 0 || peer == n.id {
-		return fmt.Errorf("node: bad neighbor %v", peer)
-	}
-	if _, ok := n.cfg.Graph.LinkBetween(n.id, peer); !ok {
-		n.cfg.Graph.AddNode(peer)
-		if _, err := n.cfg.Graph.AddLink(n.id, peer, latency); err != nil {
-			return err
-		}
-	}
-	n.SyncTopology()
-	return nil
-}
-
-// LearnLink grows the shared graph with a remote link the node is not an
-// endpoint of (the daemon admission path on non-adjacent nodes): the view
-// gains the link so SPF can route through it, while its availability
-// stays governed by the endpoints' LSA floods. Idempotent; must run on
-// the node's executor.
+// LearnLink grows the node's topology with the link a–b of the given
+// designed latency; it is how a daemon's configured links, and every
+// runtime admission, reach the node. The view gains the link so SPF can
+// route through it. A link incident to this node also admits the other
+// endpoint as a neighbor: its link sessions are homed, and hello probing
+// begins with a re-announcement of the node's link states (at Start, on a
+// node not yet started). Naming an incident link that is already known
+// re-enables that one neighbor after an eviction. A remote link's
+// availability stays governed by its endpoints' LSA floods. Idempotent;
+// must run on the node's executor.
 func (n *Node) LearnLink(a, b wire.NodeID, latency time.Duration) error {
-	if a == 0 || b == 0 || a == b {
-		return fmt.Errorf("node: bad link %v-%v", a, b)
-	}
-	if a == n.id || b == n.id {
-		peer := a
-		if a == n.id {
-			peer = b
-		}
-		return n.AdmitNeighbor(peer, latency)
-	}
 	if _, ok := n.cfg.Graph.LinkBetween(a, b); !ok {
-		n.cfg.Graph.AddNode(a)
-		n.cfg.Graph.AddNode(b)
 		if _, err := n.cfg.Graph.AddLink(a, b, latency); err != nil {
-			return err
+			return fmt.Errorf("node: %w", err)
 		}
 	}
 	n.SyncTopology()
+	switch n.id {
+	case a:
+		n.lsMgr.EnableNeighbor(b)
+	case b:
+		n.lsMgr.EnableNeighbor(a)
+	}
 	return nil
 }
 
@@ -456,10 +430,6 @@ func (n *Node) SetDeliver(fn func(*wire.Packet)) {
 	}
 	n.deliver = fn
 }
-
-// SetOnViewChange installs a hook invoked whenever the shared view or
-// group state changes (used by compound-flow rerouting and experiments).
-func (n *Node) SetOnViewChange(fn func()) { n.onViewChange = fn }
 
 // LinkStats returns the link-protocol counters of the control shard's
 // endpoints on the link to one neighbor.

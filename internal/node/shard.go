@@ -167,10 +167,11 @@ func (pl *DataPlane) addShard(clock sim.Clock) {
 
 // Grow shards the plane across loops: shard 0 stays on the node's own
 // clock, shards 1..N-1 start on clocks[i] (all sharing the node clock's
-// epoch so cross-shard timestamps compare), every neighbor is re-homed by
-// wire.HomeShard, and the routing engine starts publishing snapshots for
-// the new shards to read. Call it once, before Start and before the
-// underlay delivers anything.
+// epoch so cross-shard timestamps compare), and the routing engine starts
+// publishing snapshots for the new shards to read. Call it once, before
+// any neighbor is admitted (a sharded node is built over a graph holding
+// no link of its own and learns its links afterwards), before Start and
+// before the underlay delivers anything.
 func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	pl.loops = loops
 	nshard := loops.NumShards()
@@ -184,22 +185,12 @@ func (pl *DataPlane) Grow(loops *sim.ShardedLoop, clocks []sim.Clock) {
 	for _, s := range pl.shards {
 		s.out = make([]atomic.Pointer[crossRing], nshard)
 	}
-	for _, pr := range pl.shards[0].peers {
-		if pr == nil {
-			continue
-		}
-		pr.home = wire.HomeShard(pr.neighbor, nshard)
-		for _, s := range pl.shards[1:] {
-			s.addPeer(pr.sibling())
-		}
-	}
 	pl.n.engine.SetPublishTarget(&pl.snap)
 }
 
 // admit registers a neighbor on every shard, homed by wire.HomeShard over
-// the shards the plane has now: the startup neighbors land on shard 0 and
-// Grow re-homes them; a peer admitted at runtime gets the home its
-// underlay delivers its frames on. Runs on the control loop.
+// the plane's shards — the one place a peer's home is decided, and the
+// shard its underlay delivers its frames on. Runs on the control loop.
 //
 // The other shards learn the entry by a posted closure, not a crossing
 // record: it must not be refused, and nothing orders it against records.

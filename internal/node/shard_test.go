@@ -99,6 +99,11 @@ func newShardRig(t *testing.T, mutate func(*shardRig, *Config)) *shardRig {
 	if mutate != nil {
 		mutate(r, &cfg)
 	}
+	// A sharded node is built over its own id alone and learns its links
+	// once the plane has grown, the way a daemon applies its config.
+	design := cfg.Graph
+	cfg.Graph = topology.NewGraph()
+	cfg.Graph.AddNode(r.self)
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +122,14 @@ func newShardRig(t *testing.T, mutate func(*shardRig, *Config)) *shardRig {
 	if got := n.DataPlane().NumShards(); got != nshard {
 		t.Fatalf("plane has %d shards, want %d", got, nshard)
 	}
-	r.on(0, n.Start)
+	r.on(0, func() {
+		for _, l := range design.Links() {
+			if err := n.LearnLink(l.A, l.B, l.Latency); err != nil {
+				t.Error(err)
+			}
+		}
+		n.Start()
+	})
 	return r
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,15 @@ type DaemonConfig struct {
 // control frames (hellos, link-state, group-state, membership) on shard 0
 // and every other frame on its sender's home.
 type Daemon struct {
-	cfg   DaemonConfig
+	// id is the daemon's node id, fixed at NewDaemon.
+	id wire.NodeID
+	// applyMu serializes Apply's diffs. links and peers are what it last
+	// applied, which the next config is diffed against: the Links, and the
+	// Peers less any address the underlay refused.
+	applyMu sync.Mutex
+	links   []LinkDef
+	peers   map[wire.NodeID][]string
+
 	loops *sim.ShardedLoop
 	// loop is the control shard's event loop: node, sessions, clients.
 	loop *sim.Loop
@@ -83,16 +92,13 @@ type Daemon struct {
 	edge clientEdgeCounters
 }
 
-// NewDaemon builds and starts a daemon from config.
+// NewDaemon builds and starts a daemon from config. The node starts over a
+// topology holding only its own id; the configured links and peer
+// addresses reach it through Apply, before Start, the same way a reload
+// does.
 func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
-	g := topology.NewGraph()
-	for _, l := range cfg.Links {
-		if _, err := g.AddLink(l.A, l.B, time.Duration(l.LatencyMs)*time.Millisecond); err != nil {
-			return nil, fmt.Errorf("transport: link %v-%v: %w", l.A, l.B, err)
-		}
-	}
 	d := &Daemon{
-		cfg:     cfg,
+		id:      cfg.ID,
 		loops:   sim.NewShardedLoop(cfg.Shards),
 		clients: make(map[*clientConn]struct{}),
 	}
@@ -110,15 +116,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d.udp = udp
-	for id, addrs := range cfg.Peers {
-		if id == cfg.ID {
-			continue
-		}
-		if err := d.AddPeer(id, addrs...); err != nil {
-			d.shutdownEarly()
-			return nil, err
-		}
-	}
+	g := topology.NewGraph()
+	g.AddNode(cfg.ID)
 	// Every shard clock shares one epoch so timestamps (frame send times,
 	// packet origins) compare across shards.
 	epoch := time.Now()
@@ -143,6 +142,10 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		clocks[i] = sim.NewRealtimeClockAt(d.loops.Shard(i), epoch)
 	}
 	n.DataPlane().Grow(d.loops, clocks)
+	if err := d.Apply(cfg); err != nil {
+		d.shutdownEarly()
+		return nil, err
+	}
 	done := make(chan struct{})
 	d.loop.Post(func() {
 		// Publishing on the control loop serializes the node's start with
@@ -164,6 +167,131 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		go d.acceptLoop()
 	}
 	return d, nil
+}
+
+// checkLinks refuses a link set no topology.Graph would hold.
+func checkLinks(links []LinkDef) error {
+	g := topology.NewGraph()
+	for _, l := range links {
+		if _, err := g.AddLink(l.A, l.B, l.latency()); err != nil {
+			return fmt.Errorf("transport: link %v-%v: %w", l.A, l.B, err)
+		}
+	}
+	return nil
+}
+
+func (l LinkDef) latency() time.Duration { return time.Duration(l.LatencyMs) * time.Millisecond }
+
+// key names an undirected link by its endpoints, lower id first.
+func (l LinkDef) key() [2]wire.NodeID {
+	if l.A > l.B {
+		return [2]wire.NodeID{l.B, l.A}
+	}
+	return [2]wire.NodeID{l.A, l.B}
+}
+
+// Apply brings the daemon to config next, the one way a config enters it:
+// NewDaemon applies the initial config, and sonetd applies each reload.
+// next is diffed against the config last applied, in two halves.
+//
+// Peers is the address book: a new or changed entry is registered with
+// the underlay first, so a new neighbor's hellos reach it, and a departed
+// entry is dropped last. An incident link whose peer has no address yet
+// is admitted all the same and its probes reach the peer once a later
+// Apply (or AddPeer) supplies one.
+//
+// Links are applied in one turn of the control loop. Each new link, in
+// config order, goes through Node.LearnLink: an incident one admits its
+// peer (hello probing, link states re-announced), a remote one grows the
+// view so SPF can route through it, and the link of a neighbor evicted
+// earlier comes back up. Each withdrawn incident link evicts its
+// neighbor; a withdrawn remote link stays in the view, its endpoints'
+// floods having withdrawn its availability. Latency changes of a known
+// link and the bind, shard and hello fields take no effect.
+//
+// A link set no topology would hold is refused with nothing changed; an
+// address the underlay refuses is reported and left unapplied, so the
+// next Apply retries it. After Close it returns an error.
+func (d *Daemon) Apply(next DaemonConfig) error {
+	if next.ID != d.id {
+		return fmt.Errorf("transport: config for node %v applied to node %v", next.ID, d.id)
+	}
+	if err := checkLinks(next.Links); err != nil {
+		return err
+	}
+	d.applyMu.Lock()
+	var errs []error
+	peers := make(map[wire.NodeID][]string, len(next.Peers))
+	for id, addrs := range next.Peers {
+		old, known := d.peers[id]
+		if id == d.id {
+			continue
+		}
+		if !known || !slices.Equal(old, addrs) {
+			if err := d.AddPeer(id, addrs...); err != nil {
+				errs = append(errs, err)
+				if known {
+					peers[id] = old
+				}
+				continue
+			}
+			old = slices.Clone(addrs)
+		}
+		peers[id] = old
+	}
+	var departed []wire.NodeID
+	for id := range d.peers {
+		if _, ok := next.Peers[id]; !ok {
+			departed = append(departed, id)
+		}
+	}
+
+	had := make(map[[2]wire.NodeID]bool, len(d.links))
+	for _, l := range d.links {
+		had[l.key()] = true
+	}
+	want := make(map[[2]wire.NodeID]bool, len(next.Links))
+	var learn []LinkDef
+	for _, l := range next.Links {
+		want[l.key()] = true
+		if !had[l.key()] {
+			learn = append(learn, l)
+		}
+	}
+	var evict []wire.NodeID
+	for _, l := range d.links {
+		if want[l.key()] {
+			continue
+		}
+		switch d.id {
+		case l.A:
+			evict = append(evict, l.B)
+		case l.B:
+			evict = append(evict, l.A)
+		}
+	}
+	d.links, d.peers = slices.Clone(next.Links), peers
+
+	// Posting under applyMu keeps overlapping Applies' turns in order.
+	ch := make(chan error, 1)
+	posted := d.loop.TryPost(func() {
+		var err error
+		for _, l := range learn {
+			err = errors.Join(err, d.node.LearnLink(l.A, l.B, l.latency()))
+		}
+		for _, id := range evict {
+			d.node.EvictNeighbor(id)
+		}
+		for _, id := range departed {
+			d.udp.RemovePeer(id)
+		}
+		ch <- err
+	})
+	d.applyMu.Unlock()
+	if !posted {
+		return errDaemonClosed
+	}
+	return errors.Join(append(errs, <-ch)...)
 }
 
 // errDaemonClosed is what a call that needs the control loop returns after
@@ -201,34 +329,27 @@ func (d *Daemon) AddPeer(id wire.NodeID, addrs ...string) error {
 func (d *Daemon) RemovePeer(id wire.NodeID) { d.udp.RemovePeer(id) }
 
 // AdmitPeer admits a new overlay neighbor at runtime: the peer's UDP
-// addresses register (homed on its home shard), the shared topology
-// gains the node and a direct link of the given designed latency, and
-// the daemon's node begins hello probing and re-announces its link
-// state, so the new member is discovered fleet-wide through normal LSA
-// flooding. Idempotent: calling again just refreshes the addresses.
-// After Close it returns an error.
+// addresses register (homed on its home shard), and LearnLink gives the
+// node a direct link of the given designed latency, so it begins hello
+// probing and re-announces its link state and the new member is
+// discovered fleet-wide through normal LSA flooding. Admitting an evicted
+// peer again brings its link back up. Idempotent: calling again just
+// refreshes the addresses. It leaves the config Apply diffs against as it
+// is. After Close it returns an error.
 func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error {
-	if id == d.cfg.ID {
+	if id == d.id {
 		return fmt.Errorf("transport: cannot admit self")
 	}
 	if err := d.AddPeer(id, addrs...); err != nil {
 		return err
 	}
-	ch := make(chan error, 1)
-	if !d.loop.TryPost(func() {
-		ch <- d.node.AdmitNeighbor(id, time.Duration(latencyMs)*time.Millisecond)
-	}) {
-		return errDaemonClosed
-	}
-	return <-ch
+	return d.LearnLink(d.id, id, latencyMs)
 }
 
-// LearnLink teaches the node a remote link it is not an endpoint of (a
-// config reload on a non-adjacent daemon): the topology view grows so
-// SPF can route through the new link, while hello probing and
-// availability stay the endpoints' business. Links adjacent to this
-// daemon are delegated to the full admission path. After Close it returns
-// an error.
+// LearnLink teaches the node the link a–b (Node.LearnLink): a remote link
+// grows the topology view so SPF can route through it, while hello
+// probing and availability stay the endpoints' business; an incident one
+// admits its peer. After Close it returns an error.
 func (d *Daemon) LearnLink(a, b wire.NodeID, latencyMs int) error {
 	ch := make(chan error, 1)
 	if !d.loop.TryPost(func() {
@@ -242,7 +363,8 @@ func (d *Daemon) LearnLink(a, b wire.NodeID, latencyMs int) error {
 // EvictPeer removes a departed overlay neighbor at runtime: the node
 // withdraws the link (administrative down) and purges the peer's
 // advertisement history on its loop, then the underlay drops the peer's
-// addresses. After Close it does nothing.
+// addresses. Like AdmitPeer it leaves the config Apply diffs against as
+// it is. After Close it does nothing.
 func (d *Daemon) EvictPeer(id wire.NodeID) {
 	done := make(chan struct{})
 	if !d.loop.TryPost(func() {
