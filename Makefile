@@ -60,11 +60,12 @@ race: test-race
 # rings are built on, the loop and the realtime
 # clock's timers, the link protocols on the realtime clock (one recovery
 # timer per link, re-armed from inside its own callback), the client
-# edge (Send, the edge writer goroutine and Close), and admission at four
+# edge (Send, the edge writer goroutine and Close), admission at four
 # shards (a config applied to a live daemon, and an admitted peer homed by
-# hash: admission posts sibling peer entries across shard loops), 200 runs
-# each under the race detector. A flake that shows once in tens of runs
-# fails here.
+# hash: admission posts sibling peer entries across shard loops), and the
+# once-per-turn link ack over a four-shard loopback chain (at most one
+# ack per two frames), 200 runs each under the race
+# detector. A flake that shows once in tens of runs fails here.
 stress:
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings|TestDedupStripesConcurrent' ./internal/node/
 	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
@@ -73,6 +74,7 @@ stress:
 	$(GO) test -race -count=200 -run 'ClientEdge|ClientClose|ClientWrite' ./internal/transport/
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestDaemonApply|TestDaemonReadmit' ./internal/transport/
 	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestAdmittedPeerIsHomedByHash ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestDaemonReliableAcksOncePerTurn ./internal/transport/
 
 cover:
 	$(GO) test -cover ./...
@@ -120,13 +122,14 @@ bench-repo:
 # BENCH_pr<N>.json records a claim: PARENT and the working tree are each
 # built from a git archive, odd pairs run the parent first, and every run
 # prints one JSON line in the shape of that file's "runs" (about 80 s per
-# pair and workload). Not part of check.
-#   make bench-pairs PARENT=<rev> PAIRS=<n> WORKLOADS="<w> ..."
+# pair and workload). BENCH_SEED picks the seed, as for bench-repo. Not
+# part of check.
+#   make bench-pairs PARENT=<rev> PAIRS=<n> WORKLOADS="<w> ..." BENCH_SEED=<s>
 PAIRS ?= 10
 WORKLOADS ?= chain3-video-be chain3-small-reliable emu-mixed-loss emu-churn-64
 bench-pairs:
-	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [PAIRS=<n>] [WORKLOADS="<w> ..."]' >&2; exit 2; }
-	PAIRS=$(PAIRS) WORKLOADS="$(WORKLOADS)" sh scripts/bench-pairs.sh $(PARENT)
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [PAIRS=<n>] [WORKLOADS="<w> ..."] [BENCH_SEED=<s>]' >&2; exit 2; }
+	PAIRS=$(PAIRS) SEED=$(BENCH_SEED) WORKLOADS="$(WORKLOADS)" sh scripts/bench-pairs.sh $(PARENT)
 
 # Pinned-seed fault-campaign suite (internal/chaos): twelve campaigns
 # spanning link flaps, partitions, crash-restarts, ISP outages,

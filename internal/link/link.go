@@ -38,6 +38,22 @@ type TrySender interface {
 	TrySend(p *wire.Packet) error
 }
 
+// TurnHost is implemented by an Env whose host hands received frames over
+// in turns: a batch handled back to back on the endpoint's loop, followed
+// by an end the host announces. A deployed daemon's turn is one drain of
+// a UDP read batch. A Reliable endpoint, whose cumulative, selective ack
+// can answer a whole turn with one frame, defers its ack to the host
+// instead of acking every frame. Outside a turn (an emulated node, where
+// every datagram is its own event, never opens one), and over an Env
+// that does not implement it (the test pipes), the endpoint acks each
+// frame at once.
+type TurnHost interface {
+	// Defer reports whether a turn is open. If one is, the host calls
+	// r.EndTurn exactly once when it ends, on the same loop, and r does
+	// not ask again before then.
+	Defer(r *Reliable) bool
+}
+
 // Env is what a link protocol instance needs from its host overlay node.
 //
 // Buffer ownership: Transmit and Deliver both borrow their argument — the

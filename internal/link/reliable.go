@@ -71,6 +71,14 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 // delivery to the final destination, which is what lets a chain of short
 // reliable links beat an end-to-end protocol on both latency and
 // smoothness (Fig. 3).
+//
+// Every data frame received, duplicates included, is acknowledged; the ack
+// is cumulative with a 64-bit selective map, so one ack covers any number
+// of frames. While its Env, a TurnHost, has a turn open, the endpoint
+// sends one ack for the whole turn, at its end, echoing the send time of
+// the turn's newest data frame: the ack waits at most one turn, and needs
+// neither a timer nor a setting. Otherwise every data frame is acked at
+// once.
 type Reliable struct {
 	env Env
 	cfg ReliableConfig
@@ -101,6 +109,12 @@ type Reliable struct {
 	recvWin *seqno.Window
 	gaps    *seqno.Queue
 	hold    *seqno.HoldBack
+	// turns is the env's turn host, nil when it has none. ackOwed is set
+	// while an ack waits for the turn's end, and ackEcho is the send time
+	// it will echo: the newest data frame's.
+	turns   TurnHost
+	ackOwed bool
+	ackEcho time.Duration
 
 	stats  Stats
 	closed bool
@@ -135,6 +149,7 @@ func NewReliable(env Env, cfg ReliableConfig) *Reliable {
 		rto:     cfg.RTOInit,
 	}
 	r.rtoTimer = env.Clock().NewTimer(r.onRTO)
+	r.turns, _ = env.(TurnHost)
 	var rx seqno.Receiver = r.recvWin
 	if cfg.InOrderForwarding {
 		r.hold = seqno.NewHoldBack(1)
@@ -318,12 +333,39 @@ func (r *Reliable) onData(f *wire.Frame) {
 	}
 	if !r.recvWin.Record(f.Seq) {
 		r.stats.DuplicatesDropped++
-		r.sendAck(f.SendTime)
+		r.ack(f.SendTime)
 		return
 	}
 	r.deliverUp(f.Seq, f.Packet)
-	r.sendAck(f.SendTime)
+	r.ack(f.SendTime)
 	r.gaps.Reveal(f.Seq)
+}
+
+// ack acknowledges a data frame sent at echo: at once, or, while the
+// host has a turn open, once for the whole turn when it ends.
+func (r *Reliable) ack(echo time.Duration) {
+	r.ackEcho = echo
+	if r.ackOwed {
+		return
+	}
+	if r.turns != nil && r.turns.Defer(r) {
+		r.ackOwed = true
+		return
+	}
+	r.sendAck(echo)
+}
+
+// EndTurn is the TurnHost's call at the end of a turn the endpoint
+// deferred to: the ack owed for the turn's data frames leaves, covering
+// every one of them. A closed endpoint sends nothing.
+func (r *Reliable) EndTurn() {
+	if !r.ackOwed {
+		return
+	}
+	r.ackOwed = false
+	if !r.closed {
+		r.sendAck(r.ackEcho)
+	}
 }
 
 // deliverUp hands an accepted packet up, or, forwarding in order, holds it

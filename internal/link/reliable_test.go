@@ -385,3 +385,132 @@ func fastForward(w *seqno.Window, q *seqno.Queue, edge uint32) {
 		q.Reveal(at)
 	}
 }
+
+// ackRecorder is a link.Env that keeps every frame the endpoint transmits
+// (a revealed gap's request among them) and hosts no turns.
+type ackRecorder struct {
+	clock sim.Clock
+	sent  []wire.Frame
+}
+
+func (e *ackRecorder) Clock() sim.Clock { return e.clock }
+
+func (e *ackRecorder) Transmit(f *wire.Frame) {
+	g := *f
+	g.Packet = nil
+	e.sent = append(e.sent, g)
+}
+
+func (e *ackRecorder) Deliver(*wire.Packet) {}
+
+// turnHost is an ackRecorder that hosts turns the way a daemon's shard
+// does: from open until endTurn, endpoints that defer join owed, and
+// endTurn answers them in order.
+type turnHost struct {
+	*ackRecorder
+	open bool
+	owed []*Reliable
+}
+
+func (e *turnHost) Defer(r *Reliable) bool {
+	if !e.open {
+		return false
+	}
+	e.owed = append(e.owed, r)
+	return true
+}
+
+func (e *turnHost) endTurn() {
+	e.open = false
+	for _, r := range e.owed {
+		r.EndTurn()
+	}
+	e.owed = nil
+}
+
+// dataFrame is data frame seq as the peer sent it at sent.
+func dataFrame(seq uint32, sent time.Duration) *wire.Frame {
+	return &wire.Frame{Proto: wire.LPReliable, Kind: wire.FData, Seq: seq, SendTime: sent, Packet: dataPacket(seq)}
+}
+
+// TestReliableAcksOncePerTurn feeds one host turn 40 data frames — 1 to
+// 40 without 20, and a second copy of 5 — and asserts exactly one ack
+// leaves, at the turn's end: cumulative through 19, selective over 21 to
+// 40, echoing the newest frame's send time. An ack still owed when the
+// endpoint closes is never sent, and an env that hosts no turns, or a host
+// with no turn open, gets one ack per data frame as before.
+func TestReliableAcksOncePerTurn(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	host := &turnHost{ackRecorder: &ackRecorder{clock: sched}}
+	r := NewReliable(host, ReliableConfig{})
+	host.open = true
+	var sent time.Duration
+	for seq := uint32(1); seq <= 40; seq++ {
+		if seq == 20 {
+			continue
+		}
+		sent += time.Millisecond
+		r.HandleFrame(dataFrame(seq, sent))
+		if seq == 30 {
+			sent += time.Millisecond
+			r.HandleFrame(dataFrame(5, sent))
+		}
+	}
+	if got := acksIn(host.sent); len(got) != 0 {
+		t.Fatalf("%d acks left inside the turn, want none before it ends", len(got))
+	}
+	host.endTurn()
+	got := acksIn(host.sent)
+	if len(got) != 1 {
+		t.Fatalf("the turn sent %d acks, want one", len(got))
+	}
+	ack := got[0]
+	// Bit d-1 of AckBits is sequence Ack+d: 21 … 40 are bits 1 … 20.
+	wantBits := uint64(1)<<21 - 2
+	if ack.Ack != 19 || ack.AckBits != wantBits || ack.SendTime != sent {
+		t.Fatalf("ack = cum %d bits %#x echo %v; want cum 19, bits %#x, echo %v",
+			ack.Ack, ack.AckBits, ack.SendTime, wantBits, sent)
+	}
+	if st := r.Stats(); st.Acks != 1 || st.Delivered != 39 || st.DuplicatesDropped != 1 {
+		t.Fatalf("stats = %d acks, %d delivered, %d duplicates; want 1, 39, 1", st.Acks, st.Delivered, st.DuplicatesDropped)
+	}
+
+	// No turn open: the host's endpoint acks at once.
+	r.HandleFrame(dataFrame(41, sent))
+	if got := acksIn(host.sent); len(got) != 2 || got[1].SendTime != sent {
+		t.Fatalf("a frame outside any turn left %d acks in all, want its own second one", len(got))
+	}
+
+	// Closed with an ack owed: the turn's end sends nothing.
+	closing := &turnHost{ackRecorder: &ackRecorder{clock: sched}, open: true}
+	c := NewReliable(closing, ReliableConfig{})
+	c.HandleFrame(dataFrame(1, time.Millisecond))
+	c.Close()
+	closing.endTurn()
+	if got := acksIn(closing.sent); len(got) != 0 {
+		t.Fatalf("a closed endpoint sent %d acks at the turn's end", len(got))
+	}
+
+	// An env without turns: one ack per data frame, duplicates included.
+	plain := &ackRecorder{clock: sched}
+	p := NewReliable(plain, ReliableConfig{})
+	for seq := uint32(1); seq <= 40; seq++ {
+		p.HandleFrame(dataFrame(seq, time.Duration(seq)))
+	}
+	p.HandleFrame(dataFrame(5, 41))
+	if got := acksIn(plain.sent); len(got) != 41 || p.Stats().Acks != 41 {
+		t.Fatalf("an env without turns sent %d acks (counted %d) for 41 data frames, want 41",
+			len(got), p.Stats().Acks)
+	}
+}
+
+// acksIn returns the acks among frames, in order.
+func acksIn(frames []wire.Frame) []wire.Frame {
+	var out []wire.Frame
+	for _, f := range frames {
+		if f.Kind == wire.FAck {
+			out = append(out, f)
+		}
+	}
+	return out
+}

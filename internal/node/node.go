@@ -438,6 +438,12 @@ func (n *Node) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
 	if pr == nil {
 		return nil
 	}
+	return pr.linkStats()
+}
+
+// linkStats returns the counters of the endpoints this entry holds, by
+// service.
+func (pr *peer) linkStats() map[wire.LinkProtoID]link.Stats {
 	out := make(map[wire.LinkProtoID]link.Stats)
 	for id, p := range pr.protos {
 		if p != nil {

@@ -111,6 +111,11 @@ type DataShard struct {
 	rxPacket wire.Packet
 	// fwd is the scratch a snapshot decision builds its fan-out in.
 	fwd []wire.LinkID
+	// turn is open from the first frame of an underlay turn (HandleInTurn)
+	// to its EndTurn; owed lists, in order, the endpoints that deferred
+	// their ack to its end.
+	turn bool
+	owed []*link.Reliable
 	// out holds this shard's crossing ring toward each other shard, built
 	// on first use. Only this loop stores; Close loads from the target's.
 	out []atomic.Pointer[crossRing]
@@ -231,6 +236,53 @@ func (pl *DataPlane) NumShards() int { return len(pl.shards) }
 // clones.
 func (pl *DataPlane) HandleUnderlay(shard int, from wire.NodeID, data []byte) {
 	pl.shards[shard].handleUnderlay(from, data)
+}
+
+// HandleInTurn is HandleUnderlay for a frame that is part of an underlay
+// turn on shard — one drain of a read batch — which the caller must close
+// with EndTurn on the same loop once the turn's frames are handled. Until
+// then each Reliable endpoint owes one ack for all the frames it got in
+// the turn, instead of sending one per frame.
+func (pl *DataPlane) HandleInTurn(shard int, from wire.NodeID, data []byte) {
+	s := pl.shards[shard]
+	s.turn = true
+	s.handleUnderlay(from, data)
+}
+
+// EndTurn closes shard's underlay turn on its loop: every endpoint that
+// deferred its ack to it acks now, the acks joining the egress this turn
+// queued.
+func (pl *DataPlane) EndTurn(shard int) {
+	s := pl.shards[shard]
+	s.turn = false
+	for i, r := range s.owed {
+		r.EndTurn()
+		s.owed[i] = nil
+	}
+	s.owed = s.owed[:0]
+}
+
+// LinkStats returns the counters of the endpoints on the link to one
+// neighbor on the link's home shard, read on its loop: the data
+// endpoints of a sharded daemon, which Node.LinkStats (the control
+// shard's) does not see. On a daemon it is safe from any goroutine but a
+// shard loop's, and reads nil for a neighbor the plane does not know or
+// once the loop has closed; an emulated node (one shard, no loops) is
+// read in place, so call it from the node's executor.
+func (pl *DataPlane) LinkStats(neighbor wire.NodeID) map[wire.LinkProtoID]link.Stats {
+	var out map[wire.LinkProtoID]link.Stats
+	read := func(s *DataShard) {
+		if pr := s.peers.At(neighbor); pr != nil {
+			out = pr.linkStats()
+		}
+	}
+	if pl.loops == nil {
+		read(pl.shards[0])
+		return out
+	}
+	home := wire.HomeShard(neighbor, len(pl.shards))
+	pl.onShards(pl.shards[home:home+1], read)
+	return out
 }
 
 // SchedSnapshot merges every shard's fair-scheduler ledger. Safe from any
@@ -665,6 +717,8 @@ func (s *DataShard) protoFor(pr *peer, id wire.LinkProtoID) link.Protocol {
 	return p
 }
 
+var _ link.TurnHost = (*linkEnv)(nil)
+
 // linkEnv adapts a shard to link.Env for one neighbor.
 type linkEnv struct {
 	s    *DataShard
@@ -685,6 +739,16 @@ func (e *linkEnv) Transmit(f *wire.Frame) {
 }
 
 func (e *linkEnv) Deliver(p *wire.Packet) { e.s.receiveFromLink(e.peer, p) }
+
+// Defer implements link.TurnHost: inside an underlay turn the endpoint
+// joins the shard's owed list, and acks at EndTurn.
+func (e *linkEnv) Defer(r *link.Reliable) bool {
+	if !e.s.turn {
+		return false
+	}
+	e.s.owed = append(e.s.owed, r)
+	return true
+}
 
 // transmitFrame MACs (when authenticated), marshals, and sends a frame to
 // a neighbor out this shard's tx ring over the link's current underlay

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,6 +194,35 @@ func TestHandoff(t *testing.T) {
 		stream.Ring()
 	}
 	<-done
+}
+
+// TestHandoffTurnEnd holds OnTurnEnd to one call per turn, after that
+// turn's last element: a five-element burst at quota 3 is two turns, and
+// Drain, which runs turns on the caller, ends each of its own.
+func TestHandoffTurnEnd(t *testing.T) {
+	var exec postLog
+	var log []string
+	h := NewHandoff(8, 3, &exec, func(v *int) { log = append(log, strconv.Itoa(*v)) })
+	h.OnTurnEnd(func() { log = append(log, "end") })
+	for i := 1; i <= 5; i++ {
+		h.Push(i)
+		h.Ring()
+	}
+	exec.next(t)
+	exec.next(t)
+	want := []string{"1", "2", "3", "end", "4", "5", "end"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("two turns ran %v, want %v", log, want)
+	}
+	log = nil
+	for i := 6; i <= 9; i++ {
+		h.Push(i)
+	}
+	h.Drain()
+	want = []string{"6", "7", "8", "end", "9", "end"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("Drain ran %v, want %v", log, want)
+	}
 }
 
 // TestShardedLoopDistribution checks that each shard is a live

@@ -77,12 +77,18 @@ func (r *SPSC[T]) Pop() (T, bool) {
 // allocates nothing. On the target loop the drain hands up to quota
 // elements to run and re-posts itself while any remain, so a saturating
 // producer cannot starve the timers and other work sharing that loop.
+//
+// One drain of at most quota elements is a turn. A consumer that answers
+// a batch more cheaply than its elements one by one (a link acking every
+// frame of the turn with one ack) sets OnTurnEnd and answers there.
 type Handoff[T any] struct {
 	*SPSC[T]
 	bell  atomic.Bool
 	exec  Executor
 	quota int
 	run   func(*T)
+	// end, when set, runs after every turn's elements.
+	end func()
 	// cur holds the element being run. It lives here rather than on the
 	// drain's stack so run may keep its address for the call (a link
 	// protocol takes a packet's) without an allocation.
@@ -94,6 +100,11 @@ type Handoff[T any] struct {
 func NewHandoff[T any](capacity, quota int, exec Executor, run func(*T)) *Handoff[T] {
 	return &Handoff[T]{SPSC: NewSPSC[T](capacity), exec: exec, quota: quota, run: run}
 }
+
+// OnTurnEnd sets fn to run on the target loop at the end of every turn,
+// after the turn's last element ran (and after a turn that found the ring
+// empty). Set it before the first Ring.
+func (h *Handoff[T]) OnTurnEnd(fn func()) { h.end = fn }
 
 // Ring posts the drain unless one is already queued or running.
 func (h *Handoff[T]) Ring() {
@@ -120,7 +131,7 @@ func (h *Handoff[T]) Drain() {
 	}
 }
 
-// drain runs up to quota queued elements.
+// drain runs one turn: up to quota queued elements, then the turn's end.
 func (h *Handoff[T]) drain() {
 	for i := 0; i < h.quota; i++ {
 		var ok bool
@@ -131,4 +142,7 @@ func (h *Handoff[T]) drain() {
 	}
 	var zero T
 	h.cur = zero
+	if h.end != nil {
+		h.end()
+	}
 }

@@ -105,16 +105,22 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d.loop = d.loops.Shard(0)
 	// Each shard's deliveries run on its own loop and go to that shard's
 	// engine; until the plane pointer is published they drop (only possible
-	// for frames racing daemon startup).
+	// for frames racing daemon startup). Each drain of a shard's read batch
+	// is one turn of its engine, closed when the drain ends.
 	udp, err := NewShardedUDPUnderlay(cfg.BindUDP, d.loops.Executors(), func(shard int, from wire.NodeID, data []byte) {
 		if pl := d.plane.Load(); pl != nil {
-			pl.HandleUnderlay(shard, from, data)
+			pl.HandleInTurn(shard, from, data)
 		}
 	})
 	if err != nil {
 		d.loops.Close()
 		return nil, err
 	}
+	udp.OnTurnEnd(func(shard int) {
+		if pl := d.plane.Load(); pl != nil {
+			pl.EndTurn(shard)
+		}
+	})
 	d.udp = udp
 	g := topology.NewGraph()
 	g.AddNode(cfg.ID)

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +176,82 @@ func TestDaemonChainEndToEnd(t *testing.T) {
 	}
 	if string(got[0].Payload) != "m0" {
 		t.Fatalf("payload %q", got[0].Payload)
+	}
+}
+
+// TestDaemonReliableAcksOncePerTurn streams a burst of reliable ordered
+// messages down a three-daemon chain and counts link acks. A Reliable
+// endpoint acks once per underlay turn, one drain of a read batch, rather
+// than once per data frame, so each endpoint that receives the burst sends
+// at most one ack for every two frames it delivered. Loopback loses
+// nothing and every ack leaves within its turn, so a sender retransmits
+// only when its RTO, floored at 2 ms, fires during a stall of the host.
+// Acking every frame meets the same stalls, a frame or two in a few runs
+// of each hundred, with or without the race detector; acks that never
+// left would cost a window's worth. So the bound is 2 % of the frames
+// sent. Runs at one and four shards, or at SONET_DAEMON_SHARDS alone when
+// that is set.
+func TestDaemonReliableAcksOncePerTurn(t *testing.T) {
+	counts := []int{1, 4}
+	if n := testShards(); n > 0 {
+		counts = []int{n}
+	}
+	for _, shards := range counts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Setenv("SONET_DAEMON_SHARDS", strconv.Itoa(shards))
+			daemons := startChain(t, 3, 1, 3)
+			var received atomic.Int64
+			recv, err := Dial(daemons[3].TCPAddr(), 700, func(session.Delivery) { received.Add(1) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = recv.Close() }()
+			send, err := Dial(daemons[1].TCPAddr(), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = send.Close() }()
+			failOnDaemonError(t, send)
+			flow, err := send.OpenFlow(session.FlowSpec{
+				DstNode: 3, DstPort: 700,
+				LinkProto: wire.LPReliable, Ordered: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitRoute(t, daemons[3], send, 3)
+			// Windows of 100 stay under the receiving daemon's 256-message
+			// client queue, which a whole burst at once would overflow.
+			const burst, window = 600, 100
+			msg := make([]byte, 64)
+			for i := 0; i < burst; i++ {
+				if err := flow.Send(msg); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				if (i+1)%window == 0 {
+					await(t, 10*time.Second, fmt.Sprintf("%d messages delivered", i+1), func() bool {
+						return received.Load() == int64(i+1)
+					})
+				}
+			}
+			for _, hop := range [][2]wire.NodeID{{1, 2}, {2, 3}} {
+				from, to := hop[0], hop[1]
+				rx := daemons[to].DataPlane().LinkStats(from)[wire.LPReliable]
+				tx := daemons[from].DataPlane().LinkStats(to)[wire.LPReliable]
+				t.Logf("link %d→%d: %d delivered, %d acks; sender %d sent, %d retransmitted",
+					from, to, rx.Delivered, rx.Acks, tx.DataSent, tx.Retransmissions)
+				if rx.Delivered < burst {
+					t.Errorf("link %d→%d delivered %d frames, want ≥ %d", from, to, rx.Delivered, burst)
+				}
+				if 2*rx.Acks > rx.Delivered {
+					t.Errorf("link %d→%d sent %d acks for %d frames delivered, want ≤ half", from, to, rx.Acks, rx.Delivered)
+				}
+				if 50*tx.Retransmissions > tx.DataSent {
+					t.Errorf("link %d→%d retransmitted %d of %d frames on loopback, want ≤ 2 %%",
+						from, to, tx.Retransmissions, tx.DataSent)
+				}
+			}
+		})
 	}
 }
 

@@ -35,7 +35,8 @@ import (
 //     shard's event loop over one sim.Handoff per shard — a bounded SPSC
 //     ring whose doorbell posts the drain only on the empty→non-empty
 //     transition, so under sustained load frames flow with no per-packet
-//     post and no lock on either side.
+//     post and no lock on either side. One drain, at most rxDrainQuota
+//     datagrams, is the shard's turn; OnTurnEnd hears when it ends.
 //   - Sender identification: source addresses resolve through an
 //     immutable peer table keyed by netip.AddrPort, read via an atomic
 //     pointer — no per-packet lock, no addr.String() allocation. The
@@ -256,6 +257,18 @@ func NewShardedUDPUnderlay(bind string, execs []sim.Executor, handler ShardHandl
 	}
 	go u.readLoop()
 	return u, nil
+}
+
+// OnTurnEnd sets fn to run on shard's executor at the end of each of its
+// turns: after one drain has handed the handler every datagram it took
+// (at most rxDrainQuota), and before the flush of the frames the turn
+// sent, which the flush therefore carries too. Set it before the first
+// AddPeer; until a peer is registered no datagram is delivered and no
+// turn runs.
+func (u *UDPUnderlay) OnTurnEnd(fn func(shard int)) {
+	for i, r := range u.rings {
+		r.OnTurnEnd(func() { fn(i) })
+	}
 }
 
 // LocalAddr returns the bound address.

@@ -6,10 +6,11 @@
 # archive in a temporary directory, then runs PAIRS pairs (default 10) of
 # the unmodified benchmark command
 #
-#   go -C bench run . --workload <w> --seed 1 --seconds 28 --trace 0
+#   go -C bench run . --workload <w> --seed <SEED> --seconds 28 --trace 0
 #
-# for each workload of WORKLOADS (default: the four of BENCHMARK.json), odd
-# pairs parent first and even pairs change first. Each run prints one JSON
+# at SEED (default 1) for each workload of WORKLOADS (default: the four of
+# BENCHMARK.json), odd pairs parent first and even pairs change first.
+# Each run prints one JSON
 # line, {"pair","side","workload","seed","correct","attempted","failed",
 # "metrics":{name: value}}, the shape of a BENCH_pr*.json "runs" entry; the
 # benchmark's own output goes to standard error. TMPDIR places the archives.
@@ -18,7 +19,7 @@ set -eu
 parent=${1:?usage: bench-pairs.sh PARENT}
 pairs=${PAIRS:-10}
 workloads=${WORKLOADS:-chain3-video-be chain3-small-reliable emu-mixed-loss emu-churn-64}
-seed=1
+seed=${SEED:-1}
 
 root=$(git rev-parse --show-toplevel)
 dir=$(mktemp -d)
