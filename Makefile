@@ -65,16 +65,18 @@ race: test-race
 # hash: admission posts sibling peer entries across shard loops), and the
 # once-per-turn link ack over a four-shard loopback chain (at most one
 # ack per two frames), 200 runs each under the race
-# detector. A flake that shows once in tens of runs fails here.
+# detector. A flake that shows once in tens of runs fails here. Each line
+# may take 30 minutes, not go test's default 10: the client-edge line
+# alone needs about 17 on a 2-vCPU machine.
 stress:
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings|TestDedupStripesConcurrent' ./internal/node/
-	$(GO) test -race -count=200 -run TestHandoff ./internal/sim/
-	$(GO) test -race -count=200 -run 'TestLoop|TestRealtime|TestTimerContract/realtime' ./internal/sim/
-	$(GO) test -race -count=200 -run 'OverRealtimeClock' ./internal/link/
-	$(GO) test -race -count=200 -run 'ClientEdge|ClientClose|ClientWrite' ./internal/transport/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run 'TestDaemonApply|TestDaemonReadmit' ./internal/transport/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestAdmittedPeerIsHomedByHash ./internal/node/
-	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -run TestDaemonReliableAcksOncePerTurn ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -timeout 30m -run 'TestCrossingStress|TestDataPlaneCloseReleasesCrossings|TestDedupStripesConcurrent' ./internal/node/
+	$(GO) test -race -count=200 -timeout 30m -run TestHandoff ./internal/sim/
+	$(GO) test -race -count=200 -timeout 30m -run 'TestLoop|TestRealtime|TestTimerContract/realtime' ./internal/sim/
+	$(GO) test -race -count=200 -timeout 30m -run 'OverRealtimeClock' ./internal/link/
+	$(GO) test -race -count=200 -timeout 30m -run 'ClientEdge|ClientClose|ClientWrite' ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -timeout 30m -run 'TestDaemonApply|TestDaemonReadmit' ./internal/transport/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -timeout 30m -run TestAdmittedPeerIsHomedByHash ./internal/node/
+	SONET_DAEMON_SHARDS=4 $(GO) test -race -count=200 -timeout 30m -run TestDaemonReliableAcksOncePerTurn ./internal/transport/
 
 cover:
 	$(GO) test -cover ./...

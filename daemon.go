@@ -6,7 +6,6 @@ import (
 
 	"sonet/internal/session"
 	"sonet/internal/transport"
-	"sonet/internal/wire"
 )
 
 // DaemonLink declares one overlay link of a deployment.
@@ -37,7 +36,9 @@ type DaemonConfig struct {
 }
 
 // Daemon is a deployed overlay node: the same protocol stack the emulator
-// runs, over real UDP sockets and a real-time event loop.
+// runs, over real UDP sockets and a real-time event loop. It holds the
+// links and peers it was started with; AddPeer, AdmitPeer and EvictPeer
+// edit them.
 type Daemon struct {
 	inner *transport.Daemon
 }
@@ -51,15 +52,11 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 			LatencyMs: int(l.Latency / time.Millisecond),
 		})
 	}
-	peers := make(map[wire.NodeID][]string, len(cfg.Peers))
-	for id, addrs := range cfg.Peers {
-		peers[id] = append([]string(nil), addrs...)
-	}
 	inner, err := transport.NewDaemon(transport.DaemonConfig{
 		ID:              cfg.ID,
 		BindUDP:         cfg.BindUDP,
 		BindTCP:         cfg.BindTCP,
-		Peers:           peers,
+		Peers:           cfg.Peers,
 		Links:           links,
 		HelloIntervalMs: int(cfg.HelloInterval / time.Millisecond),
 	})
@@ -76,24 +73,26 @@ func (d *Daemon) UDPAddr() string { return d.inner.UDPAddr() }
 // TCPAddr returns the client listener address, if enabled.
 func (d *Daemon) TCPAddr() string { return d.inner.TCPAddr() }
 
-// AddPeer registers (or updates) a peer's UDP addresses after start.
+// AddPeer sets (or updates) a peer's UDP addresses after start, an edit
+// of the daemon's peers. After Close it returns an error.
 func (d *Daemon) AddPeer(id NodeID, addrs ...string) error {
 	return d.inner.AddPeer(id, addrs...)
 }
 
-// AdmitPeer admits a new overlay neighbor at runtime: addresses are
-// registered, the shared topology gains the node and a direct link of
-// the given designed latency, and the daemon begins hello probing and
-// re-announces its link state so the joiner is discovered fleet-wide.
-// Admitting an evicted peer again brings its link back up. After Close it
-// returns an error.
+// AdmitPeer admits a new overlay neighbor at runtime: it sets the peer's
+// addresses and, unless the daemon's links already have one, adds a
+// direct link of the given designed latency. The daemon begins hello
+// probing and re-announces its link state so the joiner is discovered
+// fleet-wide. Admitting an evicted peer again brings its link back up.
+// After Close it returns an error.
 func (d *Daemon) AdmitPeer(id NodeID, latency time.Duration, addrs ...string) error {
 	return d.inner.AdmitPeer(id, int(latency/time.Millisecond), addrs...)
 }
 
-// EvictPeer removes a departed overlay neighbor at runtime: the link is
-// withdrawn and the peer's underlay addresses and steering state drop.
-// After Close it does nothing.
+// EvictPeer removes a departed overlay neighbor at runtime: it drops the
+// peer and the direct link to it from the daemon's peers and links, so
+// the link is withdrawn and the peer's underlay addresses and steering
+// state drop. After Close it does nothing.
 func (d *Daemon) EvictPeer(id NodeID) { d.inner.EvictPeer(id) }
 
 // Stats reports the daemon node's packet accounting.

@@ -207,12 +207,17 @@ func (o *Overlay) Join(id wire.NodeID, at netemu.SiteID, contact wire.NodeID, li
 			return err
 		}
 	}
-	// Running nodes absorb the graph growth in deterministic (insertion)
-	// order — the incident peers flood re-announcements, so ordering by
-	// map iteration would break seeded reproducibility.
+	// Each running node learns the new links, as a daemon's Apply teaches
+	// its node, in deterministic (insertion) order — the incident peers
+	// flood re-announcements, so ordering by map iteration would break
+	// seeded reproducibility.
 	for _, nid := range o.Graph.Nodes() {
 		if n, ok := o.nodes[nid]; ok {
-			n.SyncTopology()
+			for _, jl := range links {
+				if err := n.LearnLink(id, jl.To, jl.Latency); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	if err := o.buildNode(id); err != nil {

@@ -130,15 +130,3 @@ func Select(only string) []Experiment {
 	}
 	return out
 }
-
-// All runs every experiment in index order, each with its default seed:
-// its one-based position in the index.
-func All() []*Result { return runAll(Index) }
-
-func runAll(index []Experiment) []*Result {
-	out := make([]*Result, len(index))
-	for i, e := range index {
-		out[i] = e.Run(uint64(i) + 1)
-	}
-	return out
-}

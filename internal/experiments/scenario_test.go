@@ -135,3 +135,13 @@ func TestBrokenScenarioIsOneErrorFinding(t *testing.T) {
 		t.Fatalf("rendered result hides the failure:\n%s", r)
 	}
 }
+
+// runAll runs the experiments of index in order, each with its default
+// seed: its one-based position in the index.
+func runAll(index []Experiment) []*Result {
+	out := make([]*Result, len(index))
+	for i, e := range index {
+		out[i] = e.Run(uint64(i) + 1)
+	}
+	return out
+}

@@ -80,17 +80,22 @@ func (k *Keyring) TableBytes() int { return k.peers.Bytes() }
 func (k *Keyring) Self() wire.NodeID { return k.self }
 
 // SignPacket attaches the node's Ed25519 signature to p and sets FSigned.
-// The signature covers everything except the hop-mutable TTL.
+// The signature covers everything except the hop-mutable TTL. The
+// canonical encoding is built in a pooled buffer, so the signature is the
+// one allocation.
 func (k *Keyring) SignPacket(p *wire.Packet) error {
 	if k.signKey == nil {
 		return fmt.Errorf("itmsg: node %v has no signing key", k.self)
 	}
 	p.Flags |= wire.FSigned
 	p.Sig = nil
-	msg, err := p.SignableBytes()
+	buf := wire.DefaultBufPool.Get(p.MarshaledSize())
+	defer buf.Release()
+	msg, err := p.AppendSignable(buf.B)
 	if err != nil {
 		return fmt.Errorf("itmsg: sign: %w", err)
 	}
+	buf.B = msg
 	p.Sig = ed25519.Sign(k.signKey, msg)
 	return nil
 }
@@ -105,10 +110,13 @@ func (k *Keyring) VerifyPacket(p *wire.Packet) bool {
 	if pk == nil {
 		return false
 	}
-	msg, err := p.SignableBytes()
+	buf := wire.DefaultBufPool.Get(p.MarshaledSize())
+	defer buf.Release()
+	msg, err := p.AppendSignable(buf.B)
 	if err != nil {
 		return false
 	}
+	buf.B = msg
 	return ed25519.Verify(pk.verify, msg, p.Sig)
 }
 

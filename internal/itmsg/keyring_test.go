@@ -122,3 +122,23 @@ func TestMacFrameUnknownPeer(t *testing.T) {
 		t.Fatal("VerifyFrame for unknown peer succeeded")
 	}
 }
+
+// TestVerifyPacketAllocBudget pins the signing path's allocations: the
+// canonical encoding comes from a pooled buffer on both sides, so
+// verifying allocates nothing and signing only the signature.
+func TestVerifyPacketAllocBudget(t *testing.T) {
+	seed := []byte("deployment-seed")
+	k1 := NewDeterministicKeyring(1, testNodes(), seed)
+	k2 := NewDeterministicKeyring(2, testNodes(), seed)
+	p := &wire.Packet{Type: wire.PTData, Src: 1, Dst: 2, FlowSeq: 9, Payload: make([]byte, 1200)}
+	if avg := testing.AllocsPerRun(200, func() { _ = k1.SignPacket(p) }); avg > 1 {
+		t.Fatalf("SignPacket allocates %.2f allocs/op, budget is 1", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if !k2.VerifyPacket(p) {
+			t.Fatal("valid signature rejected")
+		}
+	}); avg > 0 {
+		t.Fatalf("VerifyPacket allocates %.2f allocs/op, budget is 0", avg)
+	}
+}

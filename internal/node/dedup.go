@@ -77,8 +77,9 @@ func (d *sharedDedup) Flows() (n int) {
 }
 
 // Observe judges sequence seq of flow f and reports whether this was its
-// first sighting across every shard. Safe from any of the plane's loops.
-func (d *sharedDedup) Observe(f flow, seq uint32) bool {
+// first sighting across every shard; with record false it leaves the table
+// as it was. Safe from any of the plane's loops.
+func (d *sharedDedup) Observe(f flow, seq uint32, record bool) bool {
 	s := &d.stripes[0]
 	if len(d.stripes) > 1 {
 		// A multiplicative hash of the flow picks the stripe.
@@ -88,6 +89,9 @@ func (d *sharedDedup) Observe(f flow, seq uint32) bool {
 		defer s.mu.Unlock()
 	}
 	w, ok := s.flows[f]
+	if !record {
+		return !ok || w.Fresh(seq)
+	}
 	if !ok {
 		// Each stripe holds its share of dedupFlows.
 		if s.order.Len() == dedupFlows/len(d.stripes) {

@@ -69,7 +69,8 @@ func copyStream(rng *rand.Rand, flows []flow, bases []uint32, count, lag int) []
 // reordering with copies less than a window late, one flow whose first packet
 // is FlowSeq 0 and one that crosses 2^32 — get the reference's answer call
 // for call, from a one-shard table and from a striped one, as long as the
-// reference holds every key it was shown.
+// reference holds every key it was shown. Observe without recording, asked of
+// the striped table first, gives the same answer and leaves it as it was.
 func TestDedupMatchesReferenceModel(t *testing.T) {
 	flows := []flow{
 		{src: 1, dst: 4, srcPort: 9, dstPort: 100},
@@ -87,10 +88,13 @@ func TestDedupMatchesReferenceModel(t *testing.T) {
 		solo, striped := newSharedDedup(1), newSharedDedup(dedupStripes)
 		for op, k := range keys {
 			want := ref.observe(k)
-			if got := solo.Observe(k.f, k.seq); got != want {
+			if got := striped.Observe(k.f, k.seq, false); got != want {
+				t.Fatalf("seed %d op %d %+v: striped unrecorded Observe = %v, reference = %v", seed, op, k, got, want)
+			}
+			if got := solo.Observe(k.f, k.seq, true); got != want {
 				t.Fatalf("seed %d op %d %+v: one-shard Observe = %v, reference = %v", seed, op, k, got, want)
 			}
-			if got := striped.Observe(k.f, k.seq); got != want {
+			if got := striped.Observe(k.f, k.seq, true); got != want {
 				t.Fatalf("seed %d op %d %+v: striped Observe = %v, reference = %v", seed, op, k, got, want)
 			}
 		}
@@ -110,21 +114,21 @@ func TestDedupRestartReadsAsFirstSighting(t *testing.T) {
 	f := flow{src: 1, dst: 4, srcPort: 9}
 	const top = dedupWindow + 10
 	for seq := uint32(0); seq <= top; seq++ {
-		if !d.Observe(f, seq) {
+		if !d.Observe(f, seq, true) {
 			t.Fatalf("seq %d: not a first sighting", seq)
 		}
 	}
-	if d.Observe(f, top-dedupWindow+1) {
+	if d.Observe(f, top-dedupWindow+1, true) {
 		t.Fatal("a copy one short of a window behind the top read as new")
 	}
-	if !d.Observe(f, top-dedupWindow) {
+	if !d.Observe(f, top-dedupWindow, true) {
 		t.Fatal("a sequence a window behind the top did not restart the flow")
 	}
 	// The window reopened there: what follows it is new, and it is not.
-	if !d.Observe(f, top-dedupWindow+1) || d.Observe(f, top-dedupWindow) {
+	if !d.Observe(f, top-dedupWindow+1, true) || d.Observe(f, top-dedupWindow, true) {
 		t.Fatal("the restarted flow is not judged from its new top")
 	}
-	if !d.Observe(f, top) {
+	if !d.Observe(f, top, true) {
 		t.Fatal("the old top read as a copy to the restarted flow")
 	}
 }
@@ -137,24 +141,24 @@ func TestDedupEvictsOldestFlow(t *testing.T) {
 	fl := func(i int) flow { return flow{src: wire.NodeID(1 + i%7), srcPort: wire.Port(i), group: 500} }
 	d := newSharedDedup(1)
 	for i := 0; i < dedupFlows; i++ {
-		d.Observe(fl(i), 1)
+		d.Observe(fl(i), 1, true)
 	}
-	if d.Observe(fl(0), 1) {
+	if d.Observe(fl(0), 1, true) {
 		t.Fatal("a copy of the oldest flow read as new inside the bound")
 	}
-	if !d.Observe(fl(dedupFlows), 1) {
+	if !d.Observe(fl(dedupFlows), 1, true) {
 		t.Fatal("a new flow's first packet read as a copy")
 	}
-	if !d.Observe(fl(0), 1) {
+	if !d.Observe(fl(0), 1, true) {
 		t.Fatal("the oldest-opened flow was not forgotten past the bound")
 	}
 	// Reopening flow 0 forgot flow 1; the newest flow opened before is held.
-	if !d.Observe(fl(1), 1) || d.Observe(fl(dedupFlows-1), 1) {
+	if !d.Observe(fl(1), 1, true) || d.Observe(fl(dedupFlows-1), 1, true) {
 		t.Fatal("eviction is not oldest-opened first")
 	}
 	striped := newSharedDedup(dedupStripes)
 	for i := 0; i < 3*dedupFlows; i++ {
-		striped.Observe(fl(i), uint32(i))
+		striped.Observe(fl(i), uint32(i), true)
 	}
 	for _, tab := range []*sharedDedup{d, striped} {
 		if n := tab.Flows(); n > dedupFlows {
@@ -185,7 +189,7 @@ func TestDedupStripesConcurrent(t *testing.T) {
 				n := next[i]
 				next[i]++
 				f := flow{src: wire.NodeID(i % 5), dst: 9, srcPort: wire.Port(i), group: wire.GroupID(i % 3)}
-				if d.Observe(f, uint32(n)-count/2) {
+				if d.Observe(f, uint32(n)-count/2, true) {
 					firsts[i*count+n].Add(1)
 				}
 			}
@@ -205,11 +209,11 @@ func TestDedupAllocBudget(t *testing.T) {
 	f := flow{src: 1, dst: 4, srcPort: 9, dstPort: 100}
 	for _, d := range []*sharedDedup{newSharedDedup(1), newSharedDedup(dedupStripes)} {
 		seq := uint32(0)
-		d.Observe(f, seq)
+		d.Observe(f, seq, true)
 		if avg := testing.AllocsPerRun(1000, func() {
 			seq++
-			d.Observe(f, seq)
-			d.Observe(f, seq)
+			d.Observe(f, seq, true)
+			d.Observe(f, seq, true)
 		}); avg != 0 {
 			t.Fatalf("%d stripes: Observe on an open flow allocates %.1f", len(d.stripes), avg)
 		}

@@ -275,18 +275,6 @@ func (n *Node) Leave() {
 	n.lsMgr.WithdrawAll()
 }
 
-// SyncTopology absorbs graph growth into a running node: the view gains
-// journaled state entries for links added since the node was built, and
-// any new link incident to this node registers its neighbor machinery and
-// begins hello probing (the LSA-announced link-establishment half of a
-// runtime join). Safe to call when nothing changed.
-func (n *Node) SyncTopology() {
-	added := n.lsMgr.View().Grow()
-	if n.registerIncident() || added > 0 {
-		n.forwardingChanged()
-	}
-}
-
 // registerIncident gives every incident link of the graph whose neighbor
 // has no entry yet its data-plane entry (DataPlane.admit) and its hello
 // machinery (linkstate's AddNeighbor, which probes at once on a started
@@ -312,22 +300,27 @@ func (n *Node) registerIncident() bool {
 func (n *Node) forwardingChanged() { n.engine.Publish() }
 
 // LearnLink grows the node's topology with the link a–b of the given
-// designed latency; it is how a daemon's configured links, and every
-// runtime admission, reach the node. The view gains the link so SPF can
-// route through it. A link incident to this node also admits the other
-// endpoint as a neighbor: its link sessions are homed, and hello probing
-// begins with a re-announcement of the node's link states (at Start, on a
-// node not yet started). Naming an incident link that is already known
-// re-enables that one neighbor after an eviction. A remote link's
-// availability stays governed by its endpoints' LSA floods. Idempotent;
-// must run on the node's executor.
+// designed latency; it is how a daemon's configured links, every runtime
+// admission and the emulator's runtime join reach the node. The view
+// gains the link so SPF can route through it. A link incident to this
+// node also admits the other endpoint as a neighbor: its link sessions
+// are homed, and hello probing begins with a re-announcement of the
+// node's link states (at Start, on a node not yet started). Naming an
+// incident link that is already known re-enables that one neighbor after
+// an eviction. A remote link's availability stays governed by its
+// endpoints' LSA floods. Idempotent; must run on the node's executor.
 func (n *Node) LearnLink(a, b wire.NodeID, latency time.Duration) error {
 	if _, ok := n.cfg.Graph.LinkBetween(a, b); !ok {
 		if _, err := n.cfg.Graph.AddLink(a, b, latency); err != nil {
 			return fmt.Errorf("node: %w", err)
 		}
 	}
-	n.SyncTopology()
+	// The view gains journaled state entries for every link the graph
+	// gained, and each new incident link registers its neighbor machinery
+	// and begins hello probing.
+	if added := n.lsMgr.View().Grow(); n.registerIncident() || added > 0 {
+		n.forwardingChanged()
+	}
 	switch n.id {
 	case a:
 		n.lsMgr.EnableNeighbor(b)

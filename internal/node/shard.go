@@ -542,15 +542,24 @@ func (s *DataShard) routeAuthed(p *wire.Packet, arrived wire.LinkID) {
 // route runs duplicate suppression — flood, mask and multicast copies are
 // judged against the table every shard shares; unicast skips it — and
 // forwards on the verdict. The result is forward's.
+//
+// An origination is judged first and recorded only once a copy has left:
+// one that every egress refused leaves no trace in the table, so the
+// session can send its retry under the same number.
 func (s *DataShard) route(p *wire.Packet, arrived wire.LinkID) bool {
-	firstSeen := true
-	if p.Route != wire.RouteLinkState {
-		firstSeen = s.plane.dedup.Observe(flow{p.Src, p.Dst, p.SrcPort, p.DstPort, p.Group}, p.FlowSeq)
-		if !firstSeen {
-			s.stats.Duplicates++
-		}
+	if p.Route == wire.RouteLinkState {
+		return s.forward(p, arrived, true)
 	}
-	return s.forward(p, arrived, firstSeen)
+	f, seq, origin := flow{p.Src, p.Dst, p.SrcPort, p.DstPort, p.Group}, p.FlowSeq, arrived == routing.NoLink
+	firstSeen := s.plane.dedup.Observe(f, seq, !origin)
+	refused := s.forward(p, arrived, firstSeen)
+	if origin && !refused {
+		s.plane.dedup.Observe(f, seq, true)
+	}
+	if !firstSeen {
+		s.stats.Duplicates++
+	}
+	return refused
 }
 
 // decide returns the routing decision for p, and false when this shard

@@ -122,6 +122,12 @@ func (w *Window) Observe(seq uint32) bool {
 	return w.set(w.n - 1)
 }
 
+// Fresh reports what Observe(seq) would answer, and records nothing.
+func (w *Window) Fresh(seq uint32) bool {
+	idx := seq - w.cum - 1
+	return !w.at(w.n-1) || idx >= uint32(w.n) || !w.at(int(idx))
+}
+
 // Bytes returns the size of the window's bitmap.
 func (w *Window) Bytes() int { return 8 * len(w.bits) }
 

@@ -324,6 +324,7 @@ func (r *slideRef) observe(seq uint32) bool {
 // either side of 2^32 and of the int32 sign boundary, at capacities that do
 // and do not fill their last word, and holds every verdict equal. Each run
 // starts from a fresh window, so how one opens is checked hundreds of times.
+// Fresh, asked first, must give the same verdict without recording it.
 func TestWindowObserveMatchesRule(t *testing.T) {
 	for _, capacity := range []int{1, 8, 64, 100} {
 		for _, base := range []uint32{0, 0x7fffffff - 20, 0xffffffff - 15} {
@@ -343,7 +344,11 @@ func TestWindowObserveMatchesRule(t *testing.T) {
 					case 3:
 						seq = top + uint32(r.Int31())
 					}
-					if got, want := w.Observe(seq), ref.observe(seq); got != want {
+					fresh, want := w.Fresh(seq), ref.observe(seq)
+					if fresh != want {
+						t.Fatalf("cap %d base %#x run %d step %d: Fresh(%#x) = %v, the rule says %v", capacity, base, run, i, seq, fresh, want)
+					}
+					if got := w.Observe(seq); got != want {
 						t.Fatalf("cap %d base %#x run %d step %d: Observe(%#x) = %v with top %#x, the rule says %v", capacity, base, run, i, seq, got, ref.top, want)
 					}
 					top = ref.top

@@ -290,6 +290,12 @@ func (c *Client) OpenFlow(spec FlowSpec) (*Flow, error) {
 	if spec.LinkProto > wire.LPITReliable {
 		return nil, fmt.Errorf("session: unknown link protocol %v", spec.LinkProto)
 	}
+	if spec.Deadline < 0 || spec.DisjointK < 0 {
+		// A negative deadline neither flushes a gap nor leaves the flow to
+		// end-to-end recovery, so an ordered flow's first loss would hold
+		// it for good.
+		return nil, fmt.Errorf("session: negative deadline %v or disjoint path count %d", spec.Deadline, spec.DisjointK)
+	}
 	if spec.Group != 0 && spec.Ordered && spec.Deadline == 0 {
 		// Group flows keep no history to recover from, so only a deadline
 		// flush could release a gap their destinations hold back.
@@ -489,6 +495,12 @@ var ErrBackpressure = link.ErrBackpressure
 // first-hop admission control returns an error satisfying
 // errors.Is(err, ErrBackpressure).
 //
+// A send that fails leaves no copy anywhere, so it neither counts as sent
+// nor uses up a flow sequence: the next send takes the same number, and
+// an ordered destination never waits on a message that was not sent. On
+// flood, source-routed and multicast routes the source's duplicate table
+// records a number only once a copy has left, so the retry goes out too.
+//
 // Send takes ownership of payload: the originated packet aliases it, and
 // a reliable flow keeps that packet in its recovery history long after
 // Send returns. The caller must not modify or reuse the slice afterwards;
@@ -501,7 +513,6 @@ func (f *Flow) Send(payload []byte) error {
 	if f.closed {
 		return fmt.Errorf("session: send on closed flow")
 	}
-	f.seq++
 	p := &wire.Packet{
 		Type:      wire.PTData,
 		Route:     wire.RouteLinkState,
@@ -511,7 +522,7 @@ func (f *Flow) Send(payload []byte) error {
 		Dst:       f.spec.DstNode,
 		DstPort:   f.spec.DstPort,
 		Group:     f.spec.Group,
-		FlowSeq:   f.seq,
+		FlowSeq:   f.seq + 1,
 		Deadline:  f.spec.Deadline,
 		Payload:   payload,
 	}
@@ -537,10 +548,11 @@ func (f *Flow) Send(payload []byte) error {
 		p.Route = wire.RouteMulticast
 		p.Dst = 0
 	}
-	f.stats.Sent++
 	if err := f.client.mgr.n.Originate(p); err != nil {
 		return err
 	}
+	f.seq++
+	f.stats.Sent++
 	if wantsE2ERecovery(f.spec) {
 		f.remember(p)
 		f.armTailFlush()

@@ -329,6 +329,34 @@ func TestOpenFlowRefusesUnknownLinkProto(t *testing.T) {
 	}
 }
 
+// TestOpenFlowRefusesNegativeDeadline: an ordered unicast flow with a
+// negative deadline would get neither end-to-end recovery (which needs a
+// zero deadline) nor a deadline flush (which needs a positive one), so
+// its first loss would hold it forever.
+func TestOpenFlowRefusesNegativeDeadline(t *testing.T) {
+	_, m1, _ := world(t, 0)
+	c, err := m1.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100, Ordered: true, Deadline: -time.Millisecond}); err == nil {
+		t.Fatal("OpenFlow accepted a negative deadline")
+	}
+}
+
+// TestOpenFlowRefusesNegativeDisjointK: a path count below zero means
+// nothing.
+func TestOpenFlowRefusesNegativeDisjointK(t *testing.T) {
+	_, m1, _ := world(t, 0)
+	c, err := m1.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.OpenFlow(FlowSpec{DstNode: 2, DstPort: 100, DisjointK: -1}); err == nil {
+		t.Fatal("OpenFlow accepted a negative disjoint path count")
+	}
+}
+
 func TestClientCloseReleasesFlowPorts(t *testing.T) {
 	_, m1, _ := world(t, 0)
 	c, err := m1.Connect(500)

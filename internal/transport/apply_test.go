@@ -268,3 +268,64 @@ func TestDaemonReadmitAfterEvict(t *testing.T) {
 	}
 	await(t, 5*time.Second, "re-admitted link 1-2 up", func() bool { return neighborUp(d1, 2) })
 }
+
+// TestDaemonApplyRestoresEvictedPeer evicts a live neighbor at runtime and
+// then applies a config that names it and its link: the reload must bring
+// the link back up and register the peer's address. Eviction used to
+// leave the config the reload is diffed against as it was, so the reload
+// found nothing to change and the link stayed down.
+func TestDaemonApplyRestoresEvictedPeer(t *testing.T) {
+	daemons := startChain(t, 2)
+	d1 := daemons[1]
+	await(t, 5*time.Second, "link 1-2 up", func() bool { return neighborUp(d1, 2) })
+	d1.EvictPeer(2)
+	if neighborUp(d1, 2) {
+		t.Fatal("evicted neighbor still up")
+	}
+	if err := d1.Apply(DaemonConfig{ID: 1, Peers: chainAddrs(daemons), Links: []LinkDef{{A: 1, B: 2, LatencyMs: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	await(t, 5*time.Second, "link 1-2 up and peer 2 registered after the reload", func() bool {
+		_, ok := d1.udp.table.Load().peers[2]
+		return ok && neighborUp(d1, 2)
+	})
+}
+
+// TestDaemonApplyUndoesRuntimeAdmission admits node 3 at runtime on a
+// daemon whose config lacks it, then applies that config again: the
+// reload must evict node 3 and drop its address, and leave the configured
+// link alone.
+func TestDaemonApplyUndoesRuntimeAdmission(t *testing.T) {
+	daemons := startChain(t, 2)
+	d2 := daemons[2]
+	d3, err := NewDaemon(DaemonConfig{
+		ID: 3, BindUDP: "127.0.0.1:0",
+		Peers:           map[wire.NodeID][]string{2: {d2.UDPAddr()}},
+		Links:           []LinkDef{{A: 1, B: 2, LatencyMs: 1}, {A: 2, B: 3, LatencyMs: 1}},
+		HelloIntervalMs: 20, Shards: testShards(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d3.Close)
+	config := DaemonConfig{ID: 2, Peers: chainAddrs(daemons), Links: []LinkDef{{A: 1, B: 2, LatencyMs: 1}}}
+	if err := d2.AdmitPeer(3, 1, d3.UDPAddr()); err != nil {
+		t.Fatal(err)
+	}
+	await(t, 5*time.Second, "admitted link 2-3 up", func() bool { return neighborUp(d2, 3) })
+	if err := d2.Apply(config); err != nil {
+		t.Fatal(err)
+	}
+	var usable bool
+	onLoop(d2, func() {
+		l, _ := d2.node.View().G.LinkBetween(2, 3)
+		usable = d2.node.View().Usable(l.ID)
+	})
+	if usable || neighborUp(d2, 3) {
+		t.Fatal("reload left the runtime-admitted link 2-3 up")
+	}
+	if _, ok := d2.udp.table.Load().peers[3]; ok {
+		t.Fatal("reload left node 3's addresses registered")
+	}
+	await(t, 5*time.Second, "configured link 1-2 up", func() bool { return neighborUp(d2, 1) })
+}

@@ -137,8 +137,18 @@ type RemoteFlow struct {
 	id uint16
 }
 
-// OpenFlow opens a flow with the given service selection.
+// wireDeadlineLimit is the first deadline the client protocol's 32-bit
+// count of microseconds cannot carry.
+const wireDeadlineLimit = 1 << 32 * time.Microsecond
+
+// OpenFlow opens a flow with the given service selection. A DisjointK or
+// Deadline the client protocol cannot carry (more than 255 paths, or a
+// deadline of 2^32 µs, about 71.6 min, or more) is refused here, and so
+// is a negative one, rather than arriving at the daemon truncated.
 func (c *Client) OpenFlow(spec session.FlowSpec) (*RemoteFlow, error) {
+	if spec.DisjointK < 0 || spec.DisjointK > 0xff || spec.Deadline < 0 || spec.Deadline >= wireDeadlineLimit {
+		return nil, fmt.Errorf("transport: disjoint path count %d (0..255) or deadline %v ([0, %v)) out of range", spec.DisjointK, spec.Deadline, wireDeadlineLimit)
+	}
 	c.mu.Lock()
 	c.nextFlow++
 	id := c.nextFlow

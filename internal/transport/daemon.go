@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sync"
@@ -62,11 +63,16 @@ type DaemonConfig struct {
 // arrival shard never crosses a shard boundary. The underlay delivers
 // control frames (hellos, link-state, group-state, membership) on shard 0
 // and every other frame on its sender's home.
+//
+// The daemon holds one copy of what it was told, its links and its
+// address book. Apply, AddPeer, AdmitPeer and EvictPeer are each an edit
+// of that copy, and every edit reaches the node and the underlay through
+// the same diff, so a reload undoes or restores any runtime change.
 type Daemon struct {
 	// id is the daemon's node id, fixed at NewDaemon.
 	id wire.NodeID
-	// applyMu serializes Apply's diffs. links and peers are what it last
-	// applied, which the next config is diffed against: the Links, and the
+	// applyMu serializes edits. links and peers are the config the daemon
+	// holds, which the next edit is diffed against: the Links, and the
 	// Peers less any address the underlay refused.
 	applyMu sync.Mutex
 	links   []LinkDef
@@ -196,15 +202,71 @@ func (l LinkDef) key() [2]wire.NodeID {
 	return [2]wire.NodeID{l.A, l.B}
 }
 
-// Apply brings the daemon to config next, the one way a config enters it:
-// NewDaemon applies the initial config, and sonetd applies each reload.
-// next is diffed against the config last applied, in two halves.
+// Apply brings the daemon to config next: its links and peers replace the
+// ones the daemon holds. NewDaemon applies the initial config and sonetd
+// applies each reload, so a reload also undoes or restores whatever
+// AddPeer, AdmitPeer and EvictPeer changed since. The bind, shard and
+// hello fields take no effect. After Close it returns an error.
+func (d *Daemon) Apply(next DaemonConfig) error {
+	if next.ID != d.id {
+		return fmt.Errorf("transport: config for node %v applied to node %v", next.ID, d.id)
+	}
+	return d.edit(func(c *DaemonConfig) { c.Links, c.Peers = next.Links, next.Peers })
+}
+
+// AddPeer sets a peer's UDP addresses in the config the daemon holds —
+// used when daemons bind ephemeral ports and exchange addresses out of
+// band. The underlay homes the peer on wire.HomeShard of its node id, the
+// shard whose loop owns the peer's link sessions, so re-registration
+// never moves a live flow. After Close it returns an error.
+func (d *Daemon) AddPeer(id wire.NodeID, addrs ...string) error {
+	return d.edit(func(c *DaemonConfig) { c.Peers[id] = addrs })
+}
+
+// AdmitPeer admits an overlay neighbor at runtime: it sets the peer's
+// addresses and, unless the config the daemon holds already has one, adds
+// the link self–id of the given designed latency. The node then begins
+// hello probing and re-announces its link state, so the new member is
+// discovered fleet-wide through normal LSA flooding; admitting an evicted
+// peer again brings its link back up. Calling it again just refreshes the
+// addresses. After Close it returns an error.
+func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error {
+	return d.edit(func(c *DaemonConfig) {
+		c.Peers[id] = addrs
+		if !slices.ContainsFunc(c.Links, d.linkTo(id)) {
+			c.Links = append(c.Links, LinkDef{A: d.id, B: id, LatencyMs: latencyMs})
+		}
+	})
+}
+
+// EvictPeer removes a departed overlay neighbor at runtime: it drops the
+// peer's addresses and the link self–id from the config the daemon holds.
+// The node withdraws the link (administrative down) and purges the peer's
+// advertisement history, then the underlay forgets the peer. After Close
+// it does nothing.
+func (d *Daemon) EvictPeer(id wire.NodeID) {
+	_ = d.edit(func(c *DaemonConfig) {
+		delete(c.Peers, id)
+		c.Links = slices.DeleteFunc(c.Links, d.linkTo(id))
+	})
+}
+
+// linkTo matches the link self–peer.
+func (d *Daemon) linkTo(peer wire.NodeID) func(LinkDef) bool {
+	want := LinkDef{A: d.id, B: peer}.key()
+	return func(l LinkDef) bool { return l.key() == want }
+}
+
+// edit is every change to the daemon's config: change edits a copy of the
+// links and peers the daemon holds, and the daemon is brought from the
+// held config to the edited one, which it then holds. The diff has two
+// halves.
 //
 // Peers is the address book: a new or changed entry is registered with
 // the underlay first, so a new neighbor's hellos reach it, and a departed
 // entry is dropped last. An incident link whose peer has no address yet
 // is admitted all the same and its probes reach the peer once a later
-// Apply (or AddPeer) supplies one.
+// edit supplies one. An entry for the daemon itself is ignored.
 //
 // Links are applied in one turn of the control loop. Each new link, in
 // config order, goes through Node.LearnLink: an incident one admits its
@@ -213,42 +275,37 @@ func (l LinkDef) key() [2]wire.NodeID {
 // earlier comes back up. Each withdrawn incident link evicts its
 // neighbor; a withdrawn remote link stays in the view, its endpoints'
 // floods having withdrawn its availability. Latency changes of a known
-// link and the bind, shard and hello fields take no effect.
+// link take no effect.
 //
-// A link set no topology would hold is refused with nothing changed; an
-// address the underlay refuses is reported and left unapplied, so the
-// next Apply retries it. After Close it returns an error.
-func (d *Daemon) Apply(next DaemonConfig) error {
-	if next.ID != d.id {
-		return fmt.Errorf("transport: config for node %v applied to node %v", next.ID, d.id)
-	}
+// A link set no topology would hold is refused with nothing changed. An
+// address the underlay refuses is reported and kept out of the held
+// config (a changed entry keeps its old address), so only a later Apply,
+// AddPeer or AdmitPeer that names it again retries it.
+func (d *Daemon) edit(change func(*DaemonConfig)) error {
+	// Holding applyMu until the loop has run the edit's turn keeps
+	// overlapping edits in order.
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
+	// NewDaemon's first Apply makes d.peers, so every later edit may write
+	// to its clone.
+	next := DaemonConfig{Links: slices.Clone(d.links), Peers: maps.Clone(d.peers)}
+	change(&next)
 	if err := checkLinks(next.Links); err != nil {
 		return err
 	}
-	d.applyMu.Lock()
 	var errs []error
 	peers := make(map[wire.NodeID][]string, len(next.Peers))
 	for id, addrs := range next.Peers {
 		old, known := d.peers[id]
-		if id == d.id {
-			continue
-		}
-		if !known || !slices.Equal(old, addrs) {
-			if err := d.AddPeer(id, addrs...); err != nil {
+		if id != d.id && !(known && slices.Equal(old, addrs)) {
+			if err := d.udp.AddPeer(id, addrs...); err != nil {
 				errs = append(errs, err)
-				if known {
-					peers[id] = old
-				}
-				continue
+			} else {
+				old, known = slices.Clone(addrs), true
 			}
-			old = slices.Clone(addrs)
 		}
-		peers[id] = old
-	}
-	var departed []wire.NodeID
-	for id := range d.peers {
-		if _, ok := next.Peers[id]; !ok {
-			departed = append(departed, id)
+		if known {
+			peers[id] = old
 		}
 	}
 
@@ -276,11 +333,11 @@ func (d *Daemon) Apply(next DaemonConfig) error {
 			evict = append(evict, l.A)
 		}
 	}
+	held := d.peers
 	d.links, d.peers = slices.Clone(next.Links), peers
 
-	// Posting under applyMu keeps overlapping Applies' turns in order.
 	ch := make(chan error, 1)
-	posted := d.loop.TryPost(func() {
+	if !d.loop.TryPost(func() {
 		var err error
 		for _, l := range learn {
 			err = errors.Join(err, d.node.LearnLink(l.A, l.B, l.latency()))
@@ -288,13 +345,13 @@ func (d *Daemon) Apply(next DaemonConfig) error {
 		for _, id := range evict {
 			d.node.EvictNeighbor(id)
 		}
-		for _, id := range departed {
-			d.udp.RemovePeer(id)
+		for id := range held {
+			if _, kept := peers[id]; !kept {
+				d.udp.RemovePeer(id)
+			}
 		}
 		ch <- err
-	})
-	d.applyMu.Unlock()
-	if !posted {
+	}) {
 		return errDaemonClosed
 	}
 	return errors.Join(append(errs, <-ch)...)
@@ -318,70 +375,6 @@ func (d *Daemon) Shards() int { return d.udp.NumShards() }
 // ShardStats returns shard i's own datagram counters; safe from any
 // goroutine.
 func (d *Daemon) ShardStats(i int) metrics.WireSnapshot { return d.udp.ShardStats(i) }
-
-// AddPeer registers (or updates) a peer's UDP addresses after start —
-// used when daemons bind ephemeral ports and exchange addresses out of
-// band. The underlay homes the peer on wire.HomeShard of its node id, the
-// shard whose loop owns the peer's link sessions, so re-registration
-// never moves a live flow.
-func (d *Daemon) AddPeer(id wire.NodeID, addrs ...string) error {
-	return d.udp.AddPeer(id, addrs...)
-}
-
-// RemovePeer unregisters a departed peer from the underlay: its sender
-// addresses are dropped, so a node that left the overlay no longer
-// occupies peer-table state. A later AddPeer (rejoin, possibly from new
-// addresses) re-registers it.
-func (d *Daemon) RemovePeer(id wire.NodeID) { d.udp.RemovePeer(id) }
-
-// AdmitPeer admits a new overlay neighbor at runtime: the peer's UDP
-// addresses register (homed on its home shard), and LearnLink gives the
-// node a direct link of the given designed latency, so it begins hello
-// probing and re-announces its link state and the new member is
-// discovered fleet-wide through normal LSA flooding. Admitting an evicted
-// peer again brings its link back up. Idempotent: calling again just
-// refreshes the addresses. It leaves the config Apply diffs against as it
-// is. After Close it returns an error.
-func (d *Daemon) AdmitPeer(id wire.NodeID, latencyMs int, addrs ...string) error {
-	if id == d.id {
-		return fmt.Errorf("transport: cannot admit self")
-	}
-	if err := d.AddPeer(id, addrs...); err != nil {
-		return err
-	}
-	return d.LearnLink(d.id, id, latencyMs)
-}
-
-// LearnLink teaches the node the link a–b (Node.LearnLink): a remote link
-// grows the topology view so SPF can route through it, while hello
-// probing and availability stay the endpoints' business; an incident one
-// admits its peer. After Close it returns an error.
-func (d *Daemon) LearnLink(a, b wire.NodeID, latencyMs int) error {
-	ch := make(chan error, 1)
-	if !d.loop.TryPost(func() {
-		ch <- d.node.LearnLink(a, b, time.Duration(latencyMs)*time.Millisecond)
-	}) {
-		return errDaemonClosed
-	}
-	return <-ch
-}
-
-// EvictPeer removes a departed overlay neighbor at runtime: the node
-// withdraws the link (administrative down) and purges the peer's
-// advertisement history on its loop, then the underlay drops the peer's
-// addresses. Like AdmitPeer it leaves the config Apply diffs against as
-// it is. After Close it does nothing.
-func (d *Daemon) EvictPeer(id wire.NodeID) {
-	done := make(chan struct{})
-	if !d.loop.TryPost(func() {
-		d.node.EvictNeighbor(id)
-		close(done)
-	}) {
-		return
-	}
-	<-done
-	d.udp.RemovePeer(id)
-}
 
 // TCPAddr returns the client listener address, if enabled.
 func (d *Daemon) TCPAddr() string {

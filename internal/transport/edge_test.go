@@ -721,6 +721,43 @@ func TestRemoteFlowSendRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestClientOpenFlowRefusesWideDisjointK: the client protocol carries the
+// path count in one byte, so 256 paths would arrive as none.
+func TestClientOpenFlowRefusesWideDisjointK(t *testing.T) {
+	c, err := Dial(startSolo(t).TCPAddr(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for _, k := range []int{256, -1} {
+		if _, err := c.OpenFlow(session.FlowSpec{DstNode: 2, DstPort: 700, DisjointK: k}); err == nil {
+			t.Errorf("OpenFlow accepted DisjointK %d", k)
+		}
+	}
+	if _, err := c.OpenFlow(session.FlowSpec{DstNode: 2, DstPort: 700, DisjointK: 255}); err != nil {
+		t.Fatalf("OpenFlow with DisjointK 255: %v", err)
+	}
+}
+
+// TestClientOpenFlowRefusesWideDeadline: the client protocol carries the
+// deadline as a 32-bit count of microseconds, so 2^32 µs would arrive as
+// zero.
+func TestClientOpenFlowRefusesWideDeadline(t *testing.T) {
+	c, err := Dial(startSolo(t).TCPAddr(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for _, dl := range []time.Duration{1 << 32 * time.Microsecond, -time.Millisecond} {
+		if _, err := c.OpenFlow(session.FlowSpec{DstNode: 2, DstPort: 700, Deadline: dl}); err == nil {
+			t.Errorf("OpenFlow accepted deadline %v", dl)
+		}
+	}
+	if _, err := c.OpenFlow(session.FlowSpec{DstNode: 2, DstPort: 700, Deadline: (1<<32 - 1) * time.Microsecond}); err != nil {
+		t.Fatalf("OpenFlow with the widest deadline: %v", err)
+	}
+}
+
 // discardPeer answers a client's connect and then reads and discards
 // everything, so a test can measure the client's send path alone.
 func discardPeer(t testing.TB, conn net.Conn) {

@@ -341,7 +341,7 @@ func TestDaemonAdmissionAfterCloseReturns(t *testing.T) {
 		call func() error
 	}{
 		{"AdmitPeer", func() error { return d.AdmitPeer(2, 1, "127.0.0.1:9") }},
-		{"LearnLink", func() error { return d.LearnLink(2, 3, 1) }},
+		{"AddPeer", func() error { return d.AddPeer(2, "127.0.0.1:9") }},
 		{"Apply", func() error { return d.Apply(DaemonConfig{ID: 1, Links: []LinkDef{{A: 1, B: 3, LatencyMs: 1}}}) }},
 		{"EvictPeer", func() error { d.EvictPeer(2); return nil }},
 	}

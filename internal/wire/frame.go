@@ -209,10 +209,3 @@ func (f *Frame) AppendAuthable(dst []byte) ([]byte, error) {
 	cp.Auth = nil
 	return cp.AppendMarshal(dst)
 }
-
-// AuthableBytes returns the canonical authable encoding in a fresh buffer.
-func (f *Frame) AuthableBytes() ([]byte, error) {
-	cp := *f
-	cp.Auth = nil
-	return cp.Marshal()
-}

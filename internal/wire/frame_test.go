@@ -76,25 +76,25 @@ func TestUnmarshalFrameNeverPanics(t *testing.T) {
 
 func TestAuthableBytesIgnoresAuth(t *testing.T) {
 	f := &Frame{Proto: LPITReliable, Kind: FData, Seq: 5, Packet: samplePacket()}
-	a, err := f.AuthableBytes()
+	a, err := f.AppendAuthable(nil)
 	if err != nil {
-		t.Fatalf("AuthableBytes: %v", err)
+		t.Fatalf("AppendAuthable: %v", err)
 	}
 	f.Auth = bytes.Repeat([]byte{9}, 32)
-	b, err := f.AuthableBytes()
+	b, err := f.AppendAuthable(nil)
 	if err != nil {
-		t.Fatalf("AuthableBytes: %v", err)
+		t.Fatalf("AppendAuthable: %v", err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("AuthableBytes changed when Auth set")
+		t.Fatal("authable encoding changed when Auth set")
 	}
 	f.Seq = 6
-	c, err := f.AuthableBytes()
+	c, err := f.AppendAuthable(nil)
 	if err != nil {
-		t.Fatalf("AuthableBytes: %v", err)
+		t.Fatalf("AppendAuthable: %v", err)
 	}
 	if bytes.Equal(a, c) {
-		t.Fatal("AuthableBytes did not cover Seq")
+		t.Fatal("authable encoding did not cover Seq")
 	}
 }
 

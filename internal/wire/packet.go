@@ -212,12 +212,12 @@ func UnmarshalPacket(src []byte) (*Packet, []byte, error) {
 	return p, rest, nil
 }
 
-// SignableBytes returns the canonical encoding of p used for source
-// signatures: the signature field is empty and the hop-mutable TTL is
-// zeroed, so the signature stays valid as the packet is forwarded.
-func (p *Packet) SignableBytes() ([]byte, error) {
+// AppendSignable appends the canonical encoding of p used for source
+// signatures to dst: the signature field is empty and the hop-mutable TTL
+// is zeroed, so the signature stays valid as the packet is forwarded.
+func (p *Packet) AppendSignable(dst []byte) ([]byte, error) {
 	cp := *p
 	cp.TTL = 0
 	cp.Sig = nil
-	return cp.Marshal()
+	return cp.AppendMarshal(dst)
 }

@@ -171,27 +171,27 @@ func TestPacketClone(t *testing.T) {
 
 func TestSignableBytesIgnoresTTLAndSig(t *testing.T) {
 	p := samplePacket()
-	a, err := p.SignableBytes()
+	a, err := p.AppendSignable(nil)
 	if err != nil {
-		t.Fatalf("SignableBytes: %v", err)
+		t.Fatalf("AppendSignable: %v", err)
 	}
 	q := p.Clone()
 	q.TTL = 3
 	q.Sig = []byte{1, 2, 3}
-	b, err := q.SignableBytes()
+	b, err := q.AppendSignable(nil)
 	if err != nil {
-		t.Fatalf("SignableBytes: %v", err)
+		t.Fatalf("AppendSignable: %v", err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("SignableBytes changed with TTL/Sig mutation")
+		t.Fatal("signable encoding changed with TTL/Sig mutation")
 	}
 	q.Payload[0] ^= 0xff
-	c, err := q.SignableBytes()
+	c, err := q.AppendSignable(nil)
 	if err != nil {
-		t.Fatalf("SignableBytes: %v", err)
+		t.Fatalf("AppendSignable: %v", err)
 	}
 	if bytes.Equal(a, c) {
-		t.Fatal("SignableBytes did not change with payload mutation")
+		t.Fatal("signable encoding did not change with payload mutation")
 	}
 }
 

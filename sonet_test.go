@@ -451,6 +451,74 @@ func TestPublicAPIBackpressureAndSchedStats(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRefusedSendKeepsOrderedFlowMoving refuses 18 of 20 sends
+// of an ordered intrusion-tolerant flow at a 2-packet queue, then sends
+// once more after the queue drained: on every route that message must
+// arrive at once, numbered right after the two accepted ones. A refused
+// send used to use up its flow sequence, and the destination held
+// everything after the first unsent number back while it NACKed for it
+// or waited out its deadline. On a flood, source-routed or multicast
+// route the retry must also get past the source's duplicate table.
+func TestPublicAPIRefusedSendKeepsOrderedFlowMoving(t *testing.T) {
+	const group = GroupID(9)
+	for _, tc := range []struct {
+		name string
+		spec FlowSpec
+	}{
+		{"unicast", FlowSpec{To: 4, ToPort: 100}},
+		{"flood-deadline", FlowSpec{To: 4, ToPort: 100, Flood: true, Deadline: 200 * time.Millisecond}},
+		{"disjoint", FlowSpec{To: 4, ToPort: 100, DisjointPaths: 2}},
+		{"group-deadline", FlowSpec{Group: group, ToPort: 100, Deadline: 200 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := New(1, apiDiamond(), WithITCapacity(50, 2))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer net.Close()
+			dst, err := net.Connect(4, 100)
+			if err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			dst.Join(group)
+			src, err := net.Connect(1, 0)
+			if err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			net.Run(time.Second)
+			spec := tc.spec
+			spec.Service, spec.Ordered = ITReliable, true
+			flow, err := src.OpenFlow(spec)
+			if err != nil {
+				t.Fatalf("OpenFlow: %v", err)
+			}
+			refused := 0
+			for i := 0; i < 20; i++ {
+				if err := flow.Send([]byte{byte(i)}); errors.Is(err, ErrBackpressure) {
+					refused++
+				} else if err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+			}
+			if refused != 18 || flow.Sent() != 2 {
+				t.Fatalf("refused %d of 20 sends, Sent() = %d; want 18 refused and 2 sent", refused, flow.Sent())
+			}
+			net.Run(2 * time.Second)
+			if got := len(dst.Deliveries()); got != 2 {
+				t.Fatalf("delivered %d, want the 2 accepted messages", got)
+			}
+			if err := flow.Send([]byte("again")); err != nil {
+				t.Fatalf("send after drain: %v", err)
+			}
+			net.Run(time.Second)
+			got := dst.Deliveries()
+			if len(got) != 1 || got[0].Seq != 3 || string(got[0].Payload) != "again" {
+				t.Fatalf("after the drain delivered %+v, want one message numbered 3", got)
+			}
+		})
+	}
+}
+
 // TestPublicAPIDeliveryPayloadIsOwned keeps every payload an OnDeliver
 // callback was handed, without copying, while later messages reuse the
 // overlay's receive buffers: each must still read as it was sent.
