@@ -123,7 +123,8 @@ type RemoteClient struct {
 
 // DialDaemon connects to a daemon's client listener, binding the given
 // virtual port (zero for ephemeral). onDeliver receives incoming messages
-// on the client's network goroutine.
+// on the client's network goroutine; each Delivery, payload included, is
+// the application's to keep (see Delivery.Payload).
 func DialDaemon(addr string, port Port, onDeliver func(Delivery)) (*RemoteClient, error) {
 	var sink func(session.Delivery)
 	if onDeliver != nil {

@@ -118,7 +118,8 @@ type Strikes struct {
 // A request opens a retransmission epoch on the slot: copies more
 // retransmissions, spacing apart, sent by the slot's timer, and requests
 // before epochEnd are redundant with them. The timer is made with the
-// slot and kept when the slot is reused.
+// slot and kept when the slot is reused; it is armed exactly while
+// copies > 0.
 type sentPacket struct {
 	pkt   wire.Packet
 	bytes []byte
@@ -186,9 +187,15 @@ func (s *Strikes) Send(p *wire.Packet) {
 }
 
 // forget lets go of a sequence leaving the history: its retransmissions
-// still scheduled are cancelled and its slot waits for the next Send.
+// still scheduled are cancelled and its slot waits for the next Send. The
+// slot's timer is armed exactly while copies remain (onReq arms it with
+// M ≥ 1, retransmit re-arms it only for another), so most slots, never
+// requested, leave without touching it.
 func (s *Strikes) forget(_ uint32, sp *sentPacket) {
-	sp.timer.Stop()
+	if sp.copies > 0 {
+		sp.timer.Stop()
+		sp.copies = 0
+	}
 	sp.epochEnd = 0
 	s.stats.HistoryBytes -= len(sp.bytes)
 	s.spare = sp

@@ -136,13 +136,29 @@ func (w *Window) Bytes() int { return 8 * len(w.bits) }
 func (w *Window) Cum() uint32 { return w.cum }
 
 // AckBits encodes the out-of-order sequences above the cumulative edge as
-// the selective-ack bitmap used in FAck frames.
+// the selective-ack bitmap used in FAck frames: bit i is ring position
+// start+i, for the first min(n, 64) positions. It reads them by word,
+// shifting in the bits after the ring wraps to position 0.
 func (w *Window) AckBits() uint64 {
-	var bits uint64
-	for i := 0; i < min(w.n, 64); i++ {
-		if w.at(i) {
-			bits |= 1 << i
-		}
+	k := min(w.n, 64)
+	if k == 0 {
+		return 0
 	}
-	return bits
+	bits := w.bitsFrom(w.start)
+	if m := w.n - w.start; m < k {
+		bits = bits&(1<<m-1) | w.bitsFrom(0)<<m
+	}
+	return bits & (^uint64(0) >> (64 - k))
+}
+
+// bitsFrom returns the 64 bits from ring position pos on, in at most two
+// word reads and without wrapping: positions past the last word read as
+// zero, as do positions n and up within it (nothing sets them).
+func (w *Window) bitsFrom(pos int) uint64 {
+	i, off := pos>>6, uint(pos&63)
+	v := w.bits[i] >> off
+	if off != 0 && i+1 < len(w.bits) {
+		v |= w.bits[i+1] << (64 - off)
+	}
+	return v
 }

@@ -357,3 +357,42 @@ func TestWindowObserveMatchesRule(t *testing.T) {
 		}
 	}
 }
+
+// TestAckBitsMatchesPerBit holds the by-word AckBits equal to the per-bit
+// probe of the first 64 ring positions it replaced, on random bitmaps at
+// every kind of start: word-aligned, mid-word, and close enough to the
+// end of the ring that the 64 bits wrap to position 0.
+func TestAckBitsMatchesPerBit(t *testing.T) {
+	perBit := func(w *Window) uint64 {
+		var bits uint64
+		for i := 0; i < min(w.n, 64); i++ {
+			if w.at(i) {
+				bits |= 1 << i
+			}
+		}
+		return bits
+	}
+	r := rand.New(rand.NewSource(45))
+	for _, n := range []int{1, 10, 64, 100, 128, 1 << 16} {
+		w := NewWindow(n)
+		starts := []int{0, n - 1, max(n-63, 0), max(n-64, 0), n / 2}
+		for i := 0; i < 200; i++ {
+			starts = append(starts, r.Intn(n))
+		}
+		for _, start := range starts {
+			clear(w.bits)
+			for pos := 0; pos < n; pos++ {
+				if r.Intn(3) == 0 {
+					w.bits[pos>>6] |= 1 << (pos & 63)
+				}
+			}
+			w.start = start
+			if got, want := w.AckBits(), perBit(w); got != want {
+				t.Fatalf("n %d start %d: AckBits %#x, per bit %#x", n, start, got, want)
+			}
+		}
+	}
+	if got := (&Window{}).AckBits(); got != 0 {
+		t.Fatalf("zero window AckBits %#x, want 0", got)
+	}
+}

@@ -187,13 +187,13 @@ func (f *Flow) resend(seq uint32) {
 	_ = f.client.mgr.n.Resend(cp)
 }
 
-// remember retains a sent packet for end-to-end recovery; the history
-// covers the flow's last HistoryLimit sequences.
+// remember retains a copy of a sent packet for end-to-end recovery; the
+// history covers the flow's last HistoryLimit sequences.
 func (f *Flow) remember(p *wire.Packet) {
 	if f.history == nil {
-		f.history = link.NewSeqRing[*wire.Packet](f.client.mgr.HistoryLimit, nil, nil)
+		f.history = link.NewSeqRing[wire.Packet](f.client.mgr.HistoryLimit, nil, nil)
 	}
-	f.history.Put(p.FlowSeq, p)
+	f.history.Put(p.FlowSeq, *p)
 }
 
 // armTailFlush (re)schedules the tail-protection timer: if the flow goes

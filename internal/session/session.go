@@ -453,9 +453,16 @@ type Flow struct {
 	mask        wire.Bitmask
 	maskVersion uint64
 	maskValid   bool
-	// history retains sent packets for end-to-end recovery on reliable
-	// flows.
-	history   *link.SeqRing[*wire.Packet]
+	// out is the packet Send builds, so an originated packet is no heap
+	// object of its own; routing borrows it for the call. sending counts
+	// the sends routing on this flow: one a local OnDeliver callback makes
+	// while the outer send still routes builds a packet of its own, which
+	// leaves the outer one intact.
+	out     wire.Packet
+	sending int
+	// history retains sent packets, by value, for end-to-end recovery on
+	// reliable flows.
+	history   *link.SeqRing[wire.Packet]
 	tailTimer sim.Timer
 	tailTries int
 	closed    bool
@@ -502,10 +509,11 @@ var ErrBackpressure = link.ErrBackpressure
 // records a number only once a copy has left, so the retry goes out too.
 //
 // Send takes ownership of payload: the originated packet aliases it, and
-// a reliable flow keeps that packet in its recovery history long after
-// Send returns. The caller must not modify or reuse the slice afterwards;
-// a caller that wants its buffer back passes a copy (the daemon's client
-// edge hands over the private copy it made off the socket).
+// a reliable flow keeps a copy of that packet, payload aliased, in its
+// recovery history long after Send returns. The caller must not modify
+// or reuse the slice afterwards; a caller that wants its buffer back
+// passes a copy (the daemon's client edge hands over the private copy it
+// made off the socket).
 func (f *Flow) Send(payload []byte) error {
 	if f.client.closed {
 		return fmt.Errorf("session: send on closed client")
@@ -513,7 +521,11 @@ func (f *Flow) Send(payload []byte) error {
 	if f.closed {
 		return fmt.Errorf("session: send on closed flow")
 	}
-	p := &wire.Packet{
+	p := &f.out
+	if f.sending > 0 {
+		p = new(wire.Packet)
+	}
+	*p = wire.Packet{
 		Type:      wire.PTData,
 		Route:     wire.RouteLinkState,
 		LinkProto: f.spec.LinkProto,
@@ -522,7 +534,6 @@ func (f *Flow) Send(payload []byte) error {
 		Dst:       f.spec.DstNode,
 		DstPort:   f.spec.DstPort,
 		Group:     f.spec.Group,
-		FlowSeq:   f.seq + 1,
 		Deadline:  f.spec.Deadline,
 		Payload:   payload,
 	}
@@ -548,10 +559,19 @@ func (f *Flow) Send(payload []byte) error {
 		p.Route = wire.RouteMulticast
 		p.Dst = 0
 	}
-	if err := f.client.mgr.n.Originate(p); err != nil {
+	// The number is taken for the routing call, so a send a local OnDeliver
+	// callback makes meanwhile takes the next one. Only a local delivery
+	// calls back, and a send that delivered locally is never refused, so a
+	// refused send hands its number back with no later one taken.
+	f.seq++
+	p.FlowSeq = f.seq
+	f.sending++
+	err := f.client.mgr.n.Originate(p)
+	f.sending--
+	if err != nil {
+		f.seq--
 		return err
 	}
-	f.seq++
 	f.stats.Sent++
 	if wantsE2ERecovery(f.spec) {
 		f.remember(p)

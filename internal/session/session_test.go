@@ -953,3 +953,63 @@ func TestReceiveBorrowsPacket(t *testing.T) {
 			gets, (after.Recycled-before.Recycled)/class)
 	}
 }
+
+// TestReentrantSendOnDeliveringFlow: a local OnDeliver callback sends on
+// the very flow that is delivering to it, while the outer send is still
+// routing. The inner send takes the next sequence and a packet of its
+// own, so both messages arrive intact and in order, and a reliable flow's
+// history keeps each under its own number.
+func TestReentrantSendOnDeliveringFlow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec FlowSpec
+	}{
+		{"ReliableOrdered", FlowSpec{DstNode: 1, DstPort: 700, Ordered: true}},
+		{"BestEffort", FlowSpec{DstNode: 1, DstPort: 700}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, m1, _ := world(t, 0)
+			dst, err := m1.Connect(700)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := m1.Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flow, err := src.OpenFlow(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			var seqs []uint32
+			dst.OnDeliver(func(d Delivery) {
+				got = append(got, string(d.Payload))
+				seqs = append(seqs, d.Seq)
+				if len(got) == 1 {
+					if err := flow.Send([]byte("inner")); err != nil {
+						t.Errorf("inner Send: %v", err)
+					}
+				}
+			})
+			if err := flow.Send([]byte("outer")); err != nil {
+				t.Fatalf("outer Send: %v", err)
+			}
+			s.RunFor(2 * time.Second)
+			if len(got) != 2 || got[0] != "outer" || got[1] != "inner" || seqs[0] != 1 || seqs[1] != 2 {
+				t.Fatalf("delivered %q as sequences %v, want [outer inner] as [1 2]", got, seqs)
+			}
+			if st := flow.Stats(); st.Sent != 2 {
+				t.Fatalf("flow counts %d sent, want 2", st.Sent)
+			}
+			if !wantsE2ERecovery(tc.spec) {
+				return
+			}
+			for seq, want := range map[uint32]string{1: "outer", 2: "inner"} {
+				if p, ok := flow.history.Get(seq); !ok || p.FlowSeq != seq || string(p.Payload) != want {
+					t.Fatalf("history at %d holds seq %d %q (ok %v), want %q", seq, p.FlowSeq, p.Payload, ok, want)
+				}
+			}
+		})
+	}
+}

@@ -15,6 +15,14 @@ type Runner interface {
 	Run()
 }
 
+// RunnerFunc adapts a function to Runner. A func value is one pointer, so
+// the conversion to Runner allocates nothing: AfterRunner(d, RunnerFunc(fn))
+// is an uncancellable After(d, fn) on a pooled event.
+type RunnerFunc func()
+
+// Run implements Runner.
+func (f RunnerFunc) Run() { f() }
+
 // Scheduler is a deterministic discrete-event scheduler with a virtual
 // clock. Events scheduled for the same instant run in scheduling order.
 //

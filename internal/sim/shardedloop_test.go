@@ -116,7 +116,7 @@ func TestSPSCConcurrent(t *testing.T) {
 // run by hand.
 type postLog struct{ runners []Runner }
 
-func (p *postLog) Post(fn func())      { p.PostRunner(runnerFunc(fn)) }
+func (p *postLog) Post(fn func())      { p.PostRunner(RunnerFunc(fn)) }
 func (p *postLog) PostRunner(r Runner) { p.runners = append(p.runners, r) }
 
 // next runs the oldest posted runner.
@@ -265,18 +265,13 @@ func TestShardedLoopDistribution(t *testing.T) {
 		wg.Done()
 	}
 	s.Post(func() { record(1) })
-	s.PostRunner(runnerFunc(func() { record(2) }))
+	s.PostRunner(RunnerFunc(func() { record(2) }))
 	s.Shard(0).Post(func() { record(3) })
 	wg.Wait()
 	if order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("control-shard order = %v, want [1 2 3]", order)
 	}
 }
-
-// runnerFunc adapts a closure to Runner for tests.
-type runnerFunc func()
-
-func (f runnerFunc) Run() { f() }
 
 // TestShardedLoopDefault checks the n<=0 default and the documented cap.
 func TestShardedLoopDefault(t *testing.T) {

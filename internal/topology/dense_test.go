@@ -40,13 +40,26 @@ func TestNodeIndexStable(t *testing.T) {
 	}
 }
 
-func TestLinkBetweenParallelLinksFirstAdded(t *testing.T) {
+// TestAddLinkRefusesDuplicate: a second link between the same two nodes,
+// named in either order, is refused and leaves the graph as it was — a
+// parallel link would be one no link session probes.
+func TestAddLinkRefusesDuplicate(t *testing.T) {
 	g := NewGraph()
-	first := mustLink(t, g, 1, 2, 10*time.Millisecond)
-	mustLink(t, g, 2, 1, 30*time.Millisecond)
-	l, ok := g.LinkBetween(2, 1)
-	if !ok || l.ID != first {
-		t.Fatalf("LinkBetween(2,1) = %v,%v; want first-added link %v", l.ID, ok, first)
+	id := mustLink(t, g, 1, 2, 10*time.Millisecond)
+	mustLink(t, g, 2, 3, 10*time.Millisecond)
+	for _, ends := range [][2]wire.NodeID{{1, 2}, {2, 1}} {
+		if _, err := g.AddLink(ends[0], ends[1], 30*time.Millisecond); err == nil {
+			t.Fatalf("AddLink(%v,%v) accepted a second 1-2 link", ends[0], ends[1])
+		}
+	}
+	if n := len(g.Links()); n != 2 {
+		t.Fatalf("graph holds %d links, want 2", n)
+	}
+	if got := len(g.Incident(1)); got != 1 {
+		t.Fatalf("node 1 has %d incident links, want 1", got)
+	}
+	if l, ok := g.LinkBetween(2, 1); !ok || l.ID != id || l.Latency != 10*time.Millisecond {
+		t.Fatalf("LinkBetween(2,1) = %+v %v, want the first 1-2 link", l, ok)
 	}
 }
 
@@ -234,16 +247,21 @@ func TestDenseIndexMatchesMap(t *testing.T) {
 			if a == b {
 				return
 			}
+			key := [2]wire.NodeID{min(a, b), max(a, b)}
+			if _, dup := between[key]; dup {
+				if _, err := g.AddLink(a, b, time.Millisecond); err == nil {
+					t.Fatalf("AddLink(%v,%v) accepted a parallel link", a, b)
+				}
+				return
+			}
 			id := mustLink(t, g, a, b, time.Duration(1+r.Intn(20))*time.Millisecond)
-			for _, n := range []wire.NodeID{min(a, b), max(a, b)} {
+			for _, n := range key {
 				if _, ok := index[n]; !ok {
 					index[n] = len(index)
 				}
 				incident[n] = append(incident[n], id)
 			}
-			if _, ok := between[[2]wire.NodeID{min(a, b), max(a, b)}]; !ok {
-				between[[2]wire.NodeID{min(a, b), max(a, b)}] = id
-			}
+			between[key] = id
 		}
 		var known []wire.NodeID
 		for i := 0; i < 30; i++ {

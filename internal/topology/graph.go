@@ -103,8 +103,11 @@ const MaxGraphLinks = 0xffff
 // AddLink registers an overlay link between a and b with the given designed
 // latency, adding the endpoints if needed, and returns its LinkID. It is
 // the one gate every link passes on its way into a graph: a zero endpoint,
-// a self link and a negative latency — a negative edge weight to SPF — are
-// refused. A zero latency is legal.
+// a self link, a negative latency — a negative edge weight to SPF — and a
+// second link between the same two nodes, in either order, are refused.
+// (A node's link session is per neighbor, so a parallel link would be one
+// no hello probes, usable in the view after its twin went down.) A zero
+// latency is legal.
 func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, error) {
 	if a == 0 || b == 0 {
 		return 0, fmt.Errorf("topology: link %v-%v has a zero endpoint", a, b)
@@ -120,6 +123,9 @@ func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, e
 	}
 	if a > b {
 		a, b = b, a
+	}
+	if l, ok := g.LinkBetween(a, b); ok {
+		return 0, fmt.Errorf("topology: link %v-%v duplicates link %d", a, b, l.ID)
 	}
 	g.AddNode(a)
 	g.AddNode(b)
@@ -137,7 +143,9 @@ func (g *Graph) AddLink(a, b wire.NodeID, latency time.Duration) (wire.LinkID, e
 // RingWithChords builds the n-node scaling graph EXP-CONV and the SPF
 // tests and benchmarks share: nodes 1..n on a ring (links 0..n-1, so the
 // graph stays connected with any one link down) plus an antipodal chord
-// from every fourth node (links n and up) for path diversity. From
+// from every fourth node (links n and up) for path diversity; where the
+// node across the ring has its own chord already (n a multiple of 8), the
+// pair keeps that one link. From
 // wire.MaxLinks/2 to wire.MaxLinks nodes the ring alone is kept — at 256
 // it uses the whole source-routing link budget; past that the graph-wide
 // link table (MaxGraphLinks) has room again and the chords return.
@@ -151,6 +159,9 @@ func RingWithChords(n int) (*Graph, error) {
 	}
 	if n < wire.MaxLinks/2 || n > wire.MaxLinks {
 		for i := 0; i < n; i += 4 {
+			if _, ok := g.LinkBetween(id(i), id(i+n/2)); ok {
+				continue
+			}
 			if _, err := g.AddLink(id(i), id(i+n/2), time.Duration(8+i%5)*time.Millisecond); err != nil {
 				return nil, err
 			}
@@ -201,10 +212,9 @@ func (g *Graph) Incident(n wire.NodeID) []wire.LinkID {
 	return nil
 }
 
-// LinkBetween returns the link joining a and b, if one exists. With
-// parallel links, the earliest-added one is returned: it scans the
-// adjacency of the endpoint with fewer links, which is in link-insertion
-// order, for the other end.
+// LinkBetween returns the link joining a and b, if one exists (AddLink
+// admits at most one). It scans the adjacency of the endpoint with fewer
+// links for the other end.
 func (g *Graph) LinkBetween(a, b wire.NodeID) (Link, bool) {
 	ai, bi := g.indexOf(a), g.indexOf(b)
 	if ai < 0 || bi < 0 {

@@ -36,7 +36,11 @@ type Client struct {
 var errClientClosed = errors.New("transport: client closed")
 
 // Dial connects to a daemon's client listener and binds the given virtual
-// port (zero for ephemeral). deliver receives incoming messages.
+// port (zero for ephemeral). deliver receives incoming messages, on the
+// client's read goroutine. Each Delivery's Payload is the application's to
+// keep: it is carved from a chunk shared with other payloads, so an
+// application that retains a sparse few long after the rest should copy
+// them rather than keep every chunk alive.
 func Dial(addr string, port wire.Port, deliver func(session.Delivery)) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -202,6 +206,7 @@ func (f *RemoteFlow) Send(payload []byte) error {
 func (c *Client) readLoop() {
 	defer close(c.done)
 	fr := newFrameReader(c.conn)
+	var arena wire.Arena // delivered payloads, each the application's
 	first := true
 	for {
 		msg, err := fr.next()
@@ -243,7 +248,7 @@ func (c *Client) readLoop() {
 				Group:         wire.GroupID(binary.BigEndian.Uint32(msg[9:])),
 				Latency:       time.Duration(binary.BigEndian.Uint64(msg[13:])),
 				Retransmitted: msg[21] == 1,
-				Payload:       append([]byte(nil), msg[deliverHeaderLen:]...),
+				Payload:       arena.Copy(msg[deliverHeaderLen:]),
 			}
 			if c.deliver != nil {
 				c.deliver(d)

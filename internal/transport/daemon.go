@@ -528,8 +528,6 @@ const (
 	// connection, the same quota the UDP hand-off drains keep, so a fast
 	// client cannot starve timers and other connections.
 	clientBatchMax = rxDrainQuota
-	// arenaChunk is the allocation unit request bodies are carved from.
-	arenaChunk = 32 << 10
 )
 
 // clientConn bridges one TCP client to the session manager.
@@ -585,26 +583,6 @@ func (c *clientConn) writeLoop() {
 	})
 }
 
-// payloadArena carves request bodies out of shared chunks: one allocation
-// serves dozens of messages, and each body is an independent heap slice
-// whose ownership can pass to the session (a chunk is collected once every
-// body carved from it is dead). It belongs to the connection's read loop.
-type payloadArena struct{ free []byte }
-
-// copy returns a private, capacity-clipped copy of b.
-func (a *payloadArena) copy(b []byte) []byte {
-	if len(b) > arenaChunk/4 {
-		return append([]byte(nil), b...)
-	}
-	if len(b) > len(a.free) {
-		a.free = make([]byte, arenaChunk)
-	}
-	out := a.free[:len(b):len(b)]
-	a.free = a.free[len(b):]
-	copy(out, b)
-	return out
-}
-
 // clientBatch is every request one read wakeup decoded, posted to the
 // daemon loop as a single pooled sim.Runner: one loop handoff per batch,
 // and a connection's requests run in the order they were sent.
@@ -632,7 +610,7 @@ func (c *clientConn) readLoop() {
 	defer c.d.wg.Done()
 	defer c.close()
 	fr := newFrameReader(c.conn)
-	var arena payloadArena
+	var arena wire.Arena // request bodies, each handed to the session
 	for {
 		msg, err := fr.next()
 		if err != nil {
@@ -642,7 +620,7 @@ func (c *clientConn) readLoop() {
 		b.c = c
 		for err == nil {
 			if len(msg) > 0 {
-				b.msgs = append(b.msgs, arena.copy(msg))
+				b.msgs = append(b.msgs, arena.Copy(msg))
 			}
 			if !fr.buffered() || len(b.msgs) >= clientBatchMax {
 				break

@@ -32,17 +32,18 @@ type NodeAddr struct {
 }
 
 // GenerateConfigs expands a shared topology into one DaemonConfig per
-// node, validating that every link endpoint has addresses and that every
-// node appears in the topology.
+// node, validating that every link endpoint has addresses, that every
+// node appears in the topology, and that the links are ones every daemon
+// will take: checkLinks, plus a positive latency.
 func GenerateConfigs(tc TopologyConfig) (map[wire.NodeID]DaemonConfig, error) {
 	if len(tc.Links) == 0 {
 		return nil, fmt.Errorf("transport: topology has no links")
 	}
+	if err := checkLinks(tc.Links); err != nil {
+		return nil, err
+	}
 	inTopo := make(map[wire.NodeID]bool)
 	for _, l := range tc.Links {
-		if l.A == l.B || l.A == 0 || l.B == 0 {
-			return nil, fmt.Errorf("transport: bad link %v-%v", l.A, l.B)
-		}
 		if l.LatencyMs <= 0 {
 			return nil, fmt.Errorf("transport: link %v-%v needs a positive latency", l.A, l.B)
 		}

@@ -62,6 +62,9 @@ func TestGenerateConfigsValidation(t *testing.T) {
 		"orphan node":         func(tc *TopologyConfig) { tc.Nodes[9] = NodeAddr{UDP: []string{"x:1"}} },
 		"node with no UDP":    func(tc *TopologyConfig) { tc.Nodes[2] = NodeAddr{} },
 		"zero-node in a link": func(tc *TopologyConfig) { tc.Links[0].A = 0 },
+		"duplicate link": func(tc *TopologyConfig) {
+			tc.Links = append(tc.Links, LinkDef{A: tc.Links[0].B, B: tc.Links[0].A, LatencyMs: 7})
+		},
 	}
 	for name, mutate := range cases {
 		tc := validTopo()
@@ -74,16 +77,18 @@ func TestGenerateConfigsValidation(t *testing.T) {
 
 // TestNewDaemonRefusesBadLinks: a hand-written config is held to the rule
 // GenerateConfigs applies — a negative latency would be a negative edge
-// weight to SPF, and node 0 is no node — by the graph it builds.
+// weight to SPF, node 0 is no node, and a second 1–2 link would be one no
+// hello probes — by the graph it builds.
 func TestNewDaemonRefusesBadLinks(t *testing.T) {
-	for name, l := range map[string]LinkDef{
-		"negative latency": {A: 1, B: 2, LatencyMs: -5},
-		"zero endpoint":    {A: 0, B: 1, LatencyMs: 5},
+	for name, links := range map[string][]LinkDef{
+		"negative latency": {{A: 1, B: 2, LatencyMs: -5}},
+		"zero endpoint":    {{A: 0, B: 1, LatencyMs: 5}},
+		"duplicate link":   {{A: 1, B: 2, LatencyMs: 5}, {A: 2, B: 1, LatencyMs: 7}},
 	} {
-		d, err := NewDaemon(DaemonConfig{ID: 1, BindUDP: "127.0.0.1:0", Links: []LinkDef{l}})
+		d, err := NewDaemon(DaemonConfig{ID: 1, BindUDP: "127.0.0.1:0", Links: links})
 		if err == nil {
 			d.Close()
-			t.Errorf("%s: NewDaemon accepted link %+v", name, l)
+			t.Errorf("%s: NewDaemon accepted links %+v", name, links)
 		}
 	}
 }

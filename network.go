@@ -12,6 +12,8 @@ import (
 	"sonet/internal/netemu"
 	"sonet/internal/node"
 	"sonet/internal/session"
+	"sonet/internal/sim"
+	"sonet/internal/wire"
 )
 
 // ErrBackpressure is returned by Flow.Send when every egress scheduler
@@ -136,6 +138,9 @@ func compromiseOption(id NodeID, c node.Compromise) Option {
 // virtual time: the world every example and benchmark drives.
 type Network struct {
 	sim *core.Simple
+	// arena carves every client's delivered payloads; the world's
+	// scheduler is its one goroutine.
+	arena wire.Arena
 }
 
 // New builds (and starts) an emulated overlay with the given links. The
@@ -194,8 +199,11 @@ func (n *Network) Close() { n.sim.Stop() }
 func (n *Network) Run(d time.Duration) { n.sim.RunFor(d) }
 
 // RunAt schedules fn to run at virtual-time offset d from now (failure
-// injection, traffic scripting).
-func (n *Network) RunAt(d time.Duration, fn func()) { n.sim.Sched.After(d, fn) }
+// injection, traffic scripting). It returns no handle, so the event rides
+// on the scheduler's pooled ones.
+func (n *Network) RunAt(d time.Duration, fn func()) {
+	n.sim.Sched.AfterRunner(d, sim.RunnerFunc(fn))
+}
 
 // Settle runs long enough for hellos, link-state, and group floods to
 // converge.
@@ -424,12 +432,14 @@ type Client struct {
 func (c *Client) Port() Port { return c.inner.Port() }
 
 // OnDeliver installs a synchronous delivery callback. The Delivery it is
-// handed, payload included, is the application's to keep.
+// handed, payload included, is the application's to keep (see
+// Delivery.Payload).
 func (c *Client) OnDeliver(fn func(Delivery)) {
 	c.inner.OnDeliver(func(d session.Delivery) {
 		// The session level only lends the payload (it aliases the receive
-		// buffer); this one copy is what makes it the application's.
-		d.Payload = append([]byte(nil), d.Payload...)
+		// buffer); this one copy, carved from the network's arena, is what
+		// makes it the application's.
+		d.Payload = c.net.arena.Copy(d.Payload)
 		fn(fromSessionDelivery(d))
 	})
 }

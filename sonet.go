@@ -139,6 +139,10 @@ type Delivery struct {
 	// Recovered marks messages whose delivered copy was retransmitted
 	// somewhere along the way.
 	Recovered bool
-	// Payload is the application data.
+	// Payload is the application data, the application's to keep. An
+	// OnDeliver or DialDaemon delivery carves it from a chunk it shares
+	// with other payloads, so an application that retains a sparse few
+	// long after the rest should copy them rather than keep every chunk
+	// alive.
 	Payload []byte
 }

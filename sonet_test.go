@@ -290,6 +290,18 @@ func TestNewRefusesNegativeLatency(t *testing.T) {
 	}
 }
 
+// TestNewRefusesDuplicateLink: a topology that names 1–2 twice, in either
+// order, is refused. Accepted, the second copy had no hello probing it, so
+// after CutLink(1, 2) node 1 routed over it and delivered nothing.
+func TestNewRefusesDuplicateLink(t *testing.T) {
+	ms := time.Millisecond
+	links := []Link{{A: 1, B: 2, Latency: 10 * ms}, {A: 2, B: 1, Latency: 30 * ms}, {A: 2, B: 3, Latency: 10 * ms}}
+	if net, err := New(1, links); err == nil {
+		net.Close()
+		t.Fatal("a topology with two 1-2 links accepted")
+	}
+}
+
 func TestPublicAPIDelayAndCorruptOptions(t *testing.T) {
 	net, err := New(9, apiDiamond(),
 		WithAuthentication([]byte("k")),
