@@ -172,12 +172,17 @@ fuzz:
 
 # The size figures the simplification PRs and ROADMAP item 5 quote: raw
 # lines and non-blank non-comment lines of non-test Go outside bench/, for
-# the repository and for internal/experiments alone.
+# the repository and for internal/experiments alone, then the five largest
+# packages (directories) by non-blank non-comment lines, same filter.
 loc:
 	@for d in . ./internal/experiments; do \
 		find $$d -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | \
 		awk -v d=$$d '{raw++} !/^[ \t]*($$|\/\/)/ {code++} END {printf "%-24s %6d lines  %6d non-blank non-comment\n", d, raw, code}'; \
 	done
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec \
+		awk '!/^[ \t]*($$|\/\/)/ {d = FILENAME; sub(/\/[^\/]*$$/, "", d); code[d]++} END {for (d in code) print d, code[d]}' {} + | \
+		awk '{code[$$1] += $$2} END {for (d in code) print code[d], d}' | sort -rn | head -n 5 | \
+		awk '{printf "%-24s %6d non-blank non-comment\n", $$2, $$1}'
 
 clean:
 	$(GO) clean ./...

@@ -177,7 +177,7 @@ type JoinLink struct {
 
 // Join admits a new node into the running overlay: the designed topology
 // gains the node and its links, every running node absorbs the growth
-// (views grow with journaled entries; nodes incident to new links begin
+// (views grow by versioned entries; nodes incident to new links begin
 // hello probing and re-announce their link states), and the joiner is
 // built, attached to the underlay at its site, and started. When dynamic
 // membership is enabled and contact is nonzero, the joiner then runs the

@@ -39,7 +39,6 @@ type convWorld struct {
 	groups  *convGroups
 	engines []*routing.Engine
 	nodes   []wire.NodeID
-	srcs    []wire.NodeID
 	probes  []wire.NodeID
 }
 
@@ -64,11 +63,9 @@ func buildConvWorld(n int) (*convWorld, error) {
 		eng = convEngineCap
 	}
 	w.engines = make([]*routing.Engine, eng)
-	w.srcs = make([]wire.NodeID, eng)
 	w.probes = make([]wire.NodeID, eng)
 	for i := 0; i < eng; i++ {
 		src := i * n / eng
-		w.srcs[i] = id(src)
 		w.engines[i] = routing.NewEngine(id(src), w.views, w.groups, topology.LatencyMetric)
 		w.probes[i] = id(src + n/2) // antipodal probe: the longest recompute-dependent query
 	}
@@ -76,27 +73,16 @@ func buildConvWorld(n int) (*convWorld, error) {
 }
 
 // churn simulates one LSA flood reaching every node: even rounds take a
-// link down, odd rounds restore it, so at most one link is ever down and
-// the view stays connected. Small worlds flip links in ID order (ring
-// first), as the seed experiment always did. Large worlds flip the
-// antipodal chords (link IDs ≥ n): a long-haul overlay link flapping
-// strands only the short ring arc behind it — the locality regime subtree
-// repair exploits — whereas cutting a link of the bare ring detaches an
-// O(n) arc whose repair rightly costs as much as the recompute.
+// link down, odd rounds restore it, round-robin in link ID order (ring
+// first), so at most one link is ever down and the view stays connected.
 func (w *convWorld) churn(round int) {
-	n := len(w.nodes)
 	nl := w.views.view.G.NumLinks()
-	lid := wire.LinkID((round / 2) % nl)
-	if n > wire.MaxLinks && nl > n {
-		lid = wire.LinkID(n + (round/2)%(nl-n))
-	}
-	w.views.view.SetUp(lid, round%2 == 1)
+	w.views.view.SetUp(wire.LinkID((round/2)%nl), round%2 == 1)
 }
 
 // reconvergeAll forces every engine to reconverge its SPT and answer one
-// routing query, returning the summed wall-clock compute time. With the
-// change journal a single-link churn event reconverges by subtree repair;
-// a journal miss falls back to full Dijkstra.
+// routing query, returning the summed wall-clock compute time. The view
+// version moved, so each engine runs one full SPF from the view.
 func (w *convWorld) reconvergeAll() time.Duration {
 	start := time.Now()
 	for i, e := range w.engines {
@@ -108,22 +94,16 @@ func (w *convWorld) reconvergeAll() time.Duration {
 // convOutcome is the measured reconvergence behaviour at one graph size.
 type convOutcome struct {
 	nodes, links    int
-	incrPerNode     time.Duration
-	fullPerNode     time.Duration
-	refPerNode      time.Duration // 0 when the map reference is skipped
+	perNode         time.Duration
 	allocsPerReconv float64
-	incrRatio       float64
-	repairSize      float64
+	runsPerReconv   float64
 	reuseRatio      float64
 }
 
 // measureConvergence drives LSA churn through an N-node world: per round,
 // one link flips and every measured node reconverges. It reports per-node
-// incremental reconvergence latency (the engines' journal-driven subtree
-// repair), the full dense-Dijkstra latency from the same sources on the
-// same churn sequence, the map-based reference Dijkstra latency (small
-// sizes only), allocations per reconvergence (warmed), the incremental
-// share, and the mean repaired-subtree size.
+// reconvergence latency, allocations per reconvergence (warmed), SPF runs
+// per reconvergence, and the share of runs that reused their scratch.
 func measureConvergence(n, rounds int) (convOutcome, error) {
 	w, err := buildConvWorld(n)
 	if err != nil {
@@ -137,78 +117,23 @@ func measureConvergence(n, rounds int) (convOutcome, error) {
 	spf0 := topology.SPFStatsSnapshot()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	var incr time.Duration
+	var busy time.Duration
 	for r := 0; r < rounds; r++ {
 		w.churn(r)
-		incr += w.reconvergeAll()
+		busy += w.reconvergeAll()
 	}
 	runtime.ReadMemStats(&ms1)
 	spf1 := topology.SPFStatsSnapshot()
 
 	reconvs := rounds * len(w.engines)
-	out.incrPerNode = incr / time.Duration(reconvs)
+	out.perNode = busy / time.Duration(reconvs)
 	out.allocsPerReconv = float64(ms1.Mallocs-ms0.Mallocs) / float64(reconvs)
-	out.incrRatio = metrics.SPFSnapshot{
-		Runs:         spf1.Runs - spf0.Runs,
-		Incrementals: spf1.Incrementals - spf0.Incrementals,
-	}.IncrementalRatio()
-	out.repairSize = metrics.SPFSnapshot{
-		Incrementals:  spf1.Incrementals - spf0.Incrementals,
-		RepairedNodes: spf1.RepairedNodes - spf0.RepairedNodes,
-	}.MeanRepairSize()
-
-	// Full-recompute baseline: dense Dijkstra from a sample of the same
-	// sources over the same churn sequence, scratch warmed and reused —
-	// what every reconvergence would cost without the subtree repair.
-	fullSample := len(w.engines)
-	if fullSample > 8 {
-		fullSample = 8
+	runs := metrics.SPFSnapshot{
+		Runs:          spf1.Runs - spf0.Runs,
+		ScratchReuses: spf1.ScratchReuses - spf0.ScratchReuses,
 	}
-	var spt topology.SPT
-	topology.SPTInto(&spt, w.views.view, w.srcs[0], topology.LatencyMetric)
-	spf2 := topology.SPFStatsSnapshot()
-	fullStart := time.Now()
-	fullRuns := 0
-	for r := 0; r < rounds; r++ {
-		w.churn(r)
-		for s := 0; s < fullSample; s++ {
-			src := w.srcs[s*len(w.srcs)/fullSample]
-			topology.SPTInto(&spt, w.views.view, src, topology.LatencyMetric)
-			fullRuns++
-		}
-	}
-	out.fullPerNode = time.Since(fullStart) / time.Duration(fullRuns)
-	spf3 := topology.SPFStatsSnapshot()
-	out.reuseRatio = metrics.SPFSnapshot{
-		Runs:          spf3.Runs - spf2.Runs,
-		ScratchReuses: spf3.ScratchReuses - spf2.ScratchReuses,
-	}.ReuseRatio()
-
-	// Reference baseline: the retained map-backed Dijkstra over the same
-	// churn sequence. Skipped at 1k+ nodes — the reference exists to show
-	// the dense representation's constant factor, already established at
-	// the small sizes, and at 10k nodes it would dominate the experiment's
-	// wall clock.
-	if n < 1024 {
-		sample := n
-		if sample > 8 {
-			sample = 8
-		}
-		refStart := time.Now()
-		refRuns := 0
-		for r := 0; r < rounds; r++ {
-			w.churn(r)
-			for s := 0; s < sample; s++ {
-				src := w.nodes[(s*n/sample)%n]
-				t := topology.ReferenceShortestPaths(w.views.view, src, topology.LatencyMetric)
-				if t.Src != src {
-					return out, fmt.Errorf("reference SPT root mismatch")
-				}
-				refRuns++
-			}
-		}
-		out.refPerNode = time.Since(refStart) / time.Duration(refRuns)
-	}
+	out.runsPerReconv = float64(runs.Runs) / float64(reconvs)
+	out.reuseRatio = runs.ReuseRatio()
 	return out, nil
 }
 
@@ -244,9 +169,8 @@ func multicastChurn(rounds int) (routing.TreeCacheStats, error) {
 // overlay: after every LSA flood each node reconverges identical routes
 // from shared state, so the per-node reconvergence must stay far below the
 // paper's millisecond-scale rerouting budget even at thousands of nodes.
-// EXP-CONV floods link churn through 16–10240-node graphs and measures
-// per-node incremental reconvergence (journal-driven subtree repair)
-// against full dense Dijkstra and the retained map-based reference.
+// EXP-CONV floods link churn through 16–10240-node graphs and measures the
+// per-node reconvergence, one full dense SPF from the view.
 func ConvergenceScale(seed uint64) *Result {
 	r := &Result{
 		ID:    "EXP-CONV",
@@ -254,8 +178,7 @@ func ConvergenceScale(seed uint64) *Result {
 		PaperClaim: "every node reconverges identical routes from shared state within " +
 			"milliseconds of an LSA flood, keeping sub-second rerouting viable as the " +
 			"overlay grows from its 256-link source-routing ceiling to 10k nodes",
-		Table: metrics.NewTable("nodes", "links", "incr/node", "full/node", "speedup",
-			"reference/node", "allocs/reconv", "incr_ratio", "repair_size"),
+		Table: metrics.NewTable("nodes", "links", "reconv/node", "allocs/reconv"),
 	}
 	_ = seed // wall-clock measurement; churn sequence is deterministic
 	sizes := []int{16, 64, 256, 1024}
@@ -265,13 +188,9 @@ func ConvergenceScale(seed uint64) *Result {
 		sizes = append(sizes, 4096, 10240)
 	}
 	worstPerNode := time.Duration(0)
-	minRefSpeedup := 0.0
-	haveRef := false
 	worstAllocs := 0.0
 	minReuse := 1.0
-	minIncrSpeedup := 0.0
-	minIncrRatio := 1.0
-	haveLarge := false
+	oneRunEach := true
 	for _, n := range sizes {
 		rounds := 30
 		if n >= 1024 {
@@ -282,74 +201,32 @@ func ConvergenceScale(seed uint64) *Result {
 			r.addFinding("ERROR n=%d: %v", n, err)
 			return r
 		}
-		incrSpeedup := float64(out.fullPerNode) / float64(nonzero(out.incrPerNode))
-		refCell := "-"
-		if out.refPerNode > 0 {
-			refCell = fmt.Sprintf("%.1fµs", us(out.refPerNode))
-			refSpeedup := float64(out.refPerNode) / float64(nonzero(out.fullPerNode))
-			if !haveRef || refSpeedup < minRefSpeedup {
-				minRefSpeedup = refSpeedup
-			}
-			haveRef = true
-		}
 		r.Table.AddRow(out.nodes, out.links,
-			fmt.Sprintf("%.1fµs", us(out.incrPerNode)),
-			fmt.Sprintf("%.1fµs", us(out.fullPerNode)),
-			fmt.Sprintf("%.1fx", incrSpeedup),
-			refCell,
-			fmt.Sprintf("%.2f", out.allocsPerReconv),
-			fmt.Sprintf("%.2f", out.incrRatio),
-			fmt.Sprintf("%.1f", out.repairSize))
-		if out.incrPerNode > worstPerNode {
-			worstPerNode = out.incrPerNode
-		}
-		if out.allocsPerReconv > worstAllocs {
-			worstAllocs = out.allocsPerReconv
-		}
-		if out.reuseRatio < minReuse {
-			minReuse = out.reuseRatio
-		}
-		if n >= 1024 {
-			if !haveLarge || incrSpeedup < minIncrSpeedup {
-				minIncrSpeedup = incrSpeedup
-			}
-			if out.incrRatio < minIncrRatio {
-				minIncrRatio = out.incrRatio
-			}
-			haveLarge = true
-		}
+			fmt.Sprintf("%.1fµs", us(out.perNode)),
+			fmt.Sprintf("%.2f", out.allocsPerReconv))
+		worstPerNode = max(worstPerNode, out.perNode)
+		worstAllocs = max(worstAllocs, out.allocsPerReconv)
+		minReuse = min(minReuse, out.reuseRatio)
+		oneRunEach = oneRunEach && out.runsPerReconv == 1
 	}
 	trees, err := multicastChurn(30)
 	if err != nil {
 		r.addFinding("ERROR multicast churn: %v", err)
 		return r
 	}
-	r.addFinding("worst per-node incremental reconvergence %.1fµs (budget: 1ms); dense full SPF ≥%.1fx the map-based reference",
-		us(worstPerNode), minRefSpeedup)
-	r.addFinding("at ≥1k nodes single-link repair is ≥%.1fx faster than full recompute at ≥%.0f%% incremental share",
-		minIncrSpeedup, 100*minIncrRatio)
-	r.addFinding("allocations per warmed reconvergence ≤%.2f; full-path SPF scratch reuse ≥%.0f%%",
+	r.addFinding("worst per-node reconvergence %.1fµs (budget: 1ms), one full SPF per reconvergence: %v",
+		us(worstPerNode), oneRunEach)
+	r.addFinding("allocations per warmed reconvergence ≤%.2f; SPF scratch reuse ≥%.0f%%",
 		worstAllocs, 100*minReuse)
 	r.addFinding("tree cache under churn+burst: %.1f%% hit ratio, %d evictions (prune+cap) across %d lookups",
 		100*trees.HitRatio(), trees.Evictions, trees.Hits+trees.Misses)
-	// Race instrumentation penalizes the dense SPF's tight slice loops far
-	// more than the reference's map traffic, and compresses the
-	// incremental-vs-full gap, so under race the floors only require the
-	// fast path not to lose.
-	refFloor, incrFloor := 2.0, 10.0
-	if wire.RaceEnabled {
-		refFloor, incrFloor = 1.05, 4.0
-	}
-	r.CountsHold = haveRef && haveLarge &&
-		minIncrRatio >= 0.9 &&
+	r.CountsHold = oneRunEach &&
 		worstAllocs < 2 &&
 		minReuse >= 0.9 &&
 		trees.Evictions > 0 && trees.Hits > 0
-	timingHolds := worstPerNode < time.Millisecond &&
-		minRefSpeedup >= refFloor &&
-		minIncrSpeedup >= incrFloor
+	timingHolds := worstPerNode < time.Millisecond
 	if !timingHolds {
-		r.addFinding("WARNING: timing: a wall-clock floor was missed on this run (budget 1ms/node, reference ≥%.2fx, repair ≥%.1fx)", refFloor, incrFloor)
+		r.addFinding("WARNING: timing: the 1ms per-node budget was missed on this run")
 	}
 	r.ShapeHolds = r.CountsHold && timingHolds
 	return r

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// BenchmarkConvergenceScale is EXP-CONV's incremental column under the
+// BenchmarkConvergenceScale is EXP-CONV's reconvergence column under the
 // testing.B clock: each iteration is one convWorld churn event (a link
 // flips, the flood reaches everyone) followed by every measured engine
-// reconverging off the view change journal and answering its antipodal
-// query. An iteration is len(engines) reconvergences — all n nodes up to
-// 64, 64 sampled ones beyond — so ns/op is suppressed and ns/node is the
-// one number that compares across sizes.
+// recomputing its tree from the view and answering its antipodal query.
+// An iteration is len(engines) reconvergences — all n nodes up to 64, 64
+// sampled ones beyond — so ns/op is suppressed and ns/node is the one
+// number that compares across sizes.
 func BenchmarkConvergenceScale(b *testing.B) {
 	for _, n := range []int{16, 64, 256, 1024, 4096, 10240} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

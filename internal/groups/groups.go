@@ -22,7 +22,11 @@ import (
 // ErrBadAnnouncement reports a malformed group-state payload.
 var ErrBadAnnouncement = errors.New("malformed group-state announcement")
 
-// Env is what the manager needs from its host overlay node.
+// Env is what the manager needs from its host overlay node. Both sends
+// borrow payload for the call only: it is the manager's storage, rewritten
+// by its next announcement, so an env that keeps it past the call copies
+// it (node.floodControl marshals it synchronously; the test fabric copies
+// it per peer).
 type Env interface {
 	// FloodGroupState sends a group-state packet to every current
 	// neighbor except the one it came from (zero to send to all).
@@ -48,16 +52,19 @@ type Announcement struct {
 	Groups []wire.GroupID
 }
 
-// Marshal encodes the announcement.
+// Marshal encodes the announcement into a fresh slice.
 func (a *Announcement) Marshal() []byte {
-	buf := make([]byte, 8, 8+4*len(a.Groups))
-	binary.BigEndian.PutUint16(buf[0:], uint16(a.Origin))
-	binary.BigEndian.PutUint32(buf[2:], a.Seq)
-	binary.BigEndian.PutUint16(buf[6:], uint16(len(a.Groups)))
-	var g [4]byte
+	return a.AppendTo(make([]byte, 0, 8+4*len(a.Groups)))
+}
+
+// AppendTo appends the announcement's encoding to buf and returns the
+// extended slice.
+func (a *Announcement) AppendTo(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(a.Origin))
+	buf = binary.BigEndian.AppendUint32(buf, a.Seq)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.Groups)))
 	for _, id := range a.Groups {
-		binary.BigEndian.PutUint32(g[:], uint32(id))
-		buf = append(buf, g[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(id))
 	}
 	return buf
 }
@@ -108,6 +115,15 @@ type Manager struct {
 	remote wire.NodeTable[[]wire.GroupID]
 	// rxAnn is the decode target of HandleAnnouncement.
 	rxAnn Announcement
+	// txAnn and txBuf are the announcement announce builds and its
+	// encoding, so an announcement is no heap object of its own.
+	// announcing marks txBuf in flight: an env that delivers
+	// synchronously can bring a flood.Reborn echo back into announce
+	// while the outer flood still sends txBuf, and that inner
+	// announcement builds in storage of its own.
+	txAnn      Announcement
+	txBuf      []byte
+	announcing bool
 
 	version uint64
 }
@@ -295,11 +311,22 @@ func (m *Manager) Resync(n wire.NodeID) {
 
 // announce floods this node's full current membership.
 func (m *Manager) announce() {
-	groups := make([]wire.GroupID, 0, len(m.local))
-	for g := range m.local {
-		groups = append(groups, g)
+	outer := !m.announcing
+	a, buf := &m.txAnn, m.txBuf[:0]
+	if !outer {
+		a, buf = new(Announcement), nil
 	}
-	slices.Sort(groups)
-	a := Announcement{Origin: m.self, Seq: m.db.Next(), Groups: groups}
-	m.env.FloodGroupState(a.Marshal(), 0)
+	a.Origin, a.Seq, a.Groups = m.self, m.db.Next(), a.Groups[:0]
+	for g := range m.local {
+		a.Groups = append(a.Groups, g)
+	}
+	slices.Sort(a.Groups)
+	buf = a.AppendTo(buf)
+	if outer {
+		m.txBuf, m.announcing = buf, true
+	}
+	m.env.FloodGroupState(buf, 0)
+	if outer {
+		m.announcing = false
+	}
 }

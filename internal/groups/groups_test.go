@@ -381,3 +381,82 @@ func TestPurgeOrigin(t *testing.T) {
 		t.Fatal("forgetting an origin without memberships notified a change")
 	}
 }
+
+// floodSink is a groups.Env that keeps the last flooded payload by copy
+// and, when reenter is set, announces again from inside the first flood —
+// what a synchronous env does when a flood.Reborn echo comes straight
+// back.
+type floodSink struct {
+	mgr     *Manager
+	last    []byte
+	reenter bool
+	// outer is the payload of the re-entered flood as it read before the
+	// inner announcement, and after is the same bytes read after it.
+	outer, after []byte
+}
+
+func (s *floodSink) FloodGroupState(payload []byte, _ wire.NodeID) {
+	s.last = append(s.last[:0], payload...)
+	if s.reenter {
+		s.reenter = false
+		s.outer = append([]byte(nil), payload...)
+		s.mgr.Refresh()
+		s.after = append([]byte(nil), payload...)
+	}
+}
+
+func (s *floodSink) SendGroupState(wire.NodeID, []byte) {}
+func (s *floodSink) GroupsChanged()                     {}
+
+// TestAnnounceAllocBudget holds a warmed Refresh at 0 allocations (`make
+// bench-guard`): the sorted group list and the payload are built in
+// storage the manager owns, and the payload still carries the full,
+// sorted membership under a new sequence number each time.
+func TestAnnounceAllocBudget(t *testing.T) {
+	s := &floodSink{}
+	s.mgr = NewManager(s, 4)
+	for _, g := range []wire.GroupID{90, 3, 41, 7} {
+		s.mgr.Join(g)
+	}
+	s.mgr.Refresh()
+	if allocs := testing.AllocsPerRun(100, s.mgr.Refresh); allocs != 0 {
+		t.Fatalf("warmed Refresh allocates %.1f/op, want 0", allocs)
+	}
+	a, err := UnmarshalAnnouncement(s.last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Origin != 4 || a.Seq != 4+1+101 || !slices.Equal(a.Groups, []wire.GroupID{3, 7, 41, 90}) {
+		t.Fatalf("last announcement %+v, want origin 4, seq 106, groups [3 7 41 90]", a)
+	}
+}
+
+// TestAnnounceReentryKeepsPayload announces from inside an announcement's
+// own flood: the inner announcement must leave the outer payload intact
+// while it is still being flooded, and go out under the next number.
+func TestAnnounceReentryKeepsPayload(t *testing.T) {
+	s := &floodSink{}
+	s.mgr = NewManager(s, 4)
+	s.mgr.Join(5)
+	s.reenter = true
+	s.mgr.Join(6)
+	if !slices.Equal(s.outer, s.after) {
+		t.Fatalf("outer payload %x rewritten to %x by the inner announcement", s.outer, s.after)
+	}
+	outer, err := UnmarshalAnnouncement(s.outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := UnmarshalAnnouncement(s.last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner.Seq != outer.Seq+1 || !slices.Equal(outer.Groups, inner.Groups) {
+		t.Fatalf("outer %+v, inner %+v: want the same groups under the next number", outer, inner)
+	}
+	// The manager's own storage is usable again once the flood returned.
+	s.mgr.Refresh()
+	if a, err := UnmarshalAnnouncement(s.last); err != nil || a.Seq != inner.Seq+1 {
+		t.Fatalf("after re-entry: %+v, %v", a, err)
+	}
+}

@@ -652,8 +652,8 @@ func (m *Manager) applyLocal(st *neighborState, up bool) {
 }
 
 // setOwned moves an owned link's view entry to a quality as advertisements
-// carry it. Routed through SetQuality so the view version and change journal
-// track it — the routing engine repairs its cached SPT off the journal.
+// carry it. Routed through SetQuality so the view version moves and the
+// routing engine recomputes its cached SPT.
 func (m *Manager) setOwned(id wire.LinkID, latency time.Duration, loss float64) {
 	latency, loss = quality(latencyUnits(latency), lossUnits(loss))
 	m.view.SetQuality(id, latency, loss)
@@ -767,7 +767,7 @@ func (m *Manager) HandleLSA(from wire.NodeID, p *wire.Packet) error {
 			// The owner's entry is authoritative for quality — including
 			// at the link's other endpoint, so both ends route on the
 			// same values. Routed through SetQuality so the view version
-			// and change journal track it.
+			// tracks it.
 			if m.view.SetQuality(e.Link, e.Latency, e.Loss) {
 				changed = true
 			}

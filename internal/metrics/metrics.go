@@ -76,13 +76,6 @@ type SPFStats struct {
 	// ScratchReuses counts runs that recomputed entirely into an
 	// already-sized scratch arena (no allocation).
 	ScratchReuses atomic.Uint64
-	// Incrementals counts single-link tree repairs (SPTRepair calls that
-	// fixed the cached tree in place instead of rerunning Dijkstra).
-	Incrementals atomic.Uint64
-	// RepairedNodes sums, over all incremental repairs, the number of
-	// nodes whose tree entry was touched — the affected-region size, which
-	// for a single-link change is what the recompute cost scales with.
-	RepairedNodes atomic.Uint64
 }
 
 // Snapshot returns a consistent-enough copy of the counters.
@@ -90,8 +83,6 @@ func (s *SPFStats) Snapshot() SPFSnapshot {
 	return SPFSnapshot{
 		Runs:          s.Runs.Load(),
 		ScratchReuses: s.ScratchReuses.Load(),
-		Incrementals:  s.Incrementals.Load(),
-		RepairedNodes: s.RepairedNodes.Load(),
 	}
 }
 
@@ -101,10 +92,9 @@ type SPFSnapshot struct {
 	Runs uint64
 	// ScratchReuses counts allocation-free runs into reused scratch.
 	ScratchReuses uint64
-	// Incrementals counts single-link incremental tree repairs.
+	// Incrementals always reads 0: every tree is a full run. It is kept
+	// for bench/ alone, whose per-layer tally still reads it.
 	Incrementals uint64
-	// RepairedNodes sums affected-region sizes over incremental repairs.
-	RepairedNodes uint64
 }
 
 // ReuseRatio returns ScratchReuses / Runs, or 0 before the first run.
@@ -113,25 +103,6 @@ func (s SPFSnapshot) ReuseRatio() float64 {
 		return 0
 	}
 	return float64(s.ScratchReuses) / float64(s.Runs)
-}
-
-// IncrementalRatio returns Incrementals / (Runs + Incrementals): the share
-// of reconvergences served by subtree repair rather than full Dijkstra.
-func (s SPFSnapshot) IncrementalRatio() float64 {
-	total := s.Runs + s.Incrementals
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Incrementals) / float64(total)
-}
-
-// MeanRepairSize returns the mean affected-region size per incremental
-// repair, or 0 before the first repair.
-func (s SPFSnapshot) MeanRepairSize() float64 {
-	if s.Incrementals == 0 {
-		return 0
-	}
-	return float64(s.RepairedNodes) / float64(s.Incrementals)
 }
 
 // WireStats counts datagram-level activity on one real UDP underlay: how

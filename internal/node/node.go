@@ -315,8 +315,8 @@ func (n *Node) LearnLink(a, b wire.NodeID, latency time.Duration) error {
 			return fmt.Errorf("node: %w", err)
 		}
 	}
-	// The view gains journaled state entries for every link the graph
-	// gained, and each new incident link registers its neighbor machinery
+	// The view gains state entries, each a version bump, for every link
+	// the graph gained, and each new incident link registers its neighbor machinery
 	// and begins hello probing.
 	if added := n.lsMgr.View().Grow(); n.registerIncident() || added > 0 {
 		n.forwardingChanged()

@@ -62,17 +62,13 @@ type Engine struct {
 	metric topology.Metric
 
 	// Shortest-path tree rooted at self for link-state unicast. The tree is
-	// engine-owned scratch: reconvergence repairs it in place with
-	// SPTRepair when the view's change journal shows a single changed link,
-	// and recomputes into it with SPTInto otherwise; either way a warmed
-	// reconvergence allocates nothing. lastView/lastViewVersion remember
-	// which view object and version the tree reflects so the journal can be
-	// consulted, and chgBuf is the allocation-free ChangesSince buffer.
+	// engine-owned scratch: reconvergence recomputes into it with SPTInto,
+	// so a warmed reconvergence allocates nothing. lastView/lastViewVersion
+	// remember which view object and version the tree reflects (lastView
+	// is nil until the first computation).
 	spt             topology.SPT
-	sptValid        bool
 	lastView        *topology.View
 	lastViewVersion uint64
-	chgBuf          [16]wire.LinkID
 
 	// nh memoizes per-destination next hops by dense node index. Entries
 	// are stamped with the SPT generation that produced them; nhStamp is
@@ -270,41 +266,21 @@ func (e *Engine) fanOut(fwd []wire.LinkID, mask wire.Bitmask, arrived wire.LinkI
 	return fwd
 }
 
-// selfSPT returns the shortest-path tree rooted at this node, bringing the
-// engine-owned scratch up to date when the shared view changed — another
-// view object, or the view's version moved. When the view's change journal
-// shows exactly one link changed (possibly several times — a flap) the
-// tree is repaired in place with SPTRepair; multi-link batches, journal
-// overflow, and untracked mutations (View.Invalidate after direct State
-// writes) fall back to a full SPTInto. Both paths advance the next-hop
-// memo stamp, invalidating every memoized next hop at once.
+// selfSPT returns the shortest-path tree rooted at this node, recomputing
+// the engine-owned scratch with SPTInto when the shared view changed —
+// another view object, or the view's version moved. The tree is a function
+// of the view alone, so no state derived from an earlier view survives a
+// recompute. Each recompute advances the next-hop memo stamp, invalidating
+// every memoized next hop at once.
 func (e *Engine) selfSPT() *topology.SPT {
 	v := e.viewNow()
 	vv := v.Version()
-	if e.sptValid && e.lastView == v && e.lastViewVersion == vv {
+	if e.lastView == v && e.lastViewVersion == vv {
 		return &e.spt
 	}
-	full := true
-	if e.sptValid && e.lastView == v {
-		if links, ok := v.ChangesSince(e.lastViewVersion, e.chgBuf[:0]); ok && len(links) > 0 {
-			single := true
-			for _, l := range links[1:] {
-				if l != links[0] {
-					single = false
-					break
-				}
-			}
-			if single && topology.SPTRepair(&e.spt, v, links[0], e.metric) {
-				full = false
-			}
-		}
-	}
-	if full {
-		topology.SPTInto(&e.spt, v, e.self, e.metric)
-	}
+	topology.SPTInto(&e.spt, v, e.self, e.metric)
 	e.lastView = v
 	e.lastViewVersion = vv
-	e.sptValid = true
 	e.nhStamp++
 	if n := v.G.NumNodes(); cap(e.nh) < n {
 		e.nh = make([]nextHopEntry, n)

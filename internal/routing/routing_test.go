@@ -260,8 +260,8 @@ func TestInvalidateForcesRecompute(t *testing.T) {
 	g, views, _, engines := diamondWorld(t)
 	p := &wire.Packet{Type: wire.PTData, Route: wire.RouteLinkState, Src: 1, Dst: 4}
 	_ = engines[1].Decide(p, NoLink, true)
-	// A direct State write moves no version; View.Invalidate does, untracked
-	// by the change journal, so the engine must recompute in full.
+	// A direct State write moves no version; View.Invalidate does, so the
+	// engine must recompute.
 	views.view.State[linkID(t, g, 1, 2)].Up = false
 	views.view.Invalidate()
 	d := engines[1].Decide(p, NoLink, true)

@@ -249,11 +249,6 @@ type LinkState struct {
 	Loss float64
 }
 
-// journalCap is how many recent link changes a View retains for
-// ChangesSince. It only needs to cover the changes between two route
-// recomputes of one consumer; overflow just means a full recompute.
-const journalCap = 16
-
 // View is the designed topology combined with current link state — the
 // global state every overlay node maintains.
 type View struct {
@@ -266,15 +261,9 @@ type View struct {
 	State []LinkState
 
 	// version increments on every state change applied through SetUp,
-	// SetQuality, or Invalidate; it keys the cached flood mask and is
+	// SetQuality, Grow, or Invalidate; it keys the cached flood mask and is
 	// exposed for other view-scoped memoization.
 	version uint64
-	// journal is a ring of the links changed by the most recent version
-	// bumps: jlink[(version-1)%journalCap] is the link changed by the bump
-	// to that version. Invalidate bumps the version without recording, so
-	// ChangesSince detects untracked mutations by counting.
-	jlink [journalCap]wire.LinkID
-	jver  [journalCap]uint64
 	// flood caches the constrained-flooding mask of the view at
 	// floodVersion; FloodMask rebuilds it only when the version moved.
 	flood        wire.Bitmask
@@ -294,17 +283,14 @@ func NewView(g *Graph) *View {
 
 // Grow appends state entries for links added to G after the view was
 // built, each up at its designed latency (the same optimism as NewView at
-// bootstrap), and returns how many links were added. Every new link is
-// journaled as a version bump, so incremental consumers (SPT repair, delta
-// LSA origination) see growth as ordinary link changes; spans exceeding
-// the journal fall back to full recompute exactly as for any burst.
+// bootstrap), and returns how many links were added. Every new link bumps
+// the version, so version-keyed caches see growth as ordinary link changes.
 func (v *View) Grow() int {
 	added := 0
 	for id := len(v.State); id < v.G.NumLinks(); id++ {
 		l := v.G.links[id]
 		v.State = append(v.State, LinkState{Up: true, Latency: l.Latency})
 		v.version++
-		v.record(wire.LinkID(id))
 		added++
 	}
 	return added
@@ -324,13 +310,6 @@ func (v *View) Usable(id wire.LinkID) bool {
 	return int(id) < len(v.State) && v.State[id].Up
 }
 
-// record journals one link change against the version just bumped to.
-func (v *View) record(id wire.LinkID) {
-	i := (v.version - 1) % journalCap
-	v.jlink[i] = id
-	v.jver[i] = v.version
-}
-
 // SetUp marks a link up or down, bumping the view version when the
 // availability actually changes.
 func (v *View) SetUp(id wire.LinkID, up bool) {
@@ -340,14 +319,13 @@ func (v *View) SetUp(id wire.LinkID, up bool) {
 	if v.State[id].Up != up {
 		v.State[id].Up = up
 		v.version++
-		v.record(id)
 	}
 }
 
 // SetQuality updates a link's measured latency and loss, bumping the view
 // version when either actually changes, and reports whether it did. Routing
-// caches keyed on the version (and incremental SPT repair, via the change
-// journal) see quality changes only when they go through here.
+// caches keyed on the version see quality changes only when they go through
+// here.
 func (v *View) SetQuality(id wire.LinkID, latency time.Duration, loss float64) bool {
 	if int(id) >= len(v.State) {
 		return false
@@ -359,7 +337,6 @@ func (v *View) SetQuality(id wire.LinkID, latency time.Duration, loss float64) b
 	st.Latency = latency
 	st.Loss = loss
 	v.version++
-	v.record(id)
 	return true
 }
 
@@ -367,37 +344,8 @@ func (v *View) SetQuality(id wire.LinkID, latency time.Duration, loss float64) b
 func (v *View) Version() uint64 { return v.version }
 
 // Invalidate bumps the view version; callers that mutate State entries
-// directly use it to invalidate version-keyed caches. The bump is
-// deliberately not journaled: consumers tracking changes via ChangesSince
-// observe an untracked gap and fall back to a full recompute.
+// directly use it to invalidate version-keyed caches.
 func (v *View) Invalidate() { v.version++ }
-
-// ChangesSince returns the links changed by every version bump after old,
-// appended to buf, and whether the journal covers that whole span. It
-// reports ok=false when the span exceeds the journal capacity or includes
-// untracked bumps (Invalidate, or a concurrent overwrite); callers must
-// then treat the view as arbitrarily changed. The same link may appear
-// multiple times when it changed repeatedly.
-func (v *View) ChangesSince(old uint64, buf []wire.LinkID) ([]wire.LinkID, bool) {
-	if old > v.version {
-		return buf, false
-	}
-	n := v.version - old
-	if n == 0 {
-		return buf, true
-	}
-	if n > journalCap {
-		return buf, false
-	}
-	for ver := old + 1; ver <= v.version; ver++ {
-		i := (ver - 1) % journalCap
-		if v.jver[i] != ver {
-			return buf, false
-		}
-		buf = append(buf, v.jlink[i])
-	}
-	return buf, true
-}
 
 // FloodMask returns the bitmask of all currently usable links — the
 // constrained-flooding dissemination set (§IV-B). The mask is cached and

@@ -7,12 +7,12 @@ import (
 	"sonet/internal/wire"
 )
 
-// ReferenceSPT is the retained map-backed shortest-path tree. It is the
-// original, obviously-correct Dijkstra the dense SPT replaced, kept as the
-// differential-testing baseline: property tests and the EXP-CONV
-// experiment compare the dense slice-indexed SPF against it across random
-// graphs, metrics, and link up/down sequences. It allocates four maps per
-// computation and is not used on any hot path.
+// ReferenceSPT is the map-backed shortest-path tree: the original,
+// obviously-correct Dijkstra the dense SPT replaced, kept as the test
+// oracle. TestSPFMatchesReference compares the dense slice-indexed SPF
+// against it across random graphs, metrics, and link up/down sequences,
+// and BenchmarkSPF times it beside the dense one. It allocates four maps
+// per computation.
 type ReferenceSPT struct {
 	// Src is the root of the tree.
 	Src wire.NodeID

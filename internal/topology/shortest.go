@@ -43,20 +43,6 @@ type SPT struct {
 	// absent.
 	heap []int32
 	pos  []int32
-
-	// Child lists over the parent array (first child, doubly linked
-	// sibling ring) let SPTRepair enumerate and detach the subtree below a
-	// worsened tree edge without scanning every node. They are rebuilt
-	// lazily: SPTInto only marks them dirty, and the first repair after a
-	// full recompute pays the O(n) rebuild.
-	firstChild []int32
-	nextSib    []int32
-	prevSib    []int32
-	childDirty bool
-
-	// stack and region are DFS scratch for subtree collection in SPTRepair.
-	stack  []int32
-	region []int32
 }
 
 // ShortestPaths runs Dijkstra from src over the usable links of v into a
@@ -82,7 +68,6 @@ func SPTInto(t *SPT, v *View, src wire.NodeID, metric Metric) {
 	}
 	t.Src = src
 	t.g = g
-	t.childDirty = true
 	for i := 0; i < n; i++ {
 		t.dist[i] = math.Inf(1)
 		t.parent[i] = -1
@@ -132,23 +117,20 @@ func (t *SPT) grow(n int) bool {
 		t.via = make([]wire.LinkID, n)
 		t.pos = make([]int32, n)
 		t.heap = make([]int32, 0, n)
-		t.firstChild = make([]int32, n)
-		t.nextSib = make([]int32, n)
-		t.prevSib = make([]int32, n)
-		t.stack = make([]int32, 0, n)
-		t.region = make([]int32, 0, n)
-		t.childDirty = true
 		return false
 	}
 	t.dist = t.dist[:n]
 	t.parent = t.parent[:n]
 	t.via = t.via[:n]
 	t.pos = t.pos[:n]
-	t.firstChild = t.firstChild[:n]
-	t.nextSib = t.nextSib[:n]
-	t.prevSib = t.prevSib[:n]
 	return true
 }
+
+// SPTRepair refuses every change and leaves the tree untouched: the caller
+// falls back to SPTInto. It is kept for bench/ alone, whose layer ladder
+// still names it; every tree in the program is a full SPTInto from the
+// view.
+func SPTRepair(*SPT, *View, wire.LinkID, Metric) bool { return false }
 
 // less orders node indices by (distance, NodeID). Breaking distance ties
 // by node ID keeps every overlay node that computes a tree from the same

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,5 +232,36 @@ func TestSPFSkipsBadWeights(t *testing.T) {
 		t.Fatal("2 unreachable with NaN direct link")
 	} else if l, _ := g.Link(hop); l.A != 1 || l.B != 3 {
 		t.Fatalf("next hop to 2 is %v-%v, want detour via 3", l.A, l.B)
+	}
+}
+
+// BenchmarkSPF is the control-plane microbenchmark: one shortest-path tree
+// on the EXP-CONV graphs. dense is a full recompute into warmed scratch,
+// what every reconvergence costs; reference is the map-based Dijkstra of
+// reference_test.go, whose constant factor the small sizes establish.
+func BenchmarkSPF(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024, 4096, 10240} {
+		v := ringView(b, n)
+		src := v.G.Nodes()[0]
+		b.Run(fmt.Sprintf("dense-%d", n), func(b *testing.B) {
+			var spt SPT
+			SPTInto(&spt, v, src, LatencyMetric)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SPTInto(&spt, v, src, LatencyMetric)
+			}
+		})
+		if n <= 256 {
+			b.Run(fmt.Sprintf("reference-%d", n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if t := ReferenceShortestPaths(v, src, LatencyMetric); t.Src != src {
+						b.Fatal("bad root")
+					}
+				}
+			})
+		}
 	}
 }
